@@ -19,7 +19,6 @@ from repro import (
     SessionConfig,
 )
 from repro.bench.harness import emit_table
-from repro.core.multisession import SharedLinkStreamer
 from repro.stream.estimator import HarmonicMeanEstimator
 from repro.stream.network import SimulatedLink
 from repro.workloads.users import ViewerPopulation
@@ -53,7 +52,7 @@ def make_sessions(count, policy_factory, use_estimator):
 @pytest.mark.benchmark(group="e12")
 def test_e12_shared_link_capacity(benchmark, bench_db, naive_rate):
     link_capacity = 2.0 * naive_rate[VIDEO]  # room for exactly two naive viewers
-    streamer = SharedLinkStreamer(bench_db.storage, bench_db.prediction)
+    streamer = bench_db.streamer
     rows = []
     stalls = {}
     for label, factory, estimator in [

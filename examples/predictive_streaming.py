@@ -107,11 +107,13 @@ def main() -> None:
 
     metrics = db.metrics
     read = metrics.histogram("storage.read_segment.seconds").summary()
+    hits = metrics.counter("cache.hits").total()
+    lookups = hits + metrics.counter("cache.misses").total()
     print(
         f"\nmetrics: {metrics.counter('stream.windows').total():.0f} windows served, "
         f"{metrics.counter('stream.bytes_sent').total():.0f} bytes on the wire; "
         f"cache hit rate "
-        f"{100 * db.storage.segment_cache.stats.hit_rate:.1f}%; "
+        f"{100 * hits / lookups:.1f}%; "
         f"segment read p50 {1e3 * read.get('p50', 0.0):.2f} ms "
         f"over {read['count']} reads"
     )

@@ -69,7 +69,6 @@ from repro.core.resilience import RetryPolicy
 from repro.core.server import VisualCloud
 from repro.core.storage import IngestConfig
 from repro.core.streamer import SessionConfig, Streamer
-from repro.core.multisession import SharedLinkStreamer
 from repro.geometry.grid import TileGrid
 from repro.stream.abr import NaiveFullQuality, PredictiveTilingPolicy, UniformAdaptive
 from repro.stream.network import ConstantBandwidth, SimulatedLink
@@ -271,8 +270,8 @@ class ScenarioRunner:
 
         reports: list = [None] * count
         failures: list[tuple[int, str]] = []
+        streamer = Streamer(chaos_storage, db.prediction, registry=db.metrics)
         if mode == "shared":
-            streamer = SharedLinkStreamer(chaos_storage, db.prediction, registry=db.metrics)
             link = SimulatedLink(
                 scenario.plan.apply_to_bandwidth(ConstantBandwidth(bandwidth))
             )
@@ -291,9 +290,7 @@ class ScenarioRunner:
                     (viewer, f"{type(error).__name__}: {error}")
                     for viewer in range(count)
                 ]
-                reports = [None] * count
         else:
-            streamer = Streamer(chaos_storage, db.prediction, registry=db.metrics)
             for viewer in range(count):
                 trace = population.trace(viewer, duration=meta.duration, rate=10.0)
                 try:

@@ -12,7 +12,7 @@ entry points (``VisualCloud.serve``, the CLI, the bench driver) accept.
 """
 
 from repro.control.actuators import HandleActuator, HttpActuator, StalePlanError
-from repro.control.config import ClusterConfig, ControlConfig, cluster_from_legacy_kwargs
+from repro.control.config import ClusterConfig, ControlConfig
 from repro.control.controller import (
     Controller,
     catalog_from_storage,
@@ -42,7 +42,6 @@ __all__ = [
     "Planner",
     "StalePlanError",
     "catalog_from_storage",
-    "cluster_from_legacy_kwargs",
     "default_segment_weights",
     "diff_plans",
     "make_forecaster",

@@ -8,15 +8,10 @@ server tunables (which already carry pin budget, shard map, process
 count), the control-plane knobs, and the delivery transport, in one
 validated dataclass that every entry point (``VisualCloud.serve``, the
 ``serve``/``bench-serve`` CLI, the bench driver) accepts directly.
-
-The old kwargs keep working for one release: ``VisualCloud.serve``
-maps ``transport=``/``base_url=`` onto a ClusterConfig through
-:func:`cluster_from_legacy_kwargs` with a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.control.forecast import DemandForecaster, make_forecaster
@@ -105,22 +100,4 @@ class ClusterConfig:
         return replace(self, transport="http", base_url=base_url)
 
 
-def cluster_from_legacy_kwargs(
-    transport: str = "sim",
-    base_url: str | None = None,
-    *,
-    stacklevel: int = 3,
-) -> ClusterConfig:
-    """The one-release mapping shim: old ``VisualCloud.serve`` kwargs
-    folded into a :class:`ClusterConfig`, with a deprecation warning
-    naming the replacement."""
-    warnings.warn(
-        "serve(..., transport=, base_url=) is deprecated; pass "
-        "cluster=ClusterConfig(transport=..., base_url=...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ClusterConfig(transport=transport, base_url=base_url)
-
-
-__all__ = ["ClusterConfig", "ControlConfig", "cluster_from_legacy_kwargs"]
+__all__ = ["ClusterConfig", "ControlConfig"]

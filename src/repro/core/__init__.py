@@ -6,7 +6,8 @@
 * :mod:`repro.core.predictor` — the prediction service the server trains
   offline and instantiates per session.
 * :mod:`repro.core.streamer` — the delivery engine: per-window predict /
-  assign / transfer loop producing QoE reports.
+  assign / transfer loop producing QoE reports, for one viewer on a
+  private link or many contending for a shared one.
 * :mod:`repro.core.query` — the declarative query layer with a rule-based
   planner that substitutes homomorphic physical operators.
 * :mod:`repro.core.server` — the :class:`VisualCloud` facade tying the
@@ -21,7 +22,6 @@ from repro.core.errors import (
     VisualCloudError,
 )
 from repro.core.export import decode_export, export_video, import_video
-from repro.core.multisession import SharedLinkStreamer
 from repro.core.popularity import StoragePlanner, tile_popularity
 from repro.core.query import QueryExecutor, Scan
 from repro.core.server import VisualCloud
@@ -38,7 +38,6 @@ __all__ = [
     "Scan",
     "SegmentNotFoundError",
     "SessionConfig",
-    "SharedLinkStreamer",
     "StoragePlanner",
     "StorageManager",
     "Streamer",

@@ -1,61 +1,40 @@
-"""The multi-backend storage read surface.
+"""The storage read surface.
 
 Everything that consumes stored video — the session loop
 (:class:`~repro.core.streamer.Streamer`), the resilience ladder, the
 segment server — reads through exactly two methods: ``build_manifest``
 and ``read_segment``. This module promotes that implicit duck-typed
-contract into an explicit :class:`SegmentBackend` protocol and ships the
-implementations the sharded delivery fabric composes:
-
-* :class:`LocalStorageBackend` — the canonical local-disk backend, a thin
-  veneer over :class:`~repro.core.storage.StorageManager` (which itself
-  satisfies the protocol; the wrapper exists so a tier can treat "this
-  node's disk" as one interchangeable backend among several).
-* :class:`InMemorySegmentBackend` — a RAM-resident store. Used by tests
-  as a hermetic fixture and by the serve tier as the shape of a
-  pre-warmed edge copy.
-* :class:`RemotePeerBackend` — reads served by a sibling node over HTTP,
-  with every transport failure surfacing as the PR 3 error taxonomy.
-* :class:`TieredSegmentBackend` — an ordered fallthrough chain (e.g.
-  memory → local disk → remote peer) with optional write-back into the
-  faster tiers.
+contract into an explicit :class:`SegmentBackend` protocol
+(:class:`~repro.core.storage.StorageManager` is the canonical local-disk
+implementation, :class:`~repro.serve.client.RemoteStorage` the wire one)
+and ships :class:`RemotePeerBackend` — reads served by a sibling node
+over HTTP, the segment server's peer-fetch and read-repair transport.
 
 Error contract (shared with ``StorageManager.read_segment``): a backend
 that *authoritatively* knows a segment does not exist raises
 :class:`~repro.core.errors.SegmentNotFoundError`; one that merely cannot
 answer right now raises :class:`~repro.core.errors.TransientSegmentError`
-(or :class:`~repro.core.errors.SegmentReadTimeout`). The tiered backend
-and the server's peer-fetch path rely on that distinction to decide
-whether falling through is correct or masking data loss.
+(or :class:`~repro.core.errors.SegmentReadTimeout`). The server's
+peer-fetch path relies on that distinction to decide whether falling
+back is correct or masking data loss.
 
 Integrity contract: every byte path into this surface is checksummed
-end to end. ``StorageManager`` (and therefore ``LocalStorageBackend``)
-verifies each read against the content checksum committed in the
-version's metadata; :class:`RemotePeerBackend` rides
-``HttpSegmentClient``, which verifies the peer's ``X-Checksum`` response
-header against the received body — so the bytes a tier hands upward, or
-that the read-repair path rewrites to disk, have already survived an
+end to end. ``StorageManager`` verifies each read against the content
+checksum committed in the version's metadata; :class:`RemotePeerBackend`
+rides ``HttpSegmentClient``, which verifies the peer's ``X-Checksum``
+response header against the received body — so the bytes handed upward,
+or that the read-repair path rewrites to disk, have already survived an
 integrity check at their source.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-from repro.core.errors import SegmentNotFoundError, TransientSegmentError
 from repro.stream.dash import Manifest, SegmentKey
 from repro.video.quality import Quality
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.storage import StorageManager
-
-__all__ = [
-    "SegmentBackend",
-    "LocalStorageBackend",
-    "InMemorySegmentBackend",
-    "RemotePeerBackend",
-    "TieredSegmentBackend",
-]
+__all__ = ["SegmentBackend", "RemotePeerBackend"]
 
 
 @runtime_checkable
@@ -63,8 +42,8 @@ class SegmentBackend(Protocol):
     """The storage read contract.
 
     ``StorageManager``, :class:`~repro.serve.client.RemoteStorage`, and
-    every class in this module satisfy it structurally — callers written
-    against the protocol run unchanged over disk, RAM, or the wire.
+    :class:`RemotePeerBackend` satisfy it structurally — callers written
+    against the protocol run unchanged over disk or the wire.
     """
 
     def build_manifest(self, name: str) -> Manifest:
@@ -81,89 +60,6 @@ class SegmentBackend(Protocol):
     ) -> bytes:
         """One segment's encoded bytes; raises the storage error taxonomy."""
         ...  # pragma: no cover - protocol
-
-
-class LocalStorageBackend:
-    """Local-disk reads: delegates to a :class:`StorageManager`.
-
-    The storage manager keeps its buffer pool, metrics, and no-overwrite
-    versioning; this wrapper only narrows the surface to the protocol so
-    a tier composes it like any other backend.
-    """
-
-    def __init__(self, storage: "StorageManager") -> None:
-        self.storage = storage
-
-    def build_manifest(self, name: str) -> Manifest:
-        return self.storage.build_manifest(name)
-
-    def read_segment(
-        self,
-        name: str,
-        gop: int,
-        tile: tuple[int, int],
-        quality: Quality,
-        version: int | None = None,
-    ) -> bytes:
-        return self.storage.read_segment(name, gop, tile, quality, version)
-
-
-class InMemorySegmentBackend:
-    """A RAM-resident segment store.
-
-    Populated explicitly (:meth:`put_manifest` / :meth:`put_segment`) or
-    snapshot from another backend (:meth:`load_video`). Reads never touch
-    the filesystem, which makes it both the hermetic test double and the
-    write-back target of a :class:`TieredSegmentBackend`.
-    """
-
-    def __init__(self) -> None:
-        self._manifests: dict[str, Manifest] = {}
-        self._segments: dict[tuple[str, SegmentKey], bytes] = {}
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(len(data) for data in self._segments.values())
-
-    def put_manifest(self, name: str, manifest: Manifest) -> None:
-        self._manifests[name] = manifest
-
-    def put_segment(self, name: str, key: SegmentKey, data: bytes) -> None:
-        self._segments[(name, key)] = bytes(data)
-
-    def load_video(self, source: SegmentBackend, name: str) -> int:
-        """Copy one video's manifest and every listed segment from
-        ``source``; returns the number of segments loaded."""
-        manifest = source.build_manifest(name)
-        self.put_manifest(name, manifest)
-        for key in manifest.segment_sizes:
-            data = source.read_segment(name, key.window, key.tile, key.quality)
-            self.put_segment(name, key, data)
-        return len(manifest.segment_sizes)
-
-    def build_manifest(self, name: str) -> Manifest:
-        manifest = self._manifests.get(name)
-        if manifest is None:
-            raise SegmentNotFoundError(f"no manifest loaded for {name!r}")
-        return manifest
-
-    def read_segment(
-        self,
-        name: str,
-        gop: int,
-        tile: tuple[int, int],
-        quality: Quality,
-        version: int | None = None,
-    ) -> bytes:
-        if version is not None:
-            raise ValueError("the in-memory backend holds only the loaded version")
-        data = self._segments.get((name, SegmentKey(gop, tile, quality)))
-        if data is None:
-            raise SegmentNotFoundError(
-                f"{name!r} has no in-memory segment (gop={gop}, tile={tile}, "
-                f"quality={quality.label})"
-            )
-        return data
 
 
 class RemotePeerBackend:
@@ -217,57 +113,3 @@ class RemotePeerBackend:
         if version is not None:
             raise ValueError("peers serve only the latest committed version")
         return self.fetch_segment_key(name, SegmentKey(gop, tile, quality))
-
-
-class TieredSegmentBackend:
-    """An ordered fallthrough chain of backends.
-
-    ``read_segment`` tries each tier in order. A tier that raises
-    :class:`SegmentNotFoundError` or :class:`TransientSegmentError` falls
-    through to the next; when every tier fails, the *last* error is
-    re-raised — not-found only if the final (authoritative) tier said so,
-    transient if the chain ended on an unreachable backend. With
-    ``write_back=True`` a payload found in a slow tier is offered to every
-    faster tier that exposes ``put_segment``.
-    """
-
-    def __init__(self, tiers: Sequence[SegmentBackend], write_back: bool = True) -> None:
-        if not tiers:
-            raise ValueError("a tiered backend needs at least one tier")
-        self.tiers = tuple(tiers)
-        self.write_back = write_back
-
-    def build_manifest(self, name: str) -> Manifest:
-        last_error: Exception | None = None
-        for tier in self.tiers:
-            try:
-                return tier.build_manifest(name)
-            except (SegmentNotFoundError, TransientSegmentError) as error:
-                last_error = error
-        assert last_error is not None
-        raise last_error
-
-    def read_segment(
-        self,
-        name: str,
-        gop: int,
-        tile: tuple[int, int],
-        quality: Quality,
-        version: int | None = None,
-    ) -> bytes:
-        last_error: Exception | None = None
-        for index, tier in enumerate(self.tiers):
-            try:
-                data = tier.read_segment(name, gop, tile, quality, version)
-            except (SegmentNotFoundError, TransientSegmentError) as error:
-                last_error = error
-                continue
-            if self.write_back and index > 0:
-                key = SegmentKey(gop, tile, quality)
-                for faster in self.tiers[:index]:
-                    put = getattr(faster, "put_segment", None)
-                    if put is not None:
-                        put(name, key, data)
-            return data
-        assert last_error is not None
-        raise last_error

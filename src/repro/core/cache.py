@@ -10,8 +10,7 @@ paper's buffer-pool design argues.
 Accounting is live: hits, misses, evictions, single-flight waits, and
 fenced loads are counters in a :class:`~repro.obs.MetricsRegistry`
 (shared with the owning storage manager), and the entry/byte occupancy is
-kept as gauges. :class:`CacheStats` remains as a compatibility view over
-those counters.
+kept as gauges.
 
 Invalidation is *fencing*: dropping a key (or prefix, or everything) also
 cancels any in-flight ``get_or_load`` for it — the leader's result is
@@ -31,41 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from repro.obs import MetricsRegistry
-
-
-class CacheStats:
-    """Hit/miss accounting, read live from the cache's metrics registry.
-
-    Kept for API compatibility with the original ad-hoc stats object;
-    the counters themselves now live in the registry (``cache.hits``,
-    ``cache.misses``, ``cache.evictions``) where every other subsystem
-    reports too.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-
-    @property
-    def hits(self) -> int:
-        return int(self._registry.counter("cache.hits").total())
-
-    @property
-    def misses(self) -> int:
-        return int(self._registry.counter("cache.misses").total())
-
-    @property
-    def evictions(self) -> int:
-        return int(self._registry.counter("cache.evictions").total())
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.requests == 0:
-            return float("nan")
-        return self.hits / self.requests
 
 
 @dataclass
@@ -97,7 +61,6 @@ class LruSegmentCache:
             raise ValueError(f"cache capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self.stats = CacheStats(self.metrics)
         self._hits = self.metrics.counter("cache.hits", "cache lookups served from memory")
         self._misses = self.metrics.counter("cache.misses", "cache lookups that fell through")
         self._evictions = self.metrics.counter("cache.evictions", "entries evicted for capacity")

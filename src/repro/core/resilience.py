@@ -12,8 +12,7 @@ whose :class:`~repro.stream.qoe.DegradationEvent` trail says exactly what
 was sacrificed, and the ``obs`` registry counts every retry, degradation,
 and give-up.
 
-Both streamers (:class:`repro.core.streamer.Streamer` and
-:class:`repro.core.multisession.SharedLinkStreamer`) assemble windows
+The streamer (:class:`repro.core.streamer.Streamer`) assembles windows
 through :func:`read_window_resilient`. With a healthy store the function
 performs exactly the reads ``StorageManager.read_window`` would — same
 segments, same order — so fault-free delivery is byte-identical to the

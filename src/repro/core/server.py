@@ -32,21 +32,16 @@ class VisualCloud:
     """A VisualCloud database instance rooted at a directory.
 
     One :class:`~repro.obs.MetricsRegistry` (``self.metrics``) spans the
-    whole instance — storage, cache, prediction, and both streamers all
+    whole instance — storage, cache, prediction, and the streamer all
     report into it, and :meth:`stats` merges the snapshot into the
     operational view.
     """
 
     def __init__(self, root: Path | str) -> None:
-        from repro.core.multisession import SharedLinkStreamer
-
         self.metrics = MetricsRegistry()
         self.storage = StorageManager(root, registry=self.metrics)
         self.prediction = PredictionService(registry=self.metrics)
         self.streamer = Streamer(self.storage, self.prediction, registry=self.metrics)
-        self.shared_streamer = SharedLinkStreamer(
-            self.storage, self.prediction, registry=self.metrics
-        )
         self.executor = QueryExecutor(self.storage)
 
     # -- catalog ------------------------------------------------------------
@@ -135,8 +130,7 @@ class VisualCloud:
         cluster=None,
         link: SimulatedLink | None = None,
         start_offsets: list[float] | None = None,
-        transport: str | None = None,
-        base_url: str | None = None,
+        **removed,
     ) -> QoEReport | list[QoEReport]:
         """Stream a stored video to one or many viewers — the single
         delivery entry point.
@@ -148,10 +142,10 @@ class VisualCloud:
         follows its ``transport``:
 
         * ``"sim"`` (the default), no ``link`` — each session runs on
-          its own simulated link (:class:`~repro.core.streamer.Streamer`);
+          its own simulated link;
         * ``"sim"`` with ``link`` — all sessions contend for the shared
-          bottleneck (:class:`~repro.core.multisession.SharedLinkStreamer`),
-          optionally staggered by ``start_offsets``;
+          bottleneck, optionally staggered by ``start_offsets`` (both are
+          :meth:`repro.core.streamer.Streamer.serve_all`);
         * ``"http"`` — sessions fetch real bytes from the segment server
           at the cluster's ``base_url``
           (:func:`repro.serve.serve_session`), reusing this instance's
@@ -159,27 +153,26 @@ class VisualCloud:
           session's bandwidth model, so reports stay comparable with the
           simulated paths.
 
-        The pre-cluster kwargs ``transport=``/``base_url=`` keep working
-        for one release via a mapping shim that warns. The PR 4-era
-        shapes ``serve(name, trace, config)`` and ``serve_all`` (which
-        warned for five releases) are gone; use ``(trace, config)``
-        pairs and ``serve(name, sessions, link=...)``.
+        The PR 4-era shapes ``serve(name, trace, config)`` and
+        ``serve_all`` and the pre-cluster kwargs ``transport=``/
+        ``base_url=`` are gone (``TypeError``); use ``(trace, config)``
+        pairs, ``serve(name, sessions, link=...)`` and
+        ``cluster=ClusterConfig(...)``.
         """
-        from repro.control.config import ClusterConfig, cluster_from_legacy_kwargs
+        from repro.control.config import ClusterConfig
 
         if isinstance(sessions, Trace):
             raise TypeError(
                 "serve(name, trace, config) was removed; pass "
                 "serve(name, (trace, config)) instead"
             )
-        if transport is not None or base_url is not None:
-            if cluster is not None:
-                raise TypeError(
-                    "pass cluster=ClusterConfig(...) or the deprecated "
-                    "transport=/base_url= kwargs, not both"
-                )
-            cluster = cluster_from_legacy_kwargs(transport or "sim", base_url)
-        elif cluster is None:
+        if removed:
+            raise TypeError(
+                f"serve() got unexpected keyword arguments {sorted(removed)}; "
+                "transport=/base_url= were removed — pass "
+                "cluster=ClusterConfig(transport=..., base_url=...) instead"
+            )
+        if cluster is None:
             cluster = ClusterConfig()
 
         single = isinstance(sessions, tuple)
@@ -205,19 +198,12 @@ class VisualCloud:
                 )
                 for trace, session_config in pairs
             ]
-        elif link is not None:
-            reports = self.shared_streamer.serve_all(
+        else:
+            reports = self.streamer.serve_all(
                 [(name, trace, session_config) for trace, session_config in pairs],
                 link,
                 start_offsets,
             )
-        else:
-            if start_offsets is not None:
-                raise ValueError("start_offsets only applies to shared-link serving")
-            reports = [
-                self.streamer.serve(name, trace, session_config)
-                for trace, session_config in pairs
-            ]
         return reports[0] if single else reports
 
     # -- queries ---------------------------------------------------------------------

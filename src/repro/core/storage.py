@@ -14,10 +14,9 @@ snapshot isolation by construction.
 The read surface — ``build_manifest`` + ``read_segment`` — is the
 :class:`~repro.core.backends.SegmentBackend` protocol (re-exported here
 as :data:`SegmentBackend`): :class:`StorageManager` is its canonical
-local-disk implementation, and the in-memory / remote-peer / tiered
-backends in :mod:`repro.core.backends` satisfy the same contract, which
-is what lets the sharded delivery tier serve segments a node does not
-own.
+local-disk implementation, and the remote-peer backend in
+:mod:`repro.core.backends` satisfies the same contract, which is what
+lets the sharded delivery tier serve segments a node does not own.
 """
 
 from __future__ import annotations
@@ -1418,15 +1417,17 @@ class StorageManager:
                 "segments": len(meta.entries),
             }
         cache = self.segment_cache
+        if cache is None:
+            return {"videos": videos, "cache": None}
+        hits = cache.metrics.counter("cache.hits").total()
+        requests = hits + cache.metrics.counter("cache.misses").total()
         return {
             "videos": videos,
-            "cache": None
-            if cache is None
-            else {
+            "cache": {
                 "entries": len(cache),
                 "bytes": cache.size_bytes,
                 "capacity": cache.capacity_bytes,
-                "hit_rate": cache.stats.hit_rate,
-                "evictions": cache.stats.evictions,
+                "hit_rate": hits / requests if requests else float("nan"),
+                "evictions": int(cache.metrics.counter("cache.evictions").total()),
             },
         }

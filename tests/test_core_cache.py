@@ -11,6 +11,10 @@ from repro.video.quality import Quality
 from repro.workloads.videos import synthetic_video
 
 
+def _total(cache, counter):
+    return cache.metrics.counter(counter).total()
+
+
 class TestLruCacheBasics:
     def test_rejects_non_positive_capacity(self):
         with pytest.raises(ValueError):
@@ -21,18 +25,19 @@ class TestLruCacheBasics:
         assert cache.get("a") is None
         cache.put("a", b"xyz")
         assert cache.get("a") == b"xyz"
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        assert _total(cache, "cache.hits") == 1
+        assert _total(cache, "cache.misses") == 1
 
-    def test_hit_rate(self):
-        cache = LruSegmentCache(100)
+    def test_hit_rate(self, tmp_path):
+        storage = StorageManager(tmp_path)
+        cache = storage.segment_cache
         cache.put("a", b"x")
         cache.get("a")
         cache.get("b")
-        assert cache.stats.hit_rate == pytest.approx(0.5)
+        assert storage.stats()["cache"]["hit_rate"] == pytest.approx(0.5)
 
-    def test_hit_rate_nan_without_requests(self):
-        assert math.isnan(LruSegmentCache(10).stats.hit_rate)
+    def test_hit_rate_nan_without_requests(self, tmp_path):
+        assert math.isnan(StorageManager(tmp_path).stats()["cache"]["hit_rate"])
 
     def test_rejects_non_bytes(self):
         with pytest.raises(TypeError):
@@ -48,7 +53,7 @@ class TestEviction:
         cache.put("c", b"cccc")  # evicts b
         assert cache.get("a") is not None
         assert cache.get("b") is None
-        assert cache.stats.evictions == 1
+        assert _total(cache, "cache.evictions") == 1
 
     def test_size_accounting(self):
         cache = LruSegmentCache(100)
@@ -100,8 +105,8 @@ class TestGetOrLoad:
         assert cache.get_or_load("a", loader) == b"payload"
         assert cache.get_or_load("a", loader) == b"payload"
         assert len(calls) == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
+        assert _total(cache, "cache.misses") == 1
+        assert _total(cache, "cache.hits") == 1
 
     def test_loader_exception_propagates_and_releases_key(self):
         cache = LruSegmentCache(100)
@@ -153,8 +158,8 @@ class TestGetOrLoad:
         assert not errors
         assert results == [b"segment-bytes"] * 8
         assert len(load_calls) == 1
-        assert cache.stats.misses == 8
-        assert cache.stats.hits == 0
+        assert _total(cache, "cache.misses") == 8
+        assert _total(cache, "cache.hits") == 0
 
     def test_distinct_keys_load_concurrently(self):
         """One key's in-flight load must not serialise other keys."""
@@ -301,8 +306,8 @@ class TestStorageIntegration:
     def test_repeated_reads_hit_cache(self, loaded):
         loaded.read_segment("clip", 0, (0, 0), Quality.HIGH)
         loaded.read_segment("clip", 0, (0, 0), Quality.HIGH)
-        assert loaded.segment_cache.stats.hits == 1
-        assert loaded.segment_cache.stats.misses == 1
+        assert _total(loaded.segment_cache, "cache.hits") == 1
+        assert _total(loaded.segment_cache, "cache.misses") == 1
 
     def test_cached_bytes_identical(self, loaded):
         first = loaded.read_segment("clip", 0, (0, 0), Quality.HIGH)

@@ -1,19 +1,26 @@
-"""Tests for shared-link multi-session delivery."""
+"""Tests for shared-link multi-session delivery, and for the private
+link being its one-session case."""
+
+import json
+import math
 
 import pytest
 
 from repro import (
     ConstantBandwidth,
     IngestConfig,
+    NaiveFullQuality,
     PredictiveTilingPolicy,
     Quality,
     SessionConfig,
     TileGrid,
+    UniformAdaptive,
     VisualCloud,
 )
-from repro.core.multisession import SharedLinkStreamer
+from repro.stream.abr import QualityPolicy
 from repro.stream.estimator import HarmonicMeanEstimator
-from repro.stream.network import SimulatedLink
+from repro.stream.qoe import QoEReport
+from repro.stream.network import SimulatedLink, SteppedBandwidth
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
 
@@ -51,41 +58,57 @@ def make_sessions(count, predictor="static", estimator=False):
 
 class TestSharedLink:
     def test_rejects_empty(self, shared_db):
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         with pytest.raises(ValueError):
             streamer.serve_all([], SimulatedLink(ConstantBandwidth(1000)))
 
     def test_offsets_length_validated(self, shared_db):
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         with pytest.raises(ValueError):
             streamer.serve_all(
                 make_sessions(2), SimulatedLink(ConstantBandwidth(1000)), [0.0]
             )
 
-    def test_single_session_matches_private_link(self, shared_db):
-        """With one session, shared-mode delivery must equal the
-        single-session streamer byte for byte."""
-        sessions = make_sessions(1)
-        name, trace, config = sessions[0]
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
-        rate = 50_000.0
-        shared_report = streamer.serve_all(
-            sessions, SimulatedLink(ConstantBandwidth(rate))
-        )[0]
-        private_config = SessionConfig(
-            policy=config.policy,
-            bandwidth=ConstantBandwidth(rate),
-            predictor="static",
+    # Ids read policy-estimator-rtt_ms-buffer_windows; kept short so the
+    # dotted test name fits the 100 characters test inventories record.
+    @pytest.mark.parametrize("buffer_windows", [1.0, 2.0], ids=["1", "2"])
+    @pytest.mark.parametrize("rtt", [0.0, 0.05], ids=["0", "50"])
+    @pytest.mark.parametrize("estimator", [False, True], ids=["or", "hm"])
+    @pytest.mark.parametrize(
+        "policy",
+        [NaiveFullQuality, UniformAdaptive, PredictiveTilingPolicy],
+        ids=["naive", "unifm", "tiled"],
+    )
+    def test_single_session_matches_private_link(
+        self, shared_db, policy, estimator, rtt, buffer_windows
+    ):
+        """A private link is the one-session case of a shared one: the
+        same session served with and without ``link=`` must produce
+        JSON-equal QoE summaries and equal window records."""
+        trace = ViewerPopulation(seed=3).trace(0, DURATION, rate=10.0)
+        rate = _contended_rate(shared_db, viewers=1.0)
+        config = SessionConfig(
+            policy=policy(),
+            # Generous, then starved: the oracle sees the drop at once, the
+            # estimator lags it, so every axis changes the outcome.
+            bandwidth=SteppedBandwidth(((0.0, 1.5 * rate), (0.6, 0.45 * rate))),
+            predictor="deadreckoning",
             margin=0,
+            rtt=rtt,
+            buffer_windows=buffer_windows,
+            estimator=HarmonicMeanEstimator() if estimator else None,
         )
-        private_report = shared_db.serve(name, (trace, private_config))
-        assert shared_report.total_bytes == private_report.total_bytes
-        assert [r.quality_map for r in shared_report.records] == [
-            r.quality_map for r in private_report.records
-        ]
+        private = shared_db.serve("clip", (trace, config))
+        (shared,) = shared_db.serve(
+            "clip", [(trace, config)], link=SimulatedLink(config.bandwidth, rtt=config.rtt)
+        )
+        assert json.dumps(shared.summary(), sort_keys=True) == json.dumps(
+            private.summary(), sort_keys=True
+        )
+        assert shared.records == private.records
 
     def test_all_sessions_complete(self, shared_db):
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         reports = streamer.serve_all(
             make_sessions(4), SimulatedLink(ConstantBandwidth(100_000))
         )
@@ -93,7 +116,7 @@ class TestSharedLink:
         assert all(len(report.records) == 3 for report in reports)
 
     def test_generous_link_no_stalls(self, shared_db):
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         reports = streamer.serve_all(
             make_sessions(4), SimulatedLink(ConstantBandwidth(1e8))
         )
@@ -106,7 +129,7 @@ class TestSharedLink:
             manifest.full_sphere_size(window, Quality.HIGH)
             for window in range(manifest.window_count)
         ) / manifest.duration
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         solo = streamer.serve_all(
             make_sessions(1), SimulatedLink(ConstantBandwidth(one_viewer_rate))
         )
@@ -124,7 +147,7 @@ class TestSharedLink:
             manifest.full_sphere_size(window, Quality.HIGH)
             for window in range(manifest.window_count)
         ) / manifest.duration
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         blind = streamer.serve_all(
             make_sessions(8), SimulatedLink(ConstantBandwidth(rate))
         )
@@ -136,7 +159,7 @@ class TestSharedLink:
         assert adaptive_stalls <= blind_stalls
 
     def test_staggered_arrivals(self, shared_db):
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         reports = streamer.serve_all(
             make_sessions(2),
             SimulatedLink(ConstantBandwidth(1e6)),
@@ -144,6 +167,57 @@ class TestSharedLink:
         )
         assert reports[1].records[0].request_time >= 5.0
         assert reports[0].records[0].request_time < 1.0
+
+
+class _LeftHalfPolicy(QualityPolicy):
+    """Deliberately partial: assigns only the grid's first column."""
+
+    name = "left-half"
+
+    def assign(self, manifest, window, predicted_tiles, budget_bytes):
+        return {
+            tile: manifest.best_quality
+            for tile in manifest.grid.tiles()
+            if tile[1] == 0
+        }
+
+
+class TestSharedLinkAppliesEveryCheck:
+    """Regressions for drift between the two former loops: checks that
+    existed only on the private-link path must hold under ``link=``."""
+
+    def _serve_shared(self, shared_db, **overrides):
+        (name, trace, config), = make_sessions(1)
+        for field, value in overrides.items():
+            setattr(config, field, value)
+        return shared_db.serve(
+            name, (trace, config), link=SimulatedLink(ConstantBandwidth(50_000.0))
+        )
+
+    def test_evaluate_quality_fills_viewport_psnr(self, shared_db):
+        report = self._serve_shared(shared_db, evaluate_quality=True)
+        assert all(record.viewport_psnr is not None for record in report.records)
+        assert not math.isnan(report.mean_viewport_psnr)
+
+    def test_partial_policy_raises(self, shared_db):
+        with pytest.raises(ValueError, match="left tiles .* unassigned"):
+            self._serve_shared(shared_db, policy=_LeftHalfPolicy())
+
+    def test_playback_schedule_cross_checked(self, shared_db, monkeypatch):
+        """The end-of-session cross-check against the client's playback
+        model runs on a shared link too: a model that disagrees with the
+        incremental schedule must be caught."""
+        from repro.stream.client import PlaybackSimulator
+
+        honest = PlaybackSimulator.schedule
+
+        def skewed(self, delivered_times):
+            starts, stalls = honest(self, delivered_times)
+            return [start + 0.5 for start in starts], stalls
+
+        monkeypatch.setattr(PlaybackSimulator, "schedule", skewed)
+        with pytest.raises(AssertionError, match="playback schedule diverged"):
+            self._serve_shared(shared_db)
 
 
 def _contended_rate(shared_db, viewers=2.0):
@@ -196,7 +270,7 @@ class TestEstimatorIsolation:
                 estimator=HarmonicMeanEstimator(),
             )
 
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         one_config = private_config()
         shared_reports = streamer.serve_all(
             [("clip", trace, one_config) for trace in traces],
@@ -222,7 +296,7 @@ class TestEstimatorIsolation:
             estimator=estimator,
         )
         population = ViewerPopulation(seed=3)
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         streamer.serve_all(
             [
                 ("clip", population.trace(user, DURATION, rate=10.0), config)
@@ -255,7 +329,7 @@ class TestEstimatorIsolation:
             estimator=probe,
         )
         population = ViewerPopulation(seed=3)
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         streamer.serve_all(
             [
                 ("clip", population.trace(user, DURATION, rate=10.0), config)
@@ -265,6 +339,22 @@ class TestEstimatorIsolation:
         )
         assert len(ProbeEstimator.fed) == 2
         assert id(probe) not in ProbeEstimator.fed
+
+
+def _serve_all_naive(streamer, specs, link, start_offsets=None):
+    """The reference scheduler the heap is differentially tested against:
+    rebuild the pending list and rescan every unfinished session per
+    window (O(sessions² × windows)); the earliest requester wins the link,
+    ties broken on input order. Drives the streamer's own window step."""
+    sessions = streamer._open_sessions(
+        specs, start_offsets or [0.0] * len(specs), "shared"
+    )
+    pending = [session for session in sessions if not session.finished]
+    while pending:
+        session = min(pending, key=lambda s: s.next_request_time(link.busy_until))
+        streamer._serve_window(session, link)
+        pending = [session for session in sessions if not session.finished]
+    return [QoEReport(session.records) for session in sessions]
 
 
 class TestSchedulerDifferential:
@@ -282,33 +372,23 @@ class TestSchedulerDifferential:
         ],
     )
     def test_heap_matches_naive(self, shared_db, count, offsets, estimator, rate):
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
+        streamer = shared_db.streamer
         if rate is None:
             rate = _contended_rate(shared_db)
         heap_reports = streamer.serve_all(
             make_sessions(count, estimator=estimator),
             SimulatedLink(ConstantBandwidth(rate)),
             start_offsets=offsets,
-            scheduler="heap",
         )
-        naive_reports = streamer.serve_all(
+        naive_reports = _serve_all_naive(
+            streamer,
             make_sessions(count, estimator=estimator),
             SimulatedLink(ConstantBandwidth(rate)),
             start_offsets=offsets,
-            scheduler="naive",
         )
         assert len(heap_reports) == len(naive_reports)
         for heap_report, naive_report in zip(heap_reports, naive_reports):
             assert _record_tuples(heap_report) == _record_tuples(naive_report)
-
-    def test_unknown_scheduler_rejected(self, shared_db):
-        streamer = SharedLinkStreamer(shared_db.storage, shared_db.prediction)
-        with pytest.raises(ValueError, match="scheduler"):
-            streamer.serve_all(
-                make_sessions(1),
-                SimulatedLink(ConstantBandwidth(1000)),
-                scheduler="fifo",
-            )
 
 
 class TestServeAllMetrics:

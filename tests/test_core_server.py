@@ -118,7 +118,6 @@ class TestStatsFacade:
         assert db.storage.metrics is db.metrics
         assert db.prediction.metrics is db.metrics
         assert db.streamer.metrics is db.metrics
-        assert db.shared_streamer.metrics is db.metrics
         assert db.storage.segment_cache.metrics is db.metrics
 
 

@@ -3,10 +3,11 @@
 One method covers the whole delivery matrix — single simulated session,
 shared-link contention, and real HTTP transport — and the delivery tier
 is described by one :class:`repro.control.ClusterConfig`. These tests
-pin four things: the removed PR 4-era shapes fail loudly, the
-``transport=``/``base_url=`` kwargs still work for one release behind a
-DeprecationWarning, dispatch errors fire before any work happens, and a
-no-fault wire session is QoE-indistinguishable from its simulated twin.
+pin four things: the removed PR 4-era shapes fail loudly, the removed
+``transport=``/``base_url=`` kwargs are rejected with a ``TypeError``
+naming ``cluster=ClusterConfig(...)``, dispatch errors fire before any
+work happens, and a no-fault wire session is QoE-indistinguishable from
+its simulated twin.
 """
 
 import json
@@ -64,15 +65,15 @@ class TestRemovedShims:
 
 
 class TestDeprecatedClusterKwargs:
-    def test_transport_kwarg_warns_and_matches_cluster_form(self, session_db):
-        trace, config = _trace(session_db), _config()
-        with pytest.warns(DeprecationWarning, match="cluster=ClusterConfig"):
-            legacy = session_db.serve("clip", (trace, config), transport="sim")
-        modern = session_db.serve("clip", (trace, config), cluster=ClusterConfig())
-        assert _summary_key(legacy) == _summary_key(modern)
+    """The one-release deprecation is over: the kwargs are gone."""
+
+    def test_transport_kwarg_rejected(self, session_db):
+        for legacy in ({"transport": "sim"}, {"base_url": "http://127.0.0.1:1"}):
+            with pytest.raises(TypeError, match=r"cluster=ClusterConfig\("):
+                session_db.serve("clip", (_trace(session_db), _config()), **legacy)
 
     def test_kwargs_and_cluster_together_rejected(self, session_db):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match=r"cluster=ClusterConfig\("):
             session_db.serve(
                 "clip",
                 (_trace(session_db), _config()),
@@ -163,13 +164,13 @@ class TestDispatchErrors:
             ClusterConfig(transport="carrier-pigeon")
 
     def test_unknown_transport_via_legacy_kwarg(self, session_db):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="transport"):
-                session_db.serve(
-                    "clip",
-                    (_trace(session_db), _config()),
-                    transport="carrier-pigeon",
-                )
+        # The kwarg itself is the error now, whatever value it carries.
+        with pytest.raises(TypeError, match=r"cluster=ClusterConfig\("):
+            session_db.serve(
+                "clip",
+                (_trace(session_db), _config()),
+                transport="carrier-pigeon",
+            )
 
     def test_positional_config_rejected(self, session_db):
         # serve() takes only (name, sessions) positionally now; the old

@@ -158,7 +158,16 @@ class TestStreamerIntegration:
         from repro import ConstantBandwidth, PredictiveTilingPolicy, SessionConfig
         from repro.workloads.users import ViewerPopulation
 
-        estimator = HarmonicMeanEstimator()
+        class Recording(HarmonicMeanEstimator):
+            # Sessions stream on a private deep copy of the configured
+            # estimator; a class attribute is shared with that copy.
+            estimates: list = []
+
+            def observe(self, size_bytes, duration_seconds):
+                super().observe(size_bytes, duration_seconds)
+                Recording.estimates.append(self.estimate())
+
+        estimator = Recording()
         trace = ViewerPopulation(seed=4).trace(0, duration=3.0, rate=10.0)
         config = SessionConfig(
             policy=PredictiveTilingPolicy(),
@@ -167,4 +176,5 @@ class TestStreamerIntegration:
             estimator=estimator,
         )
         session_db.serve("clip", (trace, config))
-        assert estimator.estimate() == pytest.approx(10_000, rel=0.01)
+        assert Recording.estimates[-1] == pytest.approx(10_000, rel=0.01)
+        assert estimator.estimate() is None  # the caller's object is never fed
