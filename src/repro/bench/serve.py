@@ -639,7 +639,6 @@ def _run_flash_arm(
                     node_id=cluster.server.node_id,
                     pin_budget_bytes=args.pin_budget,
                     max_inflight=cluster.server.max_inflight,
-                    processes=1,
                 ),
             ),
             actuators=(HandleActuator(handle),),

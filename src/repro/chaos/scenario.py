@@ -424,7 +424,6 @@ class ScenarioRunner:
                         node_id=node_id,
                         pin_budget_bytes=pin_budget,
                         max_inflight=None,
-                        processes=1,
                     )
                     for node_id in (node_ids if shard_map is not None else [""])
                 )

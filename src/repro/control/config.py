@@ -37,8 +37,6 @@ class ControlConfig:
     increase_step: int = 4
     decrease_factor: float = 0.5
     fallback_inflight: int = 64
-    requests_per_process: float = 500.0
-    max_processes: int = 8
     deterministic: bool = False  # injected clock/metrics; no wall-time reads
 
     def __post_init__(self) -> None:
@@ -62,8 +60,6 @@ class ControlConfig:
             increase_step=self.increase_step,
             decrease_factor=self.decrease_factor,
             fallback_inflight=self.fallback_inflight,
-            requests_per_process=self.requests_per_process,
-            max_processes=self.max_processes,
         )
 
 

@@ -92,7 +92,6 @@ def nodes_from_config(config) -> tuple[NodeState, ...]:
             node_id=config.node_id,
             pin_budget_bytes=config.pin_budget_bytes,
             max_inflight=config.max_inflight,
-            processes=config.processes,
         ),
     )
 

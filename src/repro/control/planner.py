@@ -9,7 +9,7 @@ over: it is what the property tests pin, and it is what lets the chaos
 harness run the whole controller deterministically (inject a scripted
 metrics stream, get identical plans on every replay).
 
-Three decisions per node:
+Two decisions per node:
 
 * **What to pre-warm.** Videos whose *predicted* demand crosses
   ``prewarm_threshold`` contribute their segments, each ranked by
@@ -23,9 +23,6 @@ Three decisions per node:
   no change in between — and *no change* when p99 is NaN (no samples,
   or a deterministic run that strips histograms), which is what keeps
   replayed plans identical.
-* **How many processes.** A recommendation only — forking is not a
-  runtime actuation — sized from total predicted demand per interval
-  against ``requests_per_process``.
 
 Plans are versioned and monotonic, reusing the shard-map rollback
 refusal: an actuator hands a plan to a server, the server compares
@@ -51,7 +48,6 @@ class NodeState:
     node_id: str
     pin_budget_bytes: int = 0
     max_inflight: int | None = None
-    processes: int = 1
     owned: tuple[str, ...] | None = None
 
 
@@ -62,7 +58,6 @@ class NodePlan:
     node_id: str
     max_inflight: int | None
     pin_budget_bytes: int
-    processes: int
     # (request path, integer heat) hottest-first; heat feeds
     # ``HotSet.set_base_heat`` so prewarmed pins outrank cold traffic.
     prewarm: tuple[tuple[str, int], ...] = ()
@@ -72,17 +67,16 @@ class NodePlan:
             "node_id": self.node_id,
             "max_inflight": self.max_inflight,
             "pin_budget_bytes": self.pin_budget_bytes,
-            "processes": self.processes,
             "prewarm": [[path, heat] for path, heat in self.prewarm],
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "NodePlan":
+        # Unknown keys (a legacy "processes") are ignored.
         return cls(
             node_id=payload["node_id"],
             max_inflight=payload["max_inflight"],
             pin_budget_bytes=int(payload["pin_budget_bytes"]),
-            processes=int(payload["processes"]),
             prewarm=tuple(
                 (str(path), int(heat)) for path, heat in payload.get("prewarm", [])
             ),
@@ -151,8 +145,6 @@ class Planner:
     increase_step: int = 4  # additive increase per interval
     decrease_factor: float = 0.5  # multiplicative decrease on SLO breach
     fallback_inflight: int = 64  # imposed when breaching with no ceiling at all
-    requests_per_process: float = 500.0  # predicted interval demand one process absorbs
-    max_processes: int = 8
 
     def __post_init__(self) -> None:
         if self.slo_p99 <= 0:
@@ -167,10 +159,6 @@ class Planner:
             raise ValueError(f"min_inflight must be >= 1, got {self.min_inflight}")
         if self.increase_step < 1:
             raise ValueError(f"increase_step must be >= 1, got {self.increase_step}")
-        if self.requests_per_process <= 0:
-            raise ValueError(
-                f"requests_per_process must be positive, got {self.requests_per_process}"
-            )
 
     # -- the plan function ----------------------------------------------------
 
@@ -204,7 +192,6 @@ class Planner:
                         state, previous_node, observed_p99
                     ),
                     pin_budget_bytes=state.pin_budget_bytes,
-                    processes=self._target_processes(state, forecasts),
                     prewarm=self._fill_budget(ranked, state),
                 )
             )
@@ -279,15 +266,6 @@ class Planner:
             )
             return min(ceiling, current + self.increase_step)
         return current
-
-    # -- tier sizing ----------------------------------------------------------
-
-    def _target_processes(
-        self, state: NodeState, forecasts: dict[str, Forecast]
-    ) -> int:
-        demand = sum(forecast.predicted for forecast in forecasts.values())
-        recommended = max(1, math.ceil(demand / self.requests_per_process))
-        return min(self.max_processes, max(state.processes, recommended))
 
 
 def diff_plans(before: ControlPlan | None, after: ControlPlan) -> bool:

@@ -442,12 +442,10 @@ class StorageManager:
     passes a database-wide registry so storage, delivery, and prediction
     metrics export together.
 
-    ``verify_checksums`` gates read-path content verification: every
-    uncached :meth:`read_segment` hashes the bytes it loaded and compares
-    against the index entry's recorded checksum (entries with checksum 0
-    — legacy or ``checksums=False`` ingests — are never verified). Off
-    is the bench ablation arm; the corruption-detection guarantees assume
-    it stays on.
+    Every uncached :meth:`read_segment` hashes the bytes it loaded and
+    compares against the index entry's recorded checksum (entries with
+    checksum 0 — legacy or ``checksums=False`` ingests — are never
+    verified).
     """
 
     def __init__(
@@ -455,13 +453,11 @@ class StorageManager:
         root: Path | str,
         cache_bytes: int = 8 * 1024 * 1024,
         registry: MetricsRegistry | None = None,
-        verify_checksums: bool = True,
     ) -> None:
         from repro.core.cache import LruSegmentCache
 
         self.catalog = Catalog(root)
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self.verify_checksums = verify_checksums
         self._drop_listeners: list = []
         self._meta_cache: dict[tuple[str, int], VideoMeta] = {}
         self.segment_cache = (
@@ -976,11 +972,7 @@ class StorageManager:
                         f"{entry.size}"
                     )
                 )
-            if (
-                self.verify_checksums
-                and entry.checksum
-                and segment_checksum(data) != entry.checksum
-            ):
+            if entry.checksum and segment_checksum(data) != entry.checksum:
                 raise _tag_repairable(
                     SegmentCorruptError(
                         f"segment {path.name} of {name!r} fails its content "

@@ -12,8 +12,10 @@ backoff, and optional hedged requests.
 
 Sharded delivery (:mod:`repro.serve.placement`): a consistent-hash
 :class:`ShardMap` assigns every segment to ``replication_factor`` owner
-nodes, servers peer-fetch non-owned segments from siblings, and the
-failover client routes owners-first — see DESIGN.md "Sharded delivery".
+nodes, a shard server reads through :class:`ShardedBackend`
+(:mod:`repro.serve.peering`: owner → local, non-owner → peers,
+repairable local failure → verified heal from a peer), and the failover
+client routes owners-first — see DESIGN.md "Sharded delivery".
 """
 
 from repro.serve.client import HttpSegmentClient, RemoteStorage, serve_session
@@ -26,6 +28,7 @@ from repro.serve.failover import (
 )
 from repro.serve.hotset import HotSet, PinnedSegment
 from repro.serve.multiproc import MultiProcessServerHandle
+from repro.serve.peering import ShardedBackend
 from repro.serve.placement import HashRing, ShardMap, materialize_shards, stable_hash
 from repro.serve.server import (
     SegmentServer,
@@ -52,6 +55,7 @@ __all__ = [
     "ServerHandle",
     "ServerStartupError",
     "ShardMap",
+    "ShardedBackend",
     "materialize_shards",
     "serve_session",
     "stable_hash",

@@ -59,6 +59,10 @@ from repro.stream.dash import Manifest, SegmentKey
 #: Circuit states, in incident order.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
+#: Cap (seconds) on an honored ``Retry-After`` hint: a confused replica
+#: cannot park itself out of rotation for longer than this.
+_MAX_RETRY_AFTER = 30.0
+
 #: The legal circuit transitions; anything else is a bug the chaos
 #: runner's ``circuit_monotone`` invariant exists to catch.
 LEGAL_TRANSITIONS = frozenset(
@@ -81,8 +85,6 @@ class FailoverConfig:
     retry_refill: float = 0.1  # tokens earned per successful request
     hedge_delay: float | None = None  # arm hedged segment fetches
     request_timeout: float = 10.0  # per-replica HTTP client timeout
-    honor_retry_after: bool = True
-    max_retry_after: float = 30.0  # cap on honored Retry-After hints
     clock: Callable[[], float] = time.monotonic
 
     def __post_init__(self) -> None:
@@ -102,8 +104,6 @@ class FailoverConfig:
             raise ValueError(
                 f"request_timeout must be positive, got {self.request_timeout}"
             )
-        if self.max_retry_after < 0:
-            raise ValueError(f"max_retry_after must be >= 0, got {self.max_retry_after}")
 
 
 class CircuitBreaker:
@@ -386,12 +386,10 @@ class FailoverSegmentClient:
     # -- the failover loop ----------------------------------------------------
 
     def _apply_backoff(self, replica: Replica, error: BaseException) -> None:
-        if not self.config.honor_retry_after:
-            return
         hint = getattr(error, "retry_after", None)
         if hint is None:
             return
-        hint = min(float(hint), self.config.max_retry_after)
+        hint = min(float(hint), _MAX_RETRY_AFTER)
         replica.backoff_until = max(
             replica.backoff_until, self.config.clock() + hint
         )
@@ -599,38 +597,6 @@ class FailoverSegmentClient:
                     last_error = error
         assert last_error is not None
         raise last_error
-
-    # -- control plane --------------------------------------------------------
-
-    def broadcast_control(self, plan) -> dict:
-        """Push one versioned control plan to every configured replica —
-        the controller's fan-out when it holds replica URLs instead of
-        in-process handles.
-
-        Best-effort per replica: an unreachable node is reported, not
-        fatal (it will refuse or accept the next plan when it returns,
-        and version monotonicity makes late application safe). Only a
-        *unanimous* stale-version refusal re-raises — that means another
-        controller is ahead of this one.
-        """
-        from repro.control.actuators import HttpActuator, StalePlanError
-
-        applied: dict[str, dict] = {}
-        refused: dict[str, str] = {}
-        errors: dict[str, str] = {}
-        for replica in self.replicas.replicas:
-            actuator = HttpActuator(
-                replica.url, timeout=self.config.request_timeout
-            )
-            try:
-                applied[replica.url] = actuator.apply(plan)
-            except StalePlanError as error:
-                refused[replica.url] = str(error)
-            except Exception as error:  # noqa: BLE001 - per-replica report
-                errors[replica.url] = f"{type(error).__name__}: {error}"
-        if refused and not applied:
-            raise StalePlanError(next(iter(refused.values())))
-        return {"applied": applied, "refused": refused, "errors": errors}
 
     # -- introspection --------------------------------------------------------
 

@@ -9,9 +9,9 @@ of the payload, so serving a hit is two ``writer.write`` calls straight
 off the event loop — no executor hop, no cache lock, no per-request
 ``bytes`` concatenation.
 
-The header block built here must stay byte-identical to what
-``_Response(200, body).encode(keep_alive)`` produces — the differential
-tests in ``tests/test_serve_hotset.py`` pin that equivalence.
+A pinned segment is a frozen :class:`repro.serve.wire.Response` — the
+cold path's own response type — so a pin hit and a cold read are
+wire-identical.
 
 Admission:
 
@@ -45,51 +45,23 @@ from __future__ import annotations
 
 from repro.core.storage import checksum_hex
 from repro.obs import MetricsRegistry
+from repro.serve.wire import Precomputed, Response
 
 
-def _header_block(body_length: int, keep_alive: bool, checksum: str = "") -> bytes:
-    """The exact bytes ``_Response.encode`` emits for a 200 segment hit.
+class PinnedSegment(Precomputed):
+    """One segment frozen into its wire buffers: both header blocks are
+    built (and the body hashed) once at pin time, the payload is a
+    ``memoryview`` of ``body`` — zero per-hit cost, never copied."""
 
-    ``checksum`` is the body's :func:`~repro.core.storage.checksum_hex`;
-    segment responses always carry it (the client's end-to-end integrity
-    check), other 200s leave it empty and emit no header.
-    """
-    checksum_line = f"X-Checksum: {checksum}\r\n" if checksum else ""
-    return (
-        "HTTP/1.1 200 OK\r\n"
-        "Content-Type: application/octet-stream\r\n"
-        f"Content-Length: {body_length}\r\n"
-        f"{checksum_line}"
-        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-        "\r\n"
-    ).encode("ascii")
-
-
-class PinnedSegment:
-    """One segment frozen into its wire buffers."""
-
-    __slots__ = ("path", "body", "_view", "_keep", "_close", "hits")
-
-    status = 200
+    __slots__ = ("path", "body", "hits")
 
     def __init__(self, path: str, body: bytes) -> None:
         self.path = path
         self.body = bytes(body)  # no-copy when already bytes
-        self._view = memoryview(self.body)
-        # The checksum is frozen with the header block: one hash at pin
-        # time, zero per-hit cost, and the wire stays byte-identical to
-        # the cold path (which hashes the same body per response).
-        checksum = checksum_hex(self.body)
-        self._keep = (_header_block(len(self.body), True, checksum), self._view)
-        self._close = (_header_block(len(self.body), False, checksum), self._view)
         self.hits = 0
-
-    @property
-    def body_length(self) -> int:
-        return len(self.body)
-
-    def parts(self, keep_alive: bool) -> tuple:
-        return self._keep if keep_alive else self._close
+        super().__init__(
+            Response(200, memoryview(self.body), checksum=checksum_hex(self.body))
+        )
 
 
 class HotSet:
@@ -243,6 +215,18 @@ class HotSet:
         return True
 
     # -- invalidation ---------------------------------------------------------
+
+    def unpin(self, path: str) -> bool:
+        """Drop one pinned entry (and its predicted heat) by exact path
+        — the shard-map coherence hook. Exact, not prefix: ``…/low`` is
+        a string prefix of ``…/lowest``, a different segment that may
+        still be owned here."""
+        if path not in self._entries:
+            return False
+        self._remove(path)
+        self._base_heat.pop(path, None)
+        self._update_gauges()
+        return True
 
     def unpin_prefix(self, prefix: str) -> int:
         """Drop every pinned entry (and candidate count) under ``prefix``

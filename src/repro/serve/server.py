@@ -7,6 +7,13 @@ segment collapse inside the pool through the storage manager's
 single-flight :class:`~repro.core.cache.LruSegmentCache` — N headsets
 requesting the same equatorial tile cost one file read.
 
+The server is HTTP + admission + the hot set over *one*
+:class:`~repro.core.backends.SegmentBackend` (``self.backend``): the
+storage manager itself, or on a shard node a
+:class:`~repro.serve.peering.ShardedBackend` that decides owner-or-peer
+and read-repair. Where bytes come from is never this module's concern;
+how they go out is :mod:`repro.serve.wire`'s.
+
 The hot path is faster still: with ``pin_budget_bytes > 0`` popular
 segments are pinned in RAM as prebuilt wire buffers (header block +
 ``memoryview`` of the payload, see :mod:`repro.serve.hotset`) and served
@@ -79,8 +86,6 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from repro.core.errors import (
-    CatalogError,
-    SegmentCorruptError,
     SegmentNotFoundError,
     SegmentReadTimeout,
     TransientSegmentError,
@@ -89,10 +94,20 @@ from repro.core.errors import (
 from repro.core.storage import checksum_hex
 from repro.obs import MetricsRegistry, merge_snapshots
 from repro.serve.hotset import HotSet
+from repro.serve.peering import ShardedBackend
 from repro.serve.placement import ShardMap
+from repro.serve.wire import (
+    Precomputed,
+    Response,
+    error_response,
+    json_response,
+    split_segment_path,
+    status_for,
+)
 from repro.stream.dash import SegmentKey
 
 _MAX_REQUEST_BYTES = 16 * 1024  # request line + headers
+_ENDPOINTS = frozenset({"segment", "manifest", "metrics", "healthz", "control"})
 _MAX_CONTROL_BODY = 4 * 1024 * 1024  # POST /control/* bodies (plans are small)
 
 
@@ -120,7 +135,6 @@ class ServerConfig:
     shard_map: ShardMap | None = None  # segment → owners blueprint
     peers: tuple[tuple[str, str], ...] = ()  # (node_id, base_url) sibling addresses
     peer_timeout: float = 5.0  # seconds per peer segment fetch
-    peer_cache_bytes: int = 8 * 1024 * 1024  # peer-fetched payload cache; 0 disables
     # When a local owned read fails *repairably* (index entry present,
     # bytes missing/torn/corrupt) and the shard map holds rf >= 2, fetch
     # the segment from a peer owner, verify it against the index
@@ -166,120 +180,6 @@ class ServerConfig:
             )
         if self.peer_timeout <= 0:
             raise ValueError(f"peer_timeout must be positive, got {self.peer_timeout}")
-        if self.peer_cache_bytes < 0:
-            raise ValueError(
-                f"peer_cache_bytes must be >= 0, got {self.peer_cache_bytes}"
-            )
-
-
-def _status_for(error: BaseException) -> int:
-    """The wire status of one storage-contract error (order matters:
-    subclasses before their bases)."""
-    if isinstance(error, SegmentCorruptError):
-        return 409
-    if isinstance(error, (SegmentNotFoundError, CatalogError)):
-        return 404
-    if isinstance(error, SegmentReadTimeout):
-        return 504
-    if isinstance(error, TransientSegmentError):
-        return 503
-    return 500
-
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-@dataclass(frozen=True)
-class _Response:
-    status: int
-    body: bytes
-    content_type: str = "application/octet-stream"
-    error: str = ""  # exception class name, sent as X-Error
-    retry_after: float | None = None  # seconds, sent as Retry-After
-    checksum: str = ""  # body content checksum (hex), sent as X-Checksum
-
-    @property
-    def body_length(self) -> int:
-        return len(self.body)
-
-    def _head(self, keep_alive: bool) -> bytes:
-        reason = _REASONS.get(self.status, "Unknown")
-        head = [
-            f"HTTP/1.1 {self.status} {reason}",
-            f"Content-Type: {self.content_type}",
-            f"Content-Length: {len(self.body)}",
-        ]
-        if self.checksum:
-            # Before Connection, matching hotset._header_block exactly:
-            # a pin hit and a cold read must be wire-identical.
-            head.append(f"X-Checksum: {self.checksum}")
-        head.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-        if self.error:
-            head.append(f"X-Error: {self.error}")
-        if self.retry_after is not None:
-            head.append(f"Retry-After: {self.retry_after:g}")
-        return ("\r\n".join(head) + "\r\n\r\n").encode("ascii")
-
-    def parts(self, keep_alive: bool) -> tuple[bytes, ...]:
-        """The wire buffers, unconcatenated: header block, then body.
-
-        ``b"".join(parts(k))`` must equal ``encode(k)`` for every
-        response — the Hypothesis differential test pins this.
-        """
-        head = self._head(keep_alive)
-        return (head, self.body) if self.body else (head,)
-
-    def encode(self, keep_alive: bool) -> bytes:
-        """The single-buffer wire form: the reference implementation the
-        zero-copy ``parts`` path is tested against."""
-        return self._head(keep_alive) + self.body
-
-
-class _Precomputed:
-    """A response frozen into its wire buffers at build time.
-
-    Serving one costs a tuple fetch: both ``Connection`` variants of the
-    header block are built once, and the body is shared, not copied.
-    """
-
-    __slots__ = ("status", "body_length", "_keep", "_close")
-
-    def __init__(self, response: _Response) -> None:
-        self.status = response.status
-        self.body_length = len(response.body)
-        self._keep = response.parts(True)
-        self._close = response.parts(False)
-
-    def parts(self, keep_alive: bool) -> tuple[bytes, ...]:
-        return self._keep if keep_alive else self._close
-
-
-def _json_response(status: int, payload: dict) -> _Response:
-    return _Response(
-        status,
-        json.dumps(payload, sort_keys=True).encode("utf-8"),
-        content_type="application/json",
-    )
-
-
-def _error_response(status: int, error: BaseException) -> _Response:
-    body = json.dumps({"error": type(error).__name__, "detail": str(error)})
-    return _Response(
-        status,
-        body.encode("utf-8"),
-        content_type="application/json",
-        error=type(error).__name__,
-    )
 
 
 class SegmentServer:
@@ -340,60 +240,37 @@ class SegmentServer:
         self.hot = HotSet(
             self.config.pin_budget_bytes, self.config.pin_threshold, self.metrics
         )
-        self._healthz = _Precomputed(_Response(200, b"ok", content_type="text/plain"))
-        self._metrics_cache: tuple[float, _Precomputed] | None = None
+        self._healthz = Precomputed(Response(200, b"ok", content_type="text/plain"))
+        self._metrics_cache: tuple[float, Precomputed] | None = None
         # Multi-process wiring (set by the worker shim, see multiproc.py).
         self._worker_id: int | None = None
         self._peer_ports: tuple[int, ...] = ()
-        # Sharded-delivery wiring. The shard map and peer table are read
-        # on executor threads but only *replaced* (never mutated) on the
-        # loop thread — atomic attribute swaps need no lock.
-        self.shard_map: ShardMap | None = self.config.shard_map
+        # The one backend every segment and manifest is read through:
+        # the storage manager itself, or — on a shard node — owner-or-peer
+        # routing and read-repair stacked over it (see serve/peering.py).
         self.node_id: str = self.config.node_id
-        self._peer_backends: dict[str, object] = {}
-        self._peer_lock = threading.Lock()
-        if self.config.peers:
-            self._set_peer_urls(dict(self.config.peers))
-        # The peer cache owns a private registry: LruSegmentCache reports
-        # under ``cache.*``, and sharing the server registry would fold
-        # peer-tier hits into the storage buffer pool's accounting.
-        from repro.core.cache import LruSegmentCache
-
-        self._peer_cache = (
-            LruSegmentCache(self.config.peer_cache_bytes, registry=MetricsRegistry())
-            if self.config.peer_cache_bytes > 0
+        self._sharded = (
+            ShardedBackend(
+                storage,
+                self.node_id,
+                self.config.shard_map,
+                dict(self.config.peers),
+                registry=self.metrics,
+                read_repair=self.config.read_repair,
+                peer_timeout=self.config.peer_timeout,
+            )
+            if self.node_id
             else None
         )
-        self._peer_fetches = self.metrics.counter(
-            "serve.peer_fetches", "segments fetched from sibling nodes"
-        ).labels()
-        self._peer_bytes = self.metrics.counter(
-            "serve.peer_bytes", "segment bytes fetched from sibling nodes"
-        ).labels()
-        self._peer_cache_hits = self.metrics.counter(
-            "serve.peer_cache_hits", "non-owned reads served from the peer cache"
-        ).labels()
-        self._peer_errors = self.metrics.counter(
-            "serve.peer_errors", "failed peer fetch attempts"
-        ).labels()
-        self._peer_fallback_local = self.metrics.counter(
-            "serve.peer_fallback_local",
-            "non-owned reads served from local storage after peers failed",
-        ).labels()
-        self._gauge_shard_version = self.metrics.gauge(
-            "serve.shard_map_version", "version of the active shard map"
-        )
-        self._shard_updates = self.metrics.counter(
-            "serve.shard_map_updates", "shard map replacements applied"
-        ).labels()
-        if self.shard_map is not None:
-            self._gauge_shard_version.set(self.shard_map.version)
+        self.backend = self._sharded or storage
         # Control-plane state: the active plan version (monotonic, same
         # refusal contract as the shard map) and the per-video demand
-        # counters the controller's forecaster diffs. Cardinality is
-        # bounded by catalog size, and counting in the connection loop
-        # (not _dispatch) means shed and pinned requests register too —
-        # demand is what was *asked for*, not what was admitted.
+        # counters the controller's forecaster diffs. Counting in the
+        # connection loop (not _dispatch) means shed and pinned requests
+        # register too — demand is what was *asked for*, not what was
+        # admitted. Cardinality is bounded by catalog size: a video gets
+        # a series only once the backend has answered for it (see
+        # _known_video), never from the raw request path.
         self._control_version = 0
         self._video_requests = self.metrics.counter(
             "serve.video_requests", "segment requests per video (demand signal)"
@@ -405,17 +282,9 @@ class SegmentServer:
         self._control_applies = self.metrics.counter(
             "serve.control_applies", "control plans (or slices) applied"
         ).labels()
-        # Read-repair accounting (storage.repair_success is incremented
-        # by StorageManager.repair_segment itself, so scrubs count too).
-        self._repair_attempts = self.metrics.counter(
-            "storage.repair_attempts", "peer read-repairs attempted"
-        ).labels()
-        self._repair_failed = self.metrics.counter(
-            "storage.repair_failed", "peer read-repairs that found no intact copy"
-        ).labels()
         # Drop coherence: registered against the storage manager while
         # the server runs, so dropping a video also drops its pinned wire
-        # buffers and peer-cache entries (see _on_storage_drop).
+        # buffers and peer-fetched copies (see _on_storage_drop).
         self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -468,162 +337,33 @@ class SegmentServer:
 
     # -- sharded delivery ------------------------------------------------------
 
-    def _set_peer_urls(self, urls: dict[str, str]) -> None:
-        """(Re)build the sibling backend table from node id → base URL."""
-        from repro.core.backends import RemotePeerBackend
-
-        with self._peer_lock:
-            for node, backend in list(self._peer_backends.items()):
-                if urls.get(node) != backend.base_url:
-                    backend.close()
-                    del self._peer_backends[node]
-            for node, url in urls.items():
-                if node == self.node_id or node in self._peer_backends:
-                    continue
-                self._peer_backends[node] = RemotePeerBackend(
-                    url, timeout=self.config.peer_timeout
-                )
-
-    def _peer_backend(self, node: str):
-        with self._peer_lock:
-            return self._peer_backends.get(node)
+    @property
+    def shard_map(self) -> ShardMap | None:
+        return self._sharded.shard_map if self._sharded is not None else None
 
     def update_shard_map(self, shard_map: ShardMap, peers=None) -> int:
         """Swap in a new placement blueprint (loop thread only).
 
-        Coherence on topology change: the peer cache is cleared (its
-        entries were placed under the old map's ownership) and every
-        pinned segment this node no longer owns is dropped via
-        ``unpin_prefix`` — RAM freed for the hot set the new map actually
-        routes here. Returns the number of pins dropped. Version
-        monotonicity is enforced: a stale map is rejected, so a replayed
-        manifest can never roll routing backwards.
+        The backend refuses version rollback and forgets its
+        peer-fetched copies; here every pinned segment this node no
+        longer owns is dropped — RAM freed for the hot set the new map
+        actually routes here. Returns the number of pins dropped.
         """
-        previous = self.shard_map
-        if previous is not None and shard_map.version < previous.version:
-            raise ValueError(
-                f"shard map v{shard_map.version} is older than active "
-                f"v{previous.version}; refusing to roll back"
-            )
-        self.shard_map = shard_map
-        if peers is not None:
-            self._set_peer_urls(dict(peers))
-        self._shard_updates.inc()
-        self._gauge_shard_version.set(shard_map.version)
-        if self._peer_cache is not None:
-            self._peer_cache.clear()
+        if self._sharded is None:
+            raise ValueError("a shard map needs a node_id for this server")
+        self._sharded.update(shard_map, peers)
         dropped = 0
-        if self.hot.enabled and self.node_id:
-            for path in self.hot.paths():
-                parts = [part for part in path.split("/") if part]
-                if len(parts) != 6 or parts[0] != "segment":
-                    continue
-                try:
-                    key = SegmentKey.from_path("/".join(parts[2:]))
-                except ValueError:
-                    continue
-                if not shard_map.owns(self.node_id, parts[1], key):
-                    dropped += self.hot.unpin_prefix(path)
+        for path in self.hot.paths():
+            segment = split_segment_path(path)
+            if segment is None:
+                continue
+            try:
+                key = SegmentKey.from_path(segment[1])
+            except ValueError:
+                continue
+            if not shard_map.owns(self.node_id, segment[0], key):
+                dropped += self.hot.unpin(path)
         return dropped
-
-    def _peer_read(self, name: str, key: SegmentKey, owners) -> bytes:
-        """A non-owned read: peer cache first, then the owners (blocking;
-        runs on the read executor).
-
-        Single-flight through the cache's ``get_or_load``: N sessions
-        missing on the same non-owned segment cost one peer fetch.
-        """
-        loaded = False
-
-        def fetch() -> bytes:
-            nonlocal loaded
-            loaded = True
-            return self._fetch_from_owners(name, key, owners)
-
-        if self._peer_cache is None:
-            return fetch()
-        data = self._peer_cache.get_or_load((name, key), fetch)
-        if not loaded:
-            self._peer_cache_hits.inc()
-        return data
-
-    def _fetch_from_owners(self, name: str, key: SegmentKey, owners) -> bytes:
-        """One segment's bytes from its owner nodes, first reachable wins.
-
-        Error contract: an owner answering 404 is *authoritative* — the
-        segment does not exist anywhere, and the not-found propagates.
-        Owners that are merely unreachable are skipped; when all of them
-        are, local storage is tried (full-copy deployments and freshly
-        re-mapped nodes often still hold the bytes) and only then does
-        the read surface as transient, so clients fail over instead of
-        treating an outage as data loss.
-        """
-        last_error: Exception | None = None
-        for node in owners:
-            if node == self.node_id:
-                continue
-            backend = self._peer_backend(node)
-            if backend is None:
-                continue
-            try:
-                data = backend.fetch_segment_key(name, key)
-            except SegmentNotFoundError:
-                raise
-            except TransientSegmentError as error:  # includes read timeouts
-                self._peer_errors.inc()
-                last_error = error
-                continue
-            self._peer_fetches.inc()
-            self._peer_bytes.inc(len(data))
-            return data
-        try:
-            data = self.storage.read_segment(name, key.window, key.tile, key.quality)
-        except SegmentNotFoundError:
-            raise TransientSegmentError(
-                f"no owner of {name}/{key.to_path()} is reachable "
-                f"(owners={list(owners)!r}, last error: {last_error})"
-            ) from last_error
-        self._peer_fallback_local.inc()
-        return data
-
-    def _read_repair(
-        self, name: str, key: SegmentKey, owners, cause: SegmentNotFoundError
-    ) -> bytes:
-        """Heal a locally-failed owned read from a peer owner (blocking;
-        runs on the read executor).
-
-        Unlike :meth:`_fetch_from_owners`, a peer 404 is *not*
-        authoritative here — our own index proves the segment exists, a
-        peer without it has its own damage — and local storage is never a
-        fallback (the local copy is the broken one). Every candidate copy
-        must pass the index checksum before it touches disk, so a peer
-        serving corrupt bytes can neither be served nor written.
-        """
-        self._repair_attempts.inc()
-        for node in owners:
-            if node == self.node_id:
-                continue
-            backend = self._peer_backend(node)
-            if backend is None:
-                continue
-            try:
-                data = backend.fetch_segment_key(name, key)
-            except (SegmentNotFoundError, TransientSegmentError):
-                self._peer_errors.inc()
-                continue
-            self._peer_fetches.inc()
-            self._peer_bytes.inc(len(data))
-            try:
-                # Verifies against the index entry, atomically rewrites
-                # the local file, and invalidates the buffer pool entry.
-                self.storage.repair_segment(
-                    name, key.window, key.tile, key.quality, data
-                )
-            except SegmentNotFoundError:
-                continue  # peer copy corrupt too (or raced a drop)
-            return data
-        self._repair_failed.inc()
-        raise cause
 
     def _on_storage_drop(self, name: str) -> None:
         """Storage drop listener: invalidate every derived copy of the
@@ -633,8 +373,9 @@ class SegmentServer:
 
         def invalidate() -> None:
             self.hot.unpin_prefix(f"/segment/{name}/")
-            if self._peer_cache is not None:
-                self._peer_cache.invalidate_prefix(name)
+            self._video_bound.pop(name, None)
+            if self._sharded is not None:
+                self._sharded.invalidate(name)
 
         if loop is None or loop.is_closed():
             return
@@ -672,6 +413,8 @@ class SegmentServer:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
+        if self._sharded is not None:
+            self._sharded.close()
 
     # -- pin prewarm ----------------------------------------------------------
 
@@ -682,12 +425,14 @@ class SegmentServer:
         :func:`repro.core.popularity.segment_weights` built from viewer
         traces; without it, segments pin in deterministic path order.
         Blocking storage reads run inline: this is a startup (or
-        operator-initiated) action, not a request-path one. Returns how
-        many segments were pinned.
+        operator-initiated) action, not a request-path one — and they
+        read local storage, not the backend: a node pins what it holds,
+        never a peer's copy. Returns how many segments were pinned.
         """
         if not self.hot.enabled:
             return 0
         manifest = self.storage.build_manifest(name)
+        self._known_video(name)
         if weights:
             def rank(key):
                 return (-weights.get(key, 0.0), key.to_path())
@@ -757,15 +502,13 @@ class SegmentServer:
                 dropped = before - len(self.hot)
             self.hot.set_base_heat(dict(node_plan.prewarm))
             for path, heat in node_plan.prewarm:
-                if path in self.hot:
-                    continue
-                segments = [part for part in path.split("/") if part]
-                if len(segments) != 6 or segments[0] != "segment":
+                segment = None if path in self.hot else split_segment_path(path)
+                if segment is None:
                     continue
                 try:
-                    key = SegmentKey.from_path("/".join(segments[2:]))
+                    key = SegmentKey.from_path(segment[1])
                     data = self.storage.read_segment(
-                        segments[1], key.window, key.tile, key.quality
+                        segment[0], key.window, key.tile, key.quality
                     )
                 except Exception:
                     continue
@@ -795,32 +538,32 @@ class SegmentServer:
             "inflight": self._inflight,
         }
 
-    def _control(self, parts: list[str], method: str, body: bytes) -> _Response:
+    def _control(self, parts: list[str], method: str, body: bytes) -> Response:
         """Route one ``/control`` request (runs on the loop thread, so
         every mutation here is serialized with the hit path)."""
         if not parts:
             if method != "GET":
-                return _error_response(405, LookupError("use GET /control"))
-            return _json_response(200, self.control_state())
+                return error_response(405, LookupError("use GET /control"))
+            return json_response(200, self.control_state())
         if method != "POST" or len(parts) != 1:
-            return _error_response(404, LookupError(f"no control route {parts!r}"))
+            return error_response(404, LookupError(f"no control route {parts!r}"))
         payload = json.loads(body.decode("utf-8"))  # ValueError → 400 upstream
         try:
             return self._control_post(parts[0], payload)
         except (KeyError, TypeError) as error:
-            return _error_response(400, ValueError(f"malformed control payload: {error!r}"))
+            return error_response(400, ValueError(f"malformed control payload: {error!r}"))
 
-    def _control_post(self, route: str, payload: dict) -> _Response:
+    def _control_post(self, route: str, payload: dict) -> Response:
         if route == "plan":
             try:
-                return _json_response(200, self.apply_control_plan(payload))
+                return json_response(200, self.apply_control_plan(payload))
             except ValueError as error:
-                return _error_response(409, error)
+                return error_response(409, error)
         if route in ("limits", "prewarm"):
             try:
                 self._check_plan_version(int(payload["version"]))
             except ValueError as error:
-                return _error_response(409, error)
+                return error_response(409, error)
             if route == "limits":
                 ceiling = payload["max_inflight"]
                 self._max_inflight = int(ceiling) if ceiling is not None else None
@@ -839,17 +582,16 @@ class SegmentServer:
                             node_id=self.node_id,
                             max_inflight=self._max_inflight,
                             pin_budget_bytes=self.hot.budget_bytes,
-                            processes=self.config.processes,
                             prewarm=tuple(prewarm),
                         ),
                     ),
                 )
-                return _json_response(200, self.apply_control_plan(partial))
+                return json_response(200, self.apply_control_plan(partial))
             self._control_version = int(payload["version"])
             self._gauge_control_version.set(self._control_version)
             self._control_applies.inc()
-            return _json_response(200, self.control_state())
-        return _error_response(404, LookupError(f"no control route {route!r}"))
+            return json_response(200, self.control_state())
+        return error_response(404, LookupError(f"no control route {route!r}"))
 
     # -- connection handling --------------------------------------------------
 
@@ -880,21 +622,17 @@ class SegmentServer:
                 started = perf_counter()
                 served_on_connection += 1
                 target = path.partition("?")[0]
-                if method == "GET" and target.startswith("/segment/"):
-                    # The forecaster's demand signal: every segment
-                    # request, counted before admission so shed and
-                    # pinned traffic register as demand too.
-                    video = target.split("/", 3)[2]
-                    demand = self._video_bound.get(video)
-                    if demand is None:
-                        demand = self._video_bound[video] = (
-                            self._video_requests.labels(video=video)
-                        )
+                # The forecaster's demand signal: every segment request
+                # for a known video, counted before admission so shed
+                # and pinned traffic register as demand too.
+                segment = split_segment_path(target) if method == "GET" else None
+                demand = self._video_bound.get(segment[0]) if segment else None
+                if demand is not None:
                     demand.inc()
                 if method == "POST" and target.startswith("/control"):
                     response = await self._dispatch(target, method, body)
                 elif method != "GET":
-                    response = _Response(
+                    response = Response(
                         405, b"", content_type="text/plain", error="MethodNotAllowed"
                     )
                     keep_alive = False
@@ -931,7 +669,13 @@ class SegmentServer:
                             finally:
                                 self._inflight -= 1
                                 self._gauge_inflight.set(self._inflight)
-                endpoint = target.split("/", 2)[1] if target.count("/") else target
+                if segment and demand is None and response.status == 200:
+                    # The backend just answered for this video: it is
+                    # known from here on, and this request was demand.
+                    self._known_video(segment[0]).inc()
+                endpoint = target[1:].partition("/")[0]
+                if endpoint not in _ENDPOINTS:
+                    endpoint = "other"  # labels come from routes, never raw paths
                 series = (endpoint, response.status)
                 counter = self._requests_bound.get(series)
                 if counter is None:
@@ -1042,22 +786,20 @@ class SegmentServer:
 
     # -- request dispatch -----------------------------------------------------
 
-    def _shed_response(self, status: int, reason: str) -> _Response:
+    def _shed_response(self, status: int, reason: str) -> Response:
         self._shed.inc(reason=reason)
-        body = json.dumps(
-            {"error": "TransientSegmentError", "detail": f"request shed: {reason}"}
-        )
-        return _Response(
+        return error_response(
             status,
-            body.encode("utf-8"),
-            content_type="application/json",
-            error="TransientSegmentError",
+            TransientSegmentError(f"request shed: {reason}"),
             retry_after=self.config.retry_after,
         )
 
     async def _dispatch(self, target: str, method: str = "GET", body: bytes = b""):
-        parts = [part for part in target.split("/") if part]
         try:
+            segment = split_segment_path(target)
+            if segment is not None:
+                return await self._segment(*segment, target)
+            parts = [part for part in target.split("/") if part]
             if parts == ["healthz"]:
                 return self._healthz
             if parts and parts[0] == "control":
@@ -1067,18 +809,16 @@ class SegmentServer:
             if parts == ["metrics", "local"]:
                 snapshot = self.metrics.snapshot(include_samples=True)
                 snapshot["worker"] = self._worker_id
-                return _json_response(200, snapshot)
+                return json_response(200, snapshot)
             if len(parts) == 2 and parts[0] == "manifest":
                 return await self._manifest(parts[1])
-            if len(parts) == 6 and parts[0] == "segment":
-                return await self._segment(parts[1], "/".join(parts[2:]), target)
-            return _error_response(404, LookupError(f"no route for {target!r}"))
+            return error_response(404, LookupError(f"no route for {target!r}"))
         except VisualCloudError as error:
-            return _error_response(_status_for(error), error)
+            return error_response(status_for(error), error)
         except ValueError as error:
-            return _error_response(400, error)
+            return error_response(400, error)
 
-    async def _metrics_response(self) -> _Precomputed:
+    async def _metrics_response(self) -> Precomputed:
         """The registry snapshot, rendered at most once per ``metrics_ttl``.
 
         Snapshotting and JSON-encoding the full registry per request is
@@ -1094,57 +834,37 @@ class SegmentServer:
             snapshot = await self._merged_snapshot()
         else:
             snapshot = self.metrics.snapshot()
-        rendered = _Precomputed(_json_response(200, snapshot))
+        rendered = Precomputed(json_response(200, snapshot))
         self._metrics_cache = (now, rendered)
         return rendered
 
-    async def _manifest(self, name: str) -> _Response:
-        manifest = await self._offload(lambda: self.storage.build_manifest(name))
+    async def _manifest(self, name: str) -> Response:
+        manifest = await self._offload(lambda: self.backend.build_manifest(name))
+        self._known_video(name)
         payload = manifest.to_json()
         shard_map = self.shard_map
         if shard_map is not None:
             # Published here, not baked into the stored manifest: the map
             # is delivery-tier state with its own version stream.
             payload["shard_map"] = shard_map.to_json()
-        return _json_response(200, payload)
+        return json_response(200, payload)
 
-    async def _segment(self, name: str, tail: str, target: str) -> _Response:
+    async def _segment(self, name: str, tail: str, target: str) -> Response:
         key = SegmentKey.from_path(tail)  # ValueError → 400
-        shard_map = self.shard_map
-        owners = (
-            shard_map.owners(name, key)
-            if shard_map is not None and self.node_id
-            else None
+        data = await self._offload(
+            lambda: self.backend.read_segment(name, key.window, key.tile, key.quality)
         )
-        if owners is not None and self.node_id not in owners:
-            # Not ours: the peer tier answers before storage is consulted
-            # (placement decides the path — a local 404 on a non-owner is
-            # an artefact of partitioning, never an authoritative answer).
-            data = await self._offload(lambda: self._peer_read(name, key, owners))
-        else:
-            try:
-                data = await self._offload(
-                    lambda: self.storage.read_segment(
-                        name, key.window, key.tile, key.quality
-                    )
-                )
-            except SegmentNotFoundError as error:
-                # Repairable = the index has the entry, only the local
-                # bytes failed. With rf >= 2 a peer owner holds an intact
-                # copy: heal the local file and serve the request.
-                if not (
-                    self.config.read_repair
-                    and getattr(error, "repairable", False)
-                    and owners is not None
-                    and len(owners) > 1
-                ):
-                    raise
-                data = await self._offload(
-                    lambda: self._read_repair(name, key, owners, error)
-                )
         if self.hot.enabled:
             self.hot.record(target, data)
-        return _Response(200, data, checksum=checksum_hex(data))
+        return Response(200, data, checksum=checksum_hex(data))
+
+    def _known_video(self, name: str):
+        """The demand series of a video the backend has answered for —
+        the only way a ``serve.video_requests`` series comes to exist."""
+        demand = self._video_bound.get(name)
+        if demand is None:
+            demand = self._video_bound[name] = self._video_requests.labels(video=name)
+        return demand
 
     async def _offload(self, call):
         """Run a blocking storage call on the thread pool, bounded by the
@@ -1287,40 +1007,35 @@ class ServerHandle:
         host, port = self.address
         return f"http://{host}:{port}"
 
+    def _on_loop(self, call, timeout: float = 10.0):
+        """Run ``call()`` on the server's loop thread (where the hot set
+        and control state live) and hand back its result or exception."""
+
+        async def run():
+            return call()
+
+        future = asyncio.run_coroutine_threadsafe(run(), self._loop)
+        return future.result(timeout=timeout)
+
     def update_shard_map(self, shard_map: ShardMap, peers=None) -> int:
-        """Apply a new shard map (and optionally a peer table) on the
-        server's loop thread; returns the number of pins dropped.
+        """Apply a new shard map (and optionally a peer table); returns
+        the number of pins dropped.
 
         This is the two-phase wiring a sharded tier needs: servers bind
         ephemeral ports first, then every node learns the full node →
         URL table once all siblings are up.
         """
-
-        async def apply() -> int:
-            return self.server.update_shard_map(shard_map, peers)
-
-        future = asyncio.run_coroutine_threadsafe(apply(), self._loop)
-        return future.result(timeout=10.0)
+        return self._on_loop(lambda: self.server.update_shard_map(shard_map, peers))
 
     def apply_control_plan(self, plan) -> dict:
-        """Apply a control plan on the server's loop thread — the local
-        actuator's entry point. Raises ``ValueError`` on a stale
-        version, exactly as the wire endpoint answers 409."""
-
-        async def apply() -> dict:
-            return self.server.apply_control_plan(plan)
-
-        future = asyncio.run_coroutine_threadsafe(apply(), self._loop)
-        return future.result(timeout=30.0)
+        """Apply a control plan — the local actuator's entry point.
+        Raises ``ValueError`` on a stale version, exactly as the wire
+        endpoint answers 409."""
+        return self._on_loop(lambda: self.server.apply_control_plan(plan), 30.0)
 
     def control_state(self) -> dict:
-        """The server's live control-plane view, read on its loop."""
-
-        async def read() -> dict:
-            return self.server.control_state()
-
-        future = asyncio.run_coroutine_threadsafe(read(), self._loop)
-        return future.result(timeout=10.0)
+        """The server's live control-plane view."""
+        return self._on_loop(self.server.control_state)
 
     def stop(self) -> None:
         if not self._thread.is_alive():

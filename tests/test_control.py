@@ -224,21 +224,6 @@ class TestPlanner:
         plan = planner.plan({}, {}, (state,), observed_p99=0.2)
         assert plan.node("").max_inflight == 16
 
-    def test_process_recommendation_scales_with_demand(self):
-        planner = Planner(requests_per_process=100.0, max_processes=8)
-        plan = planner.plan(
-            {"vid-0": _forecast("vid-0", 350.0)},
-            CATALOG,
-            (NodeState(node_id="", processes=1),),
-        )
-        assert plan.node("").processes == 4  # ceil(350/100)
-        plan = planner.plan(
-            {"vid-0": _forecast("vid-0", 5000.0)},
-            CATALOG,
-            (NodeState(node_id="", processes=1),),
-        )
-        assert plan.node("").processes == 8  # capped
-
     def test_versions_are_monotonic(self):
         planner = Planner()
         first = planner.plan({}, {}, (NodeState(node_id=""),))
@@ -255,24 +240,18 @@ class TestPlanner:
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="version"):
             ControlPlan(version=-1)
-        node = NodePlan(
-            node_id="a", max_inflight=None, pin_budget_bytes=0, processes=1
-        )
+        node = NodePlan(node_id="a", max_inflight=None, pin_budget_bytes=0)
         with pytest.raises(ValueError, match="duplicate"):
             ControlPlan(version=1, nodes=(node, node))
 
     def test_single_anonymous_node_plan_matches_any_node(self):
-        node = NodePlan(
-            node_id="", max_inflight=8, pin_budget_bytes=0, processes=1
-        )
+        node = NodePlan(node_id="", max_inflight=8, pin_budget_bytes=0)
         plan = ControlPlan(version=1, nodes=(node,))
         assert plan.node("node-3") is node
         sharded = ControlPlan(
             version=1,
             nodes=(
-                NodePlan(
-                    node_id="node-0", max_inflight=8, pin_budget_bytes=0, processes=1
-                ),
+                NodePlan(node_id="node-0", max_inflight=8, pin_budget_bytes=0),
             ),
         )
         assert sharded.node("node-1") is None
@@ -287,6 +266,11 @@ class TestPlanner:
         assert (
             ControlPlan.from_json(plan.to_json()).canonical() == plan.canonical()
         )
+        # A plan written before the process-count field was removed
+        # still loads; the legacy key is ignored.
+        legacy = plan.to_json()
+        legacy["nodes"][0]["processes"] = 4
+        assert ControlPlan.from_json(legacy) == plan
 
 
 # Bounded strategies: the purity property needs variety, not magnitude.
@@ -514,7 +498,6 @@ class TestWireActuation:
                     node_id="",
                     max_inflight=inflight,
                     pin_budget_bytes=budget,
-                    processes=1,
                     prewarm=tuple(prewarm),
                 ),
             ),

@@ -1,11 +1,12 @@
-"""Differential tests: the zero-copy wire paths vs the reference encoder.
+"""Differential tests: the zero-copy wire paths vs a reference encoder.
 
 The serve fast path writes responses as unconcatenated buffer tuples
-(``_Response.parts``, ``_Precomputed``, ``PinnedSegment``) instead of one
+(``Response.parts``, ``Precomputed``, ``PinnedSegment``) instead of one
 joined ``bytes``. These tests pin the invariant that makes that safe:
-joining the parts of *any* response reproduces ``_Response.encode``
-byte for byte, across every status / keep-alive / error / retry-after /
-body combination the server can emit.
+joining the parts of *any* response reproduces :func:`encode` — an
+independently written single-buffer encoder that shares no code with
+``repro.serve.wire.Response.head`` — byte for byte, across every status /
+keep-alive / error / retry-after / body combination the server can emit.
 """
 
 from __future__ import annotations
@@ -14,8 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.storage import checksum_hex
-from repro.serve.hotset import PinnedSegment, _header_block
-from repro.serve.server import _REASONS, _Precomputed, _Response
+from repro.serve.hotset import PinnedSegment
+from repro.serve.wire import REASONS, Precomputed, Response
+
+
+def encode(response: Response, keep_alive: bool) -> bytes:
+    """The single-buffer wire form, written out longhand: the oracle."""
+    reason = REASONS.get(response.status, "Unknown")
+    wire = b"HTTP/1.1 %d %s\r\n" % (response.status, reason.encode("ascii"))
+    wire += b"Content-Type: " + response.content_type.encode("ascii") + b"\r\n"
+    wire += b"Content-Length: %d\r\n" % len(response.body)
+    if response.checksum:
+        wire += b"X-Checksum: " + response.checksum.encode("ascii") + b"\r\n"
+    wire += b"Connection: keep-alive\r\n" if keep_alive else b"Connection: close\r\n"
+    if response.error:
+        wire += b"X-Error: " + response.error.encode("ascii") + b"\r\n"
+    if response.retry_after is not None:
+        wire += b"Retry-After: " + format(response.retry_after, "g").encode("ascii")
+        wire += b"\r\n"
+    return wire + b"\r\n" + response.body
+
 
 # Header fields are encoded as ASCII and terminated by CRLF; the server
 # only ever inserts exception class names and MIME types there.
@@ -24,8 +43,8 @@ _header_text = st.text(
 )
 
 _responses = st.builds(
-    _Response,
-    status=st.one_of(st.sampled_from(sorted(_REASONS)), st.integers(100, 599)),
+    Response,
+    status=st.one_of(st.sampled_from(sorted(REASONS)), st.integers(100, 599)),
     body=st.binary(max_size=4096),
     content_type=st.sampled_from(
         ["application/octet-stream", "application/json", "text/plain"]
@@ -42,13 +61,13 @@ class TestPartsMatchEncode:
     @settings(max_examples=200, deadline=None)
     @given(response=_responses, keep_alive=st.booleans())
     def test_joined_parts_equal_encode(self, response, keep_alive):
-        assert b"".join(response.parts(keep_alive)) == response.encode(keep_alive)
+        assert b"".join(response.parts(keep_alive)) == encode(response, keep_alive)
 
     @settings(max_examples=100, deadline=None)
     @given(response=_responses, keep_alive=st.booleans())
     def test_precomputed_freezes_the_same_bytes(self, response, keep_alive):
-        frozen = _Precomputed(response)
-        assert b"".join(frozen.parts(keep_alive)) == response.encode(keep_alive)
+        frozen = Precomputed(response)
+        assert b"".join(frozen.parts(keep_alive)) == encode(response, keep_alive)
         assert frozen.status == response.status
         assert frozen.body_length == response.body_length
 
@@ -63,9 +82,9 @@ class TestPartsMatchEncode:
     @given(body=st.binary(max_size=4096), keep_alive=st.booleans())
     def test_segment_hit_shape_is_exact(self, body, keep_alive):
         """The exact response class the cold segment path emits."""
-        response = _Response(200, body, checksum=checksum_hex(body))
+        response = Response(200, body, checksum=checksum_hex(body))
         wire = b"".join(response.parts(keep_alive))
-        assert wire == response.encode(keep_alive)
+        assert wire == encode(response, keep_alive)
         connection = b"keep-alive" if keep_alive else b"close"
         assert wire.startswith(b"HTTP/1.1 200 OK\r\n")
         assert b"Connection: " + connection + b"\r\n" in wire
@@ -79,19 +98,8 @@ class TestPinnedSegmentWireIdentity:
     def test_pinned_bytes_equal_cold_path_bytes(self, body, keep_alive):
         """A pin hit and a cold read must be indistinguishable on the wire."""
         pinned = PinnedSegment("/segment/clip/0/0/0/high", body)
-        reference = _Response(200, body, checksum=checksum_hex(body))
-        assert b"".join(pinned.parts(keep_alive)) == reference.encode(keep_alive)
-
-    @given(length=st.integers(min_value=0, max_value=10**9), keep_alive=st.booleans())
-    def test_header_block_matches_response_head(self, length, keep_alive):
-        body = b"\0" * min(length, 4096)
-        checksum = checksum_hex(body)
-        bare = _Response(200, body)
-        assert _header_block(len(body), keep_alive) == bare._head(keep_alive)
-        stamped = _Response(200, body, checksum=checksum)
-        assert _header_block(len(body), keep_alive, checksum) == stamped._head(
-            keep_alive
-        )
+        reference = Response(200, body, checksum=checksum_hex(body))
+        assert b"".join(pinned.parts(keep_alive)) == encode(reference, keep_alive)
 
     def test_pinned_body_is_shared_not_copied(self):
         body = b"payload" * 100

@@ -1,0 +1,289 @@
+"""The shard routing table, without sockets.
+
+``ShardedBackend`` takes its peer clients by construction, so the whole
+owner-or-peer / read-repair decision table runs here against fake peers
+and a real on-disk store: role × local state × peer behaviour →
+bytes or exception, what the disk holds afterwards, and the *exact*
+counter movement. The 3-node integration suites (``test_serve_shard``,
+``test_durability``) stay the end-to-end check over real sockets.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+
+import pytest
+
+from repro import Quality
+from repro.core.errors import (
+    SegmentCorruptError,
+    SegmentNotFoundError,
+    TransientSegmentError,
+)
+from repro.core.storage import StorageManager
+from repro.obs import MetricsRegistry
+from repro.serve import ShardedBackend, ShardMap
+from repro.stream.dash import SegmentKey
+
+NODES = ("node-0", "node-1", "node-2")
+SHARD_MAP = ShardMap(nodes=NODES, replication_factor=2)
+
+COUNTERS = (
+    "serve.peer_fetches",
+    "serve.peer_bytes",
+    "serve.peer_cache_hits",
+    "serve.peer_errors",
+    "serve.peer_fallback_local",
+    "storage.repair_attempts",
+    "storage.repair_failed",
+    "storage.repair_success",
+    "storage.repair_bytes",
+)
+
+
+def _damage(data: bytes) -> bytes:
+    damaged = bytearray(data)
+    damaged[len(damaged) // 2] ^= 0x08
+    return bytes(damaged)
+
+
+class FakePeer:
+    """A sibling's segment client with one scripted behaviour."""
+
+    def __init__(self, behaviour: str, canonical: bytes) -> None:
+        self.behaviour = behaviour
+        self.canonical = canonical
+        self.calls = 0
+        self.closed = 0
+
+    def fetch_segment(self, name, key):
+        self.calls += 1
+        if self.behaviour == "404":
+            raise SegmentNotFoundError("peer has no such segment")
+        if self.behaviour == "transient":
+            raise TransientSegmentError("peer unreachable")
+        if self.behaviour == "wrong-checksum":
+            # A peer whose own copy (and so its X-Checksum) is rotten.
+            return _damage(self.canonical)
+        return self.canonical
+
+    def close(self):
+        self.closed += 1
+
+
+class Node:
+    """node-0 of a 3-node rf=2 tier over a private copy of the store,
+    with both siblings played by :class:`FakePeer`."""
+
+    def __init__(self, session_db, root, role, local, peer):
+        shutil.copytree(session_db.storage.catalog.root, root)
+        self.registry = MetricsRegistry()
+        self.storage = StorageManager(root, registry=self.registry)
+        manifest = self.storage.build_manifest("clip")
+        self.key = next(
+            key
+            for key in sorted(manifest.segment_sizes, key=lambda k: k.to_path())
+            if SHARD_MAP.owns("node-0", "clip", key) == (role == "owner")
+        )
+        self.canonical = self.storage.read_segment("clip", *self._address())
+        entry = self.storage.meta("clip").entries[self._address()]
+        self.path = self.storage.catalog.segment_path(
+            "clip", *self._address(), entry.file_version
+        )
+        if local == "corrupt":
+            # Via replace, never through the copy's inode in place.
+            rotted = self.path.with_name(self.path.name + ".rot")
+            rotted.write_bytes(_damage(self.canonical))
+            os.replace(rotted, self.path)
+        elif local == "missing":
+            self.path.unlink()
+        self.storage.segment_cache.clear()  # the next read goes to disk
+        self.peers = {
+            node: FakePeer(peer, self.canonical) for node in ("node-1", "node-2")
+        }
+        self.backend = ShardedBackend(
+            self.storage, "node-0", SHARD_MAP, self.peers, registry=self.registry
+        )
+        self.before = self.counters()
+
+    def _address(self):
+        return self.key.window, self.key.tile, self.key.quality
+
+    def read(self) -> bytes:
+        return self.backend.read_segment("clip", *self._address())
+
+    def counters(self) -> dict:
+        return {name: self.registry.counter(name).total() for name in COUNTERS}
+
+    def moved(self) -> dict:
+        """Every counter that moved since construction, by how much."""
+        after = self.counters()
+        return {
+            name: after[name] - self.before[name]
+            for name in COUNTERS
+            if after[name] != self.before[name]
+        }
+
+    def disk(self) -> str:
+        if not self.path.exists():
+            return "missing"
+        return "canonical" if self.path.read_bytes() == self.canonical else "damaged"
+
+
+N = object()  # placeholder in the table for len(canonical bytes)
+
+# role, local, peer → outcome ("bytes" or the exception type), the disk
+# state afterwards, and the counters that move (all others must not).
+# With rf=2 of 3 nodes an owner has one peer owner, a non-owner has two.
+ROUTING_TABLE = [
+    # -- owner: local read; peers untouched while it succeeds ----------------
+    ("owner", "ok", "transient", "bytes", "canonical", {}),
+    # -- owner, repairable local failure: verified heal from the peer owner --
+    (
+        "owner", "corrupt", "ok", "bytes", "canonical",
+        {"storage.repair_attempts": 1, "serve.peer_fetches": 1,
+         "serve.peer_bytes": N, "storage.repair_success": 1,
+         "storage.repair_bytes": N},
+    ),
+    (
+        "owner", "missing", "ok", "bytes", "canonical",
+        {"storage.repair_attempts": 1, "serve.peer_fetches": 1,
+         "serve.peer_bytes": N, "storage.repair_success": 1,
+         "storage.repair_bytes": N},
+    ),
+    # A peer 404 is NOT authoritative on the repair path: it is one more
+    # failed peer, and the request fails with the *local* verdict.
+    (
+        "owner", "corrupt", "404", SegmentCorruptError, "damaged",
+        {"storage.repair_attempts": 1, "serve.peer_errors": 1,
+         "storage.repair_failed": 1},
+    ),
+    (
+        "owner", "missing", "404", SegmentNotFoundError, "missing",
+        {"storage.repair_attempts": 1, "serve.peer_errors": 1,
+         "storage.repair_failed": 1},
+    ),
+    (
+        "owner", "corrupt", "transient", SegmentCorruptError, "damaged",
+        {"storage.repair_attempts": 1, "serve.peer_errors": 1,
+         "storage.repair_failed": 1},
+    ),
+    # A corrupt peer copy is neither served nor written.
+    (
+        "owner", "corrupt", "wrong-checksum", SegmentCorruptError, "damaged",
+        {"storage.repair_attempts": 1, "serve.peer_fetches": 1,
+         "serve.peer_bytes": N, "storage.repair_failed": 1},
+    ),
+    (
+        "owner", "missing", "wrong-checksum", SegmentNotFoundError, "missing",
+        {"storage.repair_attempts": 1, "serve.peer_fetches": 1,
+         "serve.peer_bytes": N, "storage.repair_failed": 1},
+    ),
+    # -- non-owner: owners first, whatever local storage holds ---------------
+    (
+        "non-owner", "missing", "ok", "bytes", "missing",
+        {"serve.peer_fetches": 1, "serve.peer_bytes": N},
+    ),
+    (
+        "non-owner", "ok", "ok", "bytes", "canonical",
+        {"serve.peer_fetches": 1, "serve.peer_bytes": N},
+    ),
+    # A peer 404 IS authoritative here — even over a local copy.
+    ("non-owner", "ok", "404", SegmentNotFoundError, "canonical", {}),
+    ("non-owner", "missing", "404", SegmentNotFoundError, "missing", {}),
+    # All owners down → local fallback → else transient (never not-found:
+    # an outage must read as "fail over", not as data loss).
+    (
+        "non-owner", "ok", "transient", "bytes", "canonical",
+        {"serve.peer_errors": 2, "serve.peer_fallback_local": 1},
+    ),
+    (
+        "non-owner", "missing", "transient", TransientSegmentError, "missing",
+        {"serve.peer_errors": 2},
+    ),
+    (
+        "non-owner", "corrupt", "transient", TransientSegmentError, "damaged",
+        {"serve.peer_errors": 2},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "role, local, peer, outcome, disk, moved",
+    ROUTING_TABLE,
+    ids=[f"{row[0]}-local_{row[1]}-peer_{row[2]}" for row in ROUTING_TABLE],
+)
+def test_routing_table(session_db, tmp_path, role, local, peer, outcome, disk, moved):
+    node = Node(session_db, tmp_path / "node-0", role, local, peer)
+    if outcome == "bytes":
+        assert node.read() == node.canonical
+    else:
+        with pytest.raises(outcome) as caught:
+            node.read()
+        assert type(caught.value) is outcome  # the exact taxonomy class
+    assert node.disk() == disk
+    expected = {
+        name: len(node.canonical) if amount is N else amount
+        for name, amount in moved.items()
+    }
+    assert node.moved() == expected
+    if not moved:
+        contacted = sum(fake.calls for fake in node.peers.values())
+        assert contacted == (0 if role == "owner" else 1)
+
+
+def test_unindexed_segment_is_not_a_repair_case(session_db, tmp_path):
+    """No index entry → not repairable → no peer is asked."""
+    node = Node(session_db, tmp_path / "node-0", "owner", "ok", "ok")
+    bogus = next(
+        key
+        for key in (SegmentKey(window, (0, 0), Quality.HIGH) for window in range(900, 999))
+        if SHARD_MAP.owns("node-0", "clip", key)
+    )
+    with pytest.raises(SegmentNotFoundError):
+        node.backend.read_segment("clip", bogus.window, bogus.tile, bogus.quality)
+    assert node.moved() == {}
+    assert all(fake.calls == 0 for fake in node.peers.values())
+
+
+def test_read_repair_off_surfaces_the_local_verdict(session_db, tmp_path):
+    node = Node(session_db, tmp_path / "node-0", "owner", "corrupt", "ok")
+    node.backend.read_repair = False
+    with pytest.raises(SegmentCorruptError):
+        node.read()
+    assert node.moved() == {}
+    assert node.disk() == "damaged"
+
+
+def test_peer_cache_hit_map_update_and_drop_invalidation(session_db, tmp_path):
+    node = Node(session_db, tmp_path / "node-0", "non-owner", "missing", "ok")
+    assert node.read() == node.read() == node.canonical
+    assert node.moved() == {
+        "serve.peer_fetches": 1,
+        "serve.peer_bytes": len(node.canonical),
+        "serve.peer_cache_hits": 1,
+    }
+    # A topology change forgets every peer-fetched copy …
+    node.backend.update(SHARD_MAP.with_nodes(NODES))
+    node.read()
+    assert node.moved()["serve.peer_fetches"] == 2
+    # … and so does dropping the video.
+    node.backend.invalidate("clip")
+    node.read()
+    assert node.moved()["serve.peer_fetches"] == 3
+    assert node.moved()["serve.peer_cache_hits"] == 1
+
+
+def test_update_refuses_rollback_and_retires_replaced_peers(session_db, tmp_path):
+    node = Node(session_db, tmp_path / "node-0", "owner", "ok", "ok")
+    newer = SHARD_MAP.with_nodes(NODES)
+    replacement = {"node-1": FakePeer("ok", node.canonical)}
+    node.backend.update(newer, replacement)
+    assert [fake.closed for fake in node.peers.values()] == [1, 1]
+    assert node.backend.shard_map is newer
+    with pytest.raises(ValueError, match="refusing to roll back"):
+        node.backend.update(SHARD_MAP)
+    assert node.backend.shard_map is newer
+    node.backend.close()
+    assert replacement["node-1"].closed == 1

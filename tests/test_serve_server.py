@@ -119,6 +119,87 @@ class TestOperationalEndpoints:
             handle.stop()
 
 
+class TestMetricCardinality:
+    """Series are minted from the route set and the catalog, never from
+    whatever path a client sends."""
+
+    def test_junk_paths_do_not_mint_series(self, db):
+        import http.client
+
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        handle = start_server(db.storage, ServerConfig(drain_timeout=2.0), registry=registry)
+        try:
+            connection = http.client.HTTPConnection(*handle.address)
+            for index in range(300):
+                for path in (f"/junk{index}/x", f"/segment/vid{index}/0/0/0/high"):
+                    connection.request("GET", path)
+                    response = connection.getresponse()
+                    response.read()
+                    assert response.status == 404
+            connection.close()
+        finally:
+            handle.stop()
+        snapshot = registry.snapshot()
+        minted = sorted(
+            name
+            for kind in ("counters", "histograms")
+            for name in snapshot[kind]
+            if name.startswith(
+                ("serve.requests", "serve.request_seconds", "serve.video_requests")
+            )
+        )
+        assert minted == [
+            "serve.request_seconds{endpoint=other}",
+            "serve.request_seconds{endpoint=segment}",
+            "serve.requests{endpoint=other,status=404}",
+            "serve.requests{endpoint=segment,status=404}",
+        ]
+
+    def test_known_video_demand_counts_pinned_shed_and_cold_requests(self, session_db):
+        import http.client
+
+        from repro.obs import MetricsRegistry
+
+        manifest = session_db.storage.build_manifest("clip")
+        key = min(manifest.segment_sizes, key=lambda k: k.to_path())
+        path = f"/segment/clip/{key.to_path()}"
+
+        def run(config, requests):
+            registry = MetricsRegistry()
+            handle = start_server(session_db.storage, config, registry=registry)
+            try:
+                connection = http.client.HTTPConnection(*handle.address)
+                statuses = []
+                for _ in range(requests):
+                    connection.request("GET", path)
+                    response = connection.getresponse()
+                    response.read()
+                    statuses.append(response.status)
+                connection.close()
+            finally:
+                handle.stop()
+            return statuses, registry.snapshot()["counters"]
+
+        # Prewarmed: the video is known before its first request; two pin
+        # hits and the connection-budget shed all register as demand.
+        statuses, counters = run(
+            ServerConfig(
+                pin_budget_bytes=1 << 20, prewarm=("clip",), max_connection_requests=2
+            ),
+            3,
+        )
+        assert statuses == [200, 200, 429]
+        assert counters["serve.pin_hits"] == 2
+        assert counters["serve.video_requests{video=clip}"] == 3
+        # Cold: the first successful answer makes the video known, and
+        # that request itself is counted.
+        statuses, counters = run(ServerConfig(), 2)
+        assert statuses == [200, 200]
+        assert counters["serve.video_requests{video=clip}"] == 2
+
+
 class TestConcurrency:
     def test_many_threads_fetch_identical_bytes(self, session_db, server):
         manifest = session_db.storage.build_manifest("clip")

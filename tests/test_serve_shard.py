@@ -22,7 +22,7 @@ import json
 
 import pytest
 
-from repro import Quality, SessionConfig
+from repro import IngestConfig, Quality, SessionConfig, TileGrid
 from repro.core.errors import SegmentNotFoundError, TransientSegmentError
 from repro.core.storage import StorageManager
 from repro.obs import MetricsRegistry
@@ -40,6 +40,7 @@ from repro.stream.abr import UniformAdaptive
 from repro.stream.dash import SegmentKey
 from repro.stream.network import ConstantBandwidth
 from repro.workloads.users import ViewerPopulation
+from repro.workloads.videos import synthetic_video
 
 NODES = ("node-0", "node-1", "node-2")
 
@@ -236,6 +237,43 @@ class TestCoherence:
         for path in remaining:
             key = SegmentKey.from_path("/".join(path.split("/")[3:]))
             assert successor.owns("node-0", "clip", key)
+
+    def test_map_change_unpins_by_exact_path(self, db):
+        # ``…/0/0/0/low`` is a string prefix of ``…/0/0/0/lowest``, and
+        # ownership hashes the quality: the two rungs of one tile can
+        # have different owners. Dropping the un-owned ``low`` pin must
+        # not take the still-owned ``lowest`` pin with it.
+        frames = synthetic_video("venice", width=64, height=32, fps=4.0, duration=3.0, seed=5)
+        db.ingest(
+            "ladder",
+            frames,
+            IngestConfig(
+                grid=TileGrid(2, 2),
+                qualities=(Quality.HIGH, Quality.LOW, Quality.LOWEST),
+                gop_frames=4,
+                fps=4.0,
+            ),
+        )
+        server = SegmentServer(
+            db.storage,
+            ServerConfig(
+                node_id="node-0",
+                shard_map=ShardMap(nodes=("node-0",), replication_factor=1),
+                pin_budget_bytes=1 << 20,
+            ),
+        )
+        successor = server.shard_map.with_nodes(NODES)
+        owned, lost = set(), set()
+        for key in db.storage.build_manifest("ladder").segment_sizes:
+            path = f"/segment/ladder/{key.to_path()}"
+            data = db.storage.read_segment("ladder", key.window, key.tile, key.quality)
+            assert server.hot.pin(path, data)
+            (owned if successor.owns("node-0", "ladder", key) else lost).add(path)
+        # The fixture must hold the trap: a lost ``low`` beside a kept ``lowest``.
+        assert any(path + "est" in owned for path in lost if path.endswith("/low"))
+        dropped = server.update_shard_map(successor)
+        assert dropped == len(lost)
+        assert set(server.hot.paths()) == owned
 
     def test_stale_map_is_rejected(self, tier):
         stale = ShardMap(nodes=NODES, replication_factor=2, version=0 + 1)
