@@ -9,8 +9,6 @@ The operational surface a deployment needs:
     python -m repro info demo          --root /tmp/db
     python -m repro serve demo --policy predictive --bandwidth 20000
     python -m repro serve demo --transport http     # real-socket delivery
-    python -m repro bench-serve --smoke             # wire load harness
-    python -m repro bench-serve --smoke --controller  # flash-crowd differential
     python -m repro control http://127.0.0.1:8600   # live control-plane state
     python -m repro query demo --select-time 0:2 --grayscale --store gray
     python -m repro export demo /tmp/demo.mp4
@@ -151,85 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="segment server to stream from (with --transport http); "
         "omitted, a loopback server over --root is started for the session",
     )
-
-    bench_serve = commands.add_parser(
-        "bench-serve",
-        help="wire delivery load harness: N concurrent localhost sessions "
-        "against the asyncio segment server (writes BENCH_serve.json)",
-    )
-    bench_serve.add_argument("--sessions", type=int, default=32)
-    bench_serve.add_argument("--bandwidth", type=float, default=200_000.0)
-    bench_serve.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="serve from N replicas through the failover client",
-    )
-    bench_serve.add_argument(
-        "--kill-after",
-        type=float,
-        default=None,
-        help="hard-stop replica 0 this many seconds into the run "
-        "(needs --replicas >= 2, or --shards with --replication-factor >= 2)",
-    )
-    bench_serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="serve from N shard nodes on a consistent-hash ring "
-        "(0 disables sharding; mutually exclusive with --replicas > 1)",
-    )
-    bench_serve.add_argument(
-        "--replication-factor",
-        type=int,
-        default=2,
-        help="owners per segment on the shard ring (with --shards)",
-    )
-    bench_serve.add_argument(
-        "--connections",
-        type=int,
-        default=128,
-        help="concurrent sockets in the saturating load phase",
-    )
-    bench_serve.add_argument(
-        "--pipeline",
-        type=int,
-        default=4,
-        help="back-to-back GETs per connection round",
-    )
-    bench_serve.add_argument(
-        "--warmup", type=float, default=1.0, help="seconds excluded from measurement"
-    )
-    bench_serve.add_argument(
-        "--measure-seconds",
-        type=float,
-        default=5.0,
-        help="fixed measurement window per load mode",
-    )
-    bench_serve.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="worker count for the multi-process load mode",
-    )
-    bench_serve.add_argument(
-        "--pin-budget",
-        type=int,
-        default=None,
-        help="hot-set pin budget in bytes for the pinned load modes",
-    )
-    bench_serve.add_argument(
-        "--skip-load",
-        action="store_true",
-        help="run only the QoE phase (no saturating load modes)",
-    )
-    bench_serve.add_argument(
-        "--controller",
-        action="store_true",
-        help="run the flash-crowd phase: predictive control plane on vs off",
-    )
-    bench_serve.add_argument("--output", default="BENCH_serve.json")
-    bench_serve.add_argument("--smoke", action="store_true")
 
     control = commands.add_parser(
         "control",
@@ -550,41 +469,6 @@ def _command_metrics(db: VisualCloud, args) -> None:
         print(rendered)
 
 
-def _command_bench_serve(db: VisualCloud, args) -> int:
-    # Self-provisioning like the other bench harnesses: the load run
-    # ingests into a throwaway store; --root is left untouched.
-    from repro.bench.serve import main as bench_serve_main
-
-    argv = [
-        "--sessions", str(args.sessions),
-        "--bandwidth", str(args.bandwidth),
-        "--replicas", str(args.replicas),
-        "--connections", str(args.connections),
-        "--pipeline", str(args.pipeline),
-        "--warmup", str(args.warmup),
-        "--measure-seconds", str(args.measure_seconds),
-        "--output", args.output,
-    ]
-    if args.kill_after is not None:
-        argv += ["--kill-after", str(args.kill_after)]
-    if args.shards:
-        argv += [
-            "--shards", str(args.shards),
-            "--replication-factor", str(args.replication_factor),
-        ]
-    if args.processes is not None:
-        argv += ["--processes", str(args.processes)]
-    if args.pin_budget is not None:
-        argv += ["--pin-budget", str(args.pin_budget)]
-    if args.skip_load:
-        argv.append("--skip-load")
-    if args.controller:
-        argv.append("--controller")
-    if args.smoke:
-        argv.append("--smoke")
-    return bench_serve_main(argv)
-
-
 def _command_control(db: VisualCloud, args) -> int:
     """Operate a live server's control plane over its HTTP endpoints.
 
@@ -746,7 +630,6 @@ _COMMANDS = {
     "scrub": _command_scrub,
     "stats": _command_stats,
     "metrics": _command_metrics,
-    "bench-serve": _command_bench_serve,
     "control": _command_control,
     "chaos": _command_chaos,
 }
@@ -760,6 +643,11 @@ def main(argv: list[str] | None = None) -> int:
     except VisualCloudError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    except ValueError as error:
+        # Config dataclasses (IngestConfig, ...) validate in __post_init__:
+        # a bad option value is a usage error, like argparse's own exit 2.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (e.g. head);
         # that is the consumer's prerogative, not an error.

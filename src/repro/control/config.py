@@ -1,13 +1,13 @@
 """Cluster configuration: one object for the whole serving tier.
 
 Before this module, standing up a cluster meant threading loose kwargs
-through three layers — ``ServerConfig`` fields, ``bench-serve`` flags,
+through three layers — ``ServerConfig`` fields, bench-harness flags,
 and ``VisualCloud.serve(transport=..., base_url=...)`` — each invented
 independently. :class:`ClusterConfig` is the composition root: the
 server tunables (which already carry pin budget, shard map, process
 count), the control-plane knobs, and the delivery transport, in one
 validated dataclass that every entry point (``VisualCloud.serve``, the
-``serve``/``bench-serve`` CLI, the bench driver) accepts directly.
+``serve`` CLI, :mod:`repro.bench.flash_crowd`) accepts directly.
 """
 
 from __future__ import annotations

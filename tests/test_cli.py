@@ -131,6 +131,23 @@ class TestCommands:
         assert run(tmp_path, "drop", "ghost") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--gop-frames", "0"), "gop_frames must be >= 1"),
+            (("--width", "60"), "multiples of 16"),
+        ],
+    )
+    def test_config_validation_errors_exit_2_without_traceback(
+        self, tmp_path, capsys, flags, message
+    ):
+        # IngestConfig validates in __post_init__ and raises ValueError;
+        # that is a usage error, not a crash.
+        assert run(tmp_path, "ingest", "demo", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_metrics_json_after_multisession_run(self, tmp_path, capsys):
         import json
 

@@ -332,6 +332,10 @@ class TestMaterializeShards:
                         ).read_bytes() == entry.read_bytes()
         assert sum(placed.values()) == total_expected
         assert total_expected >= 2 * len(manifest.segment_sizes)
+        # No node is left empty: a node that owns nothing would serve
+        # the whole catalog by peer fetch and hide a broken ring.
+        assert sorted(placed) == sorted(shard_map.nodes)
+        assert min(placed.values()) > 0
 
     def test_every_node_can_build_the_manifest(self, session_db, tmp_path):
         from repro.core.storage import StorageManager

@@ -28,9 +28,13 @@ pytestmark = pytest.mark.skipif(
 
 
 @pytest.fixture()
-def fleet(session_db):
+def fleet(request, session_db):
+    """A 2-worker fleet; ``parametrize("fleet", [...], indirect=True)``
+    passes extra ``ServerConfig`` fields (the pinned variant below)."""
+    overrides = getattr(request, "param", {})
     handle = start_server(
-        session_db.storage, ServerConfig(processes=2, drain_timeout=2.0)
+        session_db.storage,
+        ServerConfig(processes=2, drain_timeout=2.0, **overrides),
     )
     yield handle
     handle.stop()
@@ -65,6 +69,27 @@ class TestFleetServing:
             )
             local = client.fetch_metrics(local=True)
             assert local["worker"] in (0, 1)
+
+    @pytest.mark.parametrize(
+        "fleet",
+        [dict(pin_budget_bytes=64 * 1024 * 1024, prewarm=("clip",))],
+        ids=["pinned"],
+        indirect=True,
+    )
+    def test_pinned_fleet_serves_from_the_hot_set(self, session_db, fleet):
+        """Every worker pre-warms its own hot set, so a full-catalog
+        fetch is answered from pins whichever worker accepts it, and the
+        merged view sums the per-worker ``serve.pin_hits``."""
+        manifest = session_db.storage.build_manifest("clip")
+        with HttpSegmentClient(fleet.base_url) as client:
+            for key in manifest.segment_sizes:
+                local = session_db.storage.read_segment(
+                    "clip", key.window, key.tile, key.quality
+                )
+                assert client.fetch_segment("clip", key) == local
+            merged = client.fetch_metrics()
+        assert merged["workers"] == 2
+        assert merged["counters"]["serve.pin_hits"] == len(manifest.segment_sizes)
 
     def test_stop_is_graceful_and_idempotent(self, session_db):
         handle = start_server(

@@ -11,12 +11,13 @@ its simulated twin.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import SessionConfig
 from repro.control import ClusterConfig
-from repro.serve import start_server
+from repro.serve import serve_session, start_server
 from repro.stream.abr import PredictiveTilingPolicy, UniformAdaptive
 from repro.stream.network import ConstantBandwidth, SimulatedLink
 from repro.workloads.users import ViewerPopulation
@@ -123,18 +124,38 @@ class TestHttpTransport:
         # configs, no faults — the wire path must produce QoE reports
         # JSON-equal to the simulated path. Playback timing stays on the
         # session's bandwidth model; only the bytes travel differently.
-        sessions = [(_trace(session_db, user), _config()) for user in range(2)]
-        sim = [session_db.serve("clip", pair) for pair in sessions]
+        sessions = [(_trace(session_db, user), _config()) for user in range(4)]
+        sim = [_summary_key(session_db.serve("clip", pair)) for pair in sessions]
         handle = start_server(session_db.storage)
         try:
-            wire = session_db.serve(
+            # One after another through the facade ...
+            sequential = session_db.serve(
                 "clip",
                 sessions,
                 cluster=ClusterConfig(transport="http", base_url=handle.base_url),
             )
+            # ... and all at once against the same server.
+            with ThreadPoolExecutor(max_workers=len(sessions)) as pool:
+                concurrent = list(
+                    pool.map(
+                        lambda pair: serve_session(handle.base_url, "clip", *pair),
+                        sessions,
+                    )
+                )
         finally:
             handle.stop()
-        assert [_summary_key(r) for r in wire] == [_summary_key(r) for r in sim]
+        window_count = session_db.storage.build_manifest("clip").window_count
+        for wire in (sequential, concurrent):
+            assert [_summary_key(report) for report in wire] == sim
+            for report in wire:
+                assert len(report.records) == window_count
+                assert report.degradation_count == 0
+                assert not [
+                    event
+                    for record in report.records
+                    for event in record.events
+                    if event.kind == "skip"
+                ]
 
     def test_http_uses_trained_predictors(self, session_db):
         meta = session_db.meta("clip")
