@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.harness import emit_table, format_bytes, ratio
-from repro.core.storage import IngestConfig, StorageManager, segment_checksum
+from repro.core.storage import IngestConfig, StorageManager
 from repro.geometry.grid import TileGrid
 from repro.video.codec import (
     FrameCodec,
@@ -119,9 +119,7 @@ def bench_entropy(frames, quality: Quality, repeats: int) -> dict:
     }
 
 
-def bench_ingest(
-    frames, config_args: dict, workers_list: list[int], transport: str = "auto"
-) -> dict:
+def bench_ingest(frames, config_args: dict, workers_list: list[int]) -> dict:
     """End-to-end ``StorageManager.ingest`` at each worker count.
 
     Before timing anything, one small untimed ingest at the highest
@@ -133,16 +131,14 @@ def bench_ingest(
     raw_bytes = sum(plane.nbytes for frame in frames for plane in frame.planes)
     max_workers = max(workers_list)
     if max_workers > 1:
-        warm_config = IngestConfig(
-            workers=max_workers, transport=transport, **config_args
-        )
+        warm_config = IngestConfig(workers=max_workers, **config_args)
         warm_frames = frames[: config_args.get("gop_frames", len(frames))]
         with tempfile.TemporaryDirectory(prefix="bench-ingest-warm-") as root:
             StorageManager(root).ingest("warmup", iter(warm_frames), warm_config)
     runs: dict[str, dict] = {}
     metrics_snapshot: dict = {}
     for workers in workers_list:
-        config = IngestConfig(workers=workers, transport=transport, **config_args)
+        config = IngestConfig(workers=workers, **config_args)
         with tempfile.TemporaryDirectory(prefix="bench-ingest-") as root:
             storage = StorageManager(root)
             start = time.perf_counter()
@@ -200,56 +196,6 @@ def bench_split(frames, gop_frames: int, quality: Quality, repeats: int) -> dict
     }
 
 
-def bench_checksum(frames, config_args: dict, repeats: int) -> dict:
-    """The durability tax: per-segment content checksums at ingest time
-    plus the raw verify throughput a read path pays.
-
-    Ingest is timed with ``checksums=True`` (the default every other
-    number in this report was measured under) against ``checksums=False``
-    so the overhead is a measured fraction, not an asterisk.  Verify
-    throughput hashes the actual stored segment payloads.
-    """
-
-    def one_ingest(checksums: bool) -> float:
-        config = IngestConfig(workers=1, checksums=checksums, **config_args)
-        with tempfile.TemporaryDirectory(prefix="bench-csum-") as root:
-            storage = StorageManager(root)
-            start = time.perf_counter()
-            storage.ingest("bench", iter(frames), config)
-            return time.perf_counter() - start
-
-    with_seconds = min(one_ingest(True) for _ in range(max(1, repeats)))
-    without_seconds = min(one_ingest(False) for _ in range(max(1, repeats)))
-
-    with tempfile.TemporaryDirectory(prefix="bench-csum-") as root:
-        storage = StorageManager(root)
-        meta = storage.ingest(
-            "bench", iter(frames), IngestConfig(workers=1, **config_args)
-        )
-        payloads = [
-            storage.read_segment("bench", gop, tile, quality)
-            for gop, tile, quality in sorted(meta.entries, key=str)
-        ]
-    verified_bytes = sum(len(payload) for payload in payloads)
-    verify_seconds = _best_of(
-        repeats, lambda: [segment_checksum(payload) for payload in payloads]
-    )
-    return {
-        "segments": len(payloads),
-        "verified_bytes": verified_bytes,
-        "ingest_seconds_with_checksums": with_seconds,
-        "ingest_seconds_without_checksums": without_seconds,
-        "ingest_overhead_fraction": max(0.0, with_seconds / without_seconds - 1.0),
-        "verify_seconds": verify_seconds,
-        "verify_microseconds_per_segment": (
-            1e6 * verify_seconds / len(payloads) if payloads else 0.0
-        ),
-        "verify_mb_per_second": (
-            verified_bytes / verify_seconds / 1e6 if verify_seconds > 0 else 0.0
-        ),
-    }
-
-
 def run(args: argparse.Namespace) -> dict:
     frames = list(
         synthetic_video(
@@ -284,8 +230,7 @@ def run(args: argparse.Namespace) -> dict:
 
     entropy = bench_entropy(frames, quality, args.repeats)
     split = bench_split(frames, args.gop_frames, quality, args.repeats)
-    ingest = bench_ingest(frames, config_args, workers_list, transport=args.transport)
-    checksum = bench_checksum(frames, config_args, args.repeats)
+    ingest = bench_ingest(frames, config_args, workers_list)
 
     report = {
         "params": {
@@ -300,20 +245,15 @@ def run(args: argparse.Namespace) -> dict:
             "quality": args.quality,
             "repeats": args.repeats,
             # Scaling provenance: a speedup curve is meaningless without
-            # the machine and transport it was recorded on.
+            # the machine it was recorded on.
             "cpu_count": cpu_count,
             "start_method": encode_start_method(),
-            "transport": args.transport,
             "shm_available": shared_memory_available(),
-            # The timed ingest runs pay the per-segment content checksum
-            # (IngestConfig default); the "checksum" section isolates it.
-            "checksums": True,
         },
         "warnings": bench_warnings,
         "entropy": entropy,
         "split": split,
         "ingest": ingest,
-        "checksum": checksum,
     }
 
     emit_table(
@@ -344,7 +284,7 @@ def run(args: argparse.Namespace) -> dict:
         [
             {
                 "workers": workers,
-                "transport": (
+                "frames via": (
                     "shm"
                     if run_stats["shm_gops"]
                     else "pickle"
@@ -369,12 +309,6 @@ def run(args: argparse.Namespace) -> dict:
         f"\nGOP codec split: encode {split['encode_seconds'] * 1e3:.1f} ms, "
         f"decode {split['decode_seconds'] * 1e3:.1f} ms "
         f"({split['encode_fraction'] * 100:.0f}% encode)"
-    )
-    print(
-        f"checksum tax: +{checksum['ingest_overhead_fraction'] * 100:.1f}% ingest, "
-        f"verify {checksum['verify_microseconds_per_segment']:.1f} µs/segment "
-        f"({checksum['verify_mb_per_second']:.0f} MB/s over "
-        f"{checksum['segments']} segments)"
     )
 
     output = Path(args.output)
@@ -401,12 +335,6 @@ def main(argv: list[str] | None = None) -> int:
         nargs="+",
         default=[1, os.cpu_count() or 1],
         help="worker counts to compare (1 is always included)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help="frame transport to the encode workers (default: auto)",
     )
     parser.add_argument("--output", default="BENCH_ingest.json")
     parser.add_argument(

@@ -114,13 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="encode worker processes (default: all cores; 1 = serial)",
     )
-    ingest.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help="how raw frames reach encode workers: shared-memory blocks, "
-        "pickled job payloads, or auto (shm where available)",
-    )
 
     info = commands.add_parser("info", help="show a video's metadata")
     info.add_argument("name")
@@ -314,7 +307,6 @@ def _command_ingest(db: VisualCloud, args) -> None:
         gop_frames=args.gop_frames,
         fps=args.fps,
         workers=args.workers,
-        transport=args.transport,
     )
     frames = synthetic_video(
         args.profile,

@@ -14,14 +14,15 @@ snapshot isolation by construction.
 The read surface — ``build_manifest`` + ``read_segment`` — is the
 :class:`~repro.core.backends.SegmentBackend` protocol (re-exported here
 as :data:`SegmentBackend`): :class:`StorageManager` is its canonical
-local-disk implementation, and the remote-peer backend in
-:mod:`repro.core.backends` satisfies the same contract, which is what
-lets the sharded delivery tier serve segments a node does not own.
+local-disk implementation, and :class:`repro.serve.peering.ShardedBackend`
+satisfies the same contract over *(local store, shard map, peers)*, which
+is what lets the sharded delivery tier serve segments a node does not own.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import signal
 import struct
@@ -58,12 +59,7 @@ from repro.video.mp4 import (
     parse_sv3d,
 )
 from repro.video.quality import Quality
-from repro.video.tiles import (
-    TRANSPORTS,
-    TiledGop,
-    TiledVideoCodec,
-    make_encode_executor,
-)
+from repro.video.tiles import TiledGop, TiledVideoCodec, make_encode_executor
 
 
 @dataclass(frozen=True)
@@ -75,17 +71,6 @@ class IngestConfig:
     across that many processes. ``None`` (the default) resolves to
     ``os.cpu_count()``; ``workers=1`` is the serial path, byte-identical
     to any parallel run.
-
-    ``transport`` picks how raw frames reach the workers: ``"auto"``
-    (shared-memory blocks where the platform supports them, else
-    pickling), ``"shm"``, or ``"pickle"``. Bytes are identical on every
-    transport; only the IPC cost differs.
-
-    ``checksums`` records a per-segment content checksum in the metadata
-    index (default on). Readers verify it on every uncached read and the
-    serve tier uses it to trigger peer read-repair; turning it off
-    writes legacy-style entries (checksum 0 = unknown, never verified) —
-    the ablation arm the ingest bench compares against.
     """
 
     grid: TileGrid = TileGrid(4, 4)
@@ -94,8 +79,6 @@ class IngestConfig:
     fps: float = 30.0
     projection: str = "equirectangular"
     workers: int | None = None
-    transport: str = "auto"
-    checksums: bool = True
 
     def __post_init__(self) -> None:
         if self.gop_frames < 1:
@@ -110,10 +93,6 @@ class IngestConfig:
             object.__setattr__(self, "workers", os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
-            )
 
     @property
     def gop_duration(self) -> float:
@@ -404,6 +383,18 @@ def _publish_bytes(path: Path, payload: bytes) -> None:
     _fsync_directory(path.parent)
 
 
+def _mismatch(entry: SegmentEntry, data: bytes) -> str | None:
+    """The one integrity rule: which of ``entry``'s promises ``data``
+    breaks — ``"size"``, ``"checksum"`` — or None when the bytes are the
+    segment the index committed. A checksum of 0 (metadata written before
+    checksums existed) vouches for nothing, so only the size is checked."""
+    if len(data) != entry.size:
+        return "size"
+    if entry.checksum and segment_checksum(data) != entry.checksum:
+        return "checksum"
+    return None
+
+
 def _marker_payload(metadata_blob: bytes) -> bytes:
     """Commit-marker contents: the metadata file's own content checksum,
     so fsck can detect bit rot in the metadata file itself."""
@@ -415,6 +406,11 @@ def _tag_repairable(error: SegmentNotFoundError) -> SegmentNotFoundError:
     the index references the segment, only the local bytes failed."""
     error.repairable = True
     return error
+
+
+#: One GOP on its way to disk: its frame count and a ``(tile, quality,
+#: payload)`` per segment, in publish order.
+_EncodedGop = tuple[int, list[tuple[tuple[int, int], Quality, bytes]]]
 
 
 def _chunk(frames: Iterable[Frame], size: int) -> Iterator[list[Frame]]:
@@ -444,8 +440,8 @@ class StorageManager:
 
     Every uncached :meth:`read_segment` hashes the bytes it loaded and
     compares against the index entry's recorded checksum (entries with
-    checksum 0 — legacy or ``checksums=False`` ingests — are never
-    verified).
+    checksum 0 — metadata written before checksums existed — are only
+    size-checked).
     """
 
     def __init__(
@@ -550,54 +546,34 @@ class StorageManager:
         first = next(gops, None)
         if first is None:
             raise IngestError(f"cannot ingest {name!r}: the frame source is empty")
-        self.catalog.create(name)
-        try:
-            with self.metrics.span("storage.ingest", video=name, phase="ingest"):
-                return self._write_version(
-                    name,
-                    version=1,
-                    config=config,
-                    gop_batches=self._prepend(first, gops),
-                    base_meta=None,
-                    streaming=streaming,
-                    quality_plan=quality_plan,
-                    workers=workers,
-                )
-        except Exception:
-            self.catalog.drop(name)
-            raise
+        return self._ingest_version(
+            name,
+            "ingest",
+            config,
+            itertools.chain([first], gops),
+            (first[0].width, first[0].height),
+            streaming,
+            quality_plan=quality_plan,
+            workers=workers,
+        )
 
-    @staticmethod
-    def _prepend(first: list[Frame], rest: Iterator[list[Frame]]) -> Iterator[list[Frame]]:
-        yield first
-        yield from rest
-
-    def _write_version(
+    def _ingest_version(
         self,
         name: str,
-        version: int,
+        phase: str,
         config: IngestConfig,
         gop_batches: Iterable[list[Frame]],
-        base_meta: VideoMeta | None,
+        size: tuple[int, int],
         streaming: bool,
         quality_plan: dict[tuple[int, int], tuple[Quality, ...]] | None = None,
         workers: int | None = None,
+        base: VideoMeta | None = None,
     ) -> VideoMeta:
-        codec: TiledVideoCodec | None = None
-        if base_meta is None:
-            meta = None
-            next_gop = 0
-        else:
-            meta = base_meta
-            next_gop = meta.gop_count
+        """Encode raw GOP batches and write them as the next version of
+        ``name`` (on top of ``base``'s GOPs when appending)."""
         if workers is None:
             workers = config.workers or 1
-        # Each (GOP, tile) is one encode job covering the tile's whole
-        # quality ladder, so raw bytes reach a worker once per tile. One
-        # pool is amortised over every GOP of the version.
-        executor = make_encode_executor(
-            workers, config.grid.tile_count, registry=self.metrics
-        )
+        first_gop = base.gop_count if base is not None else 0
         # Per-tile ladders are fixed for the whole version: the full
         # config ladder, or the planned subset (validated non-empty by
         # ingest) under popularity-driven partial storage.
@@ -611,22 +587,15 @@ class StorageManager:
                     for quality in config.qualities
                     if quality in quality_plan.get(tile, config.qualities)
                 )
-        new_entries: dict[tuple[int, tuple[int, int], Quality], SegmentEntry] = {}
-        frame_counts: list[int] = []
-        width = height = 0
-        try:
-            for gop_index, batch in enumerate(gop_batches, start=next_gop):
-                if codec is None:
-                    width, height = batch[0].width, batch[0].height
-                    if base_meta is not None and (width, height) != (
-                        base_meta.width,
-                        base_meta.height,
-                    ):
-                        raise IngestError(
-                            f"appended frames are {width}x{height}, video is "
-                            f"{base_meta.width}x{base_meta.height}"
-                        )
-                    codec = TiledVideoCodec(config.grid, width, height)
+
+        def encoded_gops() -> Iterator[_EncodedGop]:
+            nonlocal executor
+            for gop_index, batch in enumerate(gop_batches, start=first_gop):
+                if gop_index == first_gop and (batch[0].width, batch[0].height) != size:
+                    raise IngestError(
+                        f"appended frames are {batch[0].width}x{batch[0].height}, "
+                        f"video is {size[0]}x{size[1]}"
+                    )
                 with self.metrics.span(
                     "storage.ingest.encode", video=name, gop=gop_index
                 ):
@@ -636,7 +605,6 @@ class StorageManager:
                             ladder_map,
                             workers=workers,
                             executor=executor,
-                            transport=config.transport,
                             registry=self.metrics,
                         )
                     except BrokenProcessPool:
@@ -659,82 +627,123 @@ class StorageManager:
                         payloads = codec.encode_gop_ladders(
                             batch, ladder_map, workers=1, registry=self.metrics
                         )
+                yield len(batch), [
+                    (tile, quality, payloads[(tile, quality)])
+                    for quality in config.qualities
+                    for tile in config.grid.tiles()
+                    if (tile, quality) in payloads
+                ]
+
+        with self.metrics.span("storage.ingest", video=name, phase=phase):
+            codec = TiledVideoCodec(config.grid, *size)
+            # Each (GOP, tile) is one encode job covering the tile's whole
+            # quality ladder, so raw bytes reach a worker once per tile. One
+            # pool is amortised over every GOP of the version.
+            executor = make_encode_executor(
+                workers, config.grid.tile_count, registry=self.metrics
+            )
+            try:
+                return self._write_version(
+                    name,
+                    encoded_gops(),
+                    base,
+                    width=size[0],
+                    height=size[1],
+                    fps=config.fps,
+                    grid=config.grid,
+                    gop_frames=config.gop_frames,
+                    qualities=config.qualities,
+                    projection=config.projection,
+                    streaming=streaming,
+                )
+            finally:
+                if executor is not None:
+                    executor.shutdown()
+
+    def _write_version(
+        self,
+        name: str,
+        gops: Iterable[_EncodedGop],
+        base: VideoMeta | None = None,
+        **layout,
+    ) -> VideoMeta:
+        """The one place a version reaches disk.
+
+        Publishes every ``(tile, quality, payload)`` of every GOP as the
+        next version of ``name`` (version 1 of a new name), records a
+        checksummed index entry per payload, and commits metadata + marker
+        over ``base``'s GOPs and entries (append) or over nothing.
+        ``layout`` is the rest of :class:`VideoMeta`. A name this call
+        created is dropped again if anything fails, so a failed first
+        write can simply be retried; a failed later version leaves only
+        orphan segment files for ``fsck``.
+        """
+        created = not self.catalog.exists(name)
+        if created:
+            self.catalog.create(name)
+        try:
+            version = 1 if created else self.catalog.latest_version(name) + 1
+            entries = dict(base.entries) if base is not None else {}
+            frame_counts = list(base.gop_frame_counts) if base is not None else []
+            first_gop = len(frame_counts)
+            segments_written = self.metrics.counter(
+                "storage.segments_written", "segment files written"
+            )
+            bytes_written = self.metrics.counter(
+                "storage.bytes_written", "segment bytes written"
+            )
+            for gop_index, (frame_count, payloads) in enumerate(gops, start=first_gop):
                 with self.metrics.span(
                     "storage.ingest.write", video=name, gop=gop_index
                 ):
-                    for quality in config.qualities:
-                        for tile in config.grid.tiles():
-                            payload = payloads.get((tile, quality))
-                            if payload is None:
-                                continue
-                            path = self.catalog.segment_path(
+                    for tile, quality, payload in payloads:
+                        _publish_bytes(
+                            self.catalog.segment_path(
                                 name, gop_index, tile, quality, version
-                            )
-                            _publish_bytes(path, payload)
-                            new_entries[(gop_index, tile, quality)] = SegmentEntry(
-                                len(payload),
-                                version,
-                                segment_checksum(payload) if config.checksums else 0,
-                            )
-                            self.metrics.counter(
-                                "storage.segments_written", "segment files written"
-                            ).inc()
-                            self.metrics.counter(
-                                "storage.bytes_written", "segment bytes written"
-                            ).inc(len(payload))
-                frame_counts.append(len(batch))
-        finally:
-            if executor is not None:
-                executor.shutdown()
-        if codec is None:
-            raise IngestError(f"no frames to write for {name!r}")
-
-        if base_meta is None:
-            result = VideoMeta(
+                            ),
+                            payload,
+                        )
+                        entries[(gop_index, tile, quality)] = SegmentEntry(
+                            len(payload), version, segment_checksum(payload)
+                        )
+                        segments_written.inc()
+                        bytes_written.inc(len(payload))
+                frame_counts.append(frame_count)
+            if len(frame_counts) == first_gop:
+                raise IngestError(f"no frames to write for {name!r}")
+            meta = VideoMeta(
                 name=name,
                 version=version,
-                width=width,
-                height=height,
-                fps=config.fps,
-                grid=config.grid,
-                gop_frames=config.gop_frames,
-                qualities=config.qualities,
-                projection=config.projection,
-                streaming=streaming,
                 gop_frame_counts=frame_counts,
-                entries=new_entries,
+                entries=entries,
+                **layout,
             )
-        else:
-            result = VideoMeta(
-                name=name,
-                version=version,
-                width=base_meta.width,
-                height=base_meta.height,
-                fps=base_meta.fps,
-                grid=base_meta.grid,
-                gop_frames=base_meta.gop_frames,
-                qualities=base_meta.qualities,
-                projection=base_meta.projection,
-                streaming=streaming,
-                gop_frame_counts=base_meta.gop_frame_counts + frame_counts,
-                entries={**base_meta.entries, **new_entries},
-            )
-        self._commit_meta(result)
-        return result
+            self._commit_meta(meta)
+        except Exception:
+            if created:
+                self.catalog.drop(name)
+            raise
+        return meta
+
+    @staticmethod
+    def _config_of(meta: VideoMeta) -> IngestConfig:
+        """The segmentation parameters a stored version was written with."""
+        return IngestConfig(
+            grid=meta.grid,
+            qualities=meta.qualities,
+            gop_frames=meta.gop_frames,
+            fps=meta.fps,
+            projection=meta.projection,
+        )
 
     def append(
-        self,
-        name: str,
-        frames: Iterable[Frame],
-        workers: int | None = None,
-        transport: str = "auto",
+        self, name: str, frames: Iterable[Frame], workers: int | None = None
     ) -> VideoMeta:
         """Extend a (live) video with more frames, as a new version.
 
         New GOPs are encoded with the video's original segmentation
         parameters; prior segments are shared, not rewritten. ``workers``
-        and ``transport`` parallelise the new GOPs' segment encodes as in
-        :meth:`ingest`.
+        parallelises the new GOPs' segment encodes as in :meth:`ingest`.
         """
         base = self.meta(name)
         if base.gop_frame_counts[-1] != base.gop_frames:
@@ -743,14 +752,6 @@ class StorageManager:
                 f"({base.gop_frame_counts[-1]} of {base.gop_frames} frames), and "
                 "appended GOPs would break the temporal index alignment"
             )
-        config = IngestConfig(
-            grid=base.grid,
-            qualities=base.qualities,
-            gop_frames=base.gop_frames,
-            fps=base.fps,
-            projection=base.projection,
-            transport=transport,
-        )
         # Preserve a partial (popularity-planned) store's per-tile ladders:
         # new GOPs materialise exactly the rungs the existing ones have.
         observed: dict[tuple[int, int], set[Quality]] = {}
@@ -760,46 +761,36 @@ class StorageManager:
         quality_plan = {
             tile: tuple(sorted(ladder, reverse=True)) for tile, ladder in observed.items()
         }
-        with self.metrics.span("storage.ingest", video=name, phase="append"):
-            return self._write_version(
-                name,
-                version=base.version + 1,
-                config=config,
-                gop_batches=_chunk(frames, base.gop_frames),
-                base_meta=base,
-                streaming=True,
-                quality_plan=quality_plan,
-                workers=workers,
-            )
+        return self._ingest_version(
+            name,
+            "append",
+            self._config_of(base),
+            _chunk(frames, base.gop_frames),
+            (base.width, base.height),
+            streaming=True,
+            quality_plan=quality_plan,
+            workers=workers,
+            base=base,
+        )
 
     def reingest(
         self,
         name: str,
         config: IngestConfig | None = None,
         workers: int | None = None,
-        transport: str = "auto",
     ) -> VideoMeta:
         """Re-encode a stored video's content as a new version.
 
         Decodes each window at the best quality stored per tile and
         re-runs the segmentation pipeline — the way to change a video's
         grid, ladder, or GOP length after the fact. Without ``config`` the
-        original segmentation parameters are reused (a pure re-encode;
-        ``transport`` then picks the frame transport as in
-        :meth:`ingest`). Old versions keep serving until :meth:`vacuum`
-        reclaims them. ``workers`` parallelises the segment encodes as in
-        :meth:`ingest`.
+        original segmentation parameters are reused (a pure re-encode).
+        Old versions keep serving until :meth:`vacuum` reclaims them.
+        ``workers`` parallelises the segment encodes as in :meth:`ingest`.
         """
         base = self.meta(name)
         if config is None:
-            config = IngestConfig(
-                grid=base.grid,
-                qualities=base.qualities,
-                gop_frames=base.gop_frames,
-                fps=base.fps,
-                projection=base.projection,
-                transport=transport,
-            )
+            config = self._config_of(base)
 
         def decoded_frames() -> Iterator[Frame]:
             for gop in range(base.gop_count):
@@ -818,16 +809,15 @@ class StorageManager:
                     best[tile] = stored[0]  # qualities are ordered best first
                 yield from self.read_window(name, gop, best, base.version).decode()
 
-        with self.metrics.span("storage.ingest", video=name, phase="reingest"):
-            return self._write_version(
-                name,
-                version=base.version + 1,
-                config=config,
-                gop_batches=_chunk(decoded_frames(), config.gop_frames),
-                base_meta=None,
-                streaming=base.streaming,
-                workers=workers,
-            )
+        return self._ingest_version(
+            name,
+            "reingest",
+            config,
+            _chunk(decoded_frames(), config.gop_frames),
+            (base.width, base.height),
+            base.streaming,
+            workers=workers,
+        )
 
     def store_windows(
         self,
@@ -852,25 +842,20 @@ class StorageManager:
                 layout.grid,
             ):
                 raise IngestError(f"window {index} has a different layout than window 0")
-        if self.catalog.exists(name):
-            version = self.catalog.latest_version(name) + 1
-        else:
-            self.catalog.create(name)
-            version = 1
-        entries: dict[tuple[int, tuple[int, int], Quality], SegmentEntry] = {}
-        observed: set[Quality] = set()
-        for gop_index, window in enumerate(windows):
-            for tile, payload in window.payloads.items():
-                quality = window.tile_quality(*tile)
-                observed.add(quality)
-                path = self.catalog.segment_path(name, gop_index, tile, quality, version)
-                _publish_bytes(path, payload)
-                entries[(gop_index, tile, quality)] = SegmentEntry(
-                    len(payload), version, segment_checksum(payload)
-                )
-        meta = VideoMeta(
-            name=name,
-            version=version,
+        gops = [
+            (
+                window.frame_count,
+                [
+                    (tile, window.tile_quality(*tile), payload)
+                    for tile, payload in window.payloads.items()
+                ],
+            )
+            for window in windows
+        ]
+        observed = {quality for _, payloads in gops for _, quality, _ in payloads}
+        return self._write_version(
+            name,
+            gops,
             width=layout.width,
             height=layout.height,
             fps=fps,
@@ -879,11 +864,7 @@ class StorageManager:
             qualities=qualities or tuple(sorted(observed, reverse=True)),
             projection="equirectangular",
             streaming=False,
-            gop_frame_counts=[window.frame_count for window in windows],
-            entries=entries,
         )
-        self._commit_meta(meta)
-        return meta
 
     def _commit_meta(self, meta: VideoMeta) -> None:
         path = self.catalog.metadata_path(meta.name, meta.version)
@@ -965,17 +946,14 @@ class StorageManager:
                         f"{error}"
                     )
                 ) from error
-            if len(data) != entry.size:
+            broken = _mismatch(entry, data)
+            if broken:
                 raise _tag_repairable(
                     SegmentCorruptError(
                         f"segment {path.name} is {len(data)} bytes, index says "
                         f"{entry.size}"
-                    )
-                )
-            if entry.checksum and segment_checksum(data) != entry.checksum:
-                raise _tag_repairable(
-                    SegmentCorruptError(
-                        f"segment {path.name} of {name!r} fails its content "
+                        if broken == "size"
+                        else f"segment {path.name} of {name!r} fails its content "
                         "checksum (bit rot or torn write)"
                     )
                 )
@@ -1094,22 +1072,12 @@ class StorageManager:
         retained = versions[-keep_versions:]
         dropped = versions[: -keep_versions] if len(versions) > keep_versions else []
 
-        referenced: set[str] = set()
-        for version in retained:
-            meta = self.meta(name, version)
-            for (gop, tile, quality), entry in meta.entries.items():
-                referenced.add(
-                    self.catalog.segment_path(
-                        name, gop, tile, quality, entry.file_version
-                    ).name
-                )
         files_deleted = 0
         bytes_freed = 0
-        for path in self.catalog.segments_dir(name).iterdir():
-            if path.is_file() and path.name not in referenced:
-                bytes_freed += path.stat().st_size
-                path.unlink()
-                files_deleted += 1
+        for path in self._unreferenced_files(name, retained):
+            bytes_freed += path.stat().st_size
+            path.unlink()
+            files_deleted += 1
         for version in dropped:
             self.catalog.metadata_path(name, version).unlink()
             self.catalog.marker_path(name, version).unlink(missing_ok=True)
@@ -1117,6 +1085,19 @@ class StorageManager:
         if self.segment_cache is not None:
             self.segment_cache.invalidate_prefix(name)
         return files_deleted, bytes_freed
+
+    def _unreferenced_files(self, name: str, versions: Iterable[int]) -> list[Path]:
+        """Segment files of ``name`` that none of ``versions`` points at."""
+        referenced = {
+            self.catalog.segment_path(name, *key, entry.file_version).name
+            for version in versions
+            for key, entry in self.meta(name, version).entries.items()
+        }
+        return sorted(
+            path
+            for path in self.catalog.segments_dir(name).iterdir()
+            if path.is_file() and path.name not in referenced
+        )
 
     # -- durability / self-healing ---------------------------------------------
 
@@ -1143,16 +1124,16 @@ class StorageManager:
                 f"{name!r} v{meta.version} has no segment (gop={gop}, tile={tile}, "
                 f"quality={quality.label})"
             )
-        if len(data) != entry.size:
-            raise SegmentCorruptError(
-                f"candidate bytes for (gop={gop}, tile={tile}, "
-                f"quality={quality.label}) of {name!r} are {len(data)} bytes, "
-                f"index says {entry.size}"
+        broken = _mismatch(entry, data)
+        if broken:
+            detail = (
+                f"are {len(data)} bytes, index says {entry.size}"
+                if broken == "size"
+                else "fail the index checksum"
             )
-        if entry.checksum and segment_checksum(data) != entry.checksum:
             raise SegmentCorruptError(
                 f"candidate bytes for (gop={gop}, tile={tile}, "
-                f"quality={quality.label}) of {name!r} fail the index checksum"
+                f"quality={quality.label}) of {name!r} {detail}"
             )
         return entry
 
@@ -1258,7 +1239,17 @@ class StorageManager:
                     self.drop(name)
                 continue
             if repair:
-                self._sweep_orphan_segments(name, sorted(committed), report)
+                try:
+                    orphans = self._unreferenced_files(name, committed)
+                except (CatalogError, ValueError):
+                    # A committed version no longer parses: what it points
+                    # at is unknown, so no file can be called an orphan.
+                    continue
+                for path in orphans:
+                    report["orphan_segments"].append(
+                        str(path.relative_to(self.catalog.root))
+                    )
+                    path.unlink()
         report["clean"] = not any(
             report[key]
             for key in (
@@ -1288,42 +1279,27 @@ class StorageManager:
                     return False
             except OSError:
                 return False
-        for (gop, tile, quality), entry in meta.entries.items():
-            segment = self.catalog.segment_path(
-                name, gop, tile, quality, entry.file_version
-            )
-            try:
-                data = segment.read_bytes()
-            except OSError:
-                return False
-            if len(data) != entry.size:
-                return False
-            if entry.checksum and segment_checksum(data) != entry.checksum:
-                return False
-        return True
+        return not any(self._damaged_entries(name, meta, set()))
 
-    def _sweep_orphan_segments(
-        self, name: str, committed: list[int], report: dict
-    ) -> None:
-        """Delete segment files no committed version references."""
-        referenced: set[str] = set()
-        for version in committed:
-            try:
-                meta = self.meta(name, version)
-            except CatalogError:
+    def _damaged_entries(
+        self, name: str, meta: VideoMeta, seen: set[Path]
+    ) -> Iterator[tuple[tuple[int, tuple[int, int], Quality], Path]]:
+        """Walk one version's index in a fixed order and yield ``(key,
+        path)`` for every segment file that is missing, unreadable, or
+        fails :func:`_mismatch`. Reads the disk, never the buffer pool.
+        Files already in ``seen`` (copy-on-write shares of an earlier
+        version) are skipped; every file looked at is added to it."""
+        for key, entry in sorted(meta.entries.items(), key=lambda item: str(item[0])):
+            path = self.catalog.segment_path(name, *key, entry.file_version)
+            if path in seen:
                 continue
-            for (gop, tile, quality), entry in meta.entries.items():
-                referenced.add(
-                    self.catalog.segment_path(
-                        name, gop, tile, quality, entry.file_version
-                    ).name
-                )
-        for path in sorted(self.catalog.segments_dir(name).iterdir()):
-            if path.is_file() and path.name not in referenced:
-                report["orphan_segments"].append(
-                    str(path.relative_to(self.catalog.root))
-                )
-                path.unlink()
+            seen.add(path)
+            try:
+                broken = _mismatch(entry, path.read_bytes())
+            except OSError:
+                broken = "unreadable"
+            if broken:
+                yield key, path
 
     def scrub(
         self,
@@ -1351,46 +1327,22 @@ class StorageManager:
                 versions = self.catalog.versions(name)
             except CatalogError:
                 continue
-            seen: set[tuple[int, tuple[int, int], Quality, int]] = set()
+            seen: set[Path] = set()
             for version in versions:
                 meta = self.meta(name, version)
-                for (gop, tile, quality), entry in sorted(
-                    meta.entries.items(), key=lambda item: str(item[0])
-                ):
-                    identity = (gop, tile, quality, entry.file_version)
-                    if identity in seen:
-                        continue  # shared copy-on-write file, checked once
-                    seen.add(identity)
-                    report["segments_checked"] += 1
-                    path = self.catalog.segment_path(
-                        name, gop, tile, quality, entry.file_version
-                    )
+                for key, path in self._damaged_entries(name, meta, seen):
                     label = f"{name}/{path.name}"
-                    try:
-                        data = path.read_bytes()
-                    except OSError:
-                        data = None
-                    if (
-                        data is not None
-                        and len(data) == entry.size
-                        and (
-                            not entry.checksum
-                            or segment_checksum(data) == entry.checksum
-                        )
-                    ):
-                        continue
                     report["corrupt"].append(label)
                     if source is None:
                         continue
                     try:
-                        fresh = source.read_segment(name, gop, tile, quality)
-                        self.repair_segment(
-                            name, gop, tile, quality, fresh, version
-                        )
+                        fresh = source.read_segment(name, *key)
+                        self.repair_segment(name, *key, fresh, version)
                     except VisualCloudError as error:
                         report["repair_failed"].append(f"{label}: {error}")
                     else:
                         report["repaired"].append(label)
+            report["segments_checked"] += len(seen)
         return report
 
     def stats(self) -> dict:

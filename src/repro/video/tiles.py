@@ -27,12 +27,6 @@ from repro.video.shmem import (
     shared_memory_available,
 )
 
-#: Accepted values of the ingest ``transport`` knob. ``auto`` prefers
-#: shared memory and falls back to pickling; each explicit choice pins
-#: one transport (``shm`` still degrades to pickling, with a warning,
-#: where the platform has no shared memory).
-TRANSPORTS = ("auto", "shm", "pickle")
-
 TILED_MAGIC = b"VTGP"
 _HEADER = struct.Struct(">4sBHHBBH")  # magic, version, width, height, rows, cols, frames
 TILED_FORMAT_VERSION = 1
@@ -413,7 +407,6 @@ class TiledVideoCodec:
         quality_map: dict[tuple[int, int], Quality],
         workers: int = 1,
         executor: Executor | None = None,
-        transport: str = "auto",
     ) -> TiledGop:
         """Encode one GOP with a per-tile quality assignment.
 
@@ -423,7 +416,7 @@ class TiledVideoCodec:
         """
         ladder_map = {tile: (quality,) for tile, quality in quality_map.items()}
         payloads = self.encode_gop_ladders(
-            frames, ladder_map, workers=workers, executor=executor, transport=transport
+            frames, ladder_map, workers=workers, executor=executor
         )
         return TiledGop(
             width=self.width,
@@ -449,20 +442,19 @@ class TiledVideoCodec:
         *,
         workers: int = 1,
         executor: Executor | None = None,
-        transport: str = "auto",
         registry=None,
     ) -> dict[tuple[tuple[int, int], Quality], bytes]:
         """Encode one GOP at a per-tile quality *ladder* in one fan-out.
 
         The ingest-side primitive: each job covers all of a tile's rungs,
         so a tile's raw bytes cross the process boundary once — not once
-        per quality. With the shared-memory transport (``transport`` in
-        ``{"auto", "shm"}`` on a capable platform) they do not cross it at
-        all: the GOP's planes are published into one shared block and
-        jobs carry only ``(tile, ladder, block descriptor, rect)``. The
-        block is unlinked in a ``finally``, so worker failure and
-        KeyboardInterrupt cannot leak it. Platforms without shared memory
-        degrade to the pickling transport, and from there (no usable
+        per quality. Where the platform has shared memory they do not
+        cross it at all: the GOP's planes are published into one shared
+        block and jobs carry only ``(tile, ladder, block descriptor,
+        rect)``. The block is unlinked in a ``finally``, so worker failure
+        and KeyboardInterrupt cannot leak it. Platforms without shared
+        memory (or a refused publish) degrade to pickling the sub-frames,
+        counted in ``ingest.shm_fallback``, and from there (no usable
         pool) to the serial path; every path is byte-identical.
 
         An explicit ``executor`` takes precedence over ``workers`` and is
@@ -470,8 +462,6 @@ class TiledVideoCodec:
         for once per video, not once per GOP. Dispatch chunking is sized
         from the executor's actual worker count.
         """
-        if transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
         if not frames:
             raise ValueError("cannot encode an empty GOP")
         for index, frame in enumerate(frames):
@@ -500,7 +490,7 @@ class TiledVideoCodec:
                     )
             else:
                 encoded = self._encode_parallel(
-                    frames, ladder_map, rects, executor, workers, transport, registry
+                    frames, ladder_map, rects, executor, workers, registry
                 )
         finally:
             if own_pool is not None:
@@ -522,20 +512,16 @@ class TiledVideoCodec:
         rects: dict[tuple[int, int], tuple[int, int, int, int]],
         executor: Executor,
         workers: int,
-        transport: str,
         registry,
     ) -> dict[tuple[int, int], tuple[bytes, ...]]:
         chunk = _dispatch_chunksize(len(ladder_map), executor, workers)
         published = None
         try:
-            if transport != "pickle":
-                if shared_memory_available():
-                    try:
-                        published = publish_gop(frames)
-                    except OSError as error:
-                        self._note_shm_fallback(transport, registry, error)
-                else:
-                    self._note_shm_fallback(transport, registry, None)
+            if shared_memory_available():
+                try:
+                    published = publish_gop(frames)
+                except OSError:
+                    pass  # e.g. /dev/shm full: pickle this GOP instead
             if published is not None:
                 if registry is not None:
                     registry.counter(
@@ -548,6 +534,10 @@ class TiledVideoCodec:
                 pairs = executor.map(_encode_tile_shm_job, jobs, chunksize=chunk)
             else:
                 if registry is not None:
+                    registry.counter(
+                        "ingest.shm_fallback",
+                        "GOPs that fell back from shared memory to pickling",
+                    ).inc()
                     registry.counter(
                         "ingest.pickled_gops", "GOPs shipped by pickling raw frames"
                     ).inc()
@@ -562,19 +552,3 @@ class TiledVideoCodec:
         finally:
             if published is not None:
                 published.destroy()
-
-    @staticmethod
-    def _note_shm_fallback(transport: str, registry, error: OSError | None) -> None:
-        if transport == "shm":
-            detail = f" ({error!r})" if error is not None else ""
-            warnings.warn(
-                "shared-memory transport requested but unavailable"
-                f"{detail}; falling back to the pickling transport",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        if registry is not None:
-            registry.counter(
-                "ingest.shm_fallback",
-                "GOPs that fell back from shared memory to pickling",
-            ).inc()

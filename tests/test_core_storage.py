@@ -201,6 +201,76 @@ class TestStoreWindows:
         assert meta.version == 2
         assert loaded.catalog.latest_version("clip") == 2
 
+    def test_store_counts_what_it_writes_like_ingest(self, storage):
+        frames = checkerboard_video(width=64, height=32, frames=4)
+        window = TiledVideoCodec(TileGrid(2, 2), 64, 32).encode_gop(frames, Quality.HIGH)
+        storage.store_windows("result", [window, window], fps=4.0)
+        written = storage.metrics.counter("storage.segments_written").total()
+        assert written == 2 * len(window.payloads)
+        assert storage.metrics.counter("storage.bytes_written").total() == (
+            2 * window.byte_size
+        )
+
+    @pytest.fixture()
+    def disk_fills_up(self, monkeypatch):
+        """The third durable publish from now on fails with ENOSPC."""
+        import errno
+
+        from repro.core import storage as storage_module
+
+        real = storage_module._publish_bytes
+        calls = {"n": 0}
+
+        def publish(path, payload):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(path, payload)
+
+        monkeypatch.setattr(storage_module, "_publish_bytes", publish)
+
+    @pytest.mark.parametrize("retry", ["store_windows", "ingest"])
+    def test_failed_store_of_a_new_name_can_be_retried(
+        self, storage, disk_fills_up, retry
+    ):
+        frames = checkerboard_video(width=64, height=32, frames=4)
+        window = TiledVideoCodec(TileGrid(2, 2), 64, 32).encode_gop(frames, Quality.HIGH)
+        with pytest.raises(OSError, match="No space left"):
+            storage.store_windows("x", [window], fps=4.0)
+        assert not storage.exists("x")
+        assert storage.fsck()["clean"]
+        if retry == "store_windows":
+            meta = storage.store_windows("x", [window], fps=4.0)
+        else:
+            meta = storage.ingest("x", frames, CONFIG)
+        assert meta.version == 1
+        assert storage.read_segment("x", 0, (0, 0), Quality.HIGH)
+
+    def test_failed_store_of_a_next_version_keeps_the_committed_ones(
+        self, loaded, disk_fills_up
+    ):
+        before = loaded.meta("clip")
+        window = loaded.read_window(
+            "clip", 0, {tile: Quality.HIGH for tile in TileGrid(2, 2).tiles()}
+        )
+        with pytest.raises(OSError, match="No space left"):
+            loaded.store_windows("clip", [window], fps=4.0)
+        assert loaded.catalog.versions("clip") == [1]
+        assert loaded.meta("clip") == before
+        report = loaded.fsck(repair=True)
+        assert len(report["orphan_segments"]) == 2  # the two publishes that landed
+        assert not any(
+            report[key]
+            for key in (
+                "adopted_versions",
+                "rolled_back_versions",
+                "dangling_markers",
+                "dropped_videos",
+            )
+        )
+        assert loaded.fsck()["clean"]
+        assert loaded.store_windows("clip", [window], fps=4.0).version == 2
+
     def test_store_rejects_empty(self, storage):
         with pytest.raises(IngestError):
             storage.store_windows("x", [], fps=4.0)

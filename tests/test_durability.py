@@ -31,7 +31,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.corrupt import segment_corruption_corpus
-from repro.core.errors import CatalogError, SegmentCorruptError
+from repro.core.errors import (
+    CatalogError,
+    SegmentCorruptError,
+    SegmentNotFoundError,
+)
 from repro.core.storage import StorageManager, checksum_hex, segment_checksum
 from repro.obs import MetricsRegistry
 from repro.serve.client import HttpSegmentClient
@@ -153,6 +157,26 @@ class TestCrashConsistency:
         assert storage.fsck()["clean"]
 
 
+def _ingest(db, name: str, seed: int) -> None:
+    """Two GOPs x 4 tiles x 2 rungs of seeded content under ``name``."""
+    from repro import IngestConfig, Quality, TileGrid
+    from repro.workloads.videos import synthetic_video
+
+    frames = synthetic_video(
+        "venice", width=64, height=32, fps=4.0, duration=2.0, seed=seed
+    )
+    db.ingest(
+        name,
+        frames,
+        IngestConfig(
+            grid=TileGrid(2, 2),
+            qualities=(Quality.HIGH, Quality.LOW),
+            gop_frames=4,
+            fps=4.0,
+        ),
+    )
+
+
 class TestFsckRecovery:
     def test_legacy_catalog_without_markers_is_adopted(self, db):
         from repro import IngestConfig, Quality, TileGrid
@@ -209,27 +233,115 @@ class TestFsckRecovery:
         assert db.storage.fsck()["clean"]
 
 
-class TestDropCoherence:
-    def _ingest(self, db, name, seed):
+    def test_unreadable_committed_metadata_makes_no_segment_an_orphan(self, db):
+        """The orphan sweep deletes what no committed version references;
+        when a committed version no longer parses, that set is unknown."""
+        _ingest(db, "rotted", seed=9)
+        catalog = db.storage.catalog
+        path = catalog.metadata_path("rotted", 1)
+        path.write_bytes(path.read_bytes()[:40])  # marker still present
+        db.storage._meta_cache.clear()
+        segments = sorted(catalog.segments_dir("rotted").iterdir())
+
+        report = db.storage.fsck(repair=True)
+        assert report["orphan_segments"] == []
+        assert sorted(catalog.segments_dir("rotted").iterdir()) == segments
+
+
+def _bit_flip(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x08
+    path.write_bytes(bytes(data))
+
+
+DAMAGE = {
+    "intact": lambda path: None,
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-1]),
+    "bit-flip": _bit_flip,  # same size, different content
+    "deleted": Path.unlink,
+}
+
+#: What the index can conclude about the damaged file, per kind of entry.
+#: A legacy entry (checksum 0) vouches for the size only, so a same-size
+#: bit flip is invisible to it — everywhere, not just on the read path.
+VERDICTS = {
+    ("intact", "checksummed"): "ok",
+    ("intact", "legacy"): "ok",
+    ("truncated", "checksummed"): "corrupt",
+    ("truncated", "legacy"): "corrupt",
+    ("bit-flip", "checksummed"): "corrupt",
+    ("bit-flip", "legacy"): "ok",
+    ("deleted", "checksummed"): "missing",
+    ("deleted", "legacy"): "missing",
+}
+
+
+class TestIntegrityTable:
+    """damage x entry kind -> every consumer of the integrity rule reaches
+    the same verdict: the read path, ``verify_segment_bytes``, fsck's
+    adopt-or-roll-back of an unmarked version, and ``scrub``."""
+
+    @pytest.mark.parametrize(("damage", "kind"), sorted(VERDICTS))
+    def test_consumers_agree(self, tmp_path, damage, kind):
         from repro import IngestConfig, Quality, TileGrid
+        from repro.video.mp4 import Mp4File
         from repro.workloads.videos import synthetic_video
 
         frames = synthetic_video(
-            "venice", width=64, height=32, fps=4.0, duration=2.0, seed=seed
+            "venice", width=64, height=32, fps=4.0, duration=1.0, seed=9
         )
-        db.ingest(
-            name,
-            frames,
-            IngestConfig(
-                grid=TileGrid(2, 2),
-                qualities=(Quality.HIGH, Quality.LOW),
-                gop_frames=4,
-                fps=4.0,
-            ),
+        config = IngestConfig(
+            grid=TileGrid(2, 2), qualities=(Quality.HIGH,), gop_frames=4, fps=4.0
         )
+        StorageManager(tmp_path).ingest("clip", frames, config)
+        catalog = StorageManager(tmp_path).catalog
+        # No marker: the catalog still serves the version (pre-marker
+        # layout) and fsck has to decide between adopting and rolling back.
+        catalog.marker_path("clip", 1).unlink()
+        if kind == "legacy":
+            # What pre-checksum code wrote: the same metadata, no csum atoms.
+            path = catalog.metadata_path("clip", 1)
+            mp4 = Mp4File.parse(path.read_bytes())
+            for trak in mp4.find("moov").find_all("trak"):
+                trak.children = [atom for atom in trak.children if atom.kind != "csum"]
+            path.write_bytes(mp4.serialize())
 
+        storage = StorageManager(tmp_path, cache_bytes=0)
+        key, entry = sorted(
+            storage.meta("clip").entries.items(), key=lambda item: str(item[0])
+        )[0]
+        assert bool(entry.checksum) == (kind == "checksummed")
+        path = catalog.segment_path("clip", *key, entry.file_version)
+        DAMAGE[damage](path)
+        verdict = VERDICTS[damage, kind]
+
+        if verdict == "ok":
+            on_disk = path.read_bytes()
+            assert storage.read_segment("clip", *key) == on_disk
+            assert storage.verify_segment_bytes("clip", *key, on_disk) == entry
+        else:
+            expected = SegmentCorruptError if verdict == "corrupt" else SegmentNotFoundError
+            with pytest.raises(SegmentNotFoundError) as raised:
+                storage.read_segment("clip", *key)
+            assert type(raised.value) is expected
+            assert raised.value.repairable
+            if verdict == "corrupt":  # a missing file leaves no bytes to judge
+                with pytest.raises(SegmentCorruptError):
+                    storage.verify_segment_bytes("clip", *key, path.read_bytes())
+
+        report = storage.fsck()
+        decided = "adopted_versions" if verdict == "ok" else "rolled_back_versions"
+        assert report[decided] == ["clip v1"]
+        assert not report["clean"]
+
+        scrubbed = storage.scrub()
+        assert scrubbed["segments_checked"] == 4
+        assert scrubbed["corrupt"] == ([] if verdict == "ok" else [f"clip/{path.name}"])
+
+
+class TestDropCoherence:
     def test_drop_unpins_and_recreate_serves_fresh_bytes(self, db):
-        self._ingest(db, "vr", seed=7)
+        _ingest(db, "vr", seed=7)
         handle = start_server(
             db.storage,
             ServerConfig(
@@ -250,7 +362,7 @@ class TestDropCoherence:
                 time.sleep(0.01)  # the unpin hops onto the event loop
             assert len(server.hot) == 0
 
-            self._ingest(db, "vr", seed=21)  # different content, same name
+            _ingest(db, "vr", seed=21)  # different content, same name
             manifest = db.storage.build_manifest("vr")
             with HttpSegmentClient(handle.base_url) as client:
                 for key in manifest.segment_sizes:
@@ -263,7 +375,7 @@ class TestDropCoherence:
             handle.stop()
 
     def test_listener_is_removed_on_stop(self, db):
-        self._ingest(db, "vr", seed=7)
+        _ingest(db, "vr", seed=7)
         handle = start_server(db.storage, ServerConfig(), registry=MetricsRegistry())
         assert db.storage._drop_listeners
         handle.stop()

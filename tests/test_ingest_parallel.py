@@ -237,9 +237,7 @@ class TestSharedMemoryTransport:
         codec = TiledVideoCodec(TileGrid(2, 2), 64, 32)
         ladders = {tile: (Quality.THUMBNAIL,) for tile in codec.grid.tiles()}
         with pytest.raises(ValueError, match="resolution"):
-            codec.encode_gop_ladders(
-                tiny_frames, ladders, executor=shared_pool, transport="shm"
-            )
+            codec.encode_gop_ladders(tiny_frames, ladders, executor=shared_pool)
         assert _shm_blocks() == []
 
     @needs_shm
@@ -254,7 +252,7 @@ class TestSharedMemoryTransport:
         ladders = {tile: (Quality.LOW,) for tile in codec.grid.tiles()}
         with pytest.raises(KeyboardInterrupt):
             codec.encode_gop_ladders(
-                tiny_frames, ladders, executor=InterruptingExecutor(), transport="shm"
+                tiny_frames, ladders, executor=InterruptingExecutor()
             )
         assert _shm_blocks() == []
 
@@ -286,7 +284,6 @@ class TestSharedMemoryTransport:
                     gop_frames=4,
                     fps=4.0,
                     workers=2,
-                    transport="shm",
                 ),
             )
         assert not storage.exists("clip")
@@ -305,14 +302,9 @@ class TestSharedMemoryTransport:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, list(jobs))
 
-        with pytest.warns(RuntimeWarning, match="falling back to the pickling"):
-            parallel = codec.encode_gop_ladders(
-                tiny_frames,
-                ladders,
-                executor=InlineExecutor(),
-                transport="shm",
-                registry=registry,
-            )
+        parallel = codec.encode_gop_ladders(
+            tiny_frames, ladders, executor=InlineExecutor(), registry=registry
+        )
         assert parallel == serial
         counters = registry.snapshot()["counters"]
         assert counters["ingest.shm_fallback"] == 1
@@ -336,11 +328,7 @@ class TestSharedMemoryTransport:
                 return map(fn, list(jobs))
 
         parallel = codec.encode_gop_ladders(
-            tiny_frames,
-            ladders,
-            executor=InlineExecutor(),
-            transport="auto",
-            registry=registry,
+            tiny_frames, ladders, executor=InlineExecutor(), registry=registry
         )
         assert parallel == serial
         assert registry.snapshot()["counters"]["ingest.shm_fallback"] == 1
@@ -385,9 +373,7 @@ class TestDispatchChunking:
         codec = TiledVideoCodec(TileGrid(4, 4), 128, 64)
         ladders = {tile: (Quality.LOW,) for tile in codec.grid.tiles()}
         executor = RecordingExecutor(max_workers=2)
-        codec.encode_gop_ladders(
-            frames, ladders, workers=16, executor=executor, transport="pickle"
-        )
+        codec.encode_gop_ladders(frames, ladders, workers=16, executor=executor)
         # 16 jobs over 2 actual workers -> 4 chunks per worker -> 2 jobs
         # per chunk. The workers=16 parameter must not shrink this to 1.
         assert executor.chunksizes == [2]
@@ -429,15 +415,18 @@ class TestLadderEncodeByteIdentity:
         codec = TiledVideoCodec(TileGrid(2, 2), 64, 32)
         ladders = dict(zip(codec.grid.tiles(), ladder_picks))
         serial = codec.encode_gop_ladders(frames, ladders)
-        parallel = codec.encode_gop_ladders(
-            frames, ladders, executor=shared_pool, transport="shm"
-        )
+        parallel = codec.encode_gop_ladders(frames, ladders, executor=shared_pool)
         assert parallel == serial
         assert _shm_blocks() == []
 
     @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_ingest_transports_match_serial(self, tmp_path, transport):
-        if transport == "shm" and not shmem.shared_memory_available():
+    def test_ingest_transports_match_serial(self, tmp_path, monkeypatch, transport):
+        # Which path carries the frames is observed from the platform, so
+        # the pickle arm is reached the way a platform without shared
+        # memory reaches it.
+        if transport == "pickle":
+            monkeypatch.setattr(tiles, "shared_memory_available", lambda: False)
+        elif not shmem.shared_memory_available():
             pytest.skip("platform has no shared memory")
         frames = list(
             synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0, seed=3)
@@ -455,7 +444,6 @@ class TestLadderEncodeByteIdentity:
                 gop_frames=4,
                 fps=4.0,
                 workers=workers,
-                transport=transport,
             )
             storage = StorageManager(root)
             storage.ingest("clip", iter(frames), config, quality_plan=plan)
@@ -463,7 +451,7 @@ class TestLadderEncodeByteIdentity:
             if label == "parallel":
                 counters = storage.metrics.snapshot()["counters"]
                 expected = "ingest.shm_gops" if transport == "shm" else "ingest.pickled_gops"
-                assert counters.get(expected, 0) > 0, "requested transport never engaged"
+                assert counters.get(expected, 0) > 0, f"{transport} path never engaged"
         assert _segment_files(roots["serial"]) == _segment_files(roots["parallel"])
         assert _shm_blocks() == []
 
@@ -477,9 +465,7 @@ class TestLadderEncodeByteIdentity:
             root = tmp_path / label
             storage = StorageManager(root)
             storage.ingest("clip", iter(frames), CONFIG)
-            metas[label] = storage.reingest(
-                "clip", workers=workers, transport="shm" if workers > 1 else "auto"
-            )
+            metas[label] = storage.reingest("clip", workers=workers)
         assert metas["serial"].version == metas["parallel"].version == 2
         serial_files = _segment_files(tmp_path / "serial")
         parallel_files = _segment_files(tmp_path / "parallel")
