@@ -38,6 +38,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.bench.harness import emit_table
@@ -61,6 +62,52 @@ from repro.stream.network import ConstantBandwidth
 from repro.video.quality import Quality
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """Every knob of one run. There are exactly two: the full run and
+    the seconds-long CI pass (``--smoke``)."""
+
+    bandwidth: float = 200_000.0  # bytes/second per QoE session
+    video: str = "venice"
+    width: int = 128
+    height: int = 64
+    fps: float = 10.0
+    duration: float = 4.0
+    grid: str = "2x4"
+    gop_frames: int = 10
+    seed: int = 0
+    read_workers: int = 8
+    queue_depth: int = 32
+    pin_budget: int = 64 * 1024 * 1024  # bytes the controller may grow the hot set into
+    catalog: int = 3  # videos in the Zipf catalog; >= 2, the spike needs a background
+    flash_sessions: int = 4  # QoE sessions launched on the spiking video at peak start
+    flash_connections: int = 32  # background-load connections
+    flash_baseline: float = 2.0  # seconds of throttled whole-catalog load before the ramp
+    flash_ramp: float = 2.0  # seconds over which demand shifts onto the spike video
+    flash_peak: float = 4.0  # seconds of unthrottled spike-video load
+    flash_inflight: int = 8  # both arms' starting admission ceiling (max_inflight)
+    #: Controller step cadence, seconds. Must exceed the server's 0.25 s
+    #: /metrics render TTL or the controller reads stale counters.
+    control_interval: float = 0.3
+
+
+_FULL = _Profile()
+_SMOKE = replace(
+    _FULL,
+    width=64,
+    height=32,
+    duration=2.0,
+    grid="2x2",
+    gop_frames=5,
+    catalog=2,
+    flash_sessions=2,
+    flash_connections=16,
+    flash_baseline=1.0,
+    flash_ramp=1.5,
+    flash_peak=2.5,
+)
 
 
 def _session_config(bandwidth: float) -> SessionConfig:
@@ -260,7 +307,7 @@ def _run_flash_arm(
     names: list[str],
     spike_name: str,
     traces: list,
-    args,
+    profile: _Profile,
     controller_on: bool,
 ) -> dict:
     """One arm of the flash-crowd comparison. Both arms get an identical
@@ -268,20 +315,20 @@ def _run_flash_arm(
     load; only the ``on`` arm runs the control loop."""
     cluster = ClusterConfig(
         server=ServerConfig(
-            read_workers=args.read_workers,
-            queue_depth=args.queue_depth,
-            max_inflight=args.flash_inflight,
+            read_workers=profile.read_workers,
+            queue_depth=profile.queue_depth,
+            max_inflight=profile.flash_inflight,
             pin_budget_bytes=0,
             drain_timeout=2.0,
         ),
         control=ControlConfig(
             enabled=controller_on,
-            interval=args.control_interval,
+            interval=profile.control_interval,
             horizon=3.0,
             prewarm_threshold=1.0,
             min_inflight=4,
-            inflight_ceiling=max(64, 8 * args.flash_inflight),
-            fallback_inflight=args.flash_inflight,
+            inflight_ceiling=max(64, 8 * profile.flash_inflight),
+            fallback_inflight=profile.flash_inflight,
         ),
     )
     registry = MetricsRegistry()
@@ -296,7 +343,7 @@ def _run_flash_arm(
             nodes_source=lambda: (
                 NodeState(
                     node_id=cluster.server.node_id,
-                    pin_budget_bytes=args.pin_budget,
+                    pin_budget_bytes=profile.pin_budget,
                     max_inflight=cluster.server.max_inflight,
                 ),
             ),
@@ -305,9 +352,9 @@ def _run_flash_arm(
         )
     try:
         host, port = handle.address
-        baseline_paths = _catalog_zipf_paths(storage, names, args.seed)
+        baseline_paths = _catalog_zipf_paths(storage, names, profile.seed)
         spike_paths = _zipf_paths(
-            storage.build_manifest(spike_name), spike_name, args.seed, count=1024
+            storage.build_manifest(spike_name), spike_name, profile.seed, count=1024
         )
         if controller is not None:
             controller.start()
@@ -322,12 +369,12 @@ def _run_flash_arm(
                         port,
                         baseline_paths,
                         spike_paths,
-                        baseline_seconds=args.flash_baseline,
-                        ramp_seconds=args.flash_ramp,
-                        peak_seconds=args.flash_peak,
-                        connections=args.flash_connections,
+                        baseline_seconds=profile.flash_baseline,
+                        ramp_seconds=profile.flash_ramp,
+                        peak_seconds=profile.flash_peak,
+                        connections=profile.flash_connections,
                         base_interval=0.05,
-                        seed=args.seed,
+                        seed=profile.seed,
                     )
                 )
             )
@@ -336,7 +383,7 @@ def _run_flash_arm(
         driver.start()
         # QoE sessions on the spiking video launch exactly at peak start,
         # so they contend with the worst of the crowd.
-        time.sleep(args.flash_baseline + args.flash_ramp)
+        time.sleep(profile.flash_baseline + profile.flash_ramp)
         pre_peak_state = handle.control_state()
 
         def drive_session(viewer: int) -> dict:
@@ -346,7 +393,7 @@ def _run_flash_arm(
                     [handle.base_url],
                     spike_name,
                     traces[viewer],
-                    _session_config(args.bandwidth),
+                    _session_config(profile.bandwidth),
                     registry=session_registry,
                 )
             except Exception as error:  # noqa: BLE001 — counted, not fatal
@@ -402,11 +449,11 @@ def _run_flash_arm(
     return arm
 
 
-def _run_flash_crowd(root: Path, frames: list, grid: TileGrid, args) -> dict:
+def _run_flash_crowd(root: Path, frames: list, grid: TileGrid, profile: _Profile) -> dict:
     """The controller-on/off differential: one Zipf catalog, one ~100x
     spike, two identical runs apart from the control loop."""
     storage = StorageManager(root)
-    names = [f"vid-{index}" for index in range(args.catalog)]
+    names = [f"vid-{index}" for index in range(profile.catalog)]
     for name in names:
         storage.ingest(
             name,
@@ -414,19 +461,19 @@ def _run_flash_crowd(root: Path, frames: list, grid: TileGrid, args) -> dict:
             IngestConfig(
                 grid=grid,
                 qualities=(Quality.HIGH, Quality.LOW),
-                gop_frames=args.gop_frames,
-                fps=args.fps,
+                gop_frames=profile.gop_frames,
+                fps=profile.fps,
             ),
         )
     spike_name = names[0]
     meta = storage.meta(spike_name)
-    population = ViewerPopulation(seed=args.seed + 17)
+    population = ViewerPopulation(seed=profile.seed + 17)
     traces = [
         population.trace(viewer, duration=meta.duration, rate=10.0)
-        for viewer in range(args.flash_sessions)
+        for viewer in range(profile.flash_sessions)
     ]
-    off = _run_flash_arm(storage, names, spike_name, traces, args, controller_on=False)
-    on = _run_flash_arm(storage, names, spike_name, traces, args, controller_on=True)
+    off = _run_flash_arm(storage, names, spike_name, traces, profile, controller_on=False)
+    on = _run_flash_arm(storage, names, spike_name, traces, profile, controller_on=True)
     # The headline p99 is the *effective* (client-perceived) one: sheds
     # are charged their Retry-After backoff, so an arm cannot buy a good
     # tail by refusing the crowd.
@@ -464,16 +511,16 @@ def _run_flash_crowd(root: Path, frames: list, grid: TileGrid, args) -> dict:
     }
     return {
         "params": {
-            "catalog": args.catalog,
+            "catalog": profile.catalog,
             "spike_video": spike_name,
-            "flash_sessions": args.flash_sessions,
-            "flash_connections": args.flash_connections,
-            "baseline_seconds": args.flash_baseline,
-            "ramp_seconds": args.flash_ramp,
-            "peak_seconds": args.flash_peak,
-            "max_inflight": args.flash_inflight,
-            "pin_budget_bytes": args.pin_budget,
-            "control_interval": args.control_interval,
+            "flash_sessions": profile.flash_sessions,
+            "flash_connections": profile.flash_connections,
+            "baseline_seconds": profile.flash_baseline,
+            "ramp_seconds": profile.flash_ramp,
+            "peak_seconds": profile.flash_peak,
+            "max_inflight": profile.flash_inflight,
+            "pin_budget_bytes": profile.pin_budget,
+            "control_interval": profile.control_interval,
         },
         "off": off,
         "on": on,
@@ -481,11 +528,9 @@ def _run_flash_crowd(root: Path, frames: list, grid: TileGrid, args) -> dict:
     }
 
 
-def _check_flash_invariants(flash: dict | None) -> list[str]:
+def _check_flash_invariants(flash: dict) -> list[str]:
     """Anti-vacuity only: the on-vs-off quality gate lives in CI, where
     a tolerance keeps shared-runner noise from flaking the bench."""
-    if flash is None:
-        return []
     violations: list[str] = []
     for arm_name in ("off", "on"):
         arm = flash[arm_name]
@@ -512,36 +557,35 @@ def _check_flash_invariants(flash: dict | None) -> list[str]:
     return violations
 
 
-
-def run(args: argparse.Namespace) -> dict:
-    grid = TileGrid(*(int(part) for part in args.grid.lower().split("x")))
+def run(profile: _Profile, output: Path) -> dict:
+    grid = TileGrid(*(int(part) for part in profile.grid.split("x")))
     frames = list(
         synthetic_video(
-            args.profile,
-            width=args.width,
-            height=args.height,
-            fps=args.fps,
-            duration=args.duration,
-            seed=args.seed,
+            profile.video,
+            width=profile.width,
+            height=profile.height,
+            fps=profile.fps,
+            duration=profile.duration,
+            seed=profile.seed,
         )
     )
     with tempfile.TemporaryDirectory(prefix="bench-flash-") as root:
-        flash = _run_flash_crowd(Path(root), frames, grid, args)
+        flash = _run_flash_crowd(Path(root), frames, grid, profile)
     violations = _check_flash_invariants(flash)
 
     report = {
         "params": {
-            "bandwidth": args.bandwidth,
-            "profile": args.profile,
-            "width": args.width,
-            "height": args.height,
-            "fps": args.fps,
-            "duration": args.duration,
-            "grid": args.grid,
-            "gop_frames": args.gop_frames,
-            "seed": args.seed,
-            "read_workers": args.read_workers,
-            "queue_depth": args.queue_depth,
+            "bandwidth": profile.bandwidth,
+            "profile": profile.video,
+            "width": profile.width,
+            "height": profile.height,
+            "fps": profile.fps,
+            "duration": profile.duration,
+            "grid": profile.grid,
+            "gop_frames": profile.gop_frames,
+            "seed": profile.seed,
+            "read_workers": profile.read_workers,
+            "queue_depth": profile.queue_depth,
             "cpu_count": os.cpu_count(),
         },
         "invariants": {
@@ -583,7 +627,6 @@ def run(args: argparse.Namespace) -> dict:
     for violation in violations:
         print(f"INVARIANT VIOLATED: {violation}", file=sys.stderr)
 
-    output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {output}")
     return report
@@ -591,98 +634,10 @@ def run(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bandwidth", type=float, default=200_000.0, help="bytes/second")
-    parser.add_argument("--profile", default="venice")
-    parser.add_argument("--width", type=int, default=128)
-    parser.add_argument("--height", type=int, default=64)
-    parser.add_argument("--fps", type=float, default=10.0)
-    parser.add_argument("--duration", type=float, default=4.0)
-    parser.add_argument("--grid", default="2x4")
-    parser.add_argument("--gop-frames", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--read-workers", type=int, default=8)
-    parser.add_argument("--queue-depth", type=int, default=32)
-    parser.add_argument(
-        "--pin-budget",
-        type=int,
-        default=64 * 1024 * 1024,
-        help="hot-set pin budget (bytes) the controller may grow into",
-    )
-    parser.add_argument(
-        "--catalog",
-        type=int,
-        default=3,
-        help="videos in the flash-crowd Zipf catalog",
-    )
-    parser.add_argument(
-        "--flash-sessions",
-        type=int,
-        default=4,
-        help="QoE sessions launched on the spiking video at peak start",
-    )
-    parser.add_argument(
-        "--flash-connections",
-        type=int,
-        default=32,
-        help="background-load connections in the flash-crowd phase",
-    )
-    parser.add_argument(
-        "--flash-baseline",
-        type=float,
-        default=2.0,
-        help="seconds of throttled whole-catalog load before the ramp",
-    )
-    parser.add_argument(
-        "--flash-ramp",
-        type=float,
-        default=2.0,
-        help="seconds over which demand shifts onto the spike video",
-    )
-    parser.add_argument(
-        "--flash-peak",
-        type=float,
-        default=4.0,
-        help="seconds of unthrottled spike-video load",
-    )
-    parser.add_argument(
-        "--flash-inflight",
-        type=int,
-        default=8,
-        help="both arms' starting admission ceiling (max_inflight)",
-    )
-    parser.add_argument(
-        "--control-interval",
-        type=float,
-        default=0.3,
-        help="controller step cadence in seconds (must exceed the "
-        "server's /metrics render TTL of 0.25s)",
-    )
     parser.add_argument("--output", default="BENCH_flash_crowd.json")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-long pass for CI",
-    )
+    parser.add_argument("--smoke", action="store_true", help="seconds-long pass for CI")
     args = parser.parse_args(argv)
-    if args.catalog < 2:
-        parser.error("--catalog must be >= 2 (the spike needs a background)")
-    if args.control_interval <= 0.25:
-        parser.error(
-            "--control-interval must exceed the server's 0.25s "
-            "/metrics render TTL or the controller reads stale counters"
-        )
-    if args.smoke:
-        args.width, args.height = 64, 32
-        args.duration = min(args.duration, 2.0)
-        args.grid = "2x2"
-        args.gop_frames = 5
-        args.catalog = min(args.catalog, 2)
-        args.flash_sessions = min(args.flash_sessions, 2)
-        args.flash_connections = min(args.flash_connections, 16)
-        args.flash_baseline = min(args.flash_baseline, 1.0)
-        args.flash_ramp = min(args.flash_ramp, 1.5)
-        args.flash_peak = min(args.flash_peak, 2.5)
-    report = run(args)
+    report = run(_SMOKE if args.smoke else _FULL, Path(args.output))
     return 0 if report["invariants"]["ok"] else 1
 
 

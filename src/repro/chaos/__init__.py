@@ -1,6 +1,6 @@
 """Deterministic chaos: seeded fault injection for the delivery path.
 
-The package has three layers:
+The package has four layers:
 
 * :mod:`repro.chaos.faults` — a :class:`FaultPlan` schedules faults
   (missing segments, detected corruption, slow reads, flaky I/O, cache
@@ -12,11 +12,12 @@ The package has three layers:
   the wire itself (refused connections, resets, mid-body truncation,
   slow-loris trickle, added latency), scheduled by the same plans;
 * :mod:`repro.chaos.scenario` — a runner that drives whole streaming
-  sessions under a plan and checks machine-readable invariants
-  (no uncaught exceptions, per-tile coverage, no silent quality
-  upgrades, cache/disk consistency, metrics/event agreement — plus, in
-  wire mode, taxonomy-only failures, monotone circuit transitions, and
-  bounded degradation with a healthy replica).
+  sessions under a plan — one ingest → drive → judge path, whatever the
+  plan's mode — and checks machine-readable invariants (no uncaught
+  exceptions, per-tile coverage, no silent quality upgrades, cache/disk
+  consistency, metrics/event agreement — plus, in wire mode,
+  taxonomy-only failures, monotone circuit transitions, and bounded
+  degradation with a healthy replica).
 
 :mod:`repro.chaos.corrupt` additionally provides the corruption-corpus
 primitives (structural truncations, bit flips) the failure-injection

@@ -27,10 +27,13 @@ Invariants checked on every run:
 * ``metrics_events_agree`` — the ``obs`` counters and the QoE event
   trail tell the same story, exactly.
 
-``sessions.mode == "wire"`` replays the scenario over real sockets: one
-or more :class:`~repro.serve.server.SegmentServer` replicas behind
+Every mode runs the same ingest → drive → judge path; ``sessions.mode``
+only picks the *target* the one :class:`~repro.core.streamer.Streamer`
+reads from. ``"single"`` and ``"shared"`` read a fault-injecting view of
+the local store. ``"wire"`` reads over real sockets: one or more
+:class:`~repro.serve.server.SegmentServer` replicas behind
 :class:`~repro.chaos.proxy.ChaosProxy` instances (replica 0 gets the
-fault plan; siblings relay cleanly), streamed through a
+fault plan; siblings relay cleanly), through a
 :class:`~repro.serve.failover.FailoverSegmentClient`. Wire runs add:
 
 * ``no_raw_transport_errors`` — any escaping failure is a taxonomy
@@ -53,6 +56,9 @@ segment files before serving — the read-repair scenario. Those runs add:
   repair is strictly worse than no repair);
 * ``expected_repairs`` (via ``invariants.min_repairs``) — anti-vacuous
   guard that checksum-triggered peer read-repair actually fired.
+
+A plan that cannot be judged — an unknown key, mode or policy, or an
+invariant its mode never evaluates — is a ``ValueError`` at load time.
 """
 
 from __future__ import annotations
@@ -60,16 +66,37 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from contextlib import ExitStack, contextmanager
+from dataclasses import asdict, dataclass, field
+from itertools import count as tick_counter
 from pathlib import Path
 
-from repro.chaos.faults import FaultPlan
+from repro.chaos.corrupt import bit_flip
+from repro.chaos.faults import WIRE_KINDS, FaultPlan
+from repro.chaos.proxy import ChaosProxy
 from repro.chaos.wrappers import ChaosSegmentCache, ChaosStorageManager
+from repro.control import (
+    ControlConfig,
+    Controller,
+    HandleActuator,
+    NodeState,
+    catalog_from_storage,
+)
+from repro.core.errors import VisualCloudError
 from repro.core.resilience import RetryPolicy
 from repro.core.server import VisualCloud
-from repro.core.storage import IngestConfig
+from repro.core.storage import IngestConfig, StorageManager
 from repro.core.streamer import SessionConfig, Streamer
 from repro.geometry.grid import TileGrid
+from repro.obs import MetricsRegistry
+from repro.serve.client import RemoteStorage
+from repro.serve.failover import (
+    LEGAL_TRANSITIONS,
+    FailoverConfig,
+    FailoverSegmentClient,
+)
+from repro.serve.placement import ShardMap, materialize_shards
+from repro.serve.server import ServerConfig, start_server
 from repro.stream.abr import NaiveFullQuality, PredictiveTilingPolicy, UniformAdaptive
 from repro.stream.network import ConstantBandwidth, SimulatedLink
 from repro.video.quality import Quality
@@ -80,6 +107,19 @@ POLICIES = {
     "naive": NaiveFullQuality,
     "uniform": UniformAdaptive,
     "predictive": PredictiveTilingPolicy,
+}
+MODES = ("single", "shared", "wire")
+
+#: The plan's dict sections and every key each may set. Anything else is a
+#: typo that would silently drop a knob or an invariant: ``from_json`` rejects it.
+_KEYS = {
+    "video": "profile width height fps duration gop_frames grid qualities",
+    "sessions": "count mode bandwidth policy predictor margin "  # the rest: wire only
+    "replicas shards replication_factor materialize corrupt_at_rest controller "
+    "pin_budget prewarm_threshold failure_threshold request_timeout",
+    "retry": "attempts base_delay multiplier max_delay",
+    "invariants": "max_stall_seconds min_visible_fraction expect_degradations "
+    "max_degradations expect_wire_faults min_repairs",
 }
 
 
@@ -92,37 +132,33 @@ class Scenario:
     seed: int = 0
     #: Synthetic source video parameters (see workloads.videos).
     video: dict = field(default_factory=dict)
-    #: Session shape: count, mode ("single" | "shared"), bandwidth, ...
+    #: Session shape: count, mode ("single" | "shared" | "wire"), bandwidth, ...
     sessions: dict = field(default_factory=dict)
     #: RetryPolicy overrides: attempts, base_delay, multiplier, max_delay.
     retry: dict = field(default_factory=dict)
     #: Invariant thresholds: max_stall_seconds, min_visible_fraction,
-    #: expect_degradations.
+    #: expect_degradations, ...
     invariants: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
             "seed": self.seed,
-            "video": dict(self.video),
-            "sessions": dict(self.sessions),
-            "retry": dict(self.retry),
-            "invariants": dict(self.invariants),
+            **{section: dict(getattr(self, section)) for section in _KEYS},
             "plan": self.plan.to_json(),
         }
 
     @classmethod
     def from_json(cls, data: dict, seed: int | None = None) -> "Scenario":
         effective_seed = data.get("seed", 0) if seed is None else seed
-        return cls(
+        scenario = cls(
             name=data.get("name", "scenario"),
             seed=effective_seed,
-            video=dict(data.get("video", {})),
-            sessions=dict(data.get("sessions", {})),
-            retry=dict(data.get("retry", {})),
-            invariants=dict(data.get("invariants", {})),
             plan=FaultPlan.from_json(data.get("plan", {}), seed=effective_seed),
+            **{section: dict(data.get(section, {})) for section in _KEYS},
         )
+        scenario._reject_unjudgeable()
+        return scenario
 
     @classmethod
     def load(cls, path: Path | str, seed: int | None = None) -> "Scenario":
@@ -130,7 +166,38 @@ class Scenario:
             json.loads(Path(path).read_text(encoding="utf-8")), seed=seed
         )
 
+    def _reject_unjudgeable(self) -> None:
+        """A plan the runner cannot judge is an error, not a pass."""
+        problems = []
+        for section, allowed in _KEYS.items():
+            unknown = sorted(set(getattr(self, section)) - set(allowed.split()))
+            if unknown:
+                problems.append(f"unknown {section} key(s) {unknown}")
+        sessions, invariants = self.sessions, self.invariants
+        if self.mode not in MODES:
+            problems.append(f"unknown mode {self.mode!r} (one of {MODES})")
+        if sessions.get("policy", "predictive") not in POLICIES:
+            problems.append(
+                f"unknown policy {sessions['policy']!r} (one of {sorted(POLICIES)})"
+            )
+        if invariants.get("expect_wire_faults") and self.mode != "wire":
+            problems.append('expect_wire_faults is only evaluated in mode "wire"')
+        repairs = self.mode == "wire" and all(
+            sessions.get(key) for key in ("shards", "materialize", "corrupt_at_rest")
+        )
+        if invariants.get("min_repairs") is not None and not repairs:
+            problems.append(
+                "min_repairs is only evaluated by a sharded wire run with "
+                "materialize and corrupt_at_rest"
+            )
+        if problems:
+            raise ValueError(f"scenario {self.name!r}: " + "; ".join(problems))
+
     # -- resolved knobs -------------------------------------------------------
+
+    @property
+    def mode(self) -> str:
+        return self.sessions.get("mode", "single")
 
     def ingest_config(self) -> IngestConfig:
         video = self.video
@@ -166,6 +233,22 @@ class Scenario:
             max_delay=float(self.retry.get("max_delay", 0.25)),
         )
 
+    def bandwidth(self):
+        """The link's rate model, with the plan's blackout windows applied."""
+        rate = float(self.sessions.get("bandwidth", 50_000.0))
+        return self.plan.apply_to_bandwidth(ConstantBandwidth(rate))
+
+    def session_config(self) -> SessionConfig:
+        """One viewer's session knobs — the same in every mode."""
+        sessions = self.sessions
+        return SessionConfig(
+            policy=POLICIES[sessions.get("policy", "predictive")](),
+            bandwidth=self.bandwidth(),
+            predictor=sessions.get("predictor", "static"),
+            margin=int(sessions.get("margin", 1)),
+            retry=self.retry_policy(),
+        )
+
 
 @dataclass
 class InvariantCheck:
@@ -176,7 +259,32 @@ class InvariantCheck:
     details: str = ""
 
     def to_json(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "details": self.details}
+        return asdict(self)
+
+
+def _check(name: str, violations, details: str) -> InvariantCheck:
+    """The verdict on ``name``: it holds iff ``violations`` is falsy, and
+    only a violated check carries ``details``."""
+    return InvariantCheck(name, ok=not violations, details=details if violations else "")
+
+
+def _total(registry, name: str) -> float:
+    return registry.counter(name).total()
+
+
+def _describe(failures) -> str:
+    return "; ".join(
+        f"session {index}: {type(error).__name__}: {error}"
+        for index, error in failures
+    )
+
+
+def _records(reports):
+    """``(session index, window record)`` over the sessions that finished."""
+    for index, report in enumerate(reports):
+        if report is not None:
+            for record in report.records:
+                yield index, record
 
 
 @dataclass
@@ -195,15 +303,7 @@ class InvariantReport:
         return all(check.ok for check in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "ok": self.ok,
-            "checks": [check.to_json() for check in self.checks],
-            "events": self.events,
-            "sessions": self.sessions,
-            "metrics": self.metrics,
-        }
+        return {**asdict(self), "ok": self.ok}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -233,314 +333,219 @@ class ScenarioRunner:
     # -- internals ------------------------------------------------------------
 
     def _run_in(self, root: Path) -> InvariantReport:
+        """Ingest → drive → judge; the mode only picks the target."""
         scenario = self.scenario
         db = VisualCloud(root / "db")
         db.ingest(self.VIDEO_NAME, scenario.frames(), scenario.ingest_config())
         meta = db.meta(self.VIDEO_NAME)
 
         scenario.plan.reset()
-        if scenario.sessions.get("mode", "single") == "wire":
-            return self._run_wire(db, meta)
-        chaos_storage = ChaosStorageManager(db.storage, scenario.plan)
-        if db.storage.segment_cache is not None and any(
-            rule.target == "cache" for rule in scenario.plan.rules
-        ):
-            db.storage.segment_cache = ChaosSegmentCache(
-                db.storage.segment_cache, scenario.plan
-            )
+        target = self._tier(db) if scenario.mode == "wire" else self._local(db)
+        with target as (storage, registry, after_session, extras):
+            streamer = Streamer(storage, db.prediction, registry=registry)
+            reports, failures = self._drive(streamer, meta, after_session)
+            return self._judge(db, meta, reports, failures, registry, *extras(failures))
 
-        sessions = scenario.sessions
-        count = int(sessions.get("count", 2))
-        mode = sessions.get("mode", "single")
-        bandwidth = float(sessions.get("bandwidth", 50_000.0))
-        policy_name = sessions.get("policy", "predictive")
-        predictor = sessions.get("predictor", "static")
-        margin = int(sessions.get("margin", 1))
-        retry_policy = scenario.retry_policy()
-        population = ViewerPopulation(seed=scenario.seed)
+    def _drive(self, streamer, meta, after_session):
+        """Run every session; an escaping exception is recorded, not raised.
 
-        def make_config() -> SessionConfig:
-            return SessionConfig(
-                policy=POLICIES[policy_name](),
-                bandwidth=scenario.plan.apply_to_bandwidth(ConstantBandwidth(bandwidth)),
-                predictor=predictor,
-                margin=margin,
-                retry=retry_policy,
-            )
-
+        Sessions run one after another (``after_session`` between them)
+        so the order of fault decisions — and with it the whole report —
+        is deterministic per seed; ``mode == "shared"`` instead
+        interleaves them all on one link.
+        """
+        scenario = self.scenario
+        count = int(scenario.sessions.get("count", 2))
+        traces = ViewerPopulation(seed=scenario.seed).traces(
+            count, duration=meta.duration, rate=10.0
+        )
         reports: list = [None] * count
-        failures: list[tuple[int, str]] = []
-        streamer = Streamer(chaos_storage, db.prediction, registry=db.metrics)
-        if mode == "shared":
-            link = SimulatedLink(
-                scenario.plan.apply_to_bandwidth(ConstantBandwidth(bandwidth))
-            )
+        failures: list[tuple[int, Exception]] = []
+        if scenario.mode == "shared":
             specs = [
-                (
-                    self.VIDEO_NAME,
-                    population.trace(viewer, duration=meta.duration, rate=10.0),
-                    make_config(),
-                )
-                for viewer in range(count)
+                (self.VIDEO_NAME, trace, scenario.session_config()) for trace in traces
             ]
             try:
-                reports = streamer.serve_all(specs, link)
+                reports = streamer.serve_all(specs, SimulatedLink(scenario.bandwidth()))
             except Exception as error:  # noqa: BLE001 — escapes ARE the finding
-                failures = [
-                    (viewer, f"{type(error).__name__}: {error}")
-                    for viewer in range(count)
-                ]
-        else:
-            for viewer in range(count):
-                trace = population.trace(viewer, duration=meta.duration, rate=10.0)
-                try:
-                    reports[viewer] = streamer.serve(
-                        self.VIDEO_NAME, trace, make_config()
-                    )
-                except Exception as error:  # noqa: BLE001
-                    failures.append((viewer, f"{type(error).__name__}: {error}"))
+                failures = [(viewer, error) for viewer in range(count)]
+            return reports, failures
+        for viewer, trace in enumerate(traces):
+            try:
+                reports[viewer] = streamer.serve(
+                    self.VIDEO_NAME, trace, scenario.session_config()
+                )
+            except Exception as error:  # noqa: BLE001 — escapes ARE the finding
+                failures.append((viewer, error))
+            after_session()
+        return reports, failures
 
-        return self._judge(db, meta, reports, failures)
+    # -- targets: (storage, registry, after_session, extras) -------------------
 
-    def _run_wire(self, db, meta) -> InvariantReport:
-        """Replay over real sockets: servers behind chaos proxies,
-        streamed through the failover client.
+    @contextmanager
+    def _local(self, db):
+        """The local store behind the plan's storage (and cache) faults."""
+        plan = self.scenario.plan
+        cache = db.storage.segment_cache
+        if cache is not None and any(rule.target == "cache" for rule in plan.rules):
+            db.storage.segment_cache = ChaosSegmentCache(cache, plan)
+        storage = ChaosStorageManager(db.storage, plan)
+        yield storage, db.metrics, lambda: None, lambda failures: ([], {})
 
-        Sessions run sequentially over one shared client so the order of
-        wire-fault decisions — and with it the whole report — is
-        deterministic per seed. ``reset_timeout=0`` keeps breaker
-        recovery schedule-driven rather than wall-clock-driven.
+    @contextmanager
+    def _tier(self, db):
+        """Real sockets: servers behind chaos proxies, read through the
+        failover client.
+
+        All sessions share one client, and ``reset_timeout=0`` keeps
+        breaker recovery schedule-driven rather than wall-clock-driven.
         """
-        from repro.chaos.proxy import ChaosProxy
-        from repro.obs import MetricsRegistry
-        from repro.serve.client import RemoteStorage
-        from repro.serve.failover import FailoverConfig, FailoverSegmentClient
-        from repro.serve.server import ServerConfig, start_server
-
         scenario = self.scenario
         sessions = scenario.sessions
-        count = int(sessions.get("count", 2))
-        replica_count = int(sessions.get("replicas", 1))
-        if sessions.get("shards"):
-            # Shard mode: the tier width is the shard count; each node is
-            # both a ring owner and a client-facing replica.
-            replica_count = int(sessions["shards"])
-        bandwidth = float(sessions.get("bandwidth", 50_000.0))
-        policy_name = sessions.get("policy", "predictive")
-        predictor = sessions.get("predictor", "static")
-        margin = int(sessions.get("margin", 1))
-        retry_policy = scenario.retry_policy()
-        population = ViewerPopulation(seed=scenario.seed)
-        client_metrics = MetricsRegistry()
-        hedge_delay = sessions.get("hedge_delay")
-        # Sharded wire mode: nodes get *logical* ids ("node-0", ...) so the
-        # consistent-hash placement — and with it every routing decision —
-        # is identical across replays despite ephemeral ports.
+        # Shard mode: the tier width is the shard count; each node is both
+        # a ring owner and a client-facing replica. Nodes get *logical* ids
+        # ("node-0", ...) so the consistent-hash placement — and with it
+        # every routing decision — is identical across replays despite
+        # ephemeral ports.
+        shards = int(sessions.get("shards") or 0)
+        width = shards or int(sessions.get("replicas", 1))
+        node_ids = [f"node-{index}" for index in range(width)]
         shard_map = None
-        node_ids = [f"node-{index}" for index in range(replica_count)]
-        if sessions.get("shards"):
-            from repro.serve.placement import ShardMap
-
+        if shards:
             shard_map = ShardMap(
                 nodes=tuple(node_ids),
                 replication_factor=int(sessions.get("replication_factor", 2)),
             )
-
-        # Per-node shard roots: each server reads (and repairs) its own
-        # disk, so an at-rest corruption on one node is invisible to its
-        # peers — the precondition for exercising read-repair for real.
-        node_storages: dict | None = None
+        storages = dict.fromkeys(node_ids, db.storage)
         corrupted: list[dict] = []
-        if shard_map is not None and sessions.get("materialize"):
-            from repro.core.storage import StorageManager
-            from repro.serve.placement import materialize_shards
-
+        if shards and sessions.get("materialize"):
+            # Per-node shard roots: each server reads (and repairs) its own
+            # disk, so an at-rest corruption on one node is invisible to its
+            # peers — the precondition for exercising read-repair for real.
             base = Path(db.storage.catalog.root).parent
-            node_roots = {node: base / f"shard-{node}" for node in node_ids}
-            materialize_shards(db.storage, node_roots, shard_map)
-            node_storages = {
-                node: StorageManager(node_roots[node], registry=db.metrics)
-                for node in node_ids
+            roots = {node: base / f"shard-{node}" for node in node_ids}
+            materialize_shards(db.storage, roots, shard_map)
+            storages = {
+                node: StorageManager(root, registry=db.metrics)
+                for node, root in roots.items()
             }
-            spec = sessions.get("corrupt_at_rest")
-            if spec:
-                corrupted = self._corrupt_at_rest(node_storages, spec)
+            if sessions.get("corrupt_at_rest"):
+                corrupted = self._corrupt_at_rest(storages, sessions["corrupt_at_rest"])
 
-        handles: list = []
-        proxies: list[ChaosProxy] = []
-        client = None
-        try:
-            for index in range(replica_count):
-                config = (
-                    ServerConfig(node_id=node_ids[index], shard_map=shard_map)
-                    if shard_map is not None
-                    else ServerConfig()
+        client_metrics = MetricsRegistry()
+        with ExitStack() as stack:  # unwinds client → proxies → servers
+            handles = [
+                stack.enter_context(
+                    start_server(
+                        storages[node],
+                        ServerConfig(node_id=node if shards else "", shard_map=shard_map),
+                        registry=db.metrics,
+                    )
                 )
-                node_storage = (
-                    node_storages[node_ids[index]]
-                    if node_storages is not None
-                    else db.storage
+                for node in node_ids
+            ]
+            proxies = [
+                stack.enter_context(
+                    ChaosProxy(handle.address, plan=scenario.plan if index == 0 else None)
                 )
-                handle = start_server(node_storage, config, registry=db.metrics)
-                handles.append(handle)
-                proxy = ChaosProxy(
-                    handle.address,
-                    plan=scenario.plan if index == 0 else None,
-                )
-                proxy.start()
-                proxies.append(proxy)
-            if shard_map is not None:
+                for index, handle in enumerate(handles)
+            ]
+            urls = [proxy.base_url for proxy in proxies]
+            if shards:
                 # Peer fetches go server-to-server directly (not through
                 # the chaos proxies): the plan's fault surface stays the
                 # client-facing wire, exactly as in unsharded runs.
                 peers = {
-                    node_ids[index]: handles[index].base_url
-                    for index in range(replica_count)
+                    node: handle.base_url for node, handle in zip(node_ids, handles)
                 }
                 for handle in handles:
                     handle.update_shard_map(shard_map, peers)
             controller = None
             if sessions.get("controller"):
-                # Deterministic control plane: driven synchronously
-                # between sessions (no wall-clock thread), with a
-                # counting clock and deterministic=True (no latency
-                # reads), so demand — and with it every plan — is a pure
-                # function of the replayed request sequence and the
-                # whole report stays byte-identical per seed.
-                from itertools import count as _tick_counter
-
-                from repro.control import (
-                    ControlConfig,
-                    Controller,
-                    HandleActuator,
-                    NodeState,
-                    catalog_from_storage,
-                )
-
-                ticks = _tick_counter()
-                pin_budget = int(sessions.get("pin_budget", 1 << 20))
-                control_nodes = tuple(
-                    NodeState(
-                        node_id=node_id,
-                        pin_budget_bytes=pin_budget,
-                        max_inflight=None,
-                    )
-                    for node_id in (node_ids if shard_map is not None else [""])
-                )
-                controller = Controller(
-                    ControlConfig(
-                        enabled=True,
-                        deterministic=True,
-                        prewarm_threshold=float(
-                            sessions.get("prewarm_threshold", 0.5)
-                        ),
+                controller = self._controller(db, handles, node_ids if shards else [""])
+            client = stack.enter_context(
+                FailoverSegmentClient(
+                    urls,
+                    config=FailoverConfig(
+                        failure_threshold=int(sessions.get("failure_threshold", 3)),
+                        reset_timeout=0.0,
+                        request_timeout=float(sessions.get("request_timeout", 2.0)),
                     ),
-                    metrics_source=db.metrics.snapshot,
-                    catalog_source=lambda: catalog_from_storage(db.storage),
-                    nodes_source=lambda: control_nodes,
-                    actuators=tuple(HandleActuator(handle) for handle in handles),
-                    clock=lambda: float(next(ticks)),
+                    registry=client_metrics,
+                    shard_map=shard_map,
+                    node_urls=dict(zip(node_ids, urls)) if shards else None,
                 )
-            client = FailoverSegmentClient(
-                [proxy.base_url for proxy in proxies],
-                config=FailoverConfig(
-                    failure_threshold=int(sessions.get("failure_threshold", 3)),
-                    reset_timeout=0.0,
-                    request_timeout=float(sessions.get("request_timeout", 2.0)),
-                    hedge_delay=None if hedge_delay is None else float(hedge_delay),
-                ),
-                registry=client_metrics,
-                shard_map=shard_map,
-                node_urls={
-                    node_ids[index]: proxies[index].base_url
-                    for index in range(replica_count)
-                }
-                if shard_map is not None
-                else None,
             )
-            storage = RemoteStorage(client, registry=client_metrics)
-            streamer = Streamer(storage, db.prediction, registry=client_metrics)
-            reports: list = [None] * count
-            failures: list[tuple[int, str]] = []
-            for viewer in range(count):
-                trace = population.trace(viewer, duration=meta.duration, rate=10.0)
-                config = SessionConfig(
-                    policy=POLICIES[policy_name](),
-                    bandwidth=scenario.plan.apply_to_bandwidth(
-                        ConstantBandwidth(bandwidth)
-                    ),
-                    predictor=predictor,
-                    margin=margin,
-                    retry=retry_policy,
-                )
-                try:
-                    reports[viewer] = streamer.serve(self.VIDEO_NAME, trace, config)
-                except Exception as error:  # noqa: BLE001 — escapes ARE the finding
-                    failures.append((viewer, f"{type(error).__name__}: {error}"))
+
+            def extras(failures):
+                checks, metrics = self._judge_wire(client, failures)
+                if corrupted:
+                    repair_checks, metrics["repair"] = self._judge_repair(db, corrupted)
+                    checks += repair_checks
                 if controller is not None:
-                    controller.step()
-            extra_checks, extra_metrics = self._judge_wire(client, failures)
-            if corrupted:
-                repair_checks, repair_metrics = self._judge_repair(db, corrupted)
-                extra_checks = list(extra_checks) + repair_checks
-                extra_metrics["repair"] = repair_metrics
-            if controller is not None:
-                # Only counter/plan-derived fields: no wall-clock values
-                # leak into the report, so double replays stay identical.
-                extra_metrics["control"] = {
-                    "steps": controller.metrics.counter("control.steps").total(),
-                    "plans_applied": controller.metrics.counter(
-                        "control.plans_applied"
-                    ).total(),
-                    "plans_noop": controller.metrics.counter(
-                        "control.plans_noop"
-                    ).total(),
-                    "actuate_errors": controller.metrics.counter(
-                        "control.actuate_errors"
-                    ).total(),
-                    "final_version": (
-                        0 if controller.plan is None else controller.plan.version
-                    ),
-                    "nodes": [
-                        {
-                            key: value
-                            for key, value in handle.control_state().items()
-                            if key != "inflight"
-                        }
-                        for handle in handles
-                    ],
-                }
-            if shard_map is not None:
-                extra_metrics["shards"] = {
-                    "nodes": len(node_ids),
-                    "replication_factor": shard_map.replication_factor,
-                    "map_version": shard_map.version,
-                    "routed": client.metrics.counter("failover.shard_routed").total(),
-                    "unroutable": client.metrics.counter(
-                        "failover.shard_unroutable"
-                    ).total(),
-                    "peer_fetches": db.metrics.counter("serve.peer_fetches").total(),
-                    "peer_cache_hits": db.metrics.counter(
-                        "serve.peer_cache_hits"
-                    ).total(),
-                    "peer_errors": db.metrics.counter("serve.peer_errors").total(),
-                }
-            return self._judge(
-                db,
-                meta,
-                reports,
-                failures,
-                registry=client_metrics,
-                extra_checks=extra_checks,
-                extra_metrics=extra_metrics,
+                    # Only counter/plan-derived fields: no wall-clock values
+                    # leak into the report, so double replays stay identical.
+                    control, plan = controller.metrics, controller.plan
+                    metrics["control"] = {
+                        "steps": _total(control, "control.steps"),
+                        "plans_applied": _total(control, "control.plans_applied"),
+                        "plans_noop": _total(control, "control.plans_noop"),
+                        "actuate_errors": _total(control, "control.actuate_errors"),
+                        "final_version": 0 if plan is None else plan.version,
+                        "nodes": [
+                            {
+                                key: value
+                                for key, value in handle.control_state().items()
+                                if key != "inflight"
+                            }
+                            for handle in handles
+                        ],
+                    }
+                if shards:
+                    metrics["shards"] = {
+                        "nodes": len(node_ids),
+                        "replication_factor": shard_map.replication_factor,
+                        "map_version": shard_map.version,
+                        "routed": _total(client_metrics, "failover.shard_routed"),
+                        "unroutable": _total(client_metrics, "failover.shard_unroutable"),
+                        "peer_fetches": _total(db.metrics, "serve.peer_fetches"),
+                        "peer_cache_hits": _total(db.metrics, "serve.peer_cache_hits"),
+                        "peer_errors": _total(db.metrics, "serve.peer_errors"),
+                    }
+                return checks, metrics
+
+            after_session = controller.step if controller is not None else lambda: None
+            storage = RemoteStorage(client, registry=client_metrics)
+            yield storage, client_metrics, after_session, extras
+
+    def _controller(self, db, handles, control_node_ids) -> Controller:
+        """A deterministic control plane: stepped synchronously between
+        sessions (no wall-clock thread), with a counting clock and
+        ``deterministic=True`` (no latency reads), so demand — and with
+        it every plan — is a pure function of the replayed request
+        sequence and the whole report stays byte-identical per seed."""
+        sessions = self.scenario.sessions
+        ticks = tick_counter()
+        nodes = tuple(
+            NodeState(
+                node_id=node_id,
+                pin_budget_bytes=int(sessions.get("pin_budget", 1 << 20)),
+                max_inflight=None,
             )
-        finally:
-            if client is not None:
-                client.close()
-            for proxy in proxies:
-                proxy.stop()
-            for handle in handles:
-                handle.stop()
+            for node_id in control_node_ids
+        )
+        return Controller(
+            ControlConfig(
+                enabled=True,
+                deterministic=True,
+                prewarm_threshold=float(sessions.get("prewarm_threshold", 0.5)),
+            ),
+            metrics_source=db.metrics.snapshot,
+            catalog_source=lambda: catalog_from_storage(db.storage),
+            nodes_source=lambda: nodes,
+            actuators=tuple(HandleActuator(handle) for handle in handles),
+            clock=lambda: float(next(ticks)),
+        )
 
     def _corrupt_at_rest(self, node_storages, spec) -> list[dict]:
         """Bit-rot one node's segment files on disk before serving.
@@ -553,13 +558,10 @@ class ScenarioRunner:
         shared with the canonical store (or a peer) is broken, not
         poisoned.
         """
-        from repro.chaos.corrupt import bit_flip
-
         node = spec.get("node") or next(iter(node_storages))
         label = spec.get("quality")
-        storage = node_storages[node]
         records: list[dict] = []
-        segments_dir = storage.catalog.segments_dir(self.VIDEO_NAME)
+        segments_dir = node_storages[node].catalog.segments_dir(self.VIDEO_NAME)
         for path in sorted(segments_dir.iterdir()):
             if not path.name.endswith(".seg"):
                 continue
@@ -577,10 +579,10 @@ class ScenarioRunner:
             )
         return records
 
+    # -- judging --------------------------------------------------------------
+
     def _judge_repair(self, db, corrupted):
         """The read-repair invariants plus deterministic repair metrics."""
-        scenario = self.scenario
-        checks: list[InvariantCheck] = []
         restored = untouched = 0
         wrong: list[str] = []
         for record in corrupted:
@@ -591,45 +593,32 @@ class ScenarioRunner:
                 untouched += 1  # never read, so never repaired — not a failure
             else:
                 wrong.append(record["path"].name)
-        checks.append(
-            InvariantCheck(
+        checks = [
+            _check(
                 "repair_restores_ingest_bytes",
-                ok=not wrong,
-                details=(
-                    f"rewritten files differ from ingest bytes: {wrong[:10]}"
-                    if wrong
-                    else ""
-                ),
+                wrong,
+                f"rewritten files differ from ingest bytes: {wrong[:10]}",
             )
-        )
-        registry = db.metrics
-        success = registry.counter("storage.repair_success").total()
-        min_repairs = scenario.invariants.get("min_repairs")
+        ]
+        success = _total(db.metrics, "storage.repair_success")
+        min_repairs = self.scenario.invariants.get("min_repairs")
         if min_repairs is not None:
-            ok = success >= int(min_repairs) and restored >= 1
             checks.append(
-                InvariantCheck(
+                _check(
                     "expected_repairs",
-                    ok=ok,
-                    details=(
-                        ""
-                        if ok
-                        else (
-                            f"storage.repair_success={success} < "
-                            f"min_repairs={min_repairs} "
-                            f"(files restored on disk: {restored})"
-                        )
-                    ),
+                    success < int(min_repairs) or restored < 1,
+                    f"storage.repair_success={success} < min_repairs={min_repairs} "
+                    f"(files restored on disk: {restored})",
                 )
             )
         metrics = {
             "files_corrupted": len(corrupted),
             "files_restored": restored,
             "files_untouched": untouched,
-            "attempts": registry.counter("storage.repair_attempts").total(),
+            "attempts": _total(db.metrics, "storage.repair_attempts"),
             "success": success,
-            "failed": registry.counter("storage.repair_failed").total(),
-            "bytes": registry.counter("storage.repair_bytes").total(),
+            "failed": _total(db.metrics, "storage.repair_failed"),
+            "bytes": _total(db.metrics, "storage.repair_bytes"),
         }
         return checks, metrics
 
@@ -640,33 +629,13 @@ class ScenarioRunner:
         by index — two replays of the same seed must produce identical
         bytes.
         """
-        from repro.chaos.faults import WIRE_KINDS
-        from repro.serve.failover import LEGAL_TRANSITIONS
-
         scenario = self.scenario
-        checks: list[InvariantCheck] = []
-        taxonomy = {
-            "VisualCloudError",
-            "CatalogError",
-            "SegmentNotFoundError",
-            "SegmentCorruptError",
-            "TransientSegmentError",
-            "SegmentReadTimeout",
-        }
         raw = [
-            (index, message)
-            for index, message in failures
-            if message.split(":", 1)[0] not in taxonomy
+            (index, error)
+            for index, error in failures
+            if not isinstance(error, VisualCloudError)
         ]
-        checks.append(
-            InvariantCheck(
-                "no_raw_transport_errors",
-                ok=not raw,
-                details=(
-                    "; ".join(f"session {i}: {msg}" for i, msg in raw) if raw else ""
-                ),
-            )
-        )
+        checks = [_check("no_raw_transport_errors", raw, _describe(raw))]
         trails: dict[str, list] = {}
         illegal = []
         for index, replica in enumerate(client.replicas.replicas):
@@ -676,60 +645,35 @@ class ScenarioRunner:
                 (index, edge) for edge in edges if edge not in LEGAL_TRANSITIONS
             )
         checks.append(
-            InvariantCheck(
-                "circuit_monotone",
-                ok=not illegal,
-                details=f"illegal breaker edges: {illegal[:10]}" if illegal else "",
-            )
-        )
-        wire_injected = sum(
-            scenario.plan.injected.get(kind, 0) for kind in WIRE_KINDS
+            _check("circuit_monotone", illegal, f"illegal breaker edges: {illegal[:10]}")
         )
         if scenario.invariants.get("expect_wire_faults"):
+            injected = sum(scenario.plan.injected.get(kind, 0) for kind in WIRE_KINDS)
             checks.append(
-                InvariantCheck(
-                    "expected_wire_faults",
-                    ok=wire_injected >= 1,
-                    details="" if wire_injected else "the proxy injected nothing",
-                )
+                _check("expected_wire_faults", injected < 1, "the proxy injected nothing")
             )
-        extra_metrics = {
+        metrics = {
             "wire_calls": scenario.plan.calls("wire"),
             "breaker_transitions": trails,
             "failover": {
-                "requests": client.metrics.counter("failover.requests").total(),
-                "failovers": client.metrics.counter("failover.failovers").total(),
-                "hedges": client.metrics.counter("failover.hedges").total(),
-                "budget_exhausted": client.metrics.counter(
-                    "failover.budget_exhausted"
-                ).total(),
+                "requests": _total(client.metrics, "failover.requests"),
+                "failovers": _total(client.metrics, "failover.failovers"),
+                "hedges": _total(client.metrics, "failover.hedges"),
+                "budget_exhausted": _total(client.metrics, "failover.budget_exhausted"),
                 "budget_spent": client.budget.spent,
                 "budget_denied": client.budget.denied,
             },
         }
-        return checks, extra_metrics
+        return checks, metrics
 
     def _judge(
-        self,
-        db,
-        meta,
-        reports,
-        failures,
-        registry=None,
-        extra_checks=(),
-        extra_metrics=None,
+        self, db, meta, reports, failures, registry, extra_checks, extra_metrics
     ) -> InvariantReport:
+        """``registry`` is where the streamer counted: the database's for
+        a local target, the client's for a wire one."""
         scenario = self.scenario
-        checks: list[InvariantCheck] = []
         completed = [report for report in reports if report is not None]
-
-        checks.append(
-            InvariantCheck(
-                "no_uncaught_exceptions",
-                ok=not failures,
-                details="; ".join(f"session {i}: {msg}" for i, msg in failures),
-            )
-        )
+        checks = [_check("no_uncaught_exceptions", failures, _describe(failures))]
 
         incomplete = [
             index
@@ -737,89 +681,74 @@ class ScenarioRunner:
             if report is not None and len(report.records) != meta.gop_count
         ]
         checks.append(
-            InvariantCheck(
+            _check(
                 "sessions_complete",
-                ok=not incomplete and not failures,
-                details=f"sessions with missing windows: {incomplete}" if incomplete else "",
+                incomplete or failures,
+                f"sessions with missing windows: {incomplete}" if incomplete else "",
             )
         )
 
-        uncovered = []
-        for index, report in enumerate(reports):
-            if report is None:
-                continue
-            for record in report.records:
-                for tile in sorted(record.visible_tiles):
-                    if tile not in record.quality_map:
-                        uncovered.append((index, record.window, tile))
+        uncovered = [
+            (index, record.window, tile)
+            for index, record in _records(reports)
+            for tile in sorted(record.visible_tiles)
+            if tile not in record.quality_map
+        ]
         checks.append(
-            InvariantCheck(
+            _check(
                 "visible_tile_coverage",
-                ok=not uncovered,
-                details=(
-                    f"visible tiles with no delivered rung: {uncovered[:10]}"
-                    if uncovered
-                    else ""
-                ),
+                uncovered,
+                f"visible tiles with no delivered rung: {uncovered[:10]}",
             )
         )
 
         upgrades = []
-        for index, report in enumerate(reports):
-            if report is None:
-                continue
-            for record in report.records:
-                requested_map = record.requested_map or {}
-                for tile, delivered in record.quality_map.items():
-                    requested = requested_map.get(tile)
-                    if requested is not None and delivered > requested:
-                        upgrades.append((index, record.window, tile))
-                for event in record.events:
-                    if event.delivered is not None and event.delivered > event.requested:
-                        upgrades.append((index, event.window, event.tile))
+        for index, record in _records(reports):
+            requested_map = record.requested_map or {}
+            for tile, delivered in record.quality_map.items():
+                requested = requested_map.get(tile)
+                if requested is not None and delivered > requested:
+                    upgrades.append((index, record.window, tile))
+            for event in record.events:
+                if event.delivered is not None and event.delivered > event.requested:
+                    upgrades.append((index, event.window, event.tile))
         checks.append(
-            InvariantCheck(
+            _check(
                 "no_silent_upgrade",
-                ok=not upgrades,
-                details=f"tiles above the requested rung: {upgrades[:10]}" if upgrades else "",
+                upgrades,
+                f"tiles above the requested rung: {upgrades[:10]}",
             )
         )
 
-        stream_metrics = registry if registry is not None else db.metrics
         checks.append(self._check_qoe_floor(completed))
+        degradations = sum(report.degradation_count for report in completed)
         if scenario.invariants.get("expect_degradations"):
-            total = sum(report.degradation_count for report in completed)
             checks.append(
-                InvariantCheck(
+                _check(
                     "expected_degradations",
-                    ok=total >= 1,
-                    details="" if total else "plan injected no effective degradation",
+                    degradations < 1,
+                    "plan injected no effective degradation",
                 )
             )
         max_degradations = scenario.invariants.get("max_degradations")
         if max_degradations is not None:
-            total = sum(report.degradation_count for report in completed)
             checks.append(
-                InvariantCheck(
+                _check(
                     "bounded_degradation",
-                    ok=total <= int(max_degradations),
-                    details=(
-                        f"{total} degradation events > allowed {max_degradations}"
-                        if total > int(max_degradations)
-                        else ""
-                    ),
+                    degradations > int(max_degradations),
+                    f"{degradations} degradation events > allowed {max_degradations}",
                 )
             )
         checks.append(self._check_cache_consistency(db))
-        checks.append(self._check_metrics_agree(stream_metrics, completed))
+        checks.append(self._check_metrics_agree(registry, completed))
         checks.extend(extra_checks)
 
-        events = []
-        for index, report in enumerate(reports):
-            if report is None:
-                continue
-            for event in report.degradation_events:
-                events.append({"session": index, **event.to_json()})
+        events = [
+            {"session": index, **event.to_json()}
+            for index, report in enumerate(reports)
+            if report is not None
+            for event in report.degradation_events
+        ]
         session_summaries = [
             {"session": index, **report.summary()}
             for index, report in enumerate(reports)
@@ -829,12 +758,11 @@ class ScenarioRunner:
             "faults_injected": dict(sorted(scenario.plan.injected.items())),
             "storage_calls": scenario.plan.calls("storage"),
             "cache_calls": scenario.plan.calls("cache"),
-            "retries": stream_metrics.counter("stream.retries").total(),
-            "degradations": stream_metrics.counter("stream.degradations").total(),
-            "tiles_skipped": stream_metrics.counter("stream.tiles_skipped").total(),
+            "retries": _total(registry, "stream.retries"),
+            "degradations": _total(registry, "stream.degradations"),
+            "tiles_skipped": _total(registry, "stream.tiles_skipped"),
+            **extra_metrics,
         }
-        if extra_metrics:
-            metrics.update(extra_metrics)
         return InvariantReport(
             scenario=scenario.name,
             seed=scenario.seed,
@@ -855,19 +783,18 @@ class ScenarioRunner:
                     f"session {index} stalled {report.stall_time:.3f}s > {max_stall}"
                 )
             if min_visible is not None:
-                visible = delivered = 0
-                for record in report.records:
-                    visible += len(record.visible_tiles)
-                    delivered += sum(
-                        1 for tile in record.visible_tiles if tile in record.quality_map
-                    )
-                fraction = delivered / visible if visible else 1.0
+                delivered = [
+                    tile in record.quality_map
+                    for record in report.records
+                    for tile in record.visible_tiles
+                ]
+                fraction = sum(delivered) / len(delivered) if delivered else 1.0
                 if fraction < float(min_visible):
                     problems.append(
                         f"session {index} delivered {fraction:.3f} of visible "
                         f"tile-windows < {min_visible}"
                     )
-        return InvariantCheck("qoe_floor", ok=not problems, details="; ".join(problems))
+        return _check("qoe_floor", problems, "; ".join(problems))
 
     def _check_cache_consistency(self, db) -> InvariantCheck:
         cache = db.storage.segment_cache
@@ -881,36 +808,22 @@ class ScenarioRunner:
             path = db.storage.catalog.segment_path(name, gop, tile, quality, file_version)
             if not path.exists() or path.read_bytes() != payload:
                 stale.append((name, gop, tile, quality.label))
-        return InvariantCheck(
+        return _check(
             "cache_disk_consistency",
-            ok=not stale,
-            details=f"cached bytes diverge from disk: {stale[:10]}" if stale else "",
+            stale,
+            f"cached bytes diverge from disk: {stale[:10]}",
         )
 
     def _check_metrics_agree(self, registry, reports) -> InvariantCheck:
-        event_degrades = sum(
-            1
-            for report in reports
-            for event in report.degradation_events
-            if event.kind == "degrade"
-        )
-        event_skips = sum(
-            1
-            for report in reports
-            for event in report.degradation_events
-            if event.kind == "skip"
-        )
-        counted_degrades = registry.counter("stream.degradations").total()
-        counted_skips = registry.counter("stream.tiles_skipped").total()
+        kinds = [
+            event.kind for report in reports for event in report.degradation_events
+        ]
         problems = []
-        if counted_degrades != event_degrades:
-            problems.append(
-                f"stream.degradations={counted_degrades} but {event_degrades} degrade events"
-            )
-        if counted_skips != event_skips:
-            problems.append(
-                f"stream.tiles_skipped={counted_skips} but {event_skips} skip events"
-            )
-        return InvariantCheck(
-            "metrics_events_agree", ok=not problems, details="; ".join(problems)
-        )
+        for counter, kind in (
+            ("stream.degradations", "degrade"),
+            ("stream.tiles_skipped", "skip"),
+        ):
+            counted, seen = _total(registry, counter), kinds.count(kind)
+            if counted != seen:
+                problems.append(f"{counter}={counted} but {seen} {kind} events")
+        return _check("metrics_events_agree", problems, "; ".join(problems))

@@ -275,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--output", default=None, help="write the invariant report JSON here"
     )
-    chaos.add_argument(
-        "--wire",
-        action="store_true",
-        help="force wire mode: replay over real sockets through the "
-        "fault-injecting proxy and the failover client",
-    )
 
     return parser
 
@@ -524,8 +518,6 @@ def _command_chaos(db: VisualCloud, args) -> int:
     from repro.chaos import Scenario, ScenarioRunner
 
     scenario = Scenario.load(Path(args.plan), seed=args.seed)
-    if args.wire:
-        scenario.sessions["mode"] = "wire"
     report = ScenarioRunner(scenario).run()
     rendered = report.dumps()
     if args.output:

@@ -589,7 +589,7 @@ class StorageManager:
                 )
 
         def encoded_gops() -> Iterator[_EncodedGop]:
-            nonlocal executor
+            nonlocal executor, workers
             for gop_index, batch in enumerate(gop_batches, start=first_gop):
                 if gop_index == first_gop and (batch[0].width, batch[0].height) != size:
                     raise IngestError(
@@ -623,7 +623,10 @@ class StorageManager:
                             "to serial",
                         ).inc()
                         executor.shutdown(wait=False)
-                        executor = None
+                        # No pool for the rest of the version either: with
+                        # workers left at N, the next GOP would start (and
+                        # could break) a pool of its own.
+                        executor, workers = None, 1
                         payloads = codec.encode_gop_ladders(
                             batch, ladder_map, workers=1, registry=self.metrics
                         )
@@ -642,6 +645,8 @@ class StorageManager:
             executor = make_encode_executor(
                 workers, config.grid.tile_count, registry=self.metrics
             )
+            if executor is None:
+                workers = 1  # serial by choice or by refusal: do not retry per GOP
             try:
                 return self._write_version(
                     name,

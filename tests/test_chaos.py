@@ -7,6 +7,7 @@ here run things twice and demand identical output.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +316,74 @@ class TestScenarioRunner:
         scenario = _tiny_scenario()
         clone = Scenario.from_json(scenario.to_json())
         assert clone.to_json() == scenario.to_json()
+
+    def test_session_config_is_resolved_in_one_place(self):
+        """The mode picks what the streamer reads from, never how a
+        viewer's session is configured."""
+        knobs = {"count": 2, "bandwidth": 30000, "policy": "uniform",
+                 "predictor": "static", "margin": 2}
+        configs = [
+            _tiny_scenario(
+                sessions={**knobs, "mode": mode}, retry={"attempts": 5}
+            ).session_config()
+            for mode in ("single", "shared", "wire")
+        ]
+        assert configs[0] == configs[1] == configs[2]
+        assert configs[0].margin == 2 and configs[0].retry.attempts == 5
+        assert configs[0].bandwidth == ConstantBandwidth(30000.0)
+
+
+def _spec(**sections):
+    spec = _tiny_scenario().to_json()
+    for section, keys in sections.items():
+        spec[section] = {**spec[section], **keys}
+    return spec
+
+
+UNJUDGEABLE = {
+    "typo-in-invariants": (_spec(invariants={"max_degradation": 0}), "max_degradation"),
+    "typo-in-sessions": (_spec(sessions={"bandwith": 1}), "bandwith"),
+    "typo-in-video": (_spec(video={"gop_frame": 4}), "gop_frame"),
+    "typo-in-retry": (_spec(retry={"attempt": 2}), "attempt"),
+    "removed-hedge-delay": (_spec(sessions={"hedge_delay": 0.05}), "hedge_delay"),
+    "unknown-mode": (_spec(sessions={"mode": "wired"}), "unknown mode"),
+    "unknown-policy": (_spec(sessions={"policy": "greedy"}), "unknown policy"),
+    "wire-faults-off-the-wire": (
+        _spec(invariants={"expect_wire_faults": True}), "expect_wire_faults"),
+    "repairs-without-corruption": (
+        _spec(sessions={"mode": "wire", "shards": 3, "materialize": True},
+              invariants={"min_repairs": 1}), "min_repairs"),
+    "repairs-off-the-wire": (
+        _spec(sessions={"shards": 3, "materialize": True,
+                        "corrupt_at_rest": {"node": "node-0"}},
+              invariants={"min_repairs": 1}), "min_repairs"),
+}
+
+
+class TestUnjudgeablePlans:
+    """A plan the runner cannot judge is an error, not a pass."""
+
+    @pytest.mark.parametrize("case", sorted(UNJUDGEABLE))
+    def test_from_json_rejects(self, case):
+        spec, message = UNJUDGEABLE[case]
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_json(spec)
+
+    def test_cli_exits_2_without_running(self, tmp_path, capsys):
+        spec, message = UNJUDGEABLE["typo-in-invariants"]
+        plan = tmp_path / "typo.json"
+        plan.write_text(json.dumps(spec), encoding="utf-8")
+        code = main(["--root", str(tmp_path / "db"), "chaos", "--plan", str(plan)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("plan", sorted(Path("plans").glob("*.json")), ids=lambda p: p.stem)
+    def test_every_shipped_plan_loads_unchanged(self, plan):
+        spec = json.loads(plan.read_text(encoding="utf-8"))
+        loaded = Scenario.load(plan).to_json()
+        for section in ("video", "sessions", "retry", "invariants"):
+            assert loaded[section] == spec[section]
 
 
 class TestChaosCli:

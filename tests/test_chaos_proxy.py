@@ -11,11 +11,13 @@ sockets leak across a batch of faulted requests.
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.chaos import ChaosProxy, FaultPlan, FaultRule, Scenario, ScenarioRunner
 from repro.core.errors import SegmentReadTimeout, TransientSegmentError
+from repro.core.streamer import Streamer
 from repro.serve import HttpSegmentClient, start_server
 from repro.stream.dash import SegmentKey
 
@@ -141,7 +143,41 @@ class TestWireFaults:
         assert after <= before + 3, f"fd count grew {before} -> {after}"
 
 
+class _NovelTransient(TransientSegmentError):
+    """A taxonomy error no hand-kept list of class names could know."""
+
+
 class TestWireScenarios:
+    @pytest.mark.parametrize(
+        "plan", sorted(Path("plans").glob("*.json")), ids=lambda plan: plan.stem
+    )
+    def test_every_shipped_plan_replays_identically_and_holds(self, plan):
+        first = ScenarioRunner(Scenario.load(plan)).run()
+        second = ScenarioRunner(Scenario.load(plan)).run()
+        assert first.dumps() == second.dumps()
+        assert first.ok, [check for check in first.checks if not check.ok]
+
+    @pytest.mark.parametrize(
+        "error, is_taxonomy",
+        [
+            pytest.param(OSError("connection reset by peer"), False, id="raw"),
+            pytest.param(TransientSegmentError("replicas exhausted"), True, id="taxonomy"),
+            pytest.param(_NovelTransient("exhausted"), True, id="taxonomy-subclass"),
+        ],
+    )
+    def test_escaping_errors_are_judged_by_type(self, monkeypatch, error, is_taxonomy):
+        def serve(self, name, trace, config):
+            raise error
+
+        monkeypatch.setattr(Streamer, "serve", serve)
+        report = ScenarioRunner(Scenario.load("plans/wire-flaky.json")).run()
+        checks = {check.name: check for check in report.checks}
+        assert not checks["no_uncaught_exceptions"].ok
+        assert checks["no_raw_transport_errors"].ok is is_taxonomy
+        detail = f"session 0: {type(error).__name__}: {error}"
+        assert detail in checks["no_uncaught_exceptions"].details
+        assert (detail in checks["no_raw_transport_errors"].details) is not is_taxonomy
+
     def test_wire_flaky_plan_is_deterministic(self):
         first = ScenarioRunner(Scenario.load("plans/wire-flaky.json")).run()
         assert first.ok, [check for check in first.checks if not check.ok]

@@ -353,6 +353,40 @@ class TestPoolFallbackIsLoud:
         assert make_encode_executor(4, 1, registry=registry) is None
         assert "ingest.pool_fallback" not in registry.snapshot()["counters"]
 
+    def test_broken_pool_finishes_the_whole_version_serially(
+        self, tmp_path, monkeypatch
+    ):
+        """A pool that breaks on every GOP it is offered: the first break
+        must retire parallelism for the rest of the version, not just null
+        the shared pool and let the next GOP start (and break) its own."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        class AlwaysBroken:
+            _max_workers = 2
+            started = 0
+
+            def __init__(self, *args, **kwargs):
+                AlwaysBroken.started += 1
+
+            def map(self, fn, jobs, chunksize=1):
+                raise BrokenProcessPool("worker killed")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        frames = list(
+            synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0, seed=3)
+        )
+        StorageManager(tmp_path / "serial").ingest("clip", iter(frames), CONFIG, workers=1)
+        monkeypatch.setattr(tiles, "ProcessPoolExecutor", AlwaysBroken)
+        storage = StorageManager(tmp_path / "broken")
+        with pytest.warns(RuntimeWarning, match="finishing serially"):
+            meta = storage.ingest("clip", iter(frames), CONFIG, workers=2)
+        assert meta.gop_count >= 2  # a second GOP was there to break again
+        assert AlwaysBroken.started == 1
+        assert storage.metrics.snapshot()["counters"]["ingest.pool_fallback"] == 1
+        assert _segment_files(tmp_path / "serial") == _segment_files(tmp_path / "broken")
+
 
 class TestDispatchChunking:
     def test_chunksize_follows_executor_not_workers_param(self):

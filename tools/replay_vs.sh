@@ -6,8 +6,8 @@
 #   tools/replay_vs.sh <git-ref>        e.g. tools/replay_vs.sh HEAD~1
 #
 # <ref> is unpacked with `git archive` into a temp dir (nothing is
-# registered in .git); both sides replay the working tree's plans/*.json,
-# `--wire` where the plan says "mode": "wire".
+# registered in .git); both sides replay the working tree's plans/*.json
+# (a plan's own "mode" decides whether it runs over real sockets).
 set -euo pipefail
 
 ref=${1:?usage: tools/replay_vs.sh <git-ref>}
@@ -20,14 +20,12 @@ git -C "$repo" archive "$ref" | tar -x -C "$work/ref"
 status=0
 for plan in "$repo"/plans/*.json; do
   name=$(basename "$plan" .json)
-  wire=""
-  if grep -q '"mode": *"wire"' "$plan"; then wire=--wire; fi
   for side in ref here; do
     if [ "$side" = ref ]; then src="$work/ref/src"; else src="$repo/src"; fi
     # A plan may exit non-zero on an invariant violation; what is
     # compared is the report, so keep going and let cmp decide.
     PYTHONPATH="$src" python -m repro --root "$work/db" chaos --plan "$plan" \
-      $wire --output "$work/reports/$name.$side.json" >/dev/null || true
+      --output "$work/reports/$name.$side.json" >/dev/null || true
   done
   if cmp -s "$work/reports/$name.ref.json" "$work/reports/$name.here.json"; then
     echo "identical  $name"
