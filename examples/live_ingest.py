@@ -10,7 +10,6 @@ isolation by construction).
 """
 
 import itertools
-import os
 import tempfile
 import time
 
@@ -32,13 +31,11 @@ def main() -> None:
     # A live feed must keep up with the camera: fan each chunk's
     # (tile, quality) encodes across every core. The committed bytes are
     # identical at any worker count, so this is purely a latency knob.
-    workers = os.cpu_count() or 1
     config = IngestConfig(
         grid=TileGrid(2, 4),
         qualities=(Quality.HIGH, Quality.LOWEST),
         gop_frames=10,
         fps=10.0,
-        workers=workers,
     )
 
     # The "camera": an infinite frame source we consume in 1 s chunks.
@@ -62,7 +59,7 @@ def main() -> None:
     ingested_frames = db.meta("live").gop_count * config.gop_frames
     print(
         f"ingest rate: {ingested_frames / elapsed:.1f} frames/sec with "
-        f"{workers} encode worker(s) (camera produces 10.0 frames/sec)"
+        f"{config.workers} encode worker(s) (camera produces 10.0 frames/sec)"
     )
 
     # A reader pinned to version 2 sees exactly the first two seconds,

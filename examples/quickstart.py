@@ -7,7 +7,6 @@ against a procedurally generated 360 clip, printing what happened at
 each step. Total runtime is a few seconds.
 """
 
-import os
 import tempfile
 import time
 
@@ -37,15 +36,13 @@ def main() -> None:
     #    grid) and encode every segment at two quality rungs. Every
     #    (window, tile, quality) segment is an independent closed GOP, so
     #    `workers` fans the encodes across that many processes (the
-    #    default, workers=None, uses every core; the bytes written are
-    #    identical at any worker count).
-    workers = os.cpu_count() or 1
+    #    default uses every core this process may run on; the bytes
+    #    written are identical at any worker count).
     config = IngestConfig(
         grid=TileGrid(4, 8),
         qualities=(Quality.HIGH, Quality.LOWEST),
         gop_frames=10,
         fps=10.0,
-        workers=workers,
     )
     frames = synthetic_video("venice", width=256, height=128, fps=10, duration=6, seed=1)
     start = time.perf_counter()
@@ -59,7 +56,7 @@ def main() -> None:
         f"({stored} bytes on disk)"
     )
     print(
-        f"  {frame_count / elapsed:.1f} frames/sec with {workers} encode "
+        f"  {frame_count / elapsed:.1f} frames/sec with {config.workers} encode "
         f"worker(s) ({elapsed:.2f}s wall)"
     )
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
@@ -42,7 +41,7 @@ from repro.video.bitstream import BitReader, BitWriter
 from repro.video.gop import GopCodec
 from repro.video.quality import Quality
 from repro.video.shmem import shared_memory_available
-from repro.video.tiles import encode_start_method
+from repro.video.tiles import available_cpus, encode_start_method
 from repro.workloads.videos import synthetic_video
 
 
@@ -216,7 +215,7 @@ def run(args: argparse.Namespace) -> dict:
         "fps": args.fps,
     }
     workers_list = sorted({1, *args.workers})
-    cpu_count = os.cpu_count() or 1
+    cpu_count = available_cpus()  # what this process may use, not what the machine has
     bench_warnings: list[str] = []
     if max(workers_list) > cpu_count:
         message = (
@@ -333,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         nargs="+",
-        default=[1, os.cpu_count() or 1],
+        default=[1, available_cpus()],
         help="worker counts to compare (1 is always included)",
     )
     parser.add_argument("--output", default="BENCH_ingest.json")

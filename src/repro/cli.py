@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_parse_workers,
         default=None,
-        help="encode worker processes (default: all cores; 1 = serial)",
+        help="encode worker processes (default: every core this process may use; 1 = in-process)",
     )
 
     info = commands.add_parser("info", help="show a video's metadata")

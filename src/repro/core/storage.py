@@ -59,18 +59,24 @@ from repro.video.mp4 import (
     parse_sv3d,
 )
 from repro.video.quality import Quality
-from repro.video.tiles import TiledGop, TiledVideoCodec, make_encode_executor
+from repro.video.tiles import (
+    TiledGop,
+    TiledVideoCodec,
+    available_cpus,
+    make_encode_executor,
+)
 
 
 @dataclass(frozen=True)
 class IngestConfig:
     """How a video is segmented and encoded at ingest time.
 
-    ``workers`` sizes the encode fan-out: every (GOP, tile) ladder of
-    segments is an independent encode job, so ingest distributes them
-    across that many processes. ``None`` (the default) resolves to
-    ``os.cpu_count()``; ``workers=1`` is the serial path, byte-identical
-    to any parallel run.
+    ``workers`` sizes the encode fan-out: every (tile, quality) segment
+    of a GOP is an independent stream, so ingest deals each of that many
+    processes one share of them. ``None`` (the default) resolves to the
+    CPUs this process may run on (its affinity mask, not the machine's
+    count); ``workers=1`` encodes in-process, byte-identical to any
+    parallel run.
     """
 
     grid: TileGrid = TileGrid(4, 4)
@@ -90,7 +96,7 @@ class IngestConfig:
         if list(self.qualities) != sorted(self.qualities, reverse=True):
             raise ValueError("qualities must be ordered best first")
         if self.workers is None:
-            object.__setattr__(self, "workers", os.cpu_count() or 1)
+            object.__setattr__(self, "workers", available_cpus())
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -639,9 +645,8 @@ class StorageManager:
 
         with self.metrics.span("storage.ingest", video=name, phase=phase):
             codec = TiledVideoCodec(config.grid, *size)
-            # Each (GOP, tile) is one encode job covering the tile's whole
-            # quality ladder, so raw bytes reach a worker once per tile. One
-            # pool is amortised over every GOP of the version.
+            # One pool is amortised over every GOP of the version; each GOP
+            # hands every worker one share of its (tile, quality) streams.
             executor = make_encode_executor(
                 workers, config.grid.tile_count, registry=self.metrics
             )

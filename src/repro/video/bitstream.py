@@ -8,8 +8,9 @@ the quality ladder actually change the byte count.
 
 Two speeds coexist here. The scalar ``write_ue``/``read_ue`` methods are
 the reference wire format, one symbol at a time. The batched paths —
-:func:`ue_codes`, :meth:`BitWriter.write_symbols`, and
-:meth:`BitReader.scan_ue` — process whole symbol arrays with numpy and are
+:func:`ue_codes`, :func:`pack_symbols` (and its one-stream call
+:meth:`BitWriter.write_symbols`), and :meth:`BitReader.scan_ue` —
+process whole symbol arrays with numpy and are
 bit-identical to the scalar ones by construction; the codec's hot loops
 use them exclusively.
 """
@@ -53,6 +54,58 @@ def se_to_ue(values: np.ndarray) -> np.ndarray:
     ``0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4`` zigzag)."""
     values = np.asarray(values, dtype=np.int64)
     return np.where(values > 0, 2 * values - 1, -2 * values)
+
+
+def pack_symbols(
+    codes: np.ndarray, nbits: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack symbols most-significant-bit first, as ``lengths.size`` streams.
+
+    Symbol i is the low ``nbits[i]`` bits of ``codes[i]`` (``int64``, widths
+    in ``[1, MAX_BATCH_CODE_BITS]``); stream s is the next ``lengths[s]``
+    symbols, zero-padded to a whole byte so that every stream starts
+    byte-aligned. Returns ``(packed, offsets)``: stream s is
+    ``packed[offsets[s]:offsets[s + 1]]``.
+    """
+    # Every stream's symbols shift by the padding of the streams before it.
+    before = np.concatenate(([0], np.cumsum(nbits)))
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    offsets = np.concatenate(([0], np.cumsum((before[stops] - before[starts] + 7) >> 3)))
+    if codes.size == 0:
+        return np.zeros(0, dtype=np.uint8), offsets
+    ends = before[1:] + np.repeat(8 * offsets[:-1] - before[starts], lengths)
+    # Pack per symbol-byte, not per bit: shift each codeword so it ends
+    # on a byte boundary, slice it into bytes, and scatter-add the
+    # nonzero bytes into the output. Two symbols meeting inside a byte
+    # occupy disjoint bits, so addition is bitwise OR.
+    pad = (-ends) % 8  # zero bits appended to byte-align each symbol's end
+    end_byte = (ends + pad) >> 3
+    values = codes.astype(np.uint64)
+    out_len = int(offsets[-1])
+    span = int((int(nbits.max()) + 14) // 8) + 1  # bytes one symbol can touch
+    chunks_idx = []
+    chunks_val = []
+    for j in range(span):
+        if j == 0:
+            byte = ((values & np.uint64(0xFF)) << pad.astype(np.uint64)) & np.uint64(0xFF)
+        else:
+            # codes < 2**63, so clamping the shift to 63 zeroes any
+            # byte lane beyond the codeword instead of overflowing.
+            shift = np.minimum(8 * j - pad, 63).astype(np.uint64)
+            byte = (values >> shift) & np.uint64(0xFF)
+        live = np.flatnonzero(byte)
+        if live.size:
+            chunks_idx.append(end_byte[live] - 1 - j)
+            chunks_val.append(byte[live])
+    if not chunks_idx:
+        return np.zeros(out_len, dtype=np.uint8), offsets
+    packed = np.bincount(
+        np.concatenate(chunks_idx),
+        weights=np.concatenate(chunks_val).astype(np.float64),
+        minlength=out_len,
+    )
+    return packed.astype(np.uint8), offsets
 
 
 class BitWriter:
@@ -99,7 +152,8 @@ class BitWriter:
         """Vectorised bulk append: for each i, the low ``nbits[i]`` bits of
         ``codes[i]``, in order. Byte-identical to the equivalent sequence of
         :meth:`write` calls, including mid-byte continuation — the pending
-        partial byte is folded in as one more symbol before packing.
+        partial byte is folded in as one more symbol before packing. The
+        one-stream call of :func:`pack_symbols`.
 
         ``_trusted`` skips the range validation for internal callers whose
         symbols are valid by construction (e.g. :func:`ue_codes` output).
@@ -118,44 +172,9 @@ class BitWriter:
         if self._nbits:
             codes = np.concatenate(([self._acc], codes))
             nbits = np.concatenate(([self._nbits], nbits))
-            self._acc = 0
-            self._nbits = 0
-        # Pack per symbol-byte, not per bit: shift each codeword so it ends
-        # on a byte boundary, slice it into bytes, and scatter-add the
-        # nonzero bytes into the output. Two symbols meeting inside a byte
-        # occupy disjoint bits, so addition is bitwise OR.
-        ends = np.cumsum(nbits)
-        total = int(ends[-1])
-        pad = (-ends) % 8  # zero bits appended to byte-align each symbol's end
-        end_byte = (ends + pad) >> 3
-        values = codes.astype(np.uint64)
-        out_len = (total + 7) // 8
-        span = int((int(nbits.max()) + 14) // 8) + 1  # bytes one symbol can touch
-        chunks_idx = []
-        chunks_val = []
-        for j in range(span):
-            if j == 0:
-                byte = ((values & np.uint64(0xFF)) << pad.astype(np.uint64)) & np.uint64(0xFF)
-            else:
-                # codes < 2**63, so clamping the shift to 63 zeroes any
-                # byte lane beyond the codeword instead of overflowing.
-                shift = np.minimum(8 * j - pad, 63).astype(np.uint64)
-                byte = (values >> shift) & np.uint64(0xFF)
-            live = np.flatnonzero(byte)
-            if live.size:
-                chunks_idx.append(end_byte[live] - 1 - j)
-                chunks_val.append(byte[live])
-        out = np.zeros(out_len, dtype=np.uint8)
-        if chunks_idx:
-            packed = np.bincount(
-                np.concatenate(chunks_idx),
-                weights=np.concatenate(chunks_val).astype(np.float64),
-                minlength=out_len,
-            )
-            out = packed.astype(np.uint8)
-        whole = total // 8
+        out, _ = pack_symbols(codes, nbits, np.array([codes.size]))
+        whole, self._nbits = divmod(int(nbits.sum()), 8)
         self._buffer += out[:whole].tobytes()
-        self._nbits = total - whole * 8
         self._acc = int(out[whole]) >> (8 - self._nbits) if self._nbits else 0
 
     def getvalue(self) -> bytes:

@@ -1,7 +1,8 @@
 """8x8 block transforms: plane blocking, DCT, zigzag scan.
 
-All block math is vectorised across every block of a plane at once;
-per-block Python loops appear only in the entropy layer.
+All block math is vectorised across every block of a plane at once —
+and across any leading axes, so a stack of equally shaped planes (one
+per stream of a lock-step encode) costs one call, not one per plane.
 """
 
 from __future__ import annotations
@@ -27,32 +28,34 @@ INVERSE_ZIGZAG = np.argsort(ZIGZAG)
 
 
 def split_blocks(plane: np.ndarray) -> np.ndarray:
-    """Split an ``(h, w)`` plane into ``(h*w/64, 8, 8)`` blocks, row-major.
+    """Split ``(..., h, w)`` planes into ``(..., h*w/64, 8, 8)`` blocks,
+    row-major within each plane.
 
     Dimensions must be multiples of 8 (the codec pads tiles to guarantee
     this before it ever reaches here).
     """
-    height, width = plane.shape
+    *lead, height, width = plane.shape
     if height % BLOCK_SIZE or width % BLOCK_SIZE:
         raise ValueError(
             f"plane {width}x{height} is not a multiple of the {BLOCK_SIZE}px block size"
         )
     rows = height // BLOCK_SIZE
     cols = width // BLOCK_SIZE
-    blocks = plane.reshape(rows, BLOCK_SIZE, cols, BLOCK_SIZE).swapaxes(1, 2)
-    return blocks.reshape(rows * cols, BLOCK_SIZE, BLOCK_SIZE)
+    blocks = plane.reshape(*lead, rows, BLOCK_SIZE, cols, BLOCK_SIZE).swapaxes(-3, -2)
+    return blocks.reshape(*lead, rows * cols, BLOCK_SIZE, BLOCK_SIZE)
 
 
 def merge_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     """Inverse of :func:`split_blocks`."""
     rows = height // BLOCK_SIZE
     cols = width // BLOCK_SIZE
-    if blocks.shape != (rows * cols, BLOCK_SIZE, BLOCK_SIZE):
+    lead = blocks.shape[:-3]
+    if blocks.shape[-3:] != (rows * cols, BLOCK_SIZE, BLOCK_SIZE):
         raise ValueError(
             f"expected {(rows * cols, BLOCK_SIZE, BLOCK_SIZE)} blocks, got {blocks.shape}"
         )
-    plane = blocks.reshape(rows, cols, BLOCK_SIZE, BLOCK_SIZE).swapaxes(1, 2)
-    return plane.reshape(height, width)
+    plane = blocks.reshape(*lead, rows, cols, BLOCK_SIZE, BLOCK_SIZE).swapaxes(-3, -2)
+    return plane.reshape(*lead, height, width)
 
 
 def forward_dct(blocks: np.ndarray) -> np.ndarray:
@@ -66,11 +69,11 @@ def inverse_dct(coefficients: np.ndarray) -> np.ndarray:
 
 
 def zigzag_scan(blocks: np.ndarray) -> np.ndarray:
-    """Reorder ``(n, 8, 8)`` coefficient blocks into ``(n, 64)`` zigzag rows."""
-    flat = blocks.reshape(blocks.shape[0], BLOCK_SIZE * BLOCK_SIZE)
-    return flat[:, ZIGZAG]
+    """Reorder ``(..., 8, 8)`` coefficient blocks into ``(..., 64)`` zigzag rows."""
+    flat = blocks.reshape(*blocks.shape[:-2], BLOCK_SIZE * BLOCK_SIZE)
+    return flat[..., ZIGZAG]
 
 def zigzag_unscan(rows: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zigzag_scan`: ``(n, 64)`` back to ``(n, 8, 8)``."""
-    blocks = rows[:, INVERSE_ZIGZAG]
-    return blocks.reshape(rows.shape[0], BLOCK_SIZE, BLOCK_SIZE)
+    """Inverse of :func:`zigzag_scan`: ``(..., 64)`` back to ``(..., 8, 8)``."""
+    blocks = rows[..., INVERSE_ZIGZAG]
+    return blocks.reshape(*rows.shape[:-1], BLOCK_SIZE, BLOCK_SIZE)

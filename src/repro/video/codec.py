@@ -16,12 +16,12 @@ homomorphic tile operators rely on.
 
 from __future__ import annotations
 
-import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.video.bitstream import BitReader, BitWriter, se_to_ue, ue_codes
+from repro.video.bitstream import BitReader, BitWriter, pack_symbols, se_to_ue, ue_codes
 from repro.video.blocks import (
     forward_dct,
     inverse_dct,
@@ -102,7 +102,7 @@ def _rows_to_symbols(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits followed by the level code's bits, exactly the wire sequence — so
     the packer sees ``blocks + nonzeros`` symbols instead of
     ``blocks + 2 * nonzeros``. Fusion stays within the packer's 63-bit lane
-    because :func:`_write_rows` bounds levels to ``±2**21`` first
+    because its callers bound levels to ``±2**21`` first
     (run <= 63 -> 13 bits, |level| < 2**21 -> 43 bits).
     """
     counts, runs, levels = _run_length_symbols(rows)
@@ -133,6 +133,9 @@ def _rows_to_symbols(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, nbits
 
 
+_VECTOR_LEVEL_LIMIT = 1 << 21
+
+
 def _write_rows(writer: BitWriter, rows: np.ndarray) -> None:
     """Entropy-code ``(n, 64)`` quantised zigzag rows into a bit stream.
 
@@ -159,7 +162,36 @@ def _write_rows(writer: BitWriter, rows: np.ndarray) -> None:
     writer.write_symbols(codes, nbits, _trusted=True)
 
 
-_VECTOR_LEVEL_LIMIT = 1 << 21
+def _encode_streams(rows: np.ndarray) -> list[bytes]:
+    """:func:`_write_rows` for ``(streams, n, 64)`` rows in one pass: each
+    stream's payload, zero-padded to whole bytes.
+
+    One symbol pass and one packing pass cover every stream; the packer
+    byte-aligns at stream boundaries, so payload s equals what a fresh
+    writer given only ``rows[s]`` produces. The ±2**21 guard holds per
+    stream: one beyond it is coded by the reference while its batch-mates
+    stay vectorised.
+    """
+    streams, blocks, _ = rows.shape
+    flat = rows.reshape(streams, -1)
+    beyond = np.flatnonzero(
+        (flat.max(axis=1) >= _VECTOR_LEVEL_LIMIT) | (flat.min(axis=1) <= -_VECTOR_LEVEL_LIMIT)
+    )
+    scalar_rows = rows[beyond]
+    if beyond.size:
+        rows = rows.copy()
+        rows[beyond] = 0  # placeholders: the reference's bytes replace them below
+    codes, nbits = _rows_to_symbols(rows.reshape(-1, 64))
+    lengths = blocks + np.count_nonzero(rows.reshape(streams, -1), axis=1)
+    packed, offsets = pack_symbols(codes, nbits, lengths)
+    data = packed.tobytes()
+    bounds = offsets.tolist()
+    payloads = [data[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    for stream, stream_rows in zip(beyond.tolist(), scalar_rows):
+        writer = BitWriter()
+        _write_rows_reference(writer, stream_rows)
+        payloads[stream] = writer.getvalue()
+    return payloads
 
 
 def _write_rows_reference(writer: BitWriter, rows: np.ndarray) -> None:
@@ -257,10 +289,8 @@ def _read_rows_reference(reader: BitReader, block_count: int) -> np.ndarray:
 
 
 def _entropy_encode(rows: np.ndarray) -> bytes:
-    """Standalone wrapper of :func:`_write_rows` (padding to whole bytes)."""
-    writer = BitWriter()
-    _write_rows(writer, rows)
-    return writer.getvalue()
+    """One stream's rows as a standalone payload (padded to whole bytes)."""
+    return _encode_streams(rows[None])[0]
 
 
 def _entropy_decode(data: bytes, block_count: int) -> np.ndarray:
@@ -270,7 +300,13 @@ def _entropy_decode(data: bytes, block_count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlaneCodec:
-    """Transform coding of one plane (luma or chroma) at a fixed quantiser."""
+    """Transform coding of one plane (luma or chroma) at a fixed quantiser.
+
+    Planes may be stacked on leading axes — ``(..., h, w)``, a 2-D plane
+    being a stack of one — and ``qmat`` any shape that broadcasts against
+    the stack's ``(..., blocks, 8, 8)`` blocks, so a lock-step encode gives
+    each stream of the stack its own quantiser in one call.
+    """
 
     qmat: np.ndarray
 
@@ -294,7 +330,7 @@ class PlaneCodec:
         coefficients = forward_dct(split_blocks(signal))
         quantised = np.round(coefficients / self.qmat).astype(np.int32)
         rows = zigzag_scan(quantised)
-        reconstruction = self.reconstruct(rows, plane.shape[0], plane.shape[1], reference)
+        reconstruction = self.reconstruct(rows, plane.shape[-2], plane.shape[-1], reference)
         return rows, reconstruction
 
     def reconstruct(
@@ -324,6 +360,60 @@ class PlaneCodec:
         return self.reconstruct(_entropy_decode(payload, block_count), height, width, reference)
 
 
+def _stack_of_one(frame: Frame) -> tuple[np.ndarray, np.ndarray]:
+    return frame.y[None], np.stack((frame.u, frame.v))[None]
+
+
+class FrameStackCodec:
+    """Encodes one frame of each of several equally shaped streams per call.
+
+    Stream s is coded at ``qualities[s]``; everything a stream's bytes
+    depend on is its own pixels and rung, so the payloads are those of
+    :class:`FrameCodec` stream by stream — the stack only shares the
+    per-call cost of the transform and the entropy pass.
+    """
+
+    def __init__(self, qualities: Sequence[Quality]) -> None:
+        def stacked(base: np.ndarray) -> np.ndarray:
+            return np.stack([quant_matrix(base, quality.scale) for quality in qualities])
+
+        # One (8, 8) quantiser per stream, broadcast over that stream's
+        # blocks: luma stacks are (s, h, w), chroma (s, 2, h/2, w/2).
+        self._luma = PlaneCodec(stacked(_BASE_LUMA)[:, None])
+        self._chroma = PlaneCodec(stacked(_BASE_CHROMA)[:, None, None])
+
+    def encode_frames(
+        self,
+        y: np.ndarray,
+        uv: np.ndarray,
+        reference: tuple[np.ndarray, np.ndarray] | None,
+    ) -> tuple[list[bytes], tuple[np.ndarray, np.ndarray]]:
+        """Encode frame ``(y[s], uv[s])`` of every stream s; returns
+        ``(payload per stream, reconstruction)``.
+
+        ``y`` is ``(s, h, w)`` and ``uv`` ``(s, 2, h/2, w/2)`` (U and V
+        stacked), ``uint8``; ``reference`` is the previous call's
+        reconstruction — frames are predicted from it — or None for intra
+        frames. Layout per stream: a 1-byte frame type followed by one
+        continuous entropy bit stream covering all three planes — the
+        stream is self-delimiting, so no per-plane framing bytes exist.
+        """
+        height, width = y.shape[-2:]
+        if width % 16 or height % 16:
+            raise ValueError(
+                f"frame {width}x{height} must be a multiple of 16 "
+                "(so chroma planes split into whole 8px blocks)"
+            )
+        reference_y, reference_uv = (None, None) if reference is None else reference
+        y_rows, y_recon = self._luma.quantise(y, reference_y)
+        uv_rows, uv_recon = self._chroma.quantise(uv, reference_uv)
+        # A stream's three planes share one bit stream with no framing
+        # between them: its Y, U and V block rows, back to back.
+        rows = np.concatenate([y_rows, uv_rows.reshape(len(y), -1, 64)], axis=1)
+        frame_type = bytes([FRAME_TYPE_INTRA if reference is None else FRAME_TYPE_PREDICTED])
+        return [frame_type + payload for payload in _encode_streams(rows)], (y_recon, uv_recon)
+
+
 class FrameCodec:
     """Whole-frame encode/decode at one :class:`Quality` rung.
 
@@ -335,6 +425,7 @@ class FrameCodec:
 
     def __init__(self, quality: Quality) -> None:
         self.quality = quality
+        self._stack = FrameStackCodec((quality,))
         self._luma = PlaneCodec(quant_matrix(_BASE_LUMA, quality.scale))
         self._chroma = PlaneCodec(quant_matrix(_BASE_CHROMA, quality.scale))
 
@@ -344,32 +435,13 @@ class FrameCodec:
     def encode_frame(self, frame: Frame, reference: Frame | None) -> tuple[bytes, Frame]:
         """Encode one frame; returns ``(bytes, reconstruction)``.
 
-        The frame is intra when ``reference`` is None, predicted otherwise.
-        Layout: a 1-byte frame type followed by one continuous entropy bit
-        stream covering all three planes — the stream is self-delimiting,
-        so no per-plane framing bytes exist.
+        The frame is intra when ``reference`` is None, predicted otherwise:
+        the one-stream call of :meth:`FrameStackCodec.encode_frames`.
         """
-        if frame.width % 16 or frame.height % 16:
-            raise ValueError(
-                f"frame {frame.width}x{frame.height} must be a multiple of 16 "
-                "(so chroma planes split into whole 8px blocks)"
-            )
-        frame_type = FRAME_TYPE_INTRA if reference is None else FRAME_TYPE_PREDICTED
-        writer = BitWriter()
-        reconstructed_planes = []
-        plane_rows = []
-        reference_planes = (None, None, None) if reference is None else reference.planes
-        for codec, plane, ref_plane in zip(self._plane_codecs(), frame.planes, reference_planes):
-            rows, reconstruction = codec.quantise(plane, ref_plane)
-            plane_rows.append(rows)
-            reconstructed_planes.append(reconstruction)
-        # The three planes share one continuous bit stream with no framing
-        # between them, so stacking their block rows into a single entropy
-        # call is bit-identical to coding them plane by plane — and lets
-        # the vectorised coder amortise its fixed numpy cost per frame
-        # instead of per plane.
-        _write_rows(writer, np.vstack(plane_rows))
-        return struct.pack(">B", frame_type) + writer.getvalue(), Frame(*reconstructed_planes)
+        (data,), (y, uv) = self._stack.encode_frames(
+            *_stack_of_one(frame), None if reference is None else _stack_of_one(reference)
+        )
+        return data, Frame(y[0], uv[0, 0], uv[0, 1])
 
     def decode_frame(
         self, data: bytes | memoryview, width: int, height: int, reference: Frame | None

@@ -150,16 +150,16 @@ class Frame:
 
 
 def downsample_plane(plane: np.ndarray, factor: int) -> np.ndarray:
-    """Box-filter downsample of a uint8 plane by an integer factor."""
+    """Box-filter downsample of uint8 ``(..., h, w)`` planes by an integer factor."""
     if factor < 1:
         raise ValueError(f"downsample factor must be >= 1, got {factor}")
     if factor == 1:
         return plane.copy()
-    height, width = plane.shape
+    *lead, height, width = plane.shape
     if height % factor or width % factor:
         raise ValueError(f"plane {width}x{height} is not divisible by {factor}")
-    reduced = plane.reshape(height // factor, factor, width // factor, factor).mean(
-        axis=(1, 3)
+    reduced = plane.reshape(*lead, height // factor, factor, width // factor, factor).mean(
+        axis=(-3, -1)
     )
     return np.clip(np.round(reduced), 0, 255).astype(np.uint8)
 

@@ -9,16 +9,65 @@ operators below.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.video.bitstream import read_uvarint, write_uvarint
-from repro.video.codec import FrameCodec
-from repro.video.frame import Frame, downsample_frame, upsample_frame
+from repro.video.codec import FrameCodec, FrameStackCodec
+from repro.video.frame import Frame, downsample_plane, upsample_frame
 from repro.video.quality import Quality
 
 GOP_MAGIC = b"VGOP"
 _HEADER = struct.Struct(">4sBBHHH")  # magic, version, quality rank, width, height, frames
 GOP_FORMAT_VERSION = 1
+
+
+def coded_planes(
+    y: np.ndarray, u: np.ndarray, v: np.ndarray, downscale: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One stream's planes as the encoder steps through them: ``y`` as
+    ``(frames, h, w)`` and U, V stacked as ``(frames, 2, h/2, w/2)``, all
+    box-filtered down by ``downscale`` (the reduced-resolution rungs)."""
+    height, width = y.shape[-2:]
+    if downscale > 1:
+        if width % (16 * downscale) or height % (16 * downscale):
+            raise ValueError(
+                f"{width}x{height} cannot encode at 1/{downscale} resolution "
+                f"(must be a multiple of {16 * downscale})"
+            )
+        y, u, v = (downsample_plane(plane, downscale) for plane in (y, u, v))
+    return y, np.stack((u, v), axis=1)
+
+
+def encode_gops(
+    qualities: Sequence[Quality], y: np.ndarray, uv: np.ndarray, width: int, height: int
+) -> list[bytes]:
+    """Encode several streams of one coded shape as closed GOPs, in lock-step.
+
+    Stream s is ``y[s]``, ``uv[s]`` as :func:`coded_planes` returns them,
+    coded at ``qualities[s]``. Each frame index is one step over every
+    stream — first intra, rest predicted from the step before — so the
+    transform and the entropy coder are entered once per frame, not once
+    per frame per stream; the bytes are those of coding each stream alone.
+    Headers record ``width``×``height``, the size a decoder hands back.
+    """
+    codec = FrameStackCodec(qualities)
+    frame_count = y.shape[1]
+    gops = [
+        [_HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, frame_count)]
+        for quality in qualities
+    ]
+    reference = None
+    for index in range(frame_count):
+        payloads, reference = codec.encode_frames(y[:, index], uv[:, index], reference)
+        for chunks, data in zip(gops, payloads):
+            length = bytearray()
+            write_uvarint(length, len(data))
+            chunks.append(bytes(length))
+            chunks.append(data)
+    return [b"".join(chunks) for chunks in gops]
 
 
 class GopCodec:
@@ -29,7 +78,8 @@ class GopCodec:
         self._frame_codec = FrameCodec(quality)
 
     def encode_gop(self, frames: list[Frame]) -> bytes:
-        """Encode frames as one closed GOP (first intra, rest predicted).
+        """Encode frames as one closed GOP (first intra, rest predicted):
+        the one-stream call of :func:`encode_gops`.
 
         Qualities with ``downscale > 1`` are coded at reduced resolution;
         the header records the *original* dimensions and decode upsamples
@@ -44,27 +94,11 @@ class GopCodec:
                     f"frame {index} is {frame.width}x{frame.height}, "
                     f"GOP started at {width}x{height}"
                 )
-        factor = self.quality.downscale
-        if factor > 1:
-            if width % (16 * factor) or height % (16 * factor):
-                raise ValueError(
-                    f"{width}x{height} cannot encode at 1/{factor} resolution "
-                    f"(must be a multiple of {16 * factor})"
-                )
-            frames = [downsample_frame(frame, factor) for frame in frames]
-        chunks = [
-            _HEADER.pack(
-                GOP_MAGIC, GOP_FORMAT_VERSION, self.quality.rank, width, height, len(frames)
-            )
-        ]
-        reference = None
-        for frame in frames:
-            data, reference = self._frame_codec.encode_frame(frame, reference)
-            length = bytearray()
-            write_uvarint(length, len(data))
-            chunks.append(bytes(length))
-            chunks.append(data)
-        return b"".join(chunks)
+        y, uv = coded_planes(
+            *(np.stack(planes) for planes in zip(*(frame.planes for frame in frames))),
+            self.quality.downscale,
+        )
+        return encode_gops((self.quality,), y[None], uv[None], width, height)[0]
 
     def decode_gop(self, data: bytes) -> list[Frame]:
         """Decode a byte string produced by :meth:`encode_gop`."""

@@ -4,8 +4,8 @@ The encode fan-out's cost problem is not compute, it is IPC: pickling a
 GOP's raw frames into every worker job re-ships megabytes per tile. This
 module moves the raw bytes out of band. The parent publishes one GOP's
 planes into a single ``multiprocessing.shared_memory`` block; worker jobs
-receive only a tiny :class:`GopBlock` descriptor plus a tile rectangle
-and slice their own sub-frames out of the mapping.
+receive only a tiny :class:`GopBlock` descriptor and slice their own
+tiles' sub-planes out of the mapping.
 
 Lifecycle contract: blocks are created by :func:`publish_gop`, named
 deterministically (``vcin-<pid>-<seq>``), and destroyed by the publisher
@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -217,19 +220,20 @@ def _copy_tile(
     )
 
 
-def read_tile_frames(block: GopBlock, rect: tuple[int, int, int, int]) -> list[Frame]:
-    """Worker side: attach, copy one tile's sub-frames out, detach.
+@contextmanager
+def attached_gop(
+    block: GopBlock,
+) -> Iterator[Callable[[tuple[int, int, int, int]], tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Worker side: attach to a published GOP for the length of the block.
 
-    Returns frames equal to ``[frame.crop(*rect) for frame in gop]`` on
-    the publisher side — the equality the byte-identity guarantee rides
-    on.
+    Yields ``rect -> (y, u, v)``, each call copying one tile's sub-planes
+    (frames stacked on the first axis) out of the mapping — equal to
+    stacking ``frame.crop(*rect)`` over the GOP on the publisher side,
+    the equality the byte-identity guarantee rides on. The copies outlive
+    the attachment; the attachment is closed on exit, never unlinked.
     """
     shm = _attach(block.name)
     try:
-        y_sub, u_sub, v_sub = _copy_tile(block, shm.buf, rect)
+        yield partial(_copy_tile, block, shm.buf)
     finally:
         shm.close()
-    return [
-        Frame(y=y_sub[index], u=u_sub[index], v=v_sub[index])
-        for index in range(block.frame_count)
-    ]

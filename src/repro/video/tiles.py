@@ -11,19 +11,26 @@ move bytes only and never run the entropy decoder.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import struct
+import threading
 import warnings
+from collections.abc import Callable, Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import forkserver
+from pathlib import Path
+
+import numpy as np
 
 from repro.geometry.grid import TileGrid
 from repro.video.frame import Frame
-from repro.video.gop import GopCodec, decode_any_gop
+from repro.video.gop import coded_planes, decode_any_gop, encode_gops
 from repro.video.quality import Quality
 from repro.video.shmem import (
     GopBlock,
+    attached_gop,
     publish_gop,
-    read_tile_frames,
     shared_memory_available,
 )
 
@@ -259,51 +266,134 @@ class TiledGop:
         return quality
 
 
-def _encode_ladder(
-    sub_frames: list[Frame], ladder: tuple[Quality, ...]
-) -> tuple[bytes, ...]:
-    return tuple(GopCodec(quality).encode_gop(sub_frames) for quality in ladder)
+#: One (tile, rung) segment of a GOP: the unit the encoder steps through.
+Stream = tuple[tuple[int, int], Quality]
+#: A tile's raw planes, frames stacked: ``(y, u, v)`` as ``(frames, h, w)``.
+Planes = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Samples (luma + chroma) one lock-step step may hold: 24 streams of
+#: 32x32. Per-call numpy/scipy overhead falls as a step widens, and past
+#: this point the float64 intermediates — which grow with the step —
+#: cost more than the calls they save. Measured per 256x128 GOP x 3 rungs
+#: encoded in-process (DESIGN.md, "Process-parallel segment encoding"):
+#: 3 streams a step 172-179 ms, 12 streams 91 ms, 24 streams 73-75 ms,
+#: 48 streams 87 ms, 96 streams 97-104 ms and +4-6 MB of RSS. A
+#: measurement, not an option: it also bounds the encoder's working set
+#: at any frame size.
+STEP_SAMPLES = 24 * 32 * 32 * 3 // 2
+#: What the encoder may allocate beyond its output while it runs, per
+#: step sample: the float64 signal, coefficients, dequantised and
+#: reconstructed copies, the int32 rows and the entropy coder's symbol
+#: arrays are each a small multiple of the step (~50 bytes a sample
+#: measured on a 2-frame 1024x512 GOP; each further frame of the GOP adds
+#: its uint8 crops, ~3 bytes a sample). ``tests/test_ingest_parallel.py``
+#: holds the tracemalloc peak under ``STEP_SAMPLES`` times this, and
+#: shows it broken (~100 MB) once the budget is taken away.
+STEP_PEAK_BYTES_PER_SAMPLE = 96
 
 
-def _encode_tile_ladder_job(
-    job: tuple[tuple[int, int], tuple[Quality, ...], list[Frame]],
-) -> tuple[tuple[int, int], tuple[bytes, ...]]:
-    """Pickling transport: encode every rung of one tile's ladder.
+def _tile_rect(
+    tile: tuple[int, int], tile_width: int, tile_height: int
+) -> tuple[int, int, int, int]:
+    row, col = tile
+    x0 = col * tile_width
+    y0 = row * tile_height
+    return (x0, y0, x0 + tile_width, y0 + tile_height)
+
+
+def _steps(streams: list[Stream], tile_samples: int) -> Iterator[list[Stream]]:
+    """Cut streams into lock-step batches: one coded shape each (tiles are
+    equal, so that is one ``downscale``), at most ``STEP_SAMPLES`` a step."""
+    by_shape: dict[int, list[Stream]] = {}
+    for stream in streams:
+        by_shape.setdefault(stream[1].downscale, []).append(stream)
+    for downscale, group in by_shape.items():
+        size = max(1, STEP_SAMPLES * downscale**2 // tile_samples)
+        for start in range(0, len(group), size):
+            yield group[start : start + size]
+
+
+def _encode_share(
+    streams: list[Stream],
+    tile_planes: Callable[[tuple[int, int]], Planes],
+    tile_width: int,
+    tile_height: int,
+) -> dict[Stream, bytes]:
+    """Encode one share of a GOP's streams (in-process: all of them), batch
+    by batch; ``tile_planes`` hands out a tile's raw planes when a batch
+    needs them. Every stream is an independent closed GOP, so any batching
+    yields identical bytes."""
+    payloads: dict[Stream, bytes] = {}
+    for batch in _steps(streams, tile_width * tile_height * 3 // 2):
+        downscale = batch[0][1].downscale
+        coded = {
+            tile: coded_planes(*tile_planes(tile), downscale)
+            for tile in dict.fromkeys(tile for tile, _ in batch)
+        }
+        gops = encode_gops(
+            [quality for _, quality in batch],
+            np.stack([coded[tile][0] for tile, _ in batch]),
+            np.stack([coded[tile][1] for tile, _ in batch]),
+            tile_width,
+            tile_height,
+        )
+        payloads.update(zip(batch, gops))
+    return payloads
+
+
+def _shares(
+    ladder_map: dict[tuple[int, int], tuple[Quality, ...]], count: int
+) -> list[list[Stream]]:
+    """The GOP's streams as at most ``count`` contiguous shares of whole
+    tiles, as equal in stream count as whole tiles allow."""
+    total = sum(len(ladder) for ladder in ladder_map.values())
+    shares: list[list[Stream]] = [[] for _ in range(count)]
+    seen = 0
+    for tile, ladder in ladder_map.items():
+        # A tile goes where the middle of its run of streams falls.
+        middle = 2 * seen + len(ladder)
+        shares[middle * count // (2 * total)].extend((tile, quality) for quality in ladder)
+        seen += len(ladder)
+    return [share for share in shares if share]
+
+
+def _encode_share_job(
+    job: tuple[list[Stream], GopBlock | dict[tuple[int, int], Planes], int, int],
+) -> dict[Stream, bytes]:
+    """One pool worker's share of a GOP.
 
     Module-level (and taking one picklable tuple) so a
-    :class:`~concurrent.futures.ProcessPoolExecutor` can ship it to worker
-    processes. The raw sub-frames cross the process boundary exactly once
-    per tile — the whole ladder is encoded in-worker from that one copy.
-    Every (tile, quality) segment is an independent closed GOP, so jobs
-    share no state and any execution order yields identical bytes.
+    :class:`~concurrent.futures.ProcessPoolExecutor` can ship it. The raw
+    planes arrive as a shared-memory descriptor the worker slices its own
+    tiles out of, or — where the platform has no shared memory — pickled
+    into the job, each tile exactly once.
     """
-    tile, ladder, sub_frames = job
-    return tile, _encode_ladder(sub_frames, ladder)
+    streams, planes, tile_width, tile_height = job
+    if not isinstance(planes, GopBlock):
+        return _encode_share(streams, planes.__getitem__, tile_width, tile_height)
+    with attached_gop(planes) as read_rect:
+        return _encode_share(
+            streams,
+            lambda tile: read_rect(_tile_rect(tile, tile_width, tile_height)),
+            tile_width,
+            tile_height,
+        )
 
 
-def _encode_tile_shm_job(
-    job: tuple[tuple[int, int], tuple[Quality, ...], GopBlock, tuple[int, int, int, int]],
-) -> tuple[tuple[int, int], tuple[bytes, ...]]:
-    """Shared-memory transport: the job carries only a block descriptor
-    and a tile rectangle; the worker slices its own sub-frames out of the
-    published GOP and encodes the full ladder."""
-    tile, ladder, block, rect = job
-    return tile, _encode_ladder(read_tile_frames(block, rect), ladder)
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a container limited to 2 of 64 cores reads 2), else the
+    machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 _ENCODE_CONTEXT: multiprocessing.context.BaseContext | None = None
+_FORKSERVER_LAUNCH = threading.Lock()
 
 
-def encode_context() -> multiprocessing.context.BaseContext:
-    """The multiprocessing context every encode pool is built from.
-
-    Explicitly ``forkserver`` (preloaded with this module, so numpy and
-    the codec are imported once in the server and inherited by every
-    forked worker) or ``spawn`` where forkserver is unavailable — never
-    the platform default: bare ``fork`` after threads exist, with numpy
-    loaded, is a latent deadlock, and the import cost should be paid once
-    per pool rather than trusted to luck.
-    """
+def _context() -> multiprocessing.context.BaseContext:
     global _ENCODE_CONTEXT
     if _ENCODE_CONTEXT is None:
         try:
@@ -315,9 +405,43 @@ def encode_context() -> multiprocessing.context.BaseContext:
     return _ENCODE_CONTEXT
 
 
+def encode_context() -> multiprocessing.context.BaseContext:
+    """The multiprocessing context every encode pool is built from.
+
+    Explicitly ``forkserver`` (preloaded with this module, so numpy, scipy
+    and the codec are imported once in the server and inherited by every
+    forked worker) or ``spawn`` where forkserver is unavailable — never
+    the platform default: bare ``fork`` after threads exist, with numpy
+    loaded, is a latent deadlock, and the import cost should be paid once
+    per process rather than once per pool.
+
+    The preload only happens if the server can import this package, and
+    until Python 3.13 it neither applies the ``sys.path`` it is sent nor
+    reports the ``ImportError``: when ``repro`` was found through a
+    run-time ``sys.path`` entry, every worker of every pool imported
+    numpy/scipy cold (550-650 ms to a first result instead of 14-20 ms).
+    So the server is launched here, with the package root on
+    ``PYTHONPATH`` for just that moment.
+    """
+    context = _context()
+    if context.get_start_method() == "forkserver":
+        root = str(Path(__file__).resolve().parents[2])
+        with _FORKSERVER_LAUNCH:
+            inherited = os.environ.get("PYTHONPATH")
+            os.environ["PYTHONPATH"] = root + (os.pathsep + inherited if inherited else "")
+            try:
+                forkserver.ensure_running()
+            finally:
+                if inherited is None:
+                    del os.environ["PYTHONPATH"]
+                else:
+                    os.environ["PYTHONPATH"] = inherited
+    return context
+
+
 def encode_start_method() -> str:
     """The start method encode pools use (bench/provenance reporting)."""
-    return encode_context().get_start_method()
+    return _context().get_start_method()
 
 
 def make_encode_executor(
@@ -353,19 +477,6 @@ def make_encode_executor(
         return None
 
 
-def _dispatch_chunksize(jobs: int, executor: Executor, workers: int) -> int:
-    """Jobs per dispatched chunk, derived from the pool's *actual* size.
-
-    A shared executor may have been built with a different worker count
-    than the ``workers`` parameter a caller passes alongside it — sizing
-    chunks from the parameter then under- or over-batches. Four chunks
-    per worker keeps dispatch overhead amortised while still load-
-    balancing uneven tiles.
-    """
-    pool_workers = getattr(executor, "_max_workers", None) or max(workers, 1)
-    return max(1, jobs // (4 * pool_workers))
-
-
 class TiledVideoCodec:
     """Splits GOPs along a tile grid and encodes each tile independently."""
 
@@ -380,12 +491,6 @@ class TiledVideoCodec:
         self.height = height
         self.tile_width = width // grid.cols
         self.tile_height = height // grid.rows
-        self._codecs: dict[Quality, GopCodec] = {}
-
-    def _codec(self, quality: Quality) -> GopCodec:
-        if quality not in self._codecs:
-            self._codecs[quality] = GopCodec(quality)
-        return self._codecs[quality]
 
     def encode_gop(
         self,
@@ -428,13 +533,6 @@ class TiledVideoCodec:
             },
         )
 
-    def _tile_rect(self, tile: tuple[int, int]) -> tuple[int, int, int, int]:
-        row, col = tile
-        self.grid.index_of(row, col)
-        x0 = col * self.tile_width
-        y0 = row * self.tile_height
-        return (x0, y0, x0 + self.tile_width, y0 + self.tile_height)
-
     def encode_gop_ladders(
         self,
         frames: list[Frame],
@@ -444,23 +542,30 @@ class TiledVideoCodec:
         executor: Executor | None = None,
         registry=None,
     ) -> dict[tuple[tuple[int, int], Quality], bytes]:
-        """Encode one GOP at a per-tile quality *ladder* in one fan-out.
+        """Encode one GOP at a per-tile quality *ladder*.
 
-        The ingest-side primitive: each job covers all of a tile's rungs,
-        so a tile's raw bytes cross the process boundary once — not once
-        per quality. Where the platform has shared memory they do not
-        cross it at all: the GOP's planes are published into one shared
-        block and jobs carry only ``(tile, ladder, block descriptor,
-        rect)``. The block is unlinked in a ``finally``, so worker failure
-        and KeyboardInterrupt cannot leak it. Platforms without shared
-        memory (or a refused publish) degrade to pickling the sub-frames,
-        counted in ``ingest.shm_fallback``, and from there (no usable
-        pool) to the serial path; every path is byte-identical.
+        The ingest-side primitive. Every (tile, rung) is one stream — a
+        closed GOP of its own — and streams of equal coded shape are
+        encoded in lock-step, ``STEP_SAMPLES`` at a time, so the
+        transform and the entropy coder are entered once per frame per
+        step instead of once per frame per segment. Partial ladders and
+        reduced-resolution rungs are just more streams.
+
+        With a pool, each worker gets one contiguous share of whole tiles.
+        Where the platform has shared memory the raw planes do not cross
+        the process boundary at all: they are published into one shared
+        block and a job carries only its streams and the block's
+        descriptor. The block is unlinked in a ``finally``, so worker
+        failure and KeyboardInterrupt cannot leak it. Platforms without
+        shared memory (or a refused publish) degrade to pickling each
+        share's tiles, counted in ``ingest.shm_fallback``, and from there
+        (no usable pool) to the in-process path; every path is
+        byte-identical.
 
         An explicit ``executor`` takes precedence over ``workers`` and is
         not shut down here — ingest passes one shared pool so it is paid
-        for once per video, not once per GOP. Dispatch chunking is sized
-        from the executor's actual worker count.
+        for once per video, not once per GOP — and shares are cut for its
+        actual worker count.
         """
         if not frames:
             raise ValueError("cannot encode an empty GOP")
@@ -471,9 +576,9 @@ class TiledVideoCodec:
                     f"codec configured for {self.width}x{self.height}"
                 )
         for tile, ladder in ladder_map.items():
+            self.grid.index_of(*tile)
             if not ladder:
                 raise ValueError(f"tile {tile} has an empty quality ladder")
-        rects = {tile: self._tile_rect(tile) for tile in ladder_map}
         own_pool = None
         if executor is None:
             executor = own_pool = make_encode_executor(
@@ -481,40 +586,45 @@ class TiledVideoCodec:
             )
         try:
             if executor is None:
-                encoded = {}
-                for tile, ladder in ladder_map.items():
-                    sub_frames = self._crop(frames, rects[tile])
-                    encoded[tile] = tuple(
-                        self._codec(quality).encode_gop(sub_frames)
-                        for quality in ladder
-                    )
+                encoded = _encode_share(
+                    [(tile, quality) for tile, ladder in ladder_map.items() for quality in ladder],
+                    lambda tile: self._crop(frames, tile),
+                    self.tile_width,
+                    self.tile_height,
+                )
             else:
                 encoded = self._encode_parallel(
-                    frames, ladder_map, rects, executor, workers, registry
+                    frames, ladder_map, executor, workers, registry
                 )
         finally:
             if own_pool is not None:
                 own_pool.shutdown()
         return {
-            (tile, quality): payload
+            (tile, quality): encoded[(tile, quality)]
             for tile, ladder in ladder_map.items()
-            for quality, payload in zip(ladder, encoded[tile])
+            for quality in ladder
         }
 
-    @staticmethod
-    def _crop(frames: list[Frame], rect: tuple[int, int, int, int]) -> list[Frame]:
-        return [frame.crop(*rect) for frame in frames]
+    def _crop(self, frames: list[Frame], tile: tuple[int, int]) -> Planes:
+        x0, y0, x1, y1 = _tile_rect(tile, self.tile_width, self.tile_height)
+        return (
+            np.stack([frame.y[y0:y1, x0:x1] for frame in frames]),
+            np.stack([frame.u[y0 // 2 : y1 // 2, x0 // 2 : x1 // 2] for frame in frames]),
+            np.stack([frame.v[y0 // 2 : y1 // 2, x0 // 2 : x1 // 2] for frame in frames]),
+        )
 
     def _encode_parallel(
         self,
         frames: list[Frame],
         ladder_map: dict[tuple[int, int], tuple[Quality, ...]],
-        rects: dict[tuple[int, int], tuple[int, int, int, int]],
         executor: Executor,
         workers: int,
         registry,
-    ) -> dict[tuple[int, int], tuple[bytes, ...]]:
-        chunk = _dispatch_chunksize(len(ladder_map), executor, workers)
+    ) -> dict[Stream, bytes]:
+        # A shared executor may have been built with a different worker
+        # count than the ``workers`` a caller passes alongside it.
+        pool_workers = getattr(executor, "_max_workers", None) or max(workers, 1)
+        shares = _shares(ladder_map, pool_workers)
         published = None
         try:
             if shared_memory_available():
@@ -522,16 +632,13 @@ class TiledVideoCodec:
                     published = publish_gop(frames)
                 except OSError:
                     pass  # e.g. /dev/shm full: pickle this GOP instead
+            size = (self.tile_width, self.tile_height)
             if published is not None:
                 if registry is not None:
                     registry.counter(
                         "ingest.shm_gops", "GOPs shipped via shared memory"
                     ).inc()
-                jobs = [
-                    (tile, ladder, published.descriptor, rects[tile])
-                    for tile, ladder in ladder_map.items()
-                ]
-                pairs = executor.map(_encode_tile_shm_job, jobs, chunksize=chunk)
+                jobs = [(share, published.descriptor, *size) for share in shares]
             else:
                 if registry is not None:
                     registry.counter(
@@ -542,13 +649,22 @@ class TiledVideoCodec:
                         "ingest.pickled_gops", "GOPs shipped by pickling raw frames"
                     ).inc()
                 jobs = [
-                    (tile, ladder, self._crop(frames, rects[tile]))
-                    for tile, ladder in ladder_map.items()
+                    (
+                        share,
+                        {
+                            tile: self._crop(frames, tile)
+                            for tile in dict.fromkeys(tile for tile, _ in share)
+                        },
+                        *size,
+                    )
+                    for share in shares
                 ]
-                pairs = executor.map(_encode_tile_ladder_job, jobs, chunksize=chunk)
-            # dict() drains the map, so every job is done (or has raised)
+            encoded: dict[Stream, bytes] = {}
+            # The loop drains the map, so every job is done (or has raised)
             # before the finally below unlinks the block.
-            return dict(pairs)
+            for part in executor.map(_encode_share_job, jobs):
+                encoded.update(part)
+            return encoded
         finally:
             if published is not None:
                 published.destroy()

@@ -26,6 +26,7 @@ from repro.video.codec import (
     _write_rows,
     _write_rows_reference,
 )
+from repro.video.frame import Frame
 from repro.video.quality import Quality
 from repro.video.tiles import TiledVideoCodec, make_encode_executor
 from repro.workloads.videos import synthetic_video
@@ -155,10 +156,19 @@ class TestParallelIngestByteIdentity:
         for key in serial.payloads:
             assert serial.payloads[key] == parallel.payloads[key], f"tile {key} differs"
 
-    def test_workers_default_resolves_to_cpu_count(self):
+    def test_workers_default_resolves_to_cpu_count(self, monkeypatch):
+        """The CPUs this process may run on, not the machine's count."""
         import os
 
-        assert IngestConfig().workers == (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert IngestConfig().workers == len(os.sched_getaffinity(0))
+            # A container limited to 2 cores of a 64-core machine.
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            assert IngestConfig().workers == 2
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert IngestConfig().workers == 3
         with pytest.raises(ValueError):
             IngestConfig(workers=0)
 
@@ -196,13 +206,14 @@ class TestSharedMemoryTransport:
     def test_round_trip_equals_crop(self, tiny_frames):
         published = shmem.publish_gop(tiny_frames)
         try:
-            got = shmem.read_tile_frames(published.descriptor, (16, 8, 48, 24))
+            with shmem.attached_gop(published.descriptor) as read_rect:
+                got = read_rect((16, 8, 48, 24))
         finally:
             published.destroy()
         expected = [frame.crop(16, 8, 48, 24) for frame in tiny_frames]
-        assert len(got) == len(expected)
-        for mine, theirs in zip(got, expected):
-            assert mine.equals(theirs)
+        assert all(len(plane) == len(expected) for plane in got)
+        for index, theirs in enumerate(expected):
+            assert Frame(*(plane[index] for plane in got)).equals(theirs)
 
     @needs_shm
     def test_full_frame_rect_copies_out_of_the_mapping(self, tiny_frames):
@@ -211,15 +222,14 @@ class TestSharedMemoryTransport:
         frame = tiny_frames[0]
         published = shmem.publish_gop(tiny_frames)
         try:
-            got = shmem.read_tile_frames(
-                published.descriptor, (0, 0, frame.width, frame.height)
-            )
+            with shmem.attached_gop(published.descriptor) as read_rect:
+                got = read_rect((0, 0, frame.width, frame.height))
         finally:
             published.destroy()
-        # The mapping is gone; the frames must still be readable.
+        # The mapping is gone; the planes must still be readable.
         assert _shm_blocks() == []
-        for mine, theirs in zip(got, tiny_frames):
-            assert mine.equals(theirs)
+        for index, theirs in enumerate(tiny_frames):
+            assert Frame(*(plane[index] for plane in got)).equals(theirs)
 
     @needs_shm
     def test_destroy_is_idempotent_and_unlinks(self, tiny_frames):
@@ -388,36 +398,226 @@ class TestPoolFallbackIsLoud:
         assert _segment_files(tmp_path / "serial") == _segment_files(tmp_path / "broken")
 
 
-class TestDispatchChunking:
-    def test_chunksize_follows_executor_not_workers_param(self):
-        """A shared pool sized 2 must not be chunked as if it had 16 workers."""
+_PRELOAD_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.video.tiles import encode_start_method, make_encode_executor
+
+if __name__ == "__main__":
+    held = []
+    for _ in range(2):
+        pool = make_encode_executor(2, 2)
+        # eval unpickles without importing anything: what the worker holds
+        # before its first job is what the forkserver preloaded.
+        held.append(pool.submit(eval, "'scipy.fft' in __import__('sys').modules").result())
+        pool.shutdown()
+    print(encode_start_method(), held)
+"""
+
+
+class TestEncodePoolPreload:
+    def test_workers_are_born_with_the_codec_imported(self):
+        """``repro`` reachable only through a run-time ``sys.path`` entry —
+        how ``benchmarks/perf/run.py`` runs it: the forkserver's preload
+        must still import, so the workers of a second fresh pool hold
+        ``scipy.fft`` before their first job instead of importing numpy
+        and scipy cold in every worker of every pool."""
+        import os
+        import subprocess
+        import sys
+
+        src = str(Path(tiles.__file__).resolve().parents[2])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-c", _PRELOAD_PROBE.format(src=src)],
+            env=env,
+            cwd=Path(src).anchor,  # not the repo: '' on sys.path must not find repro
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        method, held = done.stdout.strip().split(" ", 1)
+        if method != "forkserver":
+            pytest.skip("no forkserver on this platform: spawned workers import cold")
+        assert held == "[True, True]"
+
+
+class TestShares:
+    def test_shares_follow_executor_not_workers_param(self):
+        """A shared pool sized 2 gets 2 shares, whatever ``workers`` says,
+        and every tile lands — whole — in exactly one of them."""
 
         class RecordingExecutor:
             def __init__(self, max_workers):
                 self._max_workers = max_workers
-                self.chunksizes = []
+                self.jobs = []
 
             def map(self, fn, jobs, chunksize=1):
-                self.chunksizes.append(chunksize)
-                return map(fn, list(jobs))
+                self.jobs = list(jobs)
+                return map(fn, self.jobs)
 
         frames = list(
             synthetic_video("venice", width=128, height=64, fps=4.0, duration=0.5, seed=1)
         )
         codec = TiledVideoCodec(TileGrid(4, 4), 128, 64)
-        ladders = {tile: (Quality.LOW,) for tile in codec.grid.tiles()}
+        ladders = {tile: (Quality.HIGH, Quality.LOW) for tile in codec.grid.tiles()}
+        ladders[(0, 0)] = (Quality.LOW,)  # a partial ladder
         executor = RecordingExecutor(max_workers=2)
-        codec.encode_gop_ladders(frames, ladders, workers=16, executor=executor)
-        # 16 jobs over 2 actual workers -> 4 chunks per worker -> 2 jobs
-        # per chunk. The workers=16 parameter must not shrink this to 1.
-        assert executor.chunksizes == [2]
+        parallel = codec.encode_gop_ladders(frames, ladders, workers=16, executor=executor)
+        assert parallel == codec.encode_gop_ladders(frames, ladders)
+        shares = [job[0] for job in executor.jobs]
+        assert len(shares) == 2
+        owners = [{tile for tile, _ in share} for share in shares]
+        assert not owners[0] & owners[1]
+        assert owners[0] | owners[1] == set(ladders)
+        assert sorted(stream for share in shares for stream in share) == sorted(
+            (tile, quality) for tile, ladder in ladders.items() for quality in ladder
+        )
+        # 31 streams over 2 workers: as even as whole tiles allow.
+        assert sorted(len(share) for share in shares) == [15, 16]
 
-    def test_chunksize_helper_floors_at_one(self):
-        class Pool:
-            _max_workers = 8
+    def test_never_more_shares_than_tiles(self):
+        ladders = {(0, 0): (Quality.HIGH, Quality.LOW), (0, 1): (Quality.HIGH,)}
+        shares = tiles._shares(ladders, 8)
+        assert [[tile for tile, _ in share] for share in shares] == [
+            [(0, 0), (0, 0)],
+            [(0, 1)],
+        ]
 
-        assert tiles._dispatch_chunksize(3, Pool(), workers=1) == 1
-        assert tiles._dispatch_chunksize(64, Pool(), workers=1) == 2
+
+def _scalar_reference_gop(frames: list[Frame], quality: Quality) -> bytes:
+    """One (tile, rung) segment the slow way: per frame and per plane, the
+    tile's own ``PlaneCodec.quantise`` chain, entropy-coded symbol by
+    symbol — the wire format's specification, with no batching anywhere."""
+    from repro.video.bitstream import write_uvarint
+    from repro.video.codec import _BASE_CHROMA, _BASE_LUMA, PlaneCodec, quant_matrix
+    from repro.video.frame import downsample_frame
+    from repro.video.gop import _HEADER, GOP_FORMAT_VERSION, GOP_MAGIC
+
+    width, height = frames[0].width, frames[0].height
+    if quality.downscale > 1:
+        frames = [downsample_frame(frame, quality.downscale) for frame in frames]
+    luma = PlaneCodec(quant_matrix(_BASE_LUMA, quality.scale))
+    chroma = PlaneCodec(quant_matrix(_BASE_CHROMA, quality.scale))
+    out = bytearray(
+        _HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, len(frames))
+    )
+    reference = None
+    for frame in frames:
+        writer = BitWriter()
+        writer.write(0 if reference is None else 1, 8)
+        reconstruction = []
+        for codec, plane, previous in zip(
+            (luma, chroma, chroma), frame.planes, reference or (None, None, None)
+        ):
+            rows, plane_reconstruction = codec.quantise(plane, previous)
+            _write_rows_reference(writer, rows)
+            reconstruction.append(plane_reconstruction)
+        data = writer.getvalue()
+        write_uvarint(out, len(data))
+        out += data
+        reference = reconstruction
+    return bytes(out)
+
+
+class TestLockstepEncoder:
+    """The lock-step encoder against the scalar reference, stream by stream."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar_reference_property(self, data):
+        tile_px = data.draw(st.sampled_from([16, 32]), label="tile px")
+        rows = data.draw(st.integers(1, 2), label="grid rows")
+        cols = data.draw(st.integers(1, 3), label="grid cols")
+        frame_count = data.draw(st.integers(1, 3), label="frames")
+        # A reduced-resolution rung needs 32 px of tile to halve.
+        rungs = [q for q in Quality if tile_px // q.downscale >= 16]
+        ladder = st.lists(st.sampled_from(rungs), min_size=1, max_size=len(rungs), unique=True)
+        grid = TileGrid(rows, cols)
+        ladders = data.draw(
+            st.dictionaries(st.sampled_from(list(grid.tiles())), ladder, min_size=1),
+            label="ladders",
+        )
+        ladders = {tile: tuple(ladder) for tile, ladder in ladders.items()}
+        streams_per_step = data.draw(st.sampled_from([1, 2, 5, 1000]), label="streams a step")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        base = rng.uniform(0, 255, (3, rows * tile_px, cols * tile_px))
+        frames = []
+        for _ in range(frame_count):
+            base = np.clip(base + rng.normal(0, 12, base.shape), 0, 255)
+            frames.append(Frame.from_rgb(np.moveaxis(base, 0, -1)))
+
+        codec = TiledVideoCodec(grid, cols * tile_px, rows * tile_px)
+        step = streams_per_step * tile_px * tile_px * 3 // 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tiles, "STEP_SAMPLES", step)
+            encoded = codec.encode_gop_ladders(frames, ladders)
+        assert set(encoded) == {
+            (tile, quality) for tile, ladder in ladders.items() for quality in ladder
+        }
+        for (tile, quality), payload in encoded.items():
+            x0, y0 = tile[1] * tile_px, tile[0] * tile_px
+            own = [frame.crop(x0, y0, x0 + tile_px, y0 + tile_px) for frame in frames]
+            assert payload == _scalar_reference_gop(own, quality), (tile, quality)
+
+    def test_level_guard_holds_per_stream(self, monkeypatch):
+        """Rows at the fused-pair limit in the *middle* stream of a batch:
+        that stream alone goes to the scalar coder, its batch-mates stay
+        vectorised, and all three match the reference."""
+        from repro.video import codec
+
+        rng = np.random.default_rng(21)
+        rows = np.stack([_rng_rows(rng, blocks=6, density=0.3, span=900) for _ in range(3)])
+        rows[1, 2, 0] = 1 << 21
+        rows[1, 4, 63] = -(1 << 22) - 5
+        scalar_calls = []
+        reference = codec._write_rows_reference
+
+        def counting(writer, stream_rows):
+            scalar_calls.append(stream_rows.copy())
+            reference(writer, stream_rows)
+
+        monkeypatch.setattr(codec, "_write_rows_reference", counting)
+        payloads = codec._encode_streams(rows)
+        assert len(scalar_calls) == 1
+        np.testing.assert_array_equal(scalar_calls[0], rows[1])
+        for stream_rows, payload in zip(rows, payloads):
+            writer = BitWriter()
+            reference(writer, stream_rows)
+            assert payload == writer.getvalue()
+
+    def test_step_budget_bounds_the_working_set(self, monkeypatch):
+        """In-process encode of a 1024x512 GOP x 3 rungs allocates no more
+        than the step budget allows on top of its output — and does once
+        the budget is gone (96 streams of 128x128 in one step)."""
+        import tracemalloc
+
+        frames = list(
+            synthetic_video("venice", width=1024, height=512, fps=4.0, duration=0.5, seed=2)
+        )
+        codec = TiledVideoCodec(TileGrid(4, 8), 1024, 512)
+        ladders = {
+            tile: (Quality.HIGH, Quality.MEDIUM, Quality.LOWEST)
+            for tile in codec.grid.tiles()
+        }
+
+        def peak_over_output() -> int:
+            tracemalloc.start()
+            try:
+                encoded = codec.encode_gop_ladders(frames, ladders, workers=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - sum(len(payload) for payload in encoded.values())
+
+        # One 128x128 stream already exceeds the budget; a step is never
+        # less than one stream.
+        step = max(tiles.STEP_SAMPLES, 128 * 128 * 3 // 2)
+        bound = step * tiles.STEP_PEAK_BYTES_PER_SAMPLE
+        assert peak_over_output() < bound
+        monkeypatch.setattr(tiles, "STEP_SAMPLES", 1 << 40)
+        assert peak_over_output() > 4 * bound
 
 
 class TestLadderEncodeByteIdentity:

@@ -1,8 +1,11 @@
 """Unit tests for bit I/O and exp-Golomb codes."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.video.bitstream import BitReader, BitWriter
+from repro.video.bitstream import BitReader, BitWriter, pack_symbols
 
 
 class TestBitWriter:
@@ -116,3 +119,57 @@ class TestExpGolomb:
         reader = BitReader(b"\x00" * 10)
         with pytest.raises(ValueError):
             reader.read_ue()
+
+
+def _symbol(max_bits: int = 63):
+    """``(value, width)`` with the value fitting the width."""
+    return st.integers(1, max_bits).flatmap(
+        lambda nbits: st.tuples(st.integers(0, (1 << nbits) - 1), st.just(nbits))
+    )
+
+
+def _pack(streams: list[list[tuple[int, int]]]) -> list[bytes]:
+    symbols = [symbol for stream in streams for symbol in stream]
+    packed, offsets = pack_symbols(
+        np.array([value for value, _ in symbols], dtype=np.int64),
+        np.array([nbits for _, nbits in symbols], dtype=np.int64),
+        np.array([len(stream) for stream in streams], dtype=np.int64),
+    )
+    data = packed.tobytes()
+    return [data[start:stop] for start, stop in zip(offsets[:-1], offsets[1:])]
+
+
+def _separate_writers(streams: list[list[tuple[int, int]]]) -> list[bytes]:
+    payloads = []
+    for stream in streams:
+        writer = BitWriter()
+        for value, nbits in stream:
+            writer.write(value, nbits)
+        payloads.append(writer.getvalue())
+    return payloads
+
+
+class TestPackSymbols:
+    """The multi-stream packer against one scalar ``BitWriter`` per stream."""
+
+    @given(st.lists(st.lists(_symbol(), max_size=12), min_size=1, max_size=6))
+    def test_matches_separate_writers(self, streams):
+        assert _pack(streams) == _separate_writers(streams)
+
+    @pytest.mark.parametrize("lead_bits", range(8))
+    def test_widest_symbol_ending_a_stream(self, lead_bits):
+        # A 63-bit fused (run, level) pair is the widest codeword the codec
+        # emits. Ending a stream at every bit phase, it must neither lose
+        # its high bits nor spill into the byte-aligned stream after it.
+        widest = ((1 << 63) - 1, 63)
+        lead = [(0b1, lead_bits)] if lead_bits else []
+        streams = [lead + [widest], [(0b101, 3), widest], [widest]]
+        assert _pack(streams) == _separate_writers(streams)
+
+    def test_empty_streams_take_no_bytes(self):
+        streams = [[], [(1, 1)], [], []]
+        assert _pack(streams) == [b"", b"\x80", b"", b""]
+        packed, offsets = pack_symbols(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(2, dtype=np.int64)
+        )
+        assert packed.size == 0 and offsets.tolist() == [0, 0, 0]
