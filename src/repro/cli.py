@@ -175,12 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--invert", action="store_true")
     query.add_argument("--store", default=None, help="store the result under this name")
 
-    vrql = commands.add_parser("vrql", help="run a textual VRQL query")
-    vrql.add_argument(
-        "text",
-        help='e.g. "SCAN(venice) >> SELECT(time=0:2) >> MAP(grayscale) >> STORE(out)"',
-    )
-
     export = commands.add_parser("export", help="flatten one quality to a single file")
     export.add_argument("name")
     export.add_argument("output")
@@ -393,15 +387,6 @@ def _command_query(db: VisualCloud, args) -> None:
         print(f"stored as {args.store!r}")
 
 
-def _command_vrql(db: VisualCloud, args) -> None:
-    result = db.vrql(args.text)
-    print("plan:", " -> ".join(result.stats.operator_paths))
-    print(
-        f"homomorphic ops: {result.stats.homomorphic_ops}, "
-        f"decodes: {result.stats.decode_ops}, re-encodes: {result.stats.encode_ops}"
-    )
-
-
 def _command_export(db: VisualCloud, args) -> None:
     written = export_video(db.storage, args.name, args.output, quality=args.quality)
     print(f"wrote {written} bytes to {args.output}")
@@ -605,7 +590,6 @@ _COMMANDS = {
     "info": _command_info,
     "serve": _command_serve,
     "query": _command_query,
-    "vrql": _command_vrql,
     "export": _command_export,
     "import": _command_import,
     "drop": _command_drop,

@@ -19,12 +19,7 @@ from repro.control.controller import (
     default_segment_weights,
     nodes_from_config,
 )
-from repro.control.forecast import (
-    EwmaTrendForecaster,
-    FORECASTERS,
-    Forecast,
-    make_forecaster,
-)
+from repro.control.forecast import EwmaTrendForecaster, Forecast
 from repro.control.planner import ControlPlan, NodePlan, NodeState, Planner, diff_plans
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "ControlPlan",
     "Controller",
     "EwmaTrendForecaster",
-    "FORECASTERS",
     "Forecast",
     "HandleActuator",
     "HttpActuator",
@@ -44,6 +38,5 @@ __all__ = [
     "catalog_from_storage",
     "default_segment_weights",
     "diff_plans",
-    "make_forecaster",
     "nodes_from_config",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.control.forecast import DemandForecaster, make_forecaster
+from repro.control.forecast import EwmaTrendForecaster
 from repro.control.planner import Planner
 from repro.serve.server import ServerConfig
 
@@ -26,7 +26,6 @@ class ControlConfig:
 
     enabled: bool = False
     interval: float = 0.5  # seconds between controller steps
-    forecaster: str = "ewma"  # key into repro.control.forecast.FORECASTERS
     alpha: float = 0.4  # demand-level smoothing
     beta: float = 0.3  # trend smoothing
     horizon: float = 2.0  # prediction lookahead, in intervals
@@ -48,8 +47,8 @@ class ControlConfig:
         self.build_forecaster()
         self.planner()
 
-    def build_forecaster(self) -> DemandForecaster:
-        return make_forecaster(self.forecaster, self.alpha, self.beta, self.horizon)
+    def build_forecaster(self) -> EwmaTrendForecaster:
+        return EwmaTrendForecaster(self.alpha, self.beta, self.horizon)
 
     def planner(self) -> Planner:
         return Planner(

@@ -10,8 +10,8 @@ forecaster/planner/actuator split BRAD uses:
    (:func:`repro.obs.counter_deltas` over ``serve.video_requests``) to
    get per-video request counts this interval, and read the segment
    endpoint's p99 for the SLO loop.
-2. **Forecast** — feed the counts into the pluggable demand forecaster
-   (EWMA + trend by default, see :mod:`repro.control.forecast`).
+2. **Forecast** — feed the counts into the demand forecaster
+   (EWMA + trend, see :mod:`repro.control.forecast`).
 3. **Plan** — hand forecasts, the segment catalog, and node states to
    the pure :class:`~repro.control.planner.Planner`; skip actuation when
    the plan is a no-op modulo version (:func:`diff_plans`).

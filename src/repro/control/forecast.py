@@ -24,18 +24,15 @@ term is large and positive, so the predicted rate crosses the pre-warm
 threshold while the *observed* rate is still small — which is what lets
 the planner pin the crowd's segments before the crowd peaks.
 
-Forecasters are pluggable through :data:`FORECASTERS`; anything with the
-:class:`DemandForecaster` shape (``observe`` / ``forecast`` /
-``forecasts``) drops in. Everything here is pure arithmetic on the fed
-observations — no clocks, no I/O — which is what makes the controller's
-deterministic mode possible: identical observation streams produce
-byte-identical forecasts.
+Everything here is pure arithmetic on the fed observations — no clocks,
+no I/O — which is what makes the controller's deterministic mode
+possible: identical observation streams produce byte-identical
+forecasts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 
 @dataclass(frozen=True)
@@ -57,16 +54,6 @@ class Forecast:
             "predicted": self.predicted,
             "observations": self.observations,
         }
-
-
-class DemandForecaster(Protocol):
-    """The pluggable forecaster contract."""
-
-    def observe(self, key: str, value: float) -> Forecast: ...
-
-    def forecast(self, key: str) -> Forecast: ...
-
-    def forecasts(self) -> dict[str, Forecast]: ...
 
 
 class _HoltSeries:
@@ -138,22 +125,3 @@ class EwmaTrendForecaster:
         """Every tracked key's current forecast, key-sorted so iteration
         order never depends on observation order."""
         return {key: self.forecast(key) for key in sorted(self._series)}
-
-
-#: Pluggable forecaster registry: config names map to constructors
-#: taking ``(alpha, beta, horizon)``.
-FORECASTERS = {
-    "ewma": EwmaTrendForecaster,
-}
-
-
-def make_forecaster(
-    kind: str, alpha: float, beta: float, horizon: float
-) -> DemandForecaster:
-    try:
-        cls = FORECASTERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown forecaster {kind!r}; available: {sorted(FORECASTERS)}"
-        ) from None
-    return cls(alpha=alpha, beta=beta, horizon=horizon)

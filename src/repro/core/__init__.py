@@ -27,7 +27,6 @@ from repro.core.query import QueryExecutor, Scan
 from repro.core.server import VisualCloud
 from repro.core.storage import IngestConfig, StorageManager, VideoMeta
 from repro.core.streamer import SessionConfig, Streamer
-from repro.core.vrql import format_expr, parse as parse_vrql
 
 __all__ = [
     "CatalogError",
@@ -46,8 +45,6 @@ __all__ = [
     "VisualCloudError",
     "decode_export",
     "export_video",
-    "format_expr",
     "import_video",
-    "parse_vrql",
     "tile_popularity",
 ]

@@ -211,12 +211,3 @@ class VisualCloud:
     def execute(self, query: Expr) -> QueryResult:
         """Run a declarative query (see :mod:`repro.core.query`)."""
         return self.executor.execute(query)
-
-    def vrql(self, text: str) -> QueryResult:
-        """Parse and run a textual VRQL query (see :mod:`repro.core.vrql`).
-
-        >>> db.vrql("SCAN(venice) >> SELECT(time=0:2) >> STORE(head)")
-        """
-        from repro.core.vrql import parse
-
-        return self.executor.execute(parse(text))

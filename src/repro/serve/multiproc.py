@@ -45,7 +45,12 @@ import multiprocessing
 import socket
 from dataclasses import replace
 
-from repro.serve.server import SegmentServer, ServerConfig, ServerStartupError
+from repro.serve.server import (
+    LISTEN_BACKLOG,
+    SegmentServer,
+    ServerConfig,
+    ServerStartupError,
+)
 
 
 def _tcp_socket() -> socket.socket:
@@ -218,7 +223,7 @@ class MultiProcessServerHandle:
                 shared_listener = _tcp_socket()
                 shared_listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 shared_listener.bind((config.host, config.port))
-                shared_listener.listen(config.backlog)
+                shared_listener.listen(LISTEN_BACKLOG)
                 host, port = shared_listener.getsockname()[:2]
             self._address = (host, port)
             for worker_id in range(config.processes):

@@ -109,6 +109,7 @@ from repro.stream.dash import SegmentKey
 _MAX_REQUEST_BYTES = 16 * 1024  # request line + headers
 _ENDPOINTS = frozenset({"segment", "manifest", "metrics", "healthz", "control"})
 _MAX_CONTROL_BODY = 4 * 1024 * 1024  # POST /control/* bodies (plans are small)
+LISTEN_BACKLOG = 256  # listen(2) backlog per listening socket
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,6 @@ class ServerConfig:
     max_connection_requests: int | None = None  # per-connection budget before 429
     retry_after: float = 0.5  # Retry-After hint (seconds) on shed responses
     processes: int = 1  # worker processes sharing the listening port
-    backlog: int = 256  # listen(2) backlog per listening socket
     pin_budget_bytes: int = 0  # RAM hot-set budget; 0 disables pinning
     pin_threshold: int = 3  # cold-path hits before a segment is pinned
     prewarm: tuple[str, ...] = ()  # videos pinned hottest-first at startup
@@ -161,8 +161,6 @@ class ServerConfig:
             raise ValueError(f"retry_after must be positive, got {self.retry_after}")
         if self.processes < 1:
             raise ValueError(f"processes must be >= 1, got {self.processes}")
-        if self.backlog < 1:
-            raise ValueError(f"backlog must be >= 1, got {self.backlog}")
         if self.pin_budget_bytes < 0:
             raise ValueError(
                 f"pin_budget_bytes must be >= 0, got {self.pin_budget_bytes}"
@@ -308,14 +306,14 @@ class SegmentServer:
         )
         if sock is not None:
             self._server = await asyncio.start_server(
-                self._handle_connection, sock=sock, backlog=self.config.backlog
+                self._handle_connection, sock=sock, backlog=LISTEN_BACKLOG
             )
         else:
             self._server = await asyncio.start_server(
                 self._handle_connection,
                 self.config.host,
                 self.config.port,
-                backlog=self.config.backlog,
+                backlog=LISTEN_BACKLOG,
             )
         for name in self.config.prewarm:
             self.prewarm_pins(name)

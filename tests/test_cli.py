@@ -1,5 +1,9 @@
 """Tests for the command-line interface (invoked in-process)."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -57,6 +61,16 @@ class TestParser:
         args = build_parser().parse_args(["query", "x", "--select-time", "1:2.5"])
         assert args.select_time == (1.0, 2.5)
 
+    def test_verbs_are_the_ones_docs_api_lists(self):
+        (verbs,) = (
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        api = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
+        listed = re.search(r"python -m repro --root DIR \{([^}]*)\}", api).group(1)
+        assert set(verbs) == set(re.findall(r"[a-z]+", listed))
+
 
 class TestCommands:
     def test_ls_empty(self, tmp_path, capsys):
@@ -92,25 +106,10 @@ class TestCommands:
             == 0
         )
         out = capsys.readouterr().out
+        assert "homomorphic-gop" in out  # the plan line: time select moved bytes
         assert "stored as 'gray'" in out
         run(tmp_path, "ls")
         assert "gray" in capsys.readouterr().out
-
-    def test_vrql_command(self, tmp_path, capsys):
-        ingest_small(tmp_path)
-        code = run(
-            tmp_path, "vrql", "SCAN(demo) >> SELECT(time=0:1) >> STORE(head)"
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "homomorphic-gop" in out
-        run(tmp_path, "ls")
-        assert "head" in capsys.readouterr().out
-
-    def test_vrql_error_reported(self, tmp_path, capsys):
-        ingest_small(tmp_path)
-        assert run(tmp_path, "vrql", "SELECT(time=0:1)") == 1
-        assert "error:" in capsys.readouterr().err
 
     def test_export_import_cycle(self, tmp_path, capsys):
         ingest_small(tmp_path)
@@ -150,6 +149,7 @@ class TestCommands:
 
     def test_metrics_json_after_multisession_run(self, tmp_path, capsys):
         import json
+        import math
 
         ingest_small(tmp_path)
         capsys.readouterr()  # drop the ingest chatter
@@ -162,9 +162,12 @@ class TestCommands:
         counters = snapshot["counters"]
         assert counters["storage.segments_read"] > 0
         assert counters["cache.hits"] > 0  # 3 viewers, one clip: reads amortise
+        assert counters["sharedlink.bytes_sent"] > 0
         assert any(key.startswith("stream.windows") for key in counters)
         assert any(key.startswith("stream.bytes_sent") for key in counters)
         assert snapshot["histograms"]["storage.read_segment.seconds"]["count"] > 0
+        for name, summary in snapshot["histograms"].items():
+            assert summary["count"] == 0 or math.isfinite(summary["sum"]), name
 
     def test_metrics_prometheus_format(self, tmp_path, capsys):
         ingest_small(tmp_path)

@@ -41,7 +41,6 @@ from repro.control import (
     StalePlanError,
     catalog_from_storage,
     diff_plans,
-    make_forecaster,
 )
 from repro.obs import MetricsRegistry
 from repro.serve import HttpSegmentClient, ServerConfig, start_server
@@ -117,10 +116,6 @@ class TestForecasterGolden:
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ValueError):
             EwmaTrendForecaster(**kwargs)
-
-    def test_unknown_forecaster_kind(self):
-        with pytest.raises(ValueError, match="unknown forecaster"):
-            make_forecaster("oracle", 0.4, 0.3, 2.0)
 
 
 def _forecast(key: str, predicted: float) -> Forecast:
@@ -362,8 +357,10 @@ class TestControlConfig:
             ControlConfig(alpha=0.0)
         with pytest.raises(ValueError, match="interval"):
             ControlConfig(interval=0.0)
-        with pytest.raises(ValueError, match="unknown forecaster"):
-            ControlConfig(forecaster="oracle")
+        with pytest.raises(ValueError, match="beta"):
+            ControlConfig(beta=0.0)
+        with pytest.raises(ValueError, match="horizon"):
+            ControlConfig(horizon=-1.0)
 
     def test_planner_inherits_the_knobs(self):
         config = ControlConfig(slo_p99=0.1, min_inflight=2, prewarm_threshold=3.0)
