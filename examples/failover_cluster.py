@@ -82,8 +82,7 @@ def main() -> None:
             )
             print(
                 f"  failover client: {total('failover.requests'):.0f} requests, "
-                f"{total('failover.failovers'):.0f} failovers, "
-                f"{total('failover.hedges'):.0f} hedges"
+                f"{total('failover.failovers'):.0f} failovers"
             )
     finally:
         for handle in handles:

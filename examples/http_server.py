@@ -3,8 +3,8 @@
 Run:  python examples/http_server.py
 
 Starts the asyncio segment server on a loopback port, streams three
-viewers against it through the unified
-``db.serve(..., cluster=ClusterConfig(transport="http", ...))`` entry point, and shows the two properties the wire path promises: the
+viewers against it through the unified ``db.serve(..., base_url=...)``
+entry point, and shows the two properties the wire path promises: the
 QoE reports are identical to the simulated path (playback timing stays
 on the session's bandwidth model), and the server's metrics registry
 records what actually crossed the socket.
@@ -24,7 +24,6 @@ from repro import (
     VisualCloud,
     start_server,
 )
-from repro.control import ClusterConfig
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
 
@@ -60,11 +59,7 @@ def main() -> None:
 
     with start_server(db.storage) as handle:
         print(f"segment server listening on {handle.base_url}")
-        wire = db.serve(
-            "venice",
-            sessions,
-            cluster=ClusterConfig(transport="http", base_url=handle.base_url),
-        )
+        wire = db.serve("venice", sessions, base_url=handle.base_url)
         with HttpSegmentClient(handle.base_url) as client:
             snapshot = client.fetch_metrics()
 

@@ -14,11 +14,11 @@ peak start.
 The report's ``flash_crowd`` section carries per-arm peak p99, shed
 counts, QoE degradations, the controller's plan trail, and an off-vs-on
 comparison; ``invariants`` holds the anti-vacuity checks (both arms
-served a peak, the controller stepped and applied a plan). The
-quality gate — controller-on must not regress effective p99 or QoE —
-lives in the ``control-smoke`` CI job, where a tolerance absorbs
-shared-runner noise. Everything else the delivery tier promises is
-gated elsewhere: invariants by the tier-1 tests, faults by
+served a peak, the controller stepped and applied a plan) and the
+quality gate: segments pinned before the peak, and controller-on no
+worse than off on QoE and — with a 25 % tolerance for shared-runner
+noise — on effective peak p99. Everything else the delivery tier
+promises is gated elsewhere: invariants by the tier-1 tests, faults by
 ``plans/*.json``, req/s and latency by ``benchmarks/perf``.
 
 Writes ``BENCH_flash_crowd.json``. Run with ``--smoke`` in CI for a
@@ -43,7 +43,6 @@ from pathlib import Path
 
 from repro.bench.harness import emit_table
 from repro.control import (
-    ClusterConfig,
     ControlConfig,
     Controller,
     HandleActuator,
@@ -313,38 +312,34 @@ def _run_flash_arm(
     """One arm of the flash-crowd comparison. Both arms get an identical
     server — cold hot set (budget 0), bounded admission — and identical
     load; only the ``on`` arm runs the control loop."""
-    cluster = ClusterConfig(
-        server=ServerConfig(
-            read_workers=profile.read_workers,
-            queue_depth=profile.queue_depth,
-            max_inflight=profile.flash_inflight,
-            pin_budget_bytes=0,
-            drain_timeout=2.0,
-        ),
-        control=ControlConfig(
-            enabled=controller_on,
-            interval=profile.control_interval,
-            horizon=3.0,
-            prewarm_threshold=1.0,
-            min_inflight=4,
-            inflight_ceiling=max(64, 8 * profile.flash_inflight),
-            fallback_inflight=profile.flash_inflight,
-        ),
+    server_config = ServerConfig(
+        read_workers=profile.read_workers,
+        queue_depth=profile.queue_depth,
+        max_inflight=profile.flash_inflight,
+        pin_budget_bytes=0,
+        drain_timeout=2.0,
     )
     registry = MetricsRegistry()
-    handle = start_server(storage, cluster.server, registry=registry)
+    handle = start_server(storage, server_config, registry=registry)
     controller = None
     control_metrics = MetricsRegistry()
     if controller_on:
         controller = Controller(
-            cluster.control,
+            ControlConfig(
+                interval=profile.control_interval,
+                horizon=3.0,
+                prewarm_threshold=1.0,
+                min_inflight=4,
+                inflight_ceiling=max(64, 8 * profile.flash_inflight),
+                fallback_inflight=profile.flash_inflight,
+            ),
             metrics_source=registry.snapshot,
             catalog_source=lambda: catalog_from_storage(storage),
             nodes_source=lambda: (
                 NodeState(
-                    node_id=cluster.server.node_id,
+                    node_id=server_config.node_id,
                     pin_budget_bytes=profile.pin_budget,
-                    max_inflight=cluster.server.max_inflight,
+                    max_inflight=server_config.max_inflight,
                 ),
             ),
             actuators=(HandleActuator(handle),),
@@ -529,8 +524,7 @@ def _run_flash_crowd(root: Path, frames: list, grid: TileGrid, profile: _Profile
 
 
 def _check_flash_invariants(flash: dict) -> list[str]:
-    """Anti-vacuity only: the on-vs-off quality gate lives in CI, where
-    a tolerance keeps shared-runner noise from flaking the bench."""
+    """Anti-vacuity, then the on-vs-off quality gate."""
     violations: list[str] = []
     for arm_name in ("off", "on"):
         arm = flash[arm_name]
@@ -554,6 +548,27 @@ def _check_flash_invariants(flash: dict) -> list[str]:
         violations.append("flash-crowd controller never stepped")
     if on["control"]["plans_applied"] == 0:
         violations.append("flash-crowd controller never applied a plan")
+    if on["server"]["pre_peak_state"]["pinned_entries"] <= 0:
+        violations.append(
+            "flash-crowd controller pinned none of the spiking video's "
+            "segments before the peak"
+        )
+    # Gate with slack: shared runners jitter, so the controller must not
+    # LOSE by more than 25% on client-perceived peak p99 — locally it
+    # wins by ~50x (shed requests eat Retry-After).
+    comparison = flash["comparison"]
+    off_p99, on_p99 = comparison["peak_p99_ms_off"], comparison["peak_p99_ms_on"]
+    if on_p99 > off_p99 * 1.25:
+        violations.append(
+            f"flash-crowd controller-on regressed effective peak p99: "
+            f"{on_p99:.2f} ms vs {off_p99:.2f} ms off"
+        )
+    if comparison["qoe_degradations_on"] > comparison["qoe_degradations_off"]:
+        violations.append(
+            f"flash-crowd controller-on regressed QoE: "
+            f"{comparison['qoe_degradations_on']} degradations vs "
+            f"{comparison['qoe_degradations_off']} off"
+        )
     return violations
 
 

@@ -117,7 +117,7 @@ _KEYS = {
     "sessions": "count mode bandwidth policy predictor margin "  # the rest: wire only
     "replicas shards replication_factor materialize corrupt_at_rest controller "
     "pin_budget prewarm_threshold failure_threshold request_timeout",
-    "retry": "attempts base_delay multiplier max_delay",
+    "retry": "attempts",
     "invariants": "max_stall_seconds min_visible_fraction expect_degradations "
     "max_degradations expect_wire_faults min_repairs",
 }
@@ -134,7 +134,7 @@ class Scenario:
     video: dict = field(default_factory=dict)
     #: Session shape: count, mode ("single" | "shared" | "wire"), bandwidth, ...
     sessions: dict = field(default_factory=dict)
-    #: RetryPolicy overrides: attempts, base_delay, multiplier, max_delay.
+    #: RetryPolicy override: attempts.
     retry: dict = field(default_factory=dict)
     #: Invariant thresholds: max_stall_seconds, min_visible_fraction,
     #: expect_degradations, ...
@@ -226,12 +226,7 @@ class Scenario:
         )
 
     def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            attempts=int(self.retry.get("attempts", 3)),
-            base_delay=float(self.retry.get("base_delay", 0.0)),
-            multiplier=float(self.retry.get("multiplier", 2.0)),
-            max_delay=float(self.retry.get("max_delay", 0.25)),
-        )
+        return RetryPolicy(attempts=int(self.retry.get("attempts", 3)))
 
     def bandwidth(self):
         """The link's rate model, with the plan's blackout windows applied."""
@@ -536,7 +531,6 @@ class ScenarioRunner:
         )
         return Controller(
             ControlConfig(
-                enabled=True,
                 deterministic=True,
                 prewarm_threshold=float(sessions.get("prewarm_threshold", 0.5)),
             ),
@@ -658,7 +652,6 @@ class ScenarioRunner:
             "failover": {
                 "requests": _total(client.metrics, "failover.requests"),
                 "failovers": _total(client.metrics, "failover.failovers"),
-                "hedges": _total(client.metrics, "failover.hedges"),
                 "budget_exhausted": _total(client.metrics, "failover.budget_exhausted"),
                 "budget_spent": client.budget.spent,
                 "budget_denied": client.budget.denied,

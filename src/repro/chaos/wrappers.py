@@ -9,8 +9,6 @@ wrapped object where they took the real one.
 
 from __future__ import annotations
 
-import time
-
 from repro.chaos.faults import FaultDecision, FaultPlan
 from repro.core.errors import (
     SegmentCorruptError,
@@ -37,23 +35,15 @@ class ChaosStorageManager:
     manifests, vacuum, metrics) delegates to the wrapped manager.
 
     ``slow_tolerance`` is the simulated read-latency budget: a slow
-    fault whose ``delay`` is within the budget merely delays (optionally
-    sleeping for real when ``simulate_sleep`` is set — off by default to
-    keep harness runs fast) and then serves the bytes; beyond it, the
-    read times out.
+    fault whose ``delay`` is within the budget serves the bytes (link
+    time is simulated, so nothing sleeps); beyond it, the read times
+    out.
     """
 
-    def __init__(
-        self,
-        inner,
-        plan: FaultPlan,
-        slow_tolerance: float = 0.0,
-        simulate_sleep: bool = False,
-    ) -> None:
+    def __init__(self, inner, plan: FaultPlan, slow_tolerance: float = 0.0) -> None:
         self.inner = inner
         self.plan = plan
         self.slow_tolerance = slow_tolerance
-        self.simulate_sleep = simulate_sleep
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -98,12 +88,9 @@ class ChaosStorageManager:
             name, key, media_time=media_time, target="storage"
         )
         if decision is not None:
-            context = f"{name!r} segment {key.to_path()}"
-            if decision.kind == "slow" and decision.delay <= self.slow_tolerance:
-                if self.simulate_sleep:
-                    time.sleep(min(decision.delay, 0.05))
-            else:
-                self._raise_for(decision, context)
+            tolerated = decision.kind == "slow" and decision.delay <= self.slow_tolerance
+            if not tolerated:
+                self._raise_for(decision, f"{name!r} segment {key.to_path()}")
         return self.inner.read_segment(name, gop, tile, quality, version)
 
     def read_window(

@@ -336,31 +336,21 @@ def _command_serve(db: VisualCloud, args) -> None:
         margin=args.margin,
         evaluate_quality=args.probe,
     )
-    from repro.control import ClusterConfig
-
     if args.transport == "http":
         if args.probe:
             raise VisualCloudError("--probe needs decoded access; not available over http")
         if args.url is not None:
-            report = db.serve(
-                args.name,
-                (trace, config),
-                cluster=ClusterConfig(transport="http", base_url=args.url),
-            )
+            report = db.serve(args.name, (trace, config), base_url=args.url)
         else:
             from repro.serve import start_server
 
             with start_server(db.storage) as handle:
                 print(f"(loopback segment server at {handle.base_url})")
                 report = db.serve(
-                    args.name,
-                    (trace, config),
-                    cluster=ClusterConfig(
-                        transport="http", base_url=handle.base_url
-                    ),
+                    args.name, (trace, config), base_url=handle.base_url
                 )
     else:
-        report = db.serve(args.name, (trace, config), cluster=ClusterConfig())
+        report = db.serve(args.name, (trace, config))
     for key, value in report.summary().items():
         print(f"{key:>18}: {value}")
 
@@ -447,7 +437,9 @@ def _command_control(db: VisualCloud, args) -> int:
     Actions are versioned: each one reads the server's active plan
     version and submits version+1, so a concurrent controller's newer
     plan makes the CLI's request fail with 409 instead of silently
-    rolling the tier back.
+    rolling the tier back. A worker of a ``processes=N`` fleet refuses
+    the actions (405): one connection reaches one worker, so a fleet is
+    retuned through ``MultiProcessServerHandle.apply_control_plan``.
     """
     import json
 

@@ -3,26 +3,20 @@
 An actuator is anything with ``apply(plan) -> dict``: it delivers a
 versioned :class:`~repro.control.planner.ControlPlan` to a serving
 node and returns the node's application summary (``{"version": ...,
-"pinned": ..., "max_inflight": ...}``). Two transports:
-
-* :class:`HandleActuator` — in-process, for a ``ServerHandle`` or
-  ``MultiProcessServerHandle`` (anything exposing
-  ``apply_control_plan``); what the bench driver and tests use.
-* :class:`HttpActuator` — ``POST /control/plan`` over the wire, for
-  nodes this process did not start; what ``repro control`` uses.
+"pinned": ..., "max_inflight": ...}``). :class:`HandleActuator` does it
+in-process, for a ``ServerHandle`` or ``MultiProcessServerHandle``
+(anything exposing ``apply_control_plan``); a node this process did not
+start takes the same plan over the wire through
+:meth:`repro.serve.client.HttpSegmentClient.post_control`.
 
 Both surface version refusal the same way: a node holding a newer plan
-answers 409 (wire) or raises ``ValueError`` (local), and the actuator
-raises :class:`StalePlanError` — the controller counts it and moves on,
+answers 409 (wire) or raises ``ValueError`` (local), and the caller
+sees :class:`StalePlanError` — the controller counts it and moves on,
 because a refused stale plan means a newer controller is already in
 charge, which is the rollback-refusal pattern working as designed.
 """
 
 from __future__ import annotations
-
-import json
-from http.client import HTTPConnection
-from urllib.parse import urlsplit
 
 from repro.control.planner import ControlPlan
 
@@ -44,43 +38,4 @@ class HandleActuator:
             raise StalePlanError(str(error)) from error
 
 
-class HttpActuator:
-    """Applies plans to a remote node via ``POST /control/plan``.
-
-    One short-lived connection per application — plans flow at control
-    cadence (hertz, not kilohertz), so connection reuse buys nothing and
-    a pooled socket would be one more thing to reap on failover.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 5.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        parts = urlsplit(self.base_url)
-        self._host = parts.hostname or "127.0.0.1"
-        self._port = parts.port or 80
-
-    def apply(self, plan: ControlPlan) -> dict:
-        body = json.dumps(plan.to_json(), sort_keys=True).encode("utf-8")
-        connection = HTTPConnection(self._host, self._port, timeout=self.timeout)
-        try:
-            connection.request(
-                "POST",
-                "/control/plan",
-                body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            payload = response.read()
-        finally:
-            connection.close()
-        if response.status == 409:
-            raise StalePlanError(payload.decode("utf-8", "replace"))
-        if response.status != 200:
-            raise RuntimeError(
-                f"control plan refused by {self.base_url}: "
-                f"{response.status} {payload.decode('utf-8', 'replace')}"
-            )
-        return json.loads(payload)
-
-
-__all__ = ["HandleActuator", "HttpActuator", "StalePlanError"]
+__all__ = ["HandleActuator", "StalePlanError"]

@@ -1,22 +1,19 @@
-"""Cluster configuration: one object for the whole serving tier.
+"""Control-plane configuration: the loop's knobs in one validated object.
 
-Before this module, standing up a cluster meant threading loose kwargs
-through three layers — ``ServerConfig`` fields, bench-harness flags,
-and ``VisualCloud.serve(transport=..., base_url=...)`` — each invented
-independently. :class:`ClusterConfig` is the composition root: the
-server tunables (which already carry pin budget, shard map, process
-count), the control-plane knobs, and the delivery transport, in one
-validated dataclass that every entry point (``VisualCloud.serve``, the
-``serve`` CLI, :mod:`repro.bench.flash_crowd`) accepts directly.
+:class:`ControlConfig` carries the controller's cadence, the forecaster
+smoothing and the planner parameters; a bad value fails at construction,
+not at the first controller step. How a tier is *reached* is not
+configuration here: ``VisualCloud.serve(..., base_url=...)`` takes the
+address, and :class:`~repro.serve.server.ServerConfig` the per-node
+tunables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.control.forecast import EwmaTrendForecaster
 from repro.control.planner import Planner
-from repro.serve.server import ServerConfig
 
 
 @dataclass(frozen=True)
@@ -24,7 +21,6 @@ class ControlConfig:
     """The control loop's knobs: cadence, forecaster, SLO, and the
     planner parameters derived from them."""
 
-    enabled: bool = False
     interval: float = 0.5  # seconds between controller steps
     alpha: float = 0.4  # demand-level smoothing
     beta: float = 0.3  # trend smoothing
@@ -62,37 +58,4 @@ class ControlConfig:
         )
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Everything one serving cluster needs, composed.
-
-    * ``server`` — the per-node tunables (:class:`ServerConfig` already
-      carries pin budget, shard map/peers, and worker process count);
-    * ``control`` — the predictive control plane (off by default);
-    * ``transport``/``base_url`` — how ``VisualCloud.serve`` reaches the
-      tier: ``"sim"`` runs in-process simulation, ``"http"`` streams
-      real bytes from ``base_url``.
-    """
-
-    server: ServerConfig = field(default_factory=ServerConfig)
-    control: ControlConfig = field(default_factory=ControlConfig)
-    transport: str = "sim"
-    base_url: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.transport not in ("sim", "http"):
-            raise ValueError(
-                f"unknown transport {self.transport!r}; use 'sim' or 'http'"
-            )
-        if self.transport == "http" and self.base_url is None:
-            raise ValueError("transport='http' requires base_url")
-        if self.base_url is not None and self.transport != "http":
-            raise ValueError("base_url only applies to transport='http'")
-
-    def with_base_url(self, base_url: str) -> "ClusterConfig":
-        """This config pointed at a live server — the bench driver binds
-        an ephemeral port first, then derives the session-facing config."""
-        return replace(self, transport="http", base_url=base_url)
-
-
-__all__ = ["ClusterConfig", "ControlConfig"]
+__all__ = ["ControlConfig"]

@@ -16,7 +16,7 @@ forecaster/planner/actuator split BRAD uses:
    the pure :class:`~repro.control.planner.Planner`; skip actuation when
    the plan is a no-op modulo version (:func:`diff_plans`).
 4. **Actuate** — push the versioned plan through every registered
-   actuator (local handle, HTTP endpoints, failover broadcast).
+   actuator (:mod:`repro.control.actuators`).
 
 Determinism story: the controller owns no hidden state beyond the
 forecaster series and the last plan, both pure functions of the
@@ -34,7 +34,7 @@ import threading
 from time import perf_counter
 
 from repro.control.config import ControlConfig
-from repro.control.planner import ControlPlan, NodeState, diff_plans
+from repro.control.planner import ControlPlan, diff_plans
 from repro.obs import MetricsRegistry, counter_deltas, series_label, snapshot_quantile
 
 #: The per-video demand counter the serve tier exports and this loop diffs.
@@ -82,18 +82,6 @@ def catalog_from_storage(storage, weights_by_video: dict | None = None) -> dict:
             )
         )
     return catalog
-
-
-def nodes_from_config(config) -> tuple[NodeState, ...]:
-    """A single-node state vector from one :class:`ServerConfig` — the
-    unsharded (or uniformly-workered) deployment case."""
-    return (
-        NodeState(
-            node_id=config.node_id,
-            pin_budget_bytes=config.pin_budget_bytes,
-            max_inflight=config.max_inflight,
-        ),
-    )
 
 
 class Controller:
@@ -259,5 +247,4 @@ __all__ = [
     "LATENCY_SERIES",
     "catalog_from_storage",
     "default_segment_weights",
-    "nodes_from_config",
 ]

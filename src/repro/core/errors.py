@@ -48,7 +48,7 @@ class SegmentCorruptError(SegmentNotFoundError):
 
 class TransientSegmentError(VisualCloudError):
     """A segment read failed in a way that is expected to heal (I/O
-    hiccup, overloaded backend). Delivery retries these with backoff; a
+    hiccup, overloaded backend). Delivery retries these up to a bound; a
     read that keeps failing is escalated to quality degradation."""
 
 

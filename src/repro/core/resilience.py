@@ -3,8 +3,8 @@
 Delivery used to propagate the first storage exception and abort the
 whole session — one truncated segment file killed a viewer. Because the
 store encodes every (GOP, tile, quality) segment independently, failure
-handling can be *per tile*: a transient read error is retried with
-bounded backoff, a persistent one walks down the tile's stored quality
+handling can be *per tile*: a transient read error is retried a bounded
+number of times, a persistent one walks down the tile's stored quality
 ladder (never up — a budgeted request must not silently upgrade), and a
 tile whose every rung is unreadable is skipped with a recorded event.
 The session always terminates with a :class:`~repro.stream.qoe.QoEReport`
@@ -22,9 +22,7 @@ pins this).
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.errors import SegmentNotFoundError, TransientSegmentError
 from repro.obs import MetricsRegistry
@@ -35,46 +33,19 @@ from repro.video.quality import Quality
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry-with-backoff for transient segment reads.
+    """Bounded retry for transient segment reads.
 
     ``attempts`` is the *total* number of tries per (tile, quality) —
-    ``attempts=3`` means one initial read plus up to two retries. The
-    delay before retry ``n`` (1-based) is
-    ``min(base_delay * multiplier ** (n - 1), max_delay)``.
-
-    The default ``base_delay`` is 0: link time is simulated in this
-    system, so wall-clock sleeping between retries buys determinism
-    nothing and slows the harness — the *bound* (attempts) is what
-    matters. Deployments fronting a real backend set ``base_delay > 0``;
-    tests inject a recording ``sleep`` to observe the schedule.
+    ``attempts=3`` means one initial read plus up to two retries.
+    Retries are immediate: link time is simulated in this system, so
+    the *bound* is the semantics and nothing sleeps between tries.
     """
 
     attempts: int = 3
-    base_delay: float = 0.0
-    multiplier: float = 2.0
-    max_delay: float = 0.25
-    sleep: Callable[[float], None] = _time.sleep
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-        if self.base_delay < 0:
-            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
-        if self.multiplier < 1:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
-
-    def delay(self, retry: int) -> float:
-        """Backoff before the ``retry``-th retry (1-based)."""
-        if retry < 1:
-            raise ValueError(f"retry index is 1-based, got {retry}")
-        return min(self.base_delay * self.multiplier ** (retry - 1), self.max_delay)
-
-    def backoff(self, retry: int) -> None:
-        delay = self.delay(retry)
-        if delay > 0:
-            self.sleep(delay)
 
 
 #: The policy both streamers use when a session doesn't configure one.
@@ -117,7 +88,6 @@ def _read_with_retries(
                 "stream.retries", "transient segment reads retried"
             ).inc(video=name)
             if attempt < policy.attempts:
-                policy.backoff(attempt)
                 continue
             return None, attempt, attempt - 1, reason
         except SegmentNotFoundError as error:

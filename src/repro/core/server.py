@@ -127,54 +127,28 @@ class VisualCloud:
         name: str,
         sessions,
         *,
-        cluster=None,
+        base_url: str | None = None,
         link: SimulatedLink | None = None,
         start_offsets: list[float] | None = None,
-        **removed,
     ) -> QoEReport | list[QoEReport]:
         """Stream a stored video to one or many viewers — the single
         delivery entry point.
 
         ``sessions`` is one ``(trace, config)`` pair or a list of them;
         a single pair returns one :class:`QoEReport`, a list returns a
-        list in the same order. The delivery tier is described by one
-        :class:`~repro.control.ClusterConfig` (``cluster=``); dispatch
-        follows its ``transport``:
+        list in the same order. Dispatch follows the arguments:
 
-        * ``"sim"`` (the default), no ``link`` — each session runs on
-          its own simulated link;
-        * ``"sim"`` with ``link`` — all sessions contend for the shared
-          bottleneck, optionally staggered by ``start_offsets`` (both are
+        * no ``base_url``, no ``link`` — each session runs on its own
+          simulated link;
+        * ``link`` — all sessions contend for the shared bottleneck,
+          optionally staggered by ``start_offsets`` (both are
           :meth:`repro.core.streamer.Streamer.serve_all`);
-        * ``"http"`` — sessions fetch real bytes from the segment server
-          at the cluster's ``base_url``
-          (:func:`repro.serve.serve_session`), reusing this instance's
-          trained predictors. Playback timing still follows each
-          session's bandwidth model, so reports stay comparable with the
-          simulated paths.
-
-        The PR 4-era shapes ``serve(name, trace, config)`` and
-        ``serve_all`` and the pre-cluster kwargs ``transport=``/
-        ``base_url=`` are gone (``TypeError``); use ``(trace, config)``
-        pairs, ``serve(name, sessions, link=...)`` and
-        ``cluster=ClusterConfig(...)``.
+        * ``base_url`` — sessions fetch real bytes from the segment
+          server at that address (:func:`repro.serve.serve_session`),
+          reusing this instance's trained predictors. Playback timing
+          still follows each session's bandwidth model, so reports stay
+          comparable with the simulated paths.
         """
-        from repro.control.config import ClusterConfig
-
-        if isinstance(sessions, Trace):
-            raise TypeError(
-                "serve(name, trace, config) was removed; pass "
-                "serve(name, (trace, config)) instead"
-            )
-        if removed:
-            raise TypeError(
-                f"serve() got unexpected keyword arguments {sorted(removed)}; "
-                "transport=/base_url= were removed — pass "
-                "cluster=ClusterConfig(transport=..., base_url=...) instead"
-            )
-        if cluster is None:
-            cluster = ClusterConfig()
-
         single = isinstance(sessions, tuple)
         pairs = [sessions] if single else list(sessions)
         for pair in pairs:
@@ -183,17 +157,17 @@ class VisualCloud:
                     f"sessions must be (trace, config) pairs, got {pair!r}"
                 )
 
-        if cluster.transport == "http":
+        if base_url is not None:
             if link is not None:
                 raise ValueError(
-                    "transport='http' uses the real socket; a simulated "
-                    "shared link cannot apply"
+                    "base_url uses the real socket; a simulated shared "
+                    "link cannot apply"
                 )
             from repro.serve import serve_session
 
             reports = [
                 serve_session(
-                    cluster.base_url, name, trace, session_config,
+                    base_url, name, trace, session_config,
                     registry=self.metrics, prediction=self.prediction,
                 )
                 for trace, session_config in pairs

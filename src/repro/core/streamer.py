@@ -62,9 +62,8 @@ class SessionConfig:
     #: realistic estimators against. A template: every session streams on
     #: its own deep copy, so this object is never reset or fed.
     estimator: "ThroughputEstimator | None" = None
-    #: Bounded retry-with-backoff for transient segment reads; None uses
-    #: the module default (3 attempts, no wall-clock sleep — see
-    #: :mod:`repro.core.resilience`).
+    #: Bounded retry for transient segment reads; None uses the module
+    #: default (3 attempts — see :mod:`repro.core.resilience`).
     retry: RetryPolicy | None = None
 
 

@@ -7,8 +7,8 @@ a stored catalog over HTTP with overload shedding; the client
 (:mod:`repro.serve.client`) runs the unchanged ABR + predictor session
 loop against the real socket by adapting the wire to the storage read
 contract; and :mod:`repro.serve.failover` spreads that client over a
-replicated tier with circuit breakers, a retry budget, ``Retry-After``
-backoff, and optional hedged requests.
+replicated tier with circuit breakers, a retry budget, and
+``Retry-After`` backoff.
 
 Sharded delivery (:mod:`repro.serve.placement`): a consistent-hash
 :class:`ShardMap` assigns every segment to ``replication_factor`` owner

@@ -37,6 +37,7 @@ import threading
 from time import monotonic, perf_counter
 from urllib.parse import urlsplit
 
+from repro.control.actuators import StalePlanError
 from repro.core.errors import (
     SegmentCorruptError,
     SegmentNotFoundError,
@@ -263,8 +264,6 @@ class HttpSegmentClient:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         status, headers, response = self._request(path, method="POST", payload=body)
         if status == 409:
-            from repro.control.actuators import StalePlanError
-
             raise StalePlanError(response.decode("utf-8", "replace"))
         self._raise_for_status(status, headers, response, path)
         return json.loads(response)

@@ -33,18 +33,12 @@ type as :class:`HttpSegmentClient` (``fetch_manifest`` /
 :func:`~repro.core.resilience.read_window_resilient` run over a replica
 set unchanged. Every failure leaves as the PR 3 error taxonomy — never a
 raw ``OSError``.
-
-Optionally, ``hedge_delay`` arms *hedged requests* for tail latency: if
-the primary replica hasn't answered a segment fetch within the delay, a
-second request races on the next-best replica and the first result wins
-(segment bytes are immutable, so duplicated reads are safe).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -83,7 +77,6 @@ class FailoverConfig:
     reset_timeout: float = 1.0  # seconds open before a half-open probe
     retry_budget: float = 16.0  # token bucket capacity for extra attempts
     retry_refill: float = 0.1  # tokens earned per successful request
-    hedge_delay: float | None = None  # arm hedged segment fetches
     request_timeout: float = 10.0  # per-replica HTTP client timeout
     clock: Callable[[], float] = time.monotonic
 
@@ -98,8 +91,6 @@ class FailoverConfig:
             raise ValueError(f"retry_budget must be >= 1, got {self.retry_budget}")
         if self.retry_refill < 0:
             raise ValueError(f"retry_refill must be >= 0, got {self.retry_refill}")
-        if self.hedge_delay is not None and self.hedge_delay < 0:
-            raise ValueError(f"hedge_delay must be >= 0, got {self.hedge_delay}")
         if self.request_timeout <= 0:
             raise ValueError(
                 f"request_timeout must be positive, got {self.request_timeout}"
@@ -236,15 +227,6 @@ class Replica:
     requests: int = 0
     failures: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "url": self.url,
-            "state": self.breaker.state,
-            "requests": self.requests,
-            "failures": self.failures,
-            "transitions": [list(edge) for edge in self.breaker.transitions],
-        }
-
 
 class ReplicaSet:
     """Deterministic health-driven ordering over a set of replicas."""
@@ -289,17 +271,14 @@ class ReplicaSet:
             ready = ready[pivot:] + ready[:pivot]
         return ready + backing_off + unhealthy
 
-    def to_json(self) -> dict:
-        return {"replicas": [replica.to_json() for replica in self.replicas]}
-
 
 class FailoverSegmentClient:
     """The :class:`HttpSegmentClient` duck type over N replicas.
 
     Spreads reads across every healthy replica, fails over on taxonomy
     errors (bounded by the shared :class:`RetryBudget`), honors
-    ``Retry-After`` backoff hints, opens a circuit per replica after
-    consecutive failures, and optionally hedges slow segment fetches.
+    ``Retry-After`` backoff hints, and opens a circuit per replica after
+    consecutive failures.
     ``SegmentNotFoundError``/``SegmentCorruptError`` do **not** fail
     over: the replica answered, and the catalog is replicated — a rung
     that is gone on one replica is gone on all of them; the resilience
@@ -336,16 +315,11 @@ class FailoverSegmentClient:
             clock=clock,
         )
         self.budget = RetryBudget(self.config.retry_budget, self.config.retry_refill)
-        self._hedge_pool: ThreadPoolExecutor | None = None
-        self._hedge_lock = threading.Lock()
         self._requests = self.metrics.counter(
             "failover.requests", "requests issued through the failover client"
         )
         self._failovers = self.metrics.counter(
             "failover.failovers", "requests retried on a sibling replica"
-        )
-        self._hedges = self.metrics.counter(
-            "failover.hedges", "hedged segment fetches launched"
         )
         self._exhausted = self.metrics.counter(
             "failover.budget_exhausted", "requests failed fast on a dry retry budget"
@@ -372,10 +346,6 @@ class FailoverSegmentClient:
     def close(self) -> None:
         for replica in self.replicas.replicas:
             replica.client.close()
-        with self._hedge_lock:
-            if self._hedge_pool is not None:
-                self._hedge_pool.shutdown(wait=False, cancel_futures=True)
-                self._hedge_pool = None
 
     def __enter__(self) -> "FailoverSegmentClient":
         return self
@@ -512,9 +482,7 @@ class FailoverSegmentClient:
 
     def fetch_segment(self, name: str, key: SegmentKey) -> bytes:
         prefer = self._owner_urls(name, key)
-        if self.config.hedge_delay is None:
-            return self._fetch("segment", lambda c: c.fetch_segment(name, key), prefer)
-        return self._fetch_hedged(name, key, prefer)
+        return self._fetch("segment", lambda c: c.fetch_segment(name, key), prefer)
 
     def fetch_metrics(self) -> dict:
         return self._fetch("metrics", lambda client: client.fetch_metrics())
@@ -537,81 +505,10 @@ class FailoverSegmentClient:
                 replica.breaker.record_failure()
         return alive
 
-    # -- hedging --------------------------------------------------------------
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._hedge_lock:
-            if self._hedge_pool is None:
-                self._hedge_pool = ThreadPoolExecutor(
-                    max_workers=2, thread_name_prefix="hedge"
-                )
-            return self._hedge_pool
-
-    def _fetch_hedged(
-        self, name: str, key: SegmentKey, prefer: frozenset = frozenset()
-    ) -> bytes:
-        """Primary fetch, raced against one hedge if it dawdles.
-
-        Hedges use a *separate* client per replica already (each replica
-        owns its connection), so the race never shares a socket. The
-        loser's bytes are discarded — segment payloads are immutable.
-        """
-        candidates = [
-            replica
-            for replica in self._ordered_candidates(prefer)
-            if replica.breaker.state == CLOSED
-        ]
-        if len(candidates) < 2:
-            return self._fetch("segment", lambda c: c.fetch_segment(name, key), prefer)
-        self._requests.inc(endpoint="segment")
-        primary, backup = candidates[0], candidates[1]
-        pool = self._pool()
-        first = pool.submit(self._call, primary, lambda c: c.fetch_segment(name, key))
-        done, _ = wait({first}, timeout=self.config.hedge_delay)
-        if first in done:
-            try:
-                return first.result()
-            except SegmentNotFoundError:
-                raise  # authoritative; hedging cannot produce the bytes
-            except TransientSegmentError:
-                # Failed fast, before the hedge would arm: plain
-                # failover semantics on what remains of the tier.
-                if not self.budget.try_spend():
-                    self._exhausted.inc()
-                    raise
-                self._failovers.inc()
-                return self._call(backup, lambda c: c.fetch_segment(name, key))
-        if not self.budget.try_spend():
-            self._exhausted.inc()
-            return first.result()
-        self._hedges.inc()
-        second = pool.submit(self._call, backup, lambda c: c.fetch_segment(name, key))
-        pending = {first, second}
-        last_error: BaseException | None = None
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                try:
-                    return future.result()
-                except (TransientSegmentError, SegmentNotFoundError) as error:
-                    last_error = error
-        assert last_error is not None
-        raise last_error
-
     # -- introspection --------------------------------------------------------
 
     def breaker_transitions(self) -> dict[str, list[tuple[str, str]]]:
         return {
             replica.url: list(replica.breaker.transitions)
             for replica in self.replicas.replicas
-        }
-
-    def stats(self) -> dict:
-        return {
-            "replicas": [replica.to_json() for replica in self.replicas.replicas],
-            "budget": {
-                "tokens": self.budget.tokens,
-                "spent": self.budget.spent,
-                "denied": self.budget.denied,
-            },
         }

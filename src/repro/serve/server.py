@@ -40,7 +40,9 @@ the control plane's ``POST`` routes):
   and ``POST /control/prewarm`` apply just the admission or just the
   pre-warm slice. All three refuse versions older than the active plan
   with ``409`` — the shard-map rollback-refusal pattern, so a delayed
-  or replayed plan can never roll the node backwards.
+  or replayed plan can never roll the node backwards. A worker with
+  siblings (``processes=N``) answers them ``405``: one connection
+  reaches one worker, so a fleet takes plans through its handle.
 
 Failures map onto the storage error contract, never raw ``OSError``:
 404 :class:`SegmentNotFoundError` / :class:`CatalogError`,
@@ -85,6 +87,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
+from repro.control.planner import ControlPlan, NodePlan
 from repro.core.errors import (
     SegmentNotFoundError,
     SegmentReadTimeout,
@@ -482,8 +485,6 @@ class SegmentServer:
         (raced a drop, peer-owned) is skipped, not fatal: the plan is a
         target, not a transaction.
         """
-        from repro.control.planner import ControlPlan
-
         if isinstance(plan, dict):
             plan = ControlPlan.from_json(plan)
         self._check_plan_version(plan.version)
@@ -545,6 +546,16 @@ class SegmentServer:
             return json_response(200, self.control_state())
         if method != "POST" or len(parts) != 1:
             return error_response(404, LookupError(f"no control route {parts!r}"))
+        if self._peer_ports:
+            # One worker of a fleet: applying here would retune this
+            # process alone and leave its siblings on the old plan.
+            return error_response(
+                405,
+                LookupError(
+                    "this worker has siblings; apply control through "
+                    "MultiProcessServerHandle.apply_control_plan"
+                ),
+            )
         payload = json.loads(body.decode("utf-8"))  # ValueError → 400 upstream
         try:
             return self._control_post(parts[0], payload)
@@ -571,8 +582,6 @@ class SegmentServer:
                 ]
                 if "pin_budget_bytes" in payload:
                     self.hot.set_budget(int(payload["pin_budget_bytes"]))
-                from repro.control.planner import ControlPlan, NodePlan
-
                 partial = ControlPlan(
                     version=int(payload["version"]),
                     nodes=(

@@ -346,6 +346,7 @@ UNJUDGEABLE = {
     "typo-in-video": (_spec(video={"gop_frame": 4}), "gop_frame"),
     "typo-in-retry": (_spec(retry={"attempt": 2}), "attempt"),
     "removed-hedge-delay": (_spec(sessions={"hedge_delay": 0.05}), "hedge_delay"),
+    "removed-retry-backoff": (_spec(retry={"base_delay": 0.1}), "base_delay"),
     "unknown-mode": (_spec(sessions={"mode": "wired"}), "unknown mode"),
     "unknown-policy": (_spec(sessions={"policy": "greedy"}), "unknown policy"),
     "wire-faults-off-the-wire": (

@@ -1,12 +1,23 @@
 """Tests for the command-line interface (invoked in-process)."""
 
 import argparse
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.storage import StorageManager
+from repro.serve import start_server
+
+SMALL_CLIP = (
+    "--width", "64", "--height", "32", "--duration", "2", "--fps", "4",
+    "--grid", "2x2", "--gop-frames", "4",
+)
 
 
 def run(tmp_path, *argv) -> int:
@@ -14,24 +25,7 @@ def run(tmp_path, *argv) -> int:
 
 
 def ingest_small(tmp_path, name="demo") -> None:
-    code = run(
-        tmp_path,
-        "ingest",
-        name,
-        "--width",
-        "64",
-        "--height",
-        "32",
-        "--duration",
-        "2",
-        "--fps",
-        "4",
-        "--grid",
-        "2x2",
-        "--gop-frames",
-        "4",
-    )
-    assert code == 0
+    assert run(tmp_path, "ingest", name, *SMALL_CLIP) == 0
 
 
 class TestParser:
@@ -148,7 +142,6 @@ class TestCommands:
         assert "Traceback" not in err
 
     def test_metrics_json_after_multisession_run(self, tmp_path, capsys):
-        import json
         import math
 
         ingest_small(tmp_path)
@@ -187,8 +180,6 @@ class TestCommands:
         assert any(line.startswith("stream_windows") for line in out.splitlines())
 
     def test_metrics_output_file(self, tmp_path, capsys):
-        import json
-
         ingest_small(tmp_path)
         target = tmp_path / "metrics.json"
         assert (
@@ -203,8 +194,6 @@ class TestCommands:
         assert snapshot["counters"]["storage.segments_read"] > 0
 
     def test_metrics_without_run_exports_empty_registry(self, tmp_path, capsys):
-        import json
-
         ingest_small(tmp_path)
         capsys.readouterr()
         assert run(tmp_path, "metrics") == 0  # no name: export what accrued
@@ -220,3 +209,51 @@ class TestCommands:
             "--duration", "1", "--fps", "4", "--grid", "2x2", "--gop-frames", "4",
         )
         assert code == 1
+
+    def test_control_reads_and_retunes_a_live_server(self, tmp_path, capsys):
+        ingest_small(tmp_path)
+        with start_server(StorageManager(tmp_path / "db")) as handle:
+            capsys.readouterr()
+            assert run(tmp_path, "control", handle.base_url) == 0
+            state = json.loads(capsys.readouterr().out)
+            assert (state["version"], state["max_inflight"]) == (0, None)
+            assert state["pinned_entries"] == 0
+
+            code = run(
+                tmp_path, "control", handle.base_url, "--pin-budget", "1048576",
+                "--prewarm", "demo", "--max-inflight", "8",
+            )
+            assert code == 0
+            state = handle.control_state()
+            # Two versioned actions: the pre-warm slice, then the limits.
+            assert (state["version"], state["max_inflight"]) == (2, 8)
+            assert state["pin_budget_bytes"] == 1048576
+            assert state["pinned_entries"] > 0
+
+            assert run(tmp_path, "control", handle.base_url, "--max-inflight", "0") == 0
+            assert handle.control_state()["max_inflight"] is None
+            assert "max_inflight -> unlimited" in capsys.readouterr().out
+
+    def test_fsck_and_scrub_recover_a_killed_ingest(self, tmp_path, capsys):
+        """SIGKILL at publish #9 of 18 (mid-segments), then the operator
+        path: fsck finds it, fsck --repair reclaims it, the name is
+        reusable and scrubs clean."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, REPRO_CRASH_AFTER_WRITES="9")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        killed = subprocess.run(
+            [sys.executable, "-m", "repro", "--root", str(tmp_path / "db"),
+             "ingest", "demo", *SMALL_CLIP, "--workers", "1"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert killed.returncode in (-9, 137), killed.stderr.decode()
+
+        assert run(tmp_path, "fsck") == 1
+        assert "NOT CLEAN" in capsys.readouterr().out
+        assert run(tmp_path, "fsck", "--repair") == 0
+        assert "dropped videos: demo" in capsys.readouterr().out
+        assert run(tmp_path, "fsck") == 0
+        ingest_small(tmp_path)
+        capsys.readouterr()
+        assert run(tmp_path, "scrub") == 0
+        assert "0 corrupt" in capsys.readouterr().out

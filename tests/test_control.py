@@ -8,7 +8,7 @@ Four layers, tested in the order they compose:
   plan) and its versioning/rollback contract;
 * controller step tests drive the loop with scripted metrics snapshots —
   the same injection the chaos harness uses for deterministic replay;
-* wire tests apply plans to a live server through both actuators,
+* wire tests apply plans to a live server in-process and over HTTP,
   including the tier-resizing case: a plan enabling pinning on a server
   that booted with a zero pin budget.
 
@@ -27,14 +27,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.control import (
-    ClusterConfig,
     ControlConfig,
     ControlPlan,
     Controller,
     EwmaTrendForecaster,
     Forecast,
     HandleActuator,
-    HttpActuator,
     NodePlan,
     NodeState,
     Planner,
@@ -369,15 +367,6 @@ class TestControlConfig:
         assert planner.min_inflight == 2
         assert planner.prewarm_threshold == 3.0
 
-    def test_cluster_config_composes_server_and_control(self):
-        cluster = ClusterConfig(
-            server=ServerConfig(max_inflight=8),
-            control=ControlConfig(enabled=True),
-        )
-        assert cluster.server.max_inflight == 8
-        assert cluster.control.enabled
-        assert cluster.transport == "sim"
-
 
 def _snapshot(counters: dict) -> dict:
     return {"counters": dict(counters), "gauges": {}, "histograms": {}, "spans": {}}
@@ -388,7 +377,7 @@ def _scripted_controller(snapshots, catalog, nodes, actuators=()):
     equivalent of the chaos harness's injected sources."""
     feed = iter(snapshots)
     return Controller(
-        ControlConfig(enabled=True, deterministic=True, prewarm_threshold=1.0),
+        ControlConfig(deterministic=True, prewarm_threshold=1.0),
         metrics_source=lambda: next(feed),
         catalog_source=lambda: catalog,
         nodes_source=lambda: nodes,
@@ -533,12 +522,13 @@ class TestWireActuation:
             session_db.storage, ServerConfig(drain_timeout=2.0), registry=MetricsRegistry()
         )
         try:
-            actuator = HttpActuator(handle.base_url)
-            actuator.apply(self._plan(3, inflight=8))
-            # Equal version: idempotent re-application, not an error.
-            assert actuator.apply(self._plan(3, inflight=8))["version"] == 3
-            with pytest.raises(StalePlanError):
-                actuator.apply(self._plan(2, inflight=8))
+            with HttpSegmentClient(handle.base_url) as client:
+                client.post_control("plan", self._plan(3, inflight=8).to_json())
+                # Equal version: idempotent re-application, not an error.
+                again = client.post_control("plan", self._plan(3, inflight=8).to_json())
+                assert again["version"] == 3
+                with pytest.raises(StalePlanError):
+                    client.post_control("plan", self._plan(2, inflight=8).to_json())
             with pytest.raises(StalePlanError):
                 HandleActuator(handle).apply(self._plan(1, inflight=8))
             assert handle.control_state()["version"] == 3
@@ -550,8 +540,8 @@ class TestWireActuation:
             session_db.storage, ServerConfig(drain_timeout=2.0), registry=MetricsRegistry()
         )
         try:
-            HttpActuator(handle.base_url).apply(self._plan(1, inflight=12))
             with HttpSegmentClient(handle.base_url) as client:
+                client.post_control("plan", self._plan(1, inflight=12).to_json())
                 state = client.fetch_control()
             assert state["version"] == 1
             assert state["max_inflight"] == 12
@@ -570,7 +560,6 @@ class TestFlashCrowdEndToEnd:
         )
         controller = Controller(
             ControlConfig(
-                enabled=True,
                 deterministic=True,
                 prewarm_threshold=3.5,
                 horizon=3.0,

@@ -6,8 +6,6 @@ one server mid-use. Everything observable stays inside the PR 3 error
 taxonomy — the failover layer must never leak a raw ``OSError``.
 """
 
-import time
-
 import pytest
 
 from repro.core.errors import SegmentNotFoundError, TransientSegmentError
@@ -272,24 +270,6 @@ class TestFailoverPolicy:
             assert client.replicas.replicas[0].breaker.state == OPEN
             assert client.fetch_segment("v", None) == b"ok"  # half-open probe
             assert client.replicas.replicas[0].breaker.state == CLOSED
-
-    def test_hedge_races_a_slow_primary(self, scripted):
-        def slow_then_ok(call):
-            time.sleep(0.5)
-            return b"slow"
-
-        client = scripted(
-            {"a": slow_then_ok, "b": lambda call: b"fast"},
-            config=FailoverConfig(
-                failure_threshold=3, reset_timeout=0.0, hedge_delay=0.05
-            ),
-        )
-        with client:
-            started = time.perf_counter()
-            results = {client.fetch_segment("v", None) for _ in range(2)}
-        assert b"fast" in results
-        assert time.perf_counter() - started < 2.0
-        assert client.metrics.counter("failover.hedges").total() >= 1
 
     def test_close_closes_every_replica_client(self, scripted):
         client = scripted({"a": lambda call: b"x", "b": lambda call: b"y"})

@@ -13,6 +13,8 @@ import multiprocessing
 
 import pytest
 
+from repro.control import ControlPlan, NodePlan
+from repro.core.errors import TransientSegmentError
 from repro.obs import MetricsRegistry, merge_snapshots
 from repro.serve import HttpSegmentClient, ServerConfig, start_server
 from repro.serve.multiproc import MultiProcessServerHandle, _so_reuseport_available
@@ -109,6 +111,46 @@ class TestFleetServing:
 
         with pytest.raises(ValueError, match="disk-backed"):
             start_server(Memoryish(), ServerConfig(processes=2))
+
+
+def _limits_plan(version: int, max_inflight: int) -> ControlPlan:
+    node = NodePlan(node_id="", max_inflight=max_inflight, pin_budget_bytes=0, prewarm=())
+    return ControlPlan(version=version, nodes=(node,))
+
+
+def _control_states(fleet, count=20) -> set:
+    """``(version, max_inflight)`` as seen over ``count`` fresh
+    connections — the kernel picks the answering worker per connection."""
+    states = set()
+    for _ in range(count):
+        with HttpSegmentClient(fleet.base_url) as client:
+            state = client.fetch_control()
+        states.add((state["version"], state["max_inflight"]))
+    return states
+
+
+class TestFleetControl:
+    """A control plan retunes the whole fleet or none of it."""
+
+    def test_apply_control_plan_reaches_every_worker(self, fleet):
+        summary = fleet.apply_control_plan(_limits_plan(2, max_inflight=7))
+        assert summary["version"] == 2 and summary["max_inflight"] == 7
+        assert summary["workers"] == 2
+        assert summary["refused"] == [] and summary["errors"] == []
+        assert _control_states(fleet) == {(2, 7)}
+        with pytest.raises(ValueError, match="refusing to roll back"):
+            fleet.apply_control_plan(_limits_plan(1, max_inflight=3))
+        assert _control_states(fleet) == {(2, 7)}
+
+    def test_http_post_to_a_single_worker_is_refused(self, fleet):
+        """``POST /control/*`` lands on whichever worker accepted the
+        connection; applying it there would split the fleet, so a worker
+        with siblings answers 405 and points at the handle."""
+        with HttpSegmentClient(fleet.base_url) as client:
+            with pytest.raises(TransientSegmentError, match="apply_control_plan") as refused:
+                client.post_control("limits", {"version": 1, "max_inflight": 7})
+        assert refused.value.status == 405
+        assert _control_states(fleet) == {(0, None)}
 
 
 def _snapshot_with_traffic(latencies, counter_value=1.0) -> dict:

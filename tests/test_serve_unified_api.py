@@ -1,13 +1,11 @@
 """The unified ``VisualCloud.serve`` entry point.
 
 One method covers the whole delivery matrix — single simulated session,
-shared-link contention, and real HTTP transport — and the delivery tier
-is described by one :class:`repro.control.ClusterConfig`. These tests
-pin four things: the removed PR 4-era shapes fail loudly, the removed
-``transport=``/``base_url=`` kwargs are rejected with a ``TypeError``
-naming ``cluster=ClusterConfig(...)``, dispatch errors fire before any
-work happens, and a no-fault wire session is QoE-indistinguishable from
-its simulated twin.
+shared-link contention, and real HTTP transport (``base_url=``). These
+tests pin three things: shapes the signature no longer has (the PR 4-era
+positional config, ``transport=``, ``cluster=``) die with Python's own
+``TypeError``, dispatch errors fire before any work happens, and a
+no-fault wire session is QoE-indistinguishable from its simulated twin.
 """
 
 import json
@@ -16,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import SessionConfig
-from repro.control import ClusterConfig
 from repro.serve import serve_session, start_server
 from repro.stream.abr import PredictiveTilingPolicy, UniformAdaptive
 from repro.stream.network import ConstantBandwidth, SimulatedLink
@@ -52,7 +49,7 @@ class TestRemovedShims:
             session_db.serve("clip", _trace(session_db), _config())
 
     def test_legacy_serve_bare_trace_raises(self, session_db):
-        with pytest.raises(TypeError, match="was removed"):
+        with pytest.raises(TypeError):
             session_db.serve("clip", _trace(session_db))
 
     def test_serve_all_is_gone(self, session_db):
@@ -66,29 +63,13 @@ class TestRemovedShims:
 
 
 class TestDeprecatedClusterKwargs:
-    """The one-release deprecation is over: the kwargs are gone."""
+    """``transport=`` and ``cluster=`` are not parameters: no tombstone,
+    the signature itself refuses them."""
 
     def test_transport_kwarg_rejected(self, session_db):
-        for legacy in ({"transport": "sim"}, {"base_url": "http://127.0.0.1:1"}):
-            with pytest.raises(TypeError, match=r"cluster=ClusterConfig\("):
+        for legacy in ({"transport": "sim"}, {"cluster": None}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
                 session_db.serve("clip", (_trace(session_db), _config()), **legacy)
-
-    def test_kwargs_and_cluster_together_rejected(self, session_db):
-        with pytest.raises(TypeError, match=r"cluster=ClusterConfig\("):
-            session_db.serve(
-                "clip",
-                (_trace(session_db), _config()),
-                cluster=ClusterConfig(),
-                transport="sim",
-            )
-
-    def test_cluster_form_does_not_warn(self, session_db, recwarn):
-        session_db.serve(
-            "clip", (_trace(session_db), _config()), cluster=ClusterConfig()
-        )
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 class TestReturnShapes:
@@ -129,11 +110,7 @@ class TestHttpTransport:
         handle = start_server(session_db.storage)
         try:
             # One after another through the facade ...
-            sequential = session_db.serve(
-                "clip",
-                sessions,
-                cluster=ClusterConfig(transport="http", base_url=handle.base_url),
-            )
+            sequential = session_db.serve("clip", sessions, base_url=handle.base_url)
             # ... and all at once against the same server.
             with ThreadPoolExecutor(max_workers=len(sessions)) as pool:
                 concurrent = list(
@@ -169,52 +146,25 @@ class TestHttpTransport:
         sim = session_db.serve("clip", (trace, config))
         handle = start_server(session_db.storage)
         try:
-            wire = session_db.serve(
-                "clip",
-                (trace, config),
-                cluster=ClusterConfig(transport="http", base_url=handle.base_url),
-            )
+            wire = session_db.serve("clip", (trace, config), base_url=handle.base_url)
         finally:
             handle.stop()
         assert _summary_key(wire) == _summary_key(sim)
 
 
 class TestDispatchErrors:
-    def test_unknown_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            ClusterConfig(transport="carrier-pigeon")
-
-    def test_unknown_transport_via_legacy_kwarg(self, session_db):
-        # The kwarg itself is the error now, whatever value it carries.
-        with pytest.raises(TypeError, match=r"cluster=ClusterConfig\("):
-            session_db.serve(
-                "clip",
-                (_trace(session_db), _config()),
-                transport="carrier-pigeon",
-            )
-
     def test_positional_config_rejected(self, session_db):
         # serve() takes only (name, sessions) positionally now; the old
         # third positional config slot is gone from the signature.
         with pytest.raises(TypeError, match="positional"):
             session_db.serve("clip", (_trace(session_db), _config()), _config())
 
-    def test_http_requires_base_url(self):
-        with pytest.raises(ValueError, match="base_url"):
-            ClusterConfig(transport="http")
-
-    def test_base_url_requires_http(self):
-        with pytest.raises(ValueError, match="base_url"):
-            ClusterConfig(transport="sim", base_url="http://127.0.0.1:1")
-
     def test_http_rejects_simulated_link(self, session_db):
         with pytest.raises(ValueError, match="link"):
             session_db.serve(
                 "clip",
                 (_trace(session_db), _config()),
-                cluster=ClusterConfig(
-                    transport="http", base_url="http://127.0.0.1:1"
-                ),
+                base_url="http://127.0.0.1:1",
                 link=SimulatedLink(ConstantBandwidth(100_000)),
             )
 
