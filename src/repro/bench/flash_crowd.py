@@ -87,8 +87,8 @@ class _Profile:
     flash_ramp: float = 2.0  # seconds over which demand shifts onto the spike video
     flash_peak: float = 4.0  # seconds of unthrottled spike-video load
     flash_inflight: int = 8  # both arms' starting admission ceiling (max_inflight)
-    #: Controller step cadence, seconds. Must exceed the server's 0.25 s
-    #: /metrics render TTL or the controller reads stale counters.
+    #: Controller step cadence, seconds. Must exceed the server's
+    #: ``METRICS_TTL`` (0.25 s) or the controller reads stale counters.
     control_interval: float = 0.3
 
 

@@ -25,7 +25,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core.errors import VisualCloudError
+from repro.core.errors import CatalogError, VisualCloudError
 from repro.core.export import export_video, import_video
 from repro.core.query import Scan
 from repro.core.server import VisualCloud
@@ -279,7 +279,13 @@ def _command_ls(db: VisualCloud, args) -> None:
         print("(no videos)")
         return
     for name in videos:
-        meta = db.meta(name)
+        try:
+            meta = db.meta(name)
+        except CatalogError as error:
+            # A killed first ingest (or damaged metadata) must not hide
+            # the healthy videos beside it.
+            print(f"{name}  ({error}; run `repro fsck`)")
+            continue
         print(
             f"{name}  v{meta.version}  {meta.duration:.1f}s  "
             f"{meta.width}x{meta.height}@{meta.fps:g}fps  "
@@ -437,9 +443,7 @@ def _command_control(db: VisualCloud, args) -> int:
     Actions are versioned: each one reads the server's active plan
     version and submits version+1, so a concurrent controller's newer
     plan makes the CLI's request fail with 409 instead of silently
-    rolling the tier back. A worker of a ``processes=N`` fleet refuses
-    the actions (405): one connection reaches one worker, so a fleet is
-    retuned through ``MultiProcessServerHandle.apply_control_plan``.
+    rolling the tier back.
     """
     import json
 

@@ -4,9 +4,9 @@ An actuator is anything with ``apply(plan) -> dict``: it delivers a
 versioned :class:`~repro.control.planner.ControlPlan` to a serving
 node and returns the node's application summary (``{"version": ...,
 "pinned": ..., "max_inflight": ...}``). :class:`HandleActuator` does it
-in-process, for a ``ServerHandle`` or ``MultiProcessServerHandle``
-(anything exposing ``apply_control_plan``); a node this process did not
-start takes the same plan over the wire through
+in-process, for a ``ServerHandle`` (anything exposing
+``apply_control_plan``); a node this process did not start takes the
+same plan over the wire through
 :meth:`repro.serve.client.HttpSegmentClient.post_control`.
 
 Both surface version refusal the same way: a node holding a newer plan

@@ -72,7 +72,7 @@ class NodePlan:
 
     @classmethod
     def from_json(cls, payload: dict) -> "NodePlan":
-        # Unknown keys (a legacy "processes") are ignored.
+        # Unknown keys are ignored.
         return cls(
             node_id=payload["node_id"],
             max_inflight=payload["max_inflight"],

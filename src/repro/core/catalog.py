@@ -21,13 +21,10 @@ written, never changes underneath them.
 Commit protocol: segment files are published first (temp file + fsync +
 ``os.replace``), then the metadata file, then the ``.ok`` marker — each
 step atomic. A version is *committed* once its marker exists;
-:meth:`Catalog.versions` never reports a marker-less version in a video
-that has any markers, so a hard crash at any point leaves either the old
-catalog state or the new one, never a half-written version.
-``StorageManager.fsck`` rolls marker-less metadata forward (validating
-and adopting it) or back (deleting it). Catalogs written before markers
-existed carry no markers at all; such videos are served as-is and
-adopted wholesale on their first ``fsck --repair``.
+:meth:`Catalog.versions` never reports a marker-less version, so a hard
+crash at any point leaves either the old catalog state or the new one,
+never a half-written version. ``StorageManager.fsck`` rolls marker-less
+metadata forward (validating and adopting it) or back (deleting it).
 """
 
 from __future__ import annotations
@@ -102,15 +99,10 @@ class Catalog:
         return metadata, markers
 
     def versions(self, name: str) -> list[int]:
-        """All committed versions of a video, ascending.
-
-        A version counts as committed when its ``.ok`` marker exists. A
-        video with metadata files but *no* markers at all predates the
-        commit protocol (legacy catalog): every metadata file is complete
-        by the old code's semantics, so all of them are reported.
-        """
+        """All committed versions of a video, ascending: those whose
+        metadata file and ``.ok`` marker both exist."""
         metadata, markers = self.scan_versions(name)
-        committed = metadata & markers if markers else metadata
+        committed = metadata & markers
         if not committed:
             raise CatalogError(f"video {name!r} has no committed versions")
         return sorted(committed)

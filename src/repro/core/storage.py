@@ -108,11 +108,11 @@ class IngestConfig:
 @dataclass(frozen=True)
 class SegmentEntry:
     """Index entry for one stored segment: where, how big, and what the
-    bytes must hash to (:func:`segment_checksum`; 0 = unknown/legacy)."""
+    bytes must hash to (:func:`segment_checksum`)."""
 
     size: int
     file_version: int  # the version whose STORE wrote the bytes
-    checksum: int = 0
+    checksum: int
 
 
 @dataclass
@@ -209,8 +209,7 @@ def _build_metadata_file(meta: VideoMeta) -> Mp4File:
                 continue
             # Content checksums ride in a sibling leaf atom (one >I per
             # stss entry, same order) rather than widening the stss
-            # record: old parsers skip unknown atoms, so pre-checksum
-            # readers still parse post-checksum metadata.
+            # record, whose shape the export container shares.
             csum = Atom(
                 "csum",
                 payload=struct.pack(">I", len(checksums))
@@ -297,21 +296,21 @@ def _parse_metadata_atoms(name: str, data: bytes) -> VideoMeta:
         stsd = trak.find("stsd")
         tloc = trak.find("tloc")
         stss = trak.find("stss")
-        if stsd is None or tloc is None or stss is None:
+        csum = trak.find("csum")
+        if stsd is None or tloc is None or stss is None or csum is None:
             raise CatalogError(f"metadata for {name!r} has an incomplete trak")
         quality = Quality.from_label(parse_stsd(stsd)["quality"])
         tile = tuple(struct.unpack(">BB", tloc.payload))
-        csum = trak.find("csum")
-        checksums: list[int] = []
-        if csum is not None:
-            (count,) = struct.unpack_from(">I", csum.payload)
-            checksums = [
-                struct.unpack_from(">I", csum.payload, 4 + 4 * i)[0]
-                for i in range(count)
-            ]
-        for index, (time_ms, file_version, size) in enumerate(parse_stss(stss)):
+        samples = parse_stss(stss)
+        (count,) = struct.unpack_from(">I", csum.payload)
+        if count != len(samples):
+            raise CatalogError(
+                f"metadata for {name!r} has a trak with {count} checksums "
+                f"for {len(samples)} segments"
+            )
+        checksums = struct.unpack_from(f">{count}I", csum.payload, 4)
+        for (time_ms, file_version, size), checksum in zip(samples, checksums):
             gop = int(round(time_ms / gop_duration_ms))
-            checksum = checksums[index] if index < len(checksums) else 0
             meta.entries[(gop, tile, quality)] = SegmentEntry(
                 size, file_version, checksum
             )
@@ -327,9 +326,8 @@ def segment_checksum(data: bytes) -> int:
     ``X-Checksum`` response header, and verified on local read, peer
     fetch, and scrub. A cryptographic prefix (rather than a plain CRC)
     keeps single-bit, swap, and truncation errors detectable with the
-    stdlib only; 0 is reserved for "unknown" (legacy entries), so a real
-    checksum of 0 is remapped to 1 — a one-in-4-billion bias that keeps
-    the sentinel unambiguous.
+    stdlib only. A digest prefix of 0 is stored as 1 — a one-in-4-billion
+    bias — so a zeroed index field never verifies any bytes.
     """
     value = int.from_bytes(hashlib.sha256(data).digest()[:4], "big")
     return value or 1
@@ -392,11 +390,10 @@ def _publish_bytes(path: Path, payload: bytes) -> None:
 def _mismatch(entry: SegmentEntry, data: bytes) -> str | None:
     """The one integrity rule: which of ``entry``'s promises ``data``
     breaks — ``"size"``, ``"checksum"`` — or None when the bytes are the
-    segment the index committed. A checksum of 0 (metadata written before
-    checksums existed) vouches for nothing, so only the size is checked."""
+    segment the index committed."""
     if len(data) != entry.size:
         return "size"
-    if entry.checksum and segment_checksum(data) != entry.checksum:
+    if segment_checksum(data) != entry.checksum:
         return "checksum"
     return None
 
@@ -445,9 +442,7 @@ class StorageManager:
     metrics export together.
 
     Every uncached :meth:`read_segment` hashes the bytes it loaded and
-    compares against the index entry's recorded checksum (entries with
-    checksum 0 — metadata written before checksums existed — are only
-    size-checked).
+    compares against the index entry's recorded checksum.
     """
 
     def __init__(
@@ -1193,8 +1188,7 @@ class StorageManager:
           order guarantees the metadata file itself is complete, so fsck
           *rolls forward*: if it parses, matches every referenced segment
           file (size + checksum), it is adopted by writing its marker;
-          otherwise it is rolled back (deleted). Legacy catalogs written
-          before markers existed take exactly this adoption path.
+          otherwise it is rolled back (deleted).
         * A video directory with no committed versions (the SIGKILL-mid-
           ingest case) is dropped wholesale on repair.
         * Segment files no committed version references are orphans from
@@ -1226,7 +1220,7 @@ class StorageManager:
                 if repair:
                     self.catalog.marker_path(name, version).unlink()
                     markers.discard(version)
-            committed = metadata & markers if markers else set()
+            committed = metadata & markers
             for version in sorted(metadata - committed):
                 if self._validate_version(name, version):
                     report["adopted_versions"].append(f"{name} v{version}")

@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     QUANTILES,
     counter_deltas,
-    merge_snapshots,
     series_label,
     snapshot_quantile,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "counter_deltas",
-    "merge_snapshots",
     "series_label",
     "snapshot_quantile",
 ]

@@ -198,7 +198,7 @@ class _HistogramSeries:
         index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
         return ordered[index]
 
-    def summary(self, include_samples: bool = False) -> dict:
+    def summary(self) -> dict:
         if self.count == 0:
             return {"count": 0, "sum": 0.0}
         ordered = sorted(self.samples)
@@ -206,7 +206,7 @@ class _HistogramSeries:
         def at(q: float) -> float:
             return ordered[min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))]
 
-        out = {
+        return {
             "count": self.count,
             "sum": self.total,
             "min": self.minimum,
@@ -214,9 +214,6 @@ class _HistogramSeries:
             "mean": self.total / self.count,
             **{f"p{int(q * 100)}": at(q) for q in QUANTILES},
         }
-        if include_samples:
-            out["samples"] = list(self.samples)
-        return out
 
 
 class Histogram(Metric):
@@ -314,7 +311,7 @@ class MetricsRegistry:
 
     # -- export ---------------------------------------------------------------
 
-    def snapshot(self, include_samples: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """A JSON-able dump of every series, plus recent spans.
 
         Shape::
@@ -324,10 +321,6 @@ class MetricsRegistry:
              "histograms": {"storage.read_segment.seconds":
                                 {"count": .., "sum": .., "p50": .., ...}},
              "spans":      [{"name": .., "attrs": .., "seconds": ..}, ...]}
-
-        With ``include_samples`` each histogram summary also carries its
-        sliding sample window, so a sibling process can pool the samples
-        into cross-worker quantiles (see :func:`merge_snapshots`).
         """
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
@@ -340,7 +333,7 @@ class MetricsRegistry:
                 elif isinstance(metric, Gauge):
                     gauges[rendered] = float(series)
                 elif isinstance(metric, Histogram):
-                    histograms[rendered] = series.summary(include_samples)
+                    histograms[rendered] = series.summary()
         return {
             "counters": counters,
             "gauges": gauges,
@@ -385,7 +378,7 @@ def counter_deltas(previous: dict, current: dict, prefix: str = "") -> dict[str,
     polls the registry (or a server's ``/metrics``) every interval and
     needs how much each counter moved. Series absent from ``previous``
     count from zero (a new video just started taking traffic); a series
-    that went *down* — a restarted worker, a replaced registry — clamps
+    that went *down* — a restarted node, a replaced registry — clamps
     to its current value rather than reporting a negative rate.
 
     ``prefix`` restricts the diff to series whose rendered name starts
@@ -428,77 +421,3 @@ def snapshot_quantile(snapshot: dict, histogram: str, quantile: str) -> float:
         return math.nan
     value = summary.get(quantile)
     return float(value) if isinstance(value, (int, float)) else math.nan
-
-
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Fold per-worker ``snapshot()`` dicts into one fleet-wide view.
-
-    Counters and gauges sum per series (gauges here are sizes — pinned
-    bytes, in-flight requests — where the fleet total is the meaningful
-    number). Histograms keep exact count/sum/min/max arithmetic; the
-    quantiles come from pooling the workers' sample windows when *every*
-    live worker carried one (``snapshot(include_samples=True)``), else
-    from a count-weighted average of the per-worker quantiles — mixing
-    the two would weight the merged quantiles entirely toward whichever
-    workers happened to include samples. Spans are per-process debugging
-    detail and are dropped from the merged view.
-    """
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    series: dict[str, list[dict]] = {}
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0.0) + float(value)
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = gauges.get(name, 0.0) + float(value)
-        for name, summary in snap.get("histograms", {}).items():
-            series.setdefault(name, []).append(summary)
-
-    histograms: dict[str, dict] = {}
-    for name, parts in series.items():
-        live = [part for part in parts if part.get("count", 0) > 0]
-        if not live:
-            histograms[name] = {"count": 0, "sum": 0.0}
-            continue
-        count = sum(part["count"] for part in live)
-        total = sum(part["sum"] for part in live)
-        merged = {
-            "count": count,
-            "sum": total,
-            "min": min(part["min"] for part in live),
-            "max": max(part["max"] for part in live),
-            "mean": total / count,
-        }
-        # Pool sample windows only when *every* live part carries one:
-        # with a mixed fleet (one worker snapshotted with samples, a
-        # sibling without), pooling would compute merged quantiles from
-        # the sampled worker alone and silently drop the other worker's
-        # distribution — the count-weighted average is honest about what
-        # each part contributed.
-        sampled = [part for part in live if part.get("samples")]
-        if sampled and len(sampled) == len(live):
-            pooled: list[float] = []
-            for part in live:
-                pooled.extend(part["samples"])
-            pooled.sort()
-            last = len(pooled) - 1
-            for q in QUANTILES:
-                merged[f"p{int(q * 100)}"] = pooled[min(last, max(0, round(q * last)))]
-        else:
-            for q in QUANTILES:
-                tag = f"p{int(q * 100)}"
-                with_tag = [part for part in live if tag in part]
-                if not with_tag:
-                    continue  # no part reported this quantile: omit, not 0.0
-                tag_count = sum(part["count"] for part in with_tag)
-                merged[tag] = (
-                    sum(part[tag] * part["count"] for part in with_tag) / tag_count
-                )
-        histograms[name] = merged
-    return {
-        "workers": len(snapshots),
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-        "spans": [],
-    }

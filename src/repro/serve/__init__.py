@@ -27,7 +27,6 @@ from repro.serve.failover import (
     RetryBudget,
 )
 from repro.serve.hotset import HotSet, PinnedSegment
-from repro.serve.multiproc import MultiProcessServerHandle
 from repro.serve.peering import ShardedBackend
 from repro.serve.placement import HashRing, ShardMap, materialize_shards, stable_hash
 from repro.serve.server import (
@@ -45,7 +44,6 @@ __all__ = [
     "HashRing",
     "HotSet",
     "HttpSegmentClient",
-    "MultiProcessServerHandle",
     "PinnedSegment",
     "RemoteStorage",
     "ReplicaSet",

@@ -241,13 +241,10 @@ class HttpSegmentClient:
             )
         return body
 
-    def fetch_metrics(self, local: bool = False) -> dict:
-        """The server's metrics snapshot. In multi-process mode the
-        default ``/metrics`` is the fleet-merged view; ``local=True``
-        asks the answering worker for its own snapshot only."""
-        path = "/metrics/local" if local else "/metrics"
-        status, headers, body = self._request(path)
-        self._raise_for_status(status, headers, body, path)
+    def fetch_metrics(self) -> dict:
+        """The server's metrics snapshot (``GET /metrics``)."""
+        status, headers, body = self._request("/metrics")
+        self._raise_for_status(status, headers, body, "/metrics")
         return json.loads(body)
 
     def fetch_control(self) -> dict:

@@ -19,7 +19,7 @@ segments are pinned in RAM as prebuilt wire buffers (header block +
 ``memoryview`` of the payload, see :mod:`repro.serve.hotset`) and served
 straight off the event loop — no executor hop, no cache lock, no
 per-request ``bytes`` concatenation. ``/healthz`` is precomputed once and
-``/metrics`` rendering is cached for ``metrics_ttl`` seconds, so the
+``/metrics`` rendering is cached for :data:`METRICS_TTL` seconds, so the
 observability endpoints stop doing full-registry JSON dumps per request.
 
 Endpoints (HTTP/1.1, keep-alive by default; ``GET`` everywhere except
@@ -28,10 +28,7 @@ the control plane's ``POST`` routes):
 * ``/manifest/<video>`` — :meth:`Manifest.to_json` as JSON;
 * ``/segment/<video>/<window>/<row>/<col>/<quality>`` — raw segment
   bytes; the URL tail is exactly :meth:`SegmentKey.to_path`;
-* ``/metrics`` — the registry snapshot as JSON (merged across workers
-  in multi-process mode);
-* ``/metrics/local`` — this process's snapshot only, histogram sample
-  windows included (what sibling workers fetch to merge);
+* ``/metrics`` — the registry snapshot as JSON;
 * ``/healthz`` — liveness;
 * ``GET /control`` — the active control-plane state (plan version,
   admission ceiling, pin budget and occupancy);
@@ -40,9 +37,7 @@ the control plane's ``POST`` routes):
   and ``POST /control/prewarm`` apply just the admission or just the
   pre-warm slice. All three refuse versions older than the active plan
   with ``409`` — the shard-map rollback-refusal pattern, so a delayed
-  or replayed plan can never roll the node backwards. A worker with
-  siblings (``processes=N``) answers them ``405``: one connection
-  reaches one worker, so a fleet takes plans through its handle.
+  or replayed plan can never roll the node backwards.
 
 Failures map onto the storage error contract, never raw ``OSError``:
 404 :class:`SegmentNotFoundError` / :class:`CatalogError`,
@@ -67,12 +62,6 @@ closed — both counted in the ``serve.shed`` counter with the live
 ceiling (they consume no executor slot, which is what the ceiling
 protects) but still spend the per-connection budget.
 
-With ``processes=N > 1``, :func:`start_server` forks N workers sharing
-one listening port (SO_REUSEPORT where available, single inherited
-listening socket otherwise) — see :mod:`repro.serve.multiproc`. Each
-worker is exactly this server; ``/metrics`` on any worker merges every
-sibling's snapshot.
-
 Shutdown is drain-then-close: stop accepting, let every queued response
 flush (bounded by ``drain_timeout``), then cancel stragglers and release
 the thread pool.
@@ -95,7 +84,7 @@ from repro.core.errors import (
     VisualCloudError,
 )
 from repro.core.storage import checksum_hex
-from repro.obs import MetricsRegistry, merge_snapshots
+from repro.obs import MetricsRegistry
 from repro.serve.hotset import HotSet
 from repro.serve.peering import ShardedBackend
 from repro.serve.placement import ShardMap
@@ -113,11 +102,13 @@ _MAX_REQUEST_BYTES = 16 * 1024  # request line + headers
 _ENDPOINTS = frozenset({"segment", "manifest", "metrics", "healthz", "control"})
 _MAX_CONTROL_BODY = 4 * 1024 * 1024  # POST /control/* bodies (plans are small)
 LISTEN_BACKLOG = 256  # listen(2) backlog per listening socket
+METRICS_TTL = 0.25  # /metrics render cache (seconds)
+RETRY_AFTER = 0.5  # Retry-After hint (seconds) on shed responses
 
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Tunables for one :class:`SegmentServer` (or a worker fleet)."""
+    """Tunables for one :class:`SegmentServer`."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = let the kernel pick (the handle reports it)
@@ -127,12 +118,9 @@ class ServerConfig:
     drain_timeout: float = 5.0  # graceful-shutdown flush budget
     max_inflight: int | None = None  # concurrent dispatches before 503 shed
     max_connection_requests: int | None = None  # per-connection budget before 429
-    retry_after: float = 0.5  # Retry-After hint (seconds) on shed responses
-    processes: int = 1  # worker processes sharing the listening port
     pin_budget_bytes: int = 0  # RAM hot-set budget; 0 disables pinning
     pin_threshold: int = 3  # cold-path hits before a segment is pinned
     prewarm: tuple[str, ...] = ()  # videos pinned hottest-first at startup
-    metrics_ttl: float = 0.25  # /metrics render cache (seconds); 0 disables
     # -- sharded delivery (see repro.serve.placement) ----------------------
     node_id: str = ""  # this node's logical id in the shard map; "" = unsharded
     shard_map: ShardMap | None = None  # segment → owners blueprint
@@ -160,18 +148,12 @@ class ServerConfig:
             raise ValueError(
                 f"max_connection_requests must be >= 1, got {self.max_connection_requests}"
             )
-        if self.retry_after <= 0:
-            raise ValueError(f"retry_after must be positive, got {self.retry_after}")
-        if self.processes < 1:
-            raise ValueError(f"processes must be >= 1, got {self.processes}")
         if self.pin_budget_bytes < 0:
             raise ValueError(
                 f"pin_budget_bytes must be >= 0, got {self.pin_budget_bytes}"
             )
         if self.pin_threshold < 1:
             raise ValueError(f"pin_threshold must be >= 1, got {self.pin_threshold}")
-        if self.metrics_ttl < 0:
-            raise ValueError(f"metrics_ttl must be >= 0, got {self.metrics_ttl}")
         if self.shard_map is not None and not self.node_id:
             raise ValueError("a shard map needs a node_id for this server")
         if self.shard_map is not None and self.node_id not in self.shard_map.nodes:
@@ -207,7 +189,6 @@ class SegmentServer:
             else getattr(storage, "metrics", None) or MetricsRegistry()
         )
         self._server: asyncio.base_events.Server | None = None
-        self._admin: asyncio.base_events.Server | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._connections: set[asyncio.Task] = set()
         self._drain: asyncio.Event | None = None
@@ -243,9 +224,6 @@ class SegmentServer:
         )
         self._healthz = Precomputed(Response(200, b"ok", content_type="text/plain"))
         self._metrics_cache: tuple[float, Precomputed] | None = None
-        # Multi-process wiring (set by the worker shim, see multiproc.py).
-        self._worker_id: int | None = None
-        self._peer_ports: tuple[int, ...] = ()
         # The one backend every segment and manifest is read through:
         # the storage manager itself, or — on a shard node — owner-or-peer
         # routing and read-repair stacked over it (see serve/peering.py).
@@ -290,13 +268,8 @@ class SegmentServer:
 
     # -- lifecycle ------------------------------------------------------------
 
-    async def start(self, sock=None) -> tuple[str, int]:
-        """Bind and start accepting; returns the bound (host, port).
-
-        ``sock`` lets a multi-process worker serve on a pre-bound
-        SO_REUSEPORT (or fork-inherited) listening socket instead of
-        binding its own.
-        """
+    async def start(self) -> tuple[str, int]:
+        """Bind and start accepting; returns the bound (host, port)."""
         if self._server is not None:
             raise RuntimeError("server already started")
         self._drain = asyncio.Event()
@@ -307,34 +280,16 @@ class SegmentServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.read_workers, thread_name_prefix="serve-read"
         )
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=sock, backlog=LISTEN_BACKLOG
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                self.config.host,
-                self.config.port,
-                backlog=LISTEN_BACKLOG,
-            )
+        self._server = await asyncio.start_server(
+            self._handle_connection,
+            self.config.host,
+            self.config.port,
+            backlog=LISTEN_BACKLOG,
+        )
         for name in self.config.prewarm:
             self.prewarm_pins(name)
         host, port = self._server.sockets[0].getsockname()[:2]
         return host, port
-
-    async def start_admin(self) -> int:
-        """A second listener on an ephemeral port, same handler — the
-        worker-to-worker channel for ``/metrics/local`` merging."""
-        self._admin = await asyncio.start_server(
-            self._handle_connection, self.config.host, 0
-        )
-        return self._admin.sockets[0].getsockname()[1]
-
-    def set_peers(self, worker_id: int, peer_ports) -> None:
-        """Tell this worker who its siblings are (admin ports)."""
-        self._worker_id = worker_id
-        self._peer_ports = tuple(peer_ports)
 
     # -- sharded delivery ------------------------------------------------------
 
@@ -395,10 +350,6 @@ class SegmentServer:
             return
         self._server.close()
         await self._server.wait_closed()
-        if self._admin is not None:
-            self._admin.close()
-            await self._admin.wait_closed()
-            self._admin = None
         if self._drain is not None:
             self._drain.set()  # idle keep-alive loops exit immediately
         pending = [task for task in self._connections if not task.done()]
@@ -546,16 +497,6 @@ class SegmentServer:
             return json_response(200, self.control_state())
         if method != "POST" or len(parts) != 1:
             return error_response(404, LookupError(f"no control route {parts!r}"))
-        if self._peer_ports:
-            # One worker of a fleet: applying here would retune this
-            # process alone and leave its siblings on the old plan.
-            return error_response(
-                405,
-                LookupError(
-                    "this worker has siblings; apply control through "
-                    "MultiProcessServerHandle.apply_control_plan"
-                ),
-            )
         payload = json.loads(body.decode("utf-8"))  # ValueError → 400 upstream
         try:
             return self._control_post(parts[0], payload)
@@ -798,7 +739,7 @@ class SegmentServer:
         return error_response(
             status,
             TransientSegmentError(f"request shed: {reason}"),
-            retry_after=self.config.retry_after,
+            retry_after=RETRY_AFTER,
         )
 
     async def _dispatch(self, target: str, method: str = "GET", body: bytes = b""):
@@ -812,11 +753,7 @@ class SegmentServer:
             if parts and parts[0] == "control":
                 return self._control(parts[1:], method, body)
             if parts == ["metrics"]:
-                return await self._metrics_response()
-            if parts == ["metrics", "local"]:
-                snapshot = self.metrics.snapshot(include_samples=True)
-                snapshot["worker"] = self._worker_id
-                return json_response(200, snapshot)
+                return self._metrics_response()
             if len(parts) == 2 and parts[0] == "manifest":
                 return await self._manifest(parts[1])
             return error_response(404, LookupError(f"no route for {target!r}"))
@@ -825,8 +762,8 @@ class SegmentServer:
         except ValueError as error:
             return error_response(400, error)
 
-    async def _metrics_response(self) -> Precomputed:
-        """The registry snapshot, rendered at most once per ``metrics_ttl``.
+    def _metrics_response(self) -> Precomputed:
+        """The registry snapshot, rendered at most once per ``METRICS_TTL``.
 
         Snapshotting and JSON-encoding the full registry per request is
         event-loop work that scales with series count, not traffic — a
@@ -835,13 +772,9 @@ class SegmentServer:
         """
         now = asyncio.get_running_loop().time()
         cached = self._metrics_cache
-        if cached is not None and now - cached[0] < self.config.metrics_ttl:
+        if cached is not None and now - cached[0] < METRICS_TTL:
             return cached[1]
-        if self._peer_ports:
-            snapshot = await self._merged_snapshot()
-        else:
-            snapshot = self.metrics.snapshot()
-        rendered = Precomputed(json_response(200, snapshot))
+        rendered = Precomputed(json_response(200, self.metrics.snapshot()))
         self._metrics_cache = (now, rendered)
         return rendered
 
@@ -890,58 +823,6 @@ class SegmentServer:
             raise SegmentReadTimeout(
                 f"storage read exceeded the {self.config.read_timeout:.3f}s budget"
             ) from None
-
-    # -- worker metrics merging -----------------------------------------------
-
-    async def _merged_snapshot(self) -> dict:
-        """This worker's snapshot pooled with every reachable sibling's.
-
-        Dead or unresponsive peers are skipped, not fatal — ``workers``
-        reports how many snapshots the merge actually covers and
-        ``peer_errors`` how many it could not reach.
-        """
-        snapshots = [self.metrics.snapshot(include_samples=True)]
-        results = await asyncio.gather(
-            *(
-                asyncio.wait_for(self._fetch_peer_snapshot(port), timeout=2.0)
-                for port in self._peer_ports
-            ),
-            return_exceptions=True,
-        )
-        errors = 0
-        for result in results:
-            if isinstance(result, dict):
-                snapshots.append(result)
-            else:
-                errors += 1
-        merged = merge_snapshots(snapshots)
-        if errors:
-            merged["peer_errors"] = errors
-        return merged
-
-    async def _fetch_peer_snapshot(self, port: int) -> dict:
-        """One raw ``GET /metrics/local`` to a sibling's admin listener."""
-        reader, writer = await asyncio.open_connection(self.config.host, port)
-        try:
-            writer.write(
-                b"GET /metrics/local HTTP/1.1\r\n"
-                b"Host: peer\r\nConnection: close\r\n\r\n"
-            )
-            await writer.drain()
-            head = await reader.readuntil(b"\r\n\r\n")
-            length = 0
-            for line in head.decode("latin-1").split("\r\n")[1:]:
-                name, _, value = line.partition(":")
-                if name.strip().lower() == "content-length":
-                    length = int(value.strip())
-            body = await reader.readexactly(length)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        return json.loads(body)
 
 
 class ServerStartupError(RuntimeError):
@@ -1063,30 +944,7 @@ def start_server(
     storage,
     config: ServerConfig | None = None,
     registry: MetricsRegistry | None = None,
-):
-    """Start a segment server and hand back a handle.
-
-    ``processes=1`` (the default): the server runs its event loop in a
-    daemon thread of this process and returns a :class:`ServerHandle`.
-    ``processes=N``: N worker processes share one listening port and a
-    :class:`~repro.serve.multiproc.MultiProcessServerHandle` is returned
-    — same ``address``/``base_url``/``stop()``/context-manager contract.
-    Multi-process mode needs a disk-backed storage manager (each worker
-    reopens the catalog from its root after the fork) and ignores
-    ``registry`` (each worker owns one; ``/metrics`` merges them).
-    """
-    config = config or ServerConfig()
-    if config.processes > 1:
-        from repro.serve.multiproc import MultiProcessServerHandle
-
-        catalog = getattr(storage, "catalog", None)
-        if catalog is None:
-            raise ValueError(
-                "multi-process serving needs a disk-backed StorageManager "
-                "(each worker reopens the catalog from its root); got "
-                f"{type(storage).__name__}"
-            )
-        cache = getattr(storage, "segment_cache", None)
-        cache_bytes = getattr(cache, "capacity_bytes", 0) if cache is not None else 0
-        return MultiProcessServerHandle(catalog.root, cache_bytes, config)
+) -> ServerHandle:
+    """Start a segment server on a daemon loop thread of this process
+    and hand back its :class:`ServerHandle`."""
     return ServerHandle(SegmentServer(storage, config, registry))

@@ -236,8 +236,9 @@ class TestCommands:
 
     def test_fsck_and_scrub_recover_a_killed_ingest(self, tmp_path, capsys):
         """SIGKILL at publish #9 of 18 (mid-segments), then the operator
-        path: fsck finds it, fsck --repair reclaims it, the name is
-        reusable and scrubs clean."""
+        path: ls still lists the healthy video beside it, fsck finds it,
+        fsck --repair reclaims it, the name is reusable and scrubs clean."""
+        ingest_small(tmp_path, "good")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, REPRO_CRASH_AFTER_WRITES="9")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -248,6 +249,11 @@ class TestCommands:
         )
         assert killed.returncode in (-9, 137), killed.stderr.decode()
 
+        capsys.readouterr()
+        assert run(tmp_path, "ls") == 0
+        listing = capsys.readouterr().out
+        assert re.search(r"^good  v1 ", listing, re.M)
+        assert re.search(r"^demo  \(.*fsck", listing, re.M)
         assert run(tmp_path, "fsck") == 1
         assert "NOT CLEAN" in capsys.readouterr().out
         assert run(tmp_path, "fsck", "--repair") == 0

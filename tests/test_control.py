@@ -259,11 +259,10 @@ class TestPlanner:
         assert (
             ControlPlan.from_json(plan.to_json()).canonical() == plan.canonical()
         )
-        # A plan written before the process-count field was removed
-        # still loads; the legacy key is ignored.
-        legacy = plan.to_json()
-        legacy["nodes"][0]["processes"] = 4
-        assert ControlPlan.from_json(legacy) == plan
+        # Unknown keys are ignored.
+        extended = plan.to_json()
+        extended["nodes"][0]["processes"] = 4
+        assert ControlPlan.from_json(extended) == plan
 
 
 # Bounded strategies: the purity property needs variety, not magnitude.

@@ -69,11 +69,22 @@ class TestVersions:
         catalog.create("demo")
         for version in (3, 1, 2):
             catalog.metadata_path("demo", version).write_bytes(b"m")
+            catalog.marker_path("demo", version).write_bytes(b"ok")
         assert catalog.versions("demo") == [1, 2, 3]
         assert catalog.latest_version("demo") == 3
+
+    def test_unmarked_metadata_is_not_a_version(self, catalog):
+        catalog.create("demo")
+        catalog.metadata_path("demo", 1).write_bytes(b"m")
+        with pytest.raises(CatalogError, match="no committed versions"):
+            catalog.versions("demo")
+        catalog.marker_path("demo", 1).write_bytes(b"ok")
+        catalog.metadata_path("demo", 2).write_bytes(b"m")
+        assert catalog.versions("demo") == [1]
 
     def test_unrelated_files_ignored(self, catalog):
         catalog.create("demo")
         catalog.metadata_path("demo", 1).write_bytes(b"m")
+        catalog.marker_path("demo", 1).write_bytes(b"ok")
         (catalog.video_dir("demo") / "notes.txt").write_bytes(b"x")
         assert catalog.versions("demo") == [1]

@@ -6,10 +6,10 @@ Four contracts pinned here:
 * **Checksum soundness** — ``segment_checksum`` detects every labelled
   corruption in the chaos corpus and never flags intact bytes.
 * **Crash consistency** — a process SIGKILLed at *any* seeded write
-  point mid-ingest leaves either no visible version (crash before the
-  metadata publish) or a complete, adoptable one (crash between metadata
-  and marker); ``fsck --repair`` restores a clean catalog either way,
-  and re-ingest then succeeds.
+  point leaves no new version visible: nothing adoptable (crash before
+  the metadata publish) or a complete but unmarked version that only
+  ``fsck --repair`` makes visible (crash between metadata and marker);
+  the catalog is clean afterwards either way, and re-ingest succeeds.
 * **Drop coherence** — dropping a video also drops its pinned wire
   buffers on an attached server, so a dropped-then-recreated video never
   serves stale bytes.
@@ -59,7 +59,7 @@ class TestChecksumSoundness:
     @given(data=st.binary(max_size=512))
     def test_intact_bytes_always_verify(self, data):
         assert segment_checksum(data) == segment_checksum(bytes(data))
-        assert segment_checksum(data) != 0  # 0 stays the "unknown" sentinel
+        assert segment_checksum(data) != 0  # a zeroed index field never verifies
         assert checksum_hex(data) == format(segment_checksum(data), "08x")
 
     def test_stored_segment_corpus_detected_by_the_read_path(self, session_db):
@@ -78,9 +78,12 @@ class TestChecksumSoundness:
                 storage.verify_segment_bytes("clip", gop, tile, quality, payload)
 
 
-def _crashing_ingest(root: Path, crash_after: int) -> subprocess.CompletedProcess:
-    """Run one ingest in a subprocess that SIGKILLs itself at the
-    ``crash_after``-th durable publish (segments, metadata, marker)."""
+def _crashing_ingest(
+    root: Path, crash_after: int, append: bool = False
+) -> subprocess.CompletedProcess:
+    """Run one ingest (or one append to an existing ``clip``) in a
+    subprocess that SIGKILLs itself at the ``crash_after``-th durable
+    publish (segments, metadata, marker)."""
     script = (
         "from pathlib import Path\n"
         "from repro import IngestConfig, Quality, TileGrid\n"
@@ -92,7 +95,11 @@ def _crashing_ingest(root: Path, crash_after: int) -> subprocess.CompletedProces
         "config = IngestConfig(grid=TileGrid(2, 2),\n"
         "                      qualities=(Quality.HIGH, Quality.LOW),\n"
         "                      gop_frames=4, fps=4.0, workers=1)\n"
-        "db.ingest('clip', frames, config)\n"
+        + (
+            "db.append('clip', frames, workers=1)\n"
+            if append
+            else "db.ingest('clip', frames, config)\n"
+        )
     )
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
@@ -139,21 +146,36 @@ class TestCrashConsistency:
         assert all(entry.checksum for entry in meta.entries.values())
 
     def test_crash_before_marker_rolls_forward(self, tmp_path):
-        result = _crashing_ingest(tmp_path, crash_after=18)
+        self._crash_before_marker(tmp_path, version=1)
+
+    def test_crash_before_append_marker_rolls_forward(self, tmp_path):
+        _ingest(StorageManager(tmp_path), "clip", seed=5)
+        self._crash_before_marker(tmp_path, version=2)
+
+    @staticmethod
+    def _crash_before_marker(root: Path, version: int) -> None:
+        """One commit rule for a first ingest and an append alike: the
+        complete-but-unmarked version stays invisible until fsck adopts
+        it (roll-forward), then it reads."""
+        result = _crashing_ingest(root, crash_after=18, append=version > 1)
         assert result.returncode in (-9, 137), result.stderr.decode()
 
-        storage = StorageManager(tmp_path)
-        # Metadata landed after every segment, so the version is complete
-        # and visible even before recovery (roll-forward semantics) ...
-        assert storage.catalog.versions("clip") == [1]
-        data = storage.read_segment(
-            "clip", 0, (0, 0), storage.meta("clip").qualities[0]
-        )
-        assert data
-        # ... and fsck adopts it by writing the missing marker.
+        storage = StorageManager(root)
+        catalog = storage.catalog
+        assert catalog.metadata_path("clip", version).exists()
+        if version == 1:
+            with pytest.raises(CatalogError, match="no committed versions"):
+                catalog.versions("clip")
+        else:
+            assert catalog.versions("clip") == list(range(1, version))
+
         report = storage.fsck(repair=True)
-        assert report["adopted_versions"] == ["clip v1"]
-        assert storage.catalog.marker_path("clip", 1).exists()
+        assert report["adopted_versions"] == [f"clip v{version}"]
+        assert catalog.marker_path("clip", version).exists()
+        assert catalog.versions("clip") == list(range(1, version + 1))
+        meta = storage.meta("clip")
+        assert meta.version == version
+        assert storage.read_segment("clip", meta.gop_count - 1, (0, 0), meta.qualities[0])
         assert storage.fsck()["clean"]
 
 
@@ -178,32 +200,6 @@ def _ingest(db, name: str, seed: int) -> None:
 
 
 class TestFsckRecovery:
-    def test_legacy_catalog_without_markers_is_adopted(self, db):
-        from repro import IngestConfig, Quality, TileGrid
-        from repro.workloads.videos import synthetic_video
-
-        frames = synthetic_video(
-            "venice", width=64, height=32, fps=4.0, duration=2.0, seed=9
-        )
-        db.ingest(
-            "legacy",
-            frames,
-            IngestConfig(
-                grid=TileGrid(2, 2),
-                qualities=(Quality.HIGH, Quality.LOW),
-                gop_frames=4,
-                fps=4.0,
-            ),
-        )
-        marker = db.storage.catalog.marker_path("legacy", 1)
-        marker.unlink()  # what a pre-marker catalog looks like on disk
-
-        assert db.storage.catalog.versions("legacy") == [1]  # still served
-        report = db.storage.fsck(repair=True)
-        assert report["adopted_versions"] == ["legacy v1"]
-        assert marker.exists()
-        assert db.storage.fsck()["clean"]
-
     def test_torn_metadata_is_rolled_back(self, db):
         from repro import IngestConfig, Quality, TileGrid
         from repro.workloads.videos import synthetic_video
@@ -261,30 +257,27 @@ DAMAGE = {
     "deleted": Path.unlink,
 }
 
-#: What the index can conclude about the damaged file, per kind of entry.
-#: A legacy entry (checksum 0) vouches for the size only, so a same-size
-#: bit flip is invisible to it — everywhere, not just on the read path.
+#: What the index concludes about the damaged file.
 VERDICTS = {
-    ("intact", "checksummed"): "ok",
-    ("intact", "legacy"): "ok",
-    ("truncated", "checksummed"): "corrupt",
-    ("truncated", "legacy"): "corrupt",
-    ("bit-flip", "checksummed"): "corrupt",
-    ("bit-flip", "legacy"): "ok",
-    ("deleted", "checksummed"): "missing",
-    ("deleted", "legacy"): "missing",
+    "intact": "ok",
+    "truncated": "corrupt",
+    "bit-flip": "corrupt",
+    "deleted": "missing",
 }
 
 
 class TestIntegrityTable:
-    """damage x entry kind -> every consumer of the integrity rule reaches
-    the same verdict: the read path, ``verify_segment_bytes``, fsck's
-    adopt-or-roll-back of an unmarked version, and ``scrub``."""
+    """damage -> every consumer of the integrity rule reaches the same
+    verdict: the read path, ``verify_segment_bytes``, ``scrub``, and
+    fsck's adopt-or-roll-back of an unmarked version."""
 
-    @pytest.mark.parametrize(("damage", "kind"), sorted(VERDICTS))
-    def test_consumers_agree(self, tmp_path, damage, kind):
+    # The ids keep the suffix they had while a checksum-less entry kind
+    # sat beside this one, so the suite's test names stay stable.
+    @pytest.mark.parametrize(
+        "damage", sorted(VERDICTS), ids=lambda damage: f"{damage}-checksummed"
+    )
+    def test_consumers_agree(self, tmp_path, damage):
         from repro import IngestConfig, Quality, TileGrid
-        from repro.video.mp4 import Mp4File
         from repro.workloads.videos import synthetic_video
 
         frames = synthetic_video(
@@ -294,26 +287,15 @@ class TestIntegrityTable:
             grid=TileGrid(2, 2), qualities=(Quality.HIGH,), gop_frames=4, fps=4.0
         )
         StorageManager(tmp_path).ingest("clip", frames, config)
-        catalog = StorageManager(tmp_path).catalog
-        # No marker: the catalog still serves the version (pre-marker
-        # layout) and fsck has to decide between adopting and rolling back.
-        catalog.marker_path("clip", 1).unlink()
-        if kind == "legacy":
-            # What pre-checksum code wrote: the same metadata, no csum atoms.
-            path = catalog.metadata_path("clip", 1)
-            mp4 = Mp4File.parse(path.read_bytes())
-            for trak in mp4.find("moov").find_all("trak"):
-                trak.children = [atom for atom in trak.children if atom.kind != "csum"]
-            path.write_bytes(mp4.serialize())
-
         storage = StorageManager(tmp_path, cache_bytes=0)
+        catalog = storage.catalog
         key, entry = sorted(
             storage.meta("clip").entries.items(), key=lambda item: str(item[0])
         )[0]
-        assert bool(entry.checksum) == (kind == "checksummed")
+        assert entry.checksum
         path = catalog.segment_path("clip", *key, entry.file_version)
         DAMAGE[damage](path)
-        verdict = VERDICTS[damage, kind]
+        verdict = VERDICTS[damage]
 
         if verdict == "ok":
             on_disk = path.read_bytes()
@@ -329,14 +311,43 @@ class TestIntegrityTable:
                 with pytest.raises(SegmentCorruptError):
                     storage.verify_segment_bytes("clip", *key, path.read_bytes())
 
+        scrubbed = storage.scrub()
+        assert scrubbed["segments_checked"] == 4
+        assert scrubbed["corrupt"] == ([] if verdict == "ok" else [f"clip/{path.name}"])
+
+        # No marker: fsck has to decide between adopting and rolling back.
+        catalog.marker_path("clip", 1).unlink()
         report = storage.fsck()
         decided = "adopted_versions" if verdict == "ok" else "rolled_back_versions"
         assert report[decided] == ["clip v1"]
         assert not report["clean"]
 
-        scrubbed = storage.scrub()
-        assert scrubbed["segments_checked"] == 4
-        assert scrubbed["corrupt"] == ([] if verdict == "ok" else [f"clip/{path.name}"])
+
+class TestChecksumlessMetadata:
+    """The index is read in the one form the writer emits: a ``csum``
+    entry per ``stss`` entry. Anything less is damage, not an older
+    format, so no stored byte is ever served unverified."""
+
+    @pytest.mark.parametrize("damage", ["missing", "short"])
+    def test_trak_without_a_checksum_per_segment_is_rejected(self, db, damage):
+        import struct
+
+        from repro.video.mp4 import Mp4File
+
+        _ingest(db, "clip", seed=9)
+        path = db.storage.catalog.metadata_path("clip", 1)
+        mp4 = Mp4File.parse(path.read_bytes())
+        trak = mp4.find("moov").find("trak")
+        csum = trak.find("csum")
+        if damage == "missing":
+            trak.children.remove(csum)
+        else:
+            (count,) = struct.unpack_from(">I", csum.payload)
+            csum.payload = struct.pack(">I", count - 1) + csum.payload[4:-4]
+        path.write_bytes(mp4.serialize())
+
+        with pytest.raises(CatalogError, match="trak"):
+            StorageManager(db.storage.catalog.root).meta("clip")
 
 
 class TestDropCoherence:

@@ -1,16 +1,20 @@
 """The asyncio segment server: endpoints, identity, concurrency, shutdown."""
 
+import dataclasses
 import json
+import re
 import socket
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro import Quality
 from repro.core.errors import SegmentNotFoundError
-from repro.serve import HttpSegmentClient, ServerConfig, start_server
+from repro.serve import HttpSegmentClient, ServerConfig, ServerHandle, start_server
+from repro.serve.server import RETRY_AFTER
 from repro.stream.dash import Manifest, SegmentKey
 
 
@@ -93,15 +97,17 @@ class TestOperationalEndpoints:
             key.startswith("serve.request_seconds") for key in snapshot["histograms"]
         )
 
-    def test_metrics_render_is_cached_for_the_ttl(self, session_db):
-        """Within ``metrics_ttl`` the server re-serves the rendered
+    def test_metrics_render_is_cached_for_the_ttl(self, session_db, monkeypatch):
+        """Within ``METRICS_TTL`` the server re-serves the rendered
         snapshot; new traffic shows up only after the cache expires."""
         from repro.obs import MetricsRegistry
-        from repro.serve import start_server
+        from repro.serve import server as server_module
 
+        assert server_module.METRICS_TTL == 0.25
+        monkeypatch.setattr(server_module, "METRICS_TTL", 30.0)
         handle = start_server(
             session_db.storage,
-            ServerConfig(drain_timeout=2.0, metrics_ttl=30.0),
+            ServerConfig(drain_timeout=2.0),
             registry=MetricsRegistry(),
         )
         try:
@@ -117,6 +123,30 @@ class TestOperationalEndpoints:
                 assert third != first
         finally:
             handle.stop()
+
+
+class TestOneWayToRun:
+    """A node is one process with one listener: no worker count to set,
+    no per-worker metrics route, one handle type."""
+
+    def test_start_server_returns_a_server_handle(self, server):
+        assert type(server) is ServerHandle
+
+    def test_processes_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            ServerConfig(processes=2)
+
+    def test_metrics_has_no_fleet_view(self, server, client):
+        assert "workers" not in client.fetch_metrics()
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(f"{server.base_url}/metrics/local")
+        assert caught.value.code == 404
+
+    def test_fields_are_the_ones_docs_api_lists(self):
+        api = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
+        listed = re.search(r"`ServerConfig\(([^)]*)\)`", api).group(1)
+        fields = [field.name for field in dataclasses.fields(ServerConfig)]
+        assert re.findall(r"\w+", listed) == fields
 
 
 class TestMetricCardinality:
@@ -269,7 +299,7 @@ class TestAdmissionControl:
 
         handle = start_server(
             session_db.storage,
-            ServerConfig(max_connection_requests=2, retry_after=1.5),
+            ServerConfig(max_connection_requests=2),
         )
         try:
             connection = http.client.HTTPConnection(*handle.address)
@@ -281,7 +311,7 @@ class TestAdmissionControl:
             connection.request("GET", "/healthz")
             response = connection.getresponse()
             assert response.status == 429
-            assert response.getheader("Retry-After") == "1.5"
+            assert response.getheader("Retry-After") == "0.5" == f"{RETRY_AFTER:g}"
             assert response.getheader("X-Error") == "TransientSegmentError"
             assert response.getheader("Connection") == "close"
             response.read()
@@ -293,7 +323,7 @@ class TestAdmissionControl:
 
         handle = start_server(
             session_db.storage,
-            ServerConfig(max_connection_requests=1, retry_after=0.25),
+            ServerConfig(max_connection_requests=1),
         )
         try:
             with HttpSegmentClient(handle.base_url) as client:
@@ -301,7 +331,7 @@ class TestAdmissionControl:
                 with pytest.raises(TransientSegmentError) as caught:
                     client.fetch_metrics()
                 assert caught.value.status == 429
-                assert caught.value.retry_after == 0.25
+                assert caught.value.retry_after == RETRY_AFTER
         finally:
             handle.stop()
 
@@ -331,7 +361,7 @@ class TestAdmissionControl:
         handle = ServerHandle(
             SegmentServer(
                 SlowStorage(session_db.storage, 0.3),
-                ServerConfig(max_inflight=1, retry_after=0.1),
+                ServerConfig(max_inflight=1),
                 registry,
             )
         )
@@ -359,7 +389,7 @@ class TestAdmissionControl:
             assert served, "the admitted request(s) must still be served"
             assert shed, "6 concurrent requests past a ceiling of 1 must shed"
             assert all(error.status == 503 for error in shed)
-            assert all(error.retry_after == 0.1 for error in shed)
+            assert all(error.retry_after == RETRY_AFTER for error in shed)
             snapshot = registry.snapshot()
             assert snapshot["counters"].get("serve.shed{reason=overload}", 0) >= 1
             assert snapshot["gauges"].get("serve.inflight") == 0.0
