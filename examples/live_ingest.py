@@ -22,6 +22,7 @@ from repro import (
     TileGrid,
     VisualCloud,
 )
+from repro.video.tiles import available_cpus
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
 
@@ -59,7 +60,7 @@ def main() -> None:
     ingested_frames = db.meta("live").gop_count * config.gop_frames
     print(
         f"ingest rate: {ingested_frames / elapsed:.1f} frames/sec with "
-        f"{config.workers} encode worker(s) (camera produces 10.0 frames/sec)"
+        f"{available_cpus()} encode worker(s) (camera produces 10.0 frames/sec)"
     )
 
     # A reader pinned to version 2 sees exactly the first two seconds,

@@ -22,6 +22,7 @@ from repro import (
     VisualCloud,
 )
 from repro.core import udfs
+from repro.video.tiles import available_cpus
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
 
@@ -35,8 +36,8 @@ def main() -> None:
     # 2. Ingest: segment spatiotemporally (1 s windows x a 4x8 angular
     #    grid) and encode every segment at two quality rungs. Every
     #    (window, tile, quality) segment is an independent closed GOP, so
-    #    `workers` fans the encodes across that many processes (the
-    #    default uses every core this process may run on; the bytes
+    #    `db.ingest(..., workers=N)` fans the encodes across N processes
+    #    (the default uses every core this process may run on; the bytes
     #    written are identical at any worker count).
     config = IngestConfig(
         grid=TileGrid(4, 8),
@@ -56,7 +57,7 @@ def main() -> None:
         f"({stored} bytes on disk)"
     )
     print(
-        f"  {frame_count / elapsed:.1f} frames/sec with {config.workers} encode "
+        f"  {frame_count / elapsed:.1f} frames/sec with {available_cpus()} encode "
         f"worker(s) ({elapsed:.2f}s wall)"
     )
 

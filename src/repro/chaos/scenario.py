@@ -211,7 +211,6 @@ class Scenario:
             qualities=qualities,
             gop_frames=int(video.get("gop_frames", 4)),
             fps=float(video.get("fps", 4.0)),
-            workers=1,  # serial ingest: one fewer moving part to replay
         )
 
     def frames(self):
@@ -331,7 +330,10 @@ class ScenarioRunner:
         """Ingest → drive → judge; the mode only picks the target."""
         scenario = self.scenario
         db = VisualCloud(root / "db")
-        db.ingest(self.VIDEO_NAME, scenario.frames(), scenario.ingest_config())
+        # Serial ingest: one fewer moving part to replay.
+        db.ingest(
+            self.VIDEO_NAME, scenario.frames(), scenario.ingest_config(), workers=1
+        )
         meta = db.meta(self.VIDEO_NAME)
 
         scenario.plan.reset()

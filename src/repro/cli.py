@@ -54,14 +54,21 @@ def _parse_grid(text: str) -> TileGrid:
         raise argparse.ArgumentTypeError(f"grid must look like 4x8, got {text!r}") from error
 
 
-def _parse_workers(text: str) -> int:
-    try:
-        workers = int(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(f"workers must be an integer, got {text!r}") from error
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {workers}")
-    return workers
+def _int_at_least(name: str, minimum: int):
+    """An argparse ``type`` for an integer option with a floor."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer, got {text!r}"
+            ) from error
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_qualities(text: str) -> tuple[Quality, ...]:
@@ -110,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--gop-frames", type=int, default=10)
     ingest.add_argument(
         "--workers",
-        type=_parse_workers,
+        type=_int_at_least("workers", 1),
         default=None,
         help="encode worker processes (default: every core this process may use; 1 = in-process)",
     )
@@ -151,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     control.add_argument("url", help="base URL of a running segment server")
     control.add_argument(
         "--max-inflight",
-        type=int,
+        type=_int_at_least("max-inflight", 0),
         default=None,
         help="set the admission ceiling (0 = unlimited)",
     )
@@ -300,7 +307,6 @@ def _command_ingest(db: VisualCloud, args) -> None:
         qualities=args.qualities,
         gop_frames=args.gop_frames,
         fps=args.fps,
-        workers=args.workers,
     )
     frames = synthetic_video(
         args.profile,
@@ -310,7 +316,7 @@ def _command_ingest(db: VisualCloud, args) -> None:
         duration=args.duration,
         seed=args.seed,
     )
-    meta = db.ingest(args.name, frames, config)
+    meta = db.ingest(args.name, frames, config, workers=args.workers)
     print(
         f"ingested {args.name!r}: {meta.gop_count} windows, "
         f"{db.storage.total_bytes(args.name)} bytes stored"

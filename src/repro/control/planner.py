@@ -51,6 +51,11 @@ class NodeState:
     owned: tuple[str, ...] | None = None
 
 
+def _is_int(value) -> bool:
+    """A real integer: ``True`` is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NodePlan:
     """One node's slice of a :class:`ControlPlan`."""
@@ -61,6 +66,18 @@ class NodePlan:
     # (request path, integer heat) hottest-first; heat feeds
     # ``HotSet.set_base_heat`` so prewarmed pins outrank cold traffic.
     prewarm: tuple[tuple[str, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        # A plan arrives over the wire and a node applies what it holds,
+        # so the slice keeps ``ServerConfig``'s rules for the same knobs.
+        ceiling, budget = self.max_inflight, self.pin_budget_bytes
+        if ceiling is not None and (not _is_int(ceiling) or ceiling < 1):
+            raise ValueError(f"max_inflight must be None or an int >= 1, got {ceiling!r}")
+        if not _is_int(budget) or budget < 0:
+            raise ValueError(f"pin_budget_bytes must be an int >= 0, got {budget!r}")
+        for path, heat in self.prewarm:
+            if not isinstance(path, str) or not _is_int(heat):
+                raise ValueError(f"prewarm entries are (str, int), got {(path, heat)!r}")
 
     def to_json(self) -> dict:
         return {
@@ -121,6 +138,10 @@ class ControlPlan:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ControlPlan":
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a control plan is a JSON object, got {type(payload).__name__}"
+            )
         return cls(
             version=int(payload["version"]),
             nodes=tuple(NodePlan.from_json(node) for node in payload.get("nodes", [])),

@@ -90,8 +90,8 @@ class VisualCloud:
         """Segment, encode at the ladder, index, and commit a video.
 
         ``quality_plan`` optionally restricts materialised rungs per tile
-        (see :mod:`repro.core.popularity`).  ``workers`` overrides the
-        encode parallelism of ``config`` for this call only.
+        (see :mod:`repro.core.popularity`).  ``workers`` is the number of
+        encode processes (default: the CPUs this process may run on).
         """
         return self.storage.ingest(
             name, frames, config or IngestConfig(), streaming, quality_plan,

@@ -69,22 +69,15 @@ from repro.video.tiles import (
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """How a video is segmented and encoded at ingest time.
-
-    ``workers`` sizes the encode fan-out: every (tile, quality) segment
-    of a GOP is an independent stream, so ingest deals each of that many
-    processes one share of them. ``None`` (the default) resolves to the
-    CPUs this process may run on (its affinity mask, not the machine's
-    count); ``workers=1`` encodes in-process, byte-identical to any
-    parallel run.
-    """
+    """How a video is segmented and encoded at ingest time — exactly what
+    a stored version records, so :meth:`StorageManager._config_of` can
+    rebuild it."""
 
     grid: TileGrid = TileGrid(4, 4)
     qualities: tuple[Quality, ...] = (Quality.HIGH, Quality.LOW)
     gop_frames: int = 30
     fps: float = 30.0
     projection: str = "equirectangular"
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.gop_frames < 1:
@@ -95,10 +88,6 @@ class IngestConfig:
             raise ValueError("at least one quality is required")
         if list(self.qualities) != sorted(self.qualities, reverse=True):
             raise ValueError("qualities must be ordered best first")
-        if self.workers is None:
-            object.__setattr__(self, "workers", available_cpus())
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def gop_duration(self) -> float:
@@ -527,10 +516,12 @@ class StorageManager:
         the config's full ladder. Every planned ladder must be a subset of
         the config's qualities.
 
-        ``workers`` overrides ``config.workers`` for this call: the encode
-        of each (GOP, tile, quality) segment fans out across that many
-        processes, sharing one pool for the whole ingest. Output bytes are
-        identical at any worker count.
+        ``workers`` sizes the encode fan-out: every (tile, quality) segment
+        of a GOP is an independent stream, and each of that many processes
+        (one pool for the whole ingest) is dealt one share of them. ``None``
+        resolves to the CPUs this process may run on (its affinity mask,
+        not the machine's count); ``workers=1`` encodes in-process. Output
+        bytes are identical at any worker count.
         """
         if self.catalog.exists(name):
             raise CatalogError(f"video {name!r} already exists; use append or store")
@@ -573,7 +564,9 @@ class StorageManager:
         """Encode raw GOP batches and write them as the next version of
         ``name`` (on top of ``base``'s GOPs when appending)."""
         if workers is None:
-            workers = config.workers or 1
+            workers = available_cpus()
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         first_gop = base.gop_count if base is not None else 0
         # Per-tile ladders are fixed for the whole version: the full
         # config ladder, or the planned subset (validated non-empty by

@@ -191,7 +191,9 @@ class HttpSegmentClient:
             chunks.append(chunk)
 
     @staticmethod
-    def _raise_for_status(status: int, headers: dict, body: bytes, path: str) -> None:
+    def _raise_for_status(
+        status: int, headers: dict, body: bytes, path: str, method: str = "GET"
+    ) -> None:
         if status == 200:
             return
         try:
@@ -199,7 +201,7 @@ class HttpSegmentClient:
         except (ValueError, AttributeError):
             detail = body[:200].decode("utf-8", "replace")
         error_name = headers.get("X-Error", "")
-        message = f"GET {path} -> {status} {error_name}: {detail}"
+        message = f"{method} {path} -> {status} {error_name}: {detail}"
         error = _STATUS_ERRORS.get(status, TransientSegmentError)(message)
         # Carry the wire facts for retry policy: the status, and the
         # server's Retry-After hint (seconds) when it shed the request.
@@ -262,7 +264,7 @@ class HttpSegmentClient:
         status, headers, response = self._request(path, method="POST", payload=body)
         if status == 409:
             raise StalePlanError(response.decode("utf-8", "replace"))
-        self._raise_for_status(status, headers, response, path)
+        self._raise_for_status(status, headers, response, path, method="POST")
         return json.loads(response)
 
     def healthy(self) -> bool:

@@ -503,43 +503,43 @@ class SegmentServer:
         except (KeyError, TypeError) as error:
             return error_response(400, ValueError(f"malformed control payload: {error!r}"))
 
-    def _control_post(self, route: str, payload: dict) -> Response:
+    def _control_post(self, route: str, payload) -> Response:
+        """The payload becomes a validated :class:`ControlPlan` before the
+        version fence is consulted or anything is assigned: whatever that
+        raises is a 400 upstream, and the fence alone answers 409."""
         if route == "plan":
-            try:
-                return json_response(200, self.apply_control_plan(payload))
-            except ValueError as error:
-                return error_response(409, error)
-        if route in ("limits", "prewarm"):
-            try:
-                self._check_plan_version(int(payload["version"]))
-            except ValueError as error:
-                return error_response(409, error)
-            if route == "limits":
-                ceiling = payload["max_inflight"]
-                self._max_inflight = int(ceiling) if ceiling is not None else None
-            else:
-                prewarm = [
-                    (str(path), int(heat)) for path, heat in payload.get("prewarm", [])
-                ]
-                if "pin_budget_bytes" in payload:
-                    self.hot.set_budget(int(payload["pin_budget_bytes"]))
-                partial = ControlPlan(
-                    version=int(payload["version"]),
-                    nodes=(
-                        NodePlan(
-                            node_id=self.node_id,
-                            max_inflight=self._max_inflight,
-                            pin_budget_bytes=self.hot.budget_bytes,
-                            prewarm=tuple(prewarm),
-                        ),
+            plan = ControlPlan.from_json(payload)
+        elif route in ("limits", "prewarm"):
+            version = int(payload["version"])  # not a JSON object: TypeError
+            # A partial directive: this node's slice as it stands, with
+            # the fields the route names replaced.
+            ceiling = payload["max_inflight"] if route == "limits" else self._max_inflight
+            node_plan = NodePlan.from_json(
+                {
+                    "node_id": self.node_id,
+                    "max_inflight": ceiling,
+                    "pin_budget_bytes": payload.get(
+                        "pin_budget_bytes", self.hot.budget_bytes
                     ),
-                )
-                return json_response(200, self.apply_control_plan(partial))
-            self._control_version = int(payload["version"])
-            self._gauge_control_version.set(self._control_version)
-            self._control_applies.inc()
-            return json_response(200, self.control_state())
-        return error_response(404, LookupError(f"no control route {route!r}"))
+                    "prewarm": payload.get("prewarm", []),
+                }
+            )
+            plan = ControlPlan(version=version, nodes=(node_plan,))
+        else:
+            return error_response(404, LookupError(f"no control route {route!r}"))
+        try:
+            self._check_plan_version(plan.version)
+        except ValueError as error:
+            return error_response(409, error)
+        if route != "limits":
+            return json_response(200, self.apply_control_plan(plan))
+        # The ceiling alone: the pin budget and the predicted-heat layer
+        # a full slice would replace stay as they are.
+        self._max_inflight = node_plan.max_inflight
+        self._control_version = plan.version
+        self._gauge_control_version.set(plan.version)
+        self._control_applies.inc()
+        return json_response(200, self.control_state())
 
     # -- connection handling --------------------------------------------------
 
@@ -656,7 +656,7 @@ class SegmentServer:
 
     async def _next_request(
         self, reader: asyncio.StreamReader, drain_wait: asyncio.Task
-    ) -> tuple[str, str, bool] | None:
+    ) -> tuple[str, str, bool, bytes] | None:
         """The next parsed request, or None on client EOF *or* drain.
 
         Racing the read against the drain event is what makes shutdown

@@ -27,12 +27,6 @@ from repro.geometry.grid import TileGrid
 from repro.video.frame import Frame
 from repro.video.gop import coded_planes, decode_any_gop, encode_gops
 from repro.video.quality import Quality
-from repro.video.shmem import (
-    GopBlock,
-    attached_gop,
-    publish_gop,
-    shared_memory_available,
-)
 
 TILED_MAGIC = b"VTGP"
 _HEADER = struct.Struct(">4sBHHBBH")  # magic, version, width, height, rows, cols, frames
@@ -292,15 +286,6 @@ STEP_SAMPLES = 24 * 32 * 32 * 3 // 2
 STEP_PEAK_BYTES_PER_SAMPLE = 96
 
 
-def _tile_rect(
-    tile: tuple[int, int], tile_width: int, tile_height: int
-) -> tuple[int, int, int, int]:
-    row, col = tile
-    x0 = col * tile_width
-    y0 = row * tile_height
-    return (x0, y0, x0 + tile_width, y0 + tile_height)
-
-
 def _steps(streams: list[Stream], tile_samples: int) -> Iterator[list[Stream]]:
     """Cut streams into lock-step batches: one coded shape each (tiles are
     equal, so that is one ``downscale``), at most ``STEP_SAMPLES`` a step."""
@@ -358,26 +343,16 @@ def _shares(
 
 
 def _encode_share_job(
-    job: tuple[list[Stream], GopBlock | dict[tuple[int, int], Planes], int, int],
+    job: tuple[list[Stream], dict[tuple[int, int], Planes], int, int],
 ) -> dict[Stream, bytes]:
-    """One pool worker's share of a GOP.
+    """One pool worker's share of a GOP: its streams and the raw planes of
+    the tiles they cover, each tile exactly once.
 
     Module-level (and taking one picklable tuple) so a
-    :class:`~concurrent.futures.ProcessPoolExecutor` can ship it. The raw
-    planes arrive as a shared-memory descriptor the worker slices its own
-    tiles out of, or — where the platform has no shared memory — pickled
-    into the job, each tile exactly once.
+    :class:`~concurrent.futures.ProcessPoolExecutor` can ship it.
     """
     streams, planes, tile_width, tile_height = job
-    if not isinstance(planes, GopBlock):
-        return _encode_share(streams, planes.__getitem__, tile_width, tile_height)
-    with attached_gop(planes) as read_rect:
-        return _encode_share(
-            streams,
-            lambda tile: read_rect(_tile_rect(tile, tile_width, tile_height)),
-            tile_width,
-            tile_height,
-        )
+    return _encode_share(streams, planes.__getitem__, tile_width, tile_height)
 
 
 def available_cpus() -> int:
@@ -497,21 +472,17 @@ class TiledVideoCodec:
         frames: list[Frame],
         quality: Quality,
         tiles: set[tuple[int, int]] | None = None,
-        workers: int = 1,
-        executor: Executor | None = None,
     ) -> TiledGop:
         """Encode one GOP at a single quality, optionally only some tiles."""
         quality_map = {
             tile: quality for tile in (tiles if tiles is not None else self.grid.tiles())
         }
-        return self.encode_gop_mixed(frames, quality_map, workers=workers, executor=executor)
+        return self.encode_gop_mixed(frames, quality_map)
 
     def encode_gop_mixed(
         self,
         frames: list[Frame],
         quality_map: dict[tuple[int, int], Quality],
-        workers: int = 1,
-        executor: Executor | None = None,
     ) -> TiledGop:
         """Encode one GOP with a per-tile quality assignment.
 
@@ -520,9 +491,7 @@ class TiledVideoCodec:
         :meth:`encode_gop_ladders` with singleton ladders.
         """
         ladder_map = {tile: (quality,) for tile, quality in quality_map.items()}
-        payloads = self.encode_gop_ladders(
-            frames, ladder_map, workers=workers, executor=executor
-        )
+        payloads = self.encode_gop_ladders(frames, ladder_map)
         return TiledGop(
             width=self.width,
             height=self.height,
@@ -551,16 +520,11 @@ class TiledVideoCodec:
         step instead of once per frame per segment. Partial ladders and
         reduced-resolution rungs are just more streams.
 
-        With a pool, each worker gets one contiguous share of whole tiles.
-        Where the platform has shared memory the raw planes do not cross
-        the process boundary at all: they are published into one shared
-        block and a job carries only its streams and the block's
-        descriptor. The block is unlinked in a ``finally``, so worker
-        failure and KeyboardInterrupt cannot leak it. Platforms without
-        shared memory (or a refused publish) degrade to pickling each
-        share's tiles, counted in ``ingest.shm_fallback``, and from there
-        (no usable pool) to the in-process path; every path is
-        byte-identical.
+        With a pool, each worker gets one contiguous share of whole tiles
+        and its job carries those tiles' raw planes, so every tile crosses
+        the process boundary exactly once per GOP. A pool that cannot
+        start degrades (loudly, ``ingest.pool_fallback`` on ``registry``)
+        to the in-process path; both are byte-identical.
 
         An explicit ``executor`` takes precedence over ``workers`` and is
         not shut down here — ingest passes one shared pool so it is paid
@@ -593,9 +557,7 @@ class TiledVideoCodec:
                     self.tile_height,
                 )
             else:
-                encoded = self._encode_parallel(
-                    frames, ladder_map, executor, workers, registry
-                )
+                encoded = self._encode_parallel(frames, ladder_map, executor, workers)
         finally:
             if own_pool is not None:
                 own_pool.shutdown()
@@ -606,7 +568,9 @@ class TiledVideoCodec:
         }
 
     def _crop(self, frames: list[Frame], tile: tuple[int, int]) -> Planes:
-        x0, y0, x1, y1 = _tile_rect(tile, self.tile_width, self.tile_height)
+        row, col = tile
+        x0, y0 = col * self.tile_width, row * self.tile_height
+        x1, y1 = x0 + self.tile_width, y0 + self.tile_height
         return (
             np.stack([frame.y[y0:y1, x0:x1] for frame in frames]),
             np.stack([frame.u[y0 // 2 : y1 // 2, x0 // 2 : x1 // 2] for frame in frames]),
@@ -619,52 +583,23 @@ class TiledVideoCodec:
         ladder_map: dict[tuple[int, int], tuple[Quality, ...]],
         executor: Executor,
         workers: int,
-        registry,
     ) -> dict[Stream, bytes]:
         # A shared executor may have been built with a different worker
         # count than the ``workers`` a caller passes alongside it.
         pool_workers = getattr(executor, "_max_workers", None) or max(workers, 1)
-        shares = _shares(ladder_map, pool_workers)
-        published = None
-        try:
-            if shared_memory_available():
-                try:
-                    published = publish_gop(frames)
-                except OSError:
-                    pass  # e.g. /dev/shm full: pickle this GOP instead
-            size = (self.tile_width, self.tile_height)
-            if published is not None:
-                if registry is not None:
-                    registry.counter(
-                        "ingest.shm_gops", "GOPs shipped via shared memory"
-                    ).inc()
-                jobs = [(share, published.descriptor, *size) for share in shares]
-            else:
-                if registry is not None:
-                    registry.counter(
-                        "ingest.shm_fallback",
-                        "GOPs that fell back from shared memory to pickling",
-                    ).inc()
-                    registry.counter(
-                        "ingest.pickled_gops", "GOPs shipped by pickling raw frames"
-                    ).inc()
-                jobs = [
-                    (
-                        share,
-                        {
-                            tile: self._crop(frames, tile)
-                            for tile in dict.fromkeys(tile for tile, _ in share)
-                        },
-                        *size,
-                    )
-                    for share in shares
-                ]
-            encoded: dict[Stream, bytes] = {}
-            # The loop drains the map, so every job is done (or has raised)
-            # before the finally below unlinks the block.
-            for part in executor.map(_encode_share_job, jobs):
-                encoded.update(part)
-            return encoded
-        finally:
-            if published is not None:
-                published.destroy()
+        jobs = [
+            (
+                share,
+                {
+                    tile: self._crop(frames, tile)
+                    for tile in dict.fromkeys(tile for tile, _ in share)
+                },
+                self.tile_width,
+                self.tile_height,
+            )
+            for share in _shares(ladder_map, pool_workers)
+        ]
+        encoded: dict[Stream, bytes] = {}
+        for part in executor.map(_encode_share_job, jobs):
+            encoded.update(part)
+        return encoded

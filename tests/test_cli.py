@@ -234,6 +234,17 @@ class TestCommands:
             assert handle.control_state()["max_inflight"] is None
             assert "max_inflight -> unlimited" in capsys.readouterr().out
 
+    def test_control_refuses_a_negative_ceiling_before_sending_it(self, tmp_path, capsys):
+        """``--max-inflight -5`` used to reach the server, which installed
+        it and shed every cold request from then on."""
+        with start_server(StorageManager(tmp_path / "db")) as handle:
+            with pytest.raises(SystemExit) as caught:
+                run(tmp_path, "control", handle.base_url, "--max-inflight", "-5")
+            assert caught.value.code == 2
+            assert "max-inflight must be >= 0" in capsys.readouterr().err
+            state = handle.control_state()
+            assert (state["version"], state["max_inflight"]) == (0, None)
+
     def test_fsck_and_scrub_recover_a_killed_ingest(self, tmp_path, capsys):
         """SIGKILL at publish #9 of 18 (mid-segments), then the operator
         path: ls still lists the healthy video beside it, fsck finds it,

@@ -40,6 +40,7 @@ from repro.control import (
     catalog_from_storage,
     diff_plans,
 )
+from repro.core.errors import VisualCloudError
 from repro.obs import MetricsRegistry
 from repro.serve import HttpSegmentClient, ServerConfig, start_server
 
@@ -546,6 +547,107 @@ class TestWireActuation:
             assert state["max_inflight"] == 12
         finally:
             handle.stop()
+
+
+class TestControlInput:
+    """``/control`` is outside input: a malformed body is a 400 that
+    changes nothing, never a 200, a 409 or a dropped connection — and
+    the node keeps serving its cold path afterwards."""
+
+    MALFORMED = [
+        # (a) a slice whose ceiling is not a count: once installed, every
+        # un-pinned read died comparing int >= str.
+        ("plan", {"version": 1, "nodes": [
+            {"node_id": "", "max_inflight": "many", "pin_budget_bytes": 0}]}),
+        ("plan", {"version": 1, "nodes": [
+            {"node_id": "", "max_inflight": True, "pin_budget_bytes": 0}]}),
+        ("plan", {"version": 1, "nodes": [
+            {"node_id": "", "max_inflight": 4, "pin_budget_bytes": -1}]}),
+        # (b) a ceiling ServerConfig would refuse: every cold read shed forever.
+        ("limits", {"version": 2, "max_inflight": -5}),
+        ("limits", {"version": 2, "max_inflight": 0}),
+        # (c) not a JSON object.
+        ("plan", [1, 2]),
+        ("plan", None),
+        ("limits", [1, 2]),
+        ("prewarm", None),
+        # (d) a typo in the version is not "a newer controller is in charge".
+        ("plan", {"version": "x", "nodes": []}),
+        ("plan", {"version": -1, "nodes": []}),
+        ("limits", {"version": -1, "max_inflight": 4}),
+        ("prewarm", {"version": 5, "pin_budget_bytes": -1}),
+        # Validated before anything is assigned: the good budget must not
+        # land when the heat beside it is junk.
+        ("prewarm", {"version": 5, "pin_budget_bytes": 4096, "prewarm": [["/x", "hot"]]}),
+    ]
+
+    @pytest.mark.parametrize(
+        "route, payload", MALFORMED, ids=[f"{r}-{i}" for i, (r, _) in enumerate(MALFORMED)]
+    )
+    def test_malformed_body_is_a_400_that_changes_nothing(
+        self, session_db, route, payload
+    ):
+        import http.client
+        import json
+
+        manifest = session_db.storage.build_manifest("clip")
+        cold = f"/segment/clip/{min(key.to_path() for key in manifest.segment_sizes)}"
+        handle = start_server(
+            session_db.storage, ServerConfig(drain_timeout=2.0), registry=MetricsRegistry()
+        )
+        try:
+            connection = http.client.HTTPConnection(*handle.address, timeout=10)
+
+            def ask(method, path, body=None):
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                return response.status, response.getheader("X-Error"), response.read()
+
+            before = ask("GET", "/control")
+            status, error, _ = ask("POST", f"/control/{route}", json.dumps(payload))
+            assert (status, error) == (400, "ValueError")
+            assert ask("GET", "/control") == before
+            status, _, body = ask("GET", cold)
+            assert status == 200 and body
+            with HttpSegmentClient(handle.base_url) as client:
+                # A taxonomy error naming the real request — not the
+                # ``StalePlanError`` (a ``ValueError``) a 409 becomes.
+                with pytest.raises(VisualCloudError, match=f"POST /control/{route} -> 400"):
+                    client.post_control(route, payload)
+        finally:
+            handle.stop()
+
+    def test_only_a_stale_version_is_a_409(self, session_db):
+        handle = start_server(
+            session_db.storage, ServerConfig(drain_timeout=2.0), registry=MetricsRegistry()
+        )
+        try:
+            with HttpSegmentClient(handle.base_url) as client:
+                client.post_control("limits", {"version": 3, "max_inflight": 8})
+                for route, payload in (
+                    ("limits", {"version": 2, "max_inflight": 4}),
+                    ("prewarm", {"version": 2, "prewarm": []}),
+                    ("plan", {"version": 2, "nodes": []}),
+                ):
+                    with pytest.raises(StalePlanError):
+                        client.post_control(route, payload)
+                assert client.fetch_control()["max_inflight"] == 8
+        finally:
+            handle.stop()
+
+    def test_node_plan_holds_the_server_config_rules(self):
+        for bad in ("many", 0, -5, True, 2.5):
+            with pytest.raises(ValueError, match="max_inflight"):
+                NodePlan(node_id="", max_inflight=bad, pin_budget_bytes=0)
+        for bad in (-1, "1", None, False):
+            with pytest.raises(ValueError, match="pin_budget_bytes"):
+                NodePlan(node_id="", max_inflight=None, pin_budget_bytes=bad)
+        for bad in ((("/x", "hot"),), ((7, 1),), (("/x", True),)):
+            with pytest.raises(ValueError, match="prewarm"):
+                NodePlan(node_id="", max_inflight=None, pin_budget_bytes=0, prewarm=bad)
+        for bad in ([1, 2], None, "plan"):
+            with pytest.raises(ValueError, match="JSON object"):
+                ControlPlan.from_json(bad)
 
 
 class TestFlashCrowdEndToEnd:

@@ -94,11 +94,11 @@ def _crashing_ingest(
         "                         duration=2.0, seed=5)\n"
         "config = IngestConfig(grid=TileGrid(2, 2),\n"
         "                      qualities=(Quality.HIGH, Quality.LOW),\n"
-        "                      gop_frames=4, fps=4.0, workers=1)\n"
+        "                      gop_frames=4, fps=4.0)\n"
         + (
             "db.append('clip', frames, workers=1)\n"
             if append
-            else "db.ingest('clip', frames, config)\n"
+            else "db.ingest('clip', frames, config, workers=1)\n"
         )
     )
     env = dict(os.environ)
@@ -139,9 +139,8 @@ class TestCrashConsistency:
             qualities=(Quality.HIGH, Quality.LOW),
             gop_frames=4,
             fps=4.0,
-            workers=1,
         )
-        meta = storage.ingest("clip", frames, config)
+        meta = storage.ingest("clip", frames, config, workers=1)
         assert storage.catalog.versions("clip") == [1]
         assert all(entry.checksum for entry in meta.entries.values())
 

@@ -7,11 +7,19 @@
 #   e.g. tools/bench_vs.sh HEAD~1 serve_cold ingest_live --seed 1
 #
 # <ref> is unpacked with `git archive` into a temp dir (nothing is
-# registered in .git). Each pair runs `benchmarks/perf/run.py --trace 0`
-# once per side, each side from its own checkout, alternating which side
-# goes first. Per end-to-end metric of BENCHMARK.json it prints each
+# registered in .git), and this tree's files as they are now (tracked or
+# not, ignored ones left out) are copied beside it: run from the repo
+# itself, the same code read 15-25 % slower on every write-path number
+# than its own archive under /tmp (ingest_fps 40 vs 47, 3/10), and an
+# edit made while the pairs ran was measured. Each pair runs
+# `benchmarks/perf/run.py --trace 0` once per side, alternating which
+# side goes first, and keeps the row that run appended to its own
+# history.jsonl. Per end-to-end metric of BENCHMARK.json it prints each
 # side's median and quartiles and how many pairs this tree won (ties
-# count for neither), then any exact (†) metric that differs and the
+# count for neither), then any exact (†) metric that differs, then — in
+# the same form — every per-layer metric of BENCHMARK.json an untraced
+# run measures (ingest_fps, append_gop_ms, rps, paced_p99_ms, ...), so
+# the layer a PR says it moved, or did not, is on the page, and last the
 # failed operations. Exit 0 unless a run failed; the verdict is the
 # reader's: a gain needs >= 9/10 wins and medians further apart than the
 # ref's own quartiles.
@@ -36,14 +44,16 @@ done
 repo=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/ref" "$work/runs"
+mkdir "$work/ref" "$work/here" "$work/runs"
 git -C "$repo" archive "$ref" | tar -x -C "$work/ref"
+(cd "$repo" && git ls-files -co --exclude-standard \
+  | while read -r file; do if [ -e "$file" ]; then echo "$file"; fi; done \
+  | tar -c -T -) | tar -x -C "$work/here"
 
-run_side() {  # side workload pair -> the run's last line (its JSON result)
-  local side=$1 tree=$repo
-  [ "$side" = ref ] && tree=$work/ref
-  (cd "$tree" && python3 benchmarks/perf/run.py --workload "$2" --seed "$seed" --trace 0) \
-    | tail -n 1 > "$work/runs/$2.$side.$3.json"
+run_side() {  # side workload pair -> the history row of one run (result + every value)
+  local tree=$work/$1
+  (cd "$tree" && python3 benchmarks/perf/run.py --workload "$2" --seed "$seed" --trace 0) >/dev/null
+  tail -n 1 "$tree/benchmarks/perf/history.jsonl" > "$work/runs/$2.$1.$3.json"
 }
 
 for workload in "${workloads[@]}"; do
@@ -63,13 +73,21 @@ import sys
 from pathlib import Path
 
 contract, runs, seed, pairs, *workloads = sys.argv[1:]
-specs = json.loads(Path(contract).read_text())["end_to_end"]
+contract = json.loads(Path(contract).read_text())
 EXACT = ("stored_bytes_per_raw_byte", "matched_saved_pct")  # run.py's † metrics
 
 
 def spread(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return f"{median:10.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def row(spec, ref, here):
+    sign = -1 if spec["better"] == "lower" else 1
+    wins = sum(sign * (mine - theirs) > 0 for mine, theirs in zip(here, ref))
+    ties = sum(mine == theirs for mine, theirs in zip(here, ref))
+    label = f"{spec['name']} ({spec['unit']}, {spec['better']})"
+    print(f"   {label:42s} {spread(ref):>32s} {spread(here):>32s}  {wins}/{len(ref) - ties}")
 
 
 for workload in workloads:
@@ -82,18 +100,20 @@ for workload in workloads:
     }
     print(f"== {workload}  seed={seed}  pairs={pairs}")
     print(f"   {'metric':42s} {'ref median [q1, q3]':>32s} {'here median [q1, q3]':>32s}  here wins")
-    for spec in specs:
+    for spec in contract["end_to_end"]:
         name = spec["name"]
-        ref, here = ([run["metrics"][name]["value"] for run in sides[side]] for side in ("ref", "here"))
-        sign = -1 if spec["better"] == "lower" else 1
-        wins = sum(sign * (mine - theirs) > 0 for mine, theirs in zip(here, ref))
-        ties = sum(mine == theirs for mine, theirs in zip(here, ref))
-        label = f"{name} ({spec['unit']}, {spec['better']})"
-        print(f"   {label:42s} {spread(ref):>32s} {spread(here):>32s}  {wins}/{len(ref) - ties}")
+        ref, here = ([run["result"]["metrics"][name]["value"] for run in sides[side]] for side in sides)
+        row(spec, ref, here)
         if name in EXACT and len(set(ref + here)) > 1:
             print(f"   † {name} DIFFERS: ref {sorted(set(ref))} here {sorted(set(here))}")
+    print("   -- per layer")
+    for spec in contract["per_layer"]:
+        name = spec["name"]
+        # Only the layers this workload reaches untraced have a value.
+        if all(name in run["values"] for found in sides.values() for run in found):
+            row(spec, *([run["values"][name]["value"] for run in sides[side]] for side in sides))
     for side, found in sides.items():
-        failed = sum(run["failed"] for run in found)
-        attempted = sum(run["attempted"] for run in found)
+        failed = sum(run["result"]["failed"] for run in found)
+        attempted = sum(run["result"]["attempted"] for run in found)
         print(f"   {side}: {failed} of {attempted} operations failed")
 EOF
