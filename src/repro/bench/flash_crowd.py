@@ -77,8 +77,6 @@ class _Profile:
     grid: str = "2x4"
     gop_frames: int = 10
     seed: int = 0
-    read_workers: int = 8
-    queue_depth: int = 32
     pin_budget: int = 64 * 1024 * 1024  # bytes the controller may grow the hot set into
     catalog: int = 3  # videos in the Zipf catalog; >= 2, the spike needs a background
     flash_sessions: int = 4  # QoE sessions launched on the spiking video at peak start
@@ -113,7 +111,6 @@ def _session_config(bandwidth: float) -> SessionConfig:
     return SessionConfig(
         policy=PredictiveTilingPolicy(),
         bandwidth=ConstantBandwidth(bandwidth),
-        predictor="static",
         estimator=HarmonicMeanEstimator(),
     )
 
@@ -313,8 +310,6 @@ def _run_flash_arm(
     server — cold hot set (budget 0), bounded admission — and identical
     load; only the ``on`` arm runs the control loop."""
     server_config = ServerConfig(
-        read_workers=profile.read_workers,
-        queue_depth=profile.queue_depth,
         max_inflight=profile.flash_inflight,
         pin_budget_bytes=0,
         drain_timeout=2.0,
@@ -599,8 +594,6 @@ def run(profile: _Profile, output: Path) -> dict:
             "grid": profile.grid,
             "gop_frames": profile.gop_frames,
             "seed": profile.seed,
-            "read_workers": profile.read_workers,
-            "queue_depth": profile.queue_depth,
             "cpu_count": os.cpu_count(),
         },
         "invariants": {

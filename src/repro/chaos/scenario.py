@@ -97,17 +97,12 @@ from repro.serve.failover import (
 )
 from repro.serve.placement import ShardMap, materialize_shards
 from repro.serve.server import ServerConfig, start_server
-from repro.stream.abr import NaiveFullQuality, PredictiveTilingPolicy, UniformAdaptive
+from repro.stream.abr import POLICIES
 from repro.stream.network import ConstantBandwidth, SimulatedLink
 from repro.video.quality import Quality
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
 
-POLICIES = {
-    "naive": NaiveFullQuality,
-    "uniform": UniformAdaptive,
-    "predictive": PredictiveTilingPolicy,
-}
 MODES = ("single", "shared", "wire")
 
 #: The plan's dict sections and every key each may set. Anything else is a
@@ -233,14 +228,15 @@ class Scenario:
         return self.plan.apply_to_bandwidth(ConstantBandwidth(rate))
 
     def session_config(self) -> SessionConfig:
-        """One viewer's session knobs — the same in every mode."""
+        """One viewer's session knobs — the same in every mode. The
+        predictor and margin a plan does not name are ``SessionConfig``'s."""
         sessions = self.sessions
+        named = {key: sessions[key] for key in ("predictor", "margin") if key in sessions}
         return SessionConfig(
             policy=POLICIES[sessions.get("policy", "predictive")](),
             bandwidth=self.bandwidth(),
-            predictor=sessions.get("predictor", "static"),
-            margin=int(sessions.get("margin", 1)),
             retry=self.retry_policy(),
+            **named,
         )
 
 

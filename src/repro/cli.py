@@ -33,17 +33,11 @@ from repro.core.storage import IngestConfig
 from repro.core.streamer import SessionConfig
 from repro.core.predictor import PREDICTOR_KINDS
 from repro.geometry.grid import TileGrid
-from repro.stream.abr import NaiveFullQuality, PredictiveTilingPolicy, UniformAdaptive
+from repro.stream.abr import POLICIES, PredictiveTilingPolicy
 from repro.stream.network import ConstantBandwidth
 from repro.video.quality import Quality
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import PROFILES, synthetic_video
-
-POLICIES = {
-    "naive": NaiveFullQuality,
-    "uniform": UniformAdaptive,
-    "predictive": PredictiveTilingPolicy,
-}
 
 
 def _parse_grid(text: str) -> TileGrid:
@@ -131,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("name")
     serve.add_argument("--policy", choices=sorted(POLICIES), default="predictive")
-    serve.add_argument("--predictor", choices=PREDICTOR_KINDS, default="static")
+    serve.add_argument("--predictor", choices=PREDICTOR_KINDS, default=SessionConfig.predictor)
     serve.add_argument("--bandwidth", type=float, default=20_000.0, help="bytes/second")
-    serve.add_argument("--margin", type=int, default=0)
+    serve.add_argument("--margin", type=int, default=SessionConfig.margin)
     serve.add_argument("--viewer-seed", type=int, default=0)
     serve.add_argument("--probe", action="store_true", help="compute viewport PSNR")
     serve.add_argument(
@@ -152,8 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     control = commands.add_parser(
         "control",
-        help="inspect or drive a live segment server's control plane "
-        "(GET/POST /control)",
+        help="inspect a live segment server's control plane (GET /control) or "
+        "retune it: the flags given replace those fields of the node's slice "
+        "and one full plan is posted (POST /control/plan), so the "
+        "predicted-heat layer is replaced too — empty without --prewarm",
     )
     control.add_argument("url", help="base URL of a running segment server")
     control.add_argument(
@@ -164,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     control.add_argument(
         "--pin-budget",
-        type=int,
+        type=_int_at_least("pin-budget", 0),
         default=None,
         help="resize the RAM hot-set budget in bytes",
     )
@@ -424,7 +420,6 @@ def _command_metrics(db: VisualCloud, args) -> None:
             config = SessionConfig(
                 policy=PredictiveTilingPolicy(),
                 bandwidth=ConstantBandwidth(args.bandwidth),
-                predictor="static",
                 estimator=HarmonicMeanEstimator(),
             )
             sessions.append((trace, config))
@@ -445,56 +440,43 @@ def _command_metrics(db: VisualCloud, args) -> None:
 def _command_control(db: VisualCloud, args) -> int:
     """Operate a live server's control plane over its HTTP endpoints.
 
-    With no action flags, prints the current ``GET /control`` state.
-    Actions are versioned: each one reads the server's active plan
-    version and submits version+1, so a concurrent controller's newer
-    plan makes the CLI's request fail with 409 instead of silently
-    rolling the tier back.
+    With no action flags, prints ``GET /control``. Otherwise posts the
+    node's slice as that reports it, the flagged fields replaced, as one
+    plan at the active version + 1 — a concurrent controller's newer plan
+    makes that a 409, not a silent rollback. (A full slice: see the help.)
     """
     import json
 
+    from repro.control import ControlPlan, NodePlan, default_segment_weights
     from repro.serve.client import HttpSegmentClient
 
     with HttpSegmentClient(args.url) as client:
         state = client.fetch_control()
-        actions = [args.max_inflight, args.pin_budget, args.prewarm]
-        if all(value is None for value in actions):
+        if (args.max_inflight, args.pin_budget, args.prewarm) == (None, None, None):
             print(json.dumps(state, indent=2, sort_keys=True))
             return 0
-        version = int(state["version"]) + 1
-        if args.prewarm is not None or args.pin_budget is not None:
-            payload: dict = {"version": version, "prewarm": []}
-            if args.pin_budget is not None:
-                payload["pin_budget_bytes"] = args.pin_budget
-            if args.prewarm is not None:
-                from repro.control import default_segment_weights
-
-                manifest = client.fetch_manifest(args.prewarm)
-                weights = default_segment_weights(manifest)
-                ranked = sorted(
-                    weights, key=lambda key: (-weights[key], key.to_path())
-                )
-                payload["prewarm"] = [
-                    [
-                        f"/segment/{args.prewarm}/{key.to_path()}",
-                        max(1, int(1000 * weights[key])),
-                    ]
-                    for key in ranked
-                ]
-            result = client.post_control("prewarm", payload)
-            print(
-                f"v{result['version']}: pinned {result['pinned']} segments "
-                f"({result['dropped']} dropped), pin budget "
-                f"{result['pin_budget_bytes']} bytes"
-            )
-            version += 1
+        ceiling, budget, prewarm = state["max_inflight"], state["pin_budget_bytes"], ()
         if args.max_inflight is not None:
-            ceiling = None if args.max_inflight == 0 else args.max_inflight
-            result = client.post_control(
-                "limits", {"version": version, "max_inflight": ceiling}
+            ceiling = args.max_inflight or None  # 0 = unlimited
+        if args.pin_budget is not None:
+            budget = args.pin_budget
+        if args.prewarm is not None:
+            weights = default_segment_weights(client.fetch_manifest(args.prewarm))
+            prewarm = tuple(
+                (f"/segment/{args.prewarm}/{key.to_path()}", max(1, int(1000 * weights[key])))
+                for key in sorted(weights, key=lambda key: (-weights[key], key.to_path()))
             )
-            rendered = "unlimited" if ceiling is None else str(ceiling)
-            print(f"v{result['version']}: max_inflight -> {rendered}")
+        plan = ControlPlan(
+            version=int(state["version"]) + 1,
+            nodes=(NodePlan(state["node_id"], ceiling, budget, prewarm),),
+        )
+        result = client.post_control("plan", plan.to_json())
+        print(
+            f"v{result['version']}: max_inflight "
+            f"{result['max_inflight'] or 'unlimited'}, pin budget "
+            f"{result['pin_budget_bytes']} bytes, pinned {result['pinned']} "
+            f"segments ({result['dropped']} dropped)"
+        )
         print(json.dumps(client.fetch_control(), indent=2, sort_keys=True))
     return 0
 

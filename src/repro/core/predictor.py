@@ -32,11 +32,9 @@ class PredictionService:
 
     def __init__(
         self,
-        markov_step: float = 0.5,
         markov_coverage: float = 0.9,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        self.markov_step = markov_step
         self.markov_coverage = markov_coverage
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._trained: dict[tuple[str, TileGrid], np.ndarray] = {}
@@ -44,7 +42,7 @@ class PredictionService:
     def train(self, video: str, grid: TileGrid, traces: list[Trace]) -> None:
         """Train the Markov prior for one video from a trace corpus."""
         with self.metrics.span("prediction.train", video=video, traces=len(traces)):
-            trainer = MarkovPredictor(grid, step_duration=self.markov_step)
+            trainer = MarkovPredictor(grid)
             trainer.train(traces)
             self._trained[(video, grid)] = trainer.transitions
         self.metrics.counter("prediction.models_trained", "Markov priors trained").inc()
@@ -86,10 +84,7 @@ class PredictionService:
                     f"{grid.cols}; call PredictionService.train first"
                 )
             return MarkovPredictor.from_transitions(
-                grid,
-                self._trained[key],
-                step_duration=self.markov_step,
-                coverage=self.markov_coverage,
+                grid, self._trained[key], coverage=self.markov_coverage
             )
         if kind == "oracle":
             if trace is None:

@@ -474,9 +474,7 @@ class StorageManager:
 
     def drop(self, name: str) -> None:
         self.catalog.drop(name)
-        self._meta_cache = {
-            key: value for key, value in self._meta_cache.items() if key[0] != name
-        }
+        self._forget_metas(name)
         if self.segment_cache is not None:
             self.segment_cache.invalidate_prefix(name)
         # Layers holding derived copies of this video's bytes (the serve
@@ -884,7 +882,17 @@ class StorageManager:
                 _marker_payload(blob),
             )
         self._meta_cache[(meta.name, meta.version)] = meta
+        # One cached meta per name: each version's index covers every GOP so
+        # far, O(N²) entries under live append. An old version re-parses on demand.
+        self._forget_metas(meta.name, keep=meta.version)
         self.metrics.counter("storage.versions_committed", "metadata commits").inc()
+
+    def _forget_metas(self, name: str, keep: int | None = None) -> None:
+        """Evict ``name``'s cached metas (all but version ``keep``). Read
+        threads insert while this runs: snapshot the keys, pop tolerantly."""
+        for key in list(self._meta_cache):
+            if key[0] == name and key[1] != keep:
+                self._meta_cache.pop(key, None)
 
     # -- reads -------------------------------------------------------------------
 
@@ -893,12 +901,14 @@ class StorageManager:
         if version is None:
             version = self.catalog.latest_version(name)
         key = (name, version)
-        if key not in self._meta_cache:
+        # One get, then the local: a commit on another thread may evict the entry.
+        meta = self._meta_cache.get(key)
+        if meta is None:
             path = self.catalog.metadata_path(name, version)
             if not path.exists():
                 raise CatalogError(f"video {name!r} has no version {version}")
-            self._meta_cache[key] = _parse_metadata_file(name, path.read_bytes())
-        return self._meta_cache[key]
+            meta = self._meta_cache[key] = _parse_metadata_file(name, path.read_bytes())
+        return meta
 
     def read_segment(
         self,

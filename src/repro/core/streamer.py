@@ -21,7 +21,6 @@ predictions. That coupling is the trade-off the granularity ablation
 from __future__ import annotations
 
 import copy
-import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -41,6 +40,9 @@ from repro.stream.dash import Manifest
 from repro.stream.network import BandwidthModel, SimulatedLink
 from repro.stream.qoe import QoEReport, WindowRecord
 
+#: Orientation samples per window for predicted and ground-truth tile sets.
+WINDOW_SAMPLES = 3
+
 
 @dataclass
 class SessionConfig:
@@ -48,15 +50,14 @@ class SessionConfig:
 
     policy: QualityPolicy
     bandwidth: BandwidthModel
-    predictor: str = "deadreckoning"
+    #: Holding the pose is the honest default at the >= 1-s horizon (E3). The
+    #: one place it is stated: the CLI and the chaos runner read it from here.
+    predictor: str = "static"
     viewport: Viewport = field(default_factory=Viewport)
     margin: int = 1  # extra tile rings around the predicted viewport
     buffer_windows: float = 1.0  # request lead, in window durations
-    safety: float = 0.9  # budget derating factor
     rtt: float = 0.0  # per-request round-trip latency, seconds
-    window_samples: int = 3  # orientation samples per window for tile sets
     evaluate_quality: bool = False  # run the (expensive) viewport PSNR probe
-    probe: ViewportQualityProbe | None = None
     #: Client-side throughput estimator. None = oracle (read the link
     #: model's true rate) — the default the estimation ablation compares
     #: realistic estimators against. A template: every session streams on
@@ -71,7 +72,6 @@ class SessionConfig:
 class _Session:
     """One viewer's progress through their video."""
 
-    index: int  # position in the serve_all input (breaks scheduling ties)
     name: str
     trace: Trace
     config: SessionConfig
@@ -94,21 +94,15 @@ class _Session:
     def finished(self) -> bool:
         return self.next_window >= self.manifest.window_count
 
-    def request_time_key(self) -> float:
-        """The busy-independent component of the next request time: when
-        this session *wants* its next window, ignoring link contention."""
+    def next_request_time(self, link_busy_until: float) -> float:
+        """When this session wants its next window on the wire. The first
+        request goes out at the arrival offset whatever the link is doing;
+        later ones ``buffer_windows`` ahead of playback, once the link frees."""
         if self.next_window == 0:
             return max(self.start_offset, 0.0)
         duration = self.manifest.window_duration
         due = self.starts[-1] + duration
-        return due - self.config.buffer_windows * duration
-
-    def next_request_time(self, link_busy_until: float) -> float:
-        """When this session wants its next window on the wire."""
-        key = self.request_time_key()
-        if self.next_window == 0:
-            return key
-        return max(link_busy_until, key)
+        return max(link_busy_until, due - self.config.buffer_windows * duration)
 
 
 class Streamer:
@@ -215,7 +209,6 @@ class Streamer:
                 estimator.reset()
             sessions.append(
                 _Session(
-                    index=index,
                     name=name,
                     trace=trace,
                     config=config,
@@ -230,57 +223,15 @@ class Streamer:
         return sessions
 
     def _schedule(self, sessions: list[_Session], link: SimulatedLink) -> None:
-        """Serve every window of every session, earliest requester first.
-
-        Sessions wait in priority queues keyed by the time they next want
-        the link, so picking the next transfer is O(log sessions). Three
-        pools mirror how ``next_request_time`` values behave:
-
-        * ``unstarted`` — window-0 sessions; their request time is the
-          raw start offset (*not* clamped to the link's busy time), so
-          they are ordered by ``(offset, index)`` directly.
-        * ``waiting`` — started sessions whose desired time is still in
-          the future (key > busy): effective time is the key itself.
-        * ``ready`` — started sessions whose desired time has passed
-          (key <= busy): their effective time is the link's busy time,
-          identical for all, so only the session index orders them.
-
-        Comparing the three pool heads by ``(effective_time, index)``
-        gives FIFO service with ties broken on input order — exactly the
-        schedule of rescanning every unfinished session per window, which
-        ``tests/test_core_multisession.py`` keeps as the oracle.
-        """
-        unstarted = [
-            (session.request_time_key(), session.index)
-            for session in sessions
-            if not session.finished
-        ]
-        heapq.heapify(unstarted)
-        waiting: list[tuple[float, int]] = []
-        ready: list[int] = []
-
-        while unstarted or waiting or ready:
-            busy = link.busy_until
-            while waiting and waiting[0][0] <= busy:
-                _, index = heapq.heappop(waiting)
-                heapq.heappush(ready, index)
-            candidates: list[tuple[float, int, list]] = []
-            if unstarted:
-                candidates.append((unstarted[0][0], unstarted[0][1], unstarted))
-            if ready:
-                candidates.append((busy, ready[0], ready))
-            if waiting:
-                candidates.append((waiting[0][0], waiting[0][1], waiting))
-            _, index, pool = min(candidates, key=lambda item: (item[0], item[1]))
-            heapq.heappop(pool)
-            session = sessions[index]
+        """Serve every window of every session, earliest requester first,
+        ties in input order (``min`` keeps the first of equals). A rescan per
+        window: no caller puts more than 8 sessions on a link and a window
+        costs 1000x the scan — measured in DESIGN.md "One session engine"."""
+        pending = [session for session in sessions if not session.finished]
+        while pending:
+            session = min(pending, key=lambda s: s.next_request_time(link.busy_until))
             self._serve_window(session, link)
-            if not session.finished:
-                key = session.request_time_key()
-                if key <= link.busy_until:
-                    heapq.heappush(ready, session.index)
-                else:
-                    heapq.heappush(waiting, (key, session.index))
+            pending = [session for session in pending if not session.finished]
 
     def _serve_window(self, session: _Session, link: SimulatedLink) -> None:
         """Deliver the session's next window over ``link``: predict →
@@ -306,8 +257,12 @@ class Streamer:
         session.trace_cursor = self._observe(
             session.predictor, session.trace, session.trace_cursor, media_now
         )
-        predicted = self._predicted_tiles(
-            session.predictor, manifest, config, window_start, window_end
+        predicted = self._window_tiles(
+            window_start,
+            window_end,
+            lambda at: session.predictor.predict_tiles(
+                at, manifest.grid, config.viewport, config.margin
+            ),
         )
         # Before any transfer completes an estimator has no signal; start
         # from the link's current rate, as a probing client would. Without
@@ -319,7 +274,7 @@ class Streamer:
         )
         if bandwidth_estimate is None:
             bandwidth_estimate = link.model.rate_at(request_time)
-        budget = estimate_budget(bandwidth_estimate, duration, config.safety)
+        budget = estimate_budget(bandwidth_estimate, duration)
         quality_map = config.policy.assign(manifest, window, predicted, budget)
         missing = set(manifest.grid.tiles()) - set(quality_map)
         if missing:
@@ -403,8 +358,13 @@ class Streamer:
             quality_map=quality_map,
             predicted_tiles=predicted,
             ladder_best=manifest.best_quality,
-            visible_tiles=self._actual_visible(
-                session.trace, manifest, config, window_start, window_end
+            # Ground truth: what the viewer actually saw during the window.
+            visible_tiles=self._window_tiles(
+                window_start,
+                window_end,
+                lambda at: config.viewport.visible_tiles(
+                    session.trace.orientation_at(at), manifest.grid
+                ),
             ),
             requested_map=requested_map,
             events=result.events,
@@ -443,36 +403,13 @@ class Streamer:
             cursor += 1
         return cursor
 
-    def _predicted_tiles(
-        self,
-        predictor: Predictor,
-        manifest: Manifest,
-        config: SessionConfig,
-        window_start: float,
-        window_end: float,
-    ) -> set[tuple[int, int]]:
-        """Union of predicted-visible tiles across the window's span."""
+    @staticmethod
+    def _window_tiles(window_start: float, window_end: float, tiles_at) -> set[tuple[int, int]]:
+        """Union of ``tiles_at(instant)`` over the window's interior sample instants."""
         tiles: set[tuple[int, int]] = set()
-        for time in np.linspace(window_start, window_end, config.window_samples + 2)[1:-1]:
-            tiles |= predictor.predict_tiles(
-                float(time), manifest.grid, config.viewport, config.margin
-            )
+        for instant in np.linspace(window_start, window_end, WINDOW_SAMPLES + 2)[1:-1]:
+            tiles |= tiles_at(float(instant))
         return tiles
-
-    def _actual_visible(
-        self,
-        trace: Trace,
-        manifest: Manifest,
-        config: SessionConfig,
-        window_start: float,
-        window_end: float,
-    ) -> set[tuple[int, int]]:
-        """Ground truth: tiles the viewer actually saw during the window."""
-        visible: set[tuple[int, int]] = set()
-        for time in np.linspace(window_start, window_end, config.window_samples + 2)[1:-1]:
-            orientation = trace.orientation_at(float(time))
-            visible |= config.viewport.visible_tiles(orientation, manifest.grid)
-        return visible
 
     def _probe_window(
         self,
@@ -489,11 +426,11 @@ class Streamer:
 
         On partial stores the reference is the best *stored* rung per tile
         (exactly what naive delivery would resolve to)."""
-        probe = config.probe or ViewportQualityProbe(config.viewport)
         delivered = self.storage.read_window(name, window, quality_map)
         reference_map = {
             tile: manifest.resolve(window, tile, manifest.best_quality)
             for tile in manifest.grid.tiles()
         }
         reference = self.storage.read_window(name, window, reference_map).decode()
+        probe = ViewportQualityProbe(config.viewport)
         return probe.window_psnr(delivered, reference, trace, window_start, manifest.fps)

@@ -259,11 +259,10 @@ class MarkovPredictor(Predictor):
         cls,
         grid: TileGrid,
         transitions: np.ndarray,
-        step_duration: float = 0.5,
         coverage: float = 0.9,
     ) -> "MarkovPredictor":
         """A session predictor sharing an offline-trained matrix."""
-        predictor = cls(grid, step_duration=step_duration, coverage=coverage)
+        predictor = cls(grid, coverage=coverage)
         if transitions.shape != (grid.tile_count, grid.tile_count):
             raise ValueError(
                 f"transition matrix {transitions.shape} does not match "

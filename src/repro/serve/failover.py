@@ -15,7 +15,7 @@ testable pieces:
   runner asserts this invariant.
 * :class:`RetryBudget` — a global token bucket bounding how many *extra*
   attempts (failovers, retries) the whole client may spend. Every
-  success earns ``retry_refill`` tokens (capped), every failover spends
+  success earns ``refill`` tokens (capped), every failover spends
   one; when the bucket is dry the client fails fast with the last error
   instead of amplifying a storm — N clients retrying 3× against a
   struggling tier is how overloads become outages.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.errors import (
@@ -75,8 +75,6 @@ class FailoverConfig:
 
     failure_threshold: int = 3  # consecutive errors before a breaker opens
     reset_timeout: float = 1.0  # seconds open before a half-open probe
-    retry_budget: float = 16.0  # token bucket capacity for extra attempts
-    retry_refill: float = 0.1  # tokens earned per successful request
     request_timeout: float = 10.0  # per-replica HTTP client timeout
     clock: Callable[[], float] = time.monotonic
 
@@ -87,10 +85,6 @@ class FailoverConfig:
             )
         if self.reset_timeout < 0:
             raise ValueError(f"reset_timeout must be >= 0, got {self.reset_timeout}")
-        if self.retry_budget < 1:
-            raise ValueError(f"retry_budget must be >= 1, got {self.retry_budget}")
-        if self.retry_refill < 0:
-            raise ValueError(f"retry_refill must be >= 0, got {self.retry_refill}")
         if self.request_timeout <= 0:
             raise ValueError(
                 f"request_timeout must be positive, got {self.request_timeout}"
@@ -314,7 +308,7 @@ class FailoverSegmentClient:
             ],
             clock=clock,
         )
-        self.budget = RetryBudget(self.config.retry_budget, self.config.retry_refill)
+        self.budget = RetryBudget()
         self._requests = self.metrics.counter(
             "failover.requests", "requests issued through the failover client"
         )

@@ -47,6 +47,9 @@ from repro.core.storage import checksum_hex
 from repro.obs import MetricsRegistry
 from repro.serve.wire import Precomputed, Response
 
+#: Cold-path candidate counts kept before the table is aged (dropped whole).
+MAX_TRACKED = 4096
+
 
 class PinnedSegment(Precomputed):
     """One segment frozen into its wire buffers: both header blocks are
@@ -73,17 +76,12 @@ class HotSet:
     """
 
     def __init__(
-        self,
-        budget_bytes: int,
-        threshold: int,
-        registry: MetricsRegistry,
-        max_tracked: int = 4096,
+        self, budget_bytes: int, threshold: int, registry: MetricsRegistry
     ) -> None:
         if budget_bytes < 0:
             raise ValueError(f"pin budget must be >= 0, got {budget_bytes}")
         self.budget_bytes = int(budget_bytes)
         self.threshold = max(1, int(threshold))
-        self.max_tracked = max_tracked
         self.bytes_pinned = 0
         self._entries: dict[str, PinnedSegment] = {}
         self._counts: dict[str, int] = {}
@@ -172,7 +170,7 @@ class HotSet:
         count = self._counts.pop(path, 0) + 1
         if count + self._base_heat.get(path, 0) >= self.threshold:
             return self.pin(path, body, heat=count)
-        if len(self._counts) >= self.max_tracked:
+        if len(self._counts) >= MAX_TRACKED:
             # Cheap aging: drop all candidate counts instead of keeping
             # an unbounded (or LRU-ordered) tracking structure. Genuinely
             # hot paths re-accumulate within a few requests.
@@ -240,12 +238,6 @@ class HotSet:
             del self._base_heat[path]
         self._update_gauges()
         return len(doomed)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._counts.clear()
-        self.bytes_pinned = 0
-        self._update_gauges()
 
     def _remove(self, path: str) -> None:
         entry = self._entries.pop(path)

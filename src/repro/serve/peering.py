@@ -38,6 +38,8 @@ from repro.video.quality import Quality
 
 #: Byte bound of the peer-fetched payload cache.
 PEER_CACHE_BYTES = 8 * 1024 * 1024
+#: Seconds per peer segment fetch.
+PEER_TIMEOUT = 5.0
 
 
 class ShardedBackend:
@@ -58,14 +60,10 @@ class ShardedBackend:
         shard_map: ShardMap | None,
         peers: dict,
         registry: MetricsRegistry,
-        read_repair: bool = True,
-        peer_timeout: float = 5.0,
     ) -> None:
         self.local = local
         self.node_id = node_id
         self.shard_map = shard_map
-        self.read_repair = read_repair
-        self.peer_timeout = peer_timeout
         self._peers: dict = {}  # sibling node id → segment client
         self._set_peers(peers)
         # A private registry: LruSegmentCache reports under ``cache.*``,
@@ -115,7 +113,7 @@ class ShardedBackend:
         reconnects on its next fetch)."""
         retired = self._peers
         self._peers = {
-            node: HttpSegmentClient(peer, timeout=self.peer_timeout)
+            node: HttpSegmentClient(peer, timeout=PEER_TIMEOUT)
             if isinstance(peer, str)
             else peer
             for node, peer in peers.items()
@@ -178,12 +176,8 @@ class ShardedBackend:
         try:
             return self.local.read_segment(name, gop, tile, quality)
         except SegmentNotFoundError as error:
-            if not (
-                self.read_repair
-                and getattr(error, "repairable", False)
-                and len(owners) > 1
-            ):
-                raise
+            if not (getattr(error, "repairable", False) and len(owners) > 1):
+                raise  # nothing to heal, or no second owner to heal from
             return self._repair(name, key, owners, error)
 
     def _owner_copies(

@@ -23,7 +23,7 @@ per-request ``bytes`` concatenation. ``/healthz`` is precomputed once and
 observability endpoints stop doing full-registry JSON dumps per request.
 
 Endpoints (HTTP/1.1, keep-alive by default; ``GET`` everywhere except
-the control plane's ``POST`` routes):
+the control plane's one ``POST`` route):
 
 * ``/manifest/<video>`` — :meth:`Manifest.to_json` as JSON;
 * ``/segment/<video>/<window>/<row>/<col>/<quality>`` — raw segment
@@ -33,11 +33,10 @@ the control plane's ``POST`` routes):
 * ``GET /control`` — the active control-plane state (plan version,
   admission ceiling, pin budget and occupancy);
 * ``POST /control/plan`` — apply a full versioned
-  :class:`~repro.control.planner.ControlPlan`; ``POST /control/limits``
-  and ``POST /control/prewarm`` apply just the admission or just the
-  pre-warm slice. All three refuse versions older than the active plan
-  with ``409`` — the shard-map rollback-refusal pattern, so a delayed
-  or replayed plan can never roll the node backwards.
+  :class:`~repro.control.planner.ControlPlan`, the one mutating route.
+  A version older than the active plan is refused with ``409`` — the
+  shard-map rollback-refusal pattern, so a delayed or replayed plan can
+  never roll the node backwards.
 
 Failures map onto the storage error contract, never raw ``OSError``:
 404 :class:`SegmentNotFoundError` / :class:`CatalogError`,
@@ -76,7 +75,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.control.planner import ControlPlan, NodePlan
+from repro.control.planner import ControlPlan
 from repro.core.errors import (
     SegmentNotFoundError,
     SegmentReadTimeout,
@@ -100,8 +99,12 @@ from repro.stream.dash import SegmentKey
 
 _MAX_REQUEST_BYTES = 16 * 1024  # request line + headers
 _ENDPOINTS = frozenset({"segment", "manifest", "metrics", "healthz", "control"})
-_MAX_CONTROL_BODY = 4 * 1024 * 1024  # POST /control/* bodies (plans are small)
+_MAX_CONTROL_BODY = 4 * 1024 * 1024  # POST /control/plan bodies (plans are small)
 LISTEN_BACKLOG = 256  # listen(2) backlog per listening socket
+READ_WORKERS = 8  # thread pool for blocking storage reads
+QUEUE_DEPTH = 32  # bounded per-connection response queue
+READ_TIMEOUT = 5.0  # seconds per storage read before SegmentReadTimeout (504)
+STARTUP_TIMEOUT = 10.0  # seconds a ServerHandle waits for its loop thread to bind
 METRICS_TTL = 0.25  # /metrics render cache (seconds)
 RETRY_AFTER = 0.5  # Retry-After hint (seconds) on shed responses
 
@@ -112,9 +115,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = let the kernel pick (the handle reports it)
-    read_workers: int = 8  # thread pool for blocking storage reads
-    queue_depth: int = 32  # bounded per-connection response queue
-    read_timeout: float | None = 5.0  # seconds per storage read; None = unbounded
     drain_timeout: float = 5.0  # graceful-shutdown flush budget
     max_inflight: int | None = None  # concurrent dispatches before 503 shed
     max_connection_requests: int | None = None  # per-connection budget before 429
@@ -125,21 +125,8 @@ class ServerConfig:
     node_id: str = ""  # this node's logical id in the shard map; "" = unsharded
     shard_map: ShardMap | None = None  # segment → owners blueprint
     peers: tuple[tuple[str, str], ...] = ()  # (node_id, base_url) sibling addresses
-    peer_timeout: float = 5.0  # seconds per peer segment fetch
-    # When a local owned read fails *repairably* (index entry present,
-    # bytes missing/torn/corrupt) and the shard map holds rf >= 2, fetch
-    # the segment from a peer owner, verify it against the index
-    # checksum, atomically rewrite the local file, and serve the request
-    # — checksum-triggered peer read-repair. Off = report 409 instead.
-    read_repair: bool = True
 
     def __post_init__(self) -> None:
-        if self.read_workers < 1:
-            raise ValueError(f"read_workers must be >= 1, got {self.read_workers}")
-        if self.queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.read_timeout is not None and self.read_timeout <= 0:
-            raise ValueError(f"read_timeout must be positive, got {self.read_timeout}")
         if self.drain_timeout < 0:
             raise ValueError(f"drain_timeout must be >= 0, got {self.drain_timeout}")
         if self.max_inflight is not None and self.max_inflight < 1:
@@ -161,8 +148,6 @@ class ServerConfig:
                 f"node_id {self.node_id!r} is not in the shard map "
                 f"({self.shard_map.nodes!r})"
             )
-        if self.peer_timeout <= 0:
-            raise ValueError(f"peer_timeout must be positive, got {self.peer_timeout}")
 
 
 class SegmentServer:
@@ -235,8 +220,6 @@ class SegmentServer:
                 self.config.shard_map,
                 dict(self.config.peers),
                 registry=self.metrics,
-                read_repair=self.config.read_repair,
-                peer_timeout=self.config.peer_timeout,
             )
             if self.node_id
             else None
@@ -259,7 +242,7 @@ class SegmentServer:
             "serve.control_plan_version", "version of the active control plan"
         )
         self._control_applies = self.metrics.counter(
-            "serve.control_applies", "control plans (or slices) applied"
+            "serve.control_applies", "control plans applied"
         ).labels()
         # Drop coherence: registered against the storage manager while
         # the server runs, so dropping a video also drops its pinned wire
@@ -278,7 +261,7 @@ class SegmentServer:
         if add_listener is not None:
             add_listener(self._on_storage_drop)
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.read_workers, thread_name_prefix="serve-read"
+            max_workers=READ_WORKERS, thread_name_prefix="serve-read"
         )
         self._server = await asyncio.start_server(
             self._handle_connection,
@@ -424,10 +407,10 @@ class SegmentServer:
                 f"v{self._control_version}; refusing to roll back"
             )
 
-    def apply_control_plan(self, plan) -> dict:
+    def apply_control_plan(self, plan: ControlPlan) -> dict:
         """Apply one versioned plan slice to this node (loop thread
         only): admission ceiling, pin budget, and predicted-heat
-        pre-warm. ``plan`` is a ``ControlPlan`` or its JSON dict.
+        pre-warm.
 
         A plan without a slice for this node updates only the version
         fence (the node saw the directive and had nothing to do).
@@ -436,8 +419,6 @@ class SegmentServer:
         (raced a drop, peer-owned) is skipped, not fatal: the plan is a
         target, not a transaction.
         """
-        if isinstance(plan, dict):
-            plan = ControlPlan.from_json(plan)
         self._check_plan_version(plan.version)
         node_plan = plan.node(self.node_id)
         pinned = dropped = 0
@@ -489,57 +470,23 @@ class SegmentServer:
         }
 
     def _control(self, parts: list[str], method: str, body: bytes) -> Response:
-        """Route one ``/control`` request (runs on the loop thread, so
-        every mutation here is serialized with the hit path)."""
-        if not parts:
-            if method != "GET":
-                return error_response(405, LookupError("use GET /control"))
+        """Route one ``/control`` request (on the loop thread, so mutations
+        are serialized with the hit path). The body becomes a validated
+        :class:`ControlPlan` before the version fence is consulted or anything
+        is assigned: whatever that raises is a 400, the fence alone a 409."""
+        if not parts and method == "GET":
             return json_response(200, self.control_state())
-        if method != "POST" or len(parts) != 1:
+        if parts != ["plan"] or method != "POST":
             return error_response(404, LookupError(f"no control route {parts!r}"))
-        payload = json.loads(body.decode("utf-8"))  # ValueError → 400 upstream
         try:
-            return self._control_post(parts[0], payload)
-        except (KeyError, TypeError) as error:
+            plan = ControlPlan.from_json(json.loads(body.decode("utf-8")))
+        except (KeyError, TypeError, ValueError) as error:
             return error_response(400, ValueError(f"malformed control payload: {error!r}"))
-
-    def _control_post(self, route: str, payload) -> Response:
-        """The payload becomes a validated :class:`ControlPlan` before the
-        version fence is consulted or anything is assigned: whatever that
-        raises is a 400 upstream, and the fence alone answers 409."""
-        if route == "plan":
-            plan = ControlPlan.from_json(payload)
-        elif route in ("limits", "prewarm"):
-            version = int(payload["version"])  # not a JSON object: TypeError
-            # A partial directive: this node's slice as it stands, with
-            # the fields the route names replaced.
-            ceiling = payload["max_inflight"] if route == "limits" else self._max_inflight
-            node_plan = NodePlan.from_json(
-                {
-                    "node_id": self.node_id,
-                    "max_inflight": ceiling,
-                    "pin_budget_bytes": payload.get(
-                        "pin_budget_bytes", self.hot.budget_bytes
-                    ),
-                    "prewarm": payload.get("prewarm", []),
-                }
-            )
-            plan = ControlPlan(version=version, nodes=(node_plan,))
-        else:
-            return error_response(404, LookupError(f"no control route {route!r}"))
         try:
             self._check_plan_version(plan.version)
         except ValueError as error:
             return error_response(409, error)
-        if route != "limits":
-            return json_response(200, self.apply_control_plan(plan))
-        # The ceiling alone: the pin budget and the predicted-heat layer
-        # a full slice would replace stay as they are.
-        self._max_inflight = node_plan.max_inflight
-        self._control_version = plan.version
-        self._gauge_control_version.set(plan.version)
-        self._control_applies.inc()
-        return json_response(200, self.control_state())
+        return json_response(200, self.apply_control_plan(plan))
 
     # -- connection handling --------------------------------------------------
 
@@ -553,7 +500,7 @@ class SegmentServer:
         # Bounded send queue: the reader enqueues buffer tuples, the
         # writer drains. A slow consumer fills the queue and stalls its
         # own reader — that is the backpressure.
-        queue: asyncio.Queue[tuple | None] = asyncio.Queue(self.config.queue_depth)
+        queue: asyncio.Queue[tuple | None] = asyncio.Queue(QUEUE_DEPTH)
         writer_task = asyncio.create_task(self._write_loop(queue, writer))
         assert self._drain is not None
         # One drain-wait task per connection, reused across requests —
@@ -813,15 +760,11 @@ class SegmentServer:
             raise RuntimeError("server is not running")
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(self._executor, call)
-        if self.config.read_timeout is None:
-            return await future
         try:
-            return await asyncio.wait_for(
-                asyncio.shield(future), self.config.read_timeout
-            )
+            return await asyncio.wait_for(asyncio.shield(future), READ_TIMEOUT)
         except asyncio.TimeoutError:
             raise SegmentReadTimeout(
-                f"storage read exceeded the {self.config.read_timeout:.3f}s budget"
+                f"storage read exceeded the {READ_TIMEOUT:.3f}s budget"
             ) from None
 
 
@@ -844,7 +787,7 @@ class ServerHandle:
     :class:`ServerStartupError` rather than letting callers proceed.
     """
 
-    def __init__(self, server: SegmentServer, startup_timeout: float = 10.0) -> None:
+    def __init__(self, server: SegmentServer) -> None:
         self.server = server
         self._loop = asyncio.new_event_loop()
         self._started = threading.Event()
@@ -854,7 +797,7 @@ class ServerHandle:
             target=self._run, name="segment-server", daemon=True
         )
         self._thread.start()
-        signalled = self._started.wait(timeout=startup_timeout)
+        signalled = self._started.wait(timeout=STARTUP_TIMEOUT)
         if not signalled and not self._thread.is_alive():
             # The thread died without even reaching its exception guard —
             # give it a beat to flush, then report whatever it recorded.
@@ -868,7 +811,7 @@ class ServerHandle:
                     "reporting an address or an error"
                 )
             raise ServerStartupError(
-                f"segment server failed to start within {startup_timeout:g}s"
+                f"segment server failed to start within {STARTUP_TIMEOUT:g}s"
             )
 
     def _run(self) -> None:

@@ -85,16 +85,14 @@ class UniformAdaptive(QualityPolicy):
 class PredictiveTilingPolicy(QualityPolicy):
     """VisualCloud's policy: spend quality where the viewer will look.
 
-    Starts from (predicted -> ``high_rung``, rest -> floor) and, if the
-    budget is exceeded, degrades in stages: first the unpredicted tiles to
-    the ladder floor, then the predicted tiles one rung at a time. If the
-    budget allows, unpredicted tiles are *not* upgraded — spare budget is
-    headroom against bandwidth variance, matching the demo's behaviour of
-    shipping background tiles at low quality unconditionally.
+    Starts from (predicted -> ladder top, rest -> ladder floor) and, if
+    the budget is exceeded, steps the predicted tiles down one rung at a
+    time. If the budget allows, unpredicted tiles are *not* upgraded —
+    spare budget is headroom against bandwidth variance, matching the
+    demo's behaviour of shipping background tiles at low quality
+    unconditionally.
     """
 
-    high_rung: int = 0  # index into the manifest ladder for predicted tiles
-    low_rung: int = -1  # index for unpredicted tiles (-1 = ladder floor)
     name: str = "predictive"
 
     def assign(
@@ -105,25 +103,22 @@ class PredictiveTilingPolicy(QualityPolicy):
         budget_bytes: float,
     ) -> QualityMap:
         ladder = manifest.qualities
-        high_index = self.high_rung % len(ladder)
-        low_index = self.low_rung % len(ladder)
-        if low_index < high_index:
-            raise ValueError(
-                f"low rung {low_index} is better than high rung {high_index}"
-            )
         all_tiles = set(manifest.grid.tiles())
         predicted = predicted_tiles & all_tiles
         background = all_tiles - predicted
 
         # Degradation schedule: step the predicted rung toward the floor.
-        for predicted_index in range(high_index, len(ladder)):
-            quality_map = {tile: ladder[predicted_index] for tile in predicted}
-            background_index = max(low_index, predicted_index)
-            quality_map.update({tile: ladder[background_index] for tile in background})
+        for quality in ladder:
+            quality_map = {tile: quality for tile in predicted}
+            quality_map.update({tile: ladder[-1] for tile in background})
             if manifest.window_size(window, quality_map) <= budget_bytes:
                 return quality_map
         # Nothing fits: everything at the floor, accept the stall risk.
         return {tile: ladder[-1] for tile in all_tiles}
+
+
+#: Every policy under its ``name``: what ``--policy`` and a plan's ``sessions.policy`` pick from.
+POLICIES = {p.name: p for p in (NaiveFullQuality, UniformAdaptive, PredictiveTilingPolicy)}
 
 
 def estimate_budget(

@@ -225,14 +225,23 @@ class TestCommands:
             )
             assert code == 0
             state = handle.control_state()
-            # Two versioned actions: the pre-warm slice, then the limits.
-            assert (state["version"], state["max_inflight"]) == (2, 8)
+            # Three flags, one full plan: one POST, one version bump.
+            applies = handle.server.metrics.counter("serve.control_applies")
+            assert applies.total() == 1
+            assert (state["version"], state["max_inflight"]) == (1, 8)
             assert state["pin_budget_bytes"] == 1048576
             assert state["pinned_entries"] > 0
+            assert handle.server.hot._base_heat
 
             assert run(tmp_path, "control", handle.base_url, "--max-inflight", "0") == 0
-            assert handle.control_state()["max_inflight"] is None
-            assert "max_inflight -> unlimited" in capsys.readouterr().out
+            state = handle.control_state()
+            assert (state["version"], state["max_inflight"]) == (2, None)
+            assert "max_inflight unlimited" in capsys.readouterr().out
+            # A posted plan is a full slice: the fields not named keep
+            # their values, the predicted-heat layer is replaced (emptied).
+            assert state["pin_budget_bytes"] == 1048576
+            assert state["pinned_entries"] > 0
+            assert not handle.server.hot._base_heat
 
     def test_control_refuses_a_negative_ceiling_before_sending_it(self, tmp_path, capsys):
         """``--max-inflight -5`` used to reach the server, which installed

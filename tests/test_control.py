@@ -554,39 +554,38 @@ class TestControlInput:
     changes nothing, never a 200, a 409 or a dropped connection — and
     the node keeps serving its cold path afterwards."""
 
-    MALFORMED = [
+    @staticmethod
+    def _slice(**fields):
+        node = {"node_id": "", "max_inflight": 4, "pin_budget_bytes": 0, **fields}
+        return {"version": 1, "nodes": [node]}
+
+    # Numbered as when /control had three POST routes, so a case keeps
+    # its name in test inventories; the gaps (7, 8, 11, 12) were the same
+    # payloads sent to the two routes that are gone.
+    MALFORMED = {
         # (a) a slice whose ceiling is not a count: once installed, every
         # un-pinned read died comparing int >= str.
-        ("plan", {"version": 1, "nodes": [
-            {"node_id": "", "max_inflight": "many", "pin_budget_bytes": 0}]}),
-        ("plan", {"version": 1, "nodes": [
-            {"node_id": "", "max_inflight": True, "pin_budget_bytes": 0}]}),
-        ("plan", {"version": 1, "nodes": [
-            {"node_id": "", "max_inflight": 4, "pin_budget_bytes": -1}]}),
+        0: _slice(max_inflight="many"),
+        1: _slice(max_inflight=True),
+        2: _slice(pin_budget_bytes=-1),
         # (b) a ceiling ServerConfig would refuse: every cold read shed forever.
-        ("limits", {"version": 2, "max_inflight": -5}),
-        ("limits", {"version": 2, "max_inflight": 0}),
+        3: _slice(max_inflight=-5),
+        4: _slice(max_inflight=0),
         # (c) not a JSON object.
-        ("plan", [1, 2]),
-        ("plan", None),
-        ("limits", [1, 2]),
-        ("prewarm", None),
+        5: [1, 2],
+        6: None,
         # (d) a typo in the version is not "a newer controller is in charge".
-        ("plan", {"version": "x", "nodes": []}),
-        ("plan", {"version": -1, "nodes": []}),
-        ("limits", {"version": -1, "max_inflight": 4}),
-        ("prewarm", {"version": 5, "pin_budget_bytes": -1}),
+        9: {"version": "x", "nodes": []},
+        10: {"version": -1, "nodes": []},
         # Validated before anything is assigned: the good budget must not
         # land when the heat beside it is junk.
-        ("prewarm", {"version": 5, "pin_budget_bytes": 4096, "prewarm": [["/x", "hot"]]}),
-    ]
+        13: _slice(pin_budget_bytes=4096, prewarm=[["/x", "hot"]]),
+    }
 
     @pytest.mark.parametrize(
-        "route, payload", MALFORMED, ids=[f"{r}-{i}" for i, (r, _) in enumerate(MALFORMED)]
+        "payload", MALFORMED.values(), ids=[f"plan-{number}" for number in MALFORMED]
     )
-    def test_malformed_body_is_a_400_that_changes_nothing(
-        self, session_db, route, payload
-    ):
+    def test_malformed_body_is_a_400_that_changes_nothing(self, session_db, payload):
         import http.client
         import json
 
@@ -604,7 +603,7 @@ class TestControlInput:
                 return response.status, response.getheader("X-Error"), response.read()
 
             before = ask("GET", "/control")
-            status, error, _ = ask("POST", f"/control/{route}", json.dumps(payload))
+            status, error, _ = ask("POST", "/control/plan", json.dumps(payload))
             assert (status, error) == (400, "ValueError")
             assert ask("GET", "/control") == before
             status, _, body = ask("GET", cold)
@@ -612,8 +611,8 @@ class TestControlInput:
             with HttpSegmentClient(handle.base_url) as client:
                 # A taxonomy error naming the real request — not the
                 # ``StalePlanError`` (a ``ValueError``) a 409 becomes.
-                with pytest.raises(VisualCloudError, match=f"POST /control/{route} -> 400"):
-                    client.post_control(route, payload)
+                with pytest.raises(VisualCloudError, match="POST /control/plan -> 400"):
+                    client.post_control("plan", payload)
         finally:
             handle.stop()
 
@@ -623,17 +622,36 @@ class TestControlInput:
         )
         try:
             with HttpSegmentClient(handle.base_url) as client:
-                client.post_control("limits", {"version": 3, "max_inflight": 8})
-                for route, payload in (
-                    ("limits", {"version": 2, "max_inflight": 4}),
-                    ("prewarm", {"version": 2, "prewarm": []}),
-                    ("plan", {"version": 2, "nodes": []}),
-                ):
+                client.post_control("plan", dict(self._slice(max_inflight=8), version=3))
+                for payload in (self._slice(), {"version": 2, "nodes": []}):
                     with pytest.raises(StalePlanError):
-                        client.post_control(route, payload)
+                        client.post_control("plan", payload)
                 assert client.fetch_control()["max_inflight"] == 8
         finally:
             handle.stop()
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("POST", "/control/limits"),
+            ("POST", "/control/prewarm"),
+            ("POST", "/control"),
+            ("POST", "/control/plan/extra"),
+        ],
+    )
+    def test_plan_is_the_one_post_route(self, session_db, method, path):
+        """The partial-slice routes are gone, not renamed: the ordinary
+        404, whatever the body, and nothing applied."""
+        import http.client
+        import json
+
+        with start_server(session_db.storage, registry=MetricsRegistry()) as handle:
+            connection = http.client.HTTPConnection(*handle.address, timeout=10)
+            connection.request(method, path, body=json.dumps(self._slice()))
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 404
+            assert handle.control_state()["version"] == 0
 
     def test_node_plan_holds_the_server_config_rules(self):
         for bad in ("many", 0, -5, True, 2.5):

@@ -19,7 +19,6 @@ from repro import (
 )
 from repro.stream.abr import QualityPolicy
 from repro.stream.estimator import HarmonicMeanEstimator
-from repro.stream.qoe import QoEReport
 from repro.stream.network import SimulatedLink, SteppedBandwidth
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
@@ -159,14 +158,30 @@ class TestSharedLink:
         assert adaptive_stalls <= blind_stalls
 
     def test_staggered_arrivals(self, shared_db):
-        streamer = shared_db.streamer
-        reports = streamer.serve_all(
-            make_sessions(2),
-            SimulatedLink(ConstantBandwidth(1e6)),
-            start_offsets=[0.0, 5.0],
-        )
-        assert reports[1].records[0].request_time >= 5.0
-        assert reports[0].records[0].request_time < 1.0
+        """Earliest requester first, ties in input order — read off the
+        records, for late, out-of-order and all-equal arrivals: replaying
+        the windows in (request time, session) order must find every
+        transfer finishing before the next one does, nobody asks before
+        they arrive, and first requests go out in (offset, input) order."""
+        for offsets in ([0.0, 5.0], [2.0, 0.0, 1.0], [0.0, 0.0, 0.0]):
+            reports = shared_db.streamer.serve_all(
+                make_sessions(len(offsets)),
+                SimulatedLink(ConstantBandwidth(_contended_rate(shared_db))),
+                start_offsets=offsets,
+            )
+            for offset, report in zip(offsets, reports):
+                assert report.records[0].request_time == offset
+            served = sorted(
+                (record.request_time, index, record.window, record.delivered_time)
+                for index, report in enumerate(reports)
+                for record in report.records
+            )
+            delivered = [finish for *_, finish in served]
+            assert delivered == sorted(delivered), offsets
+            arrivals = [index for _, index, window, _ in served if window == 0]
+            assert arrivals == sorted(
+                range(len(offsets)), key=lambda index: (offsets[index], index)
+            ), offsets
 
 
 class _LeftHalfPolicy(QualityPolicy):
@@ -339,56 +354,6 @@ class TestEstimatorIsolation:
         )
         assert len(ProbeEstimator.fed) == 2
         assert id(probe) not in ProbeEstimator.fed
-
-
-def _serve_all_naive(streamer, specs, link, start_offsets=None):
-    """The reference scheduler the heap is differentially tested against:
-    rebuild the pending list and rescan every unfinished session per
-    window (O(sessions² × windows)); the earliest requester wins the link,
-    ties broken on input order. Drives the streamer's own window step."""
-    sessions = streamer._open_sessions(
-        specs, start_offsets or [0.0] * len(specs), "shared"
-    )
-    pending = [session for session in sessions if not session.finished]
-    while pending:
-        session = min(pending, key=lambda s: s.next_request_time(link.busy_until))
-        streamer._serve_window(session, link)
-        pending = [session for session in sessions if not session.finished]
-    return [QoEReport(session.records) for session in sessions]
-
-
-class TestSchedulerDifferential:
-    """The heap scheduler must reproduce the naive rebuild-and-scan
-    schedule exactly — same winner every window, same tie-breaks."""
-
-    @pytest.mark.parametrize(
-        "count, offsets, estimator, rate",
-        [
-            (4, None, False, 100_000.0),
-            (4, [0.0, 0.4, 0.8, 1.2], False, 60_000.0),
-            (8, None, True, None),  # None -> contended rate
-            (3, [2.0, 0.0, 1.0], True, None),  # out-of-order arrivals
-            (1, None, False, 50_000.0),
-        ],
-    )
-    def test_heap_matches_naive(self, shared_db, count, offsets, estimator, rate):
-        streamer = shared_db.streamer
-        if rate is None:
-            rate = _contended_rate(shared_db)
-        heap_reports = streamer.serve_all(
-            make_sessions(count, estimator=estimator),
-            SimulatedLink(ConstantBandwidth(rate)),
-            start_offsets=offsets,
-        )
-        naive_reports = _serve_all_naive(
-            streamer,
-            make_sessions(count, estimator=estimator),
-            SimulatedLink(ConstantBandwidth(rate)),
-            start_offsets=offsets,
-        )
-        assert len(heap_reports) == len(naive_reports)
-        for heap_report, naive_report in zip(heap_reports, naive_reports):
-            assert _record_tuples(heap_report) == _record_tuples(naive_report)
 
 
 class TestServeAllMetrics:

@@ -179,6 +179,39 @@ class TestAppend:
         with pytest.raises(IngestError):
             loaded.append("clip", checkerboard_video(width=32, height=32, frames=4))
 
+    def test_live_append_caches_one_meta_and_never_loses_a_reader(self, loaded):
+        """Every version's index covers every GOP so far, so caching each
+        one is O(N²) under live append: a commit evicts the name's other
+        cached versions — under a reader that must never see the gap."""
+        import threading
+
+        first = loaded.meta("clip", 1)
+        gop = list(checkerboard_video(64, 32, 4))
+        failures, done = [], threading.Event()
+
+        def reader():
+            while not done.is_set():
+                try:
+                    latest = loaded.meta("clip")
+                    loaded.read_segment("clip", latest.gop_count - 1, (1, 1), Quality.LOW)
+                    loaded.meta("clip", 1)
+                except Exception as error:  # the assertion is "none at all"
+                    failures.append(error)
+                    return
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for _ in range(30):
+                loaded.append("clip", iter(gop), workers=1)
+        finally:
+            done.set()
+            thread.join()
+        assert not failures, failures
+        loaded.append("clip", iter(gop), workers=1)  # a commit with no reader racing it
+        assert [key for key in loaded._meta_cache if key[0] == "clip"] == [("clip", 32)]
+        assert loaded.meta("clip", 1) == first
+
 
 class TestStoreWindows:
     def test_store_encoded_windows(self, storage):

@@ -411,7 +411,7 @@ class TestReadRepair:
         handles = {
             node: start_server(
                 storages[node],
-                ServerConfig(node_id=node, shard_map=shard_map, peer_timeout=2.0),
+                ServerConfig(node_id=node, shard_map=shard_map),
                 registry=registries[node],
             )
             for node in NODES
@@ -472,14 +472,16 @@ class TestReadRepair:
         assert registry.counter("storage.repair_failed").total() == 0
 
     def test_repair_disabled_surfaces_the_corruption(self, session_db, tmp_path):
-        shard_map = ShardMap(nodes=NODES, replication_factor=2)
+        """Read-repair has no off switch; with rf = 1 there is no second
+        owner to heal from, so the local verdict surfaces unrepaired."""
+        shard_map = ShardMap(nodes=NODES, replication_factor=1)
         node_roots = {node: tmp_path / node for node in NODES}
         materialize_shards(session_db.storage, node_roots, shard_map)
         registry = MetricsRegistry()
         storage = StorageManager(node_roots["node-0"], registry=registry)
         handle = start_server(
             storage,
-            ServerConfig(node_id="node-0", shard_map=shard_map, read_repair=False),
+            ServerConfig(node_id="node-0", shard_map=shard_map),
             registry=registry,
         )
         try:

@@ -6,7 +6,10 @@ procedural content -> ingest -> predictor training -> adaptive sessions
 unit tests cannot see.
 """
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +25,11 @@ from repro import (
     UniformAdaptive,
     VisualCloud,
 )
+from repro.control import ControlConfig
 from repro.core import udfs
 from repro.core.export import decode_export, export_video
+from repro.core.resilience import RetryPolicy
+from repro.serve import FailoverConfig, ServerConfig
 from repro.stream.estimator import HarmonicMeanEstimator
 from repro.video.frame import psnr
 from repro.workloads.users import ViewerPopulation
@@ -209,3 +215,37 @@ class TestConcurrentViewStability:
         assert [r.quality_map for r in before.records] == [
             r.quality_map for r in after.records
         ]
+
+
+class TestConfigSurface:
+    """Every config object is the list docs/API.md gives for it — the
+    check that keeps an option nothing sets from coming back unnoticed."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        [ServerConfig, SessionConfig, FailoverConfig, ControlConfig, IngestConfig, RetryPolicy],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_fields_are_the_ones_docs_api_lists(self, cls):
+        api = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
+        # `Cls(a, b, ...)` — a call example with keywords has an "=" and is skipped.
+        listed = re.search(rf"`{cls.__name__}\(([^)=]*)\)`", api).group(1)
+        fields = [field.name for field in dataclasses.fields(cls)]
+        assert re.findall(r"\w+", listed) == fields
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda: ServerConfig(read_repair=False),
+            lambda: ServerConfig(read_timeout=None),
+            lambda: FailoverConfig(retry_budget=1.0),
+            lambda: SessionConfig(
+                policy=NaiveFullQuality(), bandwidth=ConstantBandwidth(1e6), safety=0.8
+            ),
+            lambda: PredictiveTilingPolicy(high_rung=1),
+        ],
+        ids=["read_repair", "read_timeout", "retry_budget", "safety", "high_rung"],
+    )
+    def test_removed_options_are_type_errors(self, construct):
+        with pytest.raises(TypeError):
+            construct()

@@ -146,11 +146,9 @@ class TestServerSideFaultMapping:
             with pytest.raises(TransientSegmentError):
                 client.fetch_segment("clip", SegmentKey(0, (0, 0), Quality.HIGH))
 
-    def test_slow_fault_maps_to_timeout(self, chaos_server):
-        handle = chaos_server(
-            [FaultRule(kind="slow", every=1, delay=2.0)],
-            config=ServerConfig(read_timeout=0.2),
-        )
+    def test_slow_fault_maps_to_timeout(self, chaos_server, monkeypatch):
+        monkeypatch.setattr("repro.serve.server.READ_TIMEOUT", 0.2)
+        handle = chaos_server([FaultRule(kind="slow", every=1, delay=2.0)])
         with HttpSegmentClient(handle.base_url) as client:
             with pytest.raises(SegmentReadTimeout):
                 client.fetch_segment("clip", SegmentKey(0, (0, 0), Quality.HIGH))

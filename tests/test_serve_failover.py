@@ -242,11 +242,9 @@ class TestFailoverPolicy:
                 "b": lambda call: TransientSegmentError("b down"),
                 "c": lambda call: TransientSegmentError("c down"),
             },
-            config=FailoverConfig(
-                failure_threshold=99, reset_timeout=0.0, retry_budget=1.0,
-                retry_refill=0.0,
-            ),
+            config=FailoverConfig(failure_threshold=99, reset_timeout=0.0),
         )
+        client.budget = RetryBudget(capacity=1.0, refill=0.0)
         with client:
             with pytest.raises(TransientSegmentError):
                 client.fetch_segment("v", None)

@@ -16,8 +16,8 @@ from repro.serve import HotSet, HttpSegmentClient, ServerConfig, start_server
 from repro.serve.server import SegmentServer
 
 
-def make_hotset(budget: int, threshold: int = 3, **kwargs) -> HotSet:
-    return HotSet(budget, threshold, MetricsRegistry(), **kwargs)
+def make_hotset(budget: int, threshold: int = 3) -> HotSet:
+    return HotSet(budget, threshold, MetricsRegistry())
 
 
 class TestAdmission:
@@ -49,8 +49,9 @@ class TestAdmission:
         assert len(hot) == 1
         assert hot.bytes_pinned == 10
 
-    def test_candidate_tracking_is_bounded(self):
-        hot = make_hotset(1024, threshold=2, max_tracked=4)
+    def test_candidate_tracking_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.hotset.MAX_TRACKED", 4)
+        hot = make_hotset(1024, threshold=2)
         for i in range(16):
             hot.record(f"/cold/{i}", b"x")
         assert len(hot._counts) <= 4
@@ -178,15 +179,6 @@ class TestInvalidation:
         assert len(hot) == 1
         assert hot.bytes_pinned == 10
         assert "/segment/clip/2/0/0/low" not in hot._counts
-
-    def test_clear_resets_all_state(self):
-        hot = make_hotset(1024)
-        hot.pin("/a", b"x" * 10)
-        hot.record("/b", b"y")
-        hot.clear()
-        assert len(hot) == 0
-        assert hot.bytes_pinned == 0
-        assert not hot._counts
 
 
 class TestMetrics:

@@ -247,15 +247,6 @@ def test_unindexed_segment_is_not_a_repair_case(session_db, tmp_path):
     assert all(fake.calls == 0 for fake in node.peers.values())
 
 
-def test_read_repair_off_surfaces_the_local_verdict(session_db, tmp_path):
-    node = Node(session_db, tmp_path / "node-0", "owner", "corrupt", "ok")
-    node.backend.read_repair = False
-    with pytest.raises(SegmentCorruptError):
-        node.read()
-    assert node.moved() == {}
-    assert node.disk() == "damaged"
-
-
 def test_peer_cache_hit_map_update_and_drop_invalidation(session_db, tmp_path):
     node = Node(session_db, tmp_path / "node-0", "non-owner", "missing", "ok")
     assert node.read() == node.read() == node.canonical

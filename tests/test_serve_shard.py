@@ -58,7 +58,7 @@ class ShardTier:
             storage = StorageManager(self.node_roots[node], registry=self.registries[node])
             self.handles[node] = start_server(
                 storage,
-                ServerConfig(node_id=node, shard_map=self.shard_map, peer_timeout=2.0),
+                ServerConfig(node_id=node, shard_map=self.shard_map),
                 registry=self.registries[node],
             )
         self.node_urls = {node: self.handles[node].base_url for node in NODES}

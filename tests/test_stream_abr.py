@@ -99,17 +99,6 @@ class TestPredictive:
         )
         assert set(assignment) == set(manifest.grid.tiles())
 
-    def test_custom_rungs(self, manifest):
-        policy = PredictiveTilingPolicy(high_rung=1, low_rung=2)
-        assignment = policy.assign(manifest, 0, {(0, 0)}, budget_bytes=1e9)
-        assert assignment[(0, 0)] is Quality.MEDIUM
-        assert assignment[(1, 1)] is Quality.LOW
-
-    def test_rejects_inverted_rungs(self, manifest):
-        policy = PredictiveTilingPolicy(high_rung=2, low_rung=0)
-        with pytest.raises(ValueError):
-            policy.assign(manifest, 0, set(), budget_bytes=1e9)
-
     def test_infinite_budget_keeps_background_low(self, manifest):
         assignment = PredictiveTilingPolicy().assign(
             manifest, 0, {(0, 0)}, budget_bytes=math.inf
