@@ -47,8 +47,10 @@ from repro.control import (
     Controller,
     HandleActuator,
     NodeState,
+    Planner,
     catalog_from_storage,
 )
+from repro.control.controller import INTERVAL
 from repro.core.storage import IngestConfig, StorageManager
 from repro.core.streamer import SessionConfig
 from repro.geometry.grid import TileGrid
@@ -85,9 +87,6 @@ class _Profile:
     flash_ramp: float = 2.0  # seconds over which demand shifts onto the spike video
     flash_peak: float = 4.0  # seconds of unthrottled spike-video load
     flash_inflight: int = 8  # both arms' starting admission ceiling (max_inflight)
-    #: Controller step cadence, seconds. Must exceed the server's
-    #: ``METRICS_TTL`` (0.25 s) or the controller reads stale counters.
-    control_interval: float = 0.3
 
 
 _FULL = _Profile()
@@ -298,6 +297,12 @@ async def _drive_flash(
     }
 
 
+def control_config(profile: _Profile) -> ControlConfig:
+    """The ``on`` arm's control loop: a three-interval lookahead, and a
+    video warms at one predicted request per interval."""
+    return ControlConfig(horizon=3.0, planner=Planner(prewarm_threshold=1.0))
+
+
 def _run_flash_arm(
     storage: StorageManager,
     names: list[str],
@@ -320,14 +325,7 @@ def _run_flash_arm(
     control_metrics = MetricsRegistry()
     if controller_on:
         controller = Controller(
-            ControlConfig(
-                interval=profile.control_interval,
-                horizon=3.0,
-                prewarm_threshold=1.0,
-                min_inflight=4,
-                inflight_ceiling=max(64, 8 * profile.flash_inflight),
-                fallback_inflight=profile.flash_inflight,
-            ),
+            control_config(profile),
             metrics_source=registry.snapshot,
             catalog_source=lambda: catalog_from_storage(storage),
             nodes_source=lambda: (
@@ -510,7 +508,7 @@ def _run_flash_crowd(root: Path, frames: list, grid: TileGrid, profile: _Profile
             "peak_seconds": profile.flash_peak,
             "max_inflight": profile.flash_inflight,
             "pin_budget_bytes": profile.pin_budget,
-            "control_interval": profile.control_interval,
+            "control_interval": INTERVAL,
         },
         "off": off,
         "on": on,

@@ -80,6 +80,7 @@ from repro.control import (
     Controller,
     HandleActuator,
     NodeState,
+    Planner,
     catalog_from_storage,
 )
 from repro.core.errors import VisualCloudError
@@ -529,8 +530,10 @@ class ScenarioRunner:
         )
         return Controller(
             ControlConfig(
+                planner=Planner(
+                    prewarm_threshold=float(sessions.get("prewarm_threshold", 0.5))
+                ),
                 deterministic=True,
-                prewarm_threshold=float(sessions.get("prewarm_threshold", 0.5)),
             ),
             metrics_source=db.metrics.snapshot,
             catalog_source=lambda: catalog_from_storage(db.storage),

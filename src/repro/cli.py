@@ -447,7 +447,7 @@ def _command_control(db: VisualCloud, args) -> int:
     """
     import json
 
-    from repro.control import ControlPlan, NodePlan, default_segment_weights
+    from repro.control import ControlPlan, NodePlan, warm_slice
     from repro.serve.client import HttpSegmentClient
 
     with HttpSegmentClient(args.url) as client:
@@ -461,11 +461,9 @@ def _command_control(db: VisualCloud, args) -> int:
         if args.pin_budget is not None:
             budget = args.pin_budget
         if args.prewarm is not None:
-            weights = default_segment_weights(client.fetch_manifest(args.prewarm))
-            prewarm = tuple(
-                (f"/segment/{args.prewarm}/{key.to_path()}", max(1, int(1000 * weights[key])))
-                for key in sorted(weights, key=lambda key: (-weights[key], key.to_path()))
-            )
+            # The planner's ranking at demand 1.0, unfitted: the node fits
+            # it to its budget over the segments it owns.
+            prewarm = warm_slice({args.prewarm: client.fetch_manifest(args.prewarm)})
         plan = ControlPlan(
             version=int(state["version"]) + 1,
             nodes=(NodePlan(state["node_id"], ceiling, budget, prewarm),),

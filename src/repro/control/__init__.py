@@ -14,13 +14,17 @@ types through the controller's injected sources and actuators.
 
 from repro.control.actuators import HandleActuator, StalePlanError
 from repro.control.config import ControlConfig
-from repro.control.controller import (
-    Controller,
-    catalog_from_storage,
-    default_segment_weights,
-)
+from repro.control.controller import Controller, catalog_from_storage
 from repro.control.forecast import EwmaTrendForecaster, Forecast
-from repro.control.planner import ControlPlan, NodePlan, NodeState, Planner, diff_plans
+from repro.control.planner import (
+    ControlPlan,
+    NodePlan,
+    NodeState,
+    Planner,
+    default_segment_weights,
+    diff_plans,
+    warm_slice,
+)
 
 __all__ = [
     "ControlConfig",
@@ -36,4 +40,5 @@ __all__ = [
     "catalog_from_storage",
     "default_segment_weights",
     "diff_plans",
+    "warm_slice",
 ]

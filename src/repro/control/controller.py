@@ -34,54 +34,26 @@ import threading
 from time import perf_counter
 
 from repro.control.config import ControlConfig
-from repro.control.planner import ControlPlan, diff_plans
+from repro.control.planner import ControlPlan, diff_plans, video_catalog
 from repro.obs import MetricsRegistry, counter_deltas, series_label, snapshot_quantile
 
 #: The per-video demand counter the serve tier exports and this loop diffs.
 DEMAND_COUNTER_PREFIX = "serve.video_requests"
 #: The latency histogram series the SLO loop reads.
 LATENCY_SERIES = "serve.request_seconds{endpoint=segment}"
+#: Seconds between steps of the background loop (:meth:`Controller.start`).
+#: Must exceed the server's ``METRICS_TTL`` (0.25 s) or a step reads
+#: stale counters.
+INTERVAL = 0.3
 
 
-def default_segment_weights(manifest) -> dict:
-    """Ladder-rank weights when no viewer traces exist yet: every tile
-    equally popular, better rungs ahead of the floor — the same shape
-    :func:`repro.core.popularity.segment_weights` produces from a
-    uniform popularity map."""
-    ladder = {quality: rank for rank, quality in enumerate(manifest.qualities)}
-    rungs = max(1, len(manifest.qualities))
+def catalog_from_storage(storage) -> dict:
+    """The planner's catalog view of every stored video:
+    ``{video: video_catalog(video, manifest)}``."""
     return {
-        key: 1.0 - ladder.get(key.quality, rungs - 1) / (2.0 * rungs)
-        for key in manifest.segment_sizes
+        name: video_catalog(name, storage.build_manifest(name))
+        for name in storage.list_videos()
     }
-
-
-def catalog_from_storage(storage, weights_by_video: dict | None = None) -> dict:
-    """The planner's catalog view built from a storage manager:
-    ``{video: ((request path, weight, size bytes), ...)}``.
-
-    ``weights_by_video`` optionally maps video name → ``{SegmentKey:
-    weight}`` (feed it :func:`repro.core.popularity.segment_weights`
-    built from real traces); videos without an entry fall back to
-    :func:`default_segment_weights`.
-    """
-    catalog: dict = {}
-    for name in storage.list_videos():
-        manifest = storage.build_manifest(name)
-        weights = (weights_by_video or {}).get(name) or default_segment_weights(
-            manifest
-        )
-        catalog[name] = tuple(
-            sorted(
-                (
-                    f"/segment/{name}/{key.to_path()}",
-                    float(weights.get(key, 0.0)),
-                    int(size),
-                )
-                for key, size in manifest.segment_sizes.items()
-            )
-        )
-    return catalog
 
 
 class Controller:
@@ -96,7 +68,7 @@ class Controller:
     * ``actuators`` — objects with ``apply(plan) -> dict``.
 
     Run it either as a daemon thread (:meth:`start`/:meth:`stop`, one
-    :meth:`step` per ``config.interval`` seconds) or drive :meth:`step`
+    :meth:`step` per :data:`INTERVAL` seconds) or drive :meth:`step`
     by hand — the chaos harness and every unit test do the latter.
     """
 
@@ -113,7 +85,7 @@ class Controller:
     ) -> None:
         self.config = config
         self.forecaster = config.build_forecaster()
-        self.planner = config.planner()
+        self.planner = config.planner
         self._metrics_source = metrics_source
         self._catalog_source = catalog_source
         self._nodes_source = nodes_source
@@ -212,7 +184,7 @@ class Controller:
     # -- background thread ----------------------------------------------------
 
     def start(self) -> None:
-        """Run :meth:`step` every ``config.interval`` seconds in a
+        """Run :meth:`step` every :data:`INTERVAL` seconds in a
         daemon thread until :meth:`stop`."""
         if self._thread is not None:
             raise RuntimeError("controller already started")
@@ -223,7 +195,7 @@ class Controller:
         self._thread.start()
 
     def _run(self) -> None:
-        while not self._wake.wait(self.config.interval):
+        while not self._wake.wait(INTERVAL):
             try:
                 self.step()
             except Exception:
@@ -244,7 +216,7 @@ class Controller:
 __all__ = [
     "Controller",
     "DEMAND_COUNTER_PREFIX",
+    "INTERVAL",
     "LATENCY_SERIES",
     "catalog_from_storage",
-    "default_segment_weights",
 ]

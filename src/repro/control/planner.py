@@ -17,6 +17,9 @@ Two decisions per node:
   hot set's eviction uses (see :meth:`repro.serve.hotset.HotSet.heat`),
   so the planner and the evictor can never disagree about ordering.
   Segments fill the node's pin budget greedily, hottest first.
+  :func:`warm_slice` is the same ranking at demand 1.0 per video: how a
+  server warms ``ServerConfig.prewarm`` at startup and how ``repro
+  control --prewarm`` builds its slice.
 * **How hard to admit.** Target ``max_inflight`` moves AIMD-style
   against the p99 SLO: multiplicative decrease when observed p99
   breaches it, additive increase when there is comfortable headroom,
@@ -152,34 +155,113 @@ class ControlPlan:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
+#: The admission loop's setpoint: segment-endpoint p99, in seconds.
+SLO_P99 = 0.25
+#: p99 below ``SLO_P99 * SLO_HEADROOM`` raises the ceiling.
+SLO_HEADROOM = 0.5
+#: ``demand x weight`` → integer heat units (``HotSet.set_base_heat``).
+HEAT_SCALE = 100.0
+#: Multiplicative decrease never takes a ceiling below this.
+MIN_INFLIGHT = 4
+#: Additive increase per interval.
+INCREASE_STEP = 4
+#: Multiplicative decrease on an SLO breach.
+DECREASE_FACTOR = 0.5
+#: Additive increase stops here (a node configured above it is not lowered).
+INFLIGHT_CEILING = 64
+#: Imposed on an unbounded node that breaches the SLO.
+FALLBACK_INFLIGHT = 8
+
+
+def default_segment_weights(manifest) -> dict:
+    """Ladder-rank weights when no viewer traces exist yet: every tile
+    equally popular, better rungs ahead of the floor."""
+    ladder = {quality: rank for rank, quality in enumerate(manifest.qualities)}
+    rungs = max(1, len(manifest.qualities))
+    return {
+        key: 1.0 - ladder.get(key.quality, rungs - 1) / (2.0 * rungs)
+        for key in manifest.segment_sizes
+    }
+
+
+def video_catalog(name: str, manifest) -> tuple[tuple[str, float, int], ...]:
+    """One video's planner catalog entry: its segments as ``(request
+    path, weight, size bytes)``, weighted by
+    :func:`default_segment_weights`, in path order."""
+    weights = default_segment_weights(manifest)
+    return tuple(
+        sorted(
+            (f"/segment/{name}/{key.to_path()}", weights[key], int(size))
+            for key, size in manifest.segment_sizes.items()
+        )
+    )
+
+
+def _rank_segments(
+    demand: dict[str, float],
+    catalog: dict[str, tuple[tuple[str, float, int], ...]],
+) -> tuple[tuple[str, int, int], ...]:
+    """Every segment of every video in ``demand`` as ``(path, heat,
+    size)``, hottest first, ties broken by path, with ``heat =
+    round(demand x weight x HEAT_SCALE)``. ``demand`` is predicted
+    requests per video; ``catalog`` is ``catalog_from_storage``'s shape."""
+    ranked: list[tuple[str, int, int]] = []
+    for video in sorted(catalog):
+        if video not in demand:
+            continue
+        for path, weight, size in catalog[video]:
+            heat = int(round(demand[video] * weight * HEAT_SCALE))
+            if heat > 0:
+                ranked.append((path, heat, int(size)))
+    ranked.sort(key=lambda item: (-item[1], item[0]))
+    return tuple(ranked)
+
+
+def _fill_budget(
+    ranked: tuple[tuple[str, int, int], ...],
+    budget: int | None,
+    owned: tuple[str, ...] | None = None,
+) -> tuple[tuple[str, int], ...]:
+    """The ``(path, heat)`` slice of ``ranked`` that fits ``budget``
+    bytes (``None`` = all of it), greedily hottest first; ``owned``
+    (``None`` = everything) restricts it to the paths a shard node owns."""
+    if budget is not None and budget <= 0:
+        return ()
+    owned_set = None if owned is None else set(owned)
+    chosen: list[tuple[str, int]] = []
+    used = 0
+    for path, heat, size in ranked:
+        if owned_set is not None and path not in owned_set:
+            continue
+        if budget is not None and used + size > budget:
+            continue  # a smaller segment may still fit
+        chosen.append((path, heat))
+        used += size
+    return tuple(chosen)
+
+
+def warm_slice(
+    manifests: dict,
+    budget: int | None = None,
+    owned: tuple[str, ...] | None = None,
+) -> tuple[tuple[str, int], ...]:
+    """The ``(path, heat)`` slice that warms ``manifests`` (``{video:
+    manifest}``) as :meth:`Planner.plan` would at a predicted demand of
+    1.0 per video: the same ranking and heat scale, fitted to ``budget``
+    bytes and ``owned`` paths as a plan's node slice is. ``budget=None``
+    leaves the whole ranking for the receiving node's hot set to fit."""
+    catalog = {name: video_catalog(name, m) for name, m in manifests.items()}
+    return _fill_budget(
+        _rank_segments(dict.fromkeys(catalog, 1.0), catalog), budget, owned
+    )
+
+
 @dataclass(frozen=True)
 class Planner:
     """Turns forecasts into a :class:`ControlPlan`. Pure: no clocks, no
     I/O, no hidden state beyond the previous plan passed in."""
 
-    slo_p99: float = 0.25  # seconds; the admission loop's setpoint
-    slo_headroom: float = 0.5  # p99 below slo*headroom → raise the ceiling
     prewarm_threshold: float = 1.0  # predicted requests/interval to warm a video
-    heat_scale: float = 100.0  # demand x weight → integer heat units
-    min_inflight: int = 4  # multiplicative decrease floor
-    inflight_ceiling: int | None = None  # additive increase cap (None = config value)
-    increase_step: int = 4  # additive increase per interval
-    decrease_factor: float = 0.5  # multiplicative decrease on SLO breach
-    fallback_inflight: int = 64  # imposed when breaching with no ceiling at all
-
-    def __post_init__(self) -> None:
-        if self.slo_p99 <= 0:
-            raise ValueError(f"slo_p99 must be positive, got {self.slo_p99}")
-        if not 0.0 < self.slo_headroom <= 1.0:
-            raise ValueError(f"slo_headroom must be in (0, 1], got {self.slo_headroom}")
-        if not 0.0 < self.decrease_factor < 1.0:
-            raise ValueError(
-                f"decrease_factor must be in (0, 1), got {self.decrease_factor}"
-            )
-        if self.min_inflight < 1:
-            raise ValueError(f"min_inflight must be >= 1, got {self.min_inflight}")
-        if self.increase_step < 1:
-            raise ValueError(f"increase_step must be >= 1, got {self.increase_step}")
 
     # -- the plan function ----------------------------------------------------
 
@@ -202,7 +284,14 @@ class Planner:
         changed — idempotence is the caller's concern, monotonicity is
         ours.
         """
-        ranked = self._rank_segments(forecasts, catalog)
+        ranked = _rank_segments(
+            {
+                video: forecast.predicted
+                for video, forecast in forecasts.items()
+                if forecast.predicted >= self.prewarm_threshold
+            },
+            catalog,
+        )
         node_plans = []
         for state in sorted(nodes, key=lambda s: s.node_id):
             previous_node = previous.node(state.node_id) if previous else None
@@ -213,51 +302,11 @@ class Planner:
                         state, previous_node, observed_p99
                     ),
                     pin_budget_bytes=state.pin_budget_bytes,
-                    prewarm=self._fill_budget(ranked, state),
+                    prewarm=_fill_budget(ranked, state.pin_budget_bytes, state.owned),
                 )
             )
         version = previous.version + 1 if previous is not None else 1
         return ControlPlan(version=version, nodes=tuple(node_plans))
-
-    # -- pre-warm selection ---------------------------------------------------
-
-    def _rank_segments(
-        self,
-        forecasts: dict[str, Forecast],
-        catalog: dict[str, tuple[tuple[str, float, int], ...]],
-    ) -> tuple[tuple[str, int, int], ...]:
-        """Every warm-worthy segment as ``(path, heat, size)``, hottest
-        first, ties broken by path — one global ordering shared by every
-        node's budget fill."""
-        ranked: list[tuple[str, int, int]] = []
-        for video in sorted(catalog):
-            forecast = forecasts.get(video)
-            if forecast is None or forecast.predicted < self.prewarm_threshold:
-                continue
-            for path, weight, size in catalog[video]:
-                heat = int(round(forecast.predicted * weight * self.heat_scale))
-                if heat > 0:
-                    ranked.append((path, heat, int(size)))
-        ranked.sort(key=lambda item: (-item[1], item[0]))
-        return tuple(ranked)
-
-    @staticmethod
-    def _fill_budget(
-        ranked: tuple[tuple[str, int, int], ...], state: NodeState
-    ) -> tuple[tuple[str, int], ...]:
-        if state.pin_budget_bytes <= 0:
-            return ()
-        owned = None if state.owned is None else set(state.owned)
-        chosen: list[tuple[str, int]] = []
-        used = 0
-        for path, heat, size in ranked:
-            if owned is not None and path not in owned:
-                continue
-            if used + size > state.pin_budget_bytes:
-                continue  # a smaller segment may still fit, as in prewarm_pins
-            chosen.append((path, heat))
-            used += size
-        return tuple(chosen)
 
     # -- admission tuning -----------------------------------------------------
 
@@ -270,22 +319,17 @@ class Planner:
         current = previous.max_inflight if previous is not None else state.max_inflight
         if math.isnan(observed_p99):
             return current  # no signal (or deterministic mode): hold position
-        if observed_p99 > self.slo_p99:
+        if observed_p99 > SLO_P99:
             if current is None:
                 # An unbounded node breaching its SLO gets a ceiling
                 # imposed; unbounded shedding-free overload is exactly
                 # the failure mode the loop exists to prevent.
-                return self.fallback_inflight
-            return max(self.min_inflight, int(current * self.decrease_factor))
+                return FALLBACK_INFLIGHT
+            return max(MIN_INFLIGHT, int(current * DECREASE_FACTOR))
         if current is None:
             return None  # unbounded and inside SLO: nothing to relax
-        if observed_p99 < self.slo_p99 * self.slo_headroom:
-            ceiling = (
-                self.inflight_ceiling
-                if self.inflight_ceiling is not None
-                else max(current, state.max_inflight or current)
-            )
-            return min(ceiling, current + self.increase_step)
+        if observed_p99 < SLO_P99 * SLO_HEADROOM:
+            return max(current, min(INFLIGHT_CEILING, current + INCREASE_STEP))
         return current
 
 
@@ -302,5 +346,8 @@ __all__ = [
     "NodePlan",
     "NodeState",
     "Planner",
+    "default_segment_weights",
     "diff_plans",
+    "video_catalog",
+    "warm_slice",
 ]

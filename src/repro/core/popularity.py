@@ -51,29 +51,6 @@ def tile_popularity(
     return counts / total
 
 
-def segment_weights(popularity: np.ndarray, manifest) -> dict:
-    """Per-segment pin priority from the tile popularity map.
-
-    Feeds the serve tier's hot-set prewarm (see
-    :meth:`repro.serve.server.SegmentServer.prewarm_pins`): every stored
-    segment of a tile inherits the tile's viewport probability, with the
-    ladder's better rungs weighted ahead of the floor — hot viewers are
-    served the top rung, so under a byte budget the high-quality copies
-    of popular tiles are the ones worth keeping in RAM.
-
-    ``manifest`` is a :class:`~repro.stream.dash.Manifest`; returns
-    ``{SegmentKey: weight}`` over exactly its stored segments.
-    """
-    ladder = {quality: rank for rank, quality in enumerate(manifest.qualities)}
-    rungs = max(1, len(manifest.qualities))
-    weights: dict = {}
-    for key in manifest.segment_sizes:
-        base = float(popularity[key.tile])
-        rank = ladder.get(key.quality, rungs - 1)
-        weights[key] = base * (1.0 - rank / (2.0 * rungs))
-    return weights
-
-
 @dataclass(frozen=True)
 class StoragePlanner:
     """Plans which quality rungs to materialise per tile.

@@ -15,8 +15,9 @@ wire-identical.
 
 Admission:
 
-* :meth:`HotSet.pin` pins explicitly (startup prewarm from the
-  popularity model, see ``SegmentServer.prewarm_pins``).
+* :meth:`HotSet.pin` pins explicitly: a plan slice or the startup
+  prewarm, both ranked by the control planner (see
+  ``repro.control.planner.warm_slice``).
 * :meth:`HotSet.record` counts cold-path hits and promotes a path once
   it reaches ``threshold`` requests — the runtime feedback loop.
 

@@ -75,9 +75,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.control.planner import ControlPlan
+from repro.control.planner import ControlPlan, warm_slice
 from repro.core.errors import (
-    SegmentNotFoundError,
     SegmentReadTimeout,
     TransientSegmentError,
     VisualCloudError,
@@ -269,8 +268,10 @@ class SegmentServer:
             self.config.port,
             backlog=LISTEN_BACKLOG,
         )
-        for name in self.config.prewarm:
-            self.prewarm_pins(name)
+        if self.config.prewarm and self.hot.enabled:
+            # No base heat: a startup pin is not a refreshed prediction,
+            # so runtime promotion may displace it once it goes unused.
+            self._pin(path for path, _ in self._startup_prewarm())
         host, port = self._server.sockets[0].getsockname()[:2]
         return host, port
 
@@ -300,7 +301,7 @@ class SegmentServer:
                 key = SegmentKey.from_path(segment[1])
             except ValueError:
                 continue
-            if not shard_map.owns(self.node_id, segment[0], key):
+            if not self._owns(segment[0], key):
                 dropped += self.hot.unpin(path)
         return dropped
 
@@ -353,46 +354,59 @@ class SegmentServer:
 
     # -- pin prewarm ----------------------------------------------------------
 
-    def prewarm_pins(self, name: str, weights: dict | None = None) -> int:
-        """Pin ``name``'s segments hottest-first until the budget is full.
+    def _owns(self, video: str, key: SegmentKey) -> bool:
+        """Whether this node serves ``key`` from its own storage: every
+        segment unsharded, its shard map's share on a shard node."""
+        shard_map = self.shard_map
+        return shard_map is None or shard_map.owns(self.node_id, video, key)
 
-        ``weights`` maps :class:`SegmentKey` to a pin priority — feed it
-        :func:`repro.core.popularity.segment_weights` built from viewer
-        traces; without it, segments pin in deterministic path order.
-        Blocking storage reads run inline: this is a startup (or
-        operator-initiated) action, not a request-path one — and they
-        read local storage, not the backend: a node pins what it holds,
-        never a peer's copy. Returns how many segments were pinned.
-        """
-        if not self.hot.enabled:
-            return 0
-        manifest = self.storage.build_manifest(name)
-        self._known_video(name)
-        if weights:
-            def rank(key):
-                return (-weights.get(key, 0.0), key.to_path())
-        else:
-            def rank(key):
-                return key.to_path()
+    def _startup_prewarm(self) -> tuple[tuple[str, int], ...]:
+        """``ServerConfig.prewarm`` as the planner would warm it: each
+        named video at demand 1.0, fitted to the pin budget over the
+        segments this node owns (:func:`warm_slice`)."""
+        names = self.config.prewarm
+        manifests = {name: self.storage.build_manifest(name) for name in names}
+        for name in manifests:
+            self._known_video(name)
+        owned = tuple(
+            f"/segment/{name}/{key.to_path()}"
+            for name, manifest in manifests.items()
+            for key in manifest.segment_sizes
+            if self._owns(name, key)
+        )
+        return warm_slice(manifests, self.hot.budget_bytes, owned)
+
+    def _pin(self, paths) -> int:
+        """Read and pin each of ``paths`` (hottest first) this node owns
+        and has not pinned yet; the hot set admits what its budget and
+        heat order allow. Reads run inline — startup or control cadence,
+        not request cadence — from local storage, not the backend: a node
+        pins what it owns and holds, never a peer's copy. A path that fails
+        to read (missing or corrupt on disk, raced a drop, malformed) is
+        skipped and counted in ``serve.prewarm_skipped``: a slice is a
+        target, not a transaction. Returns how many paths were newly
+        pinned."""
         pinned = 0
-        for key in sorted(manifest.segment_sizes, key=rank):
-            size = manifest.segment_sizes[key]
-            if self.hot.bytes_pinned + size > self.hot.budget_bytes:
-                continue  # full for this size; a smaller segment may still fit
+        for path in paths:
+            if path in self.hot:
+                continue
+            segment = split_segment_path(path)
             try:
+                if segment is None:
+                    raise ValueError(f"not a segment path: {path!r}")
+                key = SegmentKey.from_path(segment[1])
+                if not self._owns(segment[0], key):
+                    continue  # a peer's segment: it warms there
                 data = self.storage.read_segment(
-                    name, key.window, key.tile, key.quality
+                    segment[0], key.window, key.tile, key.quality
                 )
-            except SegmentNotFoundError:
-                # Missing or checksum-failed on disk: never pin bytes that
-                # did not verify — the request path will repair (or 409)
-                # this segment; prewarm just moves on.
+            except (VisualCloudError, ValueError):
                 self.metrics.counter(
                     "serve.prewarm_skipped",
-                    "prewarm reads skipped (missing or corrupt on disk)",
-                ).inc(video=name)
+                    "prewarm reads skipped (missing, corrupt or malformed)",
+                ).inc(video=segment[0] if segment else "")
                 continue
-            if self.hot.pin(f"/segment/{name}/{key.to_path()}", data):
+            if self.hot.pin(path, data):
                 pinned += 1
         return pinned
 
@@ -414,10 +428,9 @@ class SegmentServer:
 
         A plan without a slice for this node updates only the version
         fence (the node saw the directive and had nothing to do).
-        Pre-warm reads run inline like :meth:`prewarm_pins` — control
-        cadence, not request cadence — and a segment that fails to read
-        (raced a drop, peer-owned) is skipped, not fatal: the plan is a
-        target, not a transaction.
+        The slice's heats replace the hot set's base heat (the predicted
+        layer), then its paths go through :meth:`_pin`, as startup
+        prewarm's do.
         """
         self._check_plan_version(plan.version)
         node_plan = plan.node(self.node_id)
@@ -432,19 +445,7 @@ class SegmentServer:
                 self.hot.set_budget(node_plan.pin_budget_bytes)
                 dropped = before - len(self.hot)
             self.hot.set_base_heat(dict(node_plan.prewarm))
-            for path, heat in node_plan.prewarm:
-                segment = None if path in self.hot else split_segment_path(path)
-                if segment is None:
-                    continue
-                try:
-                    key = SegmentKey.from_path(segment[1])
-                    data = self.storage.read_segment(
-                        segment[0], key.window, key.tile, key.quality
-                    )
-                except Exception:
-                    continue
-                if self.hot.pin(path, data, heat=heat):
-                    pinned += 1
+            pinned = self._pin(path for path, _ in node_plan.prewarm)
         self._control_version = plan.version
         self._gauge_control_version.set(plan.version)
         self._control_applies.inc()

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.control import Forecast, NodeState, Planner, catalog_from_storage
 from repro.core.storage import StorageManager
-from repro.serve import start_server
+from repro.serve import ServerConfig, start_server
+from repro.serve.placement import ShardMap
 
 SMALL_CLIP = (
     "--width", "64", "--height", "32", "--duration", "2", "--fps", "4",
@@ -231,7 +233,17 @@ class TestCommands:
             assert (state["version"], state["max_inflight"]) == (1, 8)
             assert state["pin_budget_bytes"] == 1048576
             assert state["pinned_entries"] > 0
-            assert handle.server.hot._base_heat
+            # The controller's slice at demand 1.0: same paths, same heats.
+            demand = {"demo": Forecast("demo", 1.0, 0.0, 1.0, 1)}
+            expected = Planner().plan(
+                demand,
+                catalog_from_storage(handle.server.storage),
+                (NodeState("", pin_budget_bytes=1048576),),
+            ).node("").prewarm
+            hot = handle.server.hot
+            assert sorted(hot.paths()) == sorted(path for path, _ in expected)
+            assert {path: hot.heat(path) for path, _ in expected} == dict(expected)
+            assert max(heat for _, heat in expected) == 100  # weight 1.0 x 100
 
             assert run(tmp_path, "control", handle.base_url, "--max-inflight", "0") == 0
             state = handle.control_state()
@@ -242,6 +254,29 @@ class TestCommands:
             assert state["pin_budget_bytes"] == 1048576
             assert state["pinned_entries"] > 0
             assert not handle.server.hot._base_heat
+
+    def test_control_prewarm_on_a_shard_node_pins_what_it_owns(self, tmp_path):
+        """The posted slice is unfitted, so a shard node spends its whole
+        budget on the segments it owns, not on a peer's."""
+        ingest_small(tmp_path)
+        storage = StorageManager(tmp_path / "db")
+        manifest = storage.build_manifest("demo")
+        shard_map = ShardMap(nodes=("node-0", "node-1"), replication_factor=1)
+        owned = {
+            f"/segment/demo/{key.to_path()}": size
+            for key, size in manifest.segment_sizes.items()
+            if shard_map.owns("node-0", "demo", key)
+        }
+        assert 0 < len(owned) < len(manifest.segment_sizes)
+        config = ServerConfig(node_id="node-0", shard_map=shard_map)
+        with start_server(storage, config) as handle:
+            budget = str(sum(owned.values()))
+            code = run(
+                tmp_path, "control", handle.base_url, "--pin-budget", budget,
+                "--prewarm", "demo",
+            )
+            assert code == 0
+            assert set(handle.server.hot.paths()) == set(owned)
 
     def test_control_refuses_a_negative_ceiling_before_sending_it(self, tmp_path, capsys):
         """``--max-inflight -5`` used to reach the server, which installed

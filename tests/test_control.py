@@ -40,6 +40,12 @@ from repro.control import (
     catalog_from_storage,
     diff_plans,
 )
+from repro.control.planner import (
+    FALLBACK_INFLIGHT,
+    INFLIGHT_CEILING,
+    MIN_INFLIGHT,
+    SLO_P99,
+)
 from repro.core.errors import VisualCloudError
 from repro.obs import MetricsRegistry
 from repro.serve import HttpSegmentClient, ServerConfig, start_server
@@ -188,7 +194,8 @@ class TestPlanner:
         assert plan.node("").max_inflight == 32
 
     def test_breach_halves_inflight_with_floor(self):
-        planner = Planner(slo_p99=0.25, min_inflight=4, decrease_factor=0.5)
+        # SLO_P99 0.25 s, DECREASE_FACTOR 0.5, MIN_INFLIGHT 4.
+        planner = Planner()
         state = NodeState(node_id="", max_inflight=32)
         plan = planner.plan({}, {}, (state,), observed_p99=0.5)
         assert plan.node("").max_inflight == 16
@@ -198,22 +205,24 @@ class TestPlanner:
         assert plan.node("").max_inflight == 4  # floored, not 2
 
     def test_breach_on_unbounded_node_imposes_the_fallback(self):
-        planner = Planner(fallback_inflight=64)
-        plan = planner.plan(
+        plan = Planner().plan(
             {}, {}, (NodeState(node_id="", max_inflight=None),), observed_p99=1.0
         )
-        assert plan.node("").max_inflight == 64
+        assert plan.node("").max_inflight == FALLBACK_INFLIGHT == 8
 
     def test_headroom_raises_additively_to_the_ceiling(self):
-        planner = Planner(
-            slo_p99=0.25, slo_headroom=0.5, increase_step=4, inflight_ceiling=40
-        )
-        state = NodeState(node_id="", max_inflight=38)
+        # Headroom is p99 < 0.25 s x 0.5; INCREASE_STEP is 4.
+        planner = Planner()
+        state = NodeState(node_id="", max_inflight=62)
         plan = planner.plan({}, {}, (state,), observed_p99=0.01)
-        assert plan.node("").max_inflight == 40  # 38 + 4 capped at 40
+        assert plan.node("").max_inflight == INFLIGHT_CEILING == 64  # 62 + 4 capped
+        # A node configured above the ceiling is held, not lowered.
+        state = NodeState(node_id="", max_inflight=100)
+        plan = planner.plan({}, {}, (state,), observed_p99=0.01)
+        assert plan.node("").max_inflight == 100
 
     def test_inside_slo_without_headroom_holds(self):
-        planner = Planner(slo_p99=0.25, slo_headroom=0.5)
+        planner = Planner()
         state = NodeState(node_id="", max_inflight=16)
         plan = planner.plan({}, {}, (state,), observed_p99=0.2)
         assert plan.node("").max_inflight == 16
@@ -344,28 +353,44 @@ class TestPlannerPurity:
             # The floor binds when the planner *decreases* (an SLO
             # breach); held or raised positions keep their configured
             # value even below it.
-            if not math.isnan(p99) and p99 > planner.slo_p99:
+            if not math.isnan(p99) and p99 > SLO_P99:
                 assert node.max_inflight is not None
-                assert node.max_inflight >= planner.min_inflight
+                assert node.max_inflight >= MIN_INFLIGHT
 
 
 class TestControlConfig:
     def test_bad_forecaster_parameters_fail_at_construction(self):
-        with pytest.raises(ValueError, match="alpha"):
-            ControlConfig(alpha=0.0)
-        with pytest.raises(ValueError, match="interval"):
-            ControlConfig(interval=0.0)
-        with pytest.raises(ValueError, match="beta"):
-            ControlConfig(beta=0.0)
         with pytest.raises(ValueError, match="horizon"):
             ControlConfig(horizon=-1.0)
 
-    def test_planner_inherits_the_knobs(self):
-        config = ControlConfig(slo_p99=0.1, min_inflight=2, prewarm_threshold=3.0)
-        planner = config.planner()
-        assert planner.slo_p99 == 0.1
-        assert planner.min_inflight == 2
-        assert planner.prewarm_threshold == 3.0
+    def test_the_planner_is_the_one_it_was_given(self):
+        planner = Planner(prewarm_threshold=3.0)
+        config = ControlConfig(planner=planner)
+        assert config.planner is planner
+        assert Controller(
+            config,
+            metrics_source=dict,
+            catalog_source=dict,
+            nodes_source=tuple,
+        ).planner is planner
+        assert ControlConfig().planner == Planner()
+
+
+class TestFlashCrowdConfig:
+    """The flash-crowd benchmark's ``on`` arm, built without a server, so
+    a control-config rename fails here and not only in its own CI job."""
+
+    @pytest.mark.parametrize("profile", ["_FULL", "_SMOKE"])
+    def test_on_arm_controller_config_builds(self, profile):
+        from repro.bench import flash_crowd
+
+        profile = getattr(flash_crowd, profile)
+        config = flash_crowd.control_config(profile)
+        assert config.planner.prewarm_threshold == 1.0
+        controller = Controller(
+            config, metrics_source=dict, catalog_source=dict, nodes_source=tuple
+        )
+        assert controller.planner is config.planner
 
 
 def _snapshot(counters: dict) -> dict:
@@ -377,7 +402,7 @@ def _scripted_controller(snapshots, catalog, nodes, actuators=()):
     equivalent of the chaos harness's injected sources."""
     feed = iter(snapshots)
     return Controller(
-        ControlConfig(deterministic=True, prewarm_threshold=1.0),
+        ControlConfig(planner=Planner(prewarm_threshold=1.0), deterministic=True),
         metrics_source=lambda: next(feed),
         catalog_source=lambda: catalog,
         nodes_source=lambda: nodes,
@@ -679,9 +704,9 @@ class TestFlashCrowdEndToEnd:
         )
         controller = Controller(
             ControlConfig(
-                deterministic=True,
-                prewarm_threshold=3.5,
                 horizon=3.0,
+                planner=Planner(prewarm_threshold=3.5),
+                deterministic=True,
             ),
             metrics_source=registry.snapshot,
             catalog_source=lambda: catalog_from_storage(session_db.storage),

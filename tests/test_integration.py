@@ -25,7 +25,7 @@ from repro import (
     UniformAdaptive,
     VisualCloud,
 )
-from repro.control import ControlConfig
+from repro.control import ControlConfig, Planner
 from repro.core import udfs
 from repro.core.export import decode_export, export_video
 from repro.core.resilience import RetryPolicy
@@ -223,7 +223,15 @@ class TestConfigSurface:
 
     @pytest.mark.parametrize(
         "cls",
-        [ServerConfig, SessionConfig, FailoverConfig, ControlConfig, IngestConfig, RetryPolicy],
+        [
+            ServerConfig,
+            SessionConfig,
+            FailoverConfig,
+            ControlConfig,
+            Planner,
+            IngestConfig,
+            RetryPolicy,
+        ],
         ids=lambda cls: cls.__name__,
     )
     def test_fields_are_the_ones_docs_api_lists(self, cls):
@@ -243,8 +251,22 @@ class TestConfigSurface:
                 policy=NaiveFullQuality(), bandwidth=ConstantBandwidth(1e6), safety=0.8
             ),
             lambda: PredictiveTilingPolicy(high_rung=1),
+            lambda: ControlConfig(alpha=0.5),
+            lambda: Planner(slo_p99=0.1),
+            lambda: ControlConfig(interval=0.3),
+            lambda: Planner(inflight_ceiling=64),
         ],
-        ids=["read_repair", "read_timeout", "retry_budget", "safety", "high_rung"],
+        ids=[
+            "read_repair",
+            "read_timeout",
+            "retry_budget",
+            "safety",
+            "high_rung",
+            "alpha",
+            "slo_p99",
+            "interval",
+            "inflight_ceiling",
+        ],
     )
     def test_removed_options_are_type_errors(self, construct):
         with pytest.raises(TypeError):

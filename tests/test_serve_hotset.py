@@ -10,10 +10,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.popularity import segment_weights
+from repro.control import (
+    ControlPlan,
+    Forecast,
+    NodePlan,
+    NodeState,
+    Planner,
+    catalog_from_storage,
+)
+from repro.core.errors import SegmentNotFoundError
 from repro.obs import MetricsRegistry
 from repro.serve import HotSet, HttpSegmentClient, ServerConfig, start_server
+from repro.serve.placement import ShardMap
 from repro.serve.server import SegmentServer
+from repro.stream.dash import SegmentKey
 
 
 def make_hotset(budget: int, threshold: int = 3) -> HotSet:
@@ -312,32 +322,167 @@ class TestServerIntegration:
             handle.stop()
 
 
+def _demand(*videos: str) -> dict:
+    return {
+        video: Forecast(key=video, level=1.0, trend=0.0, predicted=1.0, observations=1)
+        for video in videos
+    }
+
+
+def _plan(forecasts, catalog, budget: int, version: int = 1) -> ControlPlan:
+    plan = Planner().plan(forecasts, catalog, (NodeState("", pin_budget_bytes=budget),))
+    return ControlPlan(version=version, nodes=plan.nodes)
+
+
 class TestPrewarmWeights:
     def test_weights_pin_hottest_first(self, session_db):
-        """With a budget too small for everything, the popularity-ranked
-        prewarm keeps the heavy-weighted segments."""
+        """With a budget too small for everything, a plan slice whose
+        catalog weights one tile far above the rest pins only that tile."""
         storage = session_db.storage
         manifest = storage.build_manifest("clip")
-        popularity = {(0, 0): 100.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}
-        weights = segment_weights(popularity, manifest)
-        assert weights  # every key ranked
-        ranked = sorted(weights, key=lambda k: (-weights[k], k.to_path()))
+        catalog = {
+            "clip": tuple(
+                (
+                    f"/segment/clip/{key.to_path()}",
+                    1.0 if key.tile == (0, 0) else 0.01,
+                    size,
+                )
+                for key, size in manifest.segment_sizes.items()
+            )
+        }
         hot_tile_bytes = sum(
-            manifest.segment_sizes[k] for k in ranked if k.tile == (0, 0)
+            size for key, size in manifest.segment_sizes.items() if key.tile == (0, 0)
         )
         server = SegmentServer(
-            storage,
-            ServerConfig(pin_budget_bytes=hot_tile_bytes, pin_threshold=1),
+            storage, ServerConfig(pin_threshold=1), registry=MetricsRegistry()
         )
-        pinned = server.prewarm_pins("clip", weights=weights)
-        assert pinned > 0
-        # Every (0,0) segment outweighs every other tile's, so the ones
-        # that fit must all be from the hot tile.
-        from repro.stream.dash import SegmentKey
-
-        for path in server.hot._entries:
+        result = server.apply_control_plan(_plan(_demand("clip"), catalog, hot_tile_bytes))
+        assert result["pinned"] > 0
+        for path in server.hot.paths():
             key = SegmentKey.from_path(path.removeprefix("/segment/clip/"))
             assert key.tile == (0, 0)
+
+
+class TestOnePrewarmPath:
+    """Startup prewarm, control plans and ``repro control --prewarm``
+    rank with the planner and pin through one server method."""
+
+    def test_startup_prewarm_is_the_planners_slice_at_demand_one(self, session_db):
+        storage = session_db.storage
+        manifest = storage.build_manifest("clip")
+        budget = sum(manifest.segment_sizes.values()) // 2  # not everything fits
+        expected = _plan(_demand("clip"), catalog_from_storage(storage), budget)
+        expected = expected.node("").prewarm
+        assert expected
+        handle = start_server(
+            storage,
+            ServerConfig(pin_budget_bytes=budget, pin_threshold=1, prewarm=("clip",)),
+            registry=MetricsRegistry(),
+        )
+        try:
+            hot = handle.server.hot
+            assert handle.server._startup_prewarm() == expected  # paths and heats
+            assert sorted(hot.paths()) == sorted(path for path, _ in expected)
+            # A startup pin is not a refreshed prediction: no base heat.
+            assert all(hot.heat(path) == 0 for path, _ in expected)
+            # Startup is not a control plan: no apply, no version fence.
+            assert handle.control_state()["version"] == 0
+            applies = handle.server.metrics.counter("serve.control_applies")
+            assert applies.total() == 0
+        finally:
+            handle.stop()
+
+    def test_runtime_promotion_displaces_an_unused_startup_pin(self, session_db):
+        """A budget full of startup pins still admits a cold path that
+        crosses the promotion threshold: the unused pins are colder."""
+        storage = session_db.storage
+        manifest = storage.build_manifest("clip")
+        half = sum(manifest.segment_sizes.values()) // 2
+        plan = _plan(_demand("clip"), catalog_from_storage(storage), half)
+        warmed = dict(plan.node("").prewarm)
+        sizes = {
+            f"/segment/clip/{key.to_path()}": size
+            for key, size in manifest.segment_sizes.items()
+        }
+        budget = sum(sizes[path] for path in warmed)  # the slice fills it exactly
+        cold = next(
+            key for key in sorted(manifest.segment_sizes, key=SegmentKey.to_path)
+            if f"/segment/clip/{key.to_path()}" not in warmed
+        )
+        handle = start_server(
+            storage,
+            ServerConfig(pin_budget_bytes=budget, pin_threshold=2, prewarm=("clip",)),
+            registry=MetricsRegistry(),
+        )
+        try:
+            hot = handle.server.hot
+            assert set(hot.paths()) == set(warmed)
+            with HttpSegmentClient(handle.base_url) as client:
+                client.fetch_segment("clip", cold)
+                client.fetch_segment("clip", cold)
+            assert f"/segment/clip/{cold.to_path()}" in hot
+            assert hot.bytes_pinned <= budget
+        finally:
+            handle.stop()
+
+    def test_pin_loop_skips_unreadable_paths_and_propagates_bugs(self):
+        class Storage:
+            def read_segment(self, name, window, tile, quality):
+                if name == "gone":
+                    raise SegmentNotFoundError(f"{name} is not stored")
+                if name == "bug":
+                    raise TypeError("a programming error")
+                return b"x" * 8
+
+        registry = MetricsRegistry()
+        server = SegmentServer(
+            Storage(), ServerConfig(pin_budget_bytes=1024), registry=registry
+        )
+
+        def slice_of(*paths):
+            return ControlPlan(
+                version=1,
+                nodes=(NodePlan("", None, 1024, tuple((path, 5) for path in paths)),),
+            )
+
+        result = server.apply_control_plan(
+            slice_of(
+                "/segment/gone/0/0/0/high", "/not/a/segment", "/segment/ok/0/0/0/high"
+            )
+        )
+        assert result["pinned"] == 1
+        assert server.hot.paths() == ["/segment/ok/0/0/0/high"]
+        counters = registry.snapshot()["counters"]
+        assert counters["serve.prewarm_skipped{video=gone}"] == 1
+        assert counters["serve.prewarm_skipped{video=}"] == 1
+        with pytest.raises(TypeError, match="programming error"):
+            server.apply_control_plan(slice_of("/segment/bug/0/0/0/high"))
+
+    def test_shard_node_startup_prewarm_pins_only_what_it_owns(self, session_db):
+        storage = session_db.storage
+        shard_map = ShardMap(nodes=("node-0", "node-1"), replication_factor=1)
+        manifest = storage.build_manifest("clip")
+        owned = {
+            f"/segment/clip/{key.to_path()}"
+            for key in manifest.segment_sizes
+            if shard_map.owns("node-0", "clip", key)
+        }
+        assert 0 < len(owned) < len(manifest.segment_sizes)
+        handle = start_server(
+            storage,
+            ServerConfig(
+                pin_budget_bytes=32 * 1024 * 1024,
+                pin_threshold=1,
+                prewarm=("clip",),
+                node_id="node-0",
+                shard_map=shard_map,
+            ),
+            registry=MetricsRegistry(),
+        )
+        try:
+            assert set(handle.server.hot.paths()) == owned
+        finally:
+            handle.stop()
 
 
 def client_free_snapshot(server: SegmentServer) -> dict:
@@ -423,11 +568,14 @@ class TestReingestCoherence:
         self._ingest(db, "alpha")
         self._ingest(db, "beta")
         server = SegmentServer(
-            db.storage,
-            ServerConfig(pin_budget_bytes=32 * 1024 * 1024, pin_threshold=1),
+            db.storage, ServerConfig(pin_threshold=1), registry=MetricsRegistry()
         )
-        pinned_alpha = server.prewarm_pins("alpha")
-        pinned_beta = server.prewarm_pins("beta")
+        plan = _plan(
+            _demand("alpha", "beta"), catalog_from_storage(db.storage), 32 * 1024 * 1024
+        )
+        server.apply_control_plan(plan)
+        pinned_alpha = sum(p.startswith("/segment/alpha/") for p in server.hot.paths())
+        pinned_beta = sum(p.startswith("/segment/beta/") for p in server.hot.paths())
         assert pinned_alpha > 0 and pinned_beta > 0
 
         db.reingest("alpha")
