@@ -84,13 +84,15 @@ def test_e10_throughput_estimation(benchmark, bench_db, naive_rate):
         bench_db.serve,
         args=(
             VIDEO,
-            trace,
-            SessionConfig(
-                policy=PredictiveTilingPolicy(),
-                bandwidth=link,
-                predictor="static",
-                margin=0,
-                estimator=HarmonicMeanEstimator(),
+            (
+                trace,
+                SessionConfig(
+                    policy=PredictiveTilingPolicy(),
+                    bandwidth=link,
+                    predictor="static",
+                    margin=0,
+                    estimator=HarmonicMeanEstimator(),
+                ),
             ),
         ),
         rounds=1,

@@ -4,9 +4,8 @@ The predictor study behind the demo's server design: mean great-circle
 error (degrees) and predicted-tile recall/overhead for each predictor at
 delivery-relevant horizons. The measured shape: everything is accurate
 at sub-second horizons; pure velocity extrapolation chases fixation
-jitter and loses to the static baseline everywhere; the motion-gated
-hybrid recovers the short-horizon win; the trained Markov model buys the
-best tile precision; the oracle bounds what is achievable.
+jitter and loses to the static baseline everywhere; the trained Markov
+model buys the best tile precision; the oracle bounds what is achievable.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from repro.geometry.viewport import Viewport
 from repro.predict.evaluate import orientation_error_by_horizon, tile_prediction_scores
 from repro.predict.predictors import (
     DeadReckoningPredictor,
-    HybridPredictor,
-    LinearRegressionPredictor,
     MarkovPredictor,
     OraclePredictor,
     StaticPredictor,
@@ -37,13 +34,11 @@ TEST_USERS = [20, 21, 22]
 
 
 def build_predictors(training_traces):
-    markov = MarkovPredictor(GRID, step_duration=0.5)
+    markov = MarkovPredictor(GRID)
     markov.train(training_traces)
     return [
         ("static", StaticPredictor()),
         ("deadreckoning", DeadReckoningPredictor()),
-        ("linear", LinearRegressionPredictor()),
-        ("hybrid", HybridPredictor()),
         ("markov", markov),
     ]
 
@@ -117,15 +112,11 @@ def test_e3_prediction_accuracy(benchmark):
         ) or label == "oracle", f"{label}: error must grow with horizon"
     assert all_errors["oracle"][4.0] < 1e-6
     # Short horizons are much easier than long ones for every real predictor.
-    for label in ("static", "deadreckoning", "linear", "hybrid", "markov"):
+    for label in ("static", "deadreckoning", "markov"):
         assert all_errors[label][0.5] < all_errors[label][4.0] / 1.5
     # Tile recall with hedging is high for all predictors at 1 s.
     assert min(recalls.values()) > 0.8
     assert recalls["oracle"] == pytest.approx(1.0)
-    # The motion gate must pay off where motion models can win: short
-    # horizons. Beyond them it degrades gracefully toward static.
-    assert all_errors["hybrid"][0.5] <= all_errors["static"][0.5] * 1.02
-    assert all_errors["hybrid"][4.0] <= all_errors["deadreckoning"][4.0]
 
     trace = test_traces[0]
     benchmark.pedantic(

@@ -15,7 +15,6 @@ from repro.bench.harness import format_table
 from repro.predict.evaluate import orientation_error_by_horizon, tile_prediction_scores
 from repro.predict.predictors import (
     DeadReckoningPredictor,
-    LinearRegressionPredictor,
     MarkovPredictor,
     OraclePredictor,
     StaticPredictor,
@@ -33,12 +32,11 @@ def main() -> None:
     training = [population.trace(user, DURATION, rate=10.0) for user in train_users]
     held_out = [population.trace(user, DURATION, rate=10.0) for user in test_users]
 
-    markov = MarkovPredictor(GRID, step_duration=0.5)
+    markov = MarkovPredictor(GRID)
     markov.train(training)
     predictors = [
         ("static", StaticPredictor()),
         ("dead-reckoning", DeadReckoningPredictor()),
-        ("linear (ridge)", LinearRegressionPredictor()),
         ("markov (trained)", markov),
     ]
 

@@ -15,8 +15,6 @@ from repro.geometry.grid import TileGrid
 from repro.obs import MetricsRegistry
 from repro.predict.predictors import (
     DeadReckoningPredictor,
-    HybridPredictor,
-    LinearRegressionPredictor,
     MarkovPredictor,
     OraclePredictor,
     Predictor,
@@ -24,7 +22,7 @@ from repro.predict.predictors import (
 )
 from repro.predict.traces import Trace
 
-PREDICTOR_KINDS = ("static", "deadreckoning", "linear", "hybrid", "markov", "oracle")
+PREDICTOR_KINDS = ("static", "deadreckoning", "markov", "oracle")
 
 
 class PredictionService:
@@ -70,10 +68,6 @@ class PredictionService:
             return StaticPredictor()
         if kind == "deadreckoning":
             return DeadReckoningPredictor()
-        if kind == "linear":
-            return LinearRegressionPredictor()
-        if kind == "hybrid":
-            return HybridPredictor()
         if kind == "markov":
             if video is None or grid is None:
                 raise ValueError("markov predictor requires video and grid")

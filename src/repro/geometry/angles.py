@@ -66,7 +66,7 @@ def unwrap_theta(thetas: np.ndarray) -> np.ndarray:
     Successive samples are assumed to differ by less than ``pi``; the
     result is suitable for fitting regression models that cannot reason
     about periodicity (see
-    :class:`repro.predict.predictors.LinearRegressionPredictor`).
+    :class:`repro.predict.predictors.DeadReckoningPredictor`).
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.size == 0:

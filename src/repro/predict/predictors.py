@@ -21,19 +21,26 @@ from repro.geometry.grid import TileGrid
 from repro.geometry.viewport import Orientation, Viewport
 from repro.predict.traces import Trace
 
+#: Seconds of observations a predictor retains. Dead reckoning fits only
+#: this recent window, matching the latency budget of a live server.
+HISTORY_WINDOW = 2.0
+#: Seconds one Markov transition spans.
+STEP_DURATION = 0.5
+#: Additive smoothing on the Markov transition counts.
+SMOOTHING = 0.05
+#: Markov tile candidates less likely than this are never shipped beyond
+#: the modal tile.
+MIN_PROBABILITY = 0.05
+
 
 class Predictor(abc.ABC):
     """Online head-orientation predictor.
 
-    ``history_window`` bounds how far back observations are retained;
-    predictors that extrapolate use only this recent window, matching the
-    latency budget of a live server.
+    Observations older than :data:`HISTORY_WINDOW` seconds before the
+    latest are dropped, so a session's memory stays bounded.
     """
 
-    def __init__(self, history_window: float = 2.0) -> None:
-        if history_window <= 0:
-            raise ValueError(f"history window must be positive, got {history_window}")
-        self.history_window = history_window
+    def __init__(self) -> None:
         self._history: deque[tuple[float, float, float]] = deque()
 
     def reset(self) -> None:
@@ -47,7 +54,7 @@ class Predictor(abc.ABC):
                 f"observations must be time-ordered; got {time} after {self._history[-1][0]}"
             )
         self._history.append((time, orientation.theta, orientation.phi))
-        while self._history and self._history[0][0] < time - self.history_window:
+        while self._history and self._history[0][0] < time - HISTORY_WINDOW:
             self._history.popleft()
 
     @property
@@ -119,128 +126,24 @@ class DeadReckoningPredictor(Predictor):
         )
 
 
-class LinearRegressionPredictor(Predictor):
-    """Ridge-regularised linear fit of orientation against time.
-
-    Fits a line *anchored at the latest observation* —
-    ``angle(t) = angle_last + b * (t - t_last)`` — with an L2 penalty on
-    the slope ``b``. As the penalty grows the slope shrinks to zero and
-    the predictor degenerates to :class:`StaticPredictor`, so ``ridge``
-    smoothly blends the two baselines.
-    """
-
-    def __init__(self, history_window: float = 2.0, ridge: float = 0.05) -> None:
-        super().__init__(history_window)
-        if ridge < 0:
-            raise ValueError(f"ridge penalty must be non-negative, got {ridge}")
-        self.ridge = ridge
-
-    def _fit_slope(self, rel_times: np.ndarray, values: np.ndarray) -> float:
-        """Ridge slope of a line through (0, values[-1])."""
-        denom = float(np.sum(rel_times * rel_times)) + self.ridge
-        return float(np.sum(rel_times * (values - values[-1]))) / denom
-
-    def predict(self, time: float) -> Orientation:
-        times, thetas, phis = self._history_arrays()
-        last_time, last = self.last_observation
-        if times.size < 3:
-            return last
-        rel = times - times[-1]
-        horizon = time - last_time
-        theta_line = unwrap_theta(thetas)
-        theta_slope = self._fit_slope(rel, theta_line)
-        phi_slope = self._fit_slope(rel, phis)
-        return Orientation(
-            wrap_theta(theta_line[-1] + theta_slope * horizon),
-            clamp_phi(phis[-1] + phi_slope * horizon),
-        )
-
-
-class HybridPredictor(Predictor):
-    """Motion-gated extrapolation: move only when the head is moving.
-
-    Head traces alternate long fixations (where velocity estimates are
-    pure jitter and extrapolation hurts) with pursuit/saccade episodes
-    (where it helps). This predictor estimates angular speed over a short
-    window and extrapolates — with damping — only above ``speed_gate``,
-    holding the pose otherwise. Empirically it beats the static baseline
-    at sub-second horizons and converges to it beyond, which is the best
-    any memoryless kinematic model achieves on fixation-dominated traces.
-    """
-
-    def __init__(
-        self,
-        history_window: float = 0.4,
-        speed_gate: float = 0.5,
-        damping: float = 0.5,
-    ) -> None:
-        super().__init__(history_window)
-        if speed_gate < 0:
-            raise ValueError(f"speed gate must be non-negative, got {speed_gate}")
-        if not 0.0 < damping <= 1.0:
-            raise ValueError(f"damping must be in (0, 1], got {damping}")
-        self.speed_gate = speed_gate
-        self.damping = damping
-
-    def predict(self, time: float) -> Orientation:
-        import math
-
-        times, thetas, phis = self._history_arrays()
-        last_time, last = self.last_observation
-        if times.size < 3:
-            return last
-        rel = times - times[-1]
-        centered = rel - rel.mean()
-        denom = float(np.sum(centered * centered))
-        if denom == 0.0:
-            return last
-        theta_line = unwrap_theta(thetas)
-        theta_rate = float(np.sum(centered * (theta_line - theta_line.mean()))) / denom
-        phi_rate = float(np.sum(centered * (phis - phis.mean()))) / denom
-        # Angular speed on the sphere: azimuth motion shrinks with sin(phi).
-        speed = math.hypot(theta_rate * math.sin(last.phi), phi_rate)
-        if speed < self.speed_gate:
-            return last
-        horizon = time - last_time
-        return Orientation(
-            wrap_theta(last.theta + self.damping * theta_rate * horizon),
-            clamp_phi(last.phi + self.damping * phi_rate * horizon),
-        )
-
-
 class MarkovPredictor(Predictor):
     """A trained tile-transition model over a discretised orientation grid.
 
     Offline, the storage manager trains one transition matrix per video
     from historical traces: ``P[i, j]`` is the probability that a viewer in
-    tile ``i`` is in tile ``j`` one step (``step_duration``) later. Online,
+    tile ``i`` is in tile ``j`` one step (:data:`STEP_DURATION`) later. Online,
     the predictor rolls the current tile's distribution forward
     ``ceil(horizon / step)`` steps and reports either the modal tile
     (:meth:`predict`) or the smallest tile set covering ``coverage``
     probability mass (:meth:`predict_tiles`).
     """
 
-    def __init__(
-        self,
-        grid: TileGrid,
-        step_duration: float = 0.5,
-        coverage: float = 0.9,
-        smoothing: float = 0.05,
-        min_probability: float = 0.05,
-        history_window: float = 2.0,
-    ) -> None:
-        super().__init__(history_window)
+    def __init__(self, grid: TileGrid, coverage: float = 0.9) -> None:
+        super().__init__()
         if not 0.0 < coverage <= 1.0:
             raise ValueError(f"coverage must be in (0, 1], got {coverage}")
-        if step_duration <= 0:
-            raise ValueError(f"step duration must be positive, got {step_duration}")
-        if not 0.0 <= min_probability < 1.0:
-            raise ValueError(f"min_probability must be in [0, 1), got {min_probability}")
         self.grid = grid
-        self.step_duration = step_duration
         self.coverage = coverage
-        self.smoothing = smoothing
-        self.min_probability = min_probability
         self._transitions: np.ndarray | None = None
 
     @property
@@ -274,16 +177,16 @@ class MarkovPredictor(Predictor):
     def train(self, traces: list[Trace]) -> None:
         """Estimate the one-step transition matrix from a trace corpus.
 
-        Counts tile-to-tile transitions at ``step_duration`` spacing with
-        additive smoothing, so unseen transitions keep small nonzero
-        probability (viewers do occasionally do new things).
+        Counts tile-to-tile transitions at :data:`STEP_DURATION` spacing
+        with additive :data:`SMOOTHING`, so unseen transitions keep small
+        nonzero probability (viewers do occasionally do new things).
         """
         if not traces:
             raise ValueError("training requires at least one trace")
         size = self.grid.tile_count
-        counts = np.full((size, size), self.smoothing, dtype=np.float64)
+        counts = np.full((size, size), SMOOTHING, dtype=np.float64)
         for trace in traces:
-            resampled = trace.resample(1.0 / self.step_duration)
+            resampled = trace.resample(1.0 / STEP_DURATION)
             tiles = self.grid.tiles_of(resampled.thetas, resampled.phis)
             np.add.at(counts, (tiles[:-1], tiles[1:]), 1.0)
         self._transitions = counts / counts.sum(axis=1, keepdims=True)
@@ -295,7 +198,7 @@ class MarkovPredictor(Predictor):
         row, col = self.grid.tile_of(last.theta, last.phi)
         state = np.zeros(self.grid.tile_count)
         state[self.grid.index_of(row, col)] = 1.0
-        steps = max(0, int(np.ceil(horizon / self.step_duration - 1e-9)))
+        steps = max(0, int(np.ceil(horizon / STEP_DURATION - 1e-9)))
         for _ in range(steps):
             state = state @ self._transitions
         return state
@@ -317,7 +220,7 @@ class MarkovPredictor(Predictor):
         """The smallest tile set covering ``coverage`` of the predicted
         distribution, each expanded to its viewport footprint.
 
-        Candidates below ``min_probability`` are never added (beyond the
+        Candidates below :data:`MIN_PROBABILITY` are never added (beyond the
         modal tile): a 2 %-likely gaze tile would drag its whole viewport
         footprint into the high-quality set, costing far more than the
         residual risk it hedges.
@@ -331,7 +234,7 @@ class MarkovPredictor(Predictor):
         tiles: set[tuple[int, int]] = set()
         for index in order:
             if tiles and (
-                mass >= self.coverage or distribution[index] < self.min_probability
+                mass >= self.coverage or distribution[index] < MIN_PROBABILITY
             ):
                 break
             row, col = grid.tile_at(int(index))
@@ -346,7 +249,7 @@ class OraclePredictor(Predictor):
     what any predictor could save."""
 
     def __init__(self, trace: Trace) -> None:
-        super().__init__(history_window=1e9)
+        super().__init__()
         self.trace = trace
 
     def predict(self, time: float) -> Orientation:

@@ -138,7 +138,7 @@ class TestQualityProbe:
 
 
 class TestPredictorsInLoop:
-    @pytest.mark.parametrize("kind", ["static", "deadreckoning", "linear", "oracle"])
+    @pytest.mark.parametrize("kind", ["static", "deadreckoning", "oracle"])
     def test_all_predictor_kinds_serve(self, served, trace, kind):
         config = session(PredictiveTilingPolicy(), predictor=kind)
         report = served.serve("clip", trace, config)

@@ -40,7 +40,7 @@ class TestMediaTime:
 class TestObserve:
     def test_feeds_samples_up_to_deadline(self):
         trace = circular_pan_trace(4.0, rate=2.0)
-        predictor = StaticPredictor(history_window=100.0)
+        predictor = StaticPredictor()
         cursor = Streamer._observe(predictor, trace, 0, up_to=1.0)
         # Samples at 0.0, 0.5, 1.0 are at or before the deadline.
         assert cursor == 3
@@ -55,7 +55,7 @@ class TestObserve:
 
     def test_cursor_resumes_without_duplicates(self):
         trace = circular_pan_trace(4.0, rate=2.0)
-        predictor = StaticPredictor(history_window=100.0)
+        predictor = StaticPredictor()
         cursor = Streamer._observe(predictor, trace, 0, up_to=1.0)
         cursor = Streamer._observe(predictor, trace, cursor, up_to=2.0)
         assert cursor == 5

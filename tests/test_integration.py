@@ -105,7 +105,7 @@ class TestFullDeliveryFlow:
 
     def test_all_policies_and_predictors_compose(self, demo_db, viewer):
         policies = [NaiveFullQuality(), UniformAdaptive(), PredictiveTilingPolicy()]
-        predictors = ["static", "deadreckoning", "linear", "markov", "oracle"]
+        predictors = ["static", "deadreckoning", "markov", "oracle"]
         for policy in policies:
             for predictor in predictors:
                 report = demo_db.serve(

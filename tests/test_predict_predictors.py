@@ -9,8 +9,8 @@ from repro.geometry.grid import TileGrid
 from repro.geometry.sphere import great_circle_distance
 from repro.geometry.viewport import Orientation, Viewport
 from repro.predict.predictors import (
+    HISTORY_WINDOW,
     DeadReckoningPredictor,
-    LinearRegressionPredictor,
     MarkovPredictor,
     OraclePredictor,
     StaticPredictor,
@@ -35,9 +35,10 @@ class TestBaseProtocol:
             predictor.observe(1.0, Orientation(0, 1))
 
     def test_history_window_trims(self):
-        predictor = StaticPredictor(history_window=1.0)
-        feed(predictor, [0.0, 0.5, 2.0], [0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
-        assert len(predictor._history) == 1  # only t=2.0 survives
+        predictor = StaticPredictor()
+        latest = HISTORY_WINDOW + 1.0
+        feed(predictor, [0.0, 0.5, latest], [0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
+        assert len(predictor._history) == 1  # only the latest survives
 
     def test_reset_clears(self):
         predictor = StaticPredictor()
@@ -45,10 +46,6 @@ class TestBaseProtocol:
         predictor.reset()
         with pytest.raises(RuntimeError):
             predictor.predict(1.0)
-
-    def test_rejects_bad_history_window(self):
-        with pytest.raises(ValueError):
-            StaticPredictor(history_window=0.0)
 
 
 class TestStaticPredictor:
@@ -91,36 +88,9 @@ class TestDeadReckoning:
         assert predictor.predict(3.0).phi >= 0.0
 
 
-class TestLinearRegression:
-    def test_matches_clean_linear_motion(self):
-        predictor = LinearRegressionPredictor(ridge=1e-6)
-        times = np.arange(0, 2.05, 0.1)
-        feed(predictor, times, 0.3 * times, math.pi / 2 + 0.05 * times)
-        predicted = predictor.predict(3.0)
-        assert predicted.theta == pytest.approx(0.9, abs=0.02)
-        assert predicted.phi == pytest.approx(math.pi / 2 + 0.15, abs=0.02)
-
-    def test_heavy_ridge_approaches_static(self):
-        rigid = LinearRegressionPredictor(ridge=1e9)
-        times = np.arange(0, 2.05, 0.1)
-        feed(rigid, times, 0.3 * times, np.full_like(times, 1.0))
-        predicted = rigid.predict(4.0)
-        # Slope shrunk to ~0: prediction stays near the window mean/last.
-        assert abs(predicted.theta - 0.6) < 0.15
-
-    def test_few_samples_fall_back_to_static(self):
-        predictor = LinearRegressionPredictor()
-        feed(predictor, [0.0, 0.1], [1.0, 2.0], [1.0, 1.0])
-        assert predictor.predict(1.0).theta == pytest.approx(2.0)
-
-    def test_rejects_negative_ridge(self):
-        with pytest.raises(ValueError):
-            LinearRegressionPredictor(ridge=-1.0)
-
-
 class TestMarkovPredictor:
     def make_trained(self, grid=TileGrid(2, 4)) -> MarkovPredictor:
-        predictor = MarkovPredictor(grid, step_duration=0.5)
+        predictor = MarkovPredictor(grid)
         corpus = HeadMovementModel().generate_corpus(4, 20.0, rate=10.0, seed=9)
         predictor.train(corpus)
         return predictor
@@ -224,64 +194,3 @@ class TestPredictTiles:
                     )
                 )
         return float(np.mean(errors))
-
-
-class TestHybridPredictor:
-    def test_holds_pose_during_fixation(self):
-        from repro.predict.predictors import HybridPredictor
-
-        predictor = HybridPredictor(speed_gate=0.5)
-        rng = np.random.default_rng(0)
-        for step in range(10):
-            predictor.observe(
-                step * 0.1,
-                Orientation(1.0 + rng.normal(0, 0.01), math.pi / 2 + rng.normal(0, 0.01)),
-            )
-        predicted = predictor.predict(2.0)
-        assert great_circle_distance(
-            predicted.theta, predicted.phi, 1.0, math.pi / 2
-        ) < 0.05
-
-    def test_extrapolates_during_pursuit(self):
-        from repro.predict.predictors import HybridPredictor
-
-        predictor = HybridPredictor(speed_gate=0.5, damping=1.0)
-        times = np.arange(0, 0.45, 0.05)
-        feed(predictor, times, 1.0 * times, np.full_like(times, math.pi / 2))
-        predicted = predictor.predict(1.0)
-        # Moving at 1 rad/s: prediction should be well ahead of the last pose.
-        assert predicted.theta > 0.6
-
-    def test_few_samples_fall_back_to_static(self):
-        from repro.predict.predictors import HybridPredictor
-
-        predictor = HybridPredictor()
-        predictor.observe(0.0, Orientation(2.0, 1.0))
-        assert predictor.predict(1.0).theta == pytest.approx(2.0)
-
-    def test_validation(self):
-        from repro.predict.predictors import HybridPredictor
-
-        with pytest.raises(ValueError):
-            HybridPredictor(speed_gate=-1.0)
-        with pytest.raises(ValueError):
-            HybridPredictor(damping=0.0)
-        with pytest.raises(ValueError):
-            HybridPredictor(damping=1.5)
-
-    def test_beats_static_at_short_horizon_on_mixed_traces(self):
-        from repro.predict.evaluate import orientation_error_by_horizon
-        from repro.predict.predictors import HybridPredictor
-        from repro.workloads.users import ViewerPopulation
-
-        traces = ViewerPopulation(seed=7).traces(2, duration=40.0, rate=10.0)
-        hybrid_error = 0.0
-        static_error = 0.0
-        for trace in traces:
-            hybrid_error += orientation_error_by_horizon(
-                HybridPredictor(), trace, [0.5]
-            )[0.5]
-            static_error += orientation_error_by_horizon(
-                StaticPredictor(), trace, [0.5]
-            )[0.5]
-        assert hybrid_error < static_error
