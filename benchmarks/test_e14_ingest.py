@@ -43,8 +43,8 @@ def _best_of(fn) -> float:
 
 @pytest.mark.benchmark(group="e14")
 def test_e14_ingest_throughput(benchmark):
-    # One stacked (Y, U, V) array of intra-coded rows per frame: what
-    # FrameCodec.encode_frame hands the entropy coder.
+    # One stacked (Y, U, V) array of intra-coded rows per frame: what one
+    # stream of FrameStackCodec.encode_frames hands the entropy coder.
     planes = codec.FrameCodec(Quality.HIGH)._plane_codecs()
     all_rows = [
         np.vstack([c.quantise(p, None)[0] for c, p in zip(planes, frame.planes)])

@@ -1,11 +1,5 @@
 """Shared experiment-harness utilities for the benchmark suite."""
 
-from repro.bench.harness import (
-    format_bytes,
-    format_row,
-    format_table,
-    geometric_mean,
-    ratio,
-)
+from repro.bench.harness import format_row, format_table, ratio
 
-__all__ = ["format_bytes", "format_row", "format_table", "geometric_mean", "ratio"]
+__all__ = ["format_row", "format_table", "ratio"]

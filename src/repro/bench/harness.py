@@ -7,18 +7,7 @@ paste into EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
-
-
-def format_bytes(size: float) -> str:
-    """Human-readable byte counts (binary prefixes)."""
-    if size < 0:
-        raise ValueError(f"negative size {size}")
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if size < 1024.0 or unit == "TiB":
-            return f"{size:.1f} {unit}" if unit != "B" else f"{int(size)} B"
-        size /= 1024.0
 
 
 def ratio(numerator: float, denominator: float) -> str:
@@ -68,12 +57,3 @@ def emit_table(title: str, rows: Sequence[Mapping[str, object]], path=None) -> s
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(rendered + "\n")
     return rendered
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean, the right aggregate for speedup factors."""
-    if not values:
-        raise ValueError("geometric mean of no values")
-    if any(value <= 0 for value in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(value) for value in values) / len(values))

@@ -24,10 +24,9 @@ retry.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Fault kinds understood by the wrappers.
 #: Storage-target kinds: ``missing`` (persistent index/file loss),
@@ -128,32 +127,6 @@ class FaultRule:
             if media_time is None or not self.media[0] <= media_time < self.media[1]:
                 return False
         return True
-
-    def to_json(self) -> dict:
-        data = {"kind": self.kind}
-        if self.target != "storage":
-            data["target"] = self.target
-        if self.rate:
-            data["rate"] = self.rate
-        if self.calls:
-            data["calls"] = list(self.calls)
-        if self.every:
-            data["every"] = self.every
-        if self.burst != 1:
-            data["burst"] = self.burst
-        for key in ("video", "gop", "quality"):
-            value = getattr(self, key)
-            if value is not None:
-                data[key] = value
-        if self.tile is not None:
-            data["tile"] = list(self.tile)
-        if self.media is not None:
-            data["media"] = list(self.media)
-        if self.delay:
-            data["delay"] = self.delay
-        if self.fraction != 0.5:
-            data["fraction"] = self.fraction
-        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "FaultRule":
@@ -312,17 +285,7 @@ class FaultPlan:
 
         return BlackoutBandwidth(model, self.blackouts, floor_rate=self.blackout_floor)
 
-    # -- (de)serialisation ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        data: dict = {
-            "seed": self.seed,
-            "rules": [rule.to_json() for rule in self.rules],
-        }
-        if self.blackouts:
-            data["blackouts"] = [list(interval) for interval in self.blackouts]
-            data["blackout_floor"] = self.blackout_floor
-        return data
+    # -- deserialisation ------------------------------------------------------
 
     @classmethod
     def from_json(cls, data: dict, seed: int | None = None) -> "FaultPlan":
@@ -332,10 +295,3 @@ class FaultPlan:
             blackouts=tuple(tuple(pair) for pair in data.get("blackouts", ())),
             blackout_floor=data.get("blackout_floor", 1.0),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str, seed: int | None = None) -> "FaultPlan":
-        return cls.from_json(json.loads(text), seed=seed)

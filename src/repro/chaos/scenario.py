@@ -136,14 +136,6 @@ class Scenario:
     #: expect_degradations, ...
     invariants: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            **{section: dict(getattr(self, section)) for section in _KEYS},
-            "plan": self.plan.to_json(),
-        }
-
     @classmethod
     def from_json(cls, data: dict, seed: int | None = None) -> "Scenario":
         effective_seed = data.get("seed", 0) if seed is None else seed
@@ -248,9 +240,6 @@ class InvariantCheck:
     name: str
     ok: bool
     details: str = ""
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _check(name: str, violations, details: str) -> InvariantCheck:

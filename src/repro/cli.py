@@ -29,7 +29,7 @@ from repro.core.errors import CatalogError, VisualCloudError
 from repro.core.export import export_video, import_video
 from repro.core.query import Scan
 from repro.core.server import VisualCloud
-from repro.core.storage import IngestConfig
+from repro.core.storage import PROJECTION, IngestConfig
 from repro.core.streamer import SessionConfig
 from repro.core.predictor import PREDICTOR_KINDS
 from repro.geometry.grid import TileGrid
@@ -324,7 +324,7 @@ def _command_info(db: VisualCloud, args) -> None:
     print(f"name        : {meta.name}")
     print(f"version     : {meta.version} (streaming={meta.streaming})")
     print(f"dimensions  : {meta.width}x{meta.height} @ {meta.fps:g} fps")
-    print(f"projection  : {meta.projection}")
+    print(f"projection  : {PROJECTION}")
     print(f"duration    : {meta.duration:.2f}s in {meta.gop_count} windows")
     print(f"grid        : {meta.grid.rows}x{meta.grid.cols} tiles")
     print(f"ladder      : {', '.join(quality.label for quality in meta.qualities)}")
@@ -468,7 +468,7 @@ def _command_control(db: VisualCloud, args) -> int:
             version=int(state["version"]) + 1,
             nodes=(NodePlan(state["node_id"], ceiling, budget, prewarm),),
         )
-        result = client.post_control("plan", plan.to_json())
+        result = client.post_control(plan.to_json())
         print(
             f"v{result['version']}: max_inflight "
             f"{result['max_inflight'] or 'unlimited'}, pin budget "

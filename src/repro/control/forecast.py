@@ -46,15 +46,6 @@ class Forecast:
     predicted: float  # level + horizon * trend, floored at zero
     observations: int
 
-    def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "level": self.level,
-            "trend": self.trend,
-            "predicted": self.predicted,
-            "observations": self.observations,
-        }
-
 
 class _HoltSeries:
     __slots__ = ("level", "trend", "observations")

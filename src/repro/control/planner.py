@@ -35,7 +35,6 @@ versions, and a stale plan is refused with an error rather than applied
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -109,8 +108,8 @@ class ControlPlan:
 
     Versions are monotonic per control loop; actuators refuse older
     versions exactly as :meth:`SegmentServer.update_shard_map` refuses
-    stale shard maps. ``to_json``/``from_json`` round-trip exactly —
-    ``canonical()`` is the byte form the chaos replay diffs.
+    stale shard maps. ``to_json``/``from_json`` round-trip exactly; that
+    JSON is the body ``POST /control/plan`` carries.
     """
 
     version: int
@@ -149,10 +148,6 @@ class ControlPlan:
             version=int(payload["version"]),
             nodes=tuple(NodePlan.from_json(node) for node in payload.get("nodes", [])),
         )
-
-    def canonical(self) -> str:
-        """The canonical byte form: what replay determinism compares."""
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 #: The admission loop's setpoint: segment-endpoint p99, in seconds.

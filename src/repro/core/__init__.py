@@ -21,7 +21,7 @@ from repro.core.errors import (
     SegmentNotFoundError,
     VisualCloudError,
 )
-from repro.core.export import decode_export, export_video, import_video
+from repro.core.export import export_video, import_video
 from repro.core.popularity import StoragePlanner, tile_popularity
 from repro.core.query import QueryExecutor, Scan
 from repro.core.server import VisualCloud
@@ -43,7 +43,6 @@ __all__ = [
     "VideoMeta",
     "VisualCloud",
     "VisualCloudError",
-    "decode_export",
     "export_video",
     "import_video",
     "tile_popularity",

@@ -10,12 +10,11 @@ together they are the DECODE/ENCODE boundary of the system.
 
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 from repro.core.errors import CatalogError
-from repro.core.storage import StorageManager
-from repro.video.frame import Frame
-from repro.video.gop import decode_any_gop
+from repro.core.storage import PROJECTION, StorageManager
 from repro.video.mp4 import (
     Atom,
     Mp4File,
@@ -70,7 +69,7 @@ def export_video(
         "moov",
         children=[
             make_mvhd(1000, int(round(meta.duration * 1000))),
-            Atom("vcld", children=[make_sv3d(meta.projection)]),
+            Atom("vcld", children=[make_sv3d(PROJECTION)]),
             trak,
         ],
     )
@@ -82,8 +81,19 @@ def export_video(
 
 
 def read_export(path: Path | str) -> tuple[dict, list[TiledGop]]:
-    """Parse an exported file; returns (stream info, tiled windows)."""
-    data = Path(path).read_bytes()
+    """Parse an exported file; returns (stream info, tiled windows).
+
+    A damaged file — a truncated atom or payload, or an index entry that
+    points beyond ``mdat`` — is a :class:`CatalogError`, as damaged
+    stored metadata is.
+    """
+    try:
+        return _parse_export(path, Path(path).read_bytes())
+    except (struct.error, ValueError, EOFError) as error:
+        raise CatalogError(f"{path} is truncated or damaged: {error}") from error
+
+
+def _parse_export(path: Path | str, data: bytes) -> tuple[dict, list[TiledGop]]:
     mp4 = Mp4File.parse(data)
     moov = mp4.find("moov")
     mdat = mp4.find("mdat")
@@ -94,16 +104,19 @@ def read_export(path: Path | str) -> tuple[dict, list[TiledGop]]:
     stss = trak.find("stss") if trak else None
     sv3d = moov.find("vcld.sv3d")
     mvhd = moov.find("mvhd")
-    if stsd is None or stss is None or mvhd is None:
+    if stsd is None or stss is None or mvhd is None or sv3d is None:
         raise CatalogError(f"{path} export is missing required atoms")
+    projection = parse_sv3d(sv3d)
+    if projection != PROJECTION:
+        raise CatalogError(f"{path} names projection {projection!r}")
     info = parse_stsd(stsd)
     timescale, duration = parse_mvhd(mvhd)
     info["duration"] = duration / timescale
-    info["projection"] = parse_sv3d(sv3d) if sv3d is not None else "unknown"
-    windows = [
-        TiledGop.from_bytes(mdat.payload[offset : offset + size])
-        for _, offset, size in parse_stss(stss)
-    ]
+    windows = []
+    for _, offset, size in parse_stss(stss):
+        if offset + size > len(mdat.payload):
+            raise CatalogError(f"{path} indexes bytes beyond its mdat")
+        windows.append(TiledGop.from_bytes(mdat.payload[offset : offset + size]))
     return info, windows
 
 
@@ -119,12 +132,3 @@ def import_video(
     if not windows:
         raise CatalogError(f"{path} contains no media windows")
     return storage.store_windows(name, windows, fps=info["fps"])
-
-
-def decode_export(path: Path | str) -> list[Frame]:
-    """Fully decode an exported file to frames (external-consumer path)."""
-    _, windows = read_export(path)
-    frames: list[Frame] = []
-    for window in windows:
-        frames.extend(window.decode())
-    return frames

@@ -91,17 +91,3 @@ class StoragePlanner:
             hot = popularity[tile] >= self.hot_threshold
             plan[tile] = self.qualities if hot else cold_ladder
         return plan
-
-    @staticmethod
-    def storage_saved(plan: QualityPlan, sizes: dict) -> float:
-        """Fraction of full-matrix bytes the plan avoids, given a dict of
-        ``(tile, quality) -> bytes`` for the full matrix."""
-        full = sum(sizes.values())
-        kept = sum(
-            size
-            for (tile, quality), size in sizes.items()
-            if quality in plan.get(tile, ())
-        )
-        if full == 0:
-            raise ValueError("cannot compute savings over an empty size matrix")
-        return 1.0 - kept / full

@@ -45,9 +45,6 @@ class PredictionService:
             self._trained[(video, grid)] = trainer.transitions
         self.metrics.counter("prediction.models_trained", "Markov priors trained").inc()
 
-    def is_trained(self, video: str, grid: TileGrid) -> bool:
-        return (video, grid) in self._trained
-
     def session_predictor(
         self,
         kind: str,

@@ -150,10 +150,6 @@ class EncodedVideo:
     def grid(self) -> TileGrid:
         return self.windows[0].grid
 
-    @property
-    def byte_size(self) -> int:
-        return sum(window.byte_size for window in self.windows)
-
 
 @dataclass
 class RawVideo:

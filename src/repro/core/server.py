@@ -49,9 +49,6 @@ class VisualCloud:
     def list_videos(self) -> list[str]:
         return self.storage.list_videos()
 
-    def exists(self, name: str) -> bool:
-        return self.storage.exists(name)
-
     def drop(self, name: str) -> None:
         self.storage.drop(name)
 

@@ -53,7 +53,6 @@ from repro.video.mp4 import (
     make_stsd,
     make_stss,
     make_sv3d,
-    parse_mvhd,
     parse_stsd,
     parse_stss,
     parse_sv3d,
@@ -67,6 +66,11 @@ from repro.video.tiles import (
 )
 
 
+#: The one projection the tile grid, viewport and tiler model; every
+#: version records it in ``sv3d``, and a reader refuses any other.
+PROJECTION = "equirectangular"
+
+
 @dataclass(frozen=True)
 class IngestConfig:
     """How a video is segmented and encoded at ingest time — exactly what
@@ -77,7 +81,6 @@ class IngestConfig:
     qualities: tuple[Quality, ...] = (Quality.HIGH, Quality.LOW)
     gop_frames: int = 30
     fps: float = 30.0
-    projection: str = "equirectangular"
 
     def __post_init__(self) -> None:
         if self.gop_frames < 1:
@@ -88,10 +91,6 @@ class IngestConfig:
             raise ValueError("at least one quality is required")
         if list(self.qualities) != sorted(self.qualities, reverse=True):
             raise ValueError("qualities must be ordered best first")
-
-    @property
-    def gop_duration(self) -> float:
-        return self.gop_frames / self.fps
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class VideoMeta:
     grid: TileGrid
     gop_frames: int
     qualities: tuple[Quality, ...]
-    projection: str
     streaming: bool
     gop_frame_counts: list[int]
     entries: dict[tuple[int, tuple[int, int], Quality], SegmentEntry] = field(
@@ -139,20 +137,6 @@ class VideoMeta:
         if not 0 <= gop < self.gop_count:
             raise IndexError(f"GOP {gop} outside [0, {self.gop_count})")
         return sum(self.gop_frame_counts[:gop]) / self.fps
-
-    def gops_overlapping(self, t0: float, t1: float) -> list[int]:
-        """GOP indices whose playback interval intersects ``[t0, t1)`` —
-        the temporal (stss-style) index lookup."""
-        if t1 <= t0:
-            raise ValueError(f"empty temporal range [{t0}, {t1})")
-        result = []
-        start = 0.0
-        for gop, frames in enumerate(self.gop_frame_counts):
-            end = start + frames / self.fps
-            if start < t1 and end > t0:
-                result.append(gop)
-            start = end
-        return result
 
 
 # -- metadata (de)serialisation ------------------------------------------------
@@ -178,7 +162,7 @@ def _build_metadata_file(meta: VideoMeta) -> Mp4File:
 
     vcld = Atom(
         "vcld",
-        children=[Atom("vinf", payload=vinf_payload), make_sv3d(meta.projection)],
+        children=[Atom("vinf", payload=vinf_payload), make_sv3d(PROJECTION)],
     )
     traks = []
     tile_width = meta.width // meta.grid.cols
@@ -247,6 +231,9 @@ def _parse_metadata_atoms(name: str, data: bytes) -> VideoMeta:
     sv3d = moov.find("vcld.sv3d")
     if vinf is None or sv3d is None:
         raise CatalogError(f"metadata for {name!r} is missing VisualCloud atoms")
+    projection = parse_sv3d(sv3d)
+    if projection != PROJECTION:
+        raise CatalogError(f"metadata for {name!r} names projection {projection!r}")
     (
         width,
         height,
@@ -276,7 +263,6 @@ def _parse_metadata_atoms(name: str, data: bytes) -> VideoMeta:
         grid=TileGrid(rows, cols),
         gop_frames=gop_frames,
         qualities=tuple(all_qualities[rank] for rank in ranks),
-        projection=parse_sv3d(sv3d),
         streaming=bool(streaming),
         gop_frame_counts=frame_counts,
     )
@@ -466,9 +452,6 @@ class StorageManager:
 
     # -- catalog passthroughs -------------------------------------------------
 
-    def exists(self, name: str) -> bool:
-        return self.catalog.exists(name)
-
     def list_videos(self) -> list[str]:
         return self.catalog.list_videos()
 
@@ -649,7 +632,6 @@ class StorageManager:
                     grid=config.grid,
                     gop_frames=config.gop_frames,
                     qualities=config.qualities,
-                    projection=config.projection,
                     streaming=streaming,
                 )
             finally:
@@ -729,7 +711,6 @@ class StorageManager:
             qualities=meta.qualities,
             gop_frames=meta.gop_frames,
             fps=meta.fps,
-            projection=meta.projection,
         )
 
     def append(
@@ -858,7 +839,6 @@ class StorageManager:
             grid=layout.grid,
             gop_frames=layout.frame_count,
             qualities=qualities or tuple(sorted(observed, reverse=True)),
-            projection="equirectangular",
             streaming=False,
         )
 

@@ -349,7 +349,6 @@ class Streamer:
 
         record = WindowRecord(
             window=window,
-            decision_time=request_time,
             request_time=request_time,
             delivered_time=delivered,
             playback_start=playback_start,

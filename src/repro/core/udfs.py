@@ -27,43 +27,6 @@ def invert(frame: Frame) -> Frame:
     )
 
 
-def brighten(amount: int = 32):
-    """A UDF factory: shift luma by ``amount`` (clamped)."""
-
-    def apply(frame: Frame) -> Frame:
-        y = np.clip(frame.y.astype(np.int16) + amount, 0, 255).astype(np.uint8)
-        return Frame(y=y, u=frame.u, v=frame.v)
-
-    apply.__name__ = f"brighten_{amount}"
-    return apply
-
-
-def _convolve3(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """3x3 convolution with edge replication, in float."""
-    padded = np.pad(plane.astype(np.float64), 1, mode="edge")
-    result = np.zeros_like(plane, dtype=np.float64)
-    for dy in range(3):
-        for dx in range(3):
-            result += kernel[dy, dx] * padded[dy : dy + plane.shape[0], dx : dx + plane.shape[1]]
-    return result
-
-
-_BLUR_KERNEL = np.ones((3, 3)) / 9.0
-_SHARPEN_KERNEL = np.array([[0, -1, 0], [-1, 5, -1], [0, -1, 0]], dtype=np.float64)
-
-
-def blur(frame: Frame) -> Frame:
-    """3x3 box blur of the luma plane (a truncated blur stencil)."""
-    y = np.clip(np.round(_convolve3(frame.y, _BLUR_KERNEL)), 0, 255).astype(np.uint8)
-    return Frame(y=y, u=frame.u, v=frame.v)
-
-
-def sharpen(frame: Frame) -> Frame:
-    """3x3 unsharp kernel on the luma plane."""
-    y = np.clip(np.round(_convolve3(frame.y, _SHARPEN_KERNEL)), 0, 255).astype(np.uint8)
-    return Frame(y=y, u=frame.u, v=frame.v)
-
-
 def watermark(mark_luma: np.ndarray, x0: int = 0, y0: int = 0):
     """A UDF factory: stamp a small luma patch at ``(x0, y0)``.
 

@@ -19,8 +19,6 @@ from repro.geometry.angles import (
     AngularRect,
     angular_difference,
     clamp_phi,
-    theta_interval_contains,
-    theta_interval_intersects,
     unwrap_theta,
     wrap_theta,
 )
@@ -29,7 +27,6 @@ from repro.geometry.projection import CubemapProjection, EquirectangularProjecti
 from repro.geometry.sphere import (
     from_unit_vector,
     great_circle_distance,
-    solid_angle,
     to_unit_vector,
 )
 from repro.geometry.viewport import Orientation, Viewport
@@ -45,9 +42,6 @@ __all__ = [
     "clamp_phi",
     "from_unit_vector",
     "great_circle_distance",
-    "solid_angle",
-    "theta_interval_contains",
-    "theta_interval_intersects",
     "to_unit_vector",
     "unwrap_theta",
     "wrap_theta",

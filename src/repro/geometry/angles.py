@@ -79,38 +79,6 @@ def unwrap_theta(thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def theta_interval_contains(start: float, end: float, theta: float) -> bool:
-    """Whether azimuth ``theta`` lies in the interval ``[start, end)``.
-
-    The interval is traversed from ``start`` counter-clockwise to ``end``
-    and may wrap through zero. A zero-length interval is empty; a full
-    revolution (``end - start >= 2*pi`` before wrapping) should be passed
-    as ``(0, 2*pi)`` which contains everything.
-    """
-    if end == start:
-        return False  # zero-length interval is empty
-    start = wrap_theta(start)
-    theta = wrap_theta(theta)
-    span = end - start if end > start else end - start + TWO_PI
-    if span >= TWO_PI:
-        return True
-    offset = (theta - start) % TWO_PI
-    return offset < span
-
-
-def theta_interval_intersects(a0: float, a1: float, b0: float, b1: float) -> bool:
-    """Whether azimuth intervals ``[a0, a1)`` and ``[b0, b1)`` overlap."""
-    span_a = (a1 - a0) % TWO_PI or (TWO_PI if a1 != a0 else 0.0)
-    span_b = (b1 - b0) % TWO_PI or (TWO_PI if b1 != b0 else 0.0)
-    if span_a == 0.0 or span_b == 0.0:
-        return False
-    if span_a >= TWO_PI or span_b >= TWO_PI:
-        return True
-    start_b_rel = (b0 - a0) % TWO_PI
-    # b starts inside a, or a starts inside b.
-    return start_b_rel < span_a or (TWO_PI - start_b_rel) % TWO_PI < span_b
-
-
 @dataclass(frozen=True)
 class AngularRect:
     """An axis-aligned rectangle in (theta, phi) angular space.
@@ -139,28 +107,6 @@ class AngularRect:
         if span == 0.0 and self.theta1 != self.theta0:
             return TWO_PI
         return span
-
-    @property
-    def phi_span(self) -> float:
-        return self.phi1 - self.phi0
-
-    def contains(self, theta: float, phi: float) -> bool:
-        """Whether the direction ``(theta, phi)`` falls inside the rect."""
-        if not self.phi0 <= phi < self.phi1:
-            # The south pole itself belongs to the bottom-most rectangle.
-            if not (phi == self.phi1 == math.pi):
-                return False
-        if self.theta_span >= TWO_PI:
-            return True
-        return theta_interval_contains(self.theta0, self.theta0 + self.theta_span, theta)
-
-    def intersects(self, other: "AngularRect") -> bool:
-        """Whether two angular rectangles overlap (wrap-aware in theta)."""
-        if self.phi1 <= other.phi0 or other.phi1 <= self.phi0:
-            return False
-        return theta_interval_intersects(
-            self.theta0, self.theta0 + self.theta_span, other.theta0, other.theta0 + other.theta_span
-        )
 
     def center(self) -> tuple[float, float]:
         """The angular midpoint ``(theta, phi)`` of the rectangle."""

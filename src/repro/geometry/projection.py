@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.angles import TWO_PI, AngularRect
+from repro.geometry.angles import TWO_PI
 
 
 def _bilinear_sample(plane: np.ndarray, x: np.ndarray, y: np.ndarray, wrap_x: bool) -> np.ndarray:
@@ -85,21 +85,6 @@ class EquirectangularProjection:
             )
         x, y = self.angle_to_pixel(theta, phi)
         return _bilinear_sample(plane.astype(np.float64), x, y, wrap_x=True)
-
-    def pixel_rect(self, rect: AngularRect) -> tuple[int, int, int, int]:
-        """Pixel bounds ``(x0, y0, x1, y1)`` of an angular rectangle.
-
-        The rectangle must not wrap through the azimuth seam (storage tiles
-        never do: tile 0 starts at ``theta = 0``). Bounds are half-open and
-        rounded to the nearest pixel edge.
-        """
-        if rect.theta0 + rect.theta_span > TWO_PI + 1e-9:
-            raise ValueError("pixel_rect requires a non-wrapping angular rectangle")
-        x0 = int(round(rect.theta0 * self.width / TWO_PI))
-        x1 = int(round((rect.theta0 + rect.theta_span) * self.width / TWO_PI))
-        y0 = int(round(rect.phi0 * self.height / math.pi))
-        y1 = int(round(rect.phi1 * self.height / math.pi))
-        return (x0, y0, x1, y1)
 
     def sampling_density(self) -> np.ndarray:
         """Relative sample density per row (equator = 1).

@@ -1,8 +1,7 @@
-"""Unit-sphere math: direction vectors, distances, solid angles.
+"""Unit-sphere math: direction vectors and distances.
 
-These are the primitives used to compare a viewer's true orientation with a
-predicted one (great-circle error) and to weight tiles by how much of the
-sphere they cover (solid angle) when budgeting delivery bandwidth.
+These are the primitives used to cast viewport rays and to compare a
+viewer's true orientation with a predicted one (great-circle error).
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from repro.geometry.angles import AngularRect
 
 
 def to_unit_vector(theta, phi) -> np.ndarray:
@@ -58,14 +55,3 @@ def great_circle_distance(theta_a, phi_a, theta_b, phi_b):
     if result.ndim == 0:
         return float(result)
     return result
-
-
-def solid_angle(rect: AngularRect) -> float:
-    """Solid angle (steradians) subtended by an angular rectangle.
-
-    For a rectangle spanning ``[theta0, theta1) x [phi0, phi1)`` the solid
-    angle is ``theta_span * (cos(phi0) - cos(phi1))``: tiles near the poles
-    cover far less of the sphere than equatorial tiles of the same angular
-    size, which is why uniform equirectangular tilings oversample the poles.
-    """
-    return rect.theta_span * (math.cos(rect.phi0) - math.cos(rect.phi1))

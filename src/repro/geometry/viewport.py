@@ -37,9 +37,6 @@ class Orientation:
         object.__setattr__(self, "theta", float(wrap_theta(self.theta)))
         object.__setattr__(self, "phi", float(clamp_phi(self.phi)))
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.theta, self.phi)
-
 
 @dataclass(frozen=True)
 class Viewport:
@@ -126,7 +123,3 @@ class Viewport:
         rays = self.ray_directions(orientation, width, height)
         theta, phi = from_unit_vector(rays)
         return projection.sample(plane, theta, phi)
-
-    def coverage_fraction(self, orientation: Orientation, grid: TileGrid) -> float:
-        """Fraction of the grid's tiles visible at the given orientation."""
-        return len(self.visible_tiles(orientation, grid)) / grid.tile_count

@@ -32,10 +32,6 @@ class SpanRecord:
     started_at: float = 0.0  # wall clock (time.time), for ordering only
     seconds: float = 0.0
 
-    def note(self, **attrs) -> None:
-        """Attach extra attributes mid-span (e.g. bytes actually read)."""
-        self.attrs.update(attrs)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -5,8 +5,8 @@ Two views of predictor quality matter to the system:
 * *orientation error* — great-circle distance between predicted and true
   gaze at each horizon; the raw signal researchers report, and
 * *tile scores* — whether the tiles the predictor chose to deliver in high
-  quality actually covered what the viewer saw (recall), and how many
-  extra tiles it paid for (overhead). Recall determines QoE; overhead
+  quality actually covered what the viewer saw (recall), and what share
+  of them the viewer saw (precision). Recall determines QoE; precision
   determines bandwidth.
 """
 
@@ -68,13 +68,6 @@ class TileScores:
     precision: float  # fraction of predicted tiles that became visible
     mean_predicted: float  # average predicted-set size, in tiles
     evaluations: int
-
-    @property
-    def overhead(self) -> float:
-        """Predicted tiles per truly-useful tile (1.0 = no waste)."""
-        if self.precision == 0.0:
-            return float("inf")
-        return 1.0 / self.precision
 
 
 def tile_prediction_scores(

@@ -147,10 +147,6 @@ class MarkovPredictor(Predictor):
         self._transitions: np.ndarray | None = None
 
     @property
-    def is_trained(self) -> bool:
-        return self._transitions is not None
-
-    @property
     def transitions(self) -> np.ndarray:
         """The trained one-step transition matrix (rows sum to 1)."""
         if self._transitions is None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +75,6 @@ class Trace:
         theta = self.thetas[left] + fraction * delta_theta
         phi = self.phis[left] + fraction * (self.phis[right] - self.phis[left])
         return Orientation(float(wrap_theta(theta)), float(clamp_phi(phi)))
-
-    def window(self, t0: float, t1: float) -> "Trace":
-        """The sub-trace with times in ``[t0, t1]`` (must be non-empty)."""
-        mask = (self.times >= t0) & (self.times <= t1)
-        if not np.any(mask):
-            raise ValueError(f"no samples in window [{t0}, {t1}]")
-        return Trace(self.times[mask], self.thetas[mask], self.phis[mask])
 
     def save_csv(self, path) -> None:
         """Write the trace as ``time,theta,phi`` CSV (radians).
@@ -226,25 +219,6 @@ class HeadMovementModel:
             self.generate(duration, rate=rate, seed=seed * 10_000 + user)
             for user in range(users)
         ]
-
-
-def raster_scan_trace(
-    duration: float,
-    rate: float = 30.0,
-    dwell: float = 1.0,
-    grid_rows: int = 4,
-    grid_cols: int = 4,
-) -> Trace:
-    """The deterministic trace the demo used to emulate looking around:
-    gaze advances through tile centers in raster order, one per ``dwell``."""
-    count = int(round(duration * rate)) + 1
-    times = np.arange(count) / rate
-    cells = grid_rows * grid_cols
-    indices = (times // dwell).astype(np.int64) % cells
-    rows, cols = np.divmod(indices, grid_cols)
-    thetas = (cols + 0.5) * (2.0 * math.pi / grid_cols)
-    phis = (rows + 0.5) * (math.pi / grid_rows)
-    return Trace(times, thetas, phis)
 
 
 def circular_pan_trace(duration: float, rate: float = 30.0, period: float = 10.0) -> Trace:

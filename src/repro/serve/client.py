@@ -255,11 +255,11 @@ class HttpSegmentClient:
         self._raise_for_status(status, headers, body, "/control")
         return json.loads(body)
 
-    def post_control(self, route: str, payload: dict) -> dict:
-        """Apply a control payload (``POST /control/<route>``); a 409
+    def post_control(self, payload: dict) -> dict:
+        """Apply a control plan (``POST /control/plan``); a 409
         stale-version refusal surfaces as ``StalePlanError`` rather than
         the segment taxonomy's corrupt-read mapping."""
-        path = f"/control/{route}"
+        path = "/control/plan"
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         status, headers, response = self._request(path, method="POST", payload=body)
         if status == 409:

@@ -171,12 +171,6 @@ class Manifest:
         """Bytes for every tile of a window at a single (resolved) quality."""
         return self.window_size(window, {tile: quality for tile in self.grid.tiles()})
 
-    def window_of_time(self, time: float) -> int:
-        """The delivery window containing playback time ``time``."""
-        if time < 0:
-            raise ValueError(f"negative playback time {time}")
-        return min(int(time / self.window_duration), self.window_count - 1)
-
     def window_interval(self, window: int) -> tuple[float, float]:
         """Playback interval ``[start, end)`` of a window."""
         if not 0 <= window < self.window_count:

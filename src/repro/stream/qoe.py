@@ -62,7 +62,6 @@ class WindowRecord:
     """Everything that happened to one delivery window of one session."""
 
     window: int
-    decision_time: float  # when the server chose qualities
     request_time: float  # when the transfer was enqueued
     delivered_time: float  # when the last byte arrived
     playback_start: float  # when the client began displaying it

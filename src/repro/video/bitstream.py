@@ -129,9 +129,6 @@ class BitWriter:
             self._buffer.append((self._acc >> self._nbits) & 0xFF)
         self._acc &= (1 << self._nbits) - 1
 
-    def write_bit(self, bit: int) -> None:
-        self.write(1 if bit else 0, 1)
-
     def write_ue(self, value: int) -> None:
         """Unsigned exp-Golomb: value v is coded as the binary of v+1 with
         leading-zero prefix of equal length minus one."""
@@ -183,10 +180,6 @@ class BitWriter:
             return bytes(self._buffer)
         tail = (self._acc << (8 - self._nbits)) & 0xFF
         return bytes(self._buffer) + bytes([tail])
-
-    def __len__(self) -> int:
-        """Number of bits written so far."""
-        return len(self._buffer) * 8 + self._nbits
 
 
 def write_uvarint(buffer: bytearray, value: int) -> None:
@@ -258,9 +251,6 @@ class BitReader:
             remaining -= take
             self._pos += take
         return result
-
-    def read_bit(self) -> int:
-        return self.read(1)
 
     def read_ue(self) -> int:
         """Read an unsigned exp-Golomb code (inverse of ``write_ue``)."""

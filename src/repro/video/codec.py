@@ -360,17 +360,13 @@ class PlaneCodec:
         return self.reconstruct(_entropy_decode(payload, block_count), height, width, reference)
 
 
-def _stack_of_one(frame: Frame) -> tuple[np.ndarray, np.ndarray]:
-    return frame.y[None], np.stack((frame.u, frame.v))[None]
-
-
 class FrameStackCodec:
     """Encodes one frame of each of several equally shaped streams per call.
 
     Stream s is coded at ``qualities[s]``; everything a stream's bytes
-    depend on is its own pixels and rung, so the payloads are those of
-    :class:`FrameCodec` stream by stream — the stack only shares the
-    per-call cost of the transform and the entropy pass.
+    depend on is its own pixels and rung, so :class:`FrameCodec` decodes
+    each stream's payload alone — the stack only shares the per-call cost
+    of the transform and the entropy pass.
     """
 
     def __init__(self, qualities: Sequence[Quality]) -> None:
@@ -415,38 +411,26 @@ class FrameStackCodec:
 
 
 class FrameCodec:
-    """Whole-frame encode/decode at one :class:`Quality` rung.
+    """Whole-frame decode at one :class:`Quality` rung.
 
     Stateless with respect to the video: callers pass the reference frame
     explicitly, which keeps the codec reusable across concurrent streams
     and makes GOP closure an invariant of the caller (see
-    :mod:`repro.video.gop`).
+    :mod:`repro.video.gop`). Encoding is :class:`FrameStackCodec`'s.
     """
 
     def __init__(self, quality: Quality) -> None:
         self.quality = quality
-        self._stack = FrameStackCodec((quality,))
         self._luma = PlaneCodec(quant_matrix(_BASE_LUMA, quality.scale))
         self._chroma = PlaneCodec(quant_matrix(_BASE_CHROMA, quality.scale))
 
     def _plane_codecs(self) -> tuple[PlaneCodec, PlaneCodec, PlaneCodec]:
         return (self._luma, self._chroma, self._chroma)
 
-    def encode_frame(self, frame: Frame, reference: Frame | None) -> tuple[bytes, Frame]:
-        """Encode one frame; returns ``(bytes, reconstruction)``.
-
-        The frame is intra when ``reference`` is None, predicted otherwise:
-        the one-stream call of :meth:`FrameStackCodec.encode_frames`.
-        """
-        (data,), (y, uv) = self._stack.encode_frames(
-            *_stack_of_one(frame), None if reference is None else _stack_of_one(reference)
-        )
-        return data, Frame(y[0], uv[0, 0], uv[0, 1])
-
     def decode_frame(
         self, data: bytes | memoryview, width: int, height: int, reference: Frame | None
     ) -> Frame:
-        """Decode bytes produced by :meth:`encode_frame`."""
+        """Decode one stream's bytes from :meth:`FrameStackCodec.encode_frames`."""
         if len(data) < 1:
             raise ValueError("empty frame payload")
         frame_type = data[0]

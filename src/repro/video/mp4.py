@@ -12,7 +12,6 @@ atoms the storage manager uses:
 ``trak``  one media stream's metadata (children)
 ``stsd``  codec description: codec 4cc, dimensions, fps, quality
 ``stss``  GOP (sync sample) index: time -> byte offset/size
-``dref``  external media file reference (UTF-8 path)
 ``vcld``  VisualCloud-specific metadata (children; see repro.core.storage)
 ``mdat``  embedded media data
 
@@ -166,15 +165,6 @@ def parse_stss(atom: Atom) -> list[tuple[int, int, int]]:
         entries.append((time_ms, byte_offset, size))
         offset += 20
     return entries
-
-
-def make_dref(path: str) -> Atom:
-    """Reference to an external media file (relative path, UTF-8)."""
-    return Atom("dref", payload=path.encode("utf-8"))
-
-
-def parse_dref(atom: Atom) -> str:
-    return atom.payload.decode("utf-8")
 
 
 def make_sv3d(projection: str) -> Atom:

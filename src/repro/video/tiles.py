@@ -57,11 +57,6 @@ class TiledGop:
     def tile_height(self) -> int:
         return self.height // self.grid.rows
 
-    @property
-    def byte_size(self) -> int:
-        """Total payload bytes (the quantity bandwidth accounting uses)."""
-        return sum(len(data) for data in self.payloads.values())
-
     def pixel_rect(self, row: int, col: int) -> tuple[int, int, int, int]:
         """Pixel bounds (x0, y0, x1, y1) of a tile within the full frame."""
         self.grid.index_of(row, col)

@@ -1,15 +1,15 @@
-"""Viewer populations: many users, varied behaviour, staggered arrivals.
+"""Viewer populations: many users, varied behaviour.
 
 The scalability experiment (E8) and the Markov-predictor training both
 need *populations* of viewers rather than single traces: users who watch
 the same content with correlated (hotspot-driven) but individually noisy
-behaviour, arriving over time.
+behaviour.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,6 @@ class ViewerPopulation:
     base_fixation: float = 2.5
     attention_spread: float = 0.5  # lognormal sigma of per-user fixation scale
     seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
 
     def trace(self, user: int, duration: float, rate: float = 30.0) -> Trace:
         """The head-movement trace of one user (deterministic per user)."""
@@ -51,13 +47,6 @@ class ViewerPopulation:
         if count < 1:
             raise ValueError(f"population must have at least one user, got {count}")
         return [self.trace(user, duration, rate) for user in range(count)]
-
-    def arrivals(self, count: int, horizon: float) -> list[float]:
-        """Poisson-ish session start times over ``[0, horizon)``, sorted."""
-        if count < 1:
-            raise ValueError(f"need at least one arrival, got {count}")
-        times = np.sort(self._rng.uniform(0.0, horizon, count))
-        return [float(time) for time in times]
 
     def split(self, count: int, train_fraction: float = 0.5) -> tuple[list[int], list[int]]:
         """Deterministically split user ids into train/test populations.

@@ -86,6 +86,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "64x32" in out
         assert "2x2 tiles" in out
+        assert "projection  : equirectangular" in out
 
     def test_serve(self, tmp_path, capsys):
         ingest_small(tmp_path)

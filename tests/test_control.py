@@ -266,9 +266,6 @@ class TestPlanner:
             (NodeState(node_id="node-0", pin_budget_bytes=250, max_inflight=16),),
         )
         assert ControlPlan.from_json(plan.to_json()) == plan
-        assert (
-            ControlPlan.from_json(plan.to_json()).canonical() == plan.canonical()
-        )
         # Unknown keys are ignored.
         extended = plan.to_json()
         extended["nodes"][0]["processes"] = 4
@@ -329,13 +326,13 @@ class TestPlannerPurity:
     @given(forecasts=_forecasts, catalog=_catalogs, nodes=_nodes, p99=_p99s)
     def test_same_inputs_same_plan(self, forecasts, catalog, nodes, p99):
         """plan() is a pure function: two calls with identical inputs
-        produce equal plans with identical canonical bytes — the
-        property the chaos replay's determinism stands on."""
+        produce equal plans with identical JSON — the property the
+        chaos replay's determinism stands on."""
         planner = Planner()
         first = planner.plan(forecasts, catalog, nodes, observed_p99=p99)
         second = planner.plan(forecasts, catalog, nodes, observed_p99=p99)
         assert first == second
-        assert first.canonical() == second.canonical()
+        assert first.to_json() == second.to_json()
 
     @given(forecasts=_forecasts, catalog=_catalogs, nodes=_nodes, p99=_p99s)
     def test_plan_respects_budgets_and_floors(self, forecasts, catalog, nodes, p99):
@@ -491,7 +488,7 @@ class TestControllerStep:
             trail = []
             for _ in script:
                 plan = controller.step()
-                trail.append("noop" if plan is None else plan.canonical())
+                trail.append("noop" if plan is None else plan.to_json())
             return trail
 
         assert run() == run()
@@ -548,12 +545,12 @@ class TestWireActuation:
         )
         try:
             with HttpSegmentClient(handle.base_url) as client:
-                client.post_control("plan", self._plan(3, inflight=8).to_json())
+                client.post_control(self._plan(3, inflight=8).to_json())
                 # Equal version: idempotent re-application, not an error.
-                again = client.post_control("plan", self._plan(3, inflight=8).to_json())
+                again = client.post_control(self._plan(3, inflight=8).to_json())
                 assert again["version"] == 3
                 with pytest.raises(StalePlanError):
-                    client.post_control("plan", self._plan(2, inflight=8).to_json())
+                    client.post_control(self._plan(2, inflight=8).to_json())
             with pytest.raises(StalePlanError):
                 HandleActuator(handle).apply(self._plan(1, inflight=8))
             assert handle.control_state()["version"] == 3
@@ -566,7 +563,7 @@ class TestWireActuation:
         )
         try:
             with HttpSegmentClient(handle.base_url) as client:
-                client.post_control("plan", self._plan(1, inflight=12).to_json())
+                client.post_control(self._plan(1, inflight=12).to_json())
                 state = client.fetch_control()
             assert state["version"] == 1
             assert state["max_inflight"] == 12
@@ -637,7 +634,7 @@ class TestControlInput:
                 # A taxonomy error naming the real request — not the
                 # ``StalePlanError`` (a ``ValueError``) a 409 becomes.
                 with pytest.raises(VisualCloudError, match="POST /control/plan -> 400"):
-                    client.post_control("plan", payload)
+                    client.post_control(payload)
         finally:
             handle.stop()
 
@@ -647,10 +644,10 @@ class TestControlInput:
         )
         try:
             with HttpSegmentClient(handle.base_url) as client:
-                client.post_control("plan", dict(self._slice(max_inflight=8), version=3))
+                client.post_control(dict(self._slice(max_inflight=8), version=3))
                 for payload in (self._slice(), {"version": 2, "nodes": []}):
                     with pytest.raises(StalePlanError):
-                        client.post_control("plan", payload)
+                        client.post_control(payload)
                 assert client.fetch_control()["max_inflight"] == 8
         finally:
             handle.stop()

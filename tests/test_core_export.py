@@ -1,11 +1,14 @@
 """Tests for single-file export/import."""
 
+import struct
+
 import pytest
 
 from repro import IngestConfig, Quality, TileGrid
+from repro.cli import main
 from repro.core.errors import CatalogError
-from repro.core.export import decode_export, export_video, import_video, read_export
-from repro.video.frame import psnr
+from repro.core.export import export_video, import_video, read_export
+from repro.video.mp4 import Mp4File, make_stss, parse_stss
 from repro.workloads.videos import synthetic_video
 
 CONFIG = IngestConfig(
@@ -14,6 +17,42 @@ CONFIG = IngestConfig(
     gop_frames=4,
     fps=4.0,
 )
+
+
+def _stss_count_plus_5(moov, mdat):
+    stss = moov.find("trak.stss")
+    (count,) = struct.unpack_from(">I", stss.payload)
+    stss.payload = struct.pack(">I", count + 5) + stss.payload[4:]
+
+
+def _truncated_mvhd(moov, mdat):
+    moov.find("mvhd").payload = moov.find("mvhd").payload[:4]
+
+
+def _entry_past_mdat(moov, mdat):
+    stss = moov.find("trak.stss")
+    entries = parse_stss(stss)
+    time_ms, _, size = entries[-1]
+    entries[-1] = (time_ms, len(mdat.payload), size)
+    stss.payload = make_stss(entries).payload
+
+
+def _other_projection(moov, mdat):
+    moov.find("vcld.sv3d").payload = b"cubemap"
+
+
+DAMAGE = {
+    "stss-count-plus-5": _stss_count_plus_5,
+    "truncated-mvhd": _truncated_mvhd,
+    "stss-entry-past-mdat": _entry_past_mdat,
+}
+
+
+def _export_altered(storage, target, alter) -> None:
+    export_video(storage, "clip", target)
+    mp4 = Mp4File.parse(target.read_bytes())
+    alter(mp4.find("moov"), mp4.find("mdat"))
+    target.write_bytes(mp4.serialize())
 
 
 @pytest.fixture()
@@ -40,10 +79,10 @@ class TestExport:
         low = export_video(loaded.storage, "clip", tmp_path / "l.mp4", Quality.LOW)
         assert low < high
 
-    def test_decode_export_fidelity(self, loaded, tmp_path):
+    def test_export_decodes_to_the_stored_frames(self, loaded, tmp_path):
         target = tmp_path / "clip.mp4"
         export_video(loaded.storage, "clip", target)
-        decoded = decode_export(target)
+        decoded = [frame for window in read_export(target)[1] for frame in window.decode()]
         assert len(decoded) == 8
         reference = loaded.storage.decode_window("clip", 0, Quality.HIGH)
         assert decoded[0].equals(reference[0])
@@ -74,3 +113,19 @@ class TestExport:
         )
         with pytest.raises(CatalogError):
             read_export(half)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_export_is_a_catalog_error(self, loaded, tmp_path, capsys, damage):
+        target = tmp_path / "damaged.mp4"
+        _export_altered(loaded.storage, target, DAMAGE[damage])
+        with pytest.raises(CatalogError):
+            read_export(target)
+        code = main(["--root", str(tmp_path / "db"), "import", "copy", str(target)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_other_projection_is_refused(self, loaded, tmp_path):
+        target = tmp_path / "cubemap.mp4"
+        _export_altered(loaded.storage, target, _other_projection)
+        with pytest.raises(CatalogError, match="cubemap"):
+            read_export(target)

@@ -17,7 +17,7 @@ from repro import (
 )
 from repro.core.errors import IngestError
 from repro.core.popularity import StoragePlanner, tile_popularity
-from repro.predict.traces import Trace, circular_pan_trace
+from repro.predict.traces import circular_pan_trace
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
 
@@ -87,17 +87,6 @@ class TestStoragePlanner:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             StoragePlanner(QUALITIES).plan(np.zeros((3, 3)), GRID)
-
-    def test_storage_saved(self):
-        plan = {(0, 0): QUALITIES, (0, 1): (Quality.LOW,)}
-        sizes = {
-            ((0, 0), Quality.HIGH): 100,
-            ((0, 0), Quality.LOW): 20,
-            ((0, 1), Quality.HIGH): 100,
-            ((0, 1), Quality.LOW): 20,
-        }
-        saved = StoragePlanner.storage_saved(plan, sizes)
-        assert saved == pytest.approx(100 / 240)
 
 
 class TestPartialStorageEndToEnd:

@@ -92,7 +92,6 @@ class TestMarkovTraining:
         grid = TileGrid(2, 4)
         corpus = HeadMovementModel().generate_corpus(3, 10.0, rate=10.0, seed=2)
         service.train("v", grid, corpus)
-        assert service.is_trained("v", grid)
         a = service.session_predictor("markov", video="v", grid=grid)
         b = service.session_predictor("markov", video="v", grid=grid)
         assert isinstance(a, MarkovPredictor)
@@ -102,5 +101,7 @@ class TestMarkovTraining:
     def test_training_is_per_video_and_grid(self, service):
         grid = TileGrid(2, 2)
         service.train("v", grid, [circular_pan_trace(5.0)])
-        assert not service.is_trained("v", TileGrid(4, 4))
-        assert not service.is_trained("w", grid)
+        service.session_predictor("markov", video="v", grid=grid)
+        for video, other_grid in (("v", TileGrid(4, 4)), ("w", grid)):
+            with pytest.raises(ValueError, match="no trained Markov model"):
+                service.session_predictor("markov", video=video, grid=other_grid)

@@ -36,7 +36,6 @@ class TestCatalogFacade:
     def test_ingest_and_list(self, db):
         load(db)
         assert db.list_videos() == ["clip"]
-        assert db.exists("clip")
 
     def test_meta_passthrough(self, db):
         load(db)
@@ -45,7 +44,7 @@ class TestCatalogFacade:
     def test_drop(self, db):
         load(db)
         db.drop("clip")
-        assert not db.exists("clip")
+        assert "clip" not in db.list_videos()
 
     def test_drop_missing(self, db):
         with pytest.raises(CatalogError):

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.errors import CatalogError, IngestError, SegmentNotFoundError
-from repro.core.storage import IngestConfig, StorageManager
+from repro.core.storage import IngestConfig, StorageManager, _parse_metadata_file
 from repro.geometry.grid import TileGrid
 from repro.video.frame import psnr
+from repro.video.mp4 import Mp4File
 from repro.video.quality import Quality
 from repro.video.tiles import TiledVideoCodec
 from repro.workloads.videos import checkerboard_video, synthetic_video
@@ -51,9 +52,6 @@ class TestIngestConfig:
         with pytest.raises(ValueError):
             IngestConfig(qualities=(Quality.LOW, Quality.HIGH))
 
-    def test_gop_duration(self):
-        assert IngestConfig(gop_frames=15, fps=30.0).gop_duration == pytest.approx(0.5)
-
 
 class TestIngest:
     def test_meta_shape(self, loaded):
@@ -77,7 +75,7 @@ class TestIngest:
     def test_empty_source_rejected_and_rolled_back(self, storage):
         with pytest.raises(IngestError):
             storage.ingest("clip", iter([]), CONFIG)
-        assert not storage.exists("clip")
+        assert "clip" not in storage.list_videos()
 
     def test_duplicate_name_rejected(self, loaded):
         with pytest.raises(CatalogError):
@@ -100,7 +98,13 @@ class TestMetadataRoundTrip:
         assert from_disk.qualities == in_memory.qualities
         assert from_disk.grid == in_memory.grid
         assert from_disk.fps == in_memory.fps
-        assert from_disk.projection == in_memory.projection
+
+    def test_other_projection_is_refused(self, loaded):
+        mp4 = Mp4File.parse(loaded.catalog.metadata_path("clip", 1).read_bytes())
+        assert mp4.find("moov.vcld.sv3d").payload == b"equirectangular"
+        mp4.find("moov.vcld.sv3d").payload = b"cubemap"
+        with pytest.raises(CatalogError, match="cubemap"):
+            _parse_metadata_file("clip", mp4.serialize())
 
     def test_missing_version(self, loaded):
         with pytest.raises(CatalogError):
@@ -132,16 +136,6 @@ class TestReads:
         storage.ingest("board", iter(frames), CONFIG)
         decoded = storage.decode_window("board", 0, Quality.HIGH)
         assert psnr(frames[0], decoded[0]) > 30
-
-    def test_gops_overlapping(self, loaded):
-        meta = loaded.meta("clip")
-        assert meta.gops_overlapping(0.0, 3.0) == [0, 1, 2]
-        assert meta.gops_overlapping(1.2, 1.8) == [1]
-        assert meta.gops_overlapping(0.9, 1.1) == [0, 1]
-
-    def test_gops_overlapping_empty_range(self, loaded):
-        with pytest.raises(ValueError):
-            loaded.meta("clip").gops_overlapping(2.0, 2.0)
 
     def test_total_bytes_matches_index(self, loaded):
         meta = loaded.meta("clip")
@@ -241,7 +235,7 @@ class TestStoreWindows:
         written = storage.metrics.counter("storage.segments_written").total()
         assert written == 2 * len(window.payloads)
         assert storage.metrics.counter("storage.bytes_written").total() == (
-            2 * window.byte_size
+            2 * sum(map(len, window.payloads.values()))
         )
 
     @pytest.fixture()
@@ -270,7 +264,7 @@ class TestStoreWindows:
         window = TiledVideoCodec(TileGrid(2, 2), 64, 32).encode_gop(frames, Quality.HIGH)
         with pytest.raises(OSError, match="No space left"):
             storage.store_windows("x", [window], fps=4.0)
-        assert not storage.exists("x")
+        assert "x" not in storage.list_videos()
         assert storage.fsck()["clean"]
         if retry == "store_windows":
             meta = storage.store_windows("x", [window], fps=4.0)
@@ -351,6 +345,6 @@ class TestManifest:
 class TestDrop:
     def test_drop_clears_cache_and_disk(self, loaded):
         loaded.drop("clip")
-        assert not loaded.exists("clip")
+        assert "clip" not in loaded.list_videos()
         with pytest.raises(CatalogError):
             loaded.meta("clip")

@@ -32,50 +32,6 @@ class TestInvert:
         assert np.array_equal(udfs.invert(frame).y, 255 - frame.y)
 
 
-class TestBrighten:
-    def test_shifts_luma(self):
-        frame = Frame.blank(16, 16, luma=100)
-        assert np.all(udfs.brighten(32)(frame).y == 132)
-
-    def test_clamps(self):
-        frame = Frame.blank(16, 16, luma=250)
-        assert np.all(udfs.brighten(32)(frame).y == 255)
-
-    def test_chroma_untouched(self, frame):
-        bright = udfs.brighten(10)(frame)
-        assert np.array_equal(bright.u, frame.u)
-
-    def test_factory_names(self):
-        assert udfs.brighten(5).__name__ == "brighten_5"
-
-
-class TestConvolutions:
-    def test_blur_flattens_noise(self, frame):
-        blurred = udfs.blur(frame)
-        assert np.std(blurred.y.astype(float)) < np.std(frame.y.astype(float))
-
-    def test_blur_preserves_constant(self):
-        frame = Frame.blank(16, 16, luma=77)
-        assert np.all(udfs.blur(frame).y == 77)
-
-    def test_sharpen_preserves_constant(self):
-        frame = Frame.blank(16, 16, luma=77)
-        assert np.all(udfs.sharpen(frame).y == 77)
-
-    def test_sharpen_amplifies_edges(self):
-        luma = np.zeros((16, 16), dtype=np.uint8)
-        luma[:, 8:] = 100
-        frame = Frame.from_luma(luma)
-        sharpened = udfs.sharpen(frame)
-        edge_contrast = int(sharpened.y[8, 8]) - int(sharpened.y[8, 7])
-        assert edge_contrast > 100
-
-    def test_shapes_preserved(self, frame):
-        for udf in (udfs.blur, udfs.sharpen):
-            out = udf(frame)
-            assert (out.width, out.height) == (frame.width, frame.height)
-
-
 class TestWatermark:
     def test_stamps_patch(self):
         frame = Frame.blank(32, 16, luma=0)

@@ -10,8 +10,6 @@ from repro.geometry.angles import (
     AngularRect,
     angular_difference,
     clamp_phi,
-    theta_interval_contains,
-    theta_interval_intersects,
     unwrap_theta,
     wrap_theta,
 )
@@ -101,48 +99,6 @@ class TestUnwrapTheta:
         assert unwrap_theta(np.array([2.0])).tolist() == [2.0]
 
 
-class TestThetaIntervalContains:
-    def test_simple_inside(self):
-        assert theta_interval_contains(0.0, 1.0, 0.5)
-
-    def test_simple_outside(self):
-        assert not theta_interval_contains(0.0, 1.0, 1.5)
-
-    def test_half_open_start_inclusive(self):
-        assert theta_interval_contains(0.5, 1.0, 0.5)
-
-    def test_half_open_end_exclusive(self):
-        assert not theta_interval_contains(0.0, 1.0, 1.0)
-
-    def test_wrapping_interval(self):
-        start, end = 3 * math.pi / 2, math.pi / 2
-        assert theta_interval_contains(start, end, 0.0)
-        assert not theta_interval_contains(start, end, math.pi)
-
-    def test_full_circle_contains_everything(self):
-        assert theta_interval_contains(0.0, TWO_PI, 5.0)
-
-
-class TestThetaIntervalIntersects:
-    def test_overlapping(self):
-        assert theta_interval_intersects(0.0, 1.0, 0.5, 1.5)
-
-    def test_disjoint(self):
-        assert not theta_interval_intersects(0.0, 1.0, 2.0, 3.0)
-
-    def test_wrap_overlap(self):
-        assert theta_interval_intersects(6.0, 0.5, 0.2, 1.0)
-
-    def test_wrap_disjoint(self):
-        assert not theta_interval_intersects(6.0, 0.1, 1.0, 2.0)
-
-    def test_touching_endpoints_do_not_intersect(self):
-        assert not theta_interval_intersects(0.0, 1.0, 1.0, 2.0)
-
-    def test_full_circle_intersects_anything(self):
-        assert theta_interval_intersects(0.0, TWO_PI, 3.0, 3.1)
-
-
 class TestAngularRect:
     def test_phi_order_validated(self):
         with pytest.raises(ValueError):
@@ -163,39 +119,6 @@ class TestAngularRect:
     def test_theta_span_full_circle(self):
         rect = AngularRect(0.0, TWO_PI, 0.0, math.pi)
         assert rect.theta_span == pytest.approx(TWO_PI)
-
-    def test_contains_inside(self):
-        rect = AngularRect(0.0, 1.0, 0.5, 1.5)
-        assert rect.contains(0.5, 1.0)
-
-    def test_contains_respects_phi(self):
-        rect = AngularRect(0.0, 1.0, 0.5, 1.5)
-        assert not rect.contains(0.5, 0.2)
-
-    def test_contains_wrapping_theta(self):
-        rect = AngularRect(6.0, 0.5, 0.0, math.pi)
-        assert rect.contains(0.2, 1.0)
-        assert not rect.contains(1.0, 1.0)
-
-    def test_south_pole_belongs_to_bottom_rect(self):
-        rect = AngularRect(0.0, 1.0, math.pi / 2, math.pi)
-        assert rect.contains(0.5, math.pi)
-
-    def test_intersects_in_both_axes(self):
-        a = AngularRect(0.0, 1.0, 0.0, 1.0)
-        b = AngularRect(0.5, 1.5, 0.5, 1.5)
-        assert a.intersects(b)
-        assert b.intersects(a)
-
-    def test_phi_disjoint(self):
-        a = AngularRect(0.0, 1.0, 0.0, 1.0)
-        b = AngularRect(0.0, 1.0, 1.0, 2.0)
-        assert not a.intersects(b)
-
-    def test_theta_disjoint_with_wrap(self):
-        a = AngularRect(6.0, 0.2, 0.0, 1.0)
-        b = AngularRect(1.0, 2.0, 0.0, 1.0)
-        assert not a.intersects(b)
 
     def test_center_simple(self):
         rect = AngularRect(0.0, 1.0, 0.0, 1.0)

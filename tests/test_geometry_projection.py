@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry.angles import TWO_PI, AngularRect
+from repro.geometry.angles import TWO_PI
 from repro.geometry.projection import CubemapProjection, EquirectangularProjection
 
 
@@ -69,31 +69,6 @@ class TestEquirectangularSampling:
         phis = np.linspace(0.1, 3.0, 17)
         values = projection.sample(plane, thetas, phis)
         assert values.shape == (17,)
-
-
-class TestPixelRect:
-    def test_full_sphere(self, projection):
-        rect = AngularRect(0.0, TWO_PI, 0.0, math.pi)
-        assert projection.pixel_rect(rect) == (0, 0, 64, 32)
-
-    def test_quarter(self, projection):
-        rect = AngularRect(0.0, math.pi / 2, 0.0, math.pi / 2)
-        assert projection.pixel_rect(rect) == (0, 0, 16, 16)
-
-    def test_wrapping_rect_rejected(self, projection):
-        rect = AngularRect(3 * math.pi / 2, math.pi / 2, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            projection.pixel_rect(rect)
-
-    def test_grid_tiles_tile_the_raster(self, projection):
-        from repro.geometry.grid import TileGrid
-
-        grid = TileGrid(2, 4)
-        covered = np.zeros((32, 64), dtype=int)
-        for tile in grid.tiles():
-            x0, y0, x1, y1 = projection.pixel_rect(grid.rect(*tile))
-            covered[y0:y1, x0:x1] += 1
-        assert np.all(covered == 1)
 
 
 class TestSamplingDensity:

@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry.angles import TWO_PI, AngularRect
-from repro.geometry.sphere import (
-    from_unit_vector,
-    great_circle_distance,
-    solid_angle,
-    to_unit_vector,
-)
+from repro.geometry.angles import TWO_PI
+from repro.geometry.sphere import from_unit_vector, great_circle_distance, to_unit_vector
 
 
 class TestUnitVectors:
@@ -84,25 +79,3 @@ class TestGreatCircleDistance:
         result = great_circle_distance(thetas, math.pi / 2, 0.0, math.pi / 2)
         assert result.shape == (3,)
         assert result[0] == pytest.approx(0.0)
-
-
-class TestSolidAngle:
-    def test_full_sphere(self):
-        rect = AngularRect(0.0, TWO_PI, 0.0, math.pi)
-        assert solid_angle(rect) == pytest.approx(4 * math.pi)
-
-    def test_hemisphere(self):
-        rect = AngularRect(0.0, TWO_PI, 0.0, math.pi / 2)
-        assert solid_angle(rect) == pytest.approx(2 * math.pi)
-
-    def test_equatorial_beats_polar_tile(self):
-        equatorial = AngularRect(0.0, 1.0, math.pi / 2 - 0.2, math.pi / 2 + 0.2)
-        polar = AngularRect(0.0, 1.0, 0.0, 0.4)
-        assert solid_angle(equatorial) > solid_angle(polar)
-
-    def test_grid_tiles_sum_to_sphere(self):
-        from repro.geometry.grid import TileGrid
-
-        grid = TileGrid(3, 5)
-        total = sum(solid_angle(grid.rect(r, c)) for r, c in grid.tiles())
-        assert total == pytest.approx(4 * math.pi)

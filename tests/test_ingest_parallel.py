@@ -183,7 +183,7 @@ class TestParallelIngestByteIdentity:
         gop = tiny_frames[: CONFIG.gop_frames]
         with pytest.raises(ValueError, match="workers"):
             storage.ingest("clip", iter(gop), CONFIG, workers=0)
-        assert not storage.exists("clip")
+        assert "clip" not in storage.list_videos()
         storage.ingest("clip", iter(gop), CONFIG)
         assert asked == [3]
         with pytest.raises(ValueError, match="workers"):
@@ -233,7 +233,7 @@ class TestPoolErrors:
         monkeypatch.setattr(Catalog, "segment_path", failing_segment_path)
         with pytest.raises(RuntimeError, match="disk on fire"):
             storage.ingest("clip", iter(frames), CONFIG, workers=2)
-        assert not storage.exists("clip")
+        assert "clip" not in storage.list_videos()
 
 
 class TestPoolFallbackIsLoud:

@@ -7,7 +7,6 @@ unit tests cannot see.
 """
 
 import dataclasses
-import math
 import re
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from repro import (
 )
 from repro.control import ControlConfig, Planner
 from repro.core import udfs
-from repro.core.export import decode_export, export_video
+from repro.core.export import export_video, read_export
 from repro.core.resilience import RetryPolicy
 from repro.serve import FailoverConfig, ServerConfig
 from repro.stream.estimator import HarmonicMeanEstimator
@@ -139,7 +138,7 @@ class TestFullDeliveryFlow:
         )
         for record in report.records[:2]:
             window = demo_db.storage.read_window("demo", record.window, record.quality_map)
-            assert window.byte_size == record.bytes_sent
+            assert sum(map(len, window.payloads.values())) == record.bytes_sent
             frames = window.decode()
             assert len(frames) == 8
             assert frames[0].width == WIDTH
@@ -172,7 +171,7 @@ class TestQueryOverServedVideo:
         demo_db.execute(Scan("demo").map(udfs.invert).store("negative"))
         target = tmp_path / "negative.mp4"
         export_video(demo_db.storage, "negative", target)
-        frames = decode_export(target)
+        frames = read_export(target)[1][0].decode()
         original = demo_db.storage.decode_window("demo", 0, Quality.HIGH)
         # Inverted content decoded from the export matches the inverted
         # original up to one re-encode generation.
@@ -255,6 +254,7 @@ class TestConfigSurface:
             lambda: Planner(slo_p99=0.1),
             lambda: ControlConfig(interval=0.3),
             lambda: Planner(inflight_ceiling=64),
+            lambda: IngestConfig(projection="cubemap"),
         ],
         ids=[
             "read_repair",
@@ -266,6 +266,7 @@ class TestConfigSurface:
             "slo_p99",
             "interval",
             "inflight_ceiling",
+            "projection",
         ],
     )
     def test_removed_options_are_type_errors(self, construct):

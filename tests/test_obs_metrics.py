@@ -193,12 +193,6 @@ class TestTracer:
         recent = registry.tracer.recent(name="a")
         assert [span.name for span in recent] == ["a"]
 
-    def test_span_note_adds_attrs(self):
-        registry = MetricsRegistry()
-        with registry.span("work") as span:
-            span.note(segments=9)
-        assert registry.tracer.recent()[-1].attrs["segments"] == 9
-
     def test_span_recorded_on_exception(self):
         registry = MetricsRegistry()
         with pytest.raises(RuntimeError):

@@ -6,11 +6,7 @@ import pytest
 
 from repro.geometry.grid import TileGrid
 from repro.geometry.viewport import Viewport
-from repro.predict.evaluate import (
-    TileScores,
-    orientation_error_by_horizon,
-    tile_prediction_scores,
-)
+from repro.predict.evaluate import orientation_error_by_horizon, tile_prediction_scores
 from repro.predict.predictors import OraclePredictor, StaticPredictor
 from repro.predict.traces import HeadMovementModel, circular_pan_trace
 
@@ -43,16 +39,6 @@ class TestOrientationError:
         trace = circular_pan_trace(2.0, rate=10.0)
         errors = orientation_error_by_horizon(StaticPredictor(), trace, [10.0])
         assert math.isnan(errors[10.0])
-
-
-class TestTileScores:
-    def test_overhead_is_inverse_precision(self):
-        scores = TileScores(recall=1.0, precision=0.25, mean_predicted=8.0, evaluations=4)
-        assert scores.overhead == pytest.approx(4.0)
-
-    def test_zero_precision_overhead_infinite(self):
-        scores = TileScores(recall=0.0, precision=0.0, mean_predicted=1.0, evaluations=1)
-        assert math.isinf(scores.overhead)
 
 
 class TestTilePredictionScores:

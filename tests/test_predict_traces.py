@@ -11,7 +11,6 @@ from repro.predict.traces import (
     Hotspot,
     Trace,
     circular_pan_trace,
-    raster_scan_trace,
 )
 
 
@@ -69,16 +68,6 @@ class TestOrientationAt:
 
 
 class TestWindowResample:
-    def test_window(self):
-        trace = circular_pan_trace(10.0, rate=10.0)
-        sub = trace.window(2.0, 4.0)
-        assert sub.times[0] >= 2.0
-        assert sub.times[-1] <= 4.0
-
-    def test_window_empty_raises(self):
-        trace = circular_pan_trace(1.0, rate=10.0)
-        with pytest.raises(ValueError):
-            trace.window(5.0, 6.0)
 
     def test_resample_rate(self):
         trace = circular_pan_trace(10.0, rate=30.0)
@@ -148,22 +137,6 @@ class TestHeadMovementModel:
 
 
 class TestScriptedTraces:
-    def test_raster_scan_visits_tiles_in_order(self):
-        trace = raster_scan_trace(4.0, rate=10.0, dwell=1.0, grid_rows=2, grid_cols=2)
-        from repro.geometry.grid import TileGrid
-
-        grid = TileGrid(2, 2)
-        first = grid.tile_of(trace.thetas[0], trace.phis[0])
-        second = grid.tile_of(trace.thetas[15], trace.phis[15])
-        assert first == (0, 0)
-        assert second == (0, 1)
-
-    def test_raster_scan_wraps_modulo_cells(self):
-        trace = raster_scan_trace(10.0, rate=4.0, dwell=1.0, grid_rows=2, grid_cols=2)
-        from repro.geometry.grid import TileGrid
-
-        grid = TileGrid(2, 2)
-        assert grid.tile_of(trace.thetas[-2], trace.phis[-2]) in set(grid.tiles())
 
     def test_circular_pan_period(self):
         trace = circular_pan_trace(10.0, rate=100.0, period=10.0)

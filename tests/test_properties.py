@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.geometry.angles import (
     TWO_PI,
     angular_difference,
-    theta_interval_contains,
     unwrap_theta,
     wrap_theta,
 )
@@ -59,24 +58,6 @@ class TestAngleProperties:
         residual = angular_difference(np.atleast_1d(wrap_theta(unwrapped)), thetas)
         assert np.all(np.abs(residual) < 1e-6)
 
-    @given(unit_angles, unit_angles, unit_angles)
-    def test_interval_contains_is_rotation_invariant(self, start, end, probe):
-        span = (end - start) % TWO_PI
-        # Exact-boundary probes flip under float rotation; not the property
-        # under test. Boundary distance is circular.
-        offset = (probe - start) % TWO_PI
-        assume(min(offset, TWO_PI - offset) > 1e-9)
-        assume(abs(offset - span) > 1e-9)
-        shift = 1.2345
-        base = theta_interval_contains(start, end, probe)
-        rotated_start = wrap_theta(start + shift)
-        rotated = theta_interval_contains(
-            rotated_start,
-            rotated_start + span,
-            wrap_theta(probe + shift),
-        )
-        assert base == rotated
-
 
 class TestSphereProperties:
     @given(unit_angles, polar_angles)
@@ -101,6 +82,13 @@ class TestSphereProperties:
         assert d13 <= d12 + d23 + 1e-6
 
 
+def _inside(rect, theta, phi):
+    """Half-open containment in a grid rect, which never wraps in theta;
+    the south pole belongs to the bottom row."""
+    in_phi = rect.phi0 <= phi < rect.phi1 or phi == rect.phi1 == math.pi
+    return in_phi and rect.theta0 <= theta < rect.theta1
+
+
 class TestGridProperties:
     grids = st.tuples(st.integers(1, 8), st.integers(1, 8))
 
@@ -108,13 +96,13 @@ class TestGridProperties:
     def test_every_direction_has_exactly_one_tile(self, shape, theta, phi):
         grid = TileGrid(*shape)
         # Within a ULP of a grid line, ownership is float-rounding dependent
-        # (tile_of and rect().contains compute the boundary differently);
+        # (tile_of and the rect bounds compute the boundary differently);
         # exclude that measure-zero set — it is not the invariant under test.
         theta_offset = (theta / grid.theta_step) % 1.0
         phi_offset = (phi / grid.phi_step) % 1.0
         assume(min(theta_offset, 1.0 - theta_offset) > 1e-9)
         assume(phi == math.pi or min(phi_offset, 1.0 - phi_offset) > 1e-9)
-        owners = [tile for tile in grid.tiles() if grid.rect(*tile).contains(theta, phi)]
+        owners = [tile for tile in grid.tiles() if _inside(grid.rect(*tile), theta, phi)]
         assert len(owners) == 1
         assert owners[0] == grid.tile_of(theta, phi)
 
@@ -191,12 +179,13 @@ class TestCodecProperties:
         """The encoder's prediction loop must be bit-exact with the decoder
         — the invariant that keeps P-frame chains from drifting."""
         from repro.video.codec import FrameCodec
+        from tests.test_video_codec import encode_one
 
         frames = self._random_frames(seed)
         codec = FrameCodec(quality)
         reference = None
         for frame in frames:
-            data, reconstruction = codec.encode_frame(frame, reference)
+            data, reconstruction = encode_one(quality, frame, reference)
             decoded = codec.decode_frame(data, frame.width, frame.height, reference)
             assert decoded.equals(reconstruction)
             reference = reconstruction
@@ -325,13 +314,9 @@ class TestStorageProperties:
                 gop,
                 {tile: meta.qualities[-1] for tile in meta.grid.tiles()},
             )
-            assert window.byte_size == manifest.window_size(
+            assert sum(map(len, window.payloads.values())) == manifest.window_size(
                 gop, {tile: meta.qualities[-1] for tile in meta.grid.tiles()}
             )
             decoded = window.decode()
             assert len(decoded) == meta.gop_frame_counts[gop]
             assert decoded[0].width == 32 * cols
-
-        # The temporal index covers the whole video exactly once.
-        covered = meta.gops_overlapping(0.0, meta.duration)
-        assert covered == list(range(meta.gop_count))

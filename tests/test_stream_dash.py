@@ -109,16 +109,6 @@ class TestLookups:
         manifest = make_manifest()
         assert manifest.full_sphere_size(0, Quality.HIGH) == 4000
 
-    def test_window_of_time(self):
-        manifest = make_manifest(windows=3)
-        assert manifest.window_of_time(0.0) == 0
-        assert manifest.window_of_time(1.5) == 1
-        assert manifest.window_of_time(99.0) == 2  # clamped to last
-
-    def test_window_of_time_rejects_negative(self):
-        with pytest.raises(ValueError):
-            make_manifest().window_of_time(-0.1)
-
     def test_window_interval(self):
         assert make_manifest().window_interval(1) == (1.0, 2.0)
 

@@ -19,7 +19,6 @@ def make_record(
     quality_map = quality_map or {(0, 0): Quality.HIGH, (0, 1): Quality.LOW}
     return WindowRecord(
         window=window,
-        decision_time=float(window),
         request_time=float(window),
         delivered_time=float(window) + 0.5,
         playback_start=float(window) + 1.0,

@@ -33,12 +33,6 @@ class TestBitWriter:
         with pytest.raises(ValueError):
             BitWriter().write(0, -1)
 
-    def test_len_counts_bits(self):
-        writer = BitWriter()
-        writer.write(1, 5)
-        writer.write(1, 9)
-        assert len(writer) == 14
-
     def test_zero_bit_write_is_noop(self):
         writer = BitWriter()
         writer.write(0, 0)
@@ -95,7 +89,8 @@ class TestExpGolomb:
         for value, bits in [(0, "1"), (1, "010"), (2, "011"), (3, "00100")]:
             writer = BitWriter()
             writer.write_ue(value)
-            assert len(writer) == len(bits)
+            padded = bits.ljust(8, "0")
+            assert writer.getvalue() == int(padded, 2).to_bytes(1, "big")
             as_int = int(bits, 2)
             reader = BitReader(writer.getvalue())
             assert reader.read(len(bits)) == as_int
@@ -105,7 +100,7 @@ class TestExpGolomb:
         short.write_ue(0)
         long = BitWriter()
         long.write_ue(1000)
-        assert len(short) < len(long)
+        assert len(short.getvalue()) < len(long.getvalue())
 
     def test_sequence_round_trip(self):
         values = list(range(0, 40))

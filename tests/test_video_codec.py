@@ -7,6 +7,7 @@ from repro.video.codec import (
     FRAME_TYPE_INTRA,
     FRAME_TYPE_PREDICTED,
     FrameCodec,
+    FrameStackCodec,
     PlaneCodec,
     _entropy_decode,
     _entropy_encode,
@@ -23,6 +24,19 @@ def textured_plane(height=32, width=48, seed=0) -> np.ndarray:
     y = np.linspace(0, 3, height)
     plane = 120 + 70 * np.sin(x)[None, :] * np.cos(y)[:, None] + rng.normal(0, 4, (height, width))
     return np.clip(plane, 0, 255).astype(np.uint8)
+
+
+def encode_one(quality, frame, reference=None):
+    """One frame at one rung through the encoder GOPs use; returns
+    ``(bytes, reconstruction)`` for :class:`FrameCodec` to decode."""
+
+    def stack(f):
+        return f.y[None], np.stack((f.u, f.v))[None]
+
+    (data,), (y, uv) = FrameStackCodec((quality,)).encode_frames(
+        *stack(frame), None if reference is None else stack(reference)
+    )
+    return data, Frame(y[0], uv[0, 0], uv[0, 1])
 
 
 class TestQuantMatrix:
@@ -114,18 +128,18 @@ class TestFrameCodec:
     def test_requires_multiple_of_16(self):
         codec = FrameCodec(Quality.HIGH)
         with pytest.raises(ValueError):
-            codec.encode_frame(Frame.blank(24, 16), None)
+            encode_one(codec.quality, Frame.blank(24, 16), None)
 
     def test_intra_frame_type_byte(self):
         codec = FrameCodec(Quality.HIGH)
-        data, _ = codec.encode_frame(Frame.blank(32, 16), None)
+        data, _ = encode_one(codec.quality, Frame.blank(32, 16), None)
         assert data[0] == FRAME_TYPE_INTRA
 
     def test_predicted_frame_type_byte(self):
         codec = FrameCodec(Quality.HIGH)
         frame = Frame.blank(32, 16)
-        _, recon = codec.encode_frame(frame, None)
-        data, _ = codec.encode_frame(frame, recon)
+        _, recon = encode_one(codec.quality, frame, None)
+        data, _ = encode_one(codec.quality, frame, recon)
         assert data[0] == FRAME_TYPE_PREDICTED
 
     def test_round_trip_quality_ordering(self):
@@ -136,7 +150,7 @@ class TestFrameCodec:
         results = {}
         for quality in rungs:
             codec = FrameCodec(quality)
-            data, _ = codec.encode_frame(frame, None)
+            data, _ = encode_one(codec.quality, frame, None)
             decoded = codec.decode_frame(data, 48, 32, None)
             results[quality] = (len(data), psnr(frame, decoded))
         sizes = [results[quality][0] for quality in rungs]
@@ -167,8 +181,8 @@ class TestFrameCodec:
     def test_predicted_requires_reference(self):
         codec = FrameCodec(Quality.HIGH)
         frame = Frame.blank(32, 16)
-        _, recon = codec.encode_frame(frame, None)
-        data, _ = codec.encode_frame(frame, recon)
+        _, recon = encode_one(codec.quality, frame, None)
+        data, _ = encode_one(codec.quality, frame, recon)
         with pytest.raises(ValueError):
             codec.decode_frame(data, 32, 16, None)
 
@@ -179,7 +193,7 @@ class TestFrameCodec:
 
     def test_truncated_payload(self):
         codec = FrameCodec(Quality.HIGH)
-        data, _ = codec.encode_frame(Frame.blank(32, 16), None)
+        data, _ = encode_one(codec.quality, Frame.blank(32, 16), None)
         with pytest.raises(ValueError):
             codec.decode_frame(data[: len(data) // 2], 32, 16, None)
 
@@ -192,7 +206,7 @@ class TestFrameCodec:
         rgb[..., 0] = 200  # strongly red
         frame = Frame.from_rgb(rgb)
         codec = FrameCodec(Quality.HIGH)
-        data, _ = codec.encode_frame(frame, None)
+        data, _ = encode_one(codec.quality, frame, None)
         decoded = codec.decode_frame(data, 32, 16, None)
         recovered = decoded.to_rgb()
         assert recovered[..., 0].mean() > 150

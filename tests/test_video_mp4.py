@@ -5,14 +5,12 @@ import pytest
 from repro.video.mp4 import (
     Atom,
     Mp4File,
-    make_dref,
     make_ftyp,
     make_mvhd,
     make_stsd,
     make_stss,
     make_sv3d,
     parse_atoms,
-    parse_dref,
     parse_mvhd,
     parse_stsd,
     parse_stss,
@@ -132,11 +130,6 @@ class TestTypedAtoms:
 
     def test_stss_empty(self):
         assert parse_stss(make_stss([])) == []
-
-    def test_dref_round_trip_unicode(self):
-        assert parse_dref(make_dref("segments/gop_00001_café.seg")) == (
-            "segments/gop_00001_café.seg"
-        )
 
     def test_sv3d_round_trip(self):
         assert parse_sv3d(make_sv3d("equirectangular")) == "equirectangular"

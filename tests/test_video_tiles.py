@@ -1,6 +1,5 @@
 """Unit tests for motion-constrained tiles and homomorphic operators."""
 
-import numpy as np
 import pytest
 
 from repro.geometry.grid import TileGrid
@@ -120,9 +119,6 @@ class TestHomomorphicOps:
         right = tiled.select(set(tiles[3:]))
         rebuilt = left.union(right)
         assert rebuilt.decode()[0].equals(tiled.decode()[0])
-
-    def test_byte_size_sums_payloads(self, tiled):
-        assert tiled.byte_size == sum(len(p) for p in tiled.payloads.values())
 
 
 class TestSerialisation:

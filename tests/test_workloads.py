@@ -104,11 +104,6 @@ class TestViewerPopulation:
         with pytest.raises(ValueError):
             ViewerPopulation().traces(0, duration=1.0)
 
-    def test_arrivals_sorted_in_horizon(self):
-        arrivals = ViewerPopulation(seed=2).arrivals(10, horizon=60.0)
-        assert arrivals == sorted(arrivals)
-        assert all(0 <= t < 60.0 for t in arrivals)
-
     def test_split_disjoint_and_complete(self):
         train, test = ViewerPopulation().split(10, train_fraction=0.6)
         assert len(train) == 6
@@ -125,18 +120,6 @@ class TestViewerPopulation:
 
 
 class TestBenchHarness:
-    def test_format_bytes(self):
-        from repro.bench import format_bytes
-
-        assert format_bytes(512) == "512 B"
-        assert format_bytes(2048) == "2.0 KiB"
-        assert format_bytes(3 * 1024 * 1024) == "3.0 MiB"
-
-    def test_format_bytes_rejects_negative(self):
-        from repro.bench import format_bytes
-
-        with pytest.raises(ValueError):
-            format_bytes(-1)
 
     def test_ratio(self):
         from repro.bench import ratio
@@ -153,12 +136,3 @@ class TestBenchHarness:
         assert lines[0] == "== demo =="
         assert len(lines) == 5  # title, header, rule, two rows
         assert len(lines[2]) == len(lines[1])
-
-    def test_geometric_mean(self):
-        from repro.bench import geometric_mean
-
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
