@@ -5,9 +5,9 @@ off versus on under the same ~100x demand spike. A small Zipf catalog of
 videos is served while background demand shifts onto one video
 (throttled baseline → linear ramp → unthrottled peak), twice — once with
 the control loop off and once with a live
-:class:`~repro.control.Controller` forecasting demand and actuating
-pre-warm pins, pin-budget resizing, and admission ceilings through the
-``/control`` plane. Both arms run identical servers (cold hot set,
+:class:`~repro.control.Controller` forecasting demand and applying
+pre-warm pins, pin-budget resizing, and admission ceilings to the
+server's handle. Both arms run identical servers (cold hot set,
 bounded ``max_inflight``); QoE sessions on the spiking video launch at
 peak start.
 
@@ -42,14 +42,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.bench.harness import emit_table
-from repro.control import (
-    ControlConfig,
-    Controller,
-    HandleActuator,
-    NodeState,
-    Planner,
-    catalog_from_storage,
-)
+from repro.control import ControlConfig, Controller, NodeState, Planner
 from repro.control.controller import INTERVAL
 from repro.core.storage import IngestConfig, StorageManager
 from repro.core.streamer import SessionConfig
@@ -114,25 +107,15 @@ def _session_config(bandwidth: float) -> SessionConfig:
     )
 
 
-def _zipf_paths(manifest, name: str, seed: int, count: int = 4096) -> list[str]:
-    """A Zipf-skewed request sequence over the stored segments.
+def _catalog_zipf_paths(
+    storage: StorageManager, names: list[str], seed: int, count: int = 2048
+) -> list[str]:
+    """A Zipf-skewed request mix over every segment of ``names``.
 
     Viewport-adaptive delivery concentrates on a small equatorial hot
     set; rank-1/r^1.1 over a seeded shuffle reproduces that shape
     deterministically.
     """
-    keys = sorted(manifest.segment_sizes, key=lambda key: key.to_path())
-    rng = random.Random(seed)
-    rng.shuffle(keys)
-    weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(keys))]
-    paths = [f"/segment/{name}/{key.to_path()}" for key in keys]
-    return rng.choices(paths, weights=weights, k=count)
-
-
-def _catalog_zipf_paths(
-    storage: StorageManager, names: list[str], seed: int, count: int = 2048
-) -> list[str]:
-    """Zipf-skewed request mix over every video in the catalog."""
     rng = random.Random(seed)
     entries: list[str] = []
     for name in names:
@@ -322,28 +305,24 @@ def _run_flash_arm(
     registry = MetricsRegistry()
     handle = start_server(storage, server_config, registry=registry)
     controller = None
-    control_metrics = MetricsRegistry()
     if controller_on:
         controller = Controller(
             control_config(profile),
-            metrics_source=registry.snapshot,
-            catalog_source=lambda: catalog_from_storage(storage),
-            nodes_source=lambda: (
+            registry=registry,
+            storage=storage,
+            nodes=(
                 NodeState(
                     node_id=server_config.node_id,
                     pin_budget_bytes=profile.pin_budget,
                     max_inflight=server_config.max_inflight,
                 ),
             ),
-            actuators=(HandleActuator(handle),),
-            registry=control_metrics,
+            servers=(handle,),
         )
     try:
         host, port = handle.address
         baseline_paths = _catalog_zipf_paths(storage, names, profile.seed)
-        spike_paths = _zipf_paths(
-            storage.build_manifest(spike_name), spike_name, profile.seed, count=1024
-        )
+        spike_paths = _catalog_zipf_paths(storage, [spike_name], profile.seed, count=1024)
         if controller is not None:
             controller.start()
 
@@ -426,12 +405,10 @@ def _run_flash_arm(
     }
     if controller_on:
         arm["control"] = {
-            "steps": control_metrics.counter("control.steps").total(),
-            "plans_applied": control_metrics.counter("control.plans_applied").total(),
-            "plans_noop": control_metrics.counter("control.plans_noop").total(),
-            "actuate_errors": control_metrics.counter(
-                "control.actuate_errors"
-            ).total(),
+            "steps": registry.counter("control.steps").total(),
+            "plans_applied": registry.counter("control.plans_applied").total(),
+            "plans_noop": registry.counter("control.plans_noop").total(),
+            "actuate_errors": registry.counter("control.actuate_errors").total(),
             "final_plan_version": final_state["version"],
         }
     return arm

@@ -68,21 +68,13 @@ import os
 import tempfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import count as tick_counter
 from pathlib import Path
 
 from repro.chaos.corrupt import bit_flip
 from repro.chaos.faults import WIRE_KINDS, FaultPlan
 from repro.chaos.proxy import ChaosProxy
 from repro.chaos.wrappers import ChaosSegmentCache, ChaosStorageManager
-from repro.control import (
-    ControlConfig,
-    Controller,
-    HandleActuator,
-    NodeState,
-    Planner,
-    catalog_from_storage,
-)
+from repro.control import ControlConfig, Controller, NodeState, Planner
 from repro.core.errors import VisualCloudError
 from repro.core.resilience import RetryPolicy
 from repro.core.server import VisualCloud
@@ -503,12 +495,11 @@ class ScenarioRunner:
 
     def _controller(self, db, handles, control_node_ids) -> Controller:
         """A deterministic control plane: stepped synchronously between
-        sessions (no wall-clock thread), with a counting clock and
-        ``deterministic=True`` (no latency reads), so demand — and with
-        it every plan — is a pure function of the replayed request
-        sequence and the whole report stays byte-identical per seed."""
+        sessions (no wall-clock thread) with ``deterministic=True`` (no
+        latency reads), so demand — and with it every plan — is a pure
+        function of the replayed request sequence and the whole report
+        stays byte-identical per seed."""
         sessions = self.scenario.sessions
-        ticks = tick_counter()
         nodes = tuple(
             NodeState(
                 node_id=node_id,
@@ -524,11 +515,10 @@ class ScenarioRunner:
                 ),
                 deterministic=True,
             ),
-            metrics_source=db.metrics.snapshot,
-            catalog_source=lambda: catalog_from_storage(db.storage),
-            nodes_source=lambda: nodes,
-            actuators=tuple(HandleActuator(handle) for handle in handles),
-            clock=lambda: float(next(ticks)),
+            registry=db.metrics,
+            storage=db.storage,
+            nodes=nodes,
+            servers=handles,
         )
 
     def _corrupt_at_rest(self, node_storages, spec) -> list[dict]:

@@ -1,26 +1,25 @@
 """The predictive control plane: forecast demand, plan placement and
-admission, actuate through the serve tier's runtime endpoints.
+admission, apply the plan to the servers it was planned for.
 
 The loop (see :class:`Controller`):
 
-    metrics stream ──► forecaster ──► planner ──► actuators
-    (obs deltas)       (EWMA+trend)   (pure,       (server handles,
-                                      versioned)    rollback-refused)
+    demand counters ──► forecaster ──► planner ──► servers
+    (the nodes' one     (EWMA+trend)   (pure,       (apply_control_plan;
+     registry)                          versioned)    stale plans refused)
 
-The loop's knobs are one :class:`ControlConfig`. This package depends on
-:mod:`repro.obs` alone: servers, storage and clients reach it as duck
-types through the controller's injected sources and actuators.
+The loop's knobs are one :class:`ControlConfig`. The controller runs in
+the process of the nodes it drives: it reads their registry, builds its
+catalog from their store, and hands each plan to their handles.
 """
 
-from repro.control.actuators import HandleActuator, StalePlanError
-from repro.control.config import ControlConfig
-from repro.control.controller import Controller, catalog_from_storage
+from repro.control.controller import ControlConfig, Controller, catalog_from_storage
 from repro.control.forecast import EwmaTrendForecaster, Forecast
 from repro.control.planner import (
     ControlPlan,
     NodePlan,
     NodeState,
     Planner,
+    StalePlanError,
     default_segment_weights,
     diff_plans,
     warm_slice,
@@ -32,7 +31,6 @@ __all__ = [
     "Controller",
     "EwmaTrendForecaster",
     "Forecast",
-    "HandleActuator",
     "NodePlan",
     "NodeState",
     "Planner",

@@ -1,184 +1,186 @@
-"""The background controller: observe → forecast → plan → actuate.
+"""The background controller: observe → forecast → plan → apply.
 
-One loop closes what ROADMAP item 2 left open: the serve tier had
-popularity weights, live metrics, hot-set pinning, and admission
-control, but nothing connecting *predicted* demand to any of them. The
-:class:`Controller` is that connection, structured exactly as the
-forecaster/planner/actuator split BRAD uses:
+The :class:`Controller` connects *predicted* demand to the serve tier's
+pinning and admission knobs, structured as the forecaster/planner/
+actuator split BRAD uses. It runs beside the nodes it drives, over the
+one :class:`~repro.obs.MetricsRegistry` they count into:
 
-1. **Observe** — diff the metrics snapshot against the previous step's
-   (:func:`repro.obs.counter_deltas` over ``serve.video_requests``) to
-   get per-video request counts this interval, and read the segment
-   endpoint's p99 for the SLO loop.
-2. **Forecast** — feed the counts into the demand forecaster
+1. **Observe** — read every ``serve.video_requests{video=...}`` series
+   and subtract the previous step's counts, series that did not move
+   included (their forecasts decay); the first step subtracts the counts
+   at construction, so traffic served before the loop started is not
+   one interval's demand. Unless deterministic, also read the segment
+   endpoint's p99 from ``serve.request_seconds``.
+2. **Forecast** — feed the per-video counts into the demand forecaster
    (EWMA + trend, see :mod:`repro.control.forecast`).
-3. **Plan** — hand forecasts, the segment catalog, and node states to
-   the pure :class:`~repro.control.planner.Planner`; skip actuation when
+3. **Plan** — hand forecasts, the catalog (rebuilt from storage every
+   step, so windows appended to a live video warm too) and node states
+   to the pure :class:`~repro.control.planner.Planner`; stop there when
    the plan is a no-op modulo version (:func:`diff_plans`).
-4. **Actuate** — push the versioned plan through every registered
-   actuator (:mod:`repro.control.actuators`).
+4. **Apply** — ``apply_control_plan(plan)`` on every server; a refusal
+   (:class:`~repro.control.planner.StalePlanError`) or any other error is
+   counted, not raised.
 
 Determinism story: the controller owns no hidden state beyond the
-forecaster series and the last plan, both pure functions of the
-observation stream. With ``deterministic=True`` the p99 read is skipped
-entirely (admission holds position — the planner's NaN contract), so a
-replayed request sequence produces byte-identical plans; the chaos
-harness drives :meth:`step` explicitly between sessions instead of
-running the wall-clock thread, and injects its own metrics source.
+forecaster series, the last counts and the last plan, all pure functions
+of the request stream. With ``deterministic=True`` the p99 read is
+skipped entirely (admission holds position — the planner's NaN
+contract), so a replayed request sequence produces byte-identical plans;
+the chaos harness drives :meth:`step` between sessions instead of
+running the wall-clock thread.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from time import perf_counter
+from dataclasses import dataclass, field
 
-from repro.control.config import ControlConfig
-from repro.control.planner import ControlPlan, diff_plans, video_catalog
-from repro.obs import MetricsRegistry, counter_deltas, series_label, snapshot_quantile
+from repro.control.forecast import EwmaTrendForecaster
+from repro.control.planner import (
+    ControlPlan,
+    NodeState,
+    Planner,
+    diff_plans,
+    video_catalog,
+)
+from repro.core.errors import CatalogError
+from repro.obs import MetricsRegistry
 
-#: The per-video demand counter the serve tier exports and this loop diffs.
-DEMAND_COUNTER_PREFIX = "serve.video_requests"
-#: The latency histogram series the SLO loop reads.
-LATENCY_SERIES = "serve.request_seconds{endpoint=segment}"
 #: Seconds between steps of the background loop (:meth:`Controller.start`).
-#: Must exceed the server's ``METRICS_TTL`` (0.25 s) or a step reads
-#: stale counters.
 INTERVAL = 0.3
 
 
+@dataclass(frozen=True)
+class ControlConfig:
+    """The control loop's knobs: forecast horizon, planner."""
+
+    horizon: float = 2.0  # prediction lookahead, in intervals
+    planner: Planner = field(default_factory=Planner)
+    deterministic: bool = False  # no latency reads: plans follow demand alone
+
+    def __post_init__(self) -> None:
+        # The forecaster validates its own parameters; build it eagerly
+        # so a bad horizon fails here, not at the first controller step.
+        self.build_forecaster()
+
+    def build_forecaster(self) -> EwmaTrendForecaster:
+        return EwmaTrendForecaster(horizon=self.horizon)
+
+
 def catalog_from_storage(storage) -> dict:
-    """The planner's catalog view of every stored video:
-    ``{video: video_catalog(video, manifest)}``."""
-    return {
-        name: video_catalog(name, storage.build_manifest(name))
-        for name in storage.list_videos()
-    }
+    """The planner's catalog view of every committed video:
+    ``{video: video_catalog(video, manifest)}``. A name with no committed
+    version (a killed first ingest) is skipped, as ``repro ls`` skips it."""
+    catalog = {}
+    for name in storage.list_videos():
+        try:
+            manifest = storage.build_manifest(name)
+        except CatalogError:
+            continue
+        catalog[name] = video_catalog(name, manifest)
+    return catalog
 
 
 class Controller:
-    """The control loop. Construct with callables, not objects: the
-    metrics/catalog/node sources are injection points, which is the
-    whole deterministic-mode mechanism.
+    """The control loop over the registry, store and servers of the
+    nodes it drives.
 
-    * ``metrics_source()`` → a registry snapshot dict;
-    * ``catalog_source()`` → the planner catalog
-      (:func:`catalog_from_storage` shape);
-    * ``nodes_source()`` → ``tuple[NodeState, ...]``;
-    * ``actuators`` — objects with ``apply(plan) -> dict``.
+    * ``registry`` — where the servers count ``serve.video_requests``
+      and ``serve.request_seconds``; the loop counts ``control.*`` into
+      it too (``controller.metrics is registry``);
+    * ``storage`` — the store the servers read, the catalog's source;
+    * ``nodes`` — one :class:`NodeState` per node a plan slices;
+    * ``servers`` — objects with ``apply_control_plan(plan)``
+      (``ServerHandle``).
 
     Run it either as a daemon thread (:meth:`start`/:meth:`stop`, one
     :meth:`step` per :data:`INTERVAL` seconds) or drive :meth:`step`
-    by hand — the chaos harness and every unit test do the latter.
+    by hand — the chaos harness and the unit tests do the latter.
     """
 
     def __init__(
         self,
         config: ControlConfig,
         *,
-        metrics_source,
-        catalog_source,
-        nodes_source,
-        actuators=(),
-        registry: MetricsRegistry | None = None,
-        clock=perf_counter,
+        registry: MetricsRegistry,
+        storage,
+        nodes: tuple[NodeState, ...],
+        servers=(),
     ) -> None:
         self.config = config
         self.forecaster = config.build_forecaster()
         self.planner = config.planner
-        self._metrics_source = metrics_source
-        self._catalog_source = catalog_source
-        self._nodes_source = nodes_source
-        self.actuators = list(actuators)
-        self._clock = clock
+        self.storage = storage
+        self.nodes = tuple(nodes)
+        self.servers = tuple(servers)
+        self.metrics = registry
         self.plan: ControlPlan | None = None
-        self._previous_snapshot: dict | None = None
-        self._catalog: dict | None = None
+        self._demand = registry.counter("serve.video_requests")
+        self._latency = registry.histogram("serve.request_seconds")
+        self._counts = self._read_counts()
         self._thread: threading.Thread | None = None
         self._wake = threading.Event()
-        registry = registry or MetricsRegistry()
-        self.metrics = registry
         self._steps = registry.counter(
             "control.steps", "controller observe/plan iterations"
         ).labels()
         self._applied = registry.counter(
-            "control.plans_applied", "plans pushed through actuators"
+            "control.plans_applied", "plans pushed to the servers"
         ).labels()
         self._noops = registry.counter(
             "control.plans_noop", "steps whose plan changed nothing"
         ).labels()
         self._errors = registry.counter(
-            "control.actuate_errors", "actuator applications that raised"
+            "control.actuate_errors", "plan applications that raised"
         ).labels()
         self._gauge_version = registry.gauge(
             "control.plan_version", "version of the last applied plan"
         )
-        self._step_seconds = registry.histogram(
-            "control.step_seconds", "wall time per controller step"
-        ).labels()
 
-    # -- observation ----------------------------------------------------------
-
-    def _observe_demand(self, snapshot: dict) -> dict[str, float]:
-        """Per-video request counts this interval, from counter deltas."""
-        deltas = counter_deltas(
-            self._previous_snapshot or {}, snapshot, prefix=DEMAND_COUNTER_PREFIX
-        )
-        demand: dict[str, float] = {}
-        for name, delta in deltas.items():
-            video = series_label(name, "video")
-            if video:
-                demand[video] = demand.get(video, 0.0) + delta
-        return demand
-
-    def _observe_p99(self, snapshot: dict) -> float:
-        if self.config.deterministic:
-            # NaN means "hold position" to the planner; skipping the
-            # read entirely is what keeps replayed plans byte-identical
-            # (latency histograms are wall-clock, counters are not).
-            return math.nan
-        return snapshot_quantile(snapshot, LATENCY_SERIES, "p99")
+    def _read_counts(self) -> dict[str, float]:
+        """Requests so far per video, one entry per demand series."""
+        return {
+            dict(labels)["video"]: total
+            for labels, total in self._demand.series().items()
+        }
 
     # -- one iteration --------------------------------------------------------
 
     def step(self) -> ControlPlan | None:
         """Observe, forecast, plan, and (when the plan changes anything)
-        actuate. Returns the applied plan, or None on a no-op step."""
-        started = self._clock()
-        snapshot = self._metrics_source()
-        demand = self._observe_demand(snapshot)
-        p99 = self._observe_p99(snapshot)
-        self._previous_snapshot = snapshot
+        apply. Returns the applied plan, or None on a no-op step."""
+        counts = self._read_counts()
+        # NaN means "hold position" to the planner; skipping the read
+        # entirely is what keeps replayed plans byte-identical (latency
+        # is wall-clock, request counts are not).
+        p99 = (
+            math.nan
+            if self.config.deterministic
+            else self._latency.quantile(0.99, endpoint="segment")
+        )
         self._steps.inc()
+        for video in sorted(counts):
+            self.forecaster.observe(video, counts[video] - self._counts.get(video, 0.0))
+        self._counts = counts
 
-        for video in sorted(demand):
-            self.forecaster.observe(video, demand[video])
-        forecasts = self.forecaster.forecasts()
-
-        if self._catalog is None or any(
-            video not in self._catalog for video in forecasts
-        ):
-            self._catalog = self._catalog_source()
         plan = self.planner.plan(
-            forecasts,
-            self._catalog,
-            tuple(self._nodes_source()),
+            self.forecaster.forecasts(),
+            catalog_from_storage(self.storage),
+            self.nodes,
             observed_p99=p99,
             previous=self.plan,
         )
         if not diff_plans(self.plan, plan):
             self._noops.inc()
-            self._step_seconds.observe(self._clock() - started)
             return None
-        for actuator in self.actuators:
+        for server in self.servers:
             try:
-                actuator.apply(plan)
+                server.apply_control_plan(plan)
             except Exception:
                 self._errors.inc()
         self.plan = plan
         self._applied.inc()
         self._gauge_version.set(plan.version)
-        self._step_seconds.observe(self._clock() - started)
         return plan
 
     # -- background thread ----------------------------------------------------
@@ -199,9 +201,8 @@ class Controller:
             try:
                 self.step()
             except Exception:
-                # The loop must outlive transient scrape/actuation
-                # failures (a server mid-restart, a refused stale plan);
-                # the error counter is the visibility.
+                # The loop must outlive a transient failure (a store
+                # mid-rewrite); the error counter is the visibility.
                 self._errors.inc()
 
     def stop(self) -> None:
@@ -213,10 +214,4 @@ class Controller:
         self._thread = None
 
 
-__all__ = [
-    "Controller",
-    "DEMAND_COUNTER_PREFIX",
-    "INTERVAL",
-    "LATENCY_SERIES",
-    "catalog_from_storage",
-]
+__all__ = ["ControlConfig", "Controller", "INTERVAL", "catalog_from_storage"]

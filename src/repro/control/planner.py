@@ -6,8 +6,8 @@ pure function of ``(forecasts, catalog, node states, observed p99,
 previous plan)`` — feed it the same inputs and it emits the same
 :class:`ControlPlan`, byte for byte. That purity is load-bearing twice
 over: it is what the property tests pin, and it is what lets the chaos
-harness run the whole controller deterministically (inject a scripted
-metrics stream, get identical plans on every replay).
+harness run the whole controller deterministically (replay the same
+request sequence, get identical plans).
 
 Two decisions per node:
 
@@ -28,9 +28,10 @@ Two decisions per node:
   replayed plans identical.
 
 Plans are versioned and monotonic, reusing the shard-map rollback
-refusal: an actuator hands a plan to a server, the server compares
-versions, and a stale plan is refused with an error rather than applied
-— a replayed or delayed plan can never roll the cluster backwards.
+refusal: the controller hands a plan to a server, the server compares
+versions, and a stale plan is refused with :class:`StalePlanError`
+rather than applied — a replayed or delayed plan can never roll the
+cluster backwards.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.control.forecast import Forecast
+
+
+class StalePlanError(ValueError):
+    """The node refused the plan: it already holds a newer version. A
+    server raises it in-process and answers 409 with it over the wire;
+    either way a newer controller is in charge, by design."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ class NodePlan:
 class ControlPlan:
     """A versioned, immutable cluster directive.
 
-    Versions are monotonic per control loop; actuators refuse older
+    Versions are monotonic per control loop; servers refuse older
     versions exactly as :meth:`SegmentServer.update_shard_map` refuses
     stale shard maps. ``to_json``/``from_json`` round-trip exactly; that
     JSON is the body ``POST /control/plan`` carries.
@@ -330,7 +337,7 @@ class Planner:
 
 def diff_plans(before: ControlPlan | None, after: ControlPlan) -> bool:
     """Whether ``after`` changes anything besides its version — the
-    controller's idempotence check before waking the actuators."""
+    controller's idempotence check before applying a plan."""
     if before is None:
         return True
     return replace(before, version=0) != replace(after, version=0)
@@ -341,6 +348,7 @@ __all__ = [
     "NodePlan",
     "NodeState",
     "Planner",
+    "StalePlanError",
     "default_segment_weights",
     "diff_plans",
     "video_catalog",

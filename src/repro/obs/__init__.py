@@ -13,9 +13,6 @@ from repro.obs.metrics import (
     Metric,
     MetricsRegistry,
     QUANTILES,
-    counter_deltas,
-    series_label,
-    snapshot_quantile,
 )
 from repro.obs.tracing import SpanRecord, Tracer
 
@@ -28,7 +25,4 @@ __all__ = [
     "QUANTILES",
     "SpanRecord",
     "Tracer",
-    "counter_deltas",
-    "series_label",
-    "snapshot_quantile",
 ]

@@ -369,55 +369,3 @@ class MetricsRegistry:
                 for key, value in sorted(series.items()):
                     lines.append(f"{prom_name}{_prom_labels(key)} {float(value):.9g}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def counter_deltas(previous: dict, current: dict, prefix: str = "") -> dict[str, float]:
-    """Per-series increments between two ``snapshot()`` dicts.
-
-    The control plane's forecaster consumes *rates*, not totals: it
-    polls the registry (or a server's ``/metrics``) every interval and
-    needs how much each counter moved. Series absent from ``previous``
-    count from zero (a new video just started taking traffic); a series
-    that went *down* — a restarted node, a replaced registry — clamps
-    to its current value rather than reporting a negative rate.
-
-    ``prefix`` restricts the diff to series whose rendered name starts
-    with it (e.g. ``"serve.video_requests"``).
-    """
-    before = previous.get("counters", {}) if previous else {}
-    deltas: dict[str, float] = {}
-    for name, value in current.get("counters", {}).items():
-        if prefix and not name.startswith(prefix):
-            continue
-        earlier = float(before.get(name, 0.0))
-        value = float(value)
-        deltas[name] = value - earlier if value >= earlier else value
-    return deltas
-
-
-def series_label(name: str, label: str) -> str | None:
-    """Extract one label's value from a rendered series name.
-
-    Snapshot keys render labels as ``name{k=v,k2=v2}``; the controller
-    needs the ``video=`` value back out of ``serve.video_requests{...}``
-    without re-parsing the whole registry. Returns None when the label
-    is absent.
-    """
-    start = name.find("{")
-    if start < 0 or not name.endswith("}"):
-        return None
-    for pair in name[start + 1 : -1].split(","):
-        key, _, value = pair.partition("=")
-        if key == label:
-            return value
-    return None
-
-
-def snapshot_quantile(snapshot: dict, histogram: str, quantile: str) -> float:
-    """One quantile out of a snapshot's histogram summary (NaN when the
-    series or the tag is missing — callers treat NaN as "no signal")."""
-    summary = snapshot.get("histograms", {}).get(histogram)
-    if not summary:
-        return math.nan
-    value = summary.get(quantile)
-    return float(value) if isinstance(value, (int, float)) else math.nan

@@ -37,7 +37,7 @@ import threading
 from time import monotonic, perf_counter
 from urllib.parse import urlsplit
 
-from repro.control.actuators import StalePlanError
+from repro.control.planner import StalePlanError
 from repro.core.errors import (
     SegmentCorruptError,
     SegmentNotFoundError,

@@ -75,7 +75,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.control.planner import ControlPlan, warm_slice
+from repro.control.planner import ControlPlan, StalePlanError, warm_slice
 from repro.core.errors import (
     SegmentReadTimeout,
     TransientSegmentError,
@@ -416,7 +416,7 @@ class SegmentServer:
         """The shard map's rollback refusal, applied to control plans:
         equal re-applies are idempotent, older versions are errors."""
         if version < self._control_version:
-            raise ValueError(
+            raise StalePlanError(
                 f"control plan v{version} is older than active "
                 f"v{self._control_version}; refusing to roll back"
             )
@@ -485,7 +485,7 @@ class SegmentServer:
             return error_response(400, ValueError(f"malformed control payload: {error!r}"))
         try:
             self._check_plan_version(plan.version)
-        except ValueError as error:
+        except StalePlanError as error:
             return error_response(409, error)
         return json_response(200, self.apply_control_plan(plan))
 
@@ -860,9 +860,9 @@ class ServerHandle:
         return self._on_loop(lambda: self.server.update_shard_map(shard_map, peers))
 
     def apply_control_plan(self, plan) -> dict:
-        """Apply a control plan — the local actuator's entry point.
-        Raises ``ValueError`` on a stale version, exactly as the wire
-        endpoint answers 409."""
+        """Apply a control plan — the controller's entry point. Raises
+        ``StalePlanError`` on a stale version, the error the wire
+        endpoint answers 409 with."""
         return self._on_loop(lambda: self.server.apply_control_plan(plan), 30.0)
 
     def control_state(self) -> dict:

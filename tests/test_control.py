@@ -6,8 +6,9 @@ Four layers, tested in the order they compose:
   smoothing constant or update order shows up as an exact-number diff;
 * property tests pin the planner's purity (same inputs, byte-identical
   plan) and its versioning/rollback contract;
-* controller step tests drive the loop with scripted metrics snapshots —
-  the same injection the chaos harness uses for deterministic replay;
+* controller step tests drive the loop by incrementing a real registry's
+  demand counter over a real store, as served requests do, and step it
+  by hand as the chaos harness does for deterministic replay;
 * wire tests apply plans to a live server in-process and over HTTP,
   including the tier-resizing case: a plan enabling pinning on a server
   that booted with a zero pin budget.
@@ -32,12 +33,10 @@ from repro.control import (
     Controller,
     EwmaTrendForecaster,
     Forecast,
-    HandleActuator,
     NodePlan,
     NodeState,
     Planner,
     StalePlanError,
-    catalog_from_storage,
     diff_plans,
 )
 from repro.control.planner import (
@@ -47,8 +46,12 @@ from repro.control.planner import (
     SLO_P99,
 )
 from repro.core.errors import VisualCloudError
+from repro.core.storage import IngestConfig
+from repro.geometry.grid import TileGrid
 from repro.obs import MetricsRegistry
 from repro.serve import HttpSegmentClient, ServerConfig, start_server
+from repro.video.quality import Quality
+from repro.workloads.videos import synthetic_video
 
 
 class TestForecasterGolden:
@@ -365,10 +368,7 @@ class TestControlConfig:
         config = ControlConfig(planner=planner)
         assert config.planner is planner
         assert Controller(
-            config,
-            metrics_source=dict,
-            catalog_source=dict,
-            nodes_source=tuple,
+            config, registry=MetricsRegistry(), storage=None, nodes=()
         ).planner is planner
         assert ControlConfig().planner == Planner()
 
@@ -384,114 +384,152 @@ class TestFlashCrowdConfig:
         profile = getattr(flash_crowd, profile)
         config = flash_crowd.control_config(profile)
         assert config.planner.prewarm_threshold == 1.0
-        controller = Controller(
-            config, metrics_source=dict, catalog_source=dict, nodes_source=tuple
-        )
+        registry = MetricsRegistry()
+        controller = Controller(config, registry=registry, storage=None, nodes=())
         assert controller.planner is config.planner
+        assert controller.metrics is registry
 
 
-def _snapshot(counters: dict) -> dict:
-    return {"counters": dict(counters), "gauges": {}, "histograms": {}, "spans": {}}
-
-
-def _scripted_controller(snapshots, catalog, nodes, actuators=()):
-    """A controller fed a finite script of metrics snapshots — the unit
-    equivalent of the chaos harness's injected sources."""
-    feed = iter(snapshots)
+def _controller(storage, registry, budget=10_000, servers=()):
+    """A deterministic controller over ``storage`` and ``registry``, one
+    anonymous node with ``budget`` pin bytes, stepped by hand."""
     return Controller(
         ControlConfig(planner=Planner(prewarm_threshold=1.0), deterministic=True),
-        metrics_source=lambda: next(feed),
-        catalog_source=lambda: catalog,
-        nodes_source=lambda: nodes,
-        actuators=actuators,
-        clock=iter(range(10_000)).__next__,
+        registry=registry,
+        storage=storage,
+        nodes=(NodeState(node_id="", pin_budget_bytes=budget),),
+        servers=servers,
     )
 
 
-DEMAND = "serve.video_requests{video=vid-0}"
+def _step(controller, **requests):
+    """Count ``requests`` per video as served requests do, then step."""
+    demand = controller.metrics.counter("serve.video_requests")
+    for video, count in requests.items():
+        demand.inc(count, video=video)
+    return controller.step()
+
+
+LIVE_CONFIG = IngestConfig(
+    grid=TileGrid(2, 2), qualities=(Quality.HIGH, Quality.LOW), gop_frames=4, fps=4.0
+)
+
+
+def _frames(duration: float) -> list:
+    return list(
+        synthetic_video("venice", width=64, height=32, fps=4.0, duration=duration, seed=5)
+    )
+
+
+@pytest.fixture()
+def live_db(db):
+    """A fresh store holding 'clip': 2x2 tiles, two rungs, two windows."""
+    db.ingest("clip", _frames(2.0), LIVE_CONFIG, workers=1)
+    return db
+
+
+def _prewarmed(plan) -> list[str]:
+    return [path for path, _ in plan.node("").prewarm]
 
 
 class TestControllerStep:
-    def test_first_plan_applies_then_steady_state_noops(self):
+    def test_first_plan_applies_then_steady_state_noops(self, session_db):
         applied = []
 
         class Recorder:
-            def apply(self, plan):
+            def apply_control_plan(self, plan):
                 applied.append(plan)
                 return {}
 
         # Constant demand: level locks to the value, trend stays zero,
         # so the second and third plans are version-only — no-ops.
-        snapshots = [_snapshot({DEMAND: total}) for total in (5, 10, 15)]
-        controller = _scripted_controller(
-            snapshots,
-            CATALOG,
-            (NodeState(node_id="", pin_budget_bytes=10_000),),
-            actuators=(Recorder(),),
-        )
-        assert controller.step() is not None
-        assert controller.step() is None
-        assert controller.step() is None
+        registry = MetricsRegistry()
+        controller = _controller(session_db.storage, registry, servers=(Recorder(),))
+        assert _step(controller, clip=5) is not None
+        assert _step(controller, clip=5) is None
+        assert _step(controller, clip=5) is None
         assert len(applied) == 1
         assert applied[0].version == 1
         assert applied[0].node("").prewarm
-        snapshot = controller.metrics.snapshot()
-        assert snapshot["counters"]["control.steps"] == 3
-        assert snapshot["counters"]["control.plans_applied"] == 1
-        assert snapshot["counters"]["control.plans_noop"] == 2
+        assert controller.metrics is registry
+        counters = registry.snapshot()["counters"]
+        assert counters["control.steps"] == 3
+        assert counters["control.plans_applied"] == 1
+        assert counters["control.plans_noop"] == 2
 
-    def test_rising_demand_reissues_the_plan(self):
+    def test_rising_demand_reissues_the_plan(self, session_db):
         # Accelerating demand keeps the trend moving, so heats change
         # and each step issues a new version.
-        snapshots = [_snapshot({DEMAND: total}) for total in (1, 3, 9)]
-        controller = _scripted_controller(
-            snapshots, CATALOG, (NodeState(node_id="", pin_budget_bytes=10_000),)
-        )
-        plans = [controller.step() for _ in range(3)]
+        controller = _controller(session_db.storage, MetricsRegistry())
+        plans = [_step(controller, clip=count) for count in (1, 2, 6)]
         versions = [plan.version for plan in plans if plan is not None]
         assert versions == sorted(versions)
         assert controller.plan.version == versions[-1]
 
-    def test_actuator_failure_is_counted_not_fatal(self):
+    def test_actuator_failure_is_counted_not_fatal(self, session_db):
         class Exploding:
-            def apply(self, plan):
+            def apply_control_plan(self, plan):
                 raise StalePlanError("a newer controller is in charge")
 
-        controller = _scripted_controller(
-            [_snapshot({DEMAND: 5})],
-            CATALOG,
-            (NodeState(node_id="", pin_budget_bytes=10_000),),
-            actuators=(Exploding(),),
+        controller = _controller(
+            session_db.storage, MetricsRegistry(), servers=(Exploding(),)
         )
-        plan = controller.step()
+        plan = _step(controller, clip=5)
         assert plan is not None  # the loop records the plan regardless
-        snapshot = controller.metrics.snapshot()
-        assert snapshot["counters"]["control.actuate_errors"] == 1
+        assert controller.metrics.counter("control.actuate_errors").total() == 1
 
-    def test_identical_scripts_produce_identical_plan_bytes(self):
-        """The deterministic-mode contract, end to end at unit scale."""
-        script = [(2, 0), (7, 1), (20, 4), (60, 9)]
+    def test_identical_scripts_produce_identical_plan_bytes(self, session_db):
+        """The deterministic-mode contract, end to end at unit scale: the
+        same requests give the same plan bytes, a video the store does not
+        hold included."""
+        script = [(2, 0), (5, 1), (13, 3), (40, 5)]
 
         def run():
-            snapshots = [
-                _snapshot(
-                    {
-                        DEMAND: spike,
-                        "serve.video_requests{video=vid-1}": other,
-                    }
-                )
-                for spike, other in script
-            ]
-            controller = _scripted_controller(
-                snapshots, CATALOG, (NodeState(node_id="", pin_budget_bytes=300),)
-            )
+            controller = _controller(session_db.storage, MetricsRegistry(), budget=2_000)
             trail = []
-            for _ in script:
-                plan = controller.step()
+            for clip, ghost in script:
+                plan = _step(controller, clip=clip, ghost=ghost)
                 trail.append("noop" if plan is None else plan.to_json())
             return trail
 
         assert run() == run()
+
+    def test_requests_before_construction_are_not_demand(self, live_db):
+        """A controller attached to a node that has already served traffic
+        takes its baseline at construction: the node's lifetime total is
+        history, not the first interval's demand."""
+        registry = MetricsRegistry()
+        registry.counter("serve.video_requests").inc(10_000, video="clip")
+        controller = _controller(live_db.storage, registry, budget=1 << 30)
+        plan = controller.step()
+        assert controller.forecaster.forecast("clip").predicted == 0.0
+        assert _prewarmed(plan) == []
+
+    def test_an_appended_window_warms(self, live_db):
+        """The catalog is rebuilt every step, so a GOP appended to a live
+        video enters the next plan."""
+        controller = _controller(live_db.storage, MetricsRegistry(), budget=1 << 30)
+        assert _step(controller, clip=5) is not None
+        live_db.append("clip", _frames(1.0), workers=1)
+        plan = _step(controller, clip=5)
+        appended = {
+            f"/segment/clip/{key.to_path()}"
+            for key in live_db.storage.build_manifest("clip").segment_sizes
+            if key.window == 2
+        }
+        assert len(appended) == 8
+        assert appended <= set(_prewarmed(plan))
+
+    def test_an_uncommitted_name_does_not_stop_the_loop(self, live_db):
+        """A killed first ingest leaves a name with no committed version;
+        the catalog skips it, as ``repro ls`` does, and the real video
+        beside it still warms."""
+        live_db.storage.catalog.create("dead")
+        controller = _controller(live_db.storage, MetricsRegistry(), budget=1 << 30)
+        plan = _step(controller, clip=5)
+        paths = _prewarmed(plan)
+        assert paths
+        assert all(path.startswith("/segment/clip/") for path in paths)
 
 
 class TestWireActuation:
@@ -529,7 +567,7 @@ class TestWireActuation:
                 budget=1 << 20,
                 inflight=16,
             )
-            result = HandleActuator(handle).apply(plan)
+            result = handle.apply_control_plan(plan)
             assert result["pinned"] == len(paths)
             state = handle.control_state()
             assert state["version"] == 1
@@ -552,7 +590,7 @@ class TestWireActuation:
                 with pytest.raises(StalePlanError):
                     client.post_control(self._plan(2, inflight=8).to_json())
             with pytest.raises(StalePlanError):
-                HandleActuator(handle).apply(self._plan(1, inflight=8))
+                handle.apply_control_plan(self._plan(1, inflight=8))
             assert handle.control_state()["version"] == 3
         finally:
             handle.stop()
@@ -705,11 +743,10 @@ class TestFlashCrowdEndToEnd:
                 planner=Planner(prewarm_threshold=3.5),
                 deterministic=True,
             ),
-            metrics_source=registry.snapshot,
-            catalog_source=lambda: catalog_from_storage(session_db.storage),
-            nodes_source=lambda: (NodeState(node_id="", pin_budget_bytes=1 << 20),),
-            actuators=(HandleActuator(handle),),
-            clock=iter(range(10_000)).__next__,
+            registry=registry,
+            storage=session_db.storage,
+            nodes=(NodeState(node_id="", pin_budget_bytes=1 << 20),),
+            servers=(handle,),
         )
         ramp, peak = (1, 2, 4), 8
         try:

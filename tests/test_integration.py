@@ -15,6 +15,7 @@ import pytest
 from repro import (
     ConstantBandwidth,
     IngestConfig,
+    MetricsRegistry,
     NaiveFullQuality,
     PredictiveTilingPolicy,
     Quality,
@@ -24,7 +25,7 @@ from repro import (
     UniformAdaptive,
     VisualCloud,
 )
-from repro.control import ControlConfig, Planner
+from repro.control import ControlConfig, Controller, Planner
 from repro.core import udfs
 from repro.core.export import export_video, read_export
 from repro.core.resilience import RetryPolicy
@@ -255,6 +256,16 @@ class TestConfigSurface:
             lambda: ControlConfig(interval=0.3),
             lambda: Planner(inflight_ceiling=64),
             lambda: IngestConfig(projection="cubemap"),
+            lambda: Controller(
+                ControlConfig(),
+                registry=MetricsRegistry(),
+                storage=None,
+                nodes=(),
+                metrics_source=MetricsRegistry().snapshot,
+            ),
+            lambda: Controller(
+                ControlConfig(), registry=MetricsRegistry(), storage=None, nodes=(), clock=float
+            ),
         ],
         ids=[
             "read_repair",
@@ -267,6 +278,8 @@ class TestConfigSurface:
             "interval",
             "inflight_ceiling",
             "projection",
+            "metrics_source",
+            "clock",
         ],
     )
     def test_removed_options_are_type_errors(self, construct):
