@@ -4,9 +4,9 @@ Run:  python examples/projection_analysis.py
 
 Quantifies the nonuniform-sampling problem the paper's data model calls
 out: an equirectangular raster spends the same pixels on every latitude
-row even though polar rows cover almost no solid angle. Compares the
-sampling-density profile against a cubemap at an equal pixel budget, and
-shows where codec bytes go by latitude — plus the tile-popularity heat
+row even though polar rows cover almost no solid angle. Prints the
+sampling-density profile beside a cubemap's known bound at an equal pixel
+budget, and shows where codec bytes go by latitude — plus the tile-popularity heat
 map that motivates popularity-planned storage.
 """
 
@@ -14,12 +14,7 @@ import math
 
 import numpy as np
 
-from repro.geometry import (
-    CubemapProjection,
-    EquirectangularProjection,
-    TileGrid,
-    Viewport,
-)
+from repro.geometry import EquirectangularProjection, TileGrid, Viewport
 from repro.core.popularity import tile_popularity
 from repro.video.frame import Frame
 from repro.video.gop import GopCodec

@@ -97,14 +97,18 @@ from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
 
 MODES = ("single", "shared", "wire")
+#: The clip's frame rate, which ingest and synthesis must agree on.
+_FPS = 4.0
 
 #: The plan's dict sections and every key each may set. Anything else is a
 #: typo that would silently drop a knob or an invariant: ``from_json`` rejects it.
+#: A knob every plan set to one value is not a key: the runner states it once,
+#: below (the clip's shape, ``SessionConfig``'s predictor and margin, the
+#: shard map's replication factor, the controller's and client's settings).
 _KEYS = {
-    "video": "profile width height fps duration gop_frames grid qualities",
-    "sessions": "count mode bandwidth policy predictor margin "  # the rest: wire only
-    "replicas shards replication_factor materialize corrupt_at_rest controller "
-    "pin_budget prewarm_threshold failure_threshold request_timeout",
+    "video": "profile qualities",
+    "sessions": "count mode bandwidth policy "  # the rest: wire only
+    "replicas shards materialize corrupt_at_rest controller",
     "retry": "attempts",
     "invariants": "max_stall_seconds min_visible_fraction expect_degradations "
     "max_degradations expect_wire_faults min_repairs",
@@ -180,27 +184,22 @@ class Scenario:
         return self.sessions.get("mode", "single")
 
     def ingest_config(self) -> IngestConfig:
-        video = self.video
-        rows, cols = video.get("grid", [2, 2])
         qualities = tuple(
             Quality.from_label(label)
-            for label in video.get("qualities", ["high", "low"])
+            for label in self.video.get("qualities", ["high", "low"])
         )
         return IngestConfig(
-            grid=TileGrid(int(rows), int(cols)),
-            qualities=qualities,
-            gop_frames=int(video.get("gop_frames", 4)),
-            fps=float(video.get("fps", 4.0)),
+            grid=TileGrid(2, 2), qualities=qualities, gop_frames=4, fps=_FPS
         )
 
     def frames(self):
-        video = self.video
+        """A 2-s 64x32 clip: two 4-frame GOPs on a 2x2 grid."""
         return synthetic_video(
-            video.get("profile", "venice"),
-            width=int(video.get("width", 64)),
-            height=int(video.get("height", 32)),
-            fps=float(video.get("fps", 4.0)),
-            duration=float(video.get("duration", 2.0)),
+            self.video.get("profile", "venice"),
+            width=64,
+            height=32,
+            fps=_FPS,
+            duration=2.0,
             seed=self.seed,
         )
 
@@ -213,15 +212,12 @@ class Scenario:
         return self.plan.apply_to_bandwidth(ConstantBandwidth(rate))
 
     def session_config(self) -> SessionConfig:
-        """One viewer's session knobs — the same in every mode. The
-        predictor and margin a plan does not name are ``SessionConfig``'s."""
-        sessions = self.sessions
-        named = {key: sessions[key] for key in ("predictor", "margin") if key in sessions}
+        """One viewer's session knobs — the same in every mode; predictor
+        and margin are ``SessionConfig``'s."""
         return SessionConfig(
-            policy=POLICIES[sessions.get("policy", "predictive")](),
+            policy=POLICIES[self.sessions.get("policy", "predictive")](),
             bandwidth=self.bandwidth(),
             retry=self.retry_policy(),
-            **named,
         )
 
 
@@ -387,10 +383,7 @@ class ScenarioRunner:
         node_ids = [f"node-{index}" for index in range(width)]
         shard_map = None
         if shards:
-            shard_map = ShardMap(
-                nodes=tuple(node_ids),
-                replication_factor=int(sessions.get("replication_factor", 2)),
-            )
+            shard_map = ShardMap(nodes=tuple(node_ids))
         storages = dict.fromkeys(node_ids, db.storage)
         corrupted: list[dict] = []
         if shards and sessions.get("materialize"):
@@ -441,11 +434,7 @@ class ScenarioRunner:
             client = stack.enter_context(
                 FailoverSegmentClient(
                     urls,
-                    config=FailoverConfig(
-                        failure_threshold=int(sessions.get("failure_threshold", 3)),
-                        reset_timeout=0.0,
-                        request_timeout=float(sessions.get("request_timeout", 2.0)),
-                    ),
+                    config=FailoverConfig(reset_timeout=0.0, request_timeout=2.0),
                     registry=client_metrics,
                     shard_map=shard_map,
                     node_urls=dict(zip(node_ids, urls)) if shards else None,
@@ -499,22 +488,12 @@ class ScenarioRunner:
         latency reads), so demand — and with it every plan — is a pure
         function of the replayed request sequence and the whole report
         stays byte-identical per seed."""
-        sessions = self.scenario.sessions
         nodes = tuple(
-            NodeState(
-                node_id=node_id,
-                pin_budget_bytes=int(sessions.get("pin_budget", 1 << 20)),
-                max_inflight=None,
-            )
+            NodeState(node_id=node_id, pin_budget_bytes=1 << 20, max_inflight=None)
             for node_id in control_node_ids
         )
         return Controller(
-            ControlConfig(
-                planner=Planner(
-                    prewarm_threshold=float(sessions.get("prewarm_threshold", 0.5))
-                ),
-                deterministic=True,
-            ),
+            ControlConfig(planner=Planner(prewarm_threshold=0.5), deterministic=True),
             registry=db.metrics,
             storage=db.storage,
             nodes=nodes,
@@ -524,26 +503,19 @@ class ScenarioRunner:
     def _corrupt_at_rest(self, node_storages, spec) -> list[dict]:
         """Bit-rot one node's segment files on disk before serving.
 
-        ``spec``: ``{"node": "node-0", "quality": "low"}`` — ``node``
-        defaults to the first node, ``quality`` (optional) restricts the
-        damage to one rung's files. The flip is deterministic (mid-payload,
-        bit 3), so double replays rot identical bytes. Rotted files are
-        rewritten through a temp file + ``os.replace`` so a hard link
-        shared with the canonical store (or a peer) is broken, not
-        poisoned.
+        ``spec``: ``{"node": "node-0"}`` (default: the first node). Every
+        file the node's committed index names and its root holds is
+        damaged. The flip is deterministic (mid-payload, bit 3), so double
+        replays rot identical bytes. Rotted files are rewritten through a
+        temp file + ``os.replace`` so a hard link shared with the
+        canonical store (or a peer) is broken, not poisoned.
         """
         node = spec.get("node") or next(iter(node_storages))
-        label = spec.get("quality")
         records: list[dict] = []
-        segments_dir = node_storages[node].catalog.segments_dir(self.VIDEO_NAME)
-        for path in sorted(segments_dir.iterdir()):
-            if not path.name.endswith(".seg"):
-                continue
-            if label is not None and f"_{label}_" not in path.name:
-                continue
+        for path in sorted(node_storages[node].segment_files(self.VIDEO_NAME)):
+            if not path.exists():
+                continue  # another node's segment
             original = path.read_bytes()
-            if not original:
-                continue
             damaged = bit_flip(original, len(original) // 2, bit=3)
             rotted = path.with_name(path.name + ".rot")
             rotted.write_bytes(damaged)

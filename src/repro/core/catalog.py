@@ -33,7 +33,6 @@ import re
 from pathlib import Path
 
 from repro.core.errors import CatalogError
-from repro.stream.dash import SegmentKey
 from repro.video.quality import Quality
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
@@ -44,8 +43,11 @@ _MARKER_PATTERN = re.compile(r"^metadata_v(\d+)\.ok$")
 def segment_file_name(
     gop: int, tile: tuple[int, int], quality: Quality, version: int
 ) -> str:
-    """Canonical file name for one encoded tile segment."""
-    return SegmentKey(gop, tile, quality).file_name(version)
+    """Canonical file name for one encoded tile segment. The one place the
+    name is built; nothing parses it back — what a store holds is read
+    from its index (``StorageManager.segment_files``)."""
+    row, col = tile
+    return f"g{gop:05d}_r{row}_c{col}_{quality.label}_v{version}.seg"
 
 
 class Catalog:

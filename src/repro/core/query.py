@@ -65,15 +65,6 @@ class Expr:
         (the LAST merge semantics used for overlays)."""
         return Union(self, other)
 
-    def partition(self, seconds: float) -> "Expr":
-        """Re-chunk the video into delivery windows of ``seconds``."""
-        return Partition(self, seconds=seconds)
-
-    def discretize(self, fps: float) -> "Expr":
-        """Resample to a lower frame rate (an integer divisor of the
-        current rate)."""
-        return Discretize(self, fps=fps)
-
     def encode(self, quality: Quality) -> "Expr":
         """Request (re-)encoding at a target quality."""
         return Encode(self, quality=quality)
@@ -110,18 +101,6 @@ class Map(Expr):
 class Union(Expr):
     left: Expr
     right: Expr
-
-
-@dataclass(frozen=True)
-class Partition(Expr):
-    source: Expr
-    seconds: float
-
-
-@dataclass(frozen=True)
-class Discretize(Expr):
-    source: Expr
-    fps: float
 
 
 @dataclass(frozen=True)
@@ -208,10 +187,6 @@ class QueryExecutor:
             return self._eval_map(expr, stats)
         if isinstance(expr, Union):
             return self._eval_union(expr, stats)
-        if isinstance(expr, Partition):
-            return self._eval_partition(expr, stats)
-        if isinstance(expr, Discretize):
-            return self._eval_discretize(expr, stats)
         if isinstance(expr, Encode):
             return self._eval_encode(expr, stats)
         if isinstance(expr, Store):
@@ -362,83 +337,6 @@ class QueryExecutor:
             windows.append(list(window_b))
         stats.note("union", "decode")
         return RawVideo(windows=windows, fps=raw_left.fps, grid=raw_left.grid)
-
-    # -- PARTITION / DISCRETIZE ----------------------------------------------------
-
-    def _eval_partition(self, expr: Partition, stats: ExecutionStats):
-        """Re-window the video into ``seconds``-long delivery windows.
-
-        When the target is a whole multiple of the current window duration
-        and the windows are uniform, adjacent windows merge at the byte
-        level (intra frames mid-stream reset the decoder's reference), so
-        coarsening the partitioning never decodes. Anything else — finer
-        partitions change prediction structure — takes the decode path.
-        """
-        if expr.seconds <= 0:
-            raise QueryError(f"partition duration must be positive, got {expr.seconds}")
-        value = self._eval(expr.source, stats)
-        if isinstance(value, EncodedVideo):
-            frames_per_window = {window.frame_count for window in value.windows}
-            uniform = len(frames_per_window) == 1
-            if uniform:
-                current = value.windows[0].frame_count / value.fps
-                factor = expr.seconds / current
-                if abs(factor - round(factor)) < 1e-9 and round(factor) >= 1:
-                    group = int(round(factor))
-                    if group == 1:
-                        stats.note("partition", "noop")
-                        return value
-                    merged = [
-                        TiledGop.concat(value.windows[start : start + group])
-                        for start in range(0, len(value.windows), group)
-                    ]
-                    stats.homomorphic_ops += len(merged)
-                    stats.note("partition", "homomorphic-gop-merge")
-                    return EncodedVideo(windows=merged, fps=value.fps)
-            value = self._decode(value, stats)
-        frames_per_window = int(round(expr.seconds * value.fps))
-        if frames_per_window < 1:
-            raise QueryError(
-                f"partition of {expr.seconds}s holds no frames at {value.fps} fps"
-            )
-        flat = [frame for window in value.windows for frame in window]
-        windows = [
-            flat[start : start + frames_per_window]
-            for start in range(0, len(flat), frames_per_window)
-        ]
-        stats.note("partition", "decode")
-        return RawVideo(windows=windows, fps=value.fps, grid=value.grid)
-
-    def _eval_discretize(self, expr: Discretize, stats: ExecutionStats) -> RawVideo:
-        """Temporal resampling: keep every k-th frame.
-
-        The target rate must divide the current rate evenly — fractional
-        resampling would need frame interpolation the substrate does not
-        model.
-        """
-        if expr.fps <= 0:
-            raise QueryError(f"discretize rate must be positive, got {expr.fps}")
-        value = self._eval(expr.source, stats)
-        raw = value if isinstance(value, RawVideo) else self._decode(value, stats)
-        step = raw.fps / expr.fps
-        if abs(step - round(step)) > 1e-9 or round(step) < 1:
-            raise QueryError(
-                f"discretize to {expr.fps} fps requires an integer divisor of "
-                f"{raw.fps} fps"
-            )
-        step = int(round(step))
-        if step == 1:
-            stats.note("discretize", "noop")
-            return raw
-        flat = [frame for window in raw.windows for frame in window]
-        kept = flat[::step]
-        window_size = max(1, len(raw.windows[0]) // step)
-        windows = [
-            kept[start : start + window_size]
-            for start in range(0, len(kept), window_size)
-        ]
-        stats.note("discretize", "decode")
-        return RawVideo(windows=windows, fps=expr.fps, grid=raw.grid)
 
     # -- ENCODE / STORE ------------------------------------------------------------
 

@@ -1048,7 +1048,10 @@ class StorageManager:
         metadata file, and copy-on-write means old segment files stay on
         disk as long as *any* retained version points at them. ``vacuum``
         retains the newest ``keep_versions`` metadata files, then removes
-        every segment file not referenced by a retained version.
+        the segment files the dropped versions point at and no retained
+        one does. Files no committed version names — an append's segments
+        published but not yet committed, crash debris — are not its to
+        judge: the first are the next version, the rest ``fsck --repair``'s.
 
         Returns ``(files_deleted, bytes_freed)``. Readers of retained
         versions are unaffected; readers pinned to dropped versions lose
@@ -1062,9 +1065,14 @@ class StorageManager:
 
         files_deleted = 0
         bytes_freed = 0
-        for path in self._unreferenced_files(name, retained):
-            bytes_freed += path.stat().st_size
-            path.unlink()
+        kept = self.segment_files(name, retained)
+        for path in sorted(self.segment_files(name, dropped).keys() - kept.keys()):
+            try:
+                size = path.stat().st_size
+                path.unlink()
+            except FileNotFoundError:
+                continue  # a shard root holds only the segments its node owns
+            bytes_freed += size
             files_deleted += 1
         for version in dropped:
             self.catalog.metadata_path(name, version).unlink()
@@ -1074,18 +1082,22 @@ class StorageManager:
             self.segment_cache.invalidate_prefix(name)
         return files_deleted, bytes_freed
 
-    def _unreferenced_files(self, name: str, versions: Iterable[int]) -> list[Path]:
-        """Segment files of ``name`` that none of ``versions`` points at."""
-        referenced = {
-            self.catalog.segment_path(name, *key, entry.file_version).name
-            for version in versions
-            for key, entry in self.meta(name, version).entries.items()
-        }
-        return sorted(
-            path
-            for path in self.catalog.segments_dir(name).iterdir()
-            if path.is_file() and path.name not in referenced
-        )
+    def segment_files(
+        self, name: str, versions: Iterable[int] | None = None
+    ) -> dict[Path, SegmentKey]:
+        """The segment files the index of ``versions`` (default: every
+        committed one) points at, each with its key; a file copy-on-write
+        shares between versions appears once. What the store holds is read
+        from its index, never from a directory listing, which would also
+        list crash debris and uncommitted publishes."""
+        if versions is None:
+            versions = self.catalog.versions(name)
+        files: dict[Path, SegmentKey] = {}
+        for version in versions:
+            for (gop, tile, quality), entry in self.meta(name, version).entries.items():
+                path = self.catalog.segment_path(name, gop, tile, quality, entry.file_version)
+                files[path] = SegmentKey(gop, tile, quality)
+        return files
 
     # -- durability / self-healing ---------------------------------------------
 
@@ -1175,7 +1187,10 @@ class StorageManager:
         * A video directory with no committed versions (the SIGKILL-mid-
           ingest case) is dropped wholesale on repair.
         * Segment files no committed version references are orphans from
-          a rolled-back version — deleted on repair.
+          a rolled-back version — deleted on repair. This is the one place
+          such crash debris is collected: :meth:`vacuum` deletes only what
+          the versions it drops pointed at. Do not run it beside a writer
+          (an append's published-but-uncommitted segments look the same).
 
         Returns a JSON-serialisable report; ``report["clean"]`` is True
         when nothing was found.
@@ -1227,12 +1242,14 @@ class StorageManager:
                 continue
             if repair:
                 try:
-                    orphans = self._unreferenced_files(name, committed)
+                    referenced = self.segment_files(name, committed)
                 except (CatalogError, ValueError):
                     # A committed version no longer parses: what it points
                     # at is unknown, so no file can be called an orphan.
                     continue
-                for path in orphans:
+                for path in sorted(self.catalog.segments_dir(name).iterdir()):
+                    if not path.is_file() or path in referenced:
+                        continue
                     report["orphan_segments"].append(
                         str(path.relative_to(self.catalog.root))
                     )

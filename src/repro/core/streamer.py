@@ -39,6 +39,7 @@ from repro.stream.estimator import ThroughputEstimator
 from repro.stream.dash import Manifest
 from repro.stream.network import BandwidthModel, SimulatedLink
 from repro.stream.qoe import QoEReport, WindowRecord
+from repro.video.tiles import TiledGop
 
 #: Orientation samples per window for predicted and ground-truth tile sets.
 WINDOW_SAMPLES = 3
@@ -370,7 +371,7 @@ class Streamer:
         )
         if config.evaluate_quality:
             record.viewport_psnr = self._probe_window(
-                name, manifest, config, window, quality_map, session.trace, window_start
+                name, manifest, config, window, result.payloads, session.trace, window_start
             )
         session.records.append(record)
         session.next_window += 1
@@ -416,20 +417,25 @@ class Streamer:
         manifest: Manifest,
         config: SessionConfig,
         window: int,
-        quality_map,
+        payloads: dict[tuple[int, int], bytes],
         trace: Trace,
         window_start: float,
     ) -> float:
-        """Viewport PSNR of the delivered window against the best-quality
-        render — i.e. degradation relative to what naive delivery shows.
+        """Viewport PSNR of the delivered window (``payloads``, the bytes
+        that shipped) against the best-quality render — i.e. degradation
+        relative to what naive delivery shows.
 
         On partial stores the reference is the best *stored* rung per tile
         (exactly what naive delivery would resolve to)."""
-        delivered = self.storage.read_window(name, window, quality_map)
         reference_map = {
             tile: manifest.resolve(window, tile, manifest.best_quality)
             for tile in manifest.grid.tiles()
         }
-        reference = self.storage.read_window(name, window, reference_map).decode()
+        reference = self.storage.read_window(name, window, reference_map)
+        delivered = TiledGop(
+            reference.width, reference.height, reference.grid, reference.frame_count, payloads
+        )
         probe = ViewportQualityProbe(config.viewport)
-        return probe.window_psnr(delivered, reference, trace, window_start, manifest.fps)
+        return probe.window_psnr(
+            delivered, reference.decode(), trace, window_start, manifest.fps
+        )

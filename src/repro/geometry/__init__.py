@@ -23,7 +23,7 @@ from repro.geometry.angles import (
     wrap_theta,
 )
 from repro.geometry.grid import TileGrid
-from repro.geometry.projection import CubemapProjection, EquirectangularProjection
+from repro.geometry.projection import EquirectangularProjection
 from repro.geometry.sphere import (
     from_unit_vector,
     great_circle_distance,
@@ -33,7 +33,6 @@ from repro.geometry.viewport import Orientation, Viewport
 
 __all__ = [
     "AngularRect",
-    "CubemapProjection",
     "EquirectangularProjection",
     "Orientation",
     "TileGrid",

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro.core.errors import CatalogError
 from repro.stream.dash import SegmentKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -196,12 +197,15 @@ def materialize_shards(
 ) -> dict[str, int]:
     """Partition a full store into per-node shard roots.
 
-    Every node receives *all* metadata files (so ``build_manifest`` and the
-    ``/manifest`` endpoint work on any node) but only the segment files it
-    owns under ``shard_map`` — a missing file on a non-owner is exactly
-    what routes a read onto the peer-fetch path. Files are hard-linked
-    when the filesystem allows (segment files are immutable per version,
-    so sharing inodes is safe) and copied otherwise.
+    Every node receives every committed version's metadata file and
+    marker (so ``build_manifest`` and the ``/manifest`` endpoint work on
+    any node) but only the segment files it owns under ``shard_map`` — a
+    missing file on a non-owner is exactly what routes a read onto the
+    peer-fetch path. What is placed is read from the committed index, so
+    crash debris (unmarked metadata, ``*.tmp`` files, an interrupted
+    version's segments) stays behind. Files are hard-linked when the
+    filesystem allows (segment files are immutable per version, so
+    sharing inodes is safe) and copied otherwise.
 
     Returns the number of segment files placed per node. Raises
     ``ValueError`` if ``node_roots`` does not cover the map's node set.
@@ -209,8 +213,10 @@ def materialize_shards(
     missing = [node for node in shard_map.nodes if node not in node_roots]
     if missing:
         raise ValueError(f"node_roots missing entries for {missing!r}")
+    catalog = storage.catalog
 
-    def place(source: Path, destination: Path) -> None:
+    def place(source: Path, node: str) -> None:
+        destination = Path(node_roots[node]) / source.relative_to(catalog.root)
         destination.parent.mkdir(parents=True, exist_ok=True)
         if destination.exists():
             return
@@ -220,43 +226,17 @@ def materialize_shards(
             shutil.copy2(source, destination)
 
     placed = {node: 0 for node in shard_map.nodes}
-    root = Path(storage.catalog.root)
     for name in storage.list_videos():
-        video_dir = root / name
-        if not video_dir.is_dir():
-            continue
-        for entry in sorted(video_dir.rglob("*")):
-            if not entry.is_file():
-                continue
-            relative = entry.relative_to(root)
-            if entry.parent.name == "segments":
-                try:
-                    key, _version = _parse_segment_file(entry.name)
-                except ValueError:
-                    continue  # not a segment payload; leave it behind
-                for node in shard_map.owners(name, key):
-                    place(entry, Path(node_roots[node]) / relative)
-                    placed[node] += 1
-            else:
-                for node in shard_map.nodes:
-                    place(entry, Path(node_roots[node]) / relative)
+        try:
+            versions = catalog.versions(name)
+        except CatalogError:
+            continue  # nothing committed: nothing to serve
+        for version in versions:
+            for node in shard_map.nodes:
+                place(catalog.metadata_path(name, version), node)
+                place(catalog.marker_path(name, version), node)
+        for source, key in storage.segment_files(name, versions).items():
+            for node in shard_map.owners(name, key):
+                place(source, node)
+                placed[node] += 1
     return placed
-
-
-def _parse_segment_file(file_name: str) -> tuple[SegmentKey, int]:
-    """Invert :meth:`SegmentKey.file_name`: ``g00001_r0_c1_high_v2.seg``."""
-    stem, _, suffix = file_name.rpartition(".")
-    if suffix != "seg":
-        raise ValueError(f"not a segment file: {file_name!r}")
-    parts = stem.split("_")
-    if len(parts) != 5:
-        raise ValueError(f"unrecognised segment file name: {file_name!r}")
-    gop, row, col, label, version = parts
-    if not (gop.startswith("g") and row.startswith("r") and col.startswith("c")):
-        raise ValueError(f"unrecognised segment file name: {file_name!r}")
-    if not version.startswith("v"):
-        raise ValueError(f"unrecognised segment file name: {file_name!r}")
-    from repro.video.quality import Quality
-
-    key = SegmentKey(int(gop[1:]), (int(row[1:]), int(col[1:])), Quality.from_label(label))
-    return key, int(version[1:])

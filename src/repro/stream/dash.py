@@ -20,10 +20,10 @@ class SegmentKey:
     """Identity of one deliverable segment.
 
     This is the *canonical* segment identity: wire URLs
-    (:meth:`to_path`/:meth:`from_path`), segment file names
-    (:meth:`file_name`), and buffer-pool keys (:meth:`cache_key`) are all
-    derived from one ``SegmentKey``, so the HTTP surface, the catalog
-    layout, the cache, and chaos targeting cannot drift apart.
+    (:meth:`to_path`/:meth:`from_path`) and buffer-pool keys
+    (:meth:`cache_key`) are derived from one ``SegmentKey``, so the HTTP
+    surface, the cache, and chaos targeting cannot drift apart. File
+    names are the catalog's (:func:`repro.core.catalog.segment_file_name`).
     """
 
     window: int  # delivery-window (GOP) index
@@ -65,11 +65,6 @@ class SegmentKey:
         cache/disk consistency audit — construct it here, nowhere else.
         """
         return (video, self.window, self.tile, self.quality, file_version)
-
-    def file_name(self, version: int) -> str:
-        """Canonical on-disk file name of this segment at ``version``."""
-        row, col = self.tile
-        return f"g{self.window:05d}_r{row}_c{col}_{self.quality.label}_v{version}.seg"
 
 
 @dataclass

@@ -17,7 +17,7 @@ size model.
 from repro.video.blocks import BLOCK_SIZE
 from repro.video.codec import FrameCodec, PlaneCodec
 from repro.video.frame import Frame, mse, psnr
-from repro.video.gop import GopCodec, GopStream, decode_any_gop, merge_gops
+from repro.video.gop import GopCodec, GopStream, decode_any_gop
 from repro.video.mp4 import Atom, Mp4File
 from repro.video.quality import QUALITY_LADDER, Quality
 from repro.video.tiles import TiledGop, TiledVideoCodec
@@ -36,7 +36,6 @@ __all__ = [
     "TiledGop",
     "TiledVideoCodec",
     "decode_any_gop",
-    "merge_gops",
     "mse",
     "psnr",
 ]

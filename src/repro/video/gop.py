@@ -144,34 +144,6 @@ def decode_any_gop(data: bytes) -> list[Frame]:
     return GopCodec(quality).decode_gop(data)
 
 
-def merge_gops(parts: list[bytes]) -> bytes:
-    """Concatenate encoded GOPs into one GOP, at the byte level.
-
-    Valid because each constituent GOP's first frame is intra and the
-    frame decoder resets its reference on every intra frame: a "GOP" with
-    intra frames mid-stream decodes exactly as the originals would. Only
-    the container framing is parsed — no entropy decode. All parts must
-    share quality and dimensions.
-    """
-    if not parts:
-        raise ValueError("cannot merge zero GOPs")
-    headers = [_parse_gop_header(part) for part in parts]
-    quality, width, height, _, header_size = headers[0]
-    for index, (part_quality, part_width, part_height, _, _) in enumerate(headers[1:], 1):
-        if (part_quality, part_width, part_height) != (quality, width, height):
-            raise ValueError(
-                f"GOP {index} is {part_width}x{part_height}@{part_quality.label}, "
-                f"expected {width}x{height}@{quality.label}"
-            )
-    total_frames = sum(header[3] for header in headers)
-    if total_frames > 0xFFFF:
-        raise ValueError(f"merged GOP would hold {total_frames} frames (max 65535)")
-    merged_header = _HEADER.pack(
-        GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, total_frames
-    )
-    return merged_header + b"".join(part[header_size:] for part in parts)
-
-
 def gop_byte_length(data: bytes, offset: int = 0) -> int:
     """Length in bytes of the GOP starting at ``offset``, by parsing only
     the header and per-frame length prefixes (no entropy decode)."""

@@ -117,40 +117,6 @@ class TiledGop:
             payloads=merged,
         )
 
-    @classmethod
-    def concat(cls, windows: list["TiledGop"]) -> "TiledGop":
-        """Temporally concatenate windows into one — homomorphically.
-
-        Every window must share layout and tile set; each tile's payloads
-        are merged with :func:`repro.video.gop.merge_gops` (byte-level
-        framing only, no decode). The temporal dual of :meth:`union`.
-        """
-        from repro.video.gop import merge_gops
-
-        if not windows:
-            raise ValueError("cannot concatenate zero windows")
-        first = windows[0]
-        tiles = set(first.payloads)
-        for index, window in enumerate(windows[1:], 1):
-            if (window.width, window.height, window.grid) != (
-                first.width,
-                first.height,
-                first.grid,
-            ):
-                raise ValueError(f"window {index} has a different layout than window 0")
-            if set(window.payloads) != tiles:
-                raise ValueError(f"window {index} has a different tile set than window 0")
-        return cls(
-            width=first.width,
-            height=first.height,
-            grid=first.grid,
-            frame_count=sum(window.frame_count for window in windows),
-            payloads={
-                tile: merge_gops([window.payloads[tile] for window in windows])
-                for tile in tiles
-            },
-        )
-
     def _check_compatible(self, other: "TiledGop") -> None:
         if (self.width, self.height, self.grid, self.frame_count) != (
             other.width,

@@ -7,6 +7,7 @@ here run things twice and demand identical output.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from repro.chaos import (
     Scenario,
     ScenarioRunner,
 )
+from repro.chaos.scenario import _KEYS
 from repro.cli import main
 from repro.core.errors import (
     SegmentCorruptError,
@@ -270,7 +272,6 @@ def _tiny_spec(seed=13, **overrides):
     spec = {
         "name": "tiny",
         "seed": seed,
-        "video": {"duration": 2.0, "width": 64, "height": 32},
         "sessions": {"count": 2, "mode": "single", "bandwidth": 40000,
                      "policy": "uniform"},
         "invariants": {"expect_degradations": True},
@@ -326,8 +327,7 @@ class TestScenarioRunner:
     def test_session_config_is_resolved_in_one_place(self):
         """The mode picks what the streamer reads from, never how a
         viewer's session is configured."""
-        knobs = {"count": 2, "bandwidth": 30000, "policy": "uniform",
-                 "predictor": "static", "margin": 2}
+        knobs = {"count": 2, "bandwidth": 30000, "policy": "uniform"}
         configs = [
             _tiny_scenario(
                 sessions={**knobs, "mode": mode}, retry={"attempts": 5}
@@ -335,7 +335,7 @@ class TestScenarioRunner:
             for mode in ("single", "shared", "wire")
         ]
         assert configs[0] == configs[1] == configs[2]
-        assert configs[0].margin == 2 and configs[0].retry.attempts == 5
+        assert configs[0].policy.name == "uniform" and configs[0].retry.attempts == 5
         assert configs[0].bandwidth == ConstantBandwidth(30000.0)
 
 
@@ -365,6 +365,18 @@ UNJUDGEABLE = {
                         "corrupt_at_rest": {"node": "node-0"}},
               invariants={"min_repairs": 1}), "min_repairs"),
 }
+#: Keys every shipped plan set to the runner's one value; the runner states
+#: them as constants now, so a plan naming one is a typo like any other.
+REMOVED_KEYS = {
+    "video": ("width", "height", "fps", "duration", "gop_frames", "grid"),
+    "sessions": ("predictor", "margin", "replication_factor", "pin_budget",
+                 "prewarm_threshold", "failure_threshold", "request_timeout"),
+}
+UNJUDGEABLE.update(
+    (f"removed-{key}", (_spec(**{section: {key: 1}}), key))
+    for section, keys in REMOVED_KEYS.items()
+    for key in keys
+)
 
 
 class TestUnjudgeablePlans:
@@ -384,6 +396,15 @@ class TestUnjudgeablePlans:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_plan_keys_are_the_ones_docs_api_lists(self):
+        """The schema is docs/API.md's plan-key table, so a knob every plan
+        sets to one value cannot come back as a key unnoticed."""
+        api = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
+        for section, keys in _KEYS.items():
+            row = re.search(rf"^  \| `{section}` \| (.*) \|$", api, re.MULTILINE).group(1)
+            # Parentheses hold a key's values or its mode, not keys.
+            assert re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row)) == keys.split()
 
     @pytest.mark.parametrize("plan", sorted(Path("plans").glob("*.json")), ids=lambda p: p.stem)
     def test_every_shipped_plan_loads_unchanged(self, plan):

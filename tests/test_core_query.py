@@ -207,75 +207,3 @@ class TestPipelines:
         assert result.stats.decode_ops == 0
         assert result.stats.encode_ops == 0
         assert result.stats.homomorphic_ops >= 3
-
-
-class TestPartition:
-    def test_coarsen_is_homomorphic(self, executor):
-        result = executor.execute(Scan("clip").partition(3.0))
-        assert isinstance(result.value, EncodedVideo)
-        assert len(result.value.windows) == 1
-        assert result.value.windows[0].frame_count == 12
-        assert result.stats.decode_ops == 0
-        assert "partition:homomorphic-gop-merge" in result.stats.operator_paths
-
-    def test_coarsened_video_decodes_faithfully(self, executor, storage):
-        result = executor.execute(Scan("clip").partition(3.0))
-        decoded = result.value.windows[0].decode()
-        reference = storage.decode_window("clip", 0, Quality.HIGH)
-        assert decoded[0].equals(reference[0])
-
-    def test_same_duration_is_noop(self, executor):
-        result = executor.execute(Scan("clip").partition(1.0))
-        assert "partition:noop" in result.stats.operator_paths
-
-    def test_finer_partition_decodes(self, executor):
-        result = executor.execute(Scan("clip").partition(0.5))
-        assert isinstance(result.value, RawVideo)
-        assert len(result.value.windows) == 6
-        assert all(len(window) == 2 for window in result.value.windows)
-
-    def test_partition_then_store_round_trips(self, executor, storage):
-        executor.execute(Scan("clip").partition(3.0).store("coarse"))
-        meta = storage.meta("coarse")
-        assert meta.gop_count == 1
-        assert meta.gop_frame_counts == [12]
-
-    def test_rejects_non_positive(self, executor):
-        with pytest.raises(QueryError):
-            executor.execute(Scan("clip").partition(0.0))
-
-    def test_rejects_sub_frame_partition(self, executor):
-        with pytest.raises(QueryError):
-            executor.execute(Scan("clip").partition(0.01))
-
-
-class TestDiscretize:
-    def test_halve_frame_rate(self, executor):
-        result = executor.execute(Scan("clip").discretize(2.0))
-        assert isinstance(result.value, RawVideo)
-        assert result.value.fps == 2.0
-        total = sum(len(window) for window in result.value.windows)
-        assert total == 6  # 12 frames at 4 fps -> 6 at 2 fps
-
-    def test_same_rate_is_noop(self, executor):
-        result = executor.execute(Scan("clip").discretize(4.0))
-        assert "discretize:noop" in result.stats.operator_paths
-
-    def test_kept_frames_are_originals(self, executor, storage):
-        result = executor.execute(Scan("clip").discretize(2.0))
-        reference = storage.decode_window("clip", 0, Quality.HIGH)
-        flat = [frame for window in result.value.windows for frame in window]
-        assert flat[0].equals(reference[0])
-        assert flat[1].equals(reference[2])
-
-    def test_rejects_non_divisor(self, executor):
-        with pytest.raises(QueryError):
-            executor.execute(Scan("clip").discretize(3.0))
-
-    def test_rejects_upsampling(self, executor):
-        with pytest.raises(QueryError):
-            executor.execute(Scan("clip").discretize(8.0))
-
-    def test_rejects_non_positive(self, executor):
-        with pytest.raises(QueryError):
-            executor.execute(Scan("clip").discretize(0.0))

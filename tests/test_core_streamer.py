@@ -130,6 +130,16 @@ class TestQualityProbe:
         report = served.serve("clip", trace, config)
         assert report.mean_viewport_psnr == pytest.approx(99.0)
 
+    def test_probe_decodes_the_bytes_that_shipped(self, served, trace):
+        """A probed window reads each tile twice — delivery, then the
+        reference — not a third time to re-fetch what just shipped."""
+        reads = served.storage.metrics.counter("storage.segments_read")
+        before = reads.total()
+        config = session(PredictiveTilingPolicy(), evaluate_quality=True)
+        report = served.serve("clip", trace, config)
+        tiles = TileGrid(2, 4).tile_count
+        assert reads.total() - before == 2 * tiles * len(report.records)
+
     def test_predictive_viewport_quality_stays_high(self, served, trace):
         """The headline QoE claim: quality in the viewport barely drops."""
         config = session(PredictiveTilingPolicy(), evaluate_quality=True, margin=1)

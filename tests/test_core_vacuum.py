@@ -71,6 +71,18 @@ class TestVacuum:
         for gop in range(latest.gop_count):
             versioned.storage.read_segment("clip", gop, (1, 1), Quality.HIGH)
 
+    def test_vacuum_spares_an_uncommitted_append(self, versioned):
+        """Segments an append has published but not yet committed are the
+        next version, not garbage: vacuum deletes only what the versions it
+        drops pointed at, and orphans stay ``fsck --repair``'s."""
+        storage = versioned.storage
+        pending = storage.catalog.segment_path("clip", 3, (0, 0), Quality.HIGH, 4)
+        pending.write_bytes(b"the next version's segment")
+        versioned.vacuum("clip", keep_versions=1)
+        assert pending.read_bytes() == b"the next version's segment"
+        orphans = storage.fsck(repair=True)["orphan_segments"]
+        assert orphans == [str(pending.relative_to(storage.catalog.root))]
+
     def test_vacuum_keep_two(self, versioned):
         versioned.vacuum("clip", keep_versions=2)
         assert versioned.storage.catalog.versions("clip") == [2, 3]

@@ -1,4 +1,4 @@
-"""Unit tests for equirectangular and cubemap projections."""
+"""Unit tests for the equirectangular projection."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.angles import TWO_PI
-from repro.geometry.projection import CubemapProjection, EquirectangularProjection
+from repro.geometry.projection import EquirectangularProjection
 
 
 @pytest.fixture()
@@ -79,41 +79,3 @@ class TestSamplingDensity:
     def test_poles_oversampled(self, projection):
         density = projection.sampling_density()
         assert density[0] > 10 * density[16]
-
-
-class TestCubemap:
-    def test_rejects_tiny_face(self):
-        with pytest.raises(ValueError):
-            CubemapProjection(1)
-
-    def test_face_directions_are_unit(self):
-        cubemap = CubemapProjection(8)
-        for face in range(6):
-            directions = cubemap.face_directions(face)
-            assert np.allclose(np.linalg.norm(directions, axis=-1), 1.0)
-
-    def test_face_index_bounds(self):
-        with pytest.raises(IndexError):
-            CubemapProjection(8).face_directions(6)
-
-    def test_constant_plane_round_trip(self):
-        cubemap = CubemapProjection(8)
-        plane = np.full((32, 64), 42.0)
-        faces = cubemap.from_equirectangular(plane)
-        assert faces.shape == (6, 8, 8)
-        assert np.allclose(faces, 42.0)
-        assert cubemap.sample(faces, 1.0, 1.0) == pytest.approx(42.0)
-
-    def test_smooth_field_round_trip_error_is_small(self):
-        cubemap = CubemapProjection(32)
-        projection = EquirectangularProjection(128, 64)
-        xs, ys = np.meshgrid(np.arange(128), np.arange(64))
-        theta, phi = projection.pixel_to_angle(xs, ys)
-        plane = 100 + 50 * np.sin(theta) * np.sin(phi)
-        faces = cubemap.from_equirectangular(plane)
-        # Sample the cubemap back at equirect pixel directions (away from poles).
-        sampled = cubemap.sample(faces, theta[16:48], phi[16:48])
-        assert np.max(np.abs(sampled - plane[16:48])) < 4.0
-
-    def test_six_face_names(self):
-        assert len(CubemapProjection(4).face_names) == 6

@@ -9,8 +9,9 @@ These tests pin the four contracts the sharded delivery fabric rests on:
 * **Full coverage** — every key always has exactly
   ``min(replication_factor, len(nodes))`` distinct live owners; routing
   never loses a key.
-* **Partitioning** — ``materialize_shards`` gives every node the full
-  metadata set but only its owned segment payloads, byte-identical.
+* **Partitioning** — ``materialize_shards`` gives every node every
+  committed version's metadata but only its owned segment payloads,
+  byte-identical; crash debris stays behind.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Quality
+from repro import IngestConfig, Quality, TileGrid
+from repro.core.storage import StorageManager
 from repro.serve.placement import (
     HashRing,
     ShardMap,
-    _parse_segment_file,
     materialize_shards,
     stable_hash,
 )
 from repro.stream.dash import SegmentKey
+from repro.workloads.videos import synthetic_video
 
 # -- strategies ------------------------------------------------------------
 
@@ -311,13 +313,13 @@ class TestMaterializeShards:
         manifest = storage.build_manifest("clip")
         total_expected = 0
         for name in storage.list_videos():
+            keys = storage.segment_files(name)
             for entry in sorted((root / name).rglob("*")):
                 if not entry.is_file():
                     continue
                 relative = entry.relative_to(root)
                 if entry.parent.name == "segments":
-                    key, _ = _parse_segment_file(entry.name)
-                    owners = shard_map.owners(name, key)
+                    owners = shard_map.owners(name, keys[entry])
                     total_expected += len(owners)
                     for node in shard_map.nodes:
                         copy = node_roots[node] / relative
@@ -354,16 +356,35 @@ class TestMaterializeShards:
         with pytest.raises(ValueError):
             materialize_shards(session_db.storage, {"node-0": tmp_path}, shard_map)
 
-    @pytest.mark.parametrize(
-        "name",
-        ["notes.txt", "g1_r0_c0.seg", "g00001_r0_c0_high_v1.bin", "x00001_r0_c0_high_v1.seg"],
-    )
-    def test_parse_rejects_foreign_files(self, name):
-        with pytest.raises(ValueError):
-            _parse_segment_file(name)
+    def test_crash_debris_stays_behind(self, tmp_path):
+        """Shards come from the committed index: an interrupted commit (its
+        unmarked metadata and its segments) and a torn publish stay on the
+        source, so every node root is fsck-clean and holds exactly the
+        segments it owns of the committed versions."""
+        storage = StorageManager(tmp_path / "source")
+        config = IngestConfig(
+            grid=TileGrid(2, 2), qualities=(Quality.HIGH, Quality.LOW), gop_frames=4, fps=4.0
+        )
+        frames = list(
+            synthetic_video("venice", width=64, height=32, fps=4.0, duration=1.0, seed=3)
+        )
+        storage.ingest("clip", iter(frames), config, workers=1)
+        storage.append("clip", iter(frames), workers=1)  # v2 writes the new GOP's segments
+        catalog = storage.catalog
+        catalog.marker_path("clip", 2).unlink()  # ... but never committed
+        (catalog.video_dir("clip") / "metadata_v3.mp4.tmp").write_bytes(b"torn")
+        committed = {  # the one committed version's segments
+            catalog.segment_path("clip", *key, entry.file_version).name: SegmentKey(*key)
+            for key, entry in storage.meta("clip").entries.items()
+        }
+        assert len(committed) < len(list(catalog.segments_dir("clip").iterdir()))
 
-    def test_parse_round_trips_real_names(self):
-        key = SegmentKey(3, (1, 2), Quality.HIGH)
-        parsed, version = _parse_segment_file(key.file_name(7))
-        assert parsed == key
-        assert version == 7
+        shard_map = ShardMap(nodes=("node-0", "node-1", "node-2"))
+        roots = {node: tmp_path / node for node in shard_map.nodes}
+        materialize_shards(storage, roots, shard_map)
+        for node, root in roots.items():
+            assert StorageManager(root).fsck()["clean"], node
+            held = {path.name for path in (root / "clip" / "segments").iterdir()}
+            assert held == {
+                name for name, key in committed.items() if shard_map.owns(node, "clip", key)
+            }

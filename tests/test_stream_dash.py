@@ -214,13 +214,6 @@ class TestSegmentKeyIdentity:
         key = SegmentKey(3, (1, 0), Quality.HIGH)
         assert key.cache_key("demo", 2) == ("demo", 3, (1, 0), Quality.HIGH, 2)
 
-    def test_file_name_matches_catalog(self):
-        from repro.core.catalog import segment_file_name
-
-        key = SegmentKey(7, (2, 5), Quality.LOW)
-        assert key.file_name(3) == segment_file_name(7, (2, 5), Quality.LOW, 3)
-        assert key.file_name(3) == "g00007_r2_c5_low_v3.seg"
-
 
 class TestManifestJson:
     def test_round_trip_preserves_segment_sizes(self):

@@ -147,58 +147,3 @@ class TestGopStream:
     def test_union_of_none(self):
         with pytest.raises(ValueError):
             GopStream.union([])
-
-
-class TestMergeGops:
-    def make_parts(self, count=3, frames_each=2, quality=Quality.LOW):
-        codec = GopCodec(quality)
-        clips = checkerboard_video(width=32, height=32, frames=count * frames_each)
-        return [
-            codec.encode_gop(clips[i * frames_each : (i + 1) * frames_each])
-            for i in range(count)
-        ], clips
-
-    def test_merge_decodes_to_concatenation(self):
-        from repro.video.gop import merge_gops
-
-        parts, clips = self.make_parts()
-        merged = merge_gops(parts)
-        decoded = decode_any_gop(merged)
-        assert len(decoded) == 6
-        separate = [frame for part in parts for frame in decode_any_gop(part)]
-        assert all(a.equals(b) for a, b in zip(decoded, separate))
-
-    def test_merge_is_pure_byte_concat_after_header(self):
-        from repro.video.gop import _HEADER, merge_gops
-
-        parts, _ = self.make_parts(count=2)
-        merged = merge_gops(parts)
-        assert merged[_HEADER.size:] == parts[0][_HEADER.size:] + parts[1][_HEADER.size:]
-
-    def test_merge_single_is_identity(self):
-        from repro.video.gop import merge_gops
-
-        parts, _ = self.make_parts(count=1)
-        assert merge_gops(parts) == parts[0]
-
-    def test_merge_rejects_empty(self):
-        from repro.video.gop import merge_gops
-
-        with pytest.raises(ValueError):
-            merge_gops([])
-
-    def test_merge_rejects_quality_mismatch(self):
-        from repro.video.gop import merge_gops
-
-        high, _ = self.make_parts(count=1, quality=Quality.HIGH)
-        low, _ = self.make_parts(count=1, quality=Quality.LOW)
-        with pytest.raises(ValueError):
-            merge_gops([high[0], low[0]])
-
-    def test_merge_rejects_dimension_mismatch(self):
-        from repro.video.gop import merge_gops
-
-        a = GopCodec(Quality.LOW).encode_gop(solid_video(32, 32, 2))
-        b = GopCodec(Quality.LOW).encode_gop(solid_video(64, 32, 2))
-        with pytest.raises(ValueError):
-            merge_gops([a, b])

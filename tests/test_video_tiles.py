@@ -165,40 +165,3 @@ class TestMotionConstraint:
         for tile in codec.grid.tiles():
             if tile != (0, 0):
                 assert original.payloads[tile] == altered.payloads[tile]
-
-
-class TestConcat:
-    def test_concat_decodes_to_concatenation(self, codec, frames):
-        first = codec.encode_gop(frames[:2], Quality.HIGH)
-        second = codec.encode_gop(frames[2:], Quality.HIGH)
-        merged = TiledGop.concat([first, second])
-        assert merged.frame_count == 4
-        decoded = merged.decode()
-        reference = first.decode() + second.decode()
-        assert all(a.equals(b) for a, b in zip(decoded, reference))
-
-    def test_concat_requires_same_tiles(self, codec, frames):
-        first = codec.encode_gop(frames[:2], Quality.HIGH, tiles={(0, 0)})
-        second = codec.encode_gop(frames[2:], Quality.HIGH, tiles={(0, 1)})
-        with pytest.raises(ValueError):
-            TiledGop.concat([first, second])
-
-    def test_concat_rejects_layout_mismatch(self, codec, frames):
-        other = TiledVideoCodec(TileGrid(1, 1), 64, 32)
-        first = codec.encode_gop(frames[:2], Quality.HIGH)
-        second = other.encode_gop(frames[2:], Quality.HIGH)
-        with pytest.raises(ValueError):
-            TiledGop.concat([first, second])
-
-    def test_concat_empty(self):
-        with pytest.raises(ValueError):
-            TiledGop.concat([])
-
-    def test_concat_mixed_qualities_per_tile(self, codec, frames):
-        quality_map = {tile: Quality.LOW for tile in codec.grid.tiles()}
-        quality_map[(0, 0)] = Quality.HIGH
-        first = codec.encode_gop_mixed(frames[:2], quality_map)
-        second = codec.encode_gop_mixed(frames[2:], quality_map)
-        merged = TiledGop.concat([first, second])
-        assert merged.tile_quality(0, 0) is Quality.HIGH
-        assert merged.tile_quality(1, 1) is Quality.LOW
