@@ -31,7 +31,7 @@ from dataclasses import dataclass
 #: Fault kinds understood by the wrappers.
 #: Storage-target kinds: ``missing`` (persistent index/file loss),
 #: ``corrupt`` (persistent, detected at validation), ``torn`` (a
-#: half-written segment file under an intact index entry — persistent
+#: half-written segment range under an intact index entry — persistent
 #: but *repairable*: a replica or scrub pass can restore it), ``slow``
 #: (transient latency beyond the read budget), ``flaky`` (transient I/O
 #: error).

@@ -49,9 +49,10 @@ Sharded wire runs (``sessions.shards``) can additionally set
 ``sessions.materialize`` to give every node its *own* on-disk shard root
 (via :func:`~repro.serve.placement.materialize_shards`) instead of one
 shared store, and ``sessions.corrupt_at_rest`` to bit-rot one node's
-segment files before serving — the read-repair scenario. Those runs add:
+segments in their packs before serving — the read-repair scenario. Those
+runs add:
 
-* ``repair_restores_ingest_bytes`` — every rotted file the serve tier
+* ``repair_restores_ingest_bytes`` — every rotted range the serve tier
   rewrote is byte-identical to the originally ingested segment (a wrong
   repair is strictly worse than no repair);
 * ``expected_repairs`` (via ``invariants.min_repairs``) — anti-vacuous
@@ -230,6 +231,21 @@ class InvariantCheck:
     details: str = ""
 
 
+def on_disk(storage, cache_key: tuple) -> bytes | None:
+    """What ``storage``'s disk holds under one buffer-pool key ``(name,
+    gop, tile, quality, file_version)``: the pack range of a committed
+    entry with that key, or None when no such entry or pack exists."""
+    name, gop, tile, quality, file_version = cache_key
+    for version in reversed(storage.catalog.versions(name)):
+        entry = storage.meta(name, version).entries.get((gop, tile, quality))
+        if entry is not None and entry.file_version == file_version:
+            try:
+                return storage.read_range(name, gop, entry)
+            except OSError:
+                return None
+    return None
+
+
 def _check(name: str, violations, details: str) -> InvariantCheck:
     """The verdict on ``name``: it holds iff ``violations`` is falsy, and
     only a violated check carries ``details``."""
@@ -398,7 +414,9 @@ class ScenarioRunner:
                 for node, root in roots.items()
             }
             if sessions.get("corrupt_at_rest"):
-                corrupted = self._corrupt_at_rest(storages, sessions["corrupt_at_rest"])
+                corrupted = self._corrupt_at_rest(
+                    storages, shard_map, sessions["corrupt_at_rest"]
+                )
 
         client_metrics = MetricsRegistry()
         with ExitStack() as stack:  # unwinds client → proxies → servers
@@ -444,7 +462,9 @@ class ScenarioRunner:
             def extras(failures):
                 checks, metrics = self._judge_wire(client, failures)
                 if corrupted:
-                    repair_checks, metrics["repair"] = self._judge_repair(db, corrupted)
+                    repair_checks, metrics["repair"] = self._judge_repair(
+                        db, storages, corrupted
+                    )
                     checks += repair_checks
                 if controller is not None:
                     # Only counter/plan-derived fields: no wall-clock values
@@ -500,50 +520,67 @@ class ScenarioRunner:
             servers=handles,
         )
 
-    def _corrupt_at_rest(self, node_storages, spec) -> list[dict]:
-        """Bit-rot one node's segment files on disk before serving.
+    def _corrupt_at_rest(self, node_storages, shard_map, spec) -> list[dict]:
+        """Bit-rot one node's segments on disk before serving.
 
         ``spec``: ``{"node": "node-0"}`` (default: the first node). Every
-        file the node's committed index names and its root holds is
-        damaged. The flip is deterministic (mid-payload, bit 3), so double
-        replays rot identical bytes. Rotted files are rewritten through a
-        temp file + ``os.replace`` so a hard link shared with the
+        segment the node owns of its committed index is damaged in its
+        pack range. The flip is deterministic (mid-range, bit 3), so double
+        replays rot identical bytes. Each pack is rewritten once, through a
+        temp file + ``os.replace``, so a hard link shared with the
         canonical store (or a peer) is broken, not poisoned.
         """
         node = spec.get("node") or next(iter(node_storages))
         records: list[dict] = []
-        for path in sorted(node_storages[node].segment_files(self.VIDEO_NAME)):
-            if not path.exists():
-                continue  # another node's segment
-            original = path.read_bytes()
-            damaged = bit_flip(original, len(original) // 2, bit=3)
+        packs = node_storages[node].segment_files(self.VIDEO_NAME)
+        for path, segments in sorted(packs.items()):
+            owned = [
+                (key, entry)
+                for key, entry in sorted(segments.items(), key=lambda item: item[1].offset)
+                if shard_map.owns(node, self.VIDEO_NAME, key)
+            ]
+            if not owned:
+                continue  # every segment in it is another node's
+            pack = bytearray(path.read_bytes())
+            for key, entry in owned:
+                end = entry.offset + entry.size
+                original = bytes(pack[entry.offset : end])
+                damaged = bit_flip(original, len(original) // 2, bit=3)
+                pack[entry.offset : end] = damaged
+                records.append(
+                    {
+                        "node": node,
+                        "gop": key.window,
+                        "entry": entry,
+                        "original": original,
+                        "damaged": damaged,
+                    }
+                )
             rotted = path.with_name(path.name + ".rot")
-            rotted.write_bytes(damaged)
+            rotted.write_bytes(pack)
             os.replace(rotted, path)
-            records.append(
-                {"node": node, "path": path, "original": original, "damaged": damaged}
-            )
         return records
 
     # -- judging --------------------------------------------------------------
 
-    def _judge_repair(self, db, corrupted):
+    def _judge_repair(self, db, node_storages, corrupted):
         """The read-repair invariants plus deterministic repair metrics."""
         restored = untouched = 0
         wrong: list[str] = []
         for record in corrupted:
-            current = record["path"].read_bytes()
+            storage, entry = node_storages[record["node"]], record["entry"]
+            current = storage.read_range(self.VIDEO_NAME, record["gop"], entry)
             if current == record["original"]:
                 restored += 1
             elif current == record["damaged"]:
                 untouched += 1  # never read, so never repaired — not a failure
             else:
-                wrong.append(record["path"].name)
+                wrong.append(f"g{record['gop']}@{entry.offset}")
         checks = [
             _check(
                 "repair_restores_ingest_bytes",
                 wrong,
-                f"rewritten files differ from ingest bytes: {wrong[:10]}",
+                f"repaired ranges differ from ingest bytes: {wrong[:10]}",
             )
         ]
         success = _total(db.metrics, "storage.repair_success")
@@ -749,9 +786,8 @@ class ScenarioRunner:
         for key, payload in cache.items():
             if not (isinstance(key, tuple) and len(key) == 5):
                 continue
-            name, gop, tile, quality, file_version = key
-            path = db.storage.catalog.segment_path(name, gop, tile, quality, file_version)
-            if not path.exists() or path.read_bytes() != payload:
+            if on_disk(db.storage, key) != payload:
+                name, gop, tile, quality, _ = key
                 stale.append((name, gop, tile, quality.label))
         return _check(
             "cache_disk_consistency",

@@ -27,9 +27,10 @@ from pathlib import Path
 
 from repro.core.errors import CatalogError, VisualCloudError
 from repro.core.export import export_video, import_video
+from repro.core.metadata import PROJECTION
 from repro.core.query import Scan
 from repro.core.server import VisualCloud
-from repro.core.storage import PROJECTION, IngestConfig
+from repro.core.storage import IngestConfig
 from repro.core.streamer import SessionConfig
 from repro.core.predictor import PREDICTOR_KINDS
 from repro.geometry.grid import TileGrid
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     drop.add_argument("name")
 
     vacuum = commands.add_parser(
-        "vacuum", help="drop old versions and unreferenced segment files"
+        "vacuum", help="drop old versions and unreferenced packs"
     )
     vacuum.add_argument("name")
     vacuum.add_argument("--keep", type=int, default=1, help="versions to retain")
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repair",
         action="store_true",
         help="fix what the audit finds: adopt valid marker-less versions, "
-        "delete torn ones, sweep orphan temp/segment files",
+        "delete torn ones, sweep orphan temp files and packs",
     )
 
     scrub = commands.add_parser(
@@ -517,7 +518,7 @@ def _command_fsck(db: VisualCloud, args) -> int:
         "dangling_markers",
         "dropped_videos",
         "orphan_tmp",
-        "orphan_segments",
+        "orphan_packs",
     ):
         values = report.get(key, [])
         if values:
@@ -538,7 +539,7 @@ def _command_scrub(db: VisualCloud, args) -> int:
     report = db.scrub(video=args.name)
     corrupt = report["corrupt"]
     print(
-        f"scrubbed {report['segments_checked']} segment files: "
+        f"scrubbed {report['segments_checked']} segments: "
         f"{len(corrupt)} corrupt"
     )
     for item in corrupt:

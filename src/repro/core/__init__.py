@@ -22,10 +22,11 @@ from repro.core.errors import (
     VisualCloudError,
 )
 from repro.core.export import export_video, import_video
+from repro.core.metadata import VideoMeta
 from repro.core.popularity import StoragePlanner, tile_popularity
 from repro.core.query import QueryExecutor, Scan
 from repro.core.server import VisualCloud
-from repro.core.storage import IngestConfig, StorageManager, VideoMeta
+from repro.core.storage import IngestConfig, StorageManager
 from repro.core.streamer import SessionConfig, Streamer
 
 __all__ = [

@@ -1,6 +1,6 @@
 """The in-memory segment cache (the architecture's buffer pool).
 
-The storage manager serves every session from per-segment files; with many
+The storage manager serves every session from per-GOP pack files; with many
 concurrent viewers of the same content, the same high-quality equatorial
 segments are read over and over. This cache holds recently used segment
 bytes under a byte-capacity bound with least-recently-used eviction —
@@ -138,7 +138,7 @@ class LruSegmentCache:
         Single-flight: when many sessions miss on the same key at once, one
         becomes the leader and runs ``loader`` (outside the cache lock, so
         distinct keys still load concurrently); the rest block on its result
-        instead of stampeding the same segment file. A loader exception is
+        instead of stampeding the same pack range. A loader exception is
         propagated to the leader and every waiter, and the key is released
         so a later request can retry.
 

@@ -9,21 +9,24 @@ Each video occupies one directory under the catalog root:
         metadata_v1.ok      commit marker (written last; holds the
         metadata_v2.mp4      metadata file's content checksum)
         metadata_v2.ok
-        segments/           encoded tile segments, shared across versions
-            g00000_r0_c0_high_v1.seg
+        segments/           one pack per written GOP, shared across versions
+            g00000_v1.pack  an ``mdat`` of every (tile, quality) segment
+                            of GOP 0 that version 1 wrote
 
 Metadata files are never overwritten: a new STORE writes ``metadata_v{n+1}``
-and only the segment files that actually changed, pointing at prior
-versions' files for everything else (track-granularity copy-on-write).
+and packs for only the GOPs it actually wrote, pointing at prior versions'
+packs for everything else (GOP-granularity copy-on-write). The index
+locates each segment inside its pack by ``(file_version, offset, size)``.
 Readers therefore get snapshot isolation for free — a version, once
 written, never changes underneath them.
 
-Commit protocol: segment files are published first (temp file + fsync +
+Commit protocol: packs are published first (temp file + fsync +
 ``os.replace``), then the metadata file, then the ``.ok`` marker — each
-step atomic. A version is *committed* once its marker exists;
-:meth:`Catalog.versions` never reports a marker-less version, so a hard
-crash at any point leaves either the old catalog state or the new one,
-never a half-written version. ``StorageManager.fsck`` rolls marker-less
+step atomic, so a version costs its GOP count + 2 publishes. A version
+is *committed* once its marker exists; :meth:`Catalog.versions` never
+reports a marker-less version, so a hard crash at any point leaves
+either the old catalog state or the new one, never a half-written
+version. ``StorageManager.fsck`` rolls marker-less
 metadata forward (validating and adopting it) or back (deleting it).
 """
 
@@ -33,21 +36,17 @@ import re
 from pathlib import Path
 
 from repro.core.errors import CatalogError
-from repro.video.quality import Quality
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 _METADATA_PATTERN = re.compile(r"^metadata_v(\d+)\.mp4$")
 _MARKER_PATTERN = re.compile(r"^metadata_v(\d+)\.ok$")
 
 
-def segment_file_name(
-    gop: int, tile: tuple[int, int], quality: Quality, version: int
-) -> str:
-    """Canonical file name for one encoded tile segment. The one place the
-    name is built; nothing parses it back — what a store holds is read
-    from its index (``StorageManager.segment_files``)."""
-    row, col = tile
-    return f"g{gop:05d}_r{row}_c{col}_{quality.label}_v{version}.seg"
+def pack_file_name(gop: int, version: int) -> str:
+    """Canonical file name of the pack ``version`` wrote for one GOP. The
+    one place the name is built; nothing parses it back — what a store
+    holds is read from its index (``StorageManager.segment_files``)."""
+    return f"g{gop:05d}_v{version}.pack"
 
 
 class Catalog:
@@ -119,10 +118,8 @@ class Catalog:
         """Commit marker published after a version's metadata file."""
         return self.video_dir(name) / f"metadata_v{version}.ok"
 
-    def segment_path(
-        self, name: str, gop: int, tile: tuple[int, int], quality: Quality, version: int
-    ) -> Path:
-        return self.segments_dir(name) / segment_file_name(gop, tile, quality, version)
+    def pack_path(self, name: str, gop: int, version: int) -> Path:
+        return self.segments_dir(name) / pack_file_name(gop, version)
 
     def create(self, name: str) -> None:
         """Reserve a video directory (no versions yet)."""

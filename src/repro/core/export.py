@@ -1,7 +1,8 @@
 """Single-file export/import of stored videos.
 
-The store keeps segments as many small files for selective reads; to hand
-a video to an external consumer, ``export_video`` flattens one quality
+The store keeps each GOP's segments of every tile and rung in one pack,
+read by byte range; to hand a video to an external consumer,
+``export_video`` flattens one quality
 rung into a single MP4-style container: a ``moov`` describing the stream
 (codec, projection, GOP index) and an ``mdat`` holding the concatenated
 GOP bytes. ``import_video`` ingests such a file back into a store —
@@ -14,7 +15,8 @@ import struct
 from pathlib import Path
 
 from repro.core.errors import CatalogError
-from repro.core.storage import PROJECTION, StorageManager
+from repro.core.metadata import PROJECTION
+from repro.core.storage import StorageManager
 from repro.video.mp4 import (
     Atom,
     Mp4File,

@@ -1,7 +1,7 @@
 """Resilient window assembly: bounded retry, then graceful degradation.
 
 Delivery used to propagate the first storage exception and abort the
-whole session — one truncated segment file killed a viewer. Because the
+whole session — one truncated segment killed a viewer. Because the
 store encodes every (GOP, tile, quality) segment independently, failure
 handling can be *per tile*: a transient read error is retried a bounded
 number of times, a persistent one walks down the tile's stored quality

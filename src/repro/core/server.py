@@ -17,9 +17,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
+from repro.core.metadata import VideoMeta
 from repro.core.predictor import PredictionService
 from repro.core.query import Expr, QueryExecutor, QueryResult
-from repro.core.storage import IngestConfig, StorageManager, VideoMeta
+from repro.core.storage import IngestConfig, StorageManager
 from repro.core.streamer import Streamer
 from repro.obs import MetricsRegistry
 from repro.predict.traces import Trace

@@ -3,11 +3,13 @@
 Ingests 360-degree video, segments it spatiotemporally (GOP-length
 temporal windows x an angular tile grid), encodes every segment at every
 rung of a quality ladder, and persists the result under the catalog with
-MP4-style metadata. Reads are selective: any (window, tile, quality)
-segment is one file access, found through the metadata's GOP index.
+MP4-style metadata. Each GOP a version writes lands as one pack — an
+``mdat`` of that GOP's segments — and reads are selective: any (window,
+tile, quality) segment is one ``pread`` of its byte range, found through
+the metadata's GOP index (``stss``) and offset leaf (``stco``).
 
 Writes are no-overwrite and versioned: re-storing a video writes only the
-changed segments plus a new metadata file whose index points at old files
+changed GOPs plus a new metadata file whose index points at old packs
 for unchanged content. Readers of an existing version are unaffected —
 snapshot isolation by construction.
 
@@ -26,14 +28,21 @@ import itertools
 import os
 import signal
 import struct
+import threading
 import warnings
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.core.backends import SegmentBackend
-from repro.core.catalog import Catalog
+from repro.core.catalog import Catalog, pack_file_name
+from repro.core.metadata import (
+    SegmentEntry,
+    VideoMeta,
+    build_metadata_file,
+    parse_metadata_file,
+)
 from repro.core.errors import (
     CatalogError,
     IngestError,
@@ -45,18 +54,7 @@ from repro.geometry.grid import TileGrid
 from repro.obs import MetricsRegistry
 from repro.stream.dash import Manifest, SegmentKey
 from repro.video.frame import Frame
-from repro.video.mp4 import (
-    Atom,
-    Mp4File,
-    make_ftyp,
-    make_mvhd,
-    make_stsd,
-    make_stss,
-    make_sv3d,
-    parse_stsd,
-    parse_stss,
-    parse_sv3d,
-)
+from repro.video.mp4 import Atom
 from repro.video.quality import Quality
 from repro.video.tiles import (
     TiledGop,
@@ -64,11 +62,6 @@ from repro.video.tiles import (
     available_cpus,
     make_encode_executor,
 )
-
-
-#: The one projection the tile grid, viewport and tiler model; every
-#: version records it in ``sv3d``, and a reader refuses any other.
-PROJECTION = "equirectangular"
 
 
 @dataclass(frozen=True)
@@ -91,205 +84,6 @@ class IngestConfig:
             raise ValueError("at least one quality is required")
         if list(self.qualities) != sorted(self.qualities, reverse=True):
             raise ValueError("qualities must be ordered best first")
-
-
-@dataclass(frozen=True)
-class SegmentEntry:
-    """Index entry for one stored segment: where, how big, and what the
-    bytes must hash to (:func:`segment_checksum`)."""
-
-    size: int
-    file_version: int  # the version whose STORE wrote the bytes
-    checksum: int
-
-
-@dataclass
-class VideoMeta:
-    """Parsed metadata for one version of one stored video."""
-
-    name: str
-    version: int
-    width: int
-    height: int
-    fps: float
-    grid: TileGrid
-    gop_frames: int
-    qualities: tuple[Quality, ...]
-    streaming: bool
-    gop_frame_counts: list[int]
-    entries: dict[tuple[int, tuple[int, int], Quality], SegmentEntry] = field(
-        default_factory=dict
-    )
-
-    @property
-    def gop_count(self) -> int:
-        return len(self.gop_frame_counts)
-
-    @property
-    def gop_duration(self) -> float:
-        return self.gop_frames / self.fps
-
-    @property
-    def duration(self) -> float:
-        return sum(self.gop_frame_counts) / self.fps
-
-    def gop_start_time(self, gop: int) -> float:
-        if not 0 <= gop < self.gop_count:
-            raise IndexError(f"GOP {gop} outside [0, {self.gop_count})")
-        return sum(self.gop_frame_counts[:gop]) / self.fps
-
-
-# -- metadata (de)serialisation ------------------------------------------------
-
-_VINF = struct.Struct(">HHdBBHIB B")  # w, h, fps, rows, cols, gop_frames, version, streaming, qcount
-
-
-def _build_metadata_file(meta: VideoMeta) -> Mp4File:
-    vinf_payload = _VINF.pack(
-        meta.width,
-        meta.height,
-        meta.fps,
-        meta.grid.rows,
-        meta.grid.cols,
-        meta.gop_frames,
-        meta.version,
-        1 if meta.streaming else 0,
-        len(meta.qualities),
-    )
-    vinf_payload += bytes(quality.rank for quality in meta.qualities)
-    vinf_payload += struct.pack(">I", meta.gop_count)
-    vinf_payload += b"".join(struct.pack(">H", count) for count in meta.gop_frame_counts)
-
-    vcld = Atom(
-        "vcld",
-        children=[Atom("vinf", payload=vinf_payload), make_sv3d(PROJECTION)],
-    )
-    traks = []
-    tile_width = meta.width // meta.grid.cols
-    tile_height = meta.height // meta.grid.rows
-    for tile in meta.grid.tiles():
-        for quality in meta.qualities:
-            entries = []
-            checksums = []
-            for gop in range(meta.gop_count):
-                entry = meta.entries.get((gop, tile, quality))
-                if entry is None:
-                    continue
-                time_ms = int(round(meta.gop_start_time(gop) * 1000))
-                entries.append((time_ms, entry.file_version, entry.size))
-                checksums.append(entry.checksum)
-            if not entries:
-                continue
-            # Content checksums ride in a sibling leaf atom (one >I per
-            # stss entry, same order) rather than widening the stss
-            # record, whose shape the export container shares.
-            csum = Atom(
-                "csum",
-                payload=struct.pack(">I", len(checksums))
-                + b"".join(struct.pack(">I", value) for value in checksums),
-            )
-            traks.append(
-                Atom(
-                    "trak",
-                    children=[
-                        make_stsd("vcbd", tile_width, tile_height, meta.fps, quality.label),
-                        Atom("tloc", payload=struct.pack(">BB", *tile)),
-                        make_stss(entries),
-                        csum,
-                    ],
-                )
-            )
-    moov = Atom(
-        "moov",
-        children=[make_mvhd(1000, int(round(meta.duration * 1000))), vcld] + traks,
-    )
-    return Mp4File(atoms=[make_ftyp("vcld"), moov])
-
-
-def _parse_metadata_file(name: str, data: bytes) -> VideoMeta:
-    """Parse one metadata blob, rejecting damage in a controlled way.
-
-    Torn or bit-rotted metadata must surface as :class:`CatalogError`
-    (or ``ValueError``/``EOFError`` from the MP4 layer) — never a raw
-    ``struct.error`` from an unpack that ran off the end of a truncated
-    payload, which callers would not recognise as corruption.
-    """
-    try:
-        return _parse_metadata_atoms(name, data)
-    except struct.error as error:
-        raise CatalogError(
-            f"metadata for {name!r} is truncated or damaged: {error}"
-        ) from error
-
-
-def _parse_metadata_atoms(name: str, data: bytes) -> VideoMeta:
-    mp4 = Mp4File.parse(data)
-    moov = mp4.find("moov")
-    if moov is None:
-        raise CatalogError(f"metadata for {name!r} has no moov atom")
-    vinf = moov.find("vcld.vinf")
-    sv3d = moov.find("vcld.sv3d")
-    if vinf is None or sv3d is None:
-        raise CatalogError(f"metadata for {name!r} is missing VisualCloud atoms")
-    projection = parse_sv3d(sv3d)
-    if projection != PROJECTION:
-        raise CatalogError(f"metadata for {name!r} names projection {projection!r}")
-    (
-        width,
-        height,
-        fps,
-        rows,
-        cols,
-        gop_frames,
-        version,
-        streaming,
-        quality_count,
-    ) = _VINF.unpack_from(vinf.payload)
-    offset = _VINF.size
-    ranks = vinf.payload[offset : offset + quality_count]
-    offset += quality_count
-    (gop_count,) = struct.unpack_from(">I", vinf.payload, offset)
-    offset += 4
-    frame_counts = [
-        struct.unpack_from(">H", vinf.payload, offset + 2 * i)[0] for i in range(gop_count)
-    ]
-    all_qualities = list(Quality)
-    meta = VideoMeta(
-        name=name,
-        version=version,
-        width=width,
-        height=height,
-        fps=fps,
-        grid=TileGrid(rows, cols),
-        gop_frames=gop_frames,
-        qualities=tuple(all_qualities[rank] for rank in ranks),
-        streaming=bool(streaming),
-        gop_frame_counts=frame_counts,
-    )
-    gop_duration_ms = gop_frames / fps * 1000
-    for trak in moov.find_all("trak"):
-        stsd = trak.find("stsd")
-        tloc = trak.find("tloc")
-        stss = trak.find("stss")
-        csum = trak.find("csum")
-        if stsd is None or tloc is None or stss is None or csum is None:
-            raise CatalogError(f"metadata for {name!r} has an incomplete trak")
-        quality = Quality.from_label(parse_stsd(stsd)["quality"])
-        tile = tuple(struct.unpack(">BB", tloc.payload))
-        samples = parse_stss(stss)
-        (count,) = struct.unpack_from(">I", csum.payload)
-        if count != len(samples):
-            raise CatalogError(
-                f"metadata for {name!r} has a trak with {count} checksums "
-                f"for {len(samples)} segments"
-            )
-        checksums = struct.unpack_from(f">{count}I", csum.payload, 4)
-        for (time_ms, file_version, size), checksum in zip(samples, checksums):
-            gop = int(round(time_ms / gop_duration_ms))
-            meta.entries[(gop, tile, quality)] = SegmentEntry(
-                size, file_version, checksum
-            )
-    return meta
 
 
 # -- durability substrate ------------------------------------------------------
@@ -379,6 +173,11 @@ def _marker_payload(metadata_blob: bytes) -> bytes:
     return (checksum_hex(metadata_blob) + "\n").encode("ascii")
 
 
+def _range_label(gop: int, entry: SegmentEntry) -> str:
+    """Where a segment's bytes live: ``<pack file>@<offset>``."""
+    return f"{pack_file_name(gop, entry.file_version)}@{entry.offset}"
+
+
 def _tag_repairable(error: SegmentNotFoundError) -> SegmentNotFoundError:
     """Mark a storage error as peer-repairable (see ``core/errors.py``):
     the index references the segment, only the local bytes failed."""
@@ -387,7 +186,7 @@ def _tag_repairable(error: SegmentNotFoundError) -> SegmentNotFoundError:
 
 
 #: One GOP on its way to disk: its frame count and a ``(tile, quality,
-#: payload)`` per segment, in publish order.
+#: payload)`` per segment, in pack order.
 _EncodedGop = tuple[int, list[tuple[tuple[int, int], Quality, bytes]]]
 
 
@@ -432,6 +231,7 @@ class StorageManager:
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._drop_listeners: list = []
         self._meta_cache: dict[tuple[str, int], VideoMeta] = {}
+        self._repair_lock = threading.Lock()
         self.segment_cache = (
             LruSegmentCache(cache_bytes, registry=self.metrics)
             if cache_bytes > 0
@@ -647,14 +447,15 @@ class StorageManager:
     ) -> VideoMeta:
         """The one place a version reaches disk.
 
-        Publishes every ``(tile, quality, payload)`` of every GOP as the
-        next version of ``name`` (version 1 of a new name), records a
-        checksummed index entry per payload, and commits metadata + marker
-        over ``base``'s GOPs and entries (append) or over nothing.
-        ``layout`` is the rest of :class:`VideoMeta`. A name this call
-        created is dropped again if anything fails, so a failed first
-        write can simply be retried; a failed later version leaves only
-        orphan segment files for ``fsck``.
+        Publishes each GOP's ``(tile, quality, payload)`` list as one pack
+        (an ``mdat`` of the payloads in list order) of the next version of
+        ``name`` (version 1 of a new name), records a checksummed index
+        entry per payload locating it in its pack, and commits metadata +
+        marker over ``base``'s GOPs and entries (append) or over nothing:
+        GOPs + 2 publishes in all. ``layout`` is the rest of
+        :class:`VideoMeta`. A name this call created is dropped again if
+        anything fails, so a failed first write can simply be retried; a
+        failed later version leaves only orphan packs for ``fsck``.
         """
         created = not self.catalog.exists(name)
         if created:
@@ -665,7 +466,7 @@ class StorageManager:
             frame_counts = list(base.gop_frame_counts) if base is not None else []
             first_gop = len(frame_counts)
             segments_written = self.metrics.counter(
-                "storage.segments_written", "segment files written"
+                "storage.segments_written", "segments written"
             )
             bytes_written = self.metrics.counter(
                 "storage.bytes_written", "segment bytes written"
@@ -674,18 +475,17 @@ class StorageManager:
                 with self.metrics.span(
                     "storage.ingest.write", video=name, gop=gop_index
                 ):
+                    body = b"".join(payload for _, _, payload in payloads)
+                    pack = Atom("mdat", payload=body).serialize()
+                    offset = len(pack) - len(body)  # past the mdat header
                     for tile, quality, payload in payloads:
-                        _publish_bytes(
-                            self.catalog.segment_path(
-                                name, gop_index, tile, quality, version
-                            ),
-                            payload,
-                        )
                         entries[(gop_index, tile, quality)] = SegmentEntry(
-                            len(payload), version, segment_checksum(payload)
+                            len(payload), version, segment_checksum(payload), offset
                         )
-                        segments_written.inc()
-                        bytes_written.inc(len(payload))
+                        offset += len(payload)
+                    _publish_bytes(self.catalog.pack_path(name, gop_index, version), pack)
+                    segments_written.inc(len(payloads))
+                    bytes_written.inc(len(body))
                 frame_counts.append(frame_count)
             if len(frame_counts) == first_gop:
                 raise IngestError(f"no frames to write for {name!r}")
@@ -855,7 +655,7 @@ class StorageManager:
             # the version parseable and the marker publish commits it —
             # both atomic renames, so a crash between them leaves a
             # complete-but-uncommitted version that fsck rolls forward.
-            blob = _build_metadata_file(meta).serialize()
+            blob = build_metadata_file(meta).serialize()
             _publish_bytes(path, blob)
             _publish_bytes(
                 self.catalog.marker_path(meta.name, meta.version),
@@ -887,8 +687,19 @@ class StorageManager:
             path = self.catalog.metadata_path(name, version)
             if not path.exists():
                 raise CatalogError(f"video {name!r} has no version {version}")
-            meta = self._meta_cache[key] = _parse_metadata_file(name, path.read_bytes())
+            meta = self._meta_cache[key] = parse_metadata_file(name, path.read_bytes())
         return meta
+
+    def read_range(self, name: str, gop: int, entry: SegmentEntry) -> bytes:
+        """The bytes on disk at ``entry``'s range of its GOP's pack — fewer
+        than ``entry.size`` when the pack ends early. The one read of
+        stored bytes: it bypasses the buffer pool and checks nothing.
+        Raises ``OSError`` (``FileNotFoundError`` when the pack is gone)."""
+        fd = os.open(self.catalog.pack_path(name, gop, entry.file_version), os.O_RDONLY)
+        try:
+            return os.pread(fd, entry.size, entry.offset)
+        finally:
+            os.close(fd)
 
     def read_segment(
         self,
@@ -900,7 +711,7 @@ class StorageManager:
     ) -> bytes:
         """One segment's encoded bytes, located via the metadata index.
 
-        Served from the in-memory buffer pool on a hit; segment files are
+        Served from the in-memory buffer pool on a hit; packs are
         immutable once written (no-overwrite storage), so cached bytes can
         never go stale.
         """
@@ -911,37 +722,32 @@ class StorageManager:
                 f"{name!r} v{meta.version} has no segment (gop={gop}, tile={tile}, "
                 f"quality={quality.label})"
             )
-        path = self.catalog.segment_path(name, gop, tile, quality, entry.file_version)
 
         def load() -> bytes:
             # All failures below are tagged repairable: the index has an
             # entry, so an intact copy may exist on a peer owner.
             try:
-                data = path.read_bytes()
-            except FileNotFoundError as error:
-                # The index said the segment exists but the file is gone —
-                # keep the storage boundary's error contract (see
-                # core/errors.py) instead of leaking the OS exception.
-                raise _tag_repairable(
-                    SegmentNotFoundError(
-                        f"segment file {path.name} of {name!r} is missing from disk"
-                    )
-                ) from error
+                data = self.read_range(name, gop, entry)
             except OSError as error:
+                # The index said the segment exists but its pack is gone or
+                # unreadable — keep the storage boundary's error contract
+                # (see core/errors.py) instead of leaking the OS exception.
+                pack = pack_file_name(gop, entry.file_version)
                 raise _tag_repairable(
                     SegmentNotFoundError(
-                        f"segment file {path.name} of {name!r} could not be read: "
-                        f"{error}"
+                        f"pack {pack} of {name!r} is missing from disk"
+                        if isinstance(error, FileNotFoundError)
+                        else f"pack {pack} of {name!r} could not be read: {error}"
                     )
                 ) from error
             broken = _mismatch(entry, data)
             if broken:
+                where = _range_label(gop, entry)
                 raise _tag_repairable(
                     SegmentCorruptError(
-                        f"segment {path.name} is {len(data)} bytes, index says "
-                        f"{entry.size}"
+                        f"segment {where} is {len(data)} bytes, index says {entry.size}"
                         if broken == "size"
-                        else f"segment {path.name} of {name!r} fails its content "
+                        else f"segment {where} of {name!r} fails its content "
                         "checksum (bit rot or torn write)"
                     )
                 )
@@ -1042,14 +848,14 @@ class StorageManager:
     # -- retention / garbage collection ---------------------------------------
 
     def vacuum(self, name: str, keep_versions: int = 1) -> tuple[int, int]:
-        """Drop old versions and delete segment files nothing references.
+        """Drop old versions and delete packs nothing references.
 
         A no-overwrite store accretes: every STORE/append commits a new
-        metadata file, and copy-on-write means old segment files stay on
-        disk as long as *any* retained version points at them. ``vacuum``
-        retains the newest ``keep_versions`` metadata files, then removes
-        the segment files the dropped versions point at and no retained
-        one does. Files no committed version names — an append's segments
+        metadata file, and copy-on-write means old packs stay on disk as
+        long as *any* retained version points into them. ``vacuum``
+        retains the newest ``keep_versions`` metadata files, then unlinks
+        the packs the dropped versions point into and no retained one
+        does. Packs no committed version names — an append's packs
         published but not yet committed, crash debris — are not its to
         judge: the first are the next version, the rest ``fsck --repair``'s.
 
@@ -1071,7 +877,7 @@ class StorageManager:
                 size = path.stat().st_size
                 path.unlink()
             except FileNotFoundError:
-                continue  # a shard root holds only the segments its node owns
+                continue  # a shard root holds only the packs its node owns into
             bytes_freed += size
             files_deleted += 1
         for version in dropped:
@@ -1084,20 +890,21 @@ class StorageManager:
 
     def segment_files(
         self, name: str, versions: Iterable[int] | None = None
-    ) -> dict[Path, SegmentKey]:
-        """The segment files the index of ``versions`` (default: every
-        committed one) points at, each with its key; a file copy-on-write
-        shares between versions appears once. What the store holds is read
-        from its index, never from a directory listing, which would also
-        list crash debris and uncommitted publishes."""
+    ) -> dict[Path, dict[SegmentKey, SegmentEntry]]:
+        """The packs the index of ``versions`` (default: every committed
+        one) points into, each with the segments it holds and their
+        entries; a pack copy-on-write shares between versions appears once.
+        What the store holds is read from its index, never from a directory
+        listing, which would also list crash debris and uncommitted
+        publishes."""
         if versions is None:
             versions = self.catalog.versions(name)
-        files: dict[Path, SegmentKey] = {}
+        packs: dict[Path, dict[SegmentKey, SegmentEntry]] = {}
         for version in versions:
             for (gop, tile, quality), entry in self.meta(name, version).entries.items():
-                path = self.catalog.segment_path(name, gop, tile, quality, entry.file_version)
-                files[path] = SegmentKey(gop, tile, quality)
-        return files
+                path = self.catalog.pack_path(name, gop, entry.file_version)
+                packs.setdefault(path, {})[SegmentKey(gop, tile, quality)] = entry
+        return packs
 
     # -- durability / self-healing ---------------------------------------------
 
@@ -1146,17 +953,30 @@ class StorageManager:
         data: bytes,
         version: int | None = None,
     ) -> Path:
-        """Atomically rewrite a segment's local bytes from a verified copy.
+        """Atomically rewrite a segment's range of its local pack from a
+        verified copy.
 
         The one sanctioned exception to no-overwrite storage: the bytes
-        must pass :meth:`verify_segment_bytes` first, so the file content
-        after repair is exactly what the index committed at ingest. The
-        buffer pool entry is invalidated so the next read serves the
-        repaired file.
+        must pass :meth:`verify_segment_bytes` first, so the range after
+        repair is exactly what the index committed at ingest. The pack is
+        never written in place: a copy with the range spliced in is
+        published over it (a missing pack, or one too short for the range,
+        is zero-filled around it), so a hard link a peer root shares is
+        broken, never poisoned. Repairs are serialised per manager, so two
+        in one pack cannot lose each other's splice. The buffer pool entry
+        is invalidated so the next read serves the repaired range.
         """
         entry = self.verify_segment_bytes(name, gop, tile, quality, data, version)
-        path = self.catalog.segment_path(name, gop, tile, quality, entry.file_version)
-        _publish_bytes(path, data)
+        path = self.catalog.pack_path(name, gop, entry.file_version)
+        end = entry.offset + entry.size
+        with self._repair_lock:
+            try:
+                pack = bytearray(path.read_bytes())
+            except FileNotFoundError:
+                pack = bytearray()
+            pack.extend(bytes(max(0, end - len(pack))))
+            pack[entry.offset : end] = data
+            _publish_bytes(path, bytes(pack))
         if self.segment_cache is not None:
             self.segment_cache.invalidate(
                 SegmentKey(gop, tile, quality).cache_key(name, entry.file_version)
@@ -1181,16 +1001,16 @@ class StorageManager:
           deleted on repair.
         * Metadata without a marker is an interrupted commit. The publish
           order guarantees the metadata file itself is complete, so fsck
-          *rolls forward*: if it parses, matches every referenced segment
-          file (size + checksum), it is adopted by writing its marker;
-          otherwise it is rolled back (deleted).
+          *rolls forward*: if it parses and every segment it references
+          reads intact from its pack (size + checksum), it is adopted by
+          writing its marker; otherwise it is rolled back (deleted).
         * A video directory with no committed versions (the SIGKILL-mid-
           ingest case) is dropped wholesale on repair.
-        * Segment files no committed version references are orphans from
-          a rolled-back version — deleted on repair. This is the one place
+        * Packs no committed version references are orphans from a
+          rolled-back version — deleted on repair. This is the one place
           such crash debris is collected: :meth:`vacuum` deletes only what
-          the versions it drops pointed at. Do not run it beside a writer
-          (an append's published-but-uncommitted segments look the same).
+          the versions it drops pointed into. Do not run it beside a writer
+          (an append's published-but-uncommitted packs look the same).
 
         Returns a JSON-serialisable report; ``report["clean"]`` is True
         when nothing was found.
@@ -1202,7 +1022,7 @@ class StorageManager:
             "rolled_back_versions": [],
             "dangling_markers": [],
             "dropped_videos": [],
-            "orphan_segments": [],
+            "orphan_packs": [],
             "repair": repair,
         }
         for name in self.list_videos():
@@ -1245,12 +1065,12 @@ class StorageManager:
                     referenced = self.segment_files(name, committed)
                 except (CatalogError, ValueError):
                     # A committed version no longer parses: what it points
-                    # at is unknown, so no file can be called an orphan.
+                    # into is unknown, so no pack can be called an orphan.
                     continue
                 for path in sorted(self.catalog.segments_dir(name).iterdir()):
                     if not path.is_file() or path in referenced:
                         continue
-                    report["orphan_segments"].append(
+                    report["orphan_packs"].append(
                         str(path.relative_to(self.catalog.root))
                     )
                     path.unlink()
@@ -1262,18 +1082,18 @@ class StorageManager:
                 "rolled_back_versions",
                 "dangling_markers",
                 "dropped_videos",
-                "orphan_segments",
+                "orphan_packs",
             )
         )
         return report
 
     def _validate_version(self, name: str, version: int) -> bool:
         """True when a version's metadata parses, matches its marker (if
-        any), and every referenced segment file is intact on disk."""
+        any), and every segment it references is intact on disk."""
         path = self.catalog.metadata_path(name, version)
         try:
             blob = path.read_bytes()
-            meta = _parse_metadata_file(name, blob)
+            meta = parse_metadata_file(name, blob)
         except (OSError, CatalogError, ValueError, struct.error):
             return False
         marker = self.catalog.marker_path(name, version)
@@ -1286,37 +1106,38 @@ class StorageManager:
         return not any(self._damaged_entries(name, meta, set()))
 
     def _damaged_entries(
-        self, name: str, meta: VideoMeta, seen: set[Path]
-    ) -> Iterator[tuple[tuple[int, tuple[int, int], Quality], Path]]:
+        self, name: str, meta: VideoMeta, seen: set[str]
+    ) -> Iterator[tuple[tuple[int, tuple[int, int], Quality], str]]:
         """Walk one version's index in a fixed order and yield ``(key,
-        path)`` for every segment file that is missing, unreadable, or
-        fails :func:`_mismatch`. Reads the disk, never the buffer pool.
-        Files already in ``seen`` (copy-on-write shares of an earlier
-        version) are skipped; every file looked at is added to it."""
+        range)`` for every segment whose byte range is missing, unreadable,
+        or fails :func:`_mismatch`; ``range`` is ``<pack file>@<offset>``.
+        Reads the disk, never the buffer pool. Ranges already in ``seen``
+        (copy-on-write shares of an earlier version) are skipped; every
+        range looked at is added to it."""
         for key, entry in sorted(meta.entries.items(), key=lambda item: str(item[0])):
-            path = self.catalog.segment_path(name, *key, entry.file_version)
-            if path in seen:
+            where = _range_label(key[0], entry)
+            if where in seen:
                 continue
-            seen.add(path)
+            seen.add(where)
             try:
-                broken = _mismatch(entry, path.read_bytes())
+                broken = _mismatch(entry, self.read_range(name, key[0], entry))
             except OSError:
                 broken = "unreadable"
             if broken:
-                yield key, path
+                yield key, where
 
     def scrub(
         self,
         source: SegmentBackend | None = None,
         video: str | None = None,
     ) -> dict:
-        """Proactive integrity walk: verify every committed segment file.
+        """Proactive integrity walk: verify every committed segment.
 
-        Reads each referenced segment file directly (bypassing the buffer
-        pool — the point is the disk) and checks size and checksum. With
-        a ``source`` backend (a peer owner, a replica, a backup), corrupt
-        segments are re-fetched, re-verified, and atomically repaired;
-        without one they are only reported. Returns a deterministic
+        Reads each referenced segment's range of its pack directly
+        (bypassing the buffer pool — the point is the disk) and checks size
+        and checksum. With a ``source`` backend (a peer owner, a replica, a
+        backup), corrupt segments are re-fetched, re-verified, and
+        atomically repaired; without one they are only reported. Returns a deterministic
         report with per-video counts.
         """
         names = [video] if video is not None else self.list_videos()
@@ -1331,11 +1152,11 @@ class StorageManager:
                 versions = self.catalog.versions(name)
             except CatalogError:
                 continue
-            seen: set[Path] = set()
+            seen: set[str] = set()
             for version in versions:
                 meta = self.meta(name, version)
-                for key, path in self._damaged_entries(name, meta, seen):
-                    label = f"{name}/{path.name}"
+                for key, where in self._damaged_entries(name, meta, seen):
+                    label = f"{name}/{where}"
                     report["corrupt"].append(label)
                     if source is None:
                         continue

@@ -34,6 +34,7 @@ import bisect
 import hashlib
 import os
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -199,15 +200,17 @@ def materialize_shards(
 
     Every node receives every committed version's metadata file and
     marker (so ``build_manifest`` and the ``/manifest`` endpoint work on
-    any node) but only the segment files it owns under ``shard_map`` — a
-    missing file on a non-owner is exactly what routes a read onto the
+    any node) but only the packs holding at least one segment it owns
+    under ``shard_map``. A pack also holds segments its node does not
+    own; routing by the shard map, not the disk, keeps those reads on the
     peer-fetch path. What is placed is read from the committed index, so
     crash debris (unmarked metadata, ``*.tmp`` files, an interrupted
-    version's segments) stays behind. Files are hard-linked when the
-    filesystem allows (segment files are immutable per version, so
-    sharing inodes is safe) and copied otherwise.
+    version's packs) stays behind. Files are hard-linked when the
+    filesystem allows (packs are immutable per version and read-repair
+    replaces rather than rewrites them, so sharing inodes is safe) and
+    copied otherwise.
 
-    Returns the number of segment files placed per node. Raises
+    Returns the number of owned segments placed per node. Raises
     ``ValueError`` if ``node_roots`` does not cover the map's node set.
     """
     missing = [node for node in shard_map.nodes if node not in node_roots]
@@ -235,8 +238,11 @@ def materialize_shards(
             for node in shard_map.nodes:
                 place(catalog.metadata_path(name, version), node)
                 place(catalog.marker_path(name, version), node)
-        for source, key in storage.segment_files(name, versions).items():
-            for node in shard_map.owners(name, key):
+        for source, segments in storage.segment_files(name, versions).items():
+            owned = Counter(
+                node for key in segments for node in shard_map.owners(name, key)
+            )
+            for node, count in owned.items():
                 place(source, node)
-                placed[node] += 1
+                placed[node] += count
     return placed

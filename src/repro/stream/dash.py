@@ -22,8 +22,9 @@ class SegmentKey:
     This is the *canonical* segment identity: wire URLs
     (:meth:`to_path`/:meth:`from_path`) and buffer-pool keys
     (:meth:`cache_key`) are derived from one ``SegmentKey``, so the HTTP
-    surface, the cache, and chaos targeting cannot drift apart. File
-    names are the catalog's (:func:`repro.core.catalog.segment_file_name`).
+    surface, the cache, and chaos targeting cannot drift apart. On disk a
+    segment is a byte range of its GOP's pack
+    (:func:`repro.core.catalog.pack_file_name`), found through the index.
     """
 
     window: int  # delivery-window (GOP) index

@@ -12,7 +12,7 @@ atoms the storage manager uses:
 ``trak``  one media stream's metadata (children)
 ``stsd``  codec description: codec 4cc, dimensions, fps, quality
 ``stss``  GOP (sync sample) index: time -> byte offset/size
-``vcld``  VisualCloud-specific metadata (children; see repro.core.storage)
+``vcld``  VisualCloud-specific metadata (children; see repro.core.metadata)
 ``mdat``  embedded media data
 
 Unknown atom types round-trip untouched, as the MP4 rules require.

@@ -12,6 +12,7 @@ import pytest
 
 from repro import IngestConfig, MetricsRegistry, Quality, TileGrid, VisualCloud
 from repro.chaos import ChaosSegmentCache, ChaosStorageManager, FaultPlan, FaultRule
+from repro.chaos.scenario import on_disk
 from repro.core.cache import LruSegmentCache
 from repro.core.errors import SegmentNotFoundError, TransientSegmentError
 from repro.workloads.videos import synthetic_video
@@ -126,10 +127,7 @@ class TestChaosConcurrencyStress:
         # Fencing invariant: whatever survived in the cache matches disk
         # bit for bit (no stale publish won a race with an invalidation).
         for key, payload in cache.items():
-            name, gop, tile, quality, file_version = key
-            path = db.storage.catalog.segment_path(name, gop, tile, quality, file_version)
-            assert path.exists(), f"cached entry for vanished file {key}"
-            assert path.read_bytes() == payload, f"stale bytes cached for {key}"
+            assert on_disk(db.storage, key) == payload, f"stale bytes cached for {key}"
 
         # Occupancy gauges agree with the cache's actual contents.
         entries = cache.items()

@@ -291,12 +291,12 @@ class TestCommands:
             assert (state["version"], state["max_inflight"]) == (0, None)
 
     def test_fsck_and_scrub_recover_a_killed_ingest(self, tmp_path, capsys):
-        """SIGKILL at publish #9 of 18 (mid-segments), then the operator
+        """SIGKILL at publish #2 of 4 (the second of two packs), then the operator
         path: ls still lists the healthy video beside it, fsck finds it,
         fsck --repair reclaims it, the name is reusable and scrubs clean."""
         ingest_small(tmp_path, "good")
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, REPRO_CRASH_AFTER_WRITES="9")
+        env = dict(os.environ, REPRO_CRASH_AFTER_WRITES="2")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         killed = subprocess.run(
             [sys.executable, "-m", "repro", "--root", str(tmp_path / "db"),

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.catalog import Catalog, segment_file_name
+from repro.core.catalog import Catalog, pack_file_name
 from repro.core.errors import CatalogError
-from repro.video.quality import Quality
 
 
 @pytest.fixture()
@@ -22,10 +21,8 @@ class TestNames:
         with pytest.raises(CatalogError):
             catalog.validate_name(name)
 
-    def test_segment_file_name_format(self):
-        assert (
-            segment_file_name(3, (1, 2), Quality.LOW, 7) == "g00003_r1_c2_low_v7.seg"
-        )
+    def test_pack_file_name_format(self):
+        assert pack_file_name(3, 7) == "g00003_v7.pack"
 
 
 class TestLifecycle:
@@ -46,7 +43,7 @@ class TestLifecycle:
 
     def test_drop_removes_everything(self, catalog):
         catalog.create("demo")
-        (catalog.segments_dir("demo") / "junk.seg").write_bytes(b"x")
+        (catalog.segments_dir("demo") / "junk.pack").write_bytes(b"x")
         catalog.drop("demo")
         assert not catalog.exists("demo")
 

@@ -1,9 +1,13 @@
 """Unit and integration tests for the storage manager."""
 
+import hashlib
+
 import pytest
 
+from repro.core import storage as storage_module
 from repro.core.errors import CatalogError, IngestError, SegmentNotFoundError
-from repro.core.storage import IngestConfig, StorageManager, _parse_metadata_file
+from repro.core.metadata import parse_metadata_file
+from repro.core.storage import IngestConfig, StorageManager
 from repro.geometry.grid import TileGrid
 from repro.video.frame import psnr
 from repro.video.mp4 import Mp4File
@@ -104,7 +108,7 @@ class TestMetadataRoundTrip:
         assert mp4.find("moov.vcld.sv3d").payload == b"equirectangular"
         mp4.find("moov.vcld.sv3d").payload = b"cubemap"
         with pytest.raises(CatalogError, match="cubemap"):
-            _parse_metadata_file("clip", mp4.serialize())
+            parse_metadata_file("clip", mp4.serialize())
 
     def test_missing_version(self, loaded):
         with pytest.raises(CatalogError):
@@ -207,6 +211,86 @@ class TestAppend:
         assert loaded.meta("clip", 1) == first
 
 
+class TestPacks:
+    def test_one_publish_per_gop(self, storage, monkeypatch):
+        """2 GOPs x 4 tiles x 2 rungs: one pack per GOP, then metadata and
+        marker — not one file per segment."""
+        published = []
+        real = storage_module._publish_bytes
+
+        def publish(path, payload):
+            published.append(path.name)
+            real(path, payload)
+
+        monkeypatch.setattr(storage_module, "_publish_bytes", publish)
+        frames = synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0, seed=1)
+        meta = storage.ingest("clip", frames, CONFIG, workers=1)
+        assert len(meta.entries) == 16
+        assert published == [
+            "g00000_v1.pack",
+            "g00001_v1.pack",
+            "metadata_v1.mp4",
+            "metadata_v1.ok",
+        ]
+
+    def test_index_locates_each_segment_in_its_pack(self, loaded):
+        """A pack is an ``mdat`` of its GOP's segments, end to end, in the
+        order the index's offsets give."""
+        meta = loaded.meta("clip")
+        for gop in range(meta.gop_count):
+            ranges = sorted(
+                (entry.offset, entry.size)
+                for (g, _, _), entry in meta.entries.items()
+                if g == gop
+            )
+            pack = loaded.catalog.pack_path("clip", gop, 1).read_bytes()
+            assert pack[4:8] == b"mdat"
+            ends = [offset + size for offset, size in ranges]
+            assert [offset for offset, _ in ranges] == [8] + ends[:-1]
+            assert ends[-1] == len(pack)
+
+    def test_golden_bytes_per_key(self, tmp_path):
+        """Every committed version's bytes for every key, over ingest at 1
+        and 2 workers, two appends, a reingest onto a new grid and a
+        store of read-back windows, hash to the digest the one-file-per-
+        segment layout produced from the same inputs."""
+        config = IngestConfig(
+            grid=TileGrid(2, 2), qualities=(Quality.HIGH, Quality.LOW), gop_frames=4, fps=4.0
+        )
+        frames = list(
+            synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0, seed=17)
+        )
+        storage = StorageManager(tmp_path)
+        storage.ingest("clip", iter(frames), config, workers=1)
+        storage.ingest("twin", iter(frames), config, workers=2)
+        for seed, workers in ((18, 1), (19, 2)):
+            more = synthetic_video("venice", width=64, height=32, fps=4.0, duration=1.0, seed=seed)
+            storage.append("clip", more, workers=workers)
+        storage.reingest(
+            "twin",
+            IngestConfig(grid=TileGrid(1, 2), qualities=(Quality.HIGH,), gop_frames=4, fps=4.0),
+            workers=1,
+        )
+        windows = [
+            storage.read_window("clip", gop, {tile: Quality.LOW for tile in config.grid.tiles()})
+            for gop in (0, 3)
+        ]
+        storage.store_windows("clip", windows, fps=4.0)
+        digest = hashlib.sha256()
+        for name in storage.list_videos():
+            for version in storage.catalog.versions(name):
+                meta = storage.meta(name, version)
+                for gop, tile, quality in sorted(meta.entries, key=str):
+                    data = storage.read_segment(name, gop, tile, quality, version)
+                    digest.update(
+                        f"{name}/{version}/{gop}/{tile}/{quality.label}/{len(data)}".encode()
+                    )
+                    digest.update(data)
+        assert digest.hexdigest() == (
+            "d385f5b93daa8f4350acda5764c180c366a0b3e630b3863210b7a9ff54580098"
+        )
+
+
 class TestStoreWindows:
     def test_store_encoded_windows(self, storage):
         frames = checkerboard_video(width=64, height=32, frames=8)
@@ -240,10 +324,9 @@ class TestStoreWindows:
 
     @pytest.fixture()
     def disk_fills_up(self, monkeypatch):
-        """The third durable publish from now on fails with ENOSPC."""
+        """The third durable publish from now on fails with ENOSPC: after
+        two packs, in place of a two-window store's metadata."""
         import errno
-
-        from repro.core import storage as storage_module
 
         real = storage_module._publish_bytes
         calls = {"n": 0}
@@ -263,7 +346,7 @@ class TestStoreWindows:
         frames = checkerboard_video(width=64, height=32, frames=4)
         window = TiledVideoCodec(TileGrid(2, 2), 64, 32).encode_gop(frames, Quality.HIGH)
         with pytest.raises(OSError, match="No space left"):
-            storage.store_windows("x", [window], fps=4.0)
+            storage.store_windows("x", [window, window], fps=4.0)
         assert "x" not in storage.list_videos()
         assert storage.fsck()["clean"]
         if retry == "store_windows":
@@ -281,11 +364,11 @@ class TestStoreWindows:
             "clip", 0, {tile: Quality.HIGH for tile in TileGrid(2, 2).tiles()}
         )
         with pytest.raises(OSError, match="No space left"):
-            loaded.store_windows("clip", [window], fps=4.0)
+            loaded.store_windows("clip", [window, window], fps=4.0)
         assert loaded.catalog.versions("clip") == [1]
         assert loaded.meta("clip") == before
         report = loaded.fsck(repair=True)
-        assert len(report["orphan_segments"]) == 2  # the two publishes that landed
+        assert len(report["orphan_packs"]) == 2  # the two publishes that landed
         assert not any(
             report[key]
             for key in (

@@ -55,7 +55,7 @@ class TestVacuum:
             versioned.meta("clip", version=1)
 
     def test_vacuum_after_overwrite_frees_bytes(self, versioned):
-        # A full re-store supersedes every old segment file.
+        # A full re-store supersedes every old pack.
         meta = versioned.meta("clip")
         windows = [
             versioned.storage.read_window(
@@ -72,15 +72,15 @@ class TestVacuum:
             versioned.storage.read_segment("clip", gop, (1, 1), Quality.HIGH)
 
     def test_vacuum_spares_an_uncommitted_append(self, versioned):
-        """Segments an append has published but not yet committed are the
+        """Packs an append has published but not yet committed are the
         next version, not garbage: vacuum deletes only what the versions it
-        drops pointed at, and orphans stay ``fsck --repair``'s."""
+        drops pointed into, and orphans stay ``fsck --repair``'s."""
         storage = versioned.storage
-        pending = storage.catalog.segment_path("clip", 3, (0, 0), Quality.HIGH, 4)
-        pending.write_bytes(b"the next version's segment")
+        pending = storage.catalog.pack_path("clip", 3, 4)
+        pending.write_bytes(b"the next version's pack")
         versioned.vacuum("clip", keep_versions=1)
-        assert pending.read_bytes() == b"the next version's segment"
-        orphans = storage.fsck(repair=True)["orphan_segments"]
+        assert pending.read_bytes() == b"the next version's pack"
+        orphans = storage.fsck(repair=True)["orphan_packs"]
         assert orphans == [str(pending.relative_to(storage.catalog.root))]
 
     def test_vacuum_keep_two(self, versioned):

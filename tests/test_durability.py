@@ -14,8 +14,9 @@ Four contracts pinned here:
   buffers on an attached server, so a dropped-then-recreated video never
   serves stale bytes.
 * **Read-repair** — with rf>=2, a segment corrupt on one node's disk is
-  served byte-identical via checksum-triggered peer fetch, and the local
-  file is atomically rewritten to the ingest bytes.
+  served byte-identical via checksum-triggered peer fetch, and its range
+  of the local pack is atomically rewritten to the ingest bytes — by
+  replacing the pack, so a root sharing its inode is never written.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.obs import MetricsRegistry
 from repro.serve.client import HttpSegmentClient
 from repro.serve.placement import ShardMap, materialize_shards
 from repro.serve.server import ServerConfig, start_server
+from tests import segment_damage
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -83,7 +85,7 @@ def _crashing_ingest(
 ) -> subprocess.CompletedProcess:
     """Run one ingest (or one append to an existing ``clip``) in a
     subprocess that SIGKILLs itself at the ``crash_after``-th durable
-    publish (segments, metadata, marker)."""
+    publish (packs, metadata, marker)."""
     script = (
         "from pathlib import Path\n"
         "from repro import IngestConfig, Quality, TileGrid\n"
@@ -111,10 +113,10 @@ def _crashing_ingest(
 
 
 class TestCrashConsistency:
-    """SIGKILL mid-ingest: 2 GOPs x 4 tiles x 2 rungs = 16 segment
-    publishes, then metadata (#17), then the marker (#18)."""
+    """SIGKILL mid-ingest: 2 GOPs x 4 tiles x 2 rungs is one pack
+    publish per GOP (#1, #2), then metadata (#3), then the marker (#4)."""
 
-    @pytest.mark.parametrize("crash_after", [1, 5, 17])
+    @pytest.mark.parametrize("crash_after", [1, 2, 3])
     def test_crash_before_metadata_leaves_nothing_visible(self, tmp_path, crash_after):
         result = _crashing_ingest(tmp_path, crash_after)
         assert result.returncode in (-9, 137), result.stderr.decode()
@@ -156,7 +158,7 @@ class TestCrashConsistency:
         """One commit rule for a first ingest and an append alike: the
         complete-but-unmarked version stays invisible until fsck adopts
         it (roll-forward), then it reads."""
-        result = _crashing_ingest(root, crash_after=18, append=version > 1)
+        result = _crashing_ingest(root, crash_after=4, append=version > 1)
         assert result.returncode in (-9, 137), result.stderr.decode()
 
         storage = StorageManager(root)
@@ -239,24 +241,18 @@ class TestFsckRecovery:
         segments = sorted(catalog.segments_dir("rotted").iterdir())
 
         report = db.storage.fsck(repair=True)
-        assert report["orphan_segments"] == []
+        assert report["orphan_packs"] == []
         assert sorted(catalog.segments_dir("rotted").iterdir()) == segments
 
 
-def _bit_flip(path: Path) -> None:
-    data = bytearray(path.read_bytes())
-    data[len(data) // 2] ^= 0x08
-    path.write_bytes(bytes(data))
-
-
 DAMAGE = {
-    "intact": lambda path: None,
-    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-1]),
-    "bit-flip": _bit_flip,  # same size, different content
-    "deleted": Path.unlink,
+    "intact": lambda storage, name, key: None,
+    "truncated": segment_damage.truncate,
+    "bit-flip": segment_damage.flip,  # same size, different content
+    "deleted": segment_damage.delete,  # the whole pack
 }
 
-#: What the index concludes about the damaged file.
+#: What the index concludes about the damaged segment.
 VERDICTS = {
     "intact": "ok",
     "truncated": "corrupt",
@@ -288,16 +284,21 @@ class TestIntegrityTable:
         StorageManager(tmp_path).ingest("clip", frames, config)
         storage = StorageManager(tmp_path, cache_bytes=0)
         catalog = storage.catalog
-        key, entry = sorted(
-            storage.meta("clip").entries.items(), key=lambda item: str(item[0])
-        )[0]
+        entries = storage.meta("clip").entries
+        # The pack's last range, so truncating the pack damages it alone.
+        key, entry = max(entries.items(), key=lambda item: item[1].offset)
         assert entry.checksum
-        path = catalog.segment_path("clip", *key, entry.file_version)
-        DAMAGE[damage](path)
+        pack = catalog.pack_path("clip", key[0], entry.file_version)
+        DAMAGE[damage](storage, "clip", key)
         verdict = VERDICTS[damage]
+        damaged = [
+            f"clip/{pack.name}@{other.offset}"
+            for other_key, other in sorted(entries.items(), key=lambda item: str(item[0]))
+            if other_key == key or damage == "deleted"
+        ]
 
         if verdict == "ok":
-            on_disk = path.read_bytes()
+            on_disk = segment_damage.stored(storage, "clip", key)
             assert storage.read_segment("clip", *key) == on_disk
             assert storage.verify_segment_bytes("clip", *key, on_disk) == entry
         else:
@@ -306,13 +307,15 @@ class TestIntegrityTable:
                 storage.read_segment("clip", *key)
             assert type(raised.value) is expected
             assert raised.value.repairable
-            if verdict == "corrupt":  # a missing file leaves no bytes to judge
+            if verdict == "corrupt":  # a missing pack leaves no bytes to judge
                 with pytest.raises(SegmentCorruptError):
-                    storage.verify_segment_bytes("clip", *key, path.read_bytes())
+                    storage.verify_segment_bytes(
+                        "clip", *key, segment_damage.stored(storage, "clip", key)
+                    )
 
         scrubbed = storage.scrub()
         assert scrubbed["segments_checked"] == 4
-        assert scrubbed["corrupt"] == ([] if verdict == "ok" else [f"clip/{path.name}"])
+        assert scrubbed["corrupt"] == ([] if verdict == "ok" else damaged)
 
         # No marker: fsck has to decide between adopting and rolling back.
         catalog.marker_path("clip", 1).unlink()
@@ -323,12 +326,21 @@ class TestIntegrityTable:
 
 
 class TestChecksumlessMetadata:
-    """The index is read in the one form the writer emits: a ``csum``
-    entry per ``stss`` entry. Anything less is damage, not an older
-    format, so no stored byte is ever served unverified."""
+    """The index is read in the one form the writer emits: a ``csum`` and
+    an ``stco`` entry per ``stss`` entry. Anything less is damage, not an
+    older format, so no stored byte is ever served unverified or from a
+    guessed place."""
 
     @pytest.mark.parametrize("damage", ["missing", "short"])
     def test_trak_without_a_checksum_per_segment_is_rejected(self, db, damage):
+        self._damage_leaf(db, "csum", damage)
+
+    @pytest.mark.parametrize("damage", ["missing", "short"])
+    def test_trak_without_an_offset_per_segment_is_rejected(self, db, damage):
+        self._damage_leaf(db, "stco", damage)
+
+    @staticmethod
+    def _damage_leaf(db, kind: str, damage: str) -> None:
         import struct
 
         from repro.video.mp4 import Mp4File
@@ -337,12 +349,12 @@ class TestChecksumlessMetadata:
         path = db.storage.catalog.metadata_path("clip", 1)
         mp4 = Mp4File.parse(path.read_bytes())
         trak = mp4.find("moov").find("trak")
-        csum = trak.find("csum")
+        leaf = trak.find(kind)
         if damage == "missing":
-            trak.children.remove(csum)
+            trak.children.remove(leaf)
         else:
-            (count,) = struct.unpack_from(">I", csum.payload)
-            csum.payload = struct.pack(">I", count - 1) + csum.payload[4:-4]
+            (count,) = struct.unpack_from(">I", leaf.payload)
+            leaf.payload = struct.pack(">I", count - 1) + leaf.payload[4:-4]
         path.write_bytes(mp4.serialize())
 
         with pytest.raises(CatalogError, match="trak"):
@@ -392,6 +404,54 @@ class TestDropCoherence:
         assert not db.storage._drop_listeners
 
 
+class TestRangeRepair:
+    def test_concurrent_repairs_in_one_pack_keep_both_and_spare_a_linked_root(
+        self, tmp_path
+    ):
+        """Two segments of one pack rot in place — on an inode a second
+        root hard-links. Two threads repair them at once: both splices
+        survive, and the other root's copy is never written through."""
+        import threading
+
+        storage = StorageManager(tmp_path / "a", cache_bytes=0)
+        _ingest(storage, "clip", seed=3)
+        peer_root = tmp_path / "b"
+        materialize_shards(storage, {"b": peer_root}, ShardMap(nodes=("b",)))
+        entries = storage.meta("clip").entries
+        keys = sorted((key for key in entries if key[0] == 0), key=str)[:2]
+        pack, _ = segment_damage.locate(storage, "clip", keys[0])
+        linked = peer_root / pack.relative_to(storage.catalog.root)
+        assert os.stat(pack).st_ino == os.stat(linked).st_ino
+        canonical = {key: storage.read_segment("clip", *key) for key in keys}
+        with open(pack, "r+b") as handle:  # bit rot: in place, through the link
+            for key in keys:
+                entry = entries[key]
+                handle.seek(entry.offset + entry.size // 2)
+                byte = handle.read(1)[0]
+                handle.seek(-1, os.SEEK_CUR)
+                handle.write(bytes([byte ^ 0x08]))
+        rotted = linked.read_bytes()
+
+        barrier = threading.Barrier(len(keys))
+
+        def repair(key):
+            barrier.wait()
+            storage.repair_segment("clip", *key, canonical[key])
+
+        threads = [threading.Thread(target=repair, args=(key,)) for key in keys]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        for key in keys:
+            assert storage.read_segment("clip", *key) == canonical[key]
+        assert linked.read_bytes() == rotted
+        assert os.stat(pack).st_ino != os.stat(linked).st_ino
+        assert storage.fsck()["clean"]
+        assert storage.scrub()["corrupt"] == []
+
+
 NODES = ("node-0", "node-1", "node-2")
 
 
@@ -429,16 +489,6 @@ class TestReadRepair:
         for handle in handles.values():
             handle.stop()
 
-    def _rot(self, path: Path) -> bytes:
-        """Flip one mid-payload bit via replace (never through a hard link)."""
-        original = path.read_bytes()
-        damaged = bytearray(original)
-        damaged[len(damaged) // 2] ^= 0x08
-        rotted = path.with_name(path.name + ".rot")
-        rotted.write_bytes(bytes(damaged))
-        os.replace(rotted, path)
-        return original
-
     def test_corrupt_local_segment_is_served_and_healed(self, session_db, tier):
         manifest = session_db.storage.build_manifest("clip")
         key = next(
@@ -447,15 +497,8 @@ class TestReadRepair:
             if tier["map"].owns("node-0", "clip", key)
         )
         storage = tier["storages"]["node-0"]
-        meta = storage.meta("clip")
-        path = storage.catalog.segment_path(
-            "clip",
-            key.window,
-            key.tile,
-            key.quality,
-            meta.entries[(key.window, key.tile, key.quality)].file_version,
-        )
-        original = self._rot(path)
+        address = (key.window, key.tile, key.quality)
+        original = segment_damage.flip(storage, "clip", address)
         canonical = session_db.storage.read_segment(
             "clip", key.window, key.tile, key.quality
         )
@@ -465,7 +508,7 @@ class TestReadRepair:
             served = client.fetch_segment("clip", key)
 
         assert served == canonical  # byte-identical despite local rot
-        assert path.read_bytes() == canonical  # the disk copy was healed
+        assert segment_damage.stored(storage, "clip", address) == canonical  # healed
         registry = tier["registries"]["node-0"]
         assert registry.counter("storage.repair_attempts").total() == 1
         assert registry.counter("storage.repair_success").total() == 1
@@ -491,15 +534,7 @@ class TestReadRepair:
                 for key in sorted(manifest.segment_sizes, key=lambda k: k.to_path())
                 if shard_map.owns("node-0", "clip", key)
             )
-            meta = storage.meta("clip")
-            path = storage.catalog.segment_path(
-                "clip",
-                key.window,
-                key.tile,
-                key.quality,
-                meta.entries[(key.window, key.tile, key.quality)].file_version,
-            )
-            self._rot(path)
+            segment_damage.flip(storage, "clip", (key.window, key.tile, key.quality))
             with HttpSegmentClient(handle.base_url) as client:
                 with pytest.raises(SegmentCorruptError):
                     client.fetch_segment("clip", key)

@@ -27,6 +27,7 @@ from repro.video.gop import GopCodec, decode_any_gop, gop_byte_length
 from repro.video.mp4 import parse_atoms
 from repro.video.tiles import TiledGop
 from repro.workloads.videos import checkerboard_video, synthetic_video
+from tests import segment_damage
 
 CONFIG = IngestConfig(
     grid=TileGrid(2, 2),
@@ -48,12 +49,7 @@ def loaded(db):
     return db
 
 
-def segment_path(db, gop=0, tile=(0, 0)):
-    meta = db.meta("clip")
-    entry = meta.entries[(gop, tile, Quality.HIGH)]
-    return db.storage.catalog.segment_path(
-        "clip", gop, tile, Quality.HIGH, entry.file_version
-    )
+FIRST = (0, (0, 0), Quality.HIGH)  # the first segment of GOP 0's pack
 
 
 class TestSegmentCorpus:
@@ -106,15 +102,14 @@ class TestSegmentCorpus:
 
 class TestDamagedSegments:
     def test_truncated_segment_detected_by_size_check(self, loaded):
-        path = segment_path(loaded)
-        path.write_bytes(path.read_bytes()[:-10])
+        segment_damage.truncate(loaded.storage, "clip", FIRST, short_by=10)
         with pytest.raises(SegmentNotFoundError, match="index says"):
             loaded.storage.read_segment("clip", 0, (0, 0), Quality.HIGH)
 
     def test_deleted_segment_raises_database_error(self, loaded):
         # Regression: this used to leak a raw FileNotFoundError out of
         # Streamer.serve when the file vanished under a live session.
-        segment_path(loaded).unlink()
+        segment_damage.delete(loaded.storage, "clip", FIRST)
         with pytest.raises(SegmentNotFoundError, match="missing from disk") as excinfo:
             loaded.storage.read_segment("clip", 0, (0, 0), Quality.HIGH)
         assert not isinstance(excinfo.value, FileNotFoundError)
@@ -126,7 +121,7 @@ class TestDamagedSegments:
         from repro import ConstantBandwidth, SessionConfig, UniformAdaptive
         from repro.workloads.users import ViewerPopulation
 
-        segment_path(loaded, gop=1, tile=(0, 1)).unlink()
+        segment_damage.delete(loaded.storage, "clip", (1, (0, 1), Quality.HIGH))
         loaded.storage.segment_cache.invalidate_prefix("clip")
         trace = ViewerPopulation(seed=3).trace(0, duration=2.0, rate=10.0)
         config = SessionConfig(
@@ -139,12 +134,13 @@ class TestDamagedSegments:
         # Every corpus case applied to the real on-disk segment: the
         # storage layer either refuses with a database error or serves
         # bytes whose decode fails in a controlled way.
-        path = segment_path(loaded)
-        original = path.read_bytes()
+        storage = loaded.storage
+        pack = segment_damage.locate(storage, "clip", FIRST)[0].read_bytes()
+        original = segment_damage.stored(storage, "clip", FIRST)
         corpus = segment_corruption_corpus(original, seed=9)
         for label, payload in corpus:
-            path.write_bytes(payload)
-            loaded.storage.segment_cache.invalidate_prefix("clip")
+            segment_damage.splice(storage, "clip", FIRST, payload, pack=pack)
+            storage.segment_cache.invalidate_prefix("clip")
             try:
                 data = loaded.storage.read_segment("clip", 0, (0, 0), Quality.HIGH)
             except SegmentNotFoundError:
@@ -157,8 +153,8 @@ class TestDamagedSegments:
             assert isinstance(frames, list), label
 
     def test_size_mismatch_is_reported_as_corruption(self, loaded):
-        path = segment_path(loaded)
-        path.write_bytes(b"")
+        size = segment_damage.locate(loaded.storage, "clip", FIRST)[1].size
+        segment_damage.truncate(loaded.storage, "clip", FIRST, short_by=size)  # reads empty
         with pytest.raises(SegmentCorruptError):
             loaded.storage.read_segment("clip", 0, (0, 0), Quality.HIGH)
 

@@ -221,16 +221,16 @@ class TestPoolErrors:
             synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0, seed=3)
         )
         storage = StorageManager(tmp_path)
-        real = Catalog.segment_path
+        real = Catalog.pack_path
         calls = {"n": 0}
 
-        def failing_segment_path(self, *args, **kwargs):
+        def failing_pack_path(self, *args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > 3:
+            if calls["n"] > 1:  # the second GOP's pack
                 raise RuntimeError("disk on fire")
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(Catalog, "segment_path", failing_segment_path)
+        monkeypatch.setattr(Catalog, "pack_path", failing_pack_path)
         with pytest.raises(RuntimeError, match="disk on fire"):
             storage.ingest("clip", iter(frames), CONFIG, workers=2)
         assert "clip" not in storage.list_videos()

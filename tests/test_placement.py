@@ -313,13 +313,16 @@ class TestMaterializeShards:
         manifest = storage.build_manifest("clip")
         total_expected = 0
         for name in storage.list_videos():
-            keys = storage.segment_files(name)
+            packs = storage.segment_files(name)
             for entry in sorted((root / name).rglob("*")):
                 if not entry.is_file():
                     continue
                 relative = entry.relative_to(root)
                 if entry.parent.name == "segments":
-                    owners = shard_map.owners(name, keys[entry])
+                    # A pack goes to every node owning one of its segments.
+                    owners = [
+                        node for key in packs[entry] for node in shard_map.owners(name, key)
+                    ]
                     total_expected += len(owners)
                     for node in shard_map.nodes:
                         copy = node_roots[node] / relative
@@ -358,9 +361,9 @@ class TestMaterializeShards:
 
     def test_crash_debris_stays_behind(self, tmp_path):
         """Shards come from the committed index: an interrupted commit (its
-        unmarked metadata and its segments) and a torn publish stay on the
+        unmarked metadata and its packs) and a torn publish stay on the
         source, so every node root is fsck-clean and holds exactly the
-        segments it owns of the committed versions."""
+        committed packs holding a segment it owns."""
         storage = StorageManager(tmp_path / "source")
         config = IngestConfig(
             grid=TileGrid(2, 2), qualities=(Quality.HIGH, Quality.LOW), gop_frames=4, fps=4.0
@@ -369,14 +372,11 @@ class TestMaterializeShards:
             synthetic_video("venice", width=64, height=32, fps=4.0, duration=1.0, seed=3)
         )
         storage.ingest("clip", iter(frames), config, workers=1)
-        storage.append("clip", iter(frames), workers=1)  # v2 writes the new GOP's segments
+        storage.append("clip", iter(frames), workers=1)  # v2 writes the new GOP's pack
         catalog = storage.catalog
         catalog.marker_path("clip", 2).unlink()  # ... but never committed
         (catalog.video_dir("clip") / "metadata_v3.mp4.tmp").write_bytes(b"torn")
-        committed = {  # the one committed version's segments
-            catalog.segment_path("clip", *key, entry.file_version).name: SegmentKey(*key)
-            for key, entry in storage.meta("clip").entries.items()
-        }
+        committed = storage.segment_files("clip")  # the one committed version's packs
         assert len(committed) < len(list(catalog.segments_dir("clip").iterdir()))
 
         shard_map = ShardMap(nodes=("node-0", "node-1", "node-2"))
@@ -386,5 +386,7 @@ class TestMaterializeShards:
             assert StorageManager(root).fsck()["clean"], node
             held = {path.name for path in (root / "clip" / "segments").iterdir()}
             assert held == {
-                name for name, key in committed.items() if shard_map.owns(node, "clip", key)
+                path.name
+                for path, segments in committed.items()
+                if any(shard_map.owns(node, "clip", key) for key in segments)
             }

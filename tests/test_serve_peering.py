@@ -10,7 +10,6 @@ counter movement. The 3-node integration suites (``test_serve_shard``,
 
 from __future__ import annotations
 
-import os
 import shutil
 
 import pytest
@@ -25,6 +24,7 @@ from repro.core.storage import StorageManager
 from repro.obs import MetricsRegistry
 from repro.serve import ShardedBackend, ShardMap
 from repro.stream.dash import SegmentKey
+from tests import segment_damage
 
 NODES = ("node-0", "node-1", "node-2")
 SHARD_MAP = ShardMap(nodes=NODES, replication_factor=2)
@@ -87,17 +87,12 @@ class Node:
             if SHARD_MAP.owns("node-0", "clip", key) == (role == "owner")
         )
         self.canonical = self.storage.read_segment("clip", *self._address())
-        entry = self.storage.meta("clip").entries[self._address()]
-        self.path = self.storage.catalog.segment_path(
-            "clip", *self._address(), entry.file_version
-        )
         if local == "corrupt":
-            # Via replace, never through the copy's inode in place.
-            rotted = self.path.with_name(self.path.name + ".rot")
-            rotted.write_bytes(_damage(self.canonical))
-            os.replace(rotted, self.path)
+            segment_damage.splice(
+                self.storage, "clip", self._address(), _damage(self.canonical)
+            )
         elif local == "missing":
-            self.path.unlink()
+            segment_damage.delete(self.storage, "clip", self._address())
         self.storage.segment_cache.clear()  # the next read goes to disk
         self.peers = {
             node: FakePeer(peer, self.canonical) for node in ("node-1", "node-2")
@@ -126,9 +121,10 @@ class Node:
         }
 
     def disk(self) -> str:
-        if not self.path.exists():
+        stored = segment_damage.stored(self.storage, "clip", self._address())
+        if stored is None:
             return "missing"
-        return "canonical" if self.path.read_bytes() == self.canonical else "damaged"
+        return "canonical" if stored == self.canonical else "damaged"
 
 
 N = object()  # placeholder in the table for len(canonical bytes)

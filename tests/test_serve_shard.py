@@ -1,14 +1,14 @@
 """End-to-end sharded delivery: peer fetch, routing, coherence, failover.
 
 A real 3-node tier built with ``materialize_shards`` — each node holds
-only its owned segment payloads plus the full metadata set — exercised
-over actual sockets. The contracts pinned here:
+only the packs holding a segment it owns plus the full metadata set —
+exercised over actual sockets. The contracts pinned here:
 
 * **Byte identity regardless of answering node** — any node returns any
   segment, peer-fetching the ones it does not own.
 * **Error taxonomy** — an owner's 404 is authoritative (propagates as
-  not-found); an unreachable owner set surfaces as transient so clients
-  fail over.
+  not-found); an unreachable owner set with no local copy surfaces as
+  transient so clients fail over.
 * **Differential QoE** — a no-fault wire session through the sharded
   tier is JSON-equal to the single-server wire path and the simulated
   path.
@@ -41,6 +41,7 @@ from repro.stream.dash import SegmentKey
 from repro.stream.network import ConstantBandwidth
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
+from tests import segment_damage
 
 NODES = ("node-0", "node-1", "node-2")
 
@@ -148,6 +149,11 @@ class TestErrorTaxonomy:
         )
         for owner in owners:
             tier.handles[owner].stop()
+        # node-0 holds the key's pack for the segments of it that node-0
+        # owns, and would answer from it; an outage with no local copy
+        # left is the case that must read as "fail over".
+        local = StorageManager(tier.node_roots["node-0"])
+        segment_damage.delete(local, "clip", (key.window, key.tile, key.quality))
         with HttpSegmentClient(tier.node_urls["node-0"]) as client:
             with pytest.raises(TransientSegmentError):
                 client.fetch_segment("clip", key)
