@@ -1,4 +1,4 @@
-"""Shared benchmark fixtures: one ingested database reused by E1-E8.
+"""Shared benchmark fixtures: one ingested database reused across the E-series.
 
 The heavy work — procedurally generating the three reference-video
 stand-ins and encoding them at the full tiling/quality matrix — happens

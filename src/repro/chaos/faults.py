@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 #: Fault kinds understood by the wrappers.
 #: Storage-target kinds: ``missing`` (persistent index/file loss),
-#: ``corrupt`` (persistent, detected at validation), ``torn`` (a
-#: half-written segment range under an intact index entry — persistent
-#: but *repairable*: a replica or scrub pass can restore it), ``slow``
-#: (transient latency beyond the read budget), ``flaky`` (transient I/O
-#: error).
+#: ``corrupt`` (persistent, detected at validation), ``slow`` (transient
+#: latency beyond the read budget), ``flaky`` (transient I/O error).
+#: Damage the repair path heals is real bytes, not an injected error: a
+#: plan's ``sessions.corrupt_at_rest`` rots one node's stored pack ranges.
 #: Cache-target kind: ``evict`` (the entry vanishes before lookup).
 #: Wire-target kinds (injected by :class:`repro.chaos.proxy.ChaosProxy`
 #: between client and server): ``refuse`` (the connection dies before
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 #: seconds until the client gives up), ``delay`` (fixed added latency,
 #: then a clean response).
 WIRE_KINDS = ("refuse", "reset", "truncate", "trickle", "delay")
-STORAGE_KINDS = ("missing", "corrupt", "torn", "slow", "flaky")
+STORAGE_KINDS = ("missing", "corrupt", "slow", "flaky")
 KINDS = STORAGE_KINDS + ("evict",) + WIRE_KINDS
 TARGETS = ("storage", "cache", "wire")
 

@@ -38,6 +38,7 @@ import threading
 import time
 
 from repro.chaos.faults import FaultPlan
+from repro.serve.wire import split_segment_path
 from repro.stream.dash import SegmentKey
 
 _MAX_HEAD = 16 * 1024
@@ -192,17 +193,20 @@ class ChaosProxy:
             return None
         line = request_head.split(b"\r\n", 1)[0].decode("latin-1", "replace")
         parts = line.split(" ")
-        path = parts[1] if len(parts) >= 2 else "/"
-        segments = [part for part in path.split("?", 1)[0].split("/") if part]
-        if len(segments) == 6 and segments[0] == "segment":
+        path = (parts[1] if len(parts) >= 2 else "/").split("?", 1)[0]
+        segment = split_segment_path(path)
+        if segment is not None:
+            video, tail = segment
             try:
-                key = SegmentKey.from_path("/".join(segments[2:]))
-                return self.plan.decide_key(segments[1], key, target="wire")
+                key = SegmentKey.from_path(tail)
             except ValueError:
                 pass
+            else:
+                return self.plan.decide_key(video, key, target="wire")
         # Non-segment traffic (manifest, metrics, healthz, junk): match
         # on the route name so unfiltered rules still fire; the sentinel
         # coordinates can never collide with a real segment.
+        segments = [part for part in path.split("/") if part]
         name = segments[1] if len(segments) > 1 else (segments[0] if segments else "-")
         return self.plan.decide(name, -1, (-1, -1), "-", target="wire")
 

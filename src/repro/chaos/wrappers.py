@@ -27,8 +27,7 @@ class ChaosStorageManager:
     Every read consults the plan *before* touching the real store; a
     fired fault surfaces as the matching error from the storage error
     contract (``missing`` → :class:`SegmentNotFoundError`, ``corrupt`` →
-    :class:`SegmentCorruptError`, ``torn`` → :class:`SegmentCorruptError`
-    with ``repairable=True``, ``slow`` → :class:`SegmentReadTimeout`,
+    :class:`SegmentCorruptError`, ``slow`` → :class:`SegmentReadTimeout`,
     ``flaky`` → :class:`TransientSegmentError`). ``read_window`` is
     reimplemented through the faulty ``read_segment`` so window assembly
     cannot bypass injection. Everything else (ingest, metadata,
@@ -55,15 +54,6 @@ class ChaosStorageManager:
             raise SegmentCorruptError(
                 f"injected fault: segment failed validation ({context})"
             )
-        if decision.kind == "torn":
-            # A half-written file under an intact index entry: persistent,
-            # but the repair taxonomy applies — a replica still holds the
-            # committed bytes, so read-repair / scrub can heal it.
-            error = SegmentCorruptError(
-                f"injected fault: torn write — partial segment on disk ({context})"
-            )
-            error.repairable = True
-            raise error
         if decision.kind == "slow":
             raise SegmentReadTimeout(
                 f"injected fault: read exceeded {self.slow_tolerance:.3f}s "

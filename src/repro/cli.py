@@ -126,7 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("name")
     serve.add_argument("--policy", choices=sorted(POLICIES), default="predictive")
-    serve.add_argument("--predictor", choices=PREDICTOR_KINDS, default=SessionConfig.predictor)
+    # No verb trains a Markov model, and a session never outlives its
+    # process, so ``markov`` could only ever exit 2 here.
+    serve.add_argument(
+        "--predictor",
+        choices=[kind for kind in PREDICTOR_KINDS if kind != "markov"],
+        default=SessionConfig.predictor,
+    )
     serve.add_argument("--bandwidth", type=float, default=20_000.0, help="bytes/second")
     serve.add_argument("--margin", type=int, default=SessionConfig.margin)
     serve.add_argument("--viewer-seed", type=int, default=0)

@@ -7,7 +7,7 @@ exploits:
 * a quality ladder in which lower quality means measurably fewer bytes,
 * closed groups of pictures (GOPs) that decode independently,
 * motion-constrained tiles that decode independently of their neighbours,
-* byte-level (homomorphic) select/union on encoded GOPs and tiles, and
+* byte-level (homomorphic) tile select/replace on encoded GOPs, and
 * an MP4-style atom container with GOP and tile indexes.
 
 Every byte produced here round-trips through a real decoder; nothing is a
@@ -17,7 +17,7 @@ size model.
 from repro.video.blocks import BLOCK_SIZE
 from repro.video.codec import FrameCodec, PlaneCodec
 from repro.video.frame import Frame, mse, psnr
-from repro.video.gop import GopCodec, GopStream, decode_any_gop
+from repro.video.gop import GopCodec, decode_any_gop
 from repro.video.mp4 import Atom, Mp4File
 from repro.video.quality import QUALITY_LADDER, Quality
 from repro.video.tiles import TiledGop, TiledVideoCodec
@@ -28,7 +28,6 @@ __all__ = [
     "Frame",
     "FrameCodec",
     "GopCodec",
-    "GopStream",
     "Mp4File",
     "PlaneCodec",
     "QUALITY_LADDER",

@@ -8,8 +8,7 @@ the quality ladder actually change the byte count.
 
 Two speeds coexist here. The scalar ``write_ue``/``read_ue`` methods are
 the reference wire format, one symbol at a time. The batched paths —
-:func:`ue_codes`, :func:`pack_symbols` (and its one-stream call
-:meth:`BitWriter.write_symbols`), and :meth:`BitReader.scan_ue` —
+:func:`ue_codes`, :func:`pack_symbols` and :meth:`BitReader.scan_ue` —
 process whole symbol arrays with numpy and are
 bit-identical to the scalar ones by construction; the codec's hot loops
 use them exclusively.
@@ -18,11 +17,6 @@ use them exclusively.
 from __future__ import annotations
 
 import numpy as np
-
-#: Largest codeword the vectorised packer emits in one symbol. A ue code
-#: for value v spans 2*bit_length(v+1) - 1 bits; 63 keeps every shift
-#: inside one int64 lane.
-MAX_BATCH_CODE_BITS = 63
 
 
 def ue_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +56,8 @@ def pack_symbols(
     """Pack symbols most-significant-bit first, as ``lengths.size`` streams.
 
     Symbol i is the low ``nbits[i]`` bits of ``codes[i]`` (``int64``, widths
-    in ``[1, MAX_BATCH_CODE_BITS]``); stream s is the next ``lengths[s]``
+    in ``[1, 63]``, so every shift stays inside one int64 lane); stream s
+    is the next ``lengths[s]``
     symbols, zero-padded to a whole byte so that every stream starts
     byte-aligned. Returns ``(packed, offsets)``: stream s is
     ``packed[offsets[s]:offsets[s + 1]]``.
@@ -142,37 +137,6 @@ class BitWriter:
         """Signed exp-Golomb: maps 0, 1, -1, 2, -2, ... to 0, 1, 2, 3, 4."""
         mapped = 2 * value - 1 if value > 0 else -2 * value
         self.write_ue(mapped)
-
-    def write_symbols(
-        self, codes: np.ndarray, nbits: np.ndarray, _trusted: bool = False
-    ) -> None:
-        """Vectorised bulk append: for each i, the low ``nbits[i]`` bits of
-        ``codes[i]``, in order. Byte-identical to the equivalent sequence of
-        :meth:`write` calls, including mid-byte continuation — the pending
-        partial byte is folded in as one more symbol before packing. The
-        one-stream call of :func:`pack_symbols`.
-
-        ``_trusted`` skips the range validation for internal callers whose
-        symbols are valid by construction (e.g. :func:`ue_codes` output).
-        """
-        codes = np.ascontiguousarray(codes, dtype=np.int64)
-        nbits = np.ascontiguousarray(nbits, dtype=np.int64)
-        if codes.shape != nbits.shape or codes.ndim != 1:
-            raise ValueError("codes and nbits must be 1-D arrays of equal length")
-        if codes.size == 0:
-            return
-        if not _trusted:
-            if nbits.min() < 1 or nbits.max() > MAX_BATCH_CODE_BITS:
-                raise ValueError(f"symbol widths must be in [1, {MAX_BATCH_CODE_BITS}]")
-            if codes.min() < 0 or np.any(codes >> nbits):
-                raise ValueError("a symbol value does not fit its bit width")
-        if self._nbits:
-            codes = np.concatenate(([self._acc], codes))
-            nbits = np.concatenate(([self._nbits], nbits))
-        out, _ = pack_symbols(codes, nbits, np.array([codes.size]))
-        whole, self._nbits = divmod(int(nbits.sum()), 8)
-        self._buffer += out[:whole].tobytes()
-        self._acc = int(out[whole]) >> (8 - self._nbits) if self._nbits else 0
 
     def getvalue(self) -> bytes:
         """The buffer contents, zero-padded to a whole number of bytes."""

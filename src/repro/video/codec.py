@@ -136,8 +136,9 @@ def _rows_to_symbols(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _VECTOR_LEVEL_LIMIT = 1 << 21
 
 
-def _write_rows(writer: BitWriter, rows: np.ndarray) -> None:
-    """Entropy-code ``(n, 64)`` quantised zigzag rows into a bit stream.
+def _encode_streams(rows: np.ndarray) -> list[bytes]:
+    """Entropy-code ``(streams, n, 64)`` quantised zigzag rows: each
+    stream's payload, zero-padded to whole bytes.
 
     Per block: the nonzero count as unsigned exp-Golomb, then (run, level)
     pairs — the run of zeros before each nonzero coefficient and its signed
@@ -146,36 +147,19 @@ def _write_rows(writer: BitWriter, rows: np.ndarray) -> None:
     with no length prefixes — the overhead floor that would otherwise
     dominate low-quality segments.
 
-    The whole plane is coded in one vectorised pass
-    (:func:`_rows_to_symbols` + :meth:`BitWriter.write_symbols`),
-    bit-identical to :func:`_write_rows_reference`. Coefficients at or
-    beyond ±2**21 would overflow the packer's fused-pair codeword lane,
-    so that (never produced by the quantiser) range falls back to the
-    reference coder.
-    """
-    if rows.size == 0:
-        return
-    if int(rows.max()) >= _VECTOR_LEVEL_LIMIT or int(rows.min()) <= -_VECTOR_LEVEL_LIMIT:
-        _write_rows_reference(writer, rows)
-        return
-    codes, nbits = _rows_to_symbols(rows)
-    writer.write_symbols(codes, nbits, _trusted=True)
-
-
-def _encode_streams(rows: np.ndarray) -> list[bytes]:
-    """:func:`_write_rows` for ``(streams, n, 64)`` rows in one pass: each
-    stream's payload, zero-padded to whole bytes.
-
-    One symbol pass and one packing pass cover every stream; the packer
-    byte-aligns at stream boundaries, so payload s equals what a fresh
-    writer given only ``rows[s]`` produces. The ±2**21 guard holds per
-    stream: one beyond it is coded by the reference while its batch-mates
-    stay vectorised.
+    One symbol pass (:func:`_rows_to_symbols`) and one packing pass cover
+    every stream; the packer byte-aligns at stream boundaries, so payload
+    s equals what :func:`_write_rows_reference` writes for ``rows[s]``
+    alone. Coefficients at or beyond ±2**21 would overflow the packer's
+    fused-pair codeword lane, so a stream holding one (never produced by
+    the quantiser) is coded by the reference while its batch-mates stay
+    vectorised.
     """
     streams, blocks, _ = rows.shape
     flat = rows.reshape(streams, -1)
     beyond = np.flatnonzero(
-        (flat.max(axis=1) >= _VECTOR_LEVEL_LIMIT) | (flat.min(axis=1) <= -_VECTOR_LEVEL_LIMIT)
+        (flat.max(axis=1, initial=0) >= _VECTOR_LEVEL_LIMIT)
+        | (flat.min(axis=1, initial=0) <= -_VECTOR_LEVEL_LIMIT)
     )
     scalar_rows = rows[beyond]
     if beyond.size:
@@ -195,7 +179,7 @@ def _encode_streams(rows: np.ndarray) -> list[bytes]:
 
 
 def _write_rows_reference(writer: BitWriter, rows: np.ndarray) -> None:
-    """Scalar reference for :func:`_write_rows` (one symbol per call).
+    """Scalar reference for :func:`_encode_streams` (one symbol per call).
 
     This is the wire format's executable specification; the golden tests
     hold the vectorised path bit-identical to it.
@@ -221,7 +205,7 @@ def _raise_scan_stop(stop: str) -> None:
 
 
 def _read_rows(reader: BitReader, block_count: int) -> np.ndarray:
-    """Inverse of :func:`_write_rows`: a bit stream to ``(n, 64)`` rows.
+    """Inverse of :func:`_encode_streams`: a bit stream to ``(n, 64)`` rows.
 
     Decodes through :meth:`BitReader.scan_ue`: every remaining codeword in
     the payload is located and decoded in one vectorised pass (cached on

@@ -2,15 +2,15 @@
 
 A GOP starts with an intra frame and chains predicted frames off it, so
 any GOP can be decoded with no context from outside — the unit of random
-access, quality substitution, and the homomorphic (no-decode) temporal
-operators below.
+access and quality substitution. The store's own index (one ``stss``
+entry per GOP, one byte range per segment) is what selects GOPs by time;
+this module only codes them.
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,130 +142,3 @@ def decode_any_gop(data: bytes) -> list[Frame]:
     """Decode a GOP whose quality is read from its own header."""
     quality, *_ = _parse_gop_header(data)
     return GopCodec(quality).decode_gop(data)
-
-
-def gop_byte_length(data: bytes, offset: int = 0) -> int:
-    """Length in bytes of the GOP starting at ``offset``, by parsing only
-    the header and per-frame length prefixes (no entropy decode)."""
-    _, _, _, count, header_size = _parse_gop_header(data[offset:])
-    cursor = offset + header_size
-    for _ in range(count):
-        if cursor >= len(data):
-            raise ValueError("truncated GOP (frame length prefix)")
-        length, cursor = read_uvarint(data, cursor)
-        cursor += length
-    return cursor - offset
-
-
-@dataclass
-class GopStream:
-    """A concatenation of encoded GOPs plus a temporal index.
-
-    This is the in-memory analogue of a video track with an MP4 ``stss``
-    atom: ``index`` maps each GOP to its start time and byte range. The
-    methods contrast three access paths the evaluation measures:
-
-    * :meth:`select_indexed` — O(result) byte slicing via the index
-      (the homomorphic GOPSELECT),
-    * :meth:`select_scan` — index-less, parsing every preceding GOP's
-      framing to find boundaries, and
-    * :meth:`select_decode` — the naive path that decodes from the start,
-      as a decoder without random access must.
-    """
-
-    data: bytes = b""
-    index: list[tuple[float, float, int, int]] = field(default_factory=list)
-    #: index entries are (start_time_s, duration_s, byte_offset, byte_size)
-
-    @property
-    def gop_count(self) -> int:
-        return len(self.index)
-
-    @property
-    def duration(self) -> float:
-        if not self.index:
-            return 0.0
-        start, length, _, _ = self.index[-1]
-        return start + length
-
-    def append(self, gop_bytes: bytes, start_time: float, duration: float) -> None:
-        """Append an encoded GOP; times must be contiguous and increasing."""
-        if duration <= 0:
-            raise ValueError(f"GOP duration must be positive, got {duration}")
-        if self.index and abs(start_time - self.duration) > 1e-9:
-            raise ValueError(
-                f"GOP start {start_time} is not contiguous with stream end {self.duration}"
-            )
-        self.index.append((start_time, duration, len(self.data), len(gop_bytes)))
-        self.data += gop_bytes
-
-    def _covering_entries(self, t0: float, t1: float) -> list[tuple[float, float, int, int]]:
-        if t1 <= t0:
-            raise ValueError(f"empty temporal selection [{t0}, {t1})")
-        return [
-            entry
-            for entry in self.index
-            if entry[0] < t1 and entry[0] + entry[1] > t0
-        ]
-
-    def select_indexed(self, t0: float, t1: float) -> list[bytes]:
-        """GOP byte strings overlapping ``[t0, t1)``, via the index."""
-        return [
-            self.data[offset : offset + size]
-            for _, _, offset, size in self._covering_entries(t0, t1)
-        ]
-
-    def select_scan(self, t0: float, t1: float) -> list[bytes]:
-        """Same result as :meth:`select_indexed` but without using the
-        index: walks the stream parsing GOP framing to locate boundaries."""
-        results = []
-        offset = 0
-        time = 0.0
-        position = 0
-        while offset < len(self.data):
-            length = gop_byte_length(self.data, offset)
-            # Durations still come from the entry list (they are container
-            # metadata); what the scan forgoes is the byte offsets.
-            duration = self.index[position][1]
-            if time < t1 and time + duration > t0:
-                results.append(self.data[offset : offset + length])
-            time += duration
-            offset += length
-            position += 1
-            if time >= t1:
-                break
-        return results
-
-    def select_decode(self, t0: float, t1: float) -> list[Frame]:
-        """Naive sequential access: decode every GOP from the start of the
-        stream until the selection is satisfied, returning selected frames."""
-        frames: list[Frame] = []
-        time = 0.0
-        offset = 0
-        for start, duration, _, size in self.index:
-            gop = self.data[offset : offset + size]
-            decoded = decode_any_gop(gop)
-            if start < t1 and start + duration > t0:
-                frames.extend(decoded)
-            offset += size
-            time = start + duration
-            if time >= t1:
-                break
-        return frames
-
-    @staticmethod
-    def union(streams: list["GopStream"]) -> "GopStream":
-        """Homomorphic GOPUNION: concatenate temporally-contiguous streams
-        by splicing bytes and rebasing indexes — no decode, no re-encode."""
-        if not streams:
-            raise ValueError("union of zero streams")
-        result = GopStream()
-        for position, stream in enumerate(streams):
-            if stream.index and abs(stream.index[0][0]) > 1e-9:
-                raise ValueError(f"stream {position} does not start at time zero")
-            base_time = result.duration
-            base_offset = len(result.data)
-            for start, duration, offset, size in stream.index:
-                result.index.append((start + base_time, duration, offset + base_offset, size))
-            result.data += stream.data
-        return result

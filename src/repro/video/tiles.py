@@ -4,8 +4,8 @@ Each GOP of a 360-degree video is split along the angular tile grid and
 every tile is encoded as its own closed GOP. Because the codec's
 prediction never crosses tile boundaries (zero-motion residuals), a tile's
 bytes can be extracted, replaced, or recombined without touching any other
-tile — the *homomorphic* operators (`select`, `union`, `replace`) below
-move bytes only and never run the entropy decoder.
+tile — the *homomorphic* operators (`select`, `replace`) below move bytes
+only and never run the entropy decoder.
 """
 
 from __future__ import annotations
@@ -82,29 +82,13 @@ class TiledGop:
             payloads={tile: self.payloads[tile] for tile in tiles},
         )
 
-    def union(self, other: "TiledGop") -> "TiledGop":
-        """TILEUNION: combine two tile-disjoint GOPs. Pure byte moves."""
-        self._check_compatible(other)
-        overlap = set(self.payloads) & set(other.payloads)
-        if overlap:
-            raise ValueError(
-                f"tile union requires disjoint tiles; both sides define {sorted(overlap)}"
-            )
-        merged = dict(self.payloads)
-        merged.update(other.payloads)
-        return TiledGop(
-            width=self.width,
-            height=self.height,
-            grid=self.grid,
-            frame_count=self.frame_count,
-            payloads=merged,
-        )
-
     def replace(self, other: "TiledGop") -> "TiledGop":
-        """Substitute tiles: ``other``'s payloads win where both exist.
+        """TILEUNION: ``other``'s payloads win where both exist. Pure byte
+        moves.
 
-        This is how the streamer swaps a high-quality tile into a low-
-        quality base sphere without re-encoding anything.
+        This is the query planner's UNION (a LAST merge at tile
+        granularity), and how a high-quality tile is swapped into a
+        low-quality base sphere, without re-encoding anything.
         """
         self._check_compatible(other)
         merged = dict(self.payloads)
@@ -206,12 +190,6 @@ class TiledGop:
                 for frame, tile_frame in zip(frames, tile_frames)
             ]
         return frames
-
-    def decode_tile(self, row: int, col: int) -> list[Frame]:
-        """Decode a single tile's frames (at tile resolution)."""
-        if (row, col) not in self.payloads:
-            raise KeyError(f"tile ({row}, {col}) not present")
-        return decode_any_gop(self.payloads[(row, col)])
 
     def tile_quality(self, row: int, col: int) -> Quality:
         """The quality a present tile was encoded at (from its GOP header)."""

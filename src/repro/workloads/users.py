@@ -1,6 +1,6 @@
 """Viewer populations: many users, varied behaviour.
 
-The scalability experiment (E8) and the Markov-predictor training both
+Multi-session runs and the Markov-predictor training both
 need *populations* of viewers rather than single traces: users who watch
 the same content with correlated (hotspot-driven) but individually noisy
 behaviour.

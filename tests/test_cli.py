@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.control import Forecast, NodeState, Planner, catalog_from_storage
+from repro.core.predictor import PREDICTOR_KINDS
 from repro.core.storage import StorageManager
 from repro.serve import ServerConfig, start_server
 from repro.serve.placement import ShardMap
@@ -28,6 +29,22 @@ def run(tmp_path, *argv) -> int:
 
 def ingest_small(tmp_path, name="demo") -> None:
     assert run(tmp_path, "ingest", name, *SMALL_CLIP) == 0
+
+
+def _verbs() -> dict:
+    (verbs,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return verbs
+
+
+def _predictor_choices() -> list[str]:
+    (choices,) = (
+        action.choices for action in _verbs()["serve"]._actions if action.dest == "predictor"
+    )
+    return list(choices)
 
 
 class TestParser:
@@ -58,14 +75,15 @@ class TestParser:
         assert args.select_time == (1.0, 2.5)
 
     def test_verbs_are_the_ones_docs_api_lists(self):
-        (verbs,) = (
-            action.choices
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
         api = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
         listed = re.search(r"python -m repro --root DIR \{([^}]*)\}", api).group(1)
-        assert set(verbs) == set(re.findall(r"[a-z]+", listed))
+        assert set(_verbs()) == set(re.findall(r"[a-z]+", listed))
+
+    def test_serve_does_not_offer_markov(self):
+        # No verb trains a Markov model, so the choice could only exit 2.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "x", "--predictor", "markov"])
+        assert set(_predictor_choices()) == set(PREDICTOR_KINDS) - {"markov"}
 
 
 class TestCommands:
@@ -94,6 +112,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "total_bytes" in out
         assert "stall_time_s" in out
+
+    def test_every_predictor_choice_serves_a_fresh_store(self, tmp_path, capsys):
+        ingest_small(tmp_path)
+        for kind in _predictor_choices():
+            argv = ("serve", "demo", "--predictor", kind, "--transport", "sim")
+            assert run(tmp_path, *argv) == 0, kind
 
     def test_query_store(self, tmp_path, capsys):
         ingest_small(tmp_path)

@@ -21,9 +21,9 @@ from repro.obs import MetricsRegistry
 from repro.video import tiles
 from repro.video.bitstream import BitReader, BitWriter
 from repro.video.codec import (
+    _entropy_encode,
     _read_rows,
     _read_rows_reference,
-    _write_rows,
     _write_rows_reference,
 )
 from repro.video.frame import Frame
@@ -39,51 +39,37 @@ def _rng_rows(rng: np.random.Generator, blocks: int, density: float, span: int):
     return rows
 
 
+def _reference_bytes(rows: np.ndarray) -> bytes:
+    writer = BitWriter()
+    _write_rows_reference(writer, rows)
+    return writer.getvalue()
+
+
 class TestEntropyGoldenBytes:
-    """Vectorized coder vs the scalar reference, byte for byte."""
+    """The coder ingest runs (``_entropy_encode``, one stream of
+    ``_encode_streams``) vs the scalar reference, byte for byte."""
 
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.3, 1.0])
     @pytest.mark.parametrize("span", [1, 40, 3000])
     def test_encode_identical(self, density, span):
         rng = np.random.default_rng(int(density * 100) + span)
         rows = _rng_rows(rng, blocks=37, density=density, span=span)
-        vec, ref = BitWriter(), BitWriter()
-        _write_rows(vec, rows)
-        _write_rows_reference(ref, rows)
-        assert vec.getvalue() == ref.getvalue()
+        assert _entropy_encode(rows) == _reference_bytes(rows)
 
     def test_encode_identical_beyond_fused_pair_limit(self):
-        # Levels at/above 2**21 take the scalar fallback inside _write_rows;
-        # the bytes must still match the reference exactly.
+        # Levels at/above 2**21 take the scalar fallback inside
+        # _encode_streams; the bytes must still match the reference exactly.
         rows = np.zeros((4, 64), dtype=np.int32)
         rows[0, 0] = 1 << 21
         rows[1, 5] = -(1 << 21)
         rows[2, 63] = (1 << 22) + 17
-        vec, ref = BitWriter(), BitWriter()
-        _write_rows(vec, rows)
-        _write_rows_reference(ref, rows)
-        assert vec.getvalue() == ref.getvalue()
-
-    def test_encode_identical_mid_byte_continuation(self):
-        # Planes share one continuous stream: the second plane starts at a
-        # non-byte-aligned position. The vectorized writer must fold the
-        # pending partial byte in correctly.
-        rng = np.random.default_rng(7)
-        plane_a = _rng_rows(rng, blocks=5, density=0.4, span=25)
-        plane_b = _rng_rows(rng, blocks=11, density=0.1, span=500)
-        vec, ref = BitWriter(), BitWriter()
-        for writer, write in ((vec, _write_rows), (ref, _write_rows_reference)):
-            write(writer, plane_a)
-            write(writer, plane_b)
-        assert vec.getvalue() == ref.getvalue()
+        assert _entropy_encode(rows) == _reference_bytes(rows)
 
     @pytest.mark.parametrize("density", [0.05, 0.6])
     def test_decode_identical(self, density):
         rng = np.random.default_rng(13)
         rows = _rng_rows(rng, blocks=29, density=density, span=900)
-        writer = BitWriter()
-        _write_rows_reference(writer, rows)
-        payload = writer.getvalue()
+        payload = _reference_bytes(rows)
         got_vec = _read_rows(BitReader(payload), rows.shape[0])
         got_ref = _read_rows_reference(BitReader(payload), rows.shape[0])
         np.testing.assert_array_equal(got_vec, got_ref)
@@ -100,11 +86,8 @@ class TestEntropyGoldenBytes:
         """Any quantised rows survive encode -> decode bit-exactly."""
         rng = np.random.default_rng(seed)
         rows = _rng_rows(rng, blocks=blocks, density=density, span=span)
-        vec, ref = BitWriter(), BitWriter()
-        _write_rows(vec, rows)
-        _write_rows_reference(ref, rows)
-        payload = vec.getvalue()
-        assert payload == ref.getvalue()
+        payload = _entropy_encode(rows)
+        assert payload == _reference_bytes(rows)
         decoded = _read_rows(BitReader(payload), blocks)
         np.testing.assert_array_equal(decoded, rows)
 

@@ -18,7 +18,7 @@ from repro.geometry.sphere import from_unit_vector, great_circle_distance, to_un
 from repro.video.bitstream import BitReader, BitWriter
 from repro.video.codec import _entropy_decode, _entropy_encode
 from repro.video.frame import Frame
-from repro.video.gop import GopCodec, decode_any_gop, gop_byte_length
+from repro.video.gop import GopCodec
 from repro.video.mp4 import Atom, Mp4File, make_stss, parse_stss
 from repro.video.quality import Quality
 
@@ -211,18 +211,6 @@ class TestCodecProperties:
                 assert better <= worse * 1.05 + 1e-9
             else:
                 assert better <= worse + 1e-9
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_gop_byte_length_consistent(self, seed):
-        rng = np.random.default_rng(seed)
-        frames = [
-            Frame.from_luma(rng.integers(0, 255, (16, 16)).astype(np.uint8))
-            for _ in range(2)
-        ]
-        data = GopCodec(Quality.LOW).encode_gop(frames)
-        assert gop_byte_length(data) == len(data)
-        assert len(decode_any_gop(data)) == 2
 
 
 class TestMp4Properties:

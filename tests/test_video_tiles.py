@@ -4,6 +4,7 @@ import pytest
 
 from repro.geometry.grid import TileGrid
 from repro.video.frame import Frame, psnr
+from repro.video.gop import decode_any_gop
 from repro.video.quality import Quality
 from repro.video.tiles import TiledGop, TiledVideoCodec
 from repro.workloads.videos import checkerboard_video
@@ -60,15 +61,12 @@ class TestEncodeDecode:
         assert abs(int(decoded[0].y[-1, -1]) - 128) <= 1
 
     def test_decode_single_tile(self, tiled, codec, frames):
-        tile_frames = tiled.decode_tile(0, 1)
+        # A tile's payload is a closed GOP of its own: it decodes alone, at
+        # tile resolution, with no neighbour's bytes.
+        tile_frames = decode_any_gop(tiled.payloads[(0, 1)])
         assert tile_frames[0].width == codec.tile_width
         reference = frames[0].crop(16, 0, 32, 16)
         assert psnr(reference, tile_frames[0]) > 30
-
-    def test_decode_missing_tile(self, codec, frames):
-        tiled = codec.encode_gop(frames, Quality.HIGH, tiles={(0, 0)})
-        with pytest.raises(KeyError):
-            tiled.decode_tile(1, 1)
 
     def test_mixed_quality_encode(self, codec, frames):
         quality_map = {tile: Quality.LOW for tile in codec.grid.tiles()}
@@ -90,21 +88,11 @@ class TestHomomorphicOps:
         with pytest.raises(KeyError):
             partial.select({(0, 1)})
 
-    def test_union_disjoint(self, tiled):
-        left = tiled.select({(0, 0)})
-        right = tiled.select({(1, 1)})
-        union = left.union(right)
-        assert set(union.payloads) == {(0, 0), (1, 1)}
-
-    def test_union_overlap_rejected(self, tiled):
-        with pytest.raises(ValueError):
-            tiled.select({(0, 0)}).union(tiled.select({(0, 0), (1, 1)}))
-
-    def test_union_layout_mismatch(self, tiled, frames):
+    def test_replace_layout_mismatch(self, tiled, frames):
         other_codec = TiledVideoCodec(TileGrid(1, 1), 64, 32)
         other = other_codec.encode_gop(frames, Quality.HIGH)
         with pytest.raises(ValueError):
-            tiled.union(other)
+            tiled.replace(other)
 
     def test_replace_prefers_other(self, codec, frames):
         base = codec.encode_gop(frames, Quality.LOW)
@@ -113,11 +101,12 @@ class TestHomomorphicOps:
         assert merged.tile_quality(0, 2) is Quality.HIGH
         assert merged.tile_quality(0, 0) is Quality.LOW
 
-    def test_select_then_union_reconstructs(self, tiled, frames):
+    def test_select_then_replace_reconstructs(self, tiled, frames):
         tiles = list(tiled.payloads)
         left = tiled.select(set(tiles[:3]))
         right = tiled.select(set(tiles[3:]))
-        rebuilt = left.union(right)
+        rebuilt = left.replace(right)
+        assert set(rebuilt.payloads) == set(tiles)
         assert rebuilt.decode()[0].equals(tiled.decode()[0])
 
 

@@ -2,16 +2,19 @@
 # Which src/ functions does anything but a test run? Traces every non-test
 # entry point at function level and prints each unreached function of
 # src/repro with its size — the list DESIGN.md's "Reached code" section
-# explains name by name.
+# explains name by name — and then, as a second list, each function that
+# only the E-series reached: code experiments keep alive and nothing else
+# runs.
 #
 #   tools/reach.sh            (several minutes; not a CI job)
 #
 # The entry points: every example, every CLI verb (ingest, ls, info, serve
 # over the simulated link and over HTTP, query, export, import, stats,
 # metrics, vacuum, fsck after a SIGKILLed ingest, scrub, drop), the chaos
-# plans, `repro control` against a live server, the flash-crowd smoke and
-# `pytest benchmarks` (the E-series and every benchmarks/perf workload,
-# traced and untraced, spawned host included).
+# plans, `repro control` against a live server, the flash-crowd smoke,
+# `pytest benchmarks/perf` (every workload, traced and untraced, spawned
+# host included) and, logged apart, the E-series (`pytest benchmarks`
+# without `benchmarks/perf`).
 #
 # They run in a copy of this tree's files as they are now (tracked or
 # not, ignored ones left out), so the E-series result files and the perf
@@ -30,7 +33,7 @@ cleanup() {
   rm -rf "$work"
 }
 trap cleanup EXIT
-mkdir "$work/tree" "$work/hook" "$work/log"
+mkdir "$work/tree" "$work/hook" "$work/log" "$work/elog"
 (cd "$repo" && git ls-files -co --exclude-standard \
   | while read -r file; do if [ -e "$file" ]; then echo "$file"; fi; done \
   | tar -c -T -) | tar -x -C "$work/tree"
@@ -138,20 +141,29 @@ for plan in plans/*.json; do
   step 0 python -m repro --root "$work/chaosdb" chaos --plan "$plan" --output "$work/chaos.json"
 done
 step 0 python -m repro.bench.flash_crowd --smoke --output "$work/flash_crowd.json"
-step 0 python -m pytest benchmarks -q --benchmark-disable -p no:cacheprovider
+step 0 python -m pytest benchmarks/perf -q --benchmark-disable -p no:cacheprovider
+step 0 env REACH_LOG="$work/elog" python -m pytest benchmarks -q --benchmark-disable \
+  -p no:cacheprovider --ignore=benchmarks/perf
 
-env -u PYTHONPATH python - "$work/tree/src" "$work/log" <<'EOF'
-"""Print every src/repro function no traced process entered, with its size."""
+env -u PYTHONPATH python - "$work/tree/src" "$work/log" "$work/elog" <<'EOF'
+"""Print every src/repro function no traced process entered, with its size,
+then every one that only the E-series entered."""
 import ast
 import sys
 from pathlib import Path
 
-src, logs = Path(sys.argv[1]), Path(sys.argv[2])
-reached = {
-    (path, int(line), name)
-    for log in logs.glob("*.log")
-    for path, line, name in (entry.split("\t") for entry in log.read_text().splitlines())
-}
+src = Path(sys.argv[1])
+
+
+def reached_in(logs):
+    return {
+        (path, int(line), name)
+        for log in logs.glob("*.log")
+        for path, line, name in (entry.split("\t") for entry in log.read_text().splitlines())
+    }
+
+
+product, experiments = reached_in(Path(sys.argv[2])), reached_in(Path(sys.argv[3]))
 
 
 def functions(body, prefix=""):
@@ -165,19 +177,30 @@ def functions(body, prefix=""):
             yield from functions(node.body, f"{prefix}{node.name}.")
 
 
-total = unreached_lines = 0
-unreached = []
+total = 0
+unreached, experiment_only = [], []
 for path in sorted((src / "repro").rglob("*.py")):
     tree = ast.parse(path.read_text())
     for name, qualname, first, size in functions(tree.body):
         total += 1
-        if (str(path), first, name) not in reached:
-            unreached.append((str(path.relative_to(src)), first, qualname, size))
-            unreached_lines += size
-for path, first, name, size in unreached:
-    print(f"{size:4d}  {path}:{first}  {name}")
+        key = (str(path), first, name)
+        if key not in product:
+            row = (str(path.relative_to(src)), first, qualname, size)
+            (experiment_only if key in experiments else unreached).append(row)
+
+
+def show(rows):
+    for path, first, name, size in rows:
+        print(f"{size:4d}  {path}:{first}  {name}")
+    return sum(row[3] for row in rows)
+
+
+lines = show(unreached)
 print(
     f"reached {total - len(unreached)} of {total} functions in src/; "
-    f"{len(unreached)} unreached ({unreached_lines} lines)"
+    f"{len(unreached)} unreached ({lines} lines)"
 )
+print("\nreached only by the E-series:")
+lines = show(experiment_only)
+print(f"{len(experiment_only)} functions ({lines} lines) reached only by the E-series")
 EOF
