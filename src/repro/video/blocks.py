@@ -1,8 +1,9 @@
 """8x8 block transforms: plane blocking, DCT, zigzag scan.
 
 All block math is vectorised across every block of a plane at once —
-and across any leading axes, so a stack of equally shaped planes (one
-per stream of a lock-step encode) costs one call, not one per plane.
+and across any leading axes, so a stack of equally shaped planes (every
+frame of every stream of a lock-step encode) costs one call, not one per
+plane.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def merge_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
 
 def forward_dct(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II over the last two axes of a block stack."""
-    return dctn(blocks.astype(np.float64), type=2, norm="ortho", axes=(-2, -1))
+    return dctn(np.asarray(blocks, dtype=np.float64), type=2, norm="ortho", axes=(-2, -1))
 
 
 def inverse_dct(coefficients: np.ndarray) -> np.ndarray:

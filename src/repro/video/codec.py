@@ -282,15 +282,81 @@ def _entropy_decode(data: bytes, block_count: int) -> np.ndarray:
     return _read_rows(BitReader(data), block_count)
 
 
+def frame_blocks(y: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Frames in block layout: ``(..., 6, n, 8, 8)`` from ``y`` as
+    ``(..., h, w)`` and ``uv`` as ``(..., 2, h/2, w/2)``.
+
+    A frame's 8x8 blocks in bit-stream order — Y, then U, then V, each
+    row-major — viewed as six equal groups of ``n = h*w/256``: four of
+    luma, one per chroma plane. One ``(6, 1, 8, 8)`` quantiser per stream
+    (:func:`frame_quantisers`) then broadcasts over a whole frame.
+    """
+    *lead, height, width = y.shape
+    group = height * width // 256
+    return np.concatenate(
+        (
+            split_blocks(y).reshape(*lead, 4, group, 8, 8),
+            split_blocks(uv).reshape(*lead, 2, group, 8, 8),
+        ),
+        axis=-4,
+    )
+
+
+def frame_quantisers(qualities: Sequence[Quality]) -> np.ndarray:
+    """``(streams, 6, 1, 8, 8)``: stream s's quantiser for each block group
+    of :func:`frame_blocks`, at ``qualities[s]``."""
+    return np.stack(
+        [
+            np.stack(
+                [quant_matrix(_BASE_LUMA, quality.scale)] * 4
+                + [quant_matrix(_BASE_CHROMA, quality.scale)] * 2
+            )
+            for quality in qualities
+        ]
+    )[:, :, None]
+
+
+def quantise_blocks(
+    blocks: np.ndarray, reference: np.ndarray | None, qmat: np.ndarray
+) -> np.ndarray:
+    """Transform + quantise ``(..., 8, 8)`` pixel blocks: the residual
+    against ``reference`` (blocks of the previous reconstruction, uint8 or
+    the float64 :func:`reconstruct_blocks` returns), or intra (against
+    128) without one. Returns the quantised coefficients, rounded but
+    still float64; ``qmat`` broadcasts against the blocks.
+
+    The division and ``np.round`` are the wire format: DC coefficients of
+    flat blocks land on exact .5 ties, so a reciprocal multiply or another
+    precision would flip bytes.
+    """
+    signal = blocks.astype(np.float64)
+    signal -= 128.0 if reference is None else reference
+    coefficients = forward_dct(signal)
+    coefficients /= qmat
+    return np.round(coefficients, out=coefficients)
+
+
+def reconstruct_blocks(
+    quantised: np.ndarray, reference: np.ndarray | None, qmat: np.ndarray
+) -> np.ndarray:
+    """Dequantise + inverse-transform :func:`quantise_blocks` output back
+    onto ``reference``: the decoder's pixel blocks, as float64 integers in
+    ``[0, 255]``. Overwrites ``quantised``."""
+    quantised *= qmat
+    pixels = inverse_dct(quantised)
+    pixels += 128.0 if reference is None else reference
+    np.round(pixels, out=pixels)
+    # np.clip's Python-level wrapper costs more than these two ufuncs on
+    # the per-plane decoder's small blocks; the values are the same.
+    np.maximum(pixels, 0.0, out=pixels)
+    return np.minimum(pixels, 255.0, out=pixels)
+
+
 @dataclass(frozen=True)
 class PlaneCodec:
-    """Transform coding of one plane (luma or chroma) at a fixed quantiser.
-
-    Planes may be stacked on leading axes — ``(..., h, w)``, a 2-D plane
-    being a stack of one — and ``qmat`` any shape that broadcasts against
-    the stack's ``(..., blocks, 8, 8)`` blocks, so a lock-step encode gives
-    each stream of the stack its own quantiser in one call.
-    """
+    """Transform coding of one plane (luma or chroma) at a fixed quantiser:
+    the plane-layout face of :func:`quantise_blocks` and
+    :func:`reconstruct_blocks`."""
 
     qmat: np.ndarray
 
@@ -303,33 +369,24 @@ class PlaneCodec:
         is coded; without, the plane is coded intra. The reconstruction is
         bit-exact with what :meth:`reconstruct` produces from the rows.
         """
-        if reference is None:
-            signal = plane.astype(np.float64) - 128.0
-        else:
-            if reference.shape != plane.shape:
-                raise ValueError(
-                    f"reference shape {reference.shape} != plane shape {plane.shape}"
-                )
-            signal = plane.astype(np.float64) - reference.astype(np.float64)
-        coefficients = forward_dct(split_blocks(signal))
-        quantised = np.round(coefficients / self.qmat).astype(np.int32)
-        rows = zigzag_scan(quantised)
-        reconstruction = self.reconstruct(rows, plane.shape[-2], plane.shape[-1], reference)
-        return rows, reconstruction
+        if reference is not None and reference.shape != plane.shape:
+            raise ValueError(
+                f"reference shape {reference.shape} != plane shape {plane.shape}"
+            )
+        reference_blocks = None if reference is None else split_blocks(reference)
+        quantised = quantise_blocks(split_blocks(plane), reference_blocks, self.qmat)
+        rows = zigzag_scan(quantised).astype(np.int32)
+        pixels = reconstruct_blocks(quantised, reference_blocks, self.qmat)
+        return rows, merge_blocks(pixels, *plane.shape[-2:]).astype(np.uint8)
 
     def reconstruct(
         self, rows: np.ndarray, height: int, width: int, reference: np.ndarray | None
     ) -> np.ndarray:
         """Dequantise + inverse-transform zigzag rows back to a uint8 plane."""
-        quantised = zigzag_unscan(rows)
-        signal = merge_blocks(
-            inverse_dct(quantised.astype(np.float64) * self.qmat), height, width
-        )
-        if reference is None:
-            plane = signal + 128.0
-        else:
-            plane = signal + reference.astype(np.float64)
-        return np.clip(np.round(plane), 0, 255).astype(np.uint8)
+        quantised = zigzag_unscan(rows).astype(np.float64)
+        reference_blocks = None if reference is None else split_blocks(reference)
+        pixels = reconstruct_blocks(quantised, reference_blocks, self.qmat)
+        return merge_blocks(pixels, height, width).astype(np.uint8)
 
     def encode(self, plane: np.ndarray, reference: np.ndarray | None) -> tuple[bytes, np.ndarray]:
         """Standalone plane encode; returns ``(payload, reconstruction)``."""
@@ -344,63 +401,13 @@ class PlaneCodec:
         return self.reconstruct(_entropy_decode(payload, block_count), height, width, reference)
 
 
-class FrameStackCodec:
-    """Encodes one frame of each of several equally shaped streams per call.
-
-    Stream s is coded at ``qualities[s]``; everything a stream's bytes
-    depend on is its own pixels and rung, so :class:`FrameCodec` decodes
-    each stream's payload alone — the stack only shares the per-call cost
-    of the transform and the entropy pass.
-    """
-
-    def __init__(self, qualities: Sequence[Quality]) -> None:
-        def stacked(base: np.ndarray) -> np.ndarray:
-            return np.stack([quant_matrix(base, quality.scale) for quality in qualities])
-
-        # One (8, 8) quantiser per stream, broadcast over that stream's
-        # blocks: luma stacks are (s, h, w), chroma (s, 2, h/2, w/2).
-        self._luma = PlaneCodec(stacked(_BASE_LUMA)[:, None])
-        self._chroma = PlaneCodec(stacked(_BASE_CHROMA)[:, None, None])
-
-    def encode_frames(
-        self,
-        y: np.ndarray,
-        uv: np.ndarray,
-        reference: tuple[np.ndarray, np.ndarray] | None,
-    ) -> tuple[list[bytes], tuple[np.ndarray, np.ndarray]]:
-        """Encode frame ``(y[s], uv[s])`` of every stream s; returns
-        ``(payload per stream, reconstruction)``.
-
-        ``y`` is ``(s, h, w)`` and ``uv`` ``(s, 2, h/2, w/2)`` (U and V
-        stacked), ``uint8``; ``reference`` is the previous call's
-        reconstruction — frames are predicted from it — or None for intra
-        frames. Layout per stream: a 1-byte frame type followed by one
-        continuous entropy bit stream covering all three planes — the
-        stream is self-delimiting, so no per-plane framing bytes exist.
-        """
-        height, width = y.shape[-2:]
-        if width % 16 or height % 16:
-            raise ValueError(
-                f"frame {width}x{height} must be a multiple of 16 "
-                "(so chroma planes split into whole 8px blocks)"
-            )
-        reference_y, reference_uv = (None, None) if reference is None else reference
-        y_rows, y_recon = self._luma.quantise(y, reference_y)
-        uv_rows, uv_recon = self._chroma.quantise(uv, reference_uv)
-        # A stream's three planes share one bit stream with no framing
-        # between them: its Y, U and V block rows, back to back.
-        rows = np.concatenate([y_rows, uv_rows.reshape(len(y), -1, 64)], axis=1)
-        frame_type = bytes([FRAME_TYPE_INTRA if reference is None else FRAME_TYPE_PREDICTED])
-        return [frame_type + payload for payload in _encode_streams(rows)], (y_recon, uv_recon)
-
-
 class FrameCodec:
     """Whole-frame decode at one :class:`Quality` rung.
 
     Stateless with respect to the video: callers pass the reference frame
     explicitly, which keeps the codec reusable across concurrent streams
     and makes GOP closure an invariant of the caller (see
-    :mod:`repro.video.gop`). Encoding is :class:`FrameStackCodec`'s.
+    :mod:`repro.video.gop`). Encoding is :func:`repro.video.gop.encode_gops`'.
     """
 
     def __init__(self, quality: Quality) -> None:
@@ -414,7 +421,7 @@ class FrameCodec:
     def decode_frame(
         self, data: bytes | memoryview, width: int, height: int, reference: Frame | None
     ) -> Frame:
-        """Decode one stream's bytes from :meth:`FrameStackCodec.encode_frames`."""
+        """Decode one frame of a stream coded by :func:`repro.video.gop.encode_gops`."""
         if len(data) < 1:
             raise ValueError("empty frame payload")
         frame_type = data[0]

@@ -15,7 +15,17 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.video.bitstream import read_uvarint, write_uvarint
-from repro.video.codec import FrameCodec, FrameStackCodec
+from repro.video.blocks import zigzag_scan
+from repro.video.codec import (
+    FRAME_TYPE_INTRA,
+    FRAME_TYPE_PREDICTED,
+    FrameCodec,
+    _encode_streams,
+    frame_blocks,
+    frame_quantisers,
+    quantise_blocks,
+    reconstruct_blocks,
+)
 from repro.video.frame import Frame, downsample_plane, upsample_frame
 from repro.video.quality import Quality
 
@@ -47,27 +57,48 @@ def encode_gops(
     """Encode several streams of one coded shape as closed GOPs, in lock-step.
 
     Stream s is ``y[s]``, ``uv[s]`` as :func:`coded_planes` returns them,
-    coded at ``qualities[s]``. Each frame index is one step over every
-    stream — first intra, rest predicted from the step before — so the
-    transform and the entropy coder are entered once per frame, not once
-    per frame per stream; the bytes are those of coding each stream alone.
-    Headers record ``width``×``height``, the size a decoder hands back.
+    coded at ``qualities[s]``; the bytes are those of coding each stream
+    alone. Every frame of every stream is put in block layout once
+    (:func:`~repro.video.codec.frame_blocks`); each frame index is then
+    one step over every stream and all three planes — first intra, rest
+    predicted from the step before, whose reconstruction stays in float64
+    blocks and is skipped for the last frame, which nothing predicts from
+    — and one entropy pass codes every frame of every stream. Headers
+    record ``width``×``height``, the size a decoder hands back.
+
+    Per stream and frame: a uvarint length, a 1-byte frame type, then one
+    continuous bit stream of the Y, U and V blocks back to back —
+    self-delimiting, so no per-plane framing bytes exist.
     """
-    codec = FrameStackCodec(qualities)
-    frame_count = y.shape[1]
-    gops = [
-        [_HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, frame_count)]
-        for quality in qualities
-    ]
+    streams, frame_count, coded_height, coded_width = y.shape
+    if coded_width % 16 or coded_height % 16:
+        raise ValueError(
+            f"frame {coded_width}x{coded_height} must be a multiple of 16 "
+            "(so chroma planes split into whole 8px blocks)"
+        )
+    blocks = frame_blocks(y, uv)
+    qmat = frame_quantisers(qualities)
+    rows = np.empty(blocks.shape[:-2] + (64,), dtype=np.int32)
     reference = None
     for index in range(frame_count):
-        payloads, reference = codec.encode_frames(y[:, index], uv[:, index], reference)
-        for chunks, data in zip(gops, payloads):
-            length = bytearray()
-            write_uvarint(length, len(data))
-            chunks.append(bytes(length))
-            chunks.append(data)
-    return [b"".join(chunks) for chunks in gops]
+        quantised = quantise_blocks(blocks[:, index], reference, qmat)
+        rows[:, index] = zigzag_scan(quantised)
+        if index + 1 < frame_count:
+            reference = reconstruct_blocks(quantised, reference, qmat)
+    payloads = _encode_streams(rows.reshape(streams * frame_count, -1, 64))
+    gops = []
+    for stream, quality in enumerate(qualities):
+        chunks = [
+            _HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, frame_count)
+        ]
+        first = stream * frame_count
+        for index, payload in enumerate(payloads[first : first + frame_count]):
+            framing = bytearray()
+            write_uvarint(framing, 1 + len(payload))
+            framing.append(FRAME_TYPE_PREDICTED if index else FRAME_TYPE_INTRA)
+            chunks += (framing, payload)
+        gops.append(b"".join(chunks))
+    return gops
 
 
 class GopCodec:

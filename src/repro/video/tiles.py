@@ -204,35 +204,36 @@ Stream = tuple[tuple[int, int], Quality]
 #: A tile's raw planes, frames stacked: ``(y, u, v)`` as ``(frames, h, w)``.
 Planes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-#: Samples (luma + chroma) one lock-step step may hold: 24 streams of
-#: 32x32. Per-call numpy/scipy overhead falls as a step widens, and past
-#: this point the float64 intermediates — which grow with the step —
-#: cost more than the calls they save. Measured per 256x128 GOP x 3 rungs
-#: encoded in-process (DESIGN.md, "Process-parallel segment encoding"):
-#: 3 streams a step 172-179 ms, 12 streams 91 ms, 24 streams 73-75 ms,
-#: 48 streams 87 ms, 96 streams 97-104 ms and +4-6 MB of RSS. A
-#: measurement, not an option: it also bounds the encoder's working set
-#: at any frame size.
-STEP_SAMPLES = 24 * 32 * 32 * 3 // 2
+#: Samples (luma + chroma, every frame of the GOP counted) one lock-step
+#: step may hold: 6 streams of a 10-frame 32x32 GOP. A step holds its
+#: whole GOP in block layout and its int32 rows until the one entropy
+#: pass, so its working set grows with samples x frames. Measured per
+#: 256x128 10-frame GOP x 3 rungs in-process (DESIGN.md, "Process-parallel
+#: segment encoding"): 6 streams a step 50-51 ms, 12 45-46 ms, 24 44 ms
+#: and +1.4 MB of RSS, 96 48-49 ms and +13 MB; at 6 the ``ingest_live``
+#: benchmark host peaks lowest. A measurement, not an option: it also
+#: bounds the encoder's working set at any frame size and GOP length.
+STEP_SAMPLES = 6 * 32 * 32 * 3 // 2 * 10
 #: What the encoder may allocate beyond its output while it runs, per
-#: step sample: the float64 signal, coefficients, dequantised and
-#: reconstructed copies, the int32 rows and the entropy coder's symbol
-#: arrays are each a small multiple of the step (~50 bytes a sample
-#: measured on a 2-frame 1024x512 GOP; each further frame of the GOP adds
-#: its uint8 crops, ~3 bytes a sample). ``tests/test_ingest_parallel.py``
-#: holds the tracemalloc peak under ``STEP_SAMPLES`` times this, and
-#: shows it broken (~100 MB) once the budget is taken away.
+#: step sample: the GOP's uint8 crops and blocks, its int32 rows and the
+#: entropy coder's symbol arrays grow with every frame, and one frame's
+#: float64 signal, coefficients and reconstruction with the stream count
+#: alone (measured on a 1024x512 GOP: ~19 bytes a sample at 1 frame, ~13
+#: at 2, ~12 at 10). ``tests/test_ingest_parallel.py`` holds the
+#: tracemalloc peak under ``STEP_SAMPLES`` times this at 2 and 10 frames,
+#: and shows it broken (~100 MB) once the budget is taken away.
 STEP_PEAK_BYTES_PER_SAMPLE = 96
 
 
-def _steps(streams: list[Stream], tile_samples: int) -> Iterator[list[Stream]]:
+def _steps(streams: list[Stream], gop_samples: int) -> Iterator[list[Stream]]:
     """Cut streams into lock-step batches: one coded shape each (tiles are
-    equal, so that is one ``downscale``), at most ``STEP_SAMPLES`` a step."""
+    equal, so that is one ``downscale``), at most ``STEP_SAMPLES`` a step;
+    ``gop_samples`` is one full-size stream's, every frame counted."""
     by_shape: dict[int, list[Stream]] = {}
     for stream in streams:
         by_shape.setdefault(stream[1].downscale, []).append(stream)
     for downscale, group in by_shape.items():
-        size = max(1, STEP_SAMPLES * downscale**2 // tile_samples)
+        size = max(1, STEP_SAMPLES * downscale**2 // gop_samples)
         for start in range(0, len(group), size):
             yield group[start : start + size]
 
@@ -242,13 +243,14 @@ def _encode_share(
     tile_planes: Callable[[tuple[int, int]], Planes],
     tile_width: int,
     tile_height: int,
+    frame_count: int,
 ) -> dict[Stream, bytes]:
     """Encode one share of a GOP's streams (in-process: all of them), batch
     by batch; ``tile_planes`` hands out a tile's raw planes when a batch
     needs them. Every stream is an independent closed GOP, so any batching
     yields identical bytes."""
     payloads: dict[Stream, bytes] = {}
-    for batch in _steps(streams, tile_width * tile_height * 3 // 2):
+    for batch in _steps(streams, tile_width * tile_height * 3 // 2 * frame_count):
         downscale = batch[0][1].downscale
         coded = {
             tile: coded_planes(*tile_planes(tile), downscale)
@@ -282,7 +284,7 @@ def _shares(
 
 
 def _encode_share_job(
-    job: tuple[list[Stream], dict[tuple[int, int], Planes], int, int],
+    job: tuple[list[Stream], dict[tuple[int, int], Planes], int, int, int],
 ) -> dict[Stream, bytes]:
     """One pool worker's share of a GOP: its streams and the raw planes of
     the tiles they cover, each tile exactly once.
@@ -290,8 +292,8 @@ def _encode_share_job(
     Module-level (and taking one picklable tuple) so a
     :class:`~concurrent.futures.ProcessPoolExecutor` can ship it.
     """
-    streams, planes, tile_width, tile_height = job
-    return _encode_share(streams, planes.__getitem__, tile_width, tile_height)
+    streams, planes, tile_width, tile_height, frame_count = job
+    return _encode_share(streams, planes.__getitem__, tile_width, tile_height, frame_count)
 
 
 def available_cpus() -> int:
@@ -455,9 +457,9 @@ class TiledVideoCodec:
         The ingest-side primitive. Every (tile, rung) is one stream — a
         closed GOP of its own — and streams of equal coded shape are
         encoded in lock-step, ``STEP_SAMPLES`` at a time, so the
-        transform and the entropy coder are entered once per frame per
-        step instead of once per frame per segment. Partial ladders and
-        reduced-resolution rungs are just more streams.
+        transform is entered once per frame per step and the entropy
+        coder once per step, instead of once per frame per segment.
+        Partial ladders and reduced-resolution rungs are just more streams.
 
         With a pool, each worker gets one contiguous share of whole tiles
         and its job carries those tiles' raw planes, so every tile crosses
@@ -494,6 +496,7 @@ class TiledVideoCodec:
                     lambda tile: self._crop(frames, tile),
                     self.tile_width,
                     self.tile_height,
+                    len(frames),
                 )
             else:
                 encoded = self._encode_parallel(frames, ladder_map, executor, workers)
@@ -535,6 +538,7 @@ class TiledVideoCodec:
                 },
                 self.tile_width,
                 self.tile_height,
+                len(frames),
             )
             for share in _shares(ladder_map, pool_workers)
         ]

@@ -385,10 +385,10 @@ class TestShares:
         executor = RecordingExecutor(pool_size)
         codec.encode_gop_ladders(frames, ladders, executor=executor)
         assert len(executor.jobs) <= pool_size
-        carried = [tile for _, planes, _, _ in executor.jobs for tile in planes]
+        carried = [tile for _, planes, *_ in executor.jobs for tile in planes]
         assert sorted(carried) == sorted(ladders)
         shipped = 0
-        for share, planes, _, _ in executor.jobs:
+        for share, planes, *_ in executor.jobs:
             assert set(planes) == {tile for tile, _ in share}
             for (row, col), stacked in planes.items():
                 x0, y0 = col * tile_px, row * tile_px
@@ -451,7 +451,9 @@ class TestLockstepEncoder:
         tile_px = data.draw(st.sampled_from([16, 32]), label="tile px")
         rows = data.draw(st.integers(1, 2), label="grid rows")
         cols = data.draw(st.integers(1, 3), label="grid cols")
-        frame_count = data.draw(st.integers(1, 3), label="frames")
+        # Up to the benchmark's 10-frame GOP: a 1-frame GOP reconstructs
+        # nothing, longer ones skip only the last frame's reconstruction.
+        frame_count = data.draw(st.integers(1, 10), label="frames")
         # A reduced-resolution rung needs 32 px of tile to halve.
         rungs = [q for q in Quality if tile_px // q.downscale >= 16]
         ladder = st.lists(st.sampled_from(rungs), min_size=1, max_size=len(rungs), unique=True)
@@ -470,7 +472,7 @@ class TestLockstepEncoder:
             frames.append(Frame.from_rgb(np.moveaxis(base, 0, -1)))
 
         codec = TiledVideoCodec(grid, cols * tile_px, rows * tile_px)
-        step = streams_per_step * tile_px * tile_px * 3 // 2
+        step = streams_per_step * tile_px * tile_px * 3 // 2 * frame_count
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tiles, "STEP_SAMPLES", step)
             encoded = codec.encode_gop_ladders(frames, ladders)
@@ -510,20 +512,18 @@ class TestLockstepEncoder:
 
     def test_step_budget_bounds_the_working_set(self, monkeypatch):
         """In-process encode of a 1024x512 GOP x 3 rungs allocates no more
-        than the step budget allows on top of its output — and does once
-        the budget is gone (96 streams of 128x128 in one step)."""
+        than the step budget allows on top of its output, at 2 frames and
+        at the benchmark's 10 — and does once the budget is gone (96
+        streams of 128x128 in one step)."""
         import tracemalloc
 
-        frames = list(
-            synthetic_video("venice", width=1024, height=512, fps=4.0, duration=0.5, seed=2)
-        )
         codec = TiledVideoCodec(TileGrid(4, 8), 1024, 512)
         ladders = {
             tile: (Quality.HIGH, Quality.MEDIUM, Quality.LOWEST)
             for tile in codec.grid.tiles()
         }
 
-        def peak_over_output() -> int:
+        def peak_over_output(frames) -> int:
             tracemalloc.start()
             try:
                 encoded = codec.encode_gop_ladders(frames, ladders, workers=1)
@@ -532,13 +532,24 @@ class TestLockstepEncoder:
                 tracemalloc.stop()
             return peak - sum(len(payload) for payload in encoded.values())
 
-        # One 128x128 stream already exceeds the budget; a step is never
-        # less than one stream.
-        step = max(tiles.STEP_SAMPLES, 128 * 128 * 3 // 2)
-        bound = step * tiles.STEP_PEAK_BYTES_PER_SAMPLE
-        assert peak_over_output() < bound
+        def bound(frames) -> int:
+            # Samples count every frame of the GOP. One 128x128 stream
+            # may exceed the budget; a step is never less than one stream.
+            step = max(tiles.STEP_SAMPLES, 128 * 128 * 3 // 2 * len(frames))
+            return step * tiles.STEP_PEAK_BYTES_PER_SAMPLE
+
+        for frame_count in (2, 10):
+            frames = list(
+                synthetic_video(
+                    "venice", width=1024, height=512, fps=2.0 * frame_count,
+                    duration=0.5, seed=2,
+                )
+            )
+            assert len(frames) == frame_count
+            assert peak_over_output(frames) < bound(frames), frame_count
+        budgeted = bound(frames[:2])
         monkeypatch.setattr(tiles, "STEP_SAMPLES", 1 << 40)
-        assert peak_over_output() > 4 * bound
+        assert peak_over_output(frames[:2]) > 4 * budgeted
 
 
 class TestLadderEncodeByteIdentity:

@@ -177,18 +177,31 @@ class TestCodecProperties:
     @settings(max_examples=15, deadline=None)
     def test_decoder_matches_encoder_reconstruction(self, seed, quality):
         """The encoder's prediction loop must be bit-exact with the decoder
-        — the invariant that keeps P-frame chains from drifting."""
-        from repro.video.codec import FrameCodec
+        — the invariant that keeps P-frame chains from drifting: every
+        frame the GOP encoder writes is what the per-plane codec writes
+        against the *decoder's* previous frame, and decodes to the
+        reconstruction the per-plane codec predicts from next."""
+        from repro.video.codec import _BASE_CHROMA, _BASE_LUMA, FrameCodec, PlaneCodec, quant_matrix
         from tests.test_video_codec import encode_one
 
         frames = self._random_frames(seed)
         codec = FrameCodec(quality)
+        luma = PlaneCodec(quant_matrix(_BASE_LUMA, quality.scale))
+        chroma = PlaneCodec(quant_matrix(_BASE_CHROMA, quality.scale))
         reference = None
-        for frame in frames:
-            data, reconstruction = encode_one(quality, frame, reference)
+        for frame, data in zip(frames, encode_one(quality, frames)):
+            coded = [
+                plane_codec.quantise(plane, previous)
+                for plane_codec, plane, previous in zip(
+                    (luma, chroma, chroma),
+                    frame.planes,
+                    (None, None, None) if reference is None else reference.planes,
+                )
+            ]
+            assert data[1:] == _entropy_encode(np.concatenate([rows for rows, _ in coded]))
             decoded = codec.decode_frame(data, frame.width, frame.height, reference)
-            assert decoded.equals(reconstruction)
-            reference = reconstruction
+            assert decoded.equals(Frame(*(plane for _, plane in coded)))
+            reference = decoded
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)

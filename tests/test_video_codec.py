@@ -7,14 +7,15 @@ from repro.video.codec import (
     FRAME_TYPE_INTRA,
     FRAME_TYPE_PREDICTED,
     FrameCodec,
-    FrameStackCodec,
     PlaneCodec,
     _entropy_decode,
     _entropy_encode,
     quant_matrix,
     _BASE_LUMA,
 )
+from repro.video.bitstream import read_uvarint
 from repro.video.frame import Frame, psnr
+from repro.video.gop import _parse_gop_header, encode_gops
 from repro.video.quality import Quality
 
 
@@ -26,17 +27,20 @@ def textured_plane(height=32, width=48, seed=0) -> np.ndarray:
     return np.clip(plane, 0, 255).astype(np.uint8)
 
 
-def encode_one(quality, frame, reference=None):
-    """One frame at one rung through the encoder GOPs use; returns
-    ``(bytes, reconstruction)`` for :class:`FrameCodec` to decode."""
-
-    def stack(f):
-        return f.y[None], np.stack((f.u, f.v))[None]
-
-    (data,), (y, uv) = FrameStackCodec((quality,)).encode_frames(
-        *stack(frame), None if reference is None else stack(reference)
-    )
-    return data, Frame(y[0], uv[0, 0], uv[0, 1])
+def encode_one(quality, frames):
+    """``frames`` as one GOP at one rung through the encoder ingest runs;
+    returns each frame's bytes for :class:`FrameCodec` to decode (the
+    first intra, the rest predicted from the one before)."""
+    y = np.stack([frame.y for frame in frames])
+    uv = np.stack([np.stack((frame.u, frame.v)) for frame in frames])
+    (gop,) = encode_gops((quality,), y[None], uv[None], frames[0].width, frames[0].height)
+    *_, count, offset = _parse_gop_header(gop)
+    payloads = []
+    for _ in range(count):
+        length, offset = read_uvarint(gop, offset)
+        payloads.append(gop[offset : offset + length])
+        offset += length
+    return payloads
 
 
 class TestQuantMatrix:
@@ -128,18 +132,17 @@ class TestFrameCodec:
     def test_requires_multiple_of_16(self):
         codec = FrameCodec(Quality.HIGH)
         with pytest.raises(ValueError):
-            encode_one(codec.quality, Frame.blank(24, 16), None)
+            encode_one(codec.quality, [Frame.blank(24, 16)])
 
     def test_intra_frame_type_byte(self):
         codec = FrameCodec(Quality.HIGH)
-        data, _ = encode_one(codec.quality, Frame.blank(32, 16), None)
+        (data,) = encode_one(codec.quality, [Frame.blank(32, 16)])
         assert data[0] == FRAME_TYPE_INTRA
 
     def test_predicted_frame_type_byte(self):
         codec = FrameCodec(Quality.HIGH)
         frame = Frame.blank(32, 16)
-        _, recon = encode_one(codec.quality, frame, None)
-        data, _ = encode_one(codec.quality, frame, recon)
+        _, data = encode_one(codec.quality, [frame, frame])
         assert data[0] == FRAME_TYPE_PREDICTED
 
     def test_round_trip_quality_ordering(self):
@@ -150,7 +153,7 @@ class TestFrameCodec:
         results = {}
         for quality in rungs:
             codec = FrameCodec(quality)
-            data, _ = encode_one(codec.quality, frame, None)
+            (data,) = encode_one(codec.quality, [frame])
             decoded = codec.decode_frame(data, 48, 32, None)
             results[quality] = (len(data), psnr(frame, decoded))
         sizes = [results[quality][0] for quality in rungs]
@@ -181,8 +184,7 @@ class TestFrameCodec:
     def test_predicted_requires_reference(self):
         codec = FrameCodec(Quality.HIGH)
         frame = Frame.blank(32, 16)
-        _, recon = encode_one(codec.quality, frame, None)
-        data, _ = encode_one(codec.quality, frame, recon)
+        _, data = encode_one(codec.quality, [frame, frame])
         with pytest.raises(ValueError):
             codec.decode_frame(data, 32, 16, None)
 
@@ -193,7 +195,7 @@ class TestFrameCodec:
 
     def test_truncated_payload(self):
         codec = FrameCodec(Quality.HIGH)
-        data, _ = encode_one(codec.quality, Frame.blank(32, 16), None)
+        (data,) = encode_one(codec.quality, [Frame.blank(32, 16)])
         with pytest.raises(ValueError):
             codec.decode_frame(data[: len(data) // 2], 32, 16, None)
 
@@ -206,7 +208,7 @@ class TestFrameCodec:
         rgb[..., 0] = 200  # strongly red
         frame = Frame.from_rgb(rgb)
         codec = FrameCodec(Quality.HIGH)
-        data, _ = encode_one(codec.quality, frame, None)
+        (data,) = encode_one(codec.quality, [frame])
         decoded = codec.decode_frame(data, 32, 16, None)
         recovered = decoded.to_rgb()
         assert recovered[..., 0].mean() > 150
