@@ -30,6 +30,7 @@ import signal
 import struct
 import threading
 import warnings
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +61,8 @@ from repro.video.tiles import (
     TiledGop,
     TiledVideoCodec,
     available_cpus,
-    make_encode_executor,
+    drop_encode_pool,
+    encode_pool,
 )
 
 
@@ -299,7 +301,8 @@ class StorageManager:
 
         ``workers`` sizes the encode fan-out: every (tile, quality) segment
         of a GOP is an independent stream, and each of that many processes
-        (one pool for the whole ingest) is dealt one share of them. ``None``
+        (the process's pool, shared by every version) is dealt one share
+        of them, one GOP ahead of the writer. ``None``
         resolves to the CPUs this process may run on (its affinity mask,
         not the machine's count); ``workers=1`` encodes in-process. Output
         bytes are identical at any worker count.
@@ -363,80 +366,88 @@ class StorageManager:
                     if quality in quality_plan.get(tile, config.qualities)
                 )
 
+        def pooled(call, *args):
+            # ``call(*args)`` while the version has a pool; None without
+            # one, or once it has broken. Workers that die mid-version (OOM
+            # kill, sandbox policy) leave the version to finish serially —
+            # same bytes, honest accounting — instead of failing ingest,
+            # with no later GOP offered to (and broken on) a pool again;
+            # the next version starts a fresh pool.
+            nonlocal pool
+            if pool is None:
+                return None
+            try:
+                return call(*args)
+            except BrokenProcessPool:
+                warnings.warn(
+                    "encode worker pool broke mid-ingest; finishing serially",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                self.metrics.counter(
+                    "ingest.pool_fallback",
+                    "encode pools that could not start and fell back to serial",
+                ).inc()
+                drop_encode_pool(pool)
+                pool = None
+                return None
+
+        def encoded(
+            gop_index: int, batch: list[Frame], futures: list[Future] | None
+        ) -> _EncodedGop:
+            # The parent's wait for this GOP's shares; in-process, the
+            # encode itself.
+            with self.metrics.span("storage.ingest.encode", video=name, gop=gop_index):
+                payloads = None
+                if futures is not None:
+                    payloads = pooled(codec.collect_gop_ladders, futures, ladder_map)
+                if payloads is None:
+                    payloads = codec.encode_gop_ladders(batch, ladder_map)
+            return len(batch), [
+                (tile, quality, payloads[(tile, quality)])
+                for quality in config.qualities
+                for tile in config.grid.tiles()
+                if (tile, quality) in payloads
+            ]
+
         def encoded_gops() -> Iterator[_EncodedGop]:
-            nonlocal executor, workers
+            # With a pool, GOP k+1 is submitted before GOP k is collected,
+            # so the workers never wait on the parent's crop, write and
+            # commit; in-process, a GOP is encoded as it arrives.
+            ahead = None
             for gop_index, batch in enumerate(gop_batches, start=first_gop):
                 if gop_index == first_gop and (batch[0].width, batch[0].height) != size:
                     raise IngestError(
                         f"appended frames are {batch[0].width}x{batch[0].height}, "
                         f"video is {size[0]}x{size[1]}"
                     )
-                with self.metrics.span(
-                    "storage.ingest.encode", video=name, gop=gop_index
-                ):
-                    try:
-                        payloads = codec.encode_gop_ladders(
-                            batch,
-                            ladder_map,
-                            workers=workers,
-                            executor=executor,
-                            registry=self.metrics,
-                        )
-                    except BrokenProcessPool:
-                        # Workers died mid-version (OOM kill, sandbox
-                        # policy). Finish the job serially — same bytes,
-                        # honest accounting — instead of failing ingest.
-                        warnings.warn(
-                            "encode worker pool broke mid-ingest; finishing "
-                            "serially",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        self.metrics.counter(
-                            "ingest.pool_fallback",
-                            "encode pools that could not start and fell back "
-                            "to serial",
-                        ).inc()
-                        executor.shutdown(wait=False)
-                        # No pool for the rest of the version either: with
-                        # workers left at N, the next GOP would start (and
-                        # could break) a pool of its own.
-                        executor, workers = None, 1
-                        payloads = codec.encode_gop_ladders(
-                            batch, ladder_map, workers=1, registry=self.metrics
-                        )
-                yield len(batch), [
-                    (tile, quality, payloads[(tile, quality)])
-                    for quality in config.qualities
-                    for tile in config.grid.tiles()
-                    if (tile, quality) in payloads
-                ]
+                futures = pooled(codec.submit_gop_ladders, batch, ladder_map, pool)
+                if ahead is not None:
+                    yield encoded(*ahead)
+                ahead = gop_index, batch, futures
+                if futures is None:
+                    yield encoded(*ahead)
+                    ahead = None
+            if ahead is not None:
+                yield encoded(*ahead)
 
         with self.metrics.span("storage.ingest", video=name, phase=phase):
             codec = TiledVideoCodec(config.grid, *size)
-            # One pool is amortised over every GOP of the version; each GOP
-            # hands every worker one share of its (tile, quality) streams.
-            executor = make_encode_executor(
-                workers, config.grid.tile_count, registry=self.metrics
+            # The process's pool, shared by every version; each GOP hands
+            # every worker one share of its (tile, quality) streams.
+            pool = encode_pool(workers, config.grid.tile_count, registry=self.metrics)
+            return self._write_version(
+                name,
+                encoded_gops(),
+                base,
+                width=size[0],
+                height=size[1],
+                fps=config.fps,
+                grid=config.grid,
+                gop_frames=config.gop_frames,
+                qualities=config.qualities,
+                streaming=streaming,
             )
-            if executor is None:
-                workers = 1  # serial by choice or by refusal: do not retry per GOP
-            try:
-                return self._write_version(
-                    name,
-                    encoded_gops(),
-                    base,
-                    width=size[0],
-                    height=size[1],
-                    fps=config.fps,
-                    grid=config.grid,
-                    gop_frames=config.gop_frames,
-                    qualities=config.qualities,
-                    streaming=streaming,
-                )
-            finally:
-                if executor is not None:
-                    executor.shutdown()
 
     def _write_version(
         self,

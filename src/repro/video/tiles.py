@@ -16,9 +16,10 @@ import struct
 import threading
 import warnings
 from collections.abc import Callable, Iterator
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import forkserver
+from multiprocessing.util import Finalize
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,16 @@ def _shares(
     return [share for share in shares if share]
 
 
+def _in_ladder_order(
+    encoded: dict[Stream, bytes], ladder_map: dict[tuple[int, int], tuple[Quality, ...]]
+) -> dict[Stream, bytes]:
+    return {
+        (tile, quality): encoded[(tile, quality)]
+        for tile, ladder in ladder_map.items()
+        for quality in ladder
+    }
+
+
 def _encode_share_job(
     job: tuple[list[Stream], dict[tuple[int, int], Planes], int, int, int],
 ) -> dict[Stream, bytes]:
@@ -393,6 +404,60 @@ def make_encode_executor(
         return None
 
 
+#: The process's encode pools, one per size, each with the finalizer that
+#: ends it (see :func:`encode_pool`).
+_POOLS: dict[int, tuple[ProcessPoolExecutor, Finalize]] = {}
+_POOLS_LOCK = threading.Lock()
+#: When a pool is shut down at exit, relative to multiprocessing's other
+#: exit finalizers (higher runs first). In a multiprocessing child,
+#: ``multiprocessing.util._exit_function`` joins every non-daemon child
+#: *before* threading's exit hooks run, and those hooks are where
+#: ``ProcessPoolExecutor`` registers its own shutdown: without a finalizer
+#: the child waits forever on workers that wait for work. It must also
+#: run before the finalizer (priority 10) with which ``multiprocessing.Queue``
+#: closes itself: at 10 the call queue's feeder thread was already gone
+#: when the shutdown sentinels were queued, and the workers never exited.
+_POOL_EXIT_PRIORITY = 100
+
+
+def encode_pool(
+    workers: int, jobs: int, registry=None
+) -> ProcessPoolExecutor | None:
+    """The process's encode pool of ``min(workers, jobs)`` workers, or None
+    to run serially.
+
+    Built on first use by :func:`make_encode_executor` (same serial cases,
+    same loud fallback) and then shared by every ingest, append and
+    reingest of the process, concurrent ones included, so a version pays
+    no pool start. It is shut down when the process exits, before
+    multiprocessing joins its children; a pool that breaks is handed to
+    :func:`drop_encode_pool`, and the next call builds a fresh one.
+    """
+    size = min(workers, jobs)
+    with _POOLS_LOCK:
+        if size in _POOLS:
+            return _POOLS[size][0]
+        pool = make_encode_executor(workers, jobs, registry=registry)
+        if pool is not None:
+            _POOLS[size] = pool, Finalize(
+                pool, pool.shutdown, exitpriority=_POOL_EXIT_PRIORITY
+            )
+        return pool
+
+
+def drop_encode_pool(pool: Executor) -> None:
+    """Shut a broken pool down without waiting, and forget it if it is still
+    the process's pool of its size — an identity check, so a caller that
+    saw the break late cannot drop the fresh pool that replaced it."""
+    with _POOLS_LOCK:
+        for size, (held, finalizer) in _POOLS.items():
+            if held is pool:
+                del _POOLS[size]
+                finalizer.cancel()
+                break
+    pool.shutdown(wait=False)
+
+
 class TiledVideoCodec:
     """Splits GOPs along a tile grid and encodes each tile independently."""
 
@@ -461,17 +526,76 @@ class TiledVideoCodec:
         coder once per step, instead of once per frame per segment.
         Partial ladders and reduced-resolution rungs are just more streams.
 
-        With a pool, each worker gets one contiguous share of whole tiles
-        and its job carries those tiles' raw planes, so every tile crosses
-        the process boundary exactly once per GOP. A pool that cannot
-        start degrades (loudly, ``ingest.pool_fallback`` on ``registry``)
-        to the in-process path; both are byte-identical.
-
-        An explicit ``executor`` takes precedence over ``workers`` and is
-        not shut down here — ingest passes one shared pool so it is paid
-        for once per video, not once per GOP — and shares are cut for its
-        actual worker count.
+        With a pool — ``executor``, else the process's :func:`encode_pool`
+        for ``workers`` — it is :meth:`submit_gop_ladders` then
+        :meth:`collect_gop_ladders`. A pool that cannot start degrades
+        (loudly, ``ingest.pool_fallback`` on ``registry``) to the
+        in-process path; both are byte-identical.
         """
+        if executor is None:
+            executor = encode_pool(workers, len(ladder_map), registry=registry)
+        if executor is not None:
+            return self.collect_gop_ladders(
+                self.submit_gop_ladders(frames, ladder_map, executor), ladder_map
+            )
+        self._check(frames, ladder_map)
+        encoded = _encode_share(
+            [(tile, quality) for tile, ladder in ladder_map.items() for quality in ladder],
+            lambda tile: self._crop(frames, tile),
+            self.tile_width,
+            self.tile_height,
+            len(frames),
+        )
+        return _in_ladder_order(encoded, ladder_map)
+
+    def submit_gop_ladders(
+        self,
+        frames: list[Frame],
+        ladder_map: dict[tuple[int, int], tuple[Quality, ...]],
+        executor: Executor,
+    ) -> list[Future]:
+        """Hand one GOP's streams to ``executor`` and return at once, so the
+        caller can crop and submit the next GOP while this one encodes.
+
+        Each worker gets one contiguous share of whole tiles, cut for the
+        executor's actual worker count, and its job carries those tiles'
+        raw planes, so every tile crosses the process boundary exactly once
+        per GOP.
+        """
+        self._check(frames, ladder_map)
+        jobs = [
+            (
+                share,
+                {
+                    tile: self._crop(frames, tile)
+                    for tile in dict.fromkeys(tile for tile, _ in share)
+                },
+                self.tile_width,
+                self.tile_height,
+                len(frames),
+            )
+            for share in _shares(ladder_map, getattr(executor, "_max_workers", 1))
+        ]
+        return [executor.submit(_encode_share_job, job) for job in jobs]
+
+    @staticmethod
+    def collect_gop_ladders(
+        futures: list[Future],
+        ladder_map: dict[tuple[int, int], tuple[Quality, ...]],
+    ) -> dict[tuple[tuple[int, int], Quality], bytes]:
+        """Wait for a :meth:`submit_gop_ladders` GOP: the same mapping
+        :meth:`encode_gop_ladders` returns. A worker's exception is raised
+        here as itself."""
+        encoded: dict[Stream, bytes] = {}
+        for future in futures:
+            encoded.update(future.result())
+        return _in_ladder_order(encoded, ladder_map)
+
+    def _check(
+        self,
+        frames: list[Frame],
+        ladder_map: dict[tuple[int, int], tuple[Quality, ...]],
+    ) -> None:
         if not frames:
             raise ValueError("cannot encode an empty GOP")
         for index, frame in enumerate(frames):
@@ -484,30 +608,6 @@ class TiledVideoCodec:
             self.grid.index_of(*tile)
             if not ladder:
                 raise ValueError(f"tile {tile} has an empty quality ladder")
-        own_pool = None
-        if executor is None:
-            executor = own_pool = make_encode_executor(
-                workers, len(ladder_map), registry=registry
-            )
-        try:
-            if executor is None:
-                encoded = _encode_share(
-                    [(tile, quality) for tile, ladder in ladder_map.items() for quality in ladder],
-                    lambda tile: self._crop(frames, tile),
-                    self.tile_width,
-                    self.tile_height,
-                    len(frames),
-                )
-            else:
-                encoded = self._encode_parallel(frames, ladder_map, executor, workers)
-        finally:
-            if own_pool is not None:
-                own_pool.shutdown()
-        return {
-            (tile, quality): encoded[(tile, quality)]
-            for tile, ladder in ladder_map.items()
-            for quality in ladder
-        }
 
     def _crop(self, frames: list[Frame], tile: tuple[int, int]) -> Planes:
         row, col = tile
@@ -518,31 +618,3 @@ class TiledVideoCodec:
             np.stack([frame.u[y0 // 2 : y1 // 2, x0 // 2 : x1 // 2] for frame in frames]),
             np.stack([frame.v[y0 // 2 : y1 // 2, x0 // 2 : x1 // 2] for frame in frames]),
         )
-
-    def _encode_parallel(
-        self,
-        frames: list[Frame],
-        ladder_map: dict[tuple[int, int], tuple[Quality, ...]],
-        executor: Executor,
-        workers: int,
-    ) -> dict[Stream, bytes]:
-        # A shared executor may have been built with a different worker
-        # count than the ``workers`` a caller passes alongside it.
-        pool_workers = getattr(executor, "_max_workers", None) or max(workers, 1)
-        jobs = [
-            (
-                share,
-                {
-                    tile: self._crop(frames, tile)
-                    for tile in dict.fromkeys(tile for tile, _ in share)
-                },
-                self.tile_width,
-                self.tile_height,
-                len(frames),
-            )
-            for share in _shares(ladder_map, pool_workers)
-        ]
-        encoded: dict[Stream, bytes] = {}
-        for part in executor.map(_encode_share_job, jobs):
-            encoded.update(part)
-        return encoded

@@ -8,6 +8,8 @@ specification) and parallel ingest byte-identical to serial.
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,23 @@ CONFIG = IngestConfig(
 )
 
 
+def _end_process_pools() -> None:
+    with tiles._POOLS_LOCK:
+        held = list(tiles._POOLS.values())
+        tiles._POOLS.clear()
+    for _, finalizer in held:
+        finalizer()  # the pool's shutdown, once
+
+
+@pytest.fixture
+def fresh_encode_pool():
+    """No process encode pool before the test and none after it: for tests
+    that swap ``ProcessPoolExecutor`` or count the pools built."""
+    _end_process_pools()
+    yield
+    _end_process_pools()
+
+
 def _segment_files(root) -> dict[str, bytes]:
     return {
         str(path.relative_to(root)): path.read_bytes()
@@ -159,7 +178,7 @@ class TestParallelIngestByteIdentity:
 
         asked = []
         monkeypatch.setattr(
-            "repro.core.storage.make_encode_executor",
+            "repro.core.storage.encode_pool",
             lambda workers, jobs, registry=None: asked.append(workers),
         )
         storage = StorageManager(tmp_path)
@@ -198,12 +217,14 @@ class TestPoolErrors:
             codec.encode_gop_ladders(tiny_frames, ladders, executor=shared_pool)
 
     def test_failed_pooled_ingest_leaves_no_video(self, tmp_path, monkeypatch):
+        """A write that fails with the next GOP in the pool: no video, and
+        the process's pool still serves the next ingest, same bytes."""
         from repro.core.catalog import Catalog
 
-        frames = list(
-            synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0, seed=3)
+        frames = list(  # three GOPs: the third is in the pool when the second's write fails
+            synthetic_video("venice", width=64, height=32, fps=4.0, duration=3.0, seed=3)
         )
-        storage = StorageManager(tmp_path)
+        storage = StorageManager(tmp_path / "pooled")
         real = Catalog.pack_path
         calls = {"n": 0}
 
@@ -218,9 +239,14 @@ class TestPoolErrors:
             storage.ingest("clip", iter(frames), CONFIG, workers=2)
         assert "clip" not in storage.list_videos()
 
+        monkeypatch.undo()
+        storage.ingest("clip", iter(frames), CONFIG, workers=2)
+        StorageManager(tmp_path / "serial").ingest("clip", iter(frames), CONFIG, workers=1)
+        assert _segment_files(tmp_path / "pooled") == _segment_files(tmp_path / "serial")
+
 
 class TestPoolFallbackIsLoud:
-    def test_refused_pool_warns_and_counts(self, monkeypatch):
+    def test_refused_pool_warns_and_counts(self, monkeypatch, fresh_encode_pool):
         registry = MetricsRegistry()
 
         def refuse(*args, **kwargs):
@@ -238,38 +264,49 @@ class TestPoolFallbackIsLoud:
         assert "ingest.pool_fallback" not in registry.snapshot()["counters"]
 
     def test_broken_pool_finishes_the_whole_version_serially(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, fresh_encode_pool
     ):
-        """A pool that breaks on every GOP it is offered: the first break
-        must retire parallelism for the rest of the version, not just null
-        the shared pool and let the next GOP start (and break) its own."""
-        from concurrent.futures.process import BrokenProcessPool
+        """A pool that breaks at the second GOP, with the third already
+        submitted: the break must retire parallelism for the rest of the
+        version (the GOP in flight included), not let the next GOP offer
+        itself to a pool again — and the next version starts a fresh one."""
 
-        class AlwaysBroken:
+        class BreaksAtSecondGop:
             _max_workers = 2
-            started = 0
+            made = []
 
             def __init__(self, *args, **kwargs):
-                AlwaysBroken.started += 1
+                BreaksAtSecondGop.made.append(self)
+                self.submitted = 0
 
-            def map(self, fn, jobs, chunksize=1):
-                raise BrokenProcessPool("worker killed")
+            def submit(self, fn, job):
+                self.submitted += 1
+                future = Future()
+                if self.submitted <= self._max_workers:  # the first GOP's shares
+                    future.set_result(fn(job))
+                else:
+                    future.set_exception(BrokenProcessPool("worker killed"))
+                return future
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
         frames = list(
-            synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0, seed=3)
+            synthetic_video("venice", width=64, height=32, fps=4.0, duration=3.0, seed=3)
         )
         StorageManager(tmp_path / "serial").ingest("clip", iter(frames), CONFIG, workers=1)
-        monkeypatch.setattr(tiles, "ProcessPoolExecutor", AlwaysBroken)
-        storage = StorageManager(tmp_path / "broken")
-        with pytest.warns(RuntimeWarning, match="finishing serially"):
-            meta = storage.ingest("clip", iter(frames), CONFIG, workers=2)
-        assert meta.gop_count >= 2  # a second GOP was there to break again
-        assert AlwaysBroken.started == 1
-        assert storage.metrics.snapshot()["counters"]["ingest.pool_fallback"] == 1
-        assert _segment_files(tmp_path / "serial") == _segment_files(tmp_path / "broken")
+        monkeypatch.setattr(tiles, "ProcessPoolExecutor", BreaksAtSecondGop)
+        for attempt, label in enumerate(("broken", "again"), start=1):
+            storage = StorageManager(tmp_path / label)
+            with pytest.warns(RuntimeWarning, match="finishing serially"):
+                meta = storage.ingest("clip", iter(frames), CONFIG, workers=2)
+            assert meta.gop_count >= 2  # a second GOP was there to break again
+            assert meta.gop_count == 3
+            assert len(BreaksAtSecondGop.made) == attempt
+            # Two shares a GOP: the third GOP was in the pool when the second broke.
+            assert BreaksAtSecondGop.made[-1].submitted == 6
+            assert storage.metrics.snapshot()["counters"]["ingest.pool_fallback"] == 1
+            assert _segment_files(tmp_path / "serial") == _segment_files(tmp_path / label)
 
 
 _PRELOAD_PROBE = """
@@ -317,6 +354,180 @@ class TestEncodePoolPreload:
         assert held == "[True, True]"
 
 
+_EXIT_PROBE = """
+import json
+import multiprocessing
+import sys
+import time
+
+sys.path.insert(0, {src!r})
+
+
+def child(connection, root):
+    from repro.core.storage import IngestConfig, StorageManager
+    from repro.geometry.grid import TileGrid
+    from repro.video import tiles
+    from repro.video.quality import Quality
+    from repro.workloads.videos import synthetic_video
+
+    config = IngestConfig(TileGrid(2, 2), (Quality.LOW,), gop_frames=4, fps=4.0)
+    frames = synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0)
+    StorageManager(root).ingest("clip", frames, config, workers=2)
+    connection.send([pid for pool, _ in tiles._POOLS.values() for pid in pool._processes])
+
+
+if __name__ == "__main__":
+    context = multiprocessing.get_context("spawn")
+    here, there = context.Pipe()
+    process = context.Process(target=child, args=(there, {root!r}))
+    process.start()
+    workers = here.recv()
+    returned = time.monotonic()
+    process.join(timeout={timeout})
+    exit_s = time.monotonic() - returned
+    if process.is_alive():
+        process.kill()
+    with open({report!r}, "w") as report:
+        json.dump({{"workers": workers, "exit_s": exit_s}}, report)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(") ")[2].split()[0] != "Z"
+
+
+class TestPoolLifetime:
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_pool_ends_with_a_multiprocessing_child(self, tmp_path):
+        """A ``spawn`` child that ingests on the process pool and returns
+        exits within seconds and leaves no encode worker alive. multiprocessing
+        joins a child's children before threading's exit hooks (where
+        ``ProcessPoolExecutor`` shuts itself down) run, so without the
+        pool's exit finalizer the child waits forever on idle workers."""
+        import json
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        script, report_path = tmp_path / "probe.py", tmp_path / "report.json"
+        script.write_text(
+            _EXIT_PROBE.format(
+                src=str(Path(tiles.__file__).resolve().parents[2]),
+                root=str(tmp_path / "db"),
+                timeout=15,
+                report=str(report_path),
+            )
+        )
+        # Output to a file, not a pipe: workers left alive would hold a
+        # pipe open and stall this test until its timeout.
+        with open(tmp_path / "stderr.txt", "w+") as stderr:
+            done = subprocess.run(
+                [sys.executable, str(script)],
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+                timeout=120,
+            )
+            stderr.seek(0)
+            assert done.returncode == 0, stderr.read()
+        report = json.loads(report_path.read_text())
+        deadline = time.monotonic() + 5
+        while any(map(_alive, report["workers"])) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in report["workers"] if _alive(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert len(report["workers"]) == 2
+        assert report["exit_s"] < 10, report
+        assert not left, report
+
+
+class TestProcessPool:
+    def test_one_pool_serves_concurrent_ingests(
+        self, tmp_path, monkeypatch, fresh_encode_pool
+    ):
+        """Two threads ingest two videos at once on ``workers=2``: one pool
+        is built, and each store is the serial store byte for byte."""
+        import threading
+
+        built = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        clips = {
+            name: list(
+                synthetic_video(name, width=64, height=32, fps=4.0, duration=3.0, seed=4)
+            )
+            for name in ("venice", "coaster")
+        }
+        for name, frames in clips.items():
+            StorageManager(tmp_path / "serial" / name).ingest(
+                name, iter(frames), CONFIG, workers=1
+            )
+        monkeypatch.setattr(tiles, "ProcessPoolExecutor", Counted)
+        start = threading.Barrier(len(clips))
+        failures = []
+
+        def ingest(name):
+            try:
+                start.wait(timeout=30)
+                StorageManager(tmp_path / "pooled" / name).ingest(
+                    name, iter(clips[name]), CONFIG, workers=2
+                )
+            except Exception as error:  # reported below, in the test's thread
+                failures.append(error)
+
+        threads = [threading.Thread(target=ingest, args=(name,)) for name in clips]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert not failures
+        assert len(built) == 1
+        for name in clips:
+            assert _segment_files(tmp_path / "pooled" / name) == _segment_files(
+                tmp_path / "serial" / name
+            )
+
+    def test_parent_working_set_is_two_gops_ahead_at_most(self, tmp_path):
+        """The parent of a pooled ingest holds, beyond the frames it was
+        handed, at most 4 x one GOP's raw bytes however long the video:
+        the crops of the GOP in the pool and of the next one, and the call
+        queue's pickles of two shares (DESIGN.md, "Process-parallel segment
+        encoding"). Submitting every GOP up front breaks it."""
+        import tracemalloc
+
+        config = IngestConfig(
+            grid=TileGrid(2, 4), qualities=(Quality.HIGH, Quality.LOW), gop_frames=4, fps=10.0
+        )
+        frames = list(
+            synthetic_video("venice", width=512, height=256, fps=10.0, duration=2.0, seed=2)
+        )
+        gop_bytes = 512 * 256 * 3 // 2 * config.gop_frames
+        # The process's pool is started outside the measurement.
+        StorageManager(tmp_path / "warm").ingest(
+            "clip", iter(frames[: config.gop_frames]), config, workers=2
+        )
+        storage = StorageManager(tmp_path / "db")
+        tracemalloc.start()
+        try:
+            meta = storage.ingest("clip", iter(frames), config, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert meta.gop_count == 5
+        assert peak < 4 * gop_bytes, peak / gop_bytes
+
+
 class RecordingExecutor:
     """Runs jobs inline and keeps them: what a pool would have been sent."""
 
@@ -324,9 +535,11 @@ class RecordingExecutor:
         self._max_workers = max_workers
         self.jobs = []
 
-    def map(self, fn, jobs, chunksize=1):
-        self.jobs = list(jobs)
-        return map(fn, self.jobs)
+    def submit(self, fn, job):
+        self.jobs.append(job)
+        future = Future()
+        future.set_result(fn(job))
+        return future
 
 
 class TestShares:
