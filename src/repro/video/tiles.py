@@ -335,20 +335,22 @@ def _context() -> multiprocessing.context.BaseContext:
 def encode_context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context every encode pool is built from.
 
-    Explicitly ``forkserver`` (preloaded with this module, so numpy, scipy
-    and the codec are imported once in the server and inherited by every
-    forked worker) or ``spawn`` where forkserver is unavailable — never
-    the platform default: bare ``fork`` after threads exist, with numpy
-    loaded, is a latent deadlock, and the import cost should be paid once
-    per process rather than once per pool.
+    Explicitly ``forkserver`` (preloaded with this module, so numpy and
+    the codec, its DCT kernel included, are imported once in the server
+    and inherited by every forked worker) or ``spawn`` where forkserver
+    is unavailable — never the platform default: bare ``fork`` after
+    threads exist, with numpy loaded, is a latent deadlock, and the
+    import cost should be paid once per process rather than once per
+    pool.
 
     The preload only happens if the server can import this package, and
     until Python 3.13 it neither applies the ``sys.path`` it is sent nor
     reports the ``ImportError``: when ``repro`` was found through a
     run-time ``sys.path`` entry, every worker of every pool imported
-    numpy/scipy cold (550-650 ms to a first result instead of 14-20 ms).
-    So the server is launched here, with the package root on
-    ``PYTHONPATH`` for just that moment.
+    numpy and the codec cold (550-650 ms to a first result, measured
+    while the codec imported ``scipy.fft``, instead of 14-20 ms). So the
+    server is launched here, with the package root on ``PYTHONPATH`` for
+    just that moment.
     """
     context = _context()
     if context.get_start_method() == "forkserver":

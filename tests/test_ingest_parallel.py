@@ -320,7 +320,7 @@ if __name__ == "__main__":
         pool = make_encode_executor(2, 2)
         # eval unpickles without importing anything: what the worker holds
         # before its first job is what the forkserver preloaded.
-        held.append(pool.submit(eval, "'scipy.fft' in __import__('sys').modules").result())
+        held.append(pool.submit(eval, "'repro.video.blocks' in __import__('sys').modules").result())
         pool.shutdown()
     print(encode_start_method(), held)
 """
@@ -330,9 +330,10 @@ class TestEncodePoolPreload:
     def test_workers_are_born_with_the_codec_imported(self):
         """``repro`` reachable only through a run-time ``sys.path`` entry —
         how ``benchmarks/perf/run.py`` runs it: the forkserver's preload
-        must still import, so the workers of a second fresh pool hold
-        ``scipy.fft`` before their first job instead of importing numpy
-        and scipy cold in every worker of every pool."""
+        must still import, so the workers of a second fresh pool hold the
+        codec (``repro.video.blocks``, numpy and the DCT kernel) before
+        their first job instead of importing it cold in every worker of
+        every pool."""
         import os
         import subprocess
         import sys

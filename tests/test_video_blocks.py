@@ -1,8 +1,16 @@
 """Unit tests for block transforms: splitting, DCT, zigzag."""
 
+import importlib.machinery
+import importlib.metadata
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.video import blocks as blocks_module
 from repro.video.blocks import (
     BLOCK_SIZE,
     INVERSE_ZIGZAG,
@@ -63,6 +71,121 @@ class TestDct:
         checker = np.where((x[None, :] + x[:, None]) % 2 == 0, 100.0, -100.0)
         coefficients = forward_dct(checker[None])
         assert abs(coefficients[0, 7, 7]) > abs(coefficients[0, 0, 0])
+
+
+def _dct_cases():
+    rng = np.random.default_rng(7)
+    plane = rng.uniform(-128, 128, (40, 8, 8))
+    # Every integer residual level: the DC of a flat block is 8 x its
+    # level whenever the kernel rounds it so, and odd levels over the luma
+    # DC step of 16 then sit on exact .5 ties.
+    flat = np.broadcast_to(np.arange(-128, 128.0)[:, None, None], (256, 8, 8)).copy()
+    signed_zero = np.zeros((2, 8, 8))
+    signed_zero[1] = -0.0
+    signed_zero[0, ::2] = -0.0
+    large = rng.uniform(-1e300, 1e300, (4, 8, 8))
+    large[0, 0, 0] = np.finfo(np.float64).max / 64
+    return {
+        "plane": plane,
+        "lockstep": rng.uniform(-255, 255, (3, 6, 20, 8, 8)),
+        "strided": rng.uniform(-128, 128, (10, 16, 16))[:, ::2, 1::2],
+        "swapped": plane.swapaxes(-2, -1),
+        "flat": flat,
+        "signed_zero": signed_zero,
+        "large": large,
+        "integer": rng.integers(-128, 128, (6, 8, 8)),
+    }
+
+
+class TestKernelIsScipys:
+    """The codec's DCT is scipy's pocketfft kernel called as
+    ``scipy.fft.dctn`` / ``idctn(norm="ortho", axes=(-2, -1))`` call it:
+    every bit of every output must match, or stored bytes would move."""
+
+    @staticmethod
+    def _same_bits(mine, theirs):
+        assert mine.dtype == theirs.dtype == np.float64
+        assert mine.shape == theirs.shape
+        assert np.array_equal(mine.view(np.int64), theirs.view(np.int64))
+
+    @pytest.mark.parametrize("case", sorted(_dct_cases()))
+    def test_forward_and_inverse(self, case):
+        from scipy.fft import dctn, idctn
+
+        x = _dct_cases()[case]
+        self._same_bits(forward_dct(x), dctn(x, norm="ortho", axes=(-2, -1)))
+        self._same_bits(inverse_dct(x), idctn(x, norm="ortho", axes=(-2, -1)))
+
+    def test_dc_only_inverse(self):
+        from scipy.fft import idctn
+
+        coefficients = np.zeros((3, 6, 4, 8, 8))
+        coefficients[..., 0, 0] = np.arange(-36, 36).reshape(3, 6, 4) * 2.5
+        self._same_bits(inverse_dct(coefficients), idctn(coefficients, norm="ortho", axes=(-2, -1)))
+
+    def test_codec_round_trip_of_flat_blocks(self):
+        """Through the codec's own quantiser: the .5-tie DCs round the same."""
+        from scipy.fft import dctn, idctn
+
+        from repro.video.codec import _BASE_LUMA, quant_matrix, quantise_blocks, reconstruct_blocks
+
+        x = _dct_cases()["flat"] + 128.0
+        qmat = quant_matrix(_BASE_LUMA, 1.0)
+        quantised = quantise_blocks(x, None, qmat)
+        dc = forward_dct(x - 128.0)[:, 0, 0] / qmat[0, 0]
+        assert np.count_nonzero(dc % 1 == 0.5) > 0  # the ties are there
+        expected = np.round(dctn(x - 128.0, norm="ortho", axes=(-2, -1)) / qmat)
+        self._same_bits(quantised, expected)
+        pixels = idctn(expected * qmat, norm="ortho", axes=(-2, -1)) + 128.0
+        expected = np.minimum(np.maximum(np.round(pixels), 0.0), 255.0)
+        self._same_bits(reconstruct_blocks(quantised, None, qmat), expected)
+
+
+_FOOTPRINT_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import repro
+from repro.core.storage import IngestConfig, StorageManager
+from repro.geometry.grid import TileGrid
+from repro.video.quality import Quality
+from repro.workloads.videos import synthetic_video
+
+config = IngestConfig(TileGrid(2, 2), (Quality.HIGH, Quality.LOW), gop_frames=4, fps=4.0)
+storage = StorageManager({root!r})
+storage.ingest("clip", synthetic_video("venice", width=64, height=32, fps=4.0, duration=1.0), config, workers=1)
+assert len(storage.decode_window("clip", 0, Quality.HIGH)) == 4
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestKernelLoad:
+    def test_codec_never_imports_scipy(self, tmp_path):
+        """A fresh process that imports ``repro``, ingests a GOP and decodes
+        it holds no ``scipy`` module: the kernel comes without the package."""
+        src = str(Path(blocks_module.__file__).resolve().parents[2])
+        done = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_PROBE.format(src=src, root=str(tmp_path))],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_missing_kernel_names_where_it_looked(self, tmp_path, monkeypatch):
+        empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        empty.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: empty)
+        with pytest.raises(ImportError) as raised:
+            blocks_module._load_dct_kernel()
+        message = str(raised.value)
+        assert str(tmp_path / "fft" / "_pocketfft") in message
+        assert f"scipy {importlib.metadata.version('scipy')}" in message
+
+    def test_missing_scipy_is_an_import_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="not installed"):
+            blocks_module._load_dct_kernel()
 
 
 class TestZigzag:
