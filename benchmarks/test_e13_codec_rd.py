@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.harness import emit_table
 from repro.video.frame import psnr
-from repro.video.gop import GopCodec
+from repro.video.gop import decode_gop, encode_gop
 from repro.video.quality import Quality
 from repro.workloads.videos import synthetic_video
 
@@ -31,10 +31,10 @@ def measure(profile: str, quality: Quality) -> tuple[float, float, float]:
     frames = list(
         synthetic_video(profile, width=WIDTH, height=HEIGHT, fps=FPS, duration=SECONDS, seed=5)
     )
-    codec = GopCodec(quality)
-    gop_size = len(codec.encode_gop(frames))
-    intra_size = len(codec.encode_gop(frames[:1]))
-    decoded = codec.decode_gop(codec.encode_gop(frames))
+    gop = encode_gop(frames, quality)
+    gop_size = len(gop)
+    intra_size = len(encode_gop(frames[:1], quality))
+    decoded = decode_gop(gop)
     scores = [psnr(a, b) for a, b in zip(frames, decoded)]
     finite = [score for score in scores if score != float("inf")]
     mean_psnr = sum(finite) / len(finite) if finite else 99.0

@@ -19,7 +19,7 @@ import pytest
 from repro import Quality
 from repro.bench.harness import emit_table, ratio
 from repro.core.storage import StorageManager
-from repro.video.gop import decode_any_gop
+from repro.video.gop import decode_gop
 
 from bench_config import RESULTS_DIR, VIDEOS
 
@@ -53,7 +53,7 @@ def test_e6_index_performance(benchmark, bench_db, storage):
     def decode_scan(stop):
         # No index: decode the tile's GOPs in order until the selection ends.
         return [
-            frame for data in read(range(stop)) for frame in decode_any_gop(data)
+            frame for data in read(range(stop)) for frame in decode_gop(data)
         ]
 
     rows = []
@@ -65,7 +65,7 @@ def test_e6_index_performance(benchmark, bench_db, storage):
         indexed_t, indexed = timed(lambda: read(selected), repeat=200)
         decode_t, scanned = timed(lambda: decode_scan(selected.stop), repeat=1)
         # The index lands on the same GOP the sequential decode ends on.
-        last = decode_any_gop(indexed[-1])
+        last = decode_gop(indexed[-1])
         assert last[-1].equals(scanned[-1])
         indexed_best.append(indexed_t)
         rows.append(
@@ -83,7 +83,7 @@ def test_e6_index_performance(benchmark, bench_db, storage):
     window = bench_db.storage.read_window(
         name, 0, {tile: Quality.HIGH for tile in meta.grid.tiles()}
     )
-    one_tile_t, tile_frames = timed(lambda: decode_any_gop(window.payloads[TILE]))
+    one_tile_t, tile_frames = timed(lambda: decode_gop(window.payloads[TILE]))
     full_t, full_frames = timed(lambda: window.decode(), repeat=1)
     x0, y0, x1, y1 = window.pixel_rect(*TILE)
     assert tile_frames[0].equals(full_frames[0].crop(x0, y0, x1, y1))

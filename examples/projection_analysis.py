@@ -17,7 +17,7 @@ import numpy as np
 from repro.geometry import EquirectangularProjection, TileGrid, Viewport
 from repro.core.popularity import tile_popularity
 from repro.video.frame import Frame
-from repro.video.gop import GopCodec
+from repro.video.gop import encode_gop
 from repro.video.quality import Quality
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
@@ -47,7 +47,6 @@ def bytes_by_latitude() -> None:
         synthetic_video("venice", width=WIDTH, height=HEIGHT, fps=8, duration=1, seed=3)
     )
     grid = TileGrid(4, 8)
-    codec = GopCodec(Quality.HIGH)
     print("\nencoded bytes by latitude band (same content everywhere):")
     tile_height = HEIGHT // grid.rows
     tile_width = WIDTH // grid.cols
@@ -59,7 +58,7 @@ def bytes_by_latitude() -> None:
                 frame.crop(x0, y0, x0 + tile_width, y0 + tile_height)
                 for frame in frames
             ]
-            total += len(codec.encode_gop(tile_frames))
+            total += len(encode_gop(tile_frames, Quality.HIGH))
         rect = grid.rect(row, 0)
         band = f"phi {math.degrees(rect.phi0):5.1f}-{math.degrees(rect.phi1):5.1f} deg"
         print(f"  {band}: {total:6d} B for {2 * math.pi:.2f} rad of azimuth")

@@ -15,9 +15,9 @@ size model.
 """
 
 from repro.video.blocks import BLOCK_SIZE
-from repro.video.codec import FrameCodec, PlaneCodec
+from repro.video.codec import PlaneCodec
 from repro.video.frame import Frame, mse, psnr
-from repro.video.gop import GopCodec, decode_any_gop
+from repro.video.gop import decode_gop, encode_gop
 from repro.video.mp4 import Atom, Mp4File
 from repro.video.quality import QUALITY_LADDER, Quality
 from repro.video.tiles import TiledGop, TiledVideoCodec
@@ -26,15 +26,14 @@ __all__ = [
     "Atom",
     "BLOCK_SIZE",
     "Frame",
-    "FrameCodec",
-    "GopCodec",
     "Mp4File",
     "PlaneCodec",
     "QUALITY_LADDER",
     "Quality",
     "TiledGop",
     "TiledVideoCodec",
-    "decode_any_gop",
+    "decode_gop",
+    "encode_gop",
     "mse",
     "psnr",
 ]

@@ -188,7 +188,6 @@ class BitReader:
     def __init__(self, data: bytes | memoryview) -> None:
         self._data = data
         self._pos = 0  # bit position
-        self._scan_cache: tuple[np.ndarray, np.ndarray, str, int] | None = None
 
     @property
     def bits_remaining(self) -> int:
@@ -235,23 +234,14 @@ class BitReader:
             return (mapped + 1) // 2
         return -(mapped // 2)
 
-    def seek(self, bit_position: int) -> None:
-        """Move the read cursor to an absolute bit position."""
-        if not 0 <= bit_position <= len(self._data) * 8:
-            raise ValueError(f"bit position {bit_position} outside the buffer")
-        self._pos = bit_position
-
-    def scan_ue(self) -> tuple[np.ndarray, np.ndarray, str]:
+    def scan_ue(self) -> tuple[np.ndarray, str]:
         """Decode every complete unsigned exp-Golomb codeword from the
         current position to the end of the buffer, without consuming.
 
-        Returns ``(values, ends, stop)``: ``values[i]`` is the i-th decoded
-        value (``uint64``), ``ends[i]`` the absolute bit position just past
-        its codeword, and ``stop`` one of :data:`SCAN_END` /
+        Returns ``(values, stop)``: ``values[i]`` is the i-th decoded value
+        (``uint64``) and ``stop`` one of :data:`SCAN_END` /
         :data:`SCAN_EOF` / :data:`SCAN_MALFORMED` describing why the scan
-        stopped after the last complete codeword. Callers consume a prefix
-        of the scan with :meth:`seek`; the scan is cached, so resuming from
-        any codeword boundary is free.
+        stopped after the last complete codeword.
 
         The boundary structure of a ue stream is self-delimiting (z zeros,
         a one, z suffix bits), so all codeword starts can be found without
@@ -261,15 +251,6 @@ class BitReader:
         the whole scan is O(bits * log(symbols)) numpy work with no
         per-bit Python.
         """
-        cached = self._scan_cache
-        if cached is not None:
-            values, ends, stop, base = cached
-            if self._pos == base:
-                return values, ends, stop
-            after = np.searchsorted(ends, self._pos, side="left")
-            if after < ends.size and ends[after] == self._pos:
-                return values[after + 1 :], ends[after + 1 :], stop
-            # Cursor is not on a cached codeword boundary: rescan below.
         data = np.frombuffer(self._data, dtype=np.uint8)  # zero-copy for bytes/views
         bits = np.unpackbits(data)
         total = bits.size
@@ -305,7 +286,6 @@ class BitReader:
         if starts.size:
             one_at = next_one[starts]
             lengths = one_at - starts + 1  # suffix bits including the leading one
-            ends = one_at + lengths  # == 2*one_at - start + 1
             counts = np.cumsum(lengths) - lengths
             symbol = np.repeat(np.arange(starts.size), lengths)
             offset = np.arange(int(lengths.sum())) - counts[symbol]
@@ -314,10 +294,9 @@ class BitReader:
             )
             values = np.add.reduceat(contrib, counts) - np.uint64(1)
             if resume is None:
-                resume = int(ends[-1])
+                resume = int(one_at[-1] + lengths[-1])  # the last codeword's end
         else:
             values = np.empty(0, dtype=np.uint64)
-            ends = np.empty(0, dtype=np.int64)
             if resume is None:
                 resume = start
         if resume == total:
@@ -329,5 +308,4 @@ class BitReader:
             # truncated codewords are indistinguishable here; both read as
             # EOF, exactly as the scalar reader would report them.
             stop = self.SCAN_EOF
-        self._scan_cache = (values, ends, stop, self._pos)
-        return values, ends, stop
+        return values, stop

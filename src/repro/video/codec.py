@@ -28,9 +28,7 @@ from repro.video.blocks import (
     merge_blocks,
     split_blocks,
     zigzag_scan,
-    zigzag_unscan,
 )
-from repro.video.frame import Frame
 from repro.video.quality import Quality
 
 # The ITU-T T.81 (JPEG annex K) example matrices: a reasonable perceptual
@@ -201,22 +199,20 @@ def _write_rows_reference(writer: BitWriter, rows: np.ndarray) -> None:
 def _raise_scan_stop(stop: str) -> None:
     if stop == BitReader.SCAN_MALFORMED:
         raise ValueError("malformed exp-Golomb code (prefix too long)")
-    raise EOFError("bit stream ends inside a block's coefficient data")
+    raise ValueError("truncated payload: bit stream ends inside a block's coefficient data")
 
 
-def _read_rows(reader: BitReader, block_count: int) -> np.ndarray:
-    """Inverse of :func:`_encode_streams`: a bit stream to ``(n, 64)`` rows.
+def _read_rows(data: bytes | memoryview, block_count: int) -> np.ndarray:
+    """Inverse of :func:`_encode_streams`: one payload to ``(n, 64)`` rows.
 
-    Decodes through :meth:`BitReader.scan_ue`: every remaining codeword in
-    the payload is located and decoded in one vectorised pass (cached on
-    the reader, so the planes sharing one stream split the cost), and this
+    Decodes through :meth:`BitReader.scan_ue`: every codeword in the
+    payload is located and decoded in one vectorised pass, and this
     function only walks the per-block structure to slice counts from
     (run, level) pairs.
     """
-    rows = np.zeros((block_count, 64), dtype=np.int32)
     if block_count == 0:
-        return rows
-    values, ends, stop = reader.scan_ue()
+        return np.zeros((0, 64), dtype=np.int32)
+    values, stop = BitReader(data).scan_ue()
     available = values.size
     count_idx = np.empty(block_count, dtype=np.int64)
     cursor = 0
@@ -232,6 +228,7 @@ def _read_rows(reader: BitReader, block_count: int) -> np.ndarray:
     if cursor > available:
         _raise_scan_stop(stop)
     counts = values_int[count_idx]
+    rows = np.zeros((block_count, 64), dtype=np.int32)  # after the scan's peak
     nonzeros = int(counts.sum())
     if nonzeros:
         before = np.cumsum(counts) - counts
@@ -250,7 +247,6 @@ def _read_rows(reader: BitReader, block_count: int) -> np.ndarray:
                 f"corrupt bitstream: coefficient index {int(positions.max())} > 63"
             )
         rows[block_of, positions] = levels
-    reader.seek(int(ends[cursor - 1]))
     return rows
 
 
@@ -275,11 +271,6 @@ def _read_rows_reference(reader: BitReader, block_count: int) -> np.ndarray:
 def _entropy_encode(rows: np.ndarray) -> bytes:
     """One stream's rows as a standalone payload (padded to whole bytes)."""
     return _encode_streams(rows[None])[0]
-
-
-def _entropy_decode(data: bytes, block_count: int) -> np.ndarray:
-    """Standalone wrapper of :func:`_read_rows`."""
-    return _read_rows(BitReader(data), block_count)
 
 
 def frame_blocks(y: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -347,7 +338,7 @@ def reconstruct_blocks(
     pixels += 128.0 if reference is None else reference
     np.round(pixels, out=pixels)
     # np.clip's Python-level wrapper costs more than these two ufuncs on
-    # the per-plane decoder's small blocks; the values are the same.
+    # a small tile's blocks; the values are the same.
     np.maximum(pixels, 0.0, out=pixels)
     return np.minimum(pixels, 255.0, out=pixels)
 
@@ -356,7 +347,11 @@ def reconstruct_blocks(
 class PlaneCodec:
     """Transform coding of one plane (luma or chroma) at a fixed quantiser:
     the plane-layout face of :func:`quantise_blocks` and
-    :func:`reconstruct_blocks`."""
+    :func:`reconstruct_blocks`, one plane and one frame at a time. Nothing
+    in the product codes this way (:func:`repro.video.gop.encode_gops`
+    steps whole frames in block layout); it is the scalar oracle the
+    encoder and :func:`repro.video.gop.decode_gop` are tested against,
+    and the plane-sized kernel ``benchmarks/perf`` times."""
 
     qmat: np.ndarray
 
@@ -367,7 +362,7 @@ class PlaneCodec:
 
         With a ``reference`` (the previous reconstructed plane) the residual
         is coded; without, the plane is coded intra. The reconstruction is
-        bit-exact with what :meth:`reconstruct` produces from the rows.
+        the uint8 plane a decoder produces from the rows.
         """
         if reference is not None and reference.shape != plane.shape:
             raise ValueError(
@@ -379,68 +374,7 @@ class PlaneCodec:
         pixels = reconstruct_blocks(quantised, reference_blocks, self.qmat)
         return rows, merge_blocks(pixels, *plane.shape[-2:]).astype(np.uint8)
 
-    def reconstruct(
-        self, rows: np.ndarray, height: int, width: int, reference: np.ndarray | None
-    ) -> np.ndarray:
-        """Dequantise + inverse-transform zigzag rows back to a uint8 plane."""
-        quantised = zigzag_unscan(rows).astype(np.float64)
-        reference_blocks = None if reference is None else split_blocks(reference)
-        pixels = reconstruct_blocks(quantised, reference_blocks, self.qmat)
-        return merge_blocks(pixels, height, width).astype(np.uint8)
-
     def encode(self, plane: np.ndarray, reference: np.ndarray | None) -> tuple[bytes, np.ndarray]:
         """Standalone plane encode; returns ``(payload, reconstruction)``."""
         rows, reconstruction = self.quantise(plane, reference)
         return _entropy_encode(rows), reconstruction
-
-    def decode(
-        self, payload: bytes, height: int, width: int, reference: np.ndarray | None
-    ) -> np.ndarray:
-        """Decode a payload produced by :meth:`encode` back to uint8."""
-        block_count = (height // 8) * (width // 8)
-        return self.reconstruct(_entropy_decode(payload, block_count), height, width, reference)
-
-
-class FrameCodec:
-    """Whole-frame decode at one :class:`Quality` rung.
-
-    Stateless with respect to the video: callers pass the reference frame
-    explicitly, which keeps the codec reusable across concurrent streams
-    and makes GOP closure an invariant of the caller (see
-    :mod:`repro.video.gop`). Encoding is :func:`repro.video.gop.encode_gops`'.
-    """
-
-    def __init__(self, quality: Quality) -> None:
-        self.quality = quality
-        self._luma = PlaneCodec(quant_matrix(_BASE_LUMA, quality.scale))
-        self._chroma = PlaneCodec(quant_matrix(_BASE_CHROMA, quality.scale))
-
-    def _plane_codecs(self) -> tuple[PlaneCodec, PlaneCodec, PlaneCodec]:
-        return (self._luma, self._chroma, self._chroma)
-
-    def decode_frame(
-        self, data: bytes | memoryview, width: int, height: int, reference: Frame | None
-    ) -> Frame:
-        """Decode one frame of a stream coded by :func:`repro.video.gop.encode_gops`."""
-        if len(data) < 1:
-            raise ValueError("empty frame payload")
-        frame_type = data[0]
-        if frame_type == FRAME_TYPE_PREDICTED and reference is None:
-            raise ValueError("predicted frame requires a reference frame")
-        if frame_type == FRAME_TYPE_INTRA:
-            reference = None
-        elif frame_type != FRAME_TYPE_PREDICTED:
-            raise ValueError(f"unknown frame type {frame_type}")
-        reader = BitReader(memoryview(data)[1:])  # skip the type byte, no copy
-        planes = []
-        shapes = [(height, width), (height // 2, width // 2), (height // 2, width // 2)]
-        reference_planes = (None, None, None) if reference is None else reference.planes
-        try:
-            for codec, (plane_h, plane_w), ref_plane in zip(
-                self._plane_codecs(), shapes, reference_planes
-            ):
-                rows = _read_rows(reader, (plane_h // 8) * (plane_w // 8))
-                planes.append(codec.reconstruct(rows, plane_h, plane_w, ref_plane))
-        except EOFError as error:
-            raise ValueError(f"truncated frame payload: {error}") from error
-        return Frame(*planes)

@@ -15,12 +15,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.video.bitstream import read_uvarint, write_uvarint
-from repro.video.blocks import zigzag_scan
+from repro.video.blocks import zigzag_scan, zigzag_unscan
 from repro.video.codec import (
     FRAME_TYPE_INTRA,
     FRAME_TYPE_PREDICTED,
-    FrameCodec,
     _encode_streams,
+    _read_rows,
     frame_blocks,
     frame_quantisers,
     quantise_blocks,
@@ -101,57 +101,90 @@ def encode_gops(
     return gops
 
 
-class GopCodec:
-    """Encodes/decodes one closed GOP at a fixed quality."""
+def encode_gop(frames: list[Frame], quality: Quality) -> bytes:
+    """Encode frames as one closed GOP (first intra, rest predicted) at
+    ``quality``: the one-stream call of :func:`encode_gops`.
 
-    def __init__(self, quality: Quality) -> None:
-        self.quality = quality
-        self._frame_codec = FrameCodec(quality)
-
-    def encode_gop(self, frames: list[Frame]) -> bytes:
-        """Encode frames as one closed GOP (first intra, rest predicted):
-        the one-stream call of :func:`encode_gops`.
-
-        Qualities with ``downscale > 1`` are coded at reduced resolution;
-        the header records the *original* dimensions and decode upsamples
-        back, so callers see full-size frames either way.
-        """
-        if not frames:
-            raise ValueError("a GOP must contain at least one frame")
-        width, height = frames[0].width, frames[0].height
-        for index, frame in enumerate(frames):
-            if (frame.width, frame.height) != (width, height):
-                raise ValueError(
-                    f"frame {index} is {frame.width}x{frame.height}, "
-                    f"GOP started at {width}x{height}"
-                )
-        y, uv = coded_planes(
-            *(np.stack(planes) for planes in zip(*(frame.planes for frame in frames))),
-            self.quality.downscale,
-        )
-        return encode_gops((self.quality,), y[None], uv[None], width, height)[0]
-
-    def decode_gop(self, data: bytes) -> list[Frame]:
-        """Decode a byte string produced by :meth:`encode_gop`."""
-        quality, width, height, count, offset = _parse_gop_header(data)
-        if quality is not self.quality:
+    Qualities with ``downscale > 1`` are coded at reduced resolution; the
+    header records the *original* dimensions and decode upsamples back,
+    so callers see full-size frames either way.
+    """
+    if not frames:
+        raise ValueError("a GOP must contain at least one frame")
+    width, height = frames[0].width, frames[0].height
+    for index, frame in enumerate(frames):
+        if (frame.width, frame.height) != (width, height):
             raise ValueError(
-                f"GOP encoded at {quality.label}, codec configured for {self.quality.label}"
+                f"frame {index} is {frame.width}x{frame.height}, "
+                f"GOP started at {width}x{height}"
             )
-        factor = self.quality.downscale
-        coded_width, coded_height = width // factor, height // factor
-        frames: list[Frame] = []
-        reference = None
-        view = memoryview(data)  # per-frame slices below are zero-copy
-        for _ in range(count):
-            length, offset = read_uvarint(data, offset)
-            frame = self._frame_codec.decode_frame(
-                view[offset : offset + length], coded_width, coded_height, reference
-            )
-            offset += length
-            reference = frame
-            frames.append(upsample_frame(frame, factor) if factor > 1 else frame)
-        return frames
+    y, uv = coded_planes(
+        *(np.stack(planes) for planes in zip(*(frame.planes for frame in frames))),
+        quality.downscale,
+    )
+    return encode_gops((quality,), y[None], uv[None], width, height)[0]
+
+
+def decode_gop(data: bytes) -> list[Frame]:
+    """Decode a GOP :func:`encode_gops` wrote, at the quality its header
+    names.
+
+    Each frame is one pass in the encoder's block layout: one
+    :func:`~repro.video.codec._read_rows` over its ``6 * n`` blocks (Y,
+    U and V are one bit stream), one inverse zigzag and one
+    :func:`~repro.video.codec.reconstruct_blocks` onto the previous
+    frame's blocks, written straight into the GOP's uint8 planes. The
+    working set is those planes plus one frame in flight. The header is
+    refused before anything is allocated if its frames could not fit in
+    the bytes that follow it (every frame costs at least a length byte,
+    a type byte and one bit a block), so hostile bytes cannot size the
+    buffers.
+    """
+    quality, width, height, count, offset = _parse_gop_header(data)
+    factor = quality.downscale
+    coded_height, coded_width = height // factor, width // factor
+    blocks = 6 * (coded_height * coded_width // 256)  # frame_blocks' six groups
+    if count * (2 + -(-blocks // 8)) > len(data) - offset:
+        raise ValueError(
+            f"GOP header claims {count} frames of {coded_width}x{coded_height}, "
+            f"more than its {len(data) - offset} bytes of frames could hold"
+        )
+    qmat = frame_quantisers((quality,))[0]
+    y = np.empty((count, coded_height, coded_width), dtype=np.uint8)
+    uv = np.empty((count, 2, coded_height // 2, coded_width // 2), dtype=np.uint8)
+    # The same planes as 8x8 blocks in stream order: each frame's blocks
+    # are written straight into them, with no merge copy.
+    across, down = coded_width // 16, coded_height // 16
+    y_blocks = y.reshape(count, 2 * down, 8, 2 * across, 8).swapaxes(2, 3)
+    uv_blocks = uv.reshape(count, 2, down, 8, across, 8).swapaxes(3, 4)
+    reference = None
+    view = memoryview(data)  # per-frame slices below are zero-copy
+    for index in range(count):
+        length, offset = read_uvarint(data, offset)
+        payload = view[offset : offset + length]
+        offset += length
+        if not payload:
+            raise ValueError("empty frame payload")
+        frame_type = payload[0]
+        if frame_type == FRAME_TYPE_INTRA:
+            reference = None
+        elif frame_type != FRAME_TYPE_PREDICTED:
+            raise ValueError(f"unknown frame type {frame_type}")
+        elif reference is None:
+            raise ValueError("predicted frame requires a reference frame")
+        if 8 * (len(payload) - 1) < blocks:
+            raise ValueError(f"frame {index}: {blocks} blocks in {len(payload) - 1} bytes")
+        # One expression, so no float64 array outlives its frame; the
+        # reference is kept as uint8, which adds the same values.
+        reference = reconstruct_blocks(
+            zigzag_unscan(_read_rows(payload[1:], blocks).reshape(6, -1, 64)).astype(np.float64),
+            reference,
+            qmat,
+        ).astype(np.uint8)
+        y_blocks[index] = reference[:4].reshape(2 * down, 2 * across, 8, 8)
+        uv_blocks[index] = reference[4:].reshape(2, down, across, 8, 8)
+    frames = [Frame(y[index], *uv[index]) for index in range(count)]
+    return [upsample_frame(frame, factor) for frame in frames] if factor > 1 else frames
 
 
 def _parse_gop_header(data: bytes) -> tuple[Quality, int, int, int, int]:
@@ -166,10 +199,8 @@ def _parse_gop_header(data: bytes) -> tuple[Quality, int, int, int, int]:
     qualities = list(Quality)
     if quality_rank >= len(qualities):
         raise ValueError(f"unknown quality rank {quality_rank}")
-    return qualities[quality_rank], width, height, count, _HEADER.size
-
-
-def decode_any_gop(data: bytes) -> list[Frame]:
-    """Decode a GOP whose quality is read from its own header."""
-    quality, *_ = _parse_gop_header(data)
-    return GopCodec(quality).decode_gop(data)
+    quality = qualities[quality_rank]
+    step = 16 * quality.downscale
+    if not width or not height or width % step or height % step:
+        raise ValueError(f"GOP of {width}x{height} at {quality.label}: not a multiple of {step}")
+    return quality, width, height, count, _HEADER.size

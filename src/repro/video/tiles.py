@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.geometry.grid import TileGrid
 from repro.video.frame import Frame
-from repro.video.gop import coded_planes, decode_any_gop, encode_gops
+from repro.video.gop import coded_planes, decode_gop, encode_gops
 from repro.video.quality import Quality
 
 TILED_MAGIC = b"VTGP"
@@ -179,7 +179,7 @@ class TiledGop:
             for _ in range(self.frame_count)
         ]
         for tile, payload in self.payloads.items():
-            tile_frames = decode_any_gop(payload)
+            tile_frames = decode_gop(payload)
             if len(tile_frames) != self.frame_count:
                 raise ValueError(
                     f"tile {tile} decodes to {len(tile_frames)} frames, "

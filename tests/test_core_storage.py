@@ -118,9 +118,9 @@ class TestMetadataRoundTrip:
 class TestReads:
     def test_read_segment_round_trips(self, loaded):
         data = loaded.read_segment("clip", 0, (0, 0), Quality.HIGH)
-        from repro.video.gop import decode_any_gop
+        from repro.video.gop import decode_gop
 
-        frames = decode_any_gop(data)
+        frames = decode_gop(data)
         assert len(frames) == 4
 
     def test_read_segment_missing(self, loaded):

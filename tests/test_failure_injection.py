@@ -23,7 +23,7 @@ from repro.chaos.corrupt import (
 )
 from repro.core.errors import CatalogError, SegmentCorruptError, SegmentNotFoundError
 from repro.video.frame import Frame
-from repro.video.gop import GopCodec, decode_any_gop
+from repro.video.gop import _HEADER, GOP_FORMAT_VERSION, GOP_MAGIC, decode_gop, encode_gop
 from repro.video.mp4 import parse_atoms
 from repro.video.tiles import TiledGop
 from repro.workloads.videos import checkerboard_video, synthetic_video
@@ -38,7 +38,7 @@ CONFIG = IngestConfig(
 
 # A canonical encoded GOP, fixed at collection time so the corruption
 # corpus can drive pytest parametrization with one test id per case.
-_CANONICAL_GOP = GopCodec(Quality.HIGH).encode_gop(checkerboard_video(32, 32, frames=4))
+_CANONICAL_GOP = encode_gop(checkerboard_video(32, 32, frames=4), Quality.HIGH)
 SEGMENT_CORPUS = segment_corruption_corpus(_CANONICAL_GOP, seed=5)
 
 
@@ -72,7 +72,7 @@ class TestSegmentCorpus:
     )
     def test_decode_of_corrupted_gop_is_controlled(self, label, payload):
         try:
-            frames = decode_any_gop(payload)
+            frames = decode_gop(payload)
         except (ValueError, EOFError):
             return  # a controlled failure is a pass
         assert isinstance(frames, list)
@@ -91,7 +91,7 @@ class TestSegmentCorpus:
         # A short stream must never quietly yield frames: either the
         # header, the frame count, or a frame payload comes up short.
         with pytest.raises((ValueError, EOFError)):
-            decode_any_gop(payload)
+            decode_gop(payload)
 
     def test_corpus_is_seed_deterministic(self):
         again = segment_corruption_corpus(_CANONICAL_GOP, seed=5)
@@ -147,7 +147,7 @@ class TestDamagedSegments:
                 continue  # includes SegmentCorruptError (size mismatch)
             assert len(data) == len(original), label
             try:
-                frames = decode_any_gop(data)
+                frames = decode_gop(data)
             except (ValueError, EOFError):
                 continue
             assert isinstance(frames, list), label
@@ -206,7 +206,7 @@ class TestHostileBytes:
     @settings(max_examples=200)
     def test_gop_decoder_contains_failures(self, data):
         try:
-            frames = decode_any_gop(data)
+            frames = decode_gop(data)
         except (ValueError, EOFError):
             return
         # If it "decoded", the framing must at least have been coherent.
@@ -232,11 +232,12 @@ class TestHostileBytes:
     @given(st.binary(min_size=1, max_size=300))
     @settings(max_examples=100)
     def test_frame_decoder_contains_failures(self, data):
-        from repro.video.codec import FrameCodec
+        from repro.video.bitstream import write_uvarint
 
-        codec = FrameCodec(Quality.HIGH)
+        gop = bytearray(_HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, 0, 16, 16, 1))
+        write_uvarint(gop, len(data))
         try:
-            frame = codec.decode_frame(data, 16, 16, None)
+            (frame,) = decode_gop(bytes(gop + data))
         except (ValueError, EOFError):
             return
         assert isinstance(frame, Frame)

@@ -72,7 +72,7 @@ class TestEntropyGoldenBytes:
         rng = np.random.default_rng(13)
         rows = _rng_rows(rng, blocks=29, density=density, span=900)
         payload = _reference_bytes(rows)
-        got_vec = _read_rows(BitReader(payload), rows.shape[0])
+        got_vec = _read_rows(payload, rows.shape[0])
         got_ref = _read_rows_reference(BitReader(payload), rows.shape[0])
         np.testing.assert_array_equal(got_vec, got_ref)
         np.testing.assert_array_equal(got_vec, rows)
@@ -90,7 +90,7 @@ class TestEntropyGoldenBytes:
         rows = _rng_rows(rng, blocks=blocks, density=density, span=span)
         payload = _entropy_encode(rows)
         assert payload == _reference_bytes(rows)
-        decoded = _read_rows(BitReader(payload), blocks)
+        decoded = _read_rows(payload, blocks)
         np.testing.assert_array_equal(decoded, rows)
 
 

@@ -16,9 +16,9 @@ from repro.geometry.angles import (
 from repro.geometry.grid import TileGrid
 from repro.geometry.sphere import from_unit_vector, great_circle_distance, to_unit_vector
 from repro.video.bitstream import BitReader, BitWriter
-from repro.video.codec import _entropy_decode, _entropy_encode
+from repro.video.codec import _entropy_encode, _read_rows
 from repro.video.frame import Frame
-from repro.video.gop import GopCodec
+from repro.video.gop import decode_gop, encode_gop
 from repro.video.mp4 import Atom, Mp4File, make_stss, parse_stss
 from repro.video.quality import Quality
 
@@ -158,7 +158,7 @@ class TestEntropyProperties:
         rng = np.random.default_rng(seed)
         rows = rng.integers(-100, 100, (block_count, 64)).astype(np.int32)
         rows[rng.uniform(size=rows.shape) < 0.7] = 0
-        assert np.array_equal(_entropy_decode(_entropy_encode(rows), block_count), rows)
+        assert np.array_equal(_read_rows(_entropy_encode(rows), block_count), rows)
 
 
 class TestCodecProperties:
@@ -178,30 +178,35 @@ class TestCodecProperties:
     def test_decoder_matches_encoder_reconstruction(self, seed, quality):
         """The encoder's prediction loop must be bit-exact with the decoder
         — the invariant that keeps P-frame chains from drifting: every
-        frame the GOP encoder writes is what the per-plane codec writes
-        against the *decoder's* previous frame, and decodes to the
-        reconstruction the per-plane codec predicts from next."""
-        from repro.video.codec import _BASE_CHROMA, _BASE_LUMA, FrameCodec, PlaneCodec, quant_matrix
-        from tests.test_video_codec import encode_one
+        frame the GOP encoder writes is what the per-plane oracle writes
+        against its own previous reconstruction, and :func:`decode_gop`
+        hands back that reconstruction (upsampled, on a reduced-resolution
+        rung) for every frame."""
+        from repro.video.codec import _BASE_CHROMA, _BASE_LUMA, PlaneCodec, quant_matrix
+        from repro.video.frame import downsample_frame, upsample_frame
+        from tests.test_video_codec import frame_payloads
 
         frames = self._random_frames(seed)
-        codec = FrameCodec(quality)
+        data = encode_gop(frames, quality)
+        decoded = decode_gop(data)
+        assert len(decoded) == len(frames)
+        factor = quality.downscale
         luma = PlaneCodec(quant_matrix(_BASE_LUMA, quality.scale))
         chroma = PlaneCodec(quant_matrix(_BASE_CHROMA, quality.scale))
-        reference = None
-        for frame, data in zip(frames, encode_one(quality, frames)):
+        reference = (None, None, None)
+        for frame, restored, payload in zip(frames, decoded, frame_payloads(data)):
             coded = [
                 plane_codec.quantise(plane, previous)
                 for plane_codec, plane, previous in zip(
                     (luma, chroma, chroma),
-                    frame.planes,
-                    (None, None, None) if reference is None else reference.planes,
+                    (downsample_frame(frame, factor) if factor > 1 else frame).planes,
+                    reference,
                 )
             ]
-            assert data[1:] == _entropy_encode(np.concatenate([rows for rows, _ in coded]))
-            decoded = codec.decode_frame(data, frame.width, frame.height, reference)
-            assert decoded.equals(Frame(*(plane for _, plane in coded)))
-            reference = decoded
+            assert payload[1:] == _entropy_encode(np.concatenate([rows for rows, _ in coded]))
+            reference = tuple(plane for _, plane in coded)
+            oracle = Frame(*reference)
+            assert restored.equals(upsample_frame(oracle, factor) if factor > 1 else oracle)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -212,8 +217,7 @@ class TestCodecProperties:
         frames = self._random_frames(seed)
         errors = []
         for quality in Quality:  # best first
-            codec = GopCodec(quality)
-            decoded = codec.decode_gop(codec.encode_gop(frames))
+            decoded = decode_gop(encode_gop(frames, quality))
             errors.append(sum(mse(a, b) for a, b in zip(frames, decoded)))
         rungs = list(Quality)
         for index, (better, worse) in enumerate(zip(errors, errors[1:])):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry.grid import TileGrid
 from repro.video.frame import Frame, psnr
-from repro.video.gop import decode_any_gop
+from repro.video.gop import decode_gop
 from repro.video.quality import Quality
 from repro.video.tiles import TiledGop, TiledVideoCodec
 from repro.workloads.videos import checkerboard_video
@@ -63,7 +63,7 @@ class TestEncodeDecode:
     def test_decode_single_tile(self, tiled, codec, frames):
         # A tile's payload is a closed GOP of its own: it decodes alone, at
         # tile resolution, with no neighbour's bytes.
-        tile_frames = decode_any_gop(tiled.payloads[(0, 1)])
+        tile_frames = decode_gop(tiled.payloads[(0, 1)])
         assert tile_frames[0].width == codec.tile_width
         reference = frames[0].crop(16, 0, 32, 16)
         assert psnr(reference, tile_frames[0]) > 30

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.video.gop import GopCodec
+from repro.video.gop import encode_gop
 from repro.video.quality import Quality
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import (
@@ -57,7 +57,7 @@ class TestSyntheticVideo:
             frames = list(
                 synthetic_video(profile, width=64, height=32, fps=8, duration=1.0, seed=4)
             )
-            return len(GopCodec(Quality.HIGH).encode_gop(frames))
+            return len(encode_gop(frames, Quality.HIGH))
 
         assert gop_size("coaster") > gop_size("timelapse")
 
