@@ -10,6 +10,7 @@ from repro.core.metadata import parse_metadata_file
 from repro.core.storage import IngestConfig, StorageManager
 from repro.geometry.grid import TileGrid
 from repro.video.frame import psnr
+from repro.video.gop import decode_gop
 from repro.video.mp4 import Mp4File
 from repro.video.quality import Quality
 from repro.video.tiles import TiledVideoCodec
@@ -288,6 +289,30 @@ class TestPacks:
                     digest.update(data)
         assert digest.hexdigest() == (
             "d385f5b93daa8f4350acda5764c180c366a0b3e630b3863210b7a9ff54580098"
+        )
+
+    def test_golden_bytes_every_rung(self, tmp_path):
+        """Every rung's segments of a 256x128, 4x8 clip with 20 frames (two
+        10-frame GOPs), and every plane each decodes to, hash to a pinned
+        digest — for the profile whose predicted blocks are coded most
+        (``coaster``) and least (``timelapse``)."""
+        config = IngestConfig(
+            grid=TileGrid(4, 8), qualities=tuple(Quality), gop_frames=10, fps=10.0
+        )
+        storage = StorageManager(tmp_path)
+        digest = hashlib.sha256()
+        for profile in ("coaster", "timelapse"):
+            frames = synthetic_video(profile, width=256, height=128, fps=10.0, duration=2.0, seed=5)
+            meta = storage.ingest(profile, frames, config, workers=1)
+            for gop, tile, quality in sorted(meta.entries, key=str):
+                data = storage.read_segment(profile, gop, tile, quality)
+                digest.update(f"{profile}/{gop}/{tile}/{quality.label}/{len(data)}".encode())
+                digest.update(data)
+                for frame in decode_gop(data):
+                    for plane in frame.planes:
+                        digest.update(plane.tobytes())
+        assert digest.hexdigest() == (
+            "73293aca555359f8292fa070635c9e5f776bdf9c099c808d5ab60c2c61f6174a"
         )
 
 
