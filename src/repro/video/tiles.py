@@ -207,8 +207,8 @@ Planes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Samples (luma + chroma, every frame of the GOP counted) one lock-step
 #: step may hold: 6 streams of a 10-frame 32x32 GOP. A step holds its
-#: whole GOP in block layout and its int32 rows until the one entropy
-#: pass, so its working set grows with samples x frames. Measured per
+#: whole GOP in block layout and its nonzero coefficients until the one
+#: entropy pass, so its working set grows with samples x frames. Measured per
 #: 256x128 10-frame GOP x 3 rungs in-process (DESIGN.md, "Process-parallel
 #: segment encoding"): 6 streams a step 50-51 ms, 12 45-46 ms, 24 44 ms
 #: and +1.4 MB of RSS, 96 48-49 ms and +13 MB; at 6 the ``ingest_live``
@@ -216,11 +216,11 @@ Planes = tuple[np.ndarray, np.ndarray, np.ndarray]
 #: bounds the encoder's working set at any frame size and GOP length.
 STEP_SAMPLES = 6 * 32 * 32 * 3 // 2 * 10
 #: What the encoder may allocate beyond its output while it runs, per
-#: step sample: the GOP's uint8 crops and blocks, its int32 rows and the
-#: entropy coder's symbol arrays grow with every frame, and one frame's
-#: float64 signal, coefficients and reconstruction with the stream count
-#: alone (measured on a 1024x512 GOP: ~19 bytes a sample at 1 frame, ~13
-#: at 2, ~12 at 10). ``tests/test_ingest_parallel.py`` holds the
+#: step sample: the GOP's uint8 crops and blocks, its nonzero coefficients
+#: and the entropy coder's symbol arrays grow with every frame, and one
+#: frame's float64 signal, coefficients and reconstruction with the stream
+#: count alone (measured on a 1024x512 GOP: ~16 bytes a sample at 1 frame,
+#: ~13 at 2, ~9 at 10). ``tests/test_ingest_parallel.py`` holds the
 #: tracemalloc peak under ``STEP_SAMPLES`` times this at 2 and 10 frames,
 #: and shows it broken (~100 MB) once the budget is taken away.
 STEP_PEAK_BYTES_PER_SAMPLE = 96

@@ -141,6 +141,51 @@ class TestKernelIsScipys:
         self._same_bits(reconstruct_blocks(quantised, None, qmat), expected)
 
 
+class TestBatchIndependence:
+    """The encoder transforms and reconstructs gathered subsets of a block
+    stack (only the coded blocks): each block's result must not depend on
+    which other blocks share the call."""
+
+    @staticmethod
+    def _subsets(rng, count):
+        return [
+            np.arange(count),
+            np.array([0]),
+            np.array([count - 1]),
+            np.flatnonzero(rng.random(count) < 0.3),
+            np.flatnonzero(rng.random(count) < 0.9),
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subset_equals_rows_of_full_call(self, seed):
+        """Bit for bit, as :func:`repro.video.gop.encode_gops` calls them:
+        a per-block quantiser row, intra (no reference) and predicted."""
+        from repro.video.codec import frame_quantisers, reconstruct_blocks
+        from repro.video.quality import Quality
+
+        rng = np.random.default_rng(seed)
+        rungs = list(Quality)
+        qualities = tuple(rungs[i] for i in rng.integers(0, len(rungs), rng.integers(1, 4)))
+        group = int(rng.integers(1, 20))
+        count = len(qualities) * 6 * group
+        qmat = frame_quantisers(qualities).reshape(-1, 8, 8)[np.arange(count) // group]
+        pixels = rng.integers(0, 256, (count, 8, 8)).astype(np.float64)
+        reference = rng.integers(0, 256, (count, 8, 8)).astype(np.float64)
+        levels = rng.integers(-30, 31, (count, 8, 8)) * (rng.random((count, 8, 8)) < 0.2)
+        quantised = levels.astype(np.float64)
+        residual = forward_dct(pixels - reference)
+        intra = reconstruct_blocks(quantised.copy(), None, qmat)
+        predicted = reconstruct_blocks(quantised.copy(), reference, qmat)
+        same_bits = TestKernelIsScipys._same_bits
+        for subset in self._subsets(rng, count):
+            same_bits(forward_dct(pixels[subset] - reference[subset]), residual[subset])
+            same_bits(reconstruct_blocks(quantised[subset], None, qmat[subset]), intra[subset])
+            same_bits(
+                reconstruct_blocks(quantised[subset], reference[subset], qmat[subset]),
+                predicted[subset],
+            )
+
+
 _FOOTPRINT_PROBE = """
 import sys
 sys.path.insert(0, {src!r})

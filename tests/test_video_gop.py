@@ -2,12 +2,14 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.video.frame import Frame, psnr
 from repro.video.gop import _HEADER, GOP_FORMAT_VERSION, GOP_MAGIC, decode_gop, encode_gop
 from repro.video.quality import Quality
 from repro.workloads.videos import checkerboard_video, solid_video, synthetic_video
+from tests.test_ingest_parallel import _scalar_reference_gop
 from tests.test_video_codec import frame_payloads
 
 
@@ -118,3 +120,40 @@ def test_decode_working_set_is_one_frame_beyond_the_output():
     output = sum(plane.nbytes for frame in decoded for plane in frame.planes)
     assert output == samples * len(frames)
     assert peak - output < bound
+
+
+class TestCodedBlocksOnly:
+    """The encoder reconstructs only blocks holding a nonzero coefficient,
+    so a step may reconstruct none of its blocks, or all of them; either
+    way the bytes are the scalar reference's."""
+
+    @staticmethod
+    def _encode_counting(monkeypatch, frames, quality):
+        from repro.video import gop
+
+        sizes = []
+        reconstruct = gop.reconstruct_blocks
+
+        def counting(quantised, reference, qmat):
+            sizes.append(quantised.size // 64)  # blocks in the call
+            return reconstruct(quantised, reference, qmat)
+
+        monkeypatch.setattr(gop, "reconstruct_blocks", counting)
+        data = encode_gop(frames, quality)
+        assert data == _scalar_reference_gop(frames, quality)
+        return sizes
+
+    def test_identical_frames_at_lowest_code_no_predicted_block(self, monkeypatch):
+        still = next(iter(synthetic_video("timelapse", width=64, height=32, fps=1, duration=1)))
+        sizes = self._encode_counting(monkeypatch, [still] * 6, Quality.LOWEST)
+        # The intra frame only: no predicted frame holds a coded block,
+        # and the kernel never sees an empty stack.
+        assert len(sizes) == 1 and 0 < sizes[0] <= 6 * 64 * 32 // 256
+
+    def test_noise_at_high_codes_every_block(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        frames = [
+            Frame.from_rgb(rng.integers(0, 256, (32, 32, 3)).astype(np.uint8)) for _ in range(4)
+        ]
+        sizes = self._encode_counting(monkeypatch, frames, Quality.HIGH)
+        assert sizes == [6 * 32 * 32 // 256] * 3  # the last frame is not reconstructed
