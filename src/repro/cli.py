@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("output")
     export.add_argument("--quality", type=Quality.from_label, default=None)
 
-    imported = commands.add_parser("import", help="ingest an exported file")
+    imported = commands.add_parser("import", help="store an exported file under a new name")
     imported.add_argument("name")
     imported.add_argument("input")
 

@@ -12,8 +12,9 @@ same order:
 
 so ``(file_version, offset, size)`` locate a segment's bytes inside the
 pack its GOP was written to, and ``checksum`` says what they must hash to.
-The leaves ride beside ``stss`` rather than widening its record, whose
-shape the export container shares.
+The leaves ride beside ``stss`` rather than widening its record. An
+export (``repro.core.export``) is this file for one rung followed by one
+``mdat`` that its offsets index.
 """
 
 from __future__ import annotations
@@ -169,11 +170,13 @@ def parse_metadata_file(name: str, data: bytes) -> VideoMeta:
     Torn or bit-rotted metadata must surface as :class:`CatalogError`
     (or ``ValueError``/``EOFError`` from the MP4 layer) — never a raw
     ``struct.error`` from an unpack that ran off the end of a truncated
-    payload, which callers would not recognise as corruption.
+    payload, an ``IndexError`` from a rotted quality rank or an
+    ``ArithmeticError`` from a rotted fps, which callers would not
+    recognise as corruption.
     """
     try:
         return _parse_metadata_atoms(name, data)
-    except struct.error as error:
+    except (struct.error, IndexError, ArithmeticError) as error:
         raise CatalogError(
             f"metadata for {name!r} is truncated or damaged: {error}"
         ) from error

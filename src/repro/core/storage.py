@@ -688,7 +688,7 @@ class StorageManager:
     # -- reads -------------------------------------------------------------------
 
     def meta(self, name: str, version: int | None = None) -> VideoMeta:
-        """Metadata for a version (latest if unspecified), cached."""
+        """Metadata for a committed version (latest if unspecified), cached."""
         if version is None:
             version = self.catalog.latest_version(name)
         key = (name, version)
@@ -696,8 +696,8 @@ class StorageManager:
         meta = self._meta_cache.get(key)
         if meta is None:
             path = self.catalog.metadata_path(name, version)
-            if not path.exists():
-                raise CatalogError(f"video {name!r} has no version {version}")
+            if not (path.exists() and self.catalog.marker_path(name, version).exists()):
+                raise CatalogError(f"video {name!r} has no committed version {version}")
             meta = self._meta_cache[key] = parse_metadata_file(name, path.read_bytes())
         return meta
 

@@ -120,11 +120,6 @@ def make_mvhd(timescale: int, duration: int) -> Atom:
     return Atom("mvhd", payload=struct.pack(">II", timescale, duration))
 
 
-def parse_mvhd(atom: Atom) -> tuple[int, int]:
-    timescale, duration = struct.unpack(">II", atom.payload)
-    return timescale, duration
-
-
 def make_stsd(codec: str, width: int, height: int, fps: float, quality_label: str) -> Atom:
     """Codec description for one stream."""
     quality_bytes = quality_label.encode("utf-8")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import struct
 import threading
 import warnings
 from collections.abc import Callable, Iterator
@@ -28,10 +27,6 @@ from repro.geometry.grid import TileGrid
 from repro.video.frame import Frame
 from repro.video.gop import coded_planes, decode_gop, encode_gops
 from repro.video.quality import Quality
-
-TILED_MAGIC = b"VTGP"
-_HEADER = struct.Struct(">4sBHHBBH")  # magic, version, width, height, rows, cols, frames
-TILED_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -114,57 +109,6 @@ class TiledGop:
                 f"{(self.width, self.height, self.grid, self.frame_count)} vs "
                 f"{(other.width, other.height, other.grid, other.frame_count)}"
             )
-
-    # -- serialisation ------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialise: header, tile index (offset/size per grid cell), data.
-
-        Absent tiles get a zero-size index entry. The index is what makes
-        byte-level tile extraction possible on the wire format too.
-        """
-        chunks: list[bytes] = []
-        index_entries: list[tuple[int, int]] = []
-        cursor = 0
-        for tile in self.grid.tiles():
-            payload = self.payloads.get(tile, b"")
-            index_entries.append((cursor, len(payload)))
-            chunks.append(payload)
-            cursor += len(payload)
-        header = _HEADER.pack(
-            TILED_MAGIC,
-            TILED_FORMAT_VERSION,
-            self.width,
-            self.height,
-            self.grid.rows,
-            self.grid.cols,
-            self.frame_count,
-        )
-        index = b"".join(struct.pack(">II", offset, size) for offset, size in index_entries)
-        return header + index + b"".join(chunks)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TiledGop":
-        """Parse bytes produced by :meth:`to_bytes` (payloads not decoded)."""
-        if len(data) < _HEADER.size:
-            raise ValueError("truncated tiled GOP (header)")
-        magic, version, width, height, rows, cols, frame_count = _HEADER.unpack_from(data)
-        if magic != TILED_MAGIC:
-            raise ValueError(f"bad tiled-GOP magic {magic!r}")
-        if version != TILED_FORMAT_VERSION:
-            raise ValueError(f"unsupported tiled-GOP version {version}")
-        grid = TileGrid(rows, cols)
-        index_size = grid.tile_count * 8
-        data_start = _HEADER.size + index_size
-        if len(data) < data_start:
-            raise ValueError("truncated tiled GOP (index)")
-        payloads = {}
-        for position, tile in enumerate(grid.tiles()):
-            offset, size = struct.unpack_from(">II", data, _HEADER.size + position * 8)
-            if size:
-                start = data_start + offset
-                payloads[tile] = data[start : start + size]
-        return cls(width=width, height=height, grid=grid, frame_count=frame_count, payloads=payloads)
 
     # -- decode path ---------------------------------------------------------
 

@@ -25,26 +25,38 @@ def _stss_count_plus_5(moov, mdat):
     stss.payload = struct.pack(">I", count + 5) + stss.payload[4:]
 
 
-def _truncated_mvhd(moov, mdat):
-    moov.find("mvhd").payload = moov.find("mvhd").payload[:4]
-
-
 def _entry_past_mdat(moov, mdat):
-    stss = moov.find("trak.stss")
+    """The last ``stss`` entry's size runs one byte past the ``mdat``."""
+    stss = moov.find_all("trak")[-1].find("stss")
     entries = parse_stss(stss)
-    time_ms, _, size = entries[-1]
-    entries[-1] = (time_ms, len(mdat.payload), size)
+    time_ms, file_version, size = entries[-1]
+    entries[-1] = (time_ms, file_version, size + 1)
     stss.payload = make_stss(entries).payload
+
+
+def _stco_past_mdat(moov, mdat):
+    stco = moov.find("trak.stco")
+    (count,) = struct.unpack_from(">I", stco.payload)
+    offsets = [len(mdat.serialize())] * count
+    stco.payload = struct.pack(f">I{count}I", count, *offsets)
+
+
+def _csum_mismatch(moov, mdat):
+    csum = moov.find("trak.csum")
+    (first,) = struct.unpack_from(">I", csum.payload, 4)
+    csum.payload = csum.payload[:4] + struct.pack(">I", first ^ 1) + csum.payload[8:]
 
 
 def _other_projection(moov, mdat):
     moov.find("vcld.sv3d").payload = b"cubemap"
 
 
+#: Each damage and the refusal it must draw.
 DAMAGE = {
-    "stss-count-plus-5": _stss_count_plus_5,
-    "truncated-mvhd": _truncated_mvhd,
-    "stss-entry-past-mdat": _entry_past_mdat,
+    "csum-mismatch": (_csum_mismatch, "fails its checksum"),
+    "stco-past-mdat": (_stco_past_mdat, "runs past its mdat"),
+    "stss-count-plus-5": (_stss_count_plus_5, "truncated or damaged"),
+    "stss-entry-past-mdat": (_entry_past_mdat, "runs past its mdat"),
 }
 
 
@@ -67,11 +79,11 @@ class TestExport:
         target = tmp_path / "clip.mp4"
         written = export_video(loaded.storage, "clip", target)
         assert written == target.stat().st_size
-        info, windows = read_export(target)
-        assert info["codec"] == "vctg"
-        assert info["width"] == 64
-        assert info["quality"] == "high"
-        assert info["duration"] == pytest.approx(2.0)
+        meta, windows = read_export(target)
+        assert (meta.width, meta.height, meta.fps) == (64, 32, 4.0)
+        assert meta.qualities == (Quality.HIGH,)
+        assert meta.duration == pytest.approx(2.0)
+        assert {entry.file_version for entry in meta.entries.values()} == {1}
         assert len(windows) == 2
 
     def test_export_specific_quality(self, loaded, tmp_path):
@@ -96,6 +108,21 @@ class TestExport:
         imported = loaded.storage.decode_window("copy", 1, Quality.HIGH)
         assert original[0].equals(imported[0])  # stored bytes, no transcode
 
+    def test_import_refuses_an_existing_name(self, loaded, tmp_path, capsys):
+        """Import makes version 1 of a new name; it never commits a version
+        that replaces a stored video's ladder."""
+        target = tmp_path / "exports" / "low.mp4"
+        target.parent.mkdir()
+        export_video(loaded.storage, "clip", target, Quality.LOW)
+        stored = sorted(loaded.storage.catalog.video_dir("clip").rglob("*"))
+        with pytest.raises(CatalogError, match="already exists"):
+            import_video(loaded.storage, "clip", target)
+        root = str(loaded.storage.catalog.root)
+        assert main(["--root", root, "import", "clip", str(target)]) == 1
+        assert "already exists" in capsys.readouterr().err
+        assert sorted(loaded.storage.catalog.video_dir("clip").rglob("*")) == stored
+        assert loaded.meta("clip").qualities == (Quality.HIGH, Quality.LOW)
+
     def test_import_bad_file(self, loaded, tmp_path):
         bad = tmp_path / "bad.mp4"
         bad.write_bytes(b"\x00\x00\x00\x08free")
@@ -117,8 +144,9 @@ class TestExport:
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_damaged_export_is_a_catalog_error(self, loaded, tmp_path, capsys, damage):
         target = tmp_path / "damaged.mp4"
-        _export_altered(loaded.storage, target, DAMAGE[damage])
-        with pytest.raises(CatalogError):
+        alter, refusal = DAMAGE[damage]
+        _export_altered(loaded.storage, target, alter)
+        with pytest.raises(CatalogError, match=refusal):
             read_export(target)
         code = main(["--root", str(tmp_path / "db"), "import", "copy", str(target)])
         assert code == 1

@@ -42,6 +42,7 @@ from repro.obs import MetricsRegistry
 from repro.serve.client import HttpSegmentClient
 from repro.serve.placement import ShardMap, materialize_shards
 from repro.serve.server import ServerConfig, start_server
+from repro.video.quality import Quality
 from tests import segment_damage
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -178,6 +179,42 @@ class TestCrashConsistency:
         assert meta.version == version
         assert storage.read_segment("clip", meta.gop_count - 1, (0, 0), meta.qualities[0])
         assert storage.fsck()["clean"]
+
+    def test_named_version_is_served_only_once_committed(self, tmp_path):
+        """Naming a version is no way round the marker: a CLI ingest killed
+        between its metadata publish (#2) and marker (#3) leaves version 1
+        unreadable by number until fsck adopts it."""
+
+        def repro(*args: str, crash_after: str = "") -> subprocess.CompletedProcess:
+            env = dict(os.environ, PYTHONPATH=SRC, REPRO_CRASH_AFTER_WRITES=crash_after)
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "--root", str(tmp_path), *args],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+
+        ingest = repro(
+            "ingest", "dead", "--duration", "1", "--width", "64", "--height", "32",
+            "--grid", "2x2", "--gop-frames", "10", "--workers", "1", crash_after="3",
+        )
+        assert ingest.returncode in (-9, 137), ingest.stderr
+        storage = StorageManager(tmp_path)
+        assert storage.catalog.metadata_path("dead", 1).exists()
+        with pytest.raises(CatalogError, match="no committed version 1"):
+            storage.meta("dead", 1)
+        with pytest.raises(CatalogError, match="no committed version 1"):
+            storage.read_segment("dead", 0, (0, 0), Quality.HIGH, version=1)
+        refused = repro("info", "dead", "--version", "1")
+        assert refused.returncode == 1
+        assert "no committed version 1" in refused.stderr
+
+        repaired = repro("fsck", "--repair")
+        assert "adopted versions: dead v1" in repaired.stdout
+        assert storage.meta("dead", 1).version == 1
+        assert storage.read_segment("dead", 0, (0, 0), Quality.HIGH, version=1)
+        assert "version     : 1" in repro("info", "dead", "--version", "1").stdout
 
 
 def _ingest(db, name: str, seed: int) -> None:

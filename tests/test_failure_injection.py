@@ -17,15 +17,19 @@ from hypothesis import strategies as st
 
 from repro import IngestConfig, Quality, TileGrid
 from repro.chaos.corrupt import (
+    atom_boundaries,
+    bit_flip,
     gop_boundaries,
     metadata_corruption_corpus,
     segment_corruption_corpus,
+    truncate,
 )
+from repro.cli import main
 from repro.core.errors import CatalogError, SegmentCorruptError, SegmentNotFoundError
+from repro.core.export import export_video, read_export
 from repro.video.frame import Frame
 from repro.video.gop import _HEADER, GOP_FORMAT_VERSION, GOP_MAGIC, decode_gop, encode_gop
-from repro.video.mp4 import parse_atoms
-from repro.video.tiles import TiledGop
+from repro.video.mp4 import Mp4File, parse_atoms
 from repro.workloads.videos import checkerboard_video, synthetic_video
 from tests import segment_damage
 
@@ -174,6 +178,23 @@ class TestDamagedMetadata:
             # must still describe the same segmentation.
             assert meta.gop_count >= 1, label
 
+    def test_every_vinf_bit_flip_is_controlled(self, loaded):
+        """The layout leaf feeds indexing and division: a rotted quality
+        rank or fps is a CatalogError, not an IndexError or a
+        ZeroDivisionError."""
+        path = loaded.storage.catalog.metadata_path("clip", 1)
+        original = path.read_bytes()
+        start = original.index(b"vinf") + 4
+        end = start - 8 + int.from_bytes(original[start - 8 : start - 4], "big")
+        for position in range(start, end):
+            for bit in range(8):
+                path.write_bytes(bit_flip(original, position, bit))
+                loaded.storage._meta_cache.clear()
+                try:
+                    loaded.meta("clip")
+                except (CatalogError, ValueError, EOFError):
+                    pass
+
     def test_truncated_metadata_rejected(self, loaded):
         path = loaded.storage.catalog.metadata_path("clip", 1)
         path.write_bytes(path.read_bytes()[:20])
@@ -212,13 +233,37 @@ class TestHostileBytes:
         # If it "decoded", the framing must at least have been coherent.
         assert isinstance(frames, list)
 
-    @given(st.binary(max_size=200))
-    @settings(max_examples=200)
-    def test_tiled_gop_parser_contains_failures(self, data):
-        try:
-            TiledGop.from_bytes(data)
-        except (ValueError, EOFError):
-            pass
+    def test_export_reader_contains_failures(self, loaded, tmp_path, capsys):
+        """The export reader's contract is the store's: a truncation at or
+        one byte short of every atom edge, and one flipped bit in each
+        segment, is a CatalogError — and the CLI refuses the file whole."""
+        source = tmp_path / "clip.mp4"
+        export_video(loaded.storage, "clip", source)
+        data = source.read_bytes()
+        mdat_start = len(data) - len(Mp4File.parse(data).find("mdat").serialize())
+        damaged = [
+            truncate(data, length)
+            for boundary in atom_boundaries(data)
+            for length in {boundary - 1, boundary}
+            if 0 <= length < len(data)
+        ] + [
+            bit_flip(data, mdat_start + entry.offset + entry.size // 2, bit=3)
+            for entry in read_export(source)[0].entries.values()
+        ]
+        target = tmp_path / "damaged.mp4"
+        for case in damaged:
+            target.write_bytes(case)
+            with pytest.raises(CatalogError):
+                read_export(target)
+
+        root = str(loaded.storage.catalog.root)
+        main(["--root", root, "ls"])
+        listed = capsys.readouterr().out
+        assert main(["--root", root, "import", "copy", str(target)]) == 1
+        refusal = capsys.readouterr().err
+        assert refusal.startswith("error: ") and "fails its checksum" in refusal
+        main(["--root", root, "ls"])
+        assert capsys.readouterr().out == listed
 
     @given(st.binary(max_size=200))
     @settings(max_examples=200)

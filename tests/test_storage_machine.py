@@ -5,7 +5,8 @@ The model is ``{name: {version: {(gop, tile, quality): bytes}}}``; the
 bytes it expects come from the codec directly, never from a storage
 read. Rules here are the committed-sequence ones — ``ingest``,
 ``append``, ``reingest``, ``store_windows`` (of a window read back),
-``drop``, ``vacuum(keep)``, ``fsck(repair=True)``. The fault rules
+``drop``, ``vacuum(keep)``, ``fsck(repair=True)``, and ``export_import``
+(one rung of a retained version through a single file). The fault rules
 (``ENOSPC``, ``REPRO_CRASH_AFTER_WRITES``, a concurrent reader, the
 3-node tier) are item 3's next step: add them here, do not restart.
 """
@@ -28,7 +29,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.errors import CatalogError, VisualCloudError
+from repro.core.errors import CatalogError, SegmentNotFoundError, VisualCloudError
+from repro.core.export import export_video, import_video
 from repro.core.storage import IngestConfig, StorageManager
 from repro.geometry.grid import TileGrid
 from repro.stream.dash import SegmentKey
@@ -83,9 +85,11 @@ class StorageMachine(RuleBasedStateMachine):
         self.root = Path(tempfile.mkdtemp(prefix="storage-machine-"))
         self.storage = StorageManager(self.root)
         self.model: dict[str, dict[int, dict]] = {}
+        self.export_path = self.root.with_name(self.root.name + ".mp4")
 
     def teardown(self) -> None:
         shutil.rmtree(self.root, ignore_errors=True)
+        self.export_path.unlink(missing_ok=True)
 
     def latest(self, name: str) -> dict:
         return self.model[name][max(self.model[name])]
@@ -169,6 +173,27 @@ class StorageMachine(RuleBasedStateMachine):
             meta,
             {(0, tile, q): gops[gop][(tile, q)] for tile, q in quality_map.items()},
         )
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), rung=st.sampled_from(LADDER), into=NAMES)
+    def export_import(self, data, rung, into):
+        """Version 1 of ``into`` holds exactly the exported rung's bytes; a
+        rung some segment lacks does not export, and a taken name does not
+        import."""
+        source = data.draw(st.sampled_from(sorted(self.model)))
+        number = data.draw(st.sampled_from(sorted(self.model[source])))
+        version = self.model[source][number]
+        exported = {key: payload for key, payload in version.items() if key[2] is rung}
+        if len(exported) != len(by_gop(version)) * GRID.tile_count:
+            with pytest.raises(SegmentNotFoundError):
+                export_video(self.storage, source, self.export_path, rung, number)
+            return
+        export_video(self.storage, source, self.export_path, rung, number)
+        if into in self.model:
+            with pytest.raises(CatalogError, match="already exists"):
+                import_video(self.storage, into, self.export_path)
+            return
+        self.commit(into, import_video(self.storage, into, self.export_path), exported)
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())

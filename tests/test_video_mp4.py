@@ -11,7 +11,6 @@ from repro.video.mp4 import (
     make_stss,
     make_sv3d,
     parse_atoms,
-    parse_mvhd,
     parse_stsd,
     parse_stss,
     parse_sv3d,
@@ -111,9 +110,6 @@ class TestFind:
 
 
 class TestTypedAtoms:
-    def test_mvhd_round_trip(self):
-        assert parse_mvhd(make_mvhd(1000, 90_000)) == (1000, 90_000)
-
     def test_stsd_round_trip(self):
         parsed = parse_stsd(make_stsd("vcbd", 256, 128, 29.97, "medium"))
         assert parsed == {

@@ -110,27 +110,7 @@ class TestHomomorphicOps:
         assert rebuilt.decode()[0].equals(tiled.decode()[0])
 
 
-class TestSerialisation:
-    def test_round_trip(self, tiled):
-        rebuilt = TiledGop.from_bytes(tiled.to_bytes())
-        assert rebuilt.payloads == tiled.payloads
-        assert (rebuilt.width, rebuilt.height) == (tiled.width, tiled.height)
-        assert rebuilt.grid == tiled.grid
-        assert rebuilt.frame_count == tiled.frame_count
-
-    def test_round_trip_with_absent_tiles(self, codec, frames):
-        partial = codec.encode_gop(frames, Quality.MEDIUM, tiles={(1, 2)})
-        rebuilt = TiledGop.from_bytes(partial.to_bytes())
-        assert set(rebuilt.payloads) == {(1, 2)}
-
-    def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            TiledGop.from_bytes(b"NOPE" + b"\x00" * 32)
-
-    def test_truncated(self, tiled):
-        with pytest.raises(ValueError):
-            TiledGop.from_bytes(tiled.to_bytes()[:10])
-
+class TestLayout:
     def test_pixel_rect(self, tiled):
         assert tiled.pixel_rect(0, 0) == (0, 0, 16, 16)
         assert tiled.pixel_rect(1, 3) == (48, 16, 64, 32)
