@@ -15,6 +15,7 @@ from repro.core.errors import (
     SegmentNotFoundError,
     SegmentReadTimeout,
     TransientSegmentError,
+    VisualCloudError,
 )
 from repro.stream.dash import SegmentKey
 from repro.video.quality import Quality
@@ -29,9 +30,11 @@ class ChaosStorageManager:
     contract (``missing`` → :class:`SegmentNotFoundError`, ``corrupt`` →
     :class:`SegmentCorruptError`, ``slow`` → :class:`SegmentReadTimeout`,
     ``flaky`` → :class:`TransientSegmentError`). ``read_window`` is
-    reimplemented through the faulty ``read_segment`` so window assembly
-    cannot bypass injection. Everything else (ingest, metadata,
-    manifests, vacuum, metrics) delegates to the wrapped manager.
+    reimplemented through the faulty ``read_segment``, and
+    ``read_segments`` consults the plan per key, so neither window
+    assembly nor a pin loop's bulk read can bypass injection. Everything
+    else (ingest, metadata, manifests, vacuum, metrics) delegates to the
+    wrapped manager.
 
     ``slow_tolerance`` is the simulated read-latency budget: a slow
     fault whose ``delay`` is within the budget serves the bytes (link
@@ -47,20 +50,31 @@ class ChaosStorageManager:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def _raise_for(self, decision: FaultDecision, context: str) -> None:
+    def _fault(self, name: str, meta, key: SegmentKey) -> VisualCloudError | None:
+        """The error the plan injects into a read of ``key``, if any."""
+        gop = key.window
+        media_time = meta.gop_start_time(gop) if 0 <= gop < meta.gop_count else None
+        decision = self.plan.decide_key(
+            name, key, media_time=media_time, target="storage"
+        )
+        if decision is None:
+            return None
+        context = f"{name!r} segment {key.to_path()}"
         if decision.kind == "missing":
-            raise SegmentNotFoundError(f"injected fault: segment missing ({context})")
+            return SegmentNotFoundError(f"injected fault: segment missing ({context})")
         if decision.kind == "corrupt":
-            raise SegmentCorruptError(
+            return SegmentCorruptError(
                 f"injected fault: segment failed validation ({context})"
             )
         if decision.kind == "slow":
-            raise SegmentReadTimeout(
+            if decision.delay <= self.slow_tolerance:
+                return None
+            return SegmentReadTimeout(
                 f"injected fault: read exceeded {self.slow_tolerance:.3f}s "
                 f"budget by {decision.delay:.3f}s ({context})"
             )
         if decision.kind == "flaky":
-            raise TransientSegmentError(f"injected fault: transient I/O error ({context})")
+            return TransientSegmentError(f"injected fault: transient I/O error ({context})")
         raise AssertionError(f"storage wrapper cannot inject {decision.kind!r}")
 
     def read_segment(
@@ -71,17 +85,25 @@ class ChaosStorageManager:
         quality: Quality,
         version: int | None = None,
     ) -> bytes:
-        meta = self.inner.meta(name, version)
-        media_time = meta.gop_start_time(gop) if 0 <= gop < meta.gop_count else None
-        key = SegmentKey(gop, tile, quality)
-        decision = self.plan.decide_key(
-            name, key, media_time=media_time, target="storage"
+        fault = self._fault(
+            name, self.inner.meta(name, version), SegmentKey(gop, tile, quality)
         )
-        if decision is not None:
-            tolerated = decision.kind == "slow" and decision.delay <= self.slow_tolerance
-            if not tolerated:
-                self._raise_for(decision, f"{name!r} segment {key.to_path()}")
+        if fault is not None:
+            raise fault
         return self.inner.read_segment(name, gop, tile, quality, version)
+
+    def read_segments(
+        self, name: str, keys, version: int | None = None
+    ) -> list[bytes | VisualCloudError]:
+        """The wrapped bulk read with the plan consulted per key, in
+        ``keys``' order: a faulted key gets its injected error, the rest
+        are read from the real store in one call."""
+        keys = list(keys)
+        meta = self.inner.meta(name, version)
+        faults = [self._fault(name, meta, key) for key in keys]
+        clean = [key for key, fault in zip(keys, faults) if fault is None]
+        read = iter(self.inner.read_segments(name, clean, meta.version))
+        return [next(read) if fault is None else fault for fault in faults]
 
     def read_window(
         self,
@@ -92,7 +114,7 @@ class ChaosStorageManager:
     ) -> TiledGop:
         meta = self.inner.meta(name, version)
         payloads = {
-            tile: self.read_segment(name, gop, tile, quality, version)
+            tile: self.read_segment(name, gop, tile, quality, meta.version)
             for tile, quality in quality_map.items()
         }
         return TiledGop(
@@ -108,7 +130,7 @@ class ChaosStorageManager:
     ):
         meta = self.inner.meta(name, version)
         quality_map = {tile: quality for tile in meta.grid.tiles()}
-        return self.read_window(name, gop, quality_map, version).decode()
+        return self.read_window(name, gop, quality_map, meta.version).decode()
 
 
 class ChaosSegmentCache:

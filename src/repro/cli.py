@@ -525,6 +525,7 @@ def _command_fsck(db: VisualCloud, args) -> int:
         "dropped_videos",
         "orphan_tmp",
         "orphan_packs",
+        "damaged_metadata",
     ):
         values = report.get(key, [])
         if values:
@@ -532,6 +533,11 @@ def _command_fsck(db: VisualCloud, args) -> int:
     if report["clean"]:
         print("clean")
         return 0
+    if report["damaged_metadata"]:
+        # Rotted committed metadata is the one finding fsck cannot undo:
+        # the version's index is lost unless a copy is restored.
+        print("NOT CLEAN (damaged metadata: restore the file or drop the video)")
+        return 1
     if args.repair:
         # Everything fsck reports under --repair it also fixed; the
         # catalog is consistent now even though the audit found debris.

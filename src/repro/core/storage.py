@@ -187,6 +187,49 @@ def _tag_repairable(error: SegmentNotFoundError) -> SegmentNotFoundError:
     return error
 
 
+def _entry_of(name: str, meta: VideoMeta, key) -> SegmentEntry:
+    """``key``'s ``(gop, tile, quality)`` entry in ``meta``'s index;
+    :class:`SegmentNotFoundError` when that version has no such segment."""
+    entry = meta.entries.get(key)
+    if entry is None:
+        gop, tile, quality = key
+        raise SegmentNotFoundError(
+            f"{name!r} v{meta.version} has no segment (gop={gop}, tile={tile}, "
+            f"quality={quality.label})"
+        )
+    return entry
+
+
+def _checked(name: str, gop: int, entry: SegmentEntry, data: bytes | OSError):
+    """``data`` when it is the segment ``entry`` committed, else the error
+    a read of it raises: :class:`SegmentNotFoundError` when the pack is
+    gone or unreadable (``data`` is the ``OSError``, never leaked past the
+    storage boundary — see ``core/errors.py``), :class:`SegmentCorruptError`
+    when the bytes break :func:`_mismatch`. Both are tagged repairable: the
+    index has an entry, so an intact copy may exist on a peer owner."""
+    if isinstance(data, OSError):
+        pack = pack_file_name(gop, entry.file_version)
+        failure = SegmentNotFoundError(
+            f"pack {pack} of {name!r} is missing from disk"
+            if isinstance(data, FileNotFoundError)
+            else f"pack {pack} of {name!r} could not be read: {data}"
+        )
+        failure.__cause__ = data
+        return _tag_repairable(failure)
+    broken = _mismatch(entry, data)
+    if broken is None:
+        return data
+    where = _range_label(gop, entry)
+    return _tag_repairable(
+        SegmentCorruptError(
+            f"segment {where} is {len(data)} bytes, index says {entry.size}"
+            if broken == "size"
+            else f"segment {where} of {name!r} fails its content "
+            "checksum (bit rot or torn write)"
+        )
+    )
+
+
 #: One GOP on its way to disk: its frame count and a ``(tile, quality,
 #: payload)`` per segment, in pack order.
 _EncodedGop = tuple[int, list[tuple[tuple[int, int], Quality, bytes]]]
@@ -688,23 +731,48 @@ class StorageManager:
     # -- reads -------------------------------------------------------------------
 
     def meta(self, name: str, version: int | None = None) -> VideoMeta:
-        """Metadata for a committed version (latest if unspecified), cached."""
+        """Metadata for a committed version (latest if unspecified), cached.
+
+        A cache miss reads the metadata file and its commit marker and
+        refuses (:class:`CatalogError`) a file whose content checksum is not
+        the one its marker recorded, before parsing it.
+        """
         if version is None:
             version = self.catalog.latest_version(name)
         key = (name, version)
         # One get, then the local: a commit on another thread may evict the entry.
         meta = self._meta_cache.get(key)
         if meta is None:
-            path = self.catalog.metadata_path(name, version)
-            if not (path.exists() and self.catalog.marker_path(name, version).exists()):
-                raise CatalogError(f"video {name!r} has no committed version {version}")
-            meta = self._meta_cache[key] = parse_metadata_file(name, path.read_bytes())
+            meta = self._meta_cache[key] = parse_metadata_file(
+                name, self._committed_blob(name, version)
+            )
         return meta
+
+    def _committed_blob(self, name: str, version: int) -> bytes:
+        """A committed version's metadata bytes, checked against its
+        marker: the rule :meth:`_validate_version` applies to an
+        uncommitted one. Raises :class:`CatalogError`."""
+        try:
+            blob = self.catalog.metadata_path(name, version).read_bytes()
+            marker = self.catalog.marker_path(name, version).read_bytes()
+        except FileNotFoundError as error:
+            raise CatalogError(
+                f"video {name!r} has no committed version {version}"
+            ) from error
+        if marker != _marker_payload(blob):
+            raise CatalogError(
+                f"metadata_v{version}.mp4 of {name!r} does not match the checksum "
+                "its commit marker recorded (bit rot)"
+            )
+        return blob
 
     def read_range(self, name: str, gop: int, entry: SegmentEntry) -> bytes:
         """The bytes on disk at ``entry``'s range of its GOP's pack — fewer
-        than ``entry.size`` when the pack ends early. The one read of
-        stored bytes: it bypasses the buffer pool and checks nothing.
+        than ``entry.size`` when the pack ends early. One ``open`` +
+        ``pread``, bypassing the buffer pool and checking nothing: a
+        :meth:`read_segment` miss checks them with :func:`_checked`, the
+        chaos runner looks at what a disk holds, and many ranges of one
+        video are read by :meth:`_read_entries` instead, one open per pack.
         Raises ``OSError`` (``FileNotFoundError`` when the pack is gone)."""
         fd = os.open(self.catalog.pack_path(name, gop, entry.file_version), os.O_RDONLY)
         try:
@@ -727,42 +795,17 @@ class StorageManager:
         never go stale.
         """
         meta = self.meta(name, version)
-        entry = meta.entries.get((gop, tile, quality))
-        if entry is None:
-            raise SegmentNotFoundError(
-                f"{name!r} v{meta.version} has no segment (gop={gop}, tile={tile}, "
-                f"quality={quality.label})"
-            )
+        entry = _entry_of(name, meta, (gop, tile, quality))
 
         def load() -> bytes:
-            # All failures below are tagged repairable: the index has an
-            # entry, so an intact copy may exist on a peer owner.
             try:
                 data = self.read_range(name, gop, entry)
             except OSError as error:
-                # The index said the segment exists but its pack is gone or
-                # unreadable — keep the storage boundary's error contract
-                # (see core/errors.py) instead of leaking the OS exception.
-                pack = pack_file_name(gop, entry.file_version)
-                raise _tag_repairable(
-                    SegmentNotFoundError(
-                        f"pack {pack} of {name!r} is missing from disk"
-                        if isinstance(error, FileNotFoundError)
-                        else f"pack {pack} of {name!r} could not be read: {error}"
-                    )
-                ) from error
-            broken = _mismatch(entry, data)
-            if broken:
-                where = _range_label(gop, entry)
-                raise _tag_repairable(
-                    SegmentCorruptError(
-                        f"segment {where} is {len(data)} bytes, index says {entry.size}"
-                        if broken == "size"
-                        else f"segment {where} of {name!r} fails its content "
-                        "checksum (bit rot or torn write)"
-                    )
-                )
-            return data
+                data = error
+            checked = _checked(name, gop, entry, data)
+            if isinstance(checked, bytes):
+                return checked
+            raise checked
 
         with self.metrics.span(
             "storage.read_segment", video=name, gop=gop, tile=tile, quality=quality.label
@@ -781,6 +824,70 @@ class StorageManager:
         self._bytes_read.inc(len(data))
         return data
 
+    def read_segments(
+        self, name: str, keys: Iterable[SegmentKey], version: int | None = None
+    ) -> list[bytes | SegmentNotFoundError]:
+        """Many segments of one version of ``name`` in one disk walk: the
+        version is resolved once and each pack the keys fall in is opened
+        once. Returns, per key and in ``keys``' order, its bytes or the
+        error :meth:`read_segment` would raise for it
+        (:class:`SegmentNotFoundError`, :class:`SegmentCorruptError`); an
+        error for the video as a whole (no committed version) is raised.
+
+        Reads the disk, never the buffer pool: the caller keeps its own
+        copy (the serve tier's pins), so a bulk read must not churn the
+        pool the cold path relies on.
+        """
+        meta = self.meta(name, version)
+        index_keys = [(key.window, key.tile, key.quality) for key in keys]
+        results: list = [None] * len(index_keys)
+        for position, result in self._read_entries(name, meta, index_keys):
+            results[position] = result
+            if isinstance(result, bytes):
+                self._segments_read.inc()
+                self._bytes_read.inc(len(result))
+        return results
+
+    def _read_entries(
+        self, name: str, meta: VideoMeta, keys: list
+    ) -> Iterator[tuple[int, bytes | SegmentNotFoundError]]:
+        """The one bulk walk of stored bytes: ``(position, bytes or
+        error)`` for each ``(gop, tile, quality)`` of ``keys`` in
+        ``meta``'s index, pack by pack — each opened once, its ranges read
+        in offset order and checked by :func:`_checked`. ``position`` is
+        the key's index in ``keys``; errors are :meth:`read_segment`'s.
+        ``meta`` need not be committed (fsck's adopt check walks one that
+        is not)."""
+        packs: dict[tuple[int, int], list[tuple[int, int, SegmentEntry]]] = {}
+        for position, key in enumerate(keys):
+            try:
+                entry = _entry_of(name, meta, key)
+            except SegmentNotFoundError as error:
+                yield position, error
+                continue
+            packs.setdefault((key[0], entry.file_version), []).append(
+                (entry.offset, position, entry)
+            )
+        for (gop, file_version), ranges in packs.items():
+            ranges.sort()
+            try:
+                fd = os.open(
+                    self.catalog.pack_path(name, gop, file_version), os.O_RDONLY
+                )
+            except OSError as error:
+                for _, position, entry in ranges:
+                    yield position, _checked(name, gop, entry, error)
+                continue
+            try:
+                for _, position, entry in ranges:
+                    try:
+                        data = os.pread(fd, entry.size, entry.offset)
+                    except OSError as error:
+                        data = error
+                    yield position, _checked(name, gop, entry, data)
+            finally:
+                os.close(fd)
+
     def read_window(
         self,
         name: str,
@@ -796,7 +903,7 @@ class StorageManager:
         meta = self.meta(name, version)
         with self.metrics.span("storage.read_window", video=name, gop=gop):
             payloads = {
-                tile: self.read_segment(name, gop, tile, quality, version)
+                tile: self.read_segment(name, gop, tile, quality, meta.version)
                 for tile, quality in quality_map.items()
             }
         self._windows_assembled.inc()
@@ -814,7 +921,7 @@ class StorageManager:
         """Decode a full window at a uniform quality (reference reads)."""
         meta = self.meta(name, version)
         quality_map = {tile: quality for tile in meta.grid.tiles()}
-        return self.read_window(name, gop, quality_map, version).decode()
+        return self.read_window(name, gop, quality_map, meta.version).decode()
 
     def build_manifest(self, name: str, version: int | None = None) -> Manifest:
         """The DASH-style manifest a streaming session consumes.
@@ -936,12 +1043,7 @@ class StorageManager:
         write must pass, so a corrupt peer copy can never overwrite disk.
         """
         meta = self.meta(name, version)
-        entry = meta.entries.get((gop, tile, quality))
-        if entry is None:
-            raise SegmentNotFoundError(
-                f"{name!r} v{meta.version} has no segment (gop={gop}, tile={tile}, "
-                f"quality={quality.label})"
-            )
+        entry = _entry_of(name, meta, (gop, tile, quality))
         broken = _mismatch(entry, data)
         if broken:
             detail = (
@@ -1017,6 +1119,10 @@ class StorageManager:
           writing its marker; otherwise it is rolled back (deleted).
         * A video directory with no committed versions (the SIGKILL-mid-
           ingest case) is dropped wholesale on repair.
+        * A committed version whose metadata file no longer matches the
+          checksum its marker recorded is bit rot fsck cannot undo: it is
+          reported (``damaged_metadata``), never repaired, and its readers
+          get a :class:`CatalogError` from :meth:`meta`.
         * Packs no committed version references are orphans from a
           rolled-back version — deleted on repair. This is the one place
           such crash debris is collected: :meth:`vacuum` deletes only what
@@ -1034,6 +1140,7 @@ class StorageManager:
             "dangling_markers": [],
             "dropped_videos": [],
             "orphan_packs": [],
+            "damaged_metadata": [],
             "repair": repair,
         }
         for name in self.list_videos():
@@ -1050,6 +1157,11 @@ class StorageManager:
                     self.catalog.marker_path(name, version).unlink()
                     markers.discard(version)
             committed = metadata & markers
+            for version in sorted(committed):
+                try:
+                    self._committed_blob(name, version)
+                except CatalogError:
+                    report["damaged_metadata"].append(f"{name} v{version}")
             for version in sorted(metadata - committed):
                 if self._validate_version(name, version):
                     report["adopted_versions"].append(f"{name} v{version}")
@@ -1094,6 +1206,7 @@ class StorageManager:
                 "dangling_markers",
                 "dropped_videos",
                 "orphan_packs",
+                "damaged_metadata",
             )
         )
         return report
@@ -1122,20 +1235,23 @@ class StorageManager:
         """Walk one version's index in a fixed order and yield ``(key,
         range)`` for every segment whose byte range is missing, unreadable,
         or fails :func:`_mismatch`; ``range`` is ``<pack file>@<offset>``.
-        Reads the disk, never the buffer pool. Ranges already in ``seen``
-        (copy-on-write shares of an earlier version) are skipped; every
-        range looked at is added to it."""
+        Reads through :meth:`_read_entries`, so the disk, never the buffer
+        pool. Ranges already in ``seen`` (copy-on-write shares of an earlier
+        version) are skipped; every range looked at is added to it."""
+        keys = []
         for key, entry in sorted(meta.entries.items(), key=lambda item: str(item[0])):
             where = _range_label(key[0], entry)
-            if where in seen:
-                continue
-            seen.add(where)
-            try:
-                broken = _mismatch(entry, self.read_range(name, key[0], entry))
-            except OSError:
-                broken = "unreadable"
-            if broken:
-                yield key, where
+            if where not in seen:
+                seen.add(where)
+                keys.append(key)
+        damaged = sorted(
+            position
+            for position, result in self._read_entries(name, meta, keys)
+            if not isinstance(result, bytes)
+        )
+        for position in damaged:
+            key = keys[position]
+            yield key, _range_label(key[0], meta.entries[key])
 
     def scrub(
         self,
@@ -1165,7 +1281,15 @@ class StorageManager:
                 continue
             seen: set[str] = set()
             for version in versions:
-                meta = self.meta(name, version)
+                try:
+                    meta = self.meta(name, version)
+                except CatalogError as error:
+                    # Rotted metadata: no index to walk, nothing to repair from.
+                    label = f"{name}/metadata_v{version}.mp4"
+                    report["corrupt"].append(label)
+                    if source is not None:
+                        report["repair_failed"].append(f"{label}: {error}")
+                    continue
                 for key, where in self._damaged_entries(name, meta, seen):
                     label = f"{name}/{where}"
                     report["corrupt"].append(label)

@@ -384,29 +384,45 @@ class SegmentServer:
         pins what it owns and holds, never a peer's copy. A path that fails
         to read (missing or corrupt on disk, raced a drop, malformed) is
         skipped and counted in ``serve.prewarm_skipped``: a slice is a
-        target, not a transaction. Returns how many paths were newly
-        pinned."""
-        pinned = 0
+        target, not a transaction. Each video is read in one
+        ``read_segments`` call (one version lookup, one open per pack,
+        no buffer-pool insert: the pin is the RAM copy). Returns how many
+        paths were newly pinned."""
+        skipped = self.metrics.counter(
+            "serve.prewarm_skipped",
+            "prewarm reads skipped (missing, corrupt or malformed)",
+        )
+        wanted: dict[str, tuple[str, SegmentKey]] = {}
         for path in paths:
-            if path in self.hot:
+            if path in self.hot or path in wanted:
                 continue
             segment = split_segment_path(path)
             try:
                 if segment is None:
                     raise ValueError(f"not a segment path: {path!r}")
                 key = SegmentKey.from_path(segment[1])
-                if not self._owns(segment[0], key):
-                    continue  # a peer's segment: it warms there
-                data = self.storage.read_segment(
-                    segment[0], key.window, key.tile, key.quality
-                )
-            except (VisualCloudError, ValueError):
-                self.metrics.counter(
-                    "serve.prewarm_skipped",
-                    "prewarm reads skipped (missing, corrupt or malformed)",
-                ).inc(video=segment[0] if segment else "")
+            except ValueError:
+                skipped.inc(video=segment[0] if segment else "")
                 continue
-            if self.hot.pin(path, data):
+            if self._owns(segment[0], key):  # a peer's segment warms there
+                wanted[path] = (segment[0], key)
+        by_video: dict[str, list[str]] = {}
+        for path, (video, _) in wanted.items():
+            by_video.setdefault(video, []).append(path)
+        read: dict[str, bytes | VisualCloudError] = {}
+        for video, video_paths in by_video.items():
+            keys = [wanted[path][1] for path in video_paths]
+            try:
+                results = self.storage.read_segments(video, keys)
+            except VisualCloudError as error:
+                results = [error] * len(keys)
+            read.update(zip(video_paths, results))
+        pinned = 0
+        for path, (video, _) in wanted.items():
+            data = read.pop(path)  # let go of each read once it is pinned
+            if not isinstance(data, bytes):
+                skipped.inc(video=video)
+            elif self.hot.pin(path, data):
                 pinned += 1
         return pinned
 

@@ -7,7 +7,7 @@ import pytest
 from repro import IngestConfig, Quality, TileGrid
 from repro.cli import main
 from repro.core.errors import CatalogError
-from repro.core.export import export_video, import_video, read_export
+from repro.core.export import _export_bytes, export_video, import_video, read_export
 from repro.video.mp4 import Mp4File, make_stss, parse_stss
 from repro.workloads.videos import synthetic_video
 
@@ -61,10 +61,13 @@ DAMAGE = {
 
 
 def _export_altered(storage, target, alter) -> None:
+    """Export, alter the index, and reseal it under a fresh metadata
+    checksum: a file whose writer was wrong, not one that rotted, so the
+    refusal must come from the check named for the damage."""
     export_video(storage, "clip", target)
-    mp4 = Mp4File.parse(target.read_bytes())
-    alter(mp4.find("moov"), mp4.find("mdat"))
-    target.write_bytes(mp4.serialize())
+    ftyp, moov, _, mdat = Mp4File.parse(target.read_bytes()).atoms
+    alter(moov, mdat)
+    target.write_bytes(_export_bytes(Mp4File(atoms=[ftyp, moov]), mdat.payload))
 
 
 @pytest.fixture()
@@ -151,6 +154,31 @@ class TestExport:
         code = main(["--root", str(tmp_path / "db"), "import", "copy", str(target)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_every_metadata_bit_flip_is_refused(self, loaded, tmp_path):
+        """The export's metadata carries its own checksum: no flipped bit
+        of ``ftyp`` + ``moov`` imports, even one the parser would accept."""
+        target = tmp_path / "clip.mp4"
+        export_video(loaded.storage, "clip", target, Quality.LOW)
+        data = target.read_bytes()
+        ftyp, moov = Mp4File.parse(data).atoms[:2]
+        flipped = tmp_path / "flipped.mp4"
+        for position in range(len(ftyp.serialize()) + len(moov.serialize())):
+            for bit in range(8):
+                damaged = bytearray(data)
+                damaged[position] ^= 1 << bit
+                flipped.write_bytes(bytes(damaged))
+                with pytest.raises(CatalogError):
+                    read_export(flipped)
+
+    def test_export_without_its_checksum_is_refused(self, loaded, tmp_path):
+        target = tmp_path / "clip.mp4"
+        export_video(loaded.storage, "clip", target)
+        atoms = Mp4File.parse(target.read_bytes()).atoms
+        assert [atom.kind for atom in atoms] == ["ftyp", "moov", "vcok", "mdat"]
+        target.write_bytes(Mp4File(atoms=atoms[:2] + atoms[3:]).serialize())
+        with pytest.raises(CatalogError, match="not a VisualCloud export"):
+            read_export(target)
 
     def test_other_projection_is_refused(self, loaded, tmp_path):
         target = tmp_path / "cubemap.mp4"

@@ -9,6 +9,7 @@ from repro.core.errors import CatalogError, IngestError, SegmentNotFoundError
 from repro.core.metadata import parse_metadata_file
 from repro.core.storage import IngestConfig, StorageManager
 from repro.geometry.grid import TileGrid
+from repro.stream.dash import SegmentKey
 from repro.video.frame import psnr
 from repro.video.gop import decode_gop
 from repro.video.mp4 import Mp4File
@@ -135,6 +136,38 @@ class TestReads:
         assert window.tile_quality(0, 0) is Quality.HIGH
         assert window.tile_quality(1, 1) is Quality.LOW
         assert window.frame_count == 4
+
+    def test_read_window_lists_versions_once(self, loaded, monkeypatch):
+        """A window is one version: resolved once, not once per tile."""
+        scans = []
+        scan_versions = loaded.catalog.scan_versions
+        monkeypatch.setattr(
+            loaded.catalog,
+            "scan_versions",
+            lambda name: scans.append(name) or scan_versions(name),
+        )
+        quality_map = {tile: Quality.LOW for tile in TileGrid(2, 2).tiles()}
+        loaded.read_window("clip", 1, quality_map)
+        assert scans == ["clip"]
+        loaded.decode_window("clip", 0, Quality.HIGH)
+        assert scans == ["clip", "clip"]
+
+    def test_read_segments_answers_per_key_in_order(self, loaded):
+        keys = [
+            SegmentKey(2, (1, 1), Quality.LOW),
+            SegmentKey(9, (0, 0), Quality.HIGH),  # not in the index
+            SegmentKey(0, (0, 0), Quality.HIGH),
+            SegmentKey(2, (0, 1), Quality.HIGH),
+        ]
+        results = loaded.read_segments("clip", keys)
+        assert isinstance(results[1], SegmentNotFoundError)
+        for key, data in zip(keys, results):
+            if key.window != 9:
+                assert data == loaded.read_segment(
+                    "clip", key.window, key.tile, key.quality
+                )
+        with pytest.raises(CatalogError):
+            loaded.read_segments("nope", keys)
 
     def test_decode_window_fidelity(self, storage):
         frames = checkerboard_video(width=64, height=32, frames=4)

@@ -37,7 +37,12 @@ from repro.core.errors import (
     SegmentCorruptError,
     SegmentNotFoundError,
 )
-from repro.core.storage import StorageManager, checksum_hex, segment_checksum
+from repro.core.storage import (
+    StorageManager,
+    _marker_payload,
+    checksum_hex,
+    segment_checksum,
+)
 from repro.obs import MetricsRegistry
 from repro.serve.client import HttpSegmentClient
 from repro.serve.placement import ShardMap, materialize_shards
@@ -362,6 +367,53 @@ class TestIntegrityTable:
         assert not report["clean"]
 
 
+class TestRottedCommittedMetadata:
+    """A committed metadata file is checked against the checksum its
+    marker recorded: one flipped bit that still parses (here in ``fps``)
+    is refused by every reader and reported by fsck and scrub, never
+    served as a different video."""
+
+    def _rot_fps(self, db) -> bytes:
+        _ingest(db, "clip", seed=9)
+        _ingest(db, "fine", seed=10)
+        path = db.storage.catalog.metadata_path("clip", 1)
+        blob = path.read_bytes()
+        fps_at = blob.index(b"vinf") + 4 + 4  # past width and height
+        rotted = bytearray(blob)
+        rotted[fps_at + 1] ^= 0x10
+        path.write_bytes(bytes(rotted))
+        return bytes(rotted)
+
+    def test_meta_refuses_and_cli_reports(self, db, capsys):
+        from repro.cli import main
+        from repro.core.metadata import parse_metadata_file
+
+        rotted = self._rot_fps(db)
+        assert parse_metadata_file("clip", rotted).fps != 4.0  # it still parses
+        storage = StorageManager(db.storage.catalog.root)
+        with pytest.raises(CatalogError, match="commit marker"):
+            storage.meta("clip")
+        assert storage.meta("fine").fps == 4.0
+        root = str(storage.catalog.root)
+        capsys.readouterr()
+        assert main(["--root", root, "info", "clip"]) == 1
+        assert "commit marker" in capsys.readouterr().err
+        assert main(["--root", root, "fsck"]) == 1
+        assert "damaged metadata: clip v1" in capsys.readouterr().out
+        assert main(["--root", root, "fsck", "--repair"]) == 1  # not repairable
+        assert storage.catalog.metadata_path("clip", 1).read_bytes() == rotted
+
+    def test_fsck_and_scrub_report_it(self, db):
+        self._rot_fps(db)
+        storage = StorageManager(db.storage.catalog.root)
+        report = storage.fsck()
+        assert report["damaged_metadata"] == ["clip v1"]
+        assert not report["clean"]
+        scrub = storage.scrub()
+        assert scrub["corrupt"] == ["clip/metadata_v1.mp4"]
+        assert scrub["segments_checked"] == len(storage.meta("fine").entries)
+
+
 class TestChecksumlessMetadata:
     """The index is read in the one form the writer emits: a ``csum`` and
     an ``stco`` entry per ``stss`` entry. Anything less is damage, not an
@@ -392,7 +444,10 @@ class TestChecksumlessMetadata:
         else:
             (count,) = struct.unpack_from(">I", leaf.payload)
             leaf.payload = struct.pack(">I", count - 1) + leaf.payload[4:-4]
-        path.write_bytes(mp4.serialize())
+        blob = mp4.serialize()
+        path.write_bytes(blob)
+        # Committed as written, so the parser (not the marker check) judges it.
+        db.storage.catalog.marker_path("clip", 1).write_bytes(_marker_payload(blob))
 
         with pytest.raises(CatalogError, match="trak"):
             StorageManager(db.storage.catalog.root).meta("clip")

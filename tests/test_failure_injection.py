@@ -27,6 +27,7 @@ from repro.chaos.corrupt import (
 from repro.cli import main
 from repro.core.errors import CatalogError, SegmentCorruptError, SegmentNotFoundError
 from repro.core.export import export_video, read_export
+from repro.core.metadata import parse_metadata_file
 from repro.video.frame import Frame
 from repro.video.gop import _HEADER, GOP_FORMAT_VERSION, GOP_MAGIC, decode_gop, encode_gop
 from repro.video.mp4 import Mp4File, parse_atoms
@@ -164,14 +165,25 @@ class TestDamagedSegments:
 
 
 class TestDamagedMetadata:
+    """Rotted metadata meets two gates: ``meta`` refuses a file that is not
+    what its commit marker recorded, and behind that the parser itself
+    rejects damage in a controlled way — each is exercised directly."""
+
+    def _refused_by_meta(self, loaded, payload: bytes) -> None:
+        path = loaded.storage.catalog.metadata_path("clip", 1)
+        path.write_bytes(payload)
+        loaded.storage._meta_cache.clear()
+        with pytest.raises(CatalogError, match="commit marker"):
+            loaded.meta("clip")
+
     def test_metadata_corpus_never_crashes_uncontrolled(self, loaded):
         path = loaded.storage.catalog.metadata_path("clip", 1)
         original = path.read_bytes()
         for label, payload in metadata_corruption_corpus(original, seed=3):
-            path.write_bytes(payload)
-            loaded.storage._meta_cache.clear()
+            if payload != original:
+                self._refused_by_meta(loaded, payload)
             try:
-                meta = loaded.meta("clip")
+                meta = parse_metadata_file("clip", payload)
             except (CatalogError, ValueError, EOFError):
                 continue  # controlled rejection
             # A surviving parse (e.g. a flipped bit in a name payload)
@@ -181,42 +193,40 @@ class TestDamagedMetadata:
     def test_every_vinf_bit_flip_is_controlled(self, loaded):
         """The layout leaf feeds indexing and division: a rotted quality
         rank or fps is a CatalogError, not an IndexError or a
-        ZeroDivisionError."""
+        ZeroDivisionError — and ``meta`` never gets as far as parsing it."""
         path = loaded.storage.catalog.metadata_path("clip", 1)
         original = path.read_bytes()
         start = original.index(b"vinf") + 4
         end = start - 8 + int.from_bytes(original[start - 8 : start - 4], "big")
         for position in range(start, end):
             for bit in range(8):
-                path.write_bytes(bit_flip(original, position, bit))
-                loaded.storage._meta_cache.clear()
+                flipped = bit_flip(original, position, bit)
                 try:
-                    loaded.meta("clip")
+                    parse_metadata_file("clip", flipped)
                 except (CatalogError, ValueError, EOFError):
                     pass
+        self._refused_by_meta(loaded, bit_flip(original, start, 0))
 
     def test_truncated_metadata_rejected(self, loaded):
         path = loaded.storage.catalog.metadata_path("clip", 1)
-        path.write_bytes(path.read_bytes()[:20])
-        loaded.storage._meta_cache.clear()
+        truncated = path.read_bytes()[:20]
         with pytest.raises((CatalogError, ValueError)):
-            loaded.meta("clip")
+            parse_metadata_file("clip", truncated)
+        self._refused_by_meta(loaded, truncated)
 
     def test_garbage_metadata_rejected(self, loaded):
-        path = loaded.storage.catalog.metadata_path("clip", 1)
-        path.write_bytes(b"\xde\xad\xbe\xef" * 64)
-        loaded.storage._meta_cache.clear()
+        garbage = b"\xde\xad\xbe\xef" * 64
         with pytest.raises((CatalogError, ValueError)):
-            loaded.meta("clip")
+            parse_metadata_file("clip", garbage)
+        self._refused_by_meta(loaded, garbage)
 
     def test_metadata_without_vcld_atoms_rejected(self, loaded):
         from repro.video.mp4 import Atom, Mp4File
 
-        path = loaded.storage.catalog.metadata_path("clip", 1)
-        path.write_bytes(Mp4File(atoms=[Atom("moov", children=[])]).serialize())
-        loaded.storage._meta_cache.clear()
+        bare = Mp4File(atoms=[Atom("moov", children=[])]).serialize()
         with pytest.raises(CatalogError, match="missing VisualCloud atoms"):
-            loaded.meta("clip")
+            parse_metadata_file("clip", bare)
+        self._refused_by_meta(loaded, bare)
 
 
 class TestHostileBytes:

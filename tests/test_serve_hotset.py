@@ -8,7 +8,12 @@ fast path genuinely never touches storage, not merely that it is fast.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
+
+from repro.chaos import ChaosStorageManager, FaultPlan, FaultRule
 
 from repro.control import (
     ControlPlan,
@@ -19,11 +24,14 @@ from repro.control import (
     catalog_from_storage,
 )
 from repro.core.errors import SegmentNotFoundError
+from repro.core.storage import StorageManager
 from repro.obs import MetricsRegistry
 from repro.serve import HotSet, HttpSegmentClient, ServerConfig, start_server
 from repro.serve.placement import ShardMap
 from repro.serve.server import SegmentServer
 from repro.stream.dash import SegmentKey
+from repro.video.quality import Quality
+from tests import segment_damage
 
 
 def make_hotset(budget: int, threshold: int = 3) -> HotSet:
@@ -427,12 +435,12 @@ class TestOnePrewarmPath:
 
     def test_pin_loop_skips_unreadable_paths_and_propagates_bugs(self):
         class Storage:
-            def read_segment(self, name, window, tile, quality):
+            def read_segments(self, name, keys):
                 if name == "gone":
                     raise SegmentNotFoundError(f"{name} is not stored")
                 if name == "bug":
                     raise TypeError("a programming error")
-                return b"x" * 8
+                return [b"x" * 8 for _ in keys]
 
         registry = MetricsRegistry()
         server = SegmentServer(
@@ -485,6 +493,140 @@ class TestOnePrewarmPath:
             handle.stop()
 
 
+class TestPinLoopReads:
+    """The pin loop reads each video in one ``read_segments`` walk: one
+    version lookup, one open per pack, every range checked, and the
+    buffer pool left to the cold path."""
+
+    def _ingest(self, db, *names):
+        """A fresh manager (own registry, empty pool) over ``names``."""
+        for name in names:
+            _ingest_small(db, name)
+        return StorageManager(db.storage.catalog.root)
+
+    @staticmethod
+    def _paths(storage, *names) -> list[str]:
+        return [
+            f"/segment/{name}/{key.to_path()}"
+            for name in names
+            for key in sorted(
+                storage.build_manifest(name).segment_sizes, key=SegmentKey.to_path
+            )
+        ]
+
+    def _pin(self, storage, *names, paths=None):
+        """Pin every segment of ``names`` (or ``paths``) through a
+        control-plan slice; returns (server, result, the slice's paths)."""
+        paths = paths or self._paths(storage, *names)
+        server = SegmentServer(
+            storage, ServerConfig(pin_budget_bytes=32 * 1024 * 1024), registry=MetricsRegistry()
+        )
+        plan = ControlPlan(
+            version=1,
+            nodes=(NodePlan("", None, 32 * 1024 * 1024, tuple((p, 5) for p in paths)),),
+        )
+        return server, server.apply_control_plan(plan), paths
+
+    @staticmethod
+    def _skipped(server) -> dict:
+        counters = server.metrics.snapshot()["counters"]
+        return {k: v for k, v in counters.items() if k.startswith("serve.prewarm_skipped")}
+
+    def test_corrupt_range_is_skipped_while_its_pack_mates_pin(self, db):
+        storage = self._ingest(db, "vr")
+        bad = (0, (0, 0), Quality.HIGH)
+        segment_damage.flip(storage, "vr", bad)
+        server, result, paths = self._pin(storage, "vr")
+        bad_path = f"/segment/vr/{SegmentKey(*bad).to_path()}"
+        assert result["pinned"] == len(paths) - 1
+        assert set(server.hot.paths()) == set(paths) - {bad_path}
+        assert any(path.startswith("/segment/vr/0/") for path in server.hot.paths())
+        assert self._skipped(server) == {"serve.prewarm_skipped{video=vr}": 1}
+
+    def test_missing_pack_skips_each_of_its_segments(self, db):
+        storage = self._ingest(db, "vr")
+        segment_damage.delete(storage, "vr", (0, (0, 0), Quality.HIGH))
+        server, result, paths = self._pin(storage, "vr")
+        lost = [path for path in paths if path.startswith("/segment/vr/0/")]
+        assert 0 < len(lost) < len(paths)
+        assert set(server.hot.paths()) == set(paths) - set(lost)
+        assert self._skipped(server) == {"serve.prewarm_skipped{video=vr}": len(lost)}
+
+    def test_one_version_lookup_per_video_and_one_open_per_pack(self, db, monkeypatch):
+        storage = self._ingest(db, "alpha", "beta")
+        packs = {
+            path
+            for name in ("alpha", "beta")
+            for path in storage.segment_files(name)
+        }
+        paths = self._paths(storage, "alpha", "beta")
+        scans, opens = [], []
+        scan_versions = storage.catalog.scan_versions
+        real_open = os.open
+
+        def counting_scan(name):
+            scans.append(name)
+            return scan_versions(name)
+
+        def counting_open(path, *args, **kwargs):
+            if str(path).endswith(".pack"):
+                opens.append(Path(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(storage.catalog, "scan_versions", counting_scan)
+        monkeypatch.setattr(os, "open", counting_open)
+        server, result, _ = self._pin(storage, paths=paths)
+        monkeypatch.undo()
+        assert result["pinned"] == len(paths)
+        assert sorted(scans) == ["alpha", "beta"]
+        assert sorted(opens) == sorted(packs)
+
+    def test_pinned_bytes_equal_read_segment_and_the_pool_is_untouched(self, db):
+        storage = self._ingest(db, "vr")
+        server, result, paths = self._pin(storage, "vr")
+        assert result["pinned"] == len(paths)
+        assert len(storage.segment_cache) == 0
+        assert storage.metrics.counter("cache.misses").total() == 0
+        for path in paths:
+            key = SegmentKey.from_path(path.removeprefix("/segment/vr/"))
+            expected = storage.read_segment("vr", key.window, key.tile, key.quality)
+            assert server.hot.lookup(path).body == expected
+
+    def test_injected_faults_are_skipped_over_the_chaos_wrapper(self, db):
+        storage = self._ingest(db, "vr")
+        missing = (0, (0, 1), Quality.LOW)
+        corrupt = (1, (1, 0), Quality.HIGH)
+        plan = FaultPlan(
+            rules=[
+                FaultRule(
+                    kind=kind, rate=1.0, video="vr", gop=gop, tile=tile,
+                    quality=quality.label,
+                )
+                for kind, (gop, tile, quality) in (("missing", missing), ("corrupt", corrupt))
+            ]
+        )
+        server, result, paths = self._pin(ChaosStorageManager(storage, plan), "vr")
+        faulted = {f"/segment/vr/{SegmentKey(*key).to_path()}" for key in (missing, corrupt)}
+        assert result["pinned"] == len(paths) - 2
+        assert set(server.hot.paths()) == set(paths) - faulted
+        assert self._skipped(server) == {"serve.prewarm_skipped{video=vr}": 2}
+
+
+def _ingest_small(db, name: str) -> None:
+    """Two GOPs (two packs) of a 2x2, HIGH + LOW clip."""
+    from repro import IngestConfig, TileGrid
+    from repro.workloads.videos import synthetic_video
+
+    config = IngestConfig(
+        grid=TileGrid(2, 2),
+        qualities=(Quality.HIGH, Quality.LOW),
+        gop_frames=4,
+        fps=4.0,
+    )
+    frames = synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0, seed=7)
+    db.ingest(name, frames, config)
+
+
 def client_free_snapshot(server: SegmentServer) -> dict:
     return server.metrics.snapshot()
 
@@ -501,19 +643,7 @@ class TestReingestCoherence:
     """
 
     def _ingest(self, db, name="vr"):
-        from repro import IngestConfig, Quality, TileGrid
-        from repro.workloads.videos import synthetic_video
-
-        config = IngestConfig(
-            grid=TileGrid(2, 2),
-            qualities=(Quality.HIGH, Quality.LOW),
-            gop_frames=4,
-            fps=4.0,
-        )
-        frames = synthetic_video(
-            "venice", width=64, height=32, fps=4.0, duration=2.0, seed=7
-        )
-        db.ingest(name, frames, config)
+        _ingest_small(db, name)
 
     def _wire_bytes(self, base_url, storage, name):
         manifest = storage.build_manifest(name)
