@@ -1,10 +1,10 @@
-"""Quickstart: ingest a 360 video, query it, stream it to a viewer.
+"""Quickstart: ingest a 360 video, read a tile subset, stream it to a viewer.
 
 Run:  python examples/quickstart.py
 
-Walks the three verbs of the VisualCloud API — ingest, execute, serve —
-against a procedurally generated 360 clip, printing what happened at
-each step. Total runtime is a few seconds.
+Walks the VisualCloud API — ingest, a window read, serve — against a
+procedurally generated 360 clip, printing what happened at each step.
+Total runtime is a few seconds.
 """
 
 import tempfile
@@ -16,12 +16,10 @@ from repro import (
     NaiveFullQuality,
     PredictiveTilingPolicy,
     Quality,
-    Scan,
     SessionConfig,
     TileGrid,
     VisualCloud,
 )
-from repro.core import udfs
 from repro.video.tiles import available_cpus
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
@@ -61,14 +59,21 @@ def main() -> None:
         f"worker(s) ({elapsed:.2f}s wall)"
     )
 
-    # 3. Query: declarative pipelines; aligned selections never decode.
-    result = db.execute(Scan("venice").select(time=(2.0, 4.0)))
+    # 3. Read a window: any subset of tiles, each at its own rung, comes
+    #    back as the stored bytes untouched — no decode, no re-encode.
+    #    Here the half sphere facing theta < pi, at the top rung.
+    half = {tile: Quality.HIGH for tile in meta.grid.tiles() if tile[1] < meta.grid.cols // 2}
+    start = time.perf_counter()
+    window = db.storage.read_window("venice", 2, half)
+    read_ms = 1e3 * (time.perf_counter() - start)
+    start = time.perf_counter()
+    db.storage.decode_window("venice", 2, Quality.HIGH)
+    decode_ms = 1e3 * (time.perf_counter() - start)
     print(
-        f"temporal select executed via {result.stats.operator_paths[-1]} "
-        f"(decodes: {result.stats.decode_ops})"
+        f"half-sphere window: {len(window.payloads)} of {meta.grid.tile_count} tiles, "
+        f"{sum(map(len, window.payloads.values()))} bytes read, 0 decodes in "
+        f"{read_ms:.1f} ms (decoding the whole window takes {decode_ms:.0f} ms)"
     )
-    db.execute(Scan("venice").select(time=(0.0, 2.0)).map(udfs.grayscale).store("gray"))
-    print(f"stored query result 'gray'; catalog now holds {db.list_videos()}")
 
     # 4. Serve: one simulated viewer, naive vs. predictive delivery.
     trace = ViewerPopulation(seed=3).trace(0, duration=6.0, rate=10.0)

@@ -14,7 +14,6 @@ See the README for a quickstart and ``DESIGN.md`` for the system map.
 """
 
 from repro.chaos import FaultPlan, FaultRule
-from repro.core.query import Scan
 from repro.core.resilience import RetryPolicy
 from repro.core.server import VisualCloud
 from repro.core.storage import IngestConfig
@@ -54,7 +53,6 @@ __all__ = [
     "PredictiveTilingPolicy",
     "Quality",
     "RemoteStorage",
-    "Scan",
     "SegmentServer",
     "ServerConfig",
     "ServerHandle",

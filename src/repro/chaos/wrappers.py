@@ -3,8 +3,8 @@
 Both wrappers are pure delegators with one interception point, so any
 code written against :class:`~repro.core.storage.StorageManager` or
 :class:`~repro.core.cache.LruSegmentCache` runs unmodified under chaos —
-the streamers, the query executor, and the scenario runner all take the
-wrapped object where they took the real one.
+the streamers and the scenario runner take the wrapped object where they
+took the real one.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ The operational surface a deployment needs:
     python -m repro serve demo --policy predictive --bandwidth 20000
     python -m repro serve demo --transport http     # real-socket delivery
     python -m repro control http://127.0.0.1:8600   # live control-plane state
-    python -m repro query demo --select-time 0:2 --grayscale --store gray
     python -m repro export demo /tmp/demo.mp4
     python -m repro metrics demo --sessions 4 --format prom
     python -m repro drop demo
@@ -28,7 +27,6 @@ from pathlib import Path
 from repro.core.errors import CatalogError, VisualCloudError
 from repro.core.export import export_video, import_video
 from repro.core.metadata import PROJECTION
-from repro.core.query import Scan
 from repro.core.server import VisualCloud
 from repro.core.storage import IngestConfig
 from repro.core.streamer import SessionConfig
@@ -71,16 +69,6 @@ def _parse_qualities(text: str) -> tuple[Quality, ...]:
         return tuple(Quality.from_label(label.strip()) for label in text.split(","))
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from error
-
-
-def _parse_time_range(text: str) -> tuple[float, float]:
-    try:
-        start, end = (float(part) for part in text.split(":"))
-        return (start, end)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(
-            f"time range must look like 0:2.5, got {text!r}"
-        ) from error
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,13 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="VIDEO",
         help="pre-warm VIDEO's segments hottest-first under the pin budget",
     )
-
-    query = commands.add_parser("query", help="run a fixed query pipeline")
-    query.add_argument("name")
-    query.add_argument("--select-time", type=_parse_time_range, default=None)
-    query.add_argument("--grayscale", action="store_true")
-    query.add_argument("--invert", action="store_true")
-    query.add_argument("--store", default=None, help="store the result under this name")
 
     export = commands.add_parser("export", help="flatten one quality to a single file")
     export.add_argument("name")
@@ -368,28 +349,6 @@ def _command_serve(db: VisualCloud, args) -> None:
         report = db.serve(args.name, (trace, config))
     for key, value in report.summary().items():
         print(f"{key:>18}: {value}")
-
-
-def _command_query(db: VisualCloud, args) -> None:
-    from repro.core import udfs
-
-    expr = Scan(args.name)
-    if args.select_time is not None:
-        expr = expr.select(time=args.select_time)
-    if args.grayscale:
-        expr = expr.map(udfs.grayscale)
-    if args.invert:
-        expr = expr.map(udfs.invert)
-    if args.store:
-        expr = expr.store(args.store)
-    result = db.execute(expr)
-    print("plan:", " -> ".join(result.stats.operator_paths))
-    print(
-        f"homomorphic ops: {result.stats.homomorphic_ops}, "
-        f"decodes: {result.stats.decode_ops}, re-encodes: {result.stats.encode_ops}"
-    )
-    if args.store:
-        print(f"stored as {args.store!r}")
 
 
 def _command_export(db: VisualCloud, args) -> None:
@@ -584,7 +543,6 @@ _COMMANDS = {
     "ingest": _command_ingest,
     "info": _command_info,
     "serve": _command_serve,
-    "query": _command_query,
     "export": _command_export,
     "import": _command_import,
     "drop": _command_drop,

@@ -8,8 +8,6 @@
 * :mod:`repro.core.streamer` — the delivery engine: per-window predict /
   assign / transfer loop producing QoE reports, for one viewer on a
   private link or many contending for a shared one.
-* :mod:`repro.core.query` — the declarative query layer with a rule-based
-  planner that substitutes homomorphic physical operators.
 * :mod:`repro.core.server` — the :class:`VisualCloud` facade tying the
   pieces together.
 """
@@ -17,14 +15,12 @@
 from repro.core.cache import LruSegmentCache
 from repro.core.errors import (
     CatalogError,
-    QueryError,
     SegmentNotFoundError,
     VisualCloudError,
 )
 from repro.core.export import export_video, import_video
 from repro.core.metadata import VideoMeta
 from repro.core.popularity import StoragePlanner, tile_popularity
-from repro.core.query import QueryExecutor, Scan
 from repro.core.server import VisualCloud
 from repro.core.storage import IngestConfig, StorageManager
 from repro.core.streamer import SessionConfig, Streamer
@@ -33,9 +29,6 @@ __all__ = [
     "CatalogError",
     "IngestConfig",
     "LruSegmentCache",
-    "QueryError",
-    "QueryExecutor",
-    "Scan",
     "SegmentNotFoundError",
     "SessionConfig",
     "StoragePlanner",

@@ -58,7 +58,3 @@ class SegmentReadTimeout(TransientSegmentError):
 
 class IngestError(VisualCloudError):
     """A video could not be ingested (bad dimensions, empty source, ...)."""
-
-
-class QueryError(VisualCloudError):
-    """A declarative query is malformed or cannot be planned."""

@@ -1,12 +1,11 @@
 """The VisualCloud facade: one object that is the database.
 
-Applications interact with three verbs:
+Applications interact with two verbs:
 
 * ``ingest`` — feed frames in, get a segmented, multi-quality, indexed
   store back;
 * ``serve`` — run an adaptive streaming session against a viewer trace
-  and get a QoE report;
-* ``execute`` — run a declarative query over stored videos.
+  and get a QoE report.
 
 Everything else (training predictors, building manifests, catalog
 management) hangs off the same object.
@@ -19,7 +18,6 @@ from typing import Iterable
 
 from repro.core.metadata import VideoMeta
 from repro.core.predictor import PredictionService
-from repro.core.query import Expr, QueryExecutor, QueryResult
 from repro.core.storage import IngestConfig, StorageManager
 from repro.core.streamer import Streamer
 from repro.obs import MetricsRegistry
@@ -43,7 +41,6 @@ class VisualCloud:
         self.storage = StorageManager(root, registry=self.metrics)
         self.prediction = PredictionService(registry=self.metrics)
         self.streamer = Streamer(self.storage, self.prediction, registry=self.metrics)
-        self.executor = QueryExecutor(self.storage)
 
     # -- catalog ------------------------------------------------------------
 
@@ -178,8 +175,3 @@ class VisualCloud:
             )
         return reports[0] if single else reports
 
-    # -- queries ---------------------------------------------------------------------
-
-    def execute(self, query: Expr) -> QueryResult:
-        """Run a declarative query (see :mod:`repro.core.query`)."""
-        return self.executor.execute(query)

@@ -655,13 +655,14 @@ class StorageManager:
         name: str,
         windows: list[TiledGop],
         fps: float,
-        qualities: tuple[Quality, ...] | None = None,
     ) -> VideoMeta:
-        """Persist already-encoded windows (the query layer's STORE).
+        """Persist already-encoded windows: the writer behind
+        :func:`repro.core.export.import_video`.
 
         Creates version 1 for a new name, or the next version of an
         existing one. Each window's tiles may be at heterogeneous
-        qualities; the index records each tile's actual quality.
+        qualities; the index records each tile's actual quality, and the
+        ladder is the rungs observed, best first.
         """
         if not windows:
             raise IngestError(f"cannot store zero windows as {name!r}")
@@ -692,7 +693,7 @@ class StorageManager:
             fps=fps,
             grid=layout.grid,
             gop_frames=layout.frame_count,
-            qualities=qualities or tuple(sorted(observed, reverse=True)),
+            qualities=tuple(sorted(observed, reverse=True)),
             streaming=False,
         )
 
@@ -897,8 +898,11 @@ class StorageManager:
     ) -> TiledGop:
         """Assemble a delivery window at a per-tile quality assignment.
 
-        This is byte assembly only — the homomorphic TILEUNION: each tile's
-        stored bytes are placed into the window container untouched.
+        The store's one homomorphic operation: ``quality_map`` names any
+        subset of the grid's tiles, each at its own rung, and each tile's
+        stored bytes (:meth:`read_segment`) go into the window untouched —
+        no decode, no re-encode. Tiles the map leaves out are absent and
+        decode as flat grey.
         """
         meta = self.meta(name, version)
         with self.metrics.span("storage.read_window", video=name, gop=gop):

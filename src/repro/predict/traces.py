@@ -76,44 +76,6 @@ class Trace:
         phi = self.phis[left] + fraction * (self.phis[right] - self.phis[left])
         return Orientation(float(wrap_theta(theta)), float(clamp_phi(phi)))
 
-    def save_csv(self, path) -> None:
-        """Write the trace as ``time,theta,phi`` CSV (radians).
-
-        The interchange format for recorded headset traces: when real
-        recordings are available they drop in through :meth:`load_csv`
-        with no other code change.
-        """
-        from pathlib import Path
-
-        lines = ["time,theta,phi"]
-        for time, theta, phi in zip(self.times, self.thetas, self.phis):
-            lines.append(f"{float(time)!r},{float(theta)!r},{float(phi)!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load_csv(cls, path) -> "Trace":
-        """Read a trace written by :meth:`save_csv` (or any compatible
-        ``time,theta,phi`` file; angles in radians, header required)."""
-        from pathlib import Path
-
-        lines = Path(path).read_text().strip().splitlines()
-        if not lines or lines[0].strip().lower() != "time,theta,phi":
-            raise ValueError(f"{path}: expected a 'time,theta,phi' header")
-        times, thetas, phis = [], [], []
-        for number, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{number}: expected 3 fields, got {len(parts)}")
-            try:
-                times.append(float(parts[0]))
-                thetas.append(float(parts[1]))
-                phis.append(float(parts[2]))
-            except ValueError as error:
-                raise ValueError(f"{path}:{number}: {error}") from error
-        return cls(np.array(times), np.array(thetas), np.array(phis))
-
     def resample(self, rate: float) -> "Trace":
         """A copy sampled at a uniform ``rate`` Hz via interpolation."""
         if rate <= 0:

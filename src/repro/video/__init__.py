@@ -7,7 +7,7 @@ exploits:
 * a quality ladder in which lower quality means measurably fewer bytes,
 * closed groups of pictures (GOPs) that decode independently,
 * motion-constrained tiles that decode independently of their neighbours,
-* byte-level (homomorphic) tile select/replace on encoded GOPs, and
+  so a window of any tile subset is assembled from stored bytes alone, and
 * an MP4-style atom container with GOP and tile indexes.
 
 Every byte produced here round-trips through a real decoder; nothing is a

@@ -10,8 +10,8 @@ The encoder maintains the same reconstruction the decoder will produce
 (quantise -> dequantise -> inverse transform), so P-frame chains do not
 drift. Zero-motion prediction ("conditional replenishment") is used instead
 of motion search; this keeps tiles trivially motion-constrained — a block
-never references pixels outside its own tile — which is the property the
-homomorphic tile operators rely on.
+never references pixels outside its own tile — which is the property a
+tile-subset window read relies on.
 """
 
 from __future__ import annotations

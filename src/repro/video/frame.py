@@ -1,8 +1,8 @@
 """Video frames in planar YUV 4:2:0.
 
 Frames are stored the way codecs consume them: a full-resolution luma
-plane and quarter-resolution chroma planes, all ``uint8``. RGB exists only
-at the edges of the system (synthetic scene generation and final display).
+plane and quarter-resolution chroma planes, all ``uint8``. Every producer
+(the synthetic scenes, the decoder) writes YUV planes directly.
 """
 
 from __future__ import annotations
@@ -11,23 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# BT.601 full-range conversion matrices.
-_RGB_TO_YUV = np.array(
-    [
-        [0.299, 0.587, 0.114],
-        [-0.168736, -0.331264, 0.5],
-        [0.5, -0.418688, -0.081312],
-    ]
-)
-_YUV_TO_RGB = np.array(
-    [
-        [1.0, 0.0, 1.402],
-        [1.0, -0.344136, -0.714136],
-        [1.0, 1.772, 0.0],
-    ]
-)
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -88,30 +71,6 @@ class Frame:
             u=np.full((height // 2, width // 2), 128, dtype=np.uint8),
             v=np.full((height // 2, width // 2), 128, dtype=np.uint8),
         )
-
-    @classmethod
-    def from_rgb(cls, rgb: np.ndarray) -> "Frame":
-        """Convert an ``(h, w, 3)`` RGB array (uint8 or 0-255 float) to 4:2:0."""
-        rgb = np.asarray(rgb, dtype=np.float64)
-        if rgb.ndim != 3 or rgb.shape[2] != 3:
-            raise ValueError(f"expected (h, w, 3) RGB array, got shape {rgb.shape}")
-        yuv = rgb @ _RGB_TO_YUV.T
-        y = yuv[..., 0]
-        u = yuv[..., 1] + 128.0
-        v = yuv[..., 2] + 128.0
-        # 2x2 box filter then subsample for chroma.
-        u_sub = u.reshape(u.shape[0] // 2, 2, u.shape[1] // 2, 2).mean(axis=(1, 3))
-        v_sub = v.reshape(v.shape[0] // 2, 2, v.shape[1] // 2, 2).mean(axis=(1, 3))
-        to_u8 = lambda plane: np.clip(np.round(plane), 0, 255).astype(np.uint8)
-        return cls(y=to_u8(y), u=to_u8(u_sub), v=to_u8(v_sub))
-
-    def to_rgb(self) -> np.ndarray:
-        """Convert back to an ``(h, w, 3)`` uint8 RGB array."""
-        u_full = np.repeat(np.repeat(self.u, 2, axis=0), 2, axis=1).astype(np.float64)
-        v_full = np.repeat(np.repeat(self.v, 2, axis=0), 2, axis=1).astype(np.float64)
-        yuv = np.stack([self.y.astype(np.float64), u_full - 128.0, v_full - 128.0], axis=-1)
-        rgb = yuv @ _YUV_TO_RGB.T
-        return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
 
     def crop(self, x0: int, y0: int, x1: int, y1: int) -> "Frame":
         """Extract the sub-frame ``[y0:y1, x0:x1]``; bounds must be even."""

@@ -3,9 +3,9 @@
 Each GOP of a 360-degree video is split along the angular tile grid and
 every tile is encoded as its own closed GOP. Because the codec's
 prediction never crosses tile boundaries (zero-motion residuals), a tile's
-bytes can be extracted, replaced, or recombined without touching any other
-tile — the *homomorphic* operators (`select`, `replace`) below move bytes
-only and never run the entropy decoder.
+bytes decode without any other tile's — so a window is any subset of its
+tiles, each at its own quality, and a store reads one by moving bytes
+only (``StorageManager.read_window``), never running the entropy decoder.
 """
 
 from __future__ import annotations
@@ -62,53 +62,6 @@ class TiledGop:
             (col + 1) * self.tile_width,
             (row + 1) * self.tile_height,
         )
-
-    # -- homomorphic operators (byte moves only, no decode) ----------------
-
-    def select(self, tiles: set[tuple[int, int]]) -> "TiledGop":
-        """TILESELECT: keep only the named tiles. Pure byte slicing."""
-        missing = tiles - set(self.payloads)
-        if missing:
-            raise KeyError(f"tiles {sorted(missing)} not present in this GOP")
-        return TiledGop(
-            width=self.width,
-            height=self.height,
-            grid=self.grid,
-            frame_count=self.frame_count,
-            payloads={tile: self.payloads[tile] for tile in tiles},
-        )
-
-    def replace(self, other: "TiledGop") -> "TiledGop":
-        """TILEUNION: ``other``'s payloads win where both exist. Pure byte
-        moves.
-
-        This is the query planner's UNION (a LAST merge at tile
-        granularity), and how a high-quality tile is swapped into a
-        low-quality base sphere, without re-encoding anything.
-        """
-        self._check_compatible(other)
-        merged = dict(self.payloads)
-        merged.update(other.payloads)
-        return TiledGop(
-            width=self.width,
-            height=self.height,
-            grid=self.grid,
-            frame_count=self.frame_count,
-            payloads=merged,
-        )
-
-    def _check_compatible(self, other: "TiledGop") -> None:
-        if (self.width, self.height, self.grid, self.frame_count) != (
-            other.width,
-            other.height,
-            other.grid,
-            other.frame_count,
-        ):
-            raise ValueError(
-                "tiled GOPs are not layout-compatible: "
-                f"{(self.width, self.height, self.grid, self.frame_count)} vs "
-                f"{(other.width, other.height, other.grid, other.frame_count)}"
-            )
 
     # -- decode path ---------------------------------------------------------
 
@@ -418,41 +371,6 @@ class TiledVideoCodec:
         self.height = height
         self.tile_width = width // grid.cols
         self.tile_height = height // grid.rows
-
-    def encode_gop(
-        self,
-        frames: list[Frame],
-        quality: Quality,
-        tiles: set[tuple[int, int]] | None = None,
-    ) -> TiledGop:
-        """Encode one GOP at a single quality, optionally only some tiles."""
-        quality_map = {
-            tile: quality for tile in (tiles if tiles is not None else self.grid.tiles())
-        }
-        return self.encode_gop_mixed(frames, quality_map)
-
-    def encode_gop_mixed(
-        self,
-        frames: list[Frame],
-        quality_map: dict[tuple[int, int], Quality],
-    ) -> TiledGop:
-        """Encode one GOP with a per-tile quality assignment.
-
-        This is the delivery-side primitive behind predictive tiling: the
-        caller decides one quality per tile. A thin wrapper over
-        :meth:`encode_gop_ladders` with singleton ladders.
-        """
-        ladder_map = {tile: (quality,) for tile, quality in quality_map.items()}
-        payloads = self.encode_gop_ladders(frames, ladder_map)
-        return TiledGop(
-            width=self.width,
-            height=self.height,
-            grid=self.grid,
-            frame_count=len(frames),
-            payloads={
-                tile: payloads[(tile, quality)] for tile, quality in quality_map.items()
-            },
-        )
 
     def encode_gop_ladders(
         self,

@@ -103,8 +103,10 @@ def synthetic_video(
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
         profile = PROFILES[profile]
-    if width % 16 or height % 16:
-        raise ValueError(f"dimensions must be multiples of 16, got {width}x{height}")
+    if width <= 0 or height <= 0 or width % 16 or height % 16:
+        raise ValueError(
+            f"dimensions must be positive multiples of 16, got {width}x{height}"
+        )
     rng = np.random.default_rng(seed)
     frame_count = int(round(duration * fps))
     if frame_count < 1:

@@ -70,10 +70,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ingest", "x", "--qualities", "ultra"])
 
-    def test_time_range_argument(self):
-        args = build_parser().parse_args(["query", "x", "--select-time", "1:2.5"])
-        assert args.select_time == (1.0, 2.5)
-
     def test_verbs_are_the_ones_docs_api_lists(self):
         api = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
         listed = re.search(r"python -m repro --root DIR \{([^}]*)\}", api).group(1)
@@ -119,19 +115,6 @@ class TestCommands:
             argv = ("serve", "demo", "--predictor", kind, "--transport", "sim")
             assert run(tmp_path, *argv) == 0, kind
 
-    def test_query_store(self, tmp_path, capsys):
-        ingest_small(tmp_path)
-        assert (
-            run(tmp_path, "query", "demo", "--select-time", "0:1", "--grayscale",
-                "--store", "gray")
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "homomorphic-gop" in out  # the plan line: time select moved bytes
-        assert "stored as 'gray'" in out
-        run(tmp_path, "ls")
-        assert "gray" in capsys.readouterr().out
-
     def test_export_import_cycle(self, tmp_path, capsys):
         ingest_small(tmp_path)
         target = tmp_path / "out.mp4"
@@ -156,6 +139,8 @@ class TestCommands:
         [
             (("--gop-frames", "0"), "gop_frames must be >= 1"),
             (("--width", "60"), "multiples of 16"),
+            (("--width", "0"), "positive multiples of 16"),
+            (("--height", "0"), "positive multiples of 16"),
         ],
     )
     def test_config_validation_errors_exit_2_without_traceback(

@@ -8,7 +8,6 @@ from repro import (
     NaiveFullQuality,
     PredictiveTilingPolicy,
     Quality,
-    Scan,
     SessionConfig,
     TileGrid,
 )
@@ -118,16 +117,3 @@ class TestStatsFacade:
         assert db.prediction.metrics is db.metrics
         assert db.streamer.metrics is db.metrics
         assert db.storage.segment_cache.metrics is db.metrics
-
-
-class TestQueryFacade:
-    def test_execute_and_append(self, db):
-        load(db, duration=2.0)
-        from repro.core import udfs
-
-        db.execute(Scan("clip").map(udfs.grayscale).store("gray"))
-        assert "gray" in db.list_videos()
-        meta = db.append("clip", synthetic_video(
-            "venice", width=64, height=32, fps=4.0, duration=1.0, seed=9
-        ))
-        assert meta.gop_count == 3

@@ -14,7 +14,8 @@ from repro.video.frame import psnr
 from repro.video.gop import decode_gop
 from repro.video.mp4 import Mp4File
 from repro.video.quality import Quality
-from repro.video.tiles import TiledVideoCodec
+from repro.video import tiles as tiles_module
+from repro.video.tiles import TiledGop, TiledVideoCodec
 from repro.workloads.videos import checkerboard_video, synthetic_video
 
 
@@ -24,6 +25,16 @@ CONFIG = IngestConfig(
     gop_frames=4,
     fps=4.0,
 )
+
+
+def encoded_window(frames, grid=TileGrid(2, 2), tiles=None) -> TiledGop:
+    """One GOP's window at HIGH, encoded the way ingest encodes it."""
+    height, width = frames[0].y.shape
+    ladder_map = {tile: (Quality.HIGH,) for tile in (tiles or grid.tiles())}
+    payloads = TiledVideoCodec(grid, width, height).encode_gop_ladders(frames, ladder_map)
+    return TiledGop(
+        width, height, grid, len(frames), {tile: data for (tile, _), data in payloads.items()}
+    )
 
 
 @pytest.fixture()
@@ -136,6 +147,26 @@ class TestReads:
         assert window.tile_quality(0, 0) is Quality.HIGH
         assert window.tile_quality(1, 1) is Quality.LOW
         assert window.frame_count == 4
+
+    def test_read_window_of_a_tile_subset_moves_bytes_only(self, loaded, monkeypatch):
+        """The store's one homomorphic operation: a half-sphere tile map
+        reads exactly those tiles, each byte-equal to its stored segment,
+        with no decode; the window then decodes its absent half as grey."""
+
+        def no_decode(data):
+            raise AssertionError("a window read decoded a segment")
+
+        monkeypatch.setattr(tiles_module, "decode_gop", no_decode)
+        half = {(0, 0): Quality.HIGH, (1, 0): Quality.LOW}
+        window = loaded.read_window("clip", 1, half)
+        assert set(window.payloads) == set(half)
+        for tile, quality in half.items():
+            assert window.payloads[tile] == loaded.read_segment("clip", 1, tile, quality)
+        monkeypatch.undo()
+        x0 = window.pixel_rect(0, 1)[0]  # the right half is absent
+        for frame in window.decode():
+            assert (frame.y[:, x0:] == 128).all()
+            assert not (frame.y[:, :x0] == 128).all()
 
     def test_read_window_lists_versions_once(self, loaded, monkeypatch):
         """A window is one version: resolved once, not once per tile."""
@@ -352,11 +383,7 @@ class TestPacks:
 class TestStoreWindows:
     def test_store_encoded_windows(self, storage):
         frames = checkerboard_video(width=64, height=32, frames=8)
-        codec = TiledVideoCodec(TileGrid(2, 2), 64, 32)
-        windows = [
-            codec.encode_gop(frames[:4], Quality.HIGH),
-            codec.encode_gop(frames[4:], Quality.HIGH),
-        ]
+        windows = [encoded_window(frames[:4]), encoded_window(frames[4:])]
         meta = storage.store_windows("result", windows, fps=4.0)
         assert meta.version == 1
         assert meta.gop_count == 2
@@ -372,7 +399,7 @@ class TestStoreWindows:
 
     def test_store_counts_what_it_writes_like_ingest(self, storage):
         frames = checkerboard_video(width=64, height=32, frames=4)
-        window = TiledVideoCodec(TileGrid(2, 2), 64, 32).encode_gop(frames, Quality.HIGH)
+        window = encoded_window(frames)
         storage.store_windows("result", [window, window], fps=4.0)
         written = storage.metrics.counter("storage.segments_written").total()
         assert written == 2 * len(window.payloads)
@@ -402,7 +429,7 @@ class TestStoreWindows:
         self, storage, disk_fills_up, retry
     ):
         frames = checkerboard_video(width=64, height=32, frames=4)
-        window = TiledVideoCodec(TileGrid(2, 2), 64, 32).encode_gop(frames, Quality.HIGH)
+        window = encoded_window(frames)
         with pytest.raises(OSError, match="No space left"):
             storage.store_windows("x", [window, window], fps=4.0)
         assert "x" not in storage.list_videos()
@@ -445,8 +472,8 @@ class TestStoreWindows:
 
     def test_store_rejects_mixed_layouts(self, storage):
         frames = checkerboard_video(width=64, height=32, frames=4)
-        a = TiledVideoCodec(TileGrid(2, 2), 64, 32).encode_gop(frames, Quality.HIGH)
-        b = TiledVideoCodec(TileGrid(1, 1), 64, 32).encode_gop(frames, Quality.HIGH)
+        a = encoded_window(frames)
+        b = encoded_window(frames, TileGrid(1, 1))
         with pytest.raises(IngestError):
             storage.store_windows("x", [a, b], fps=4.0)
 
@@ -476,8 +503,7 @@ class TestManifest:
 
     def test_incomplete_ladder_not_servable(self, storage):
         frames = checkerboard_video(width=64, height=32, frames=4)
-        codec = TiledVideoCodec(TileGrid(2, 2), 64, 32)
-        window = codec.encode_gop(frames, Quality.HIGH, tiles={(0, 0)})
+        window = encoded_window(frames, tiles=[(0, 0)])
         storage.store_windows("partial", [window], fps=4.0)
         with pytest.raises(SegmentNotFoundError):
             storage.build_manifest("partial")

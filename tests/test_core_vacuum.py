@@ -1,8 +1,5 @@
-"""Tests for version retention, vacuum, stats, RTT, and trace I/O."""
+"""Tests for version retention, vacuum, stats, and RTT."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro import (
@@ -14,7 +11,6 @@ from repro import (
     TileGrid,
 )
 from repro.core.errors import CatalogError
-from repro.predict.traces import Trace, circular_pan_trace
 from repro.stream.network import SimulatedLink
 from repro.workloads.videos import synthetic_video
 
@@ -153,41 +149,6 @@ class TestRtt:
             record.delivered_time - record.request_time >= 0.05
             for record in report.records
         )
-
-
-class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        trace = circular_pan_trace(2.0, rate=5.0)
-        path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        loaded = Trace.load_csv(path)
-        assert np.array_equal(loaded.times, trace.times)
-        assert np.array_equal(loaded.thetas, trace.thetas)
-        assert np.array_equal(loaded.phis, trace.phis)
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            Trace.load_csv(path)
-
-    def test_field_count_validated(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time,theta,phi\n0,1\n")
-        with pytest.raises(ValueError, match="3 fields"):
-            Trace.load_csv(path)
-
-    def test_non_numeric_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time,theta,phi\n0,one,2\n")
-        with pytest.raises(ValueError):
-            Trace.load_csv(path)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("time,theta,phi\n0.0,1.0,1.5\n\n1.0,1.1,1.5\n")
-        loaded = Trace.load_csv(path)
-        assert len(loaded) == 2
 
 
 class TestCliVacuumStats:

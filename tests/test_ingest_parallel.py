@@ -145,22 +145,6 @@ class TestParallelIngestByteIdentity:
         assert serial_files.keys() == parallel_files.keys()
         assert serial_files == parallel_files
 
-    def test_encode_gop_mixed_parallel_matches_serial(self, tiny_frames):
-        """A one-rung-per-tile plan through ``encode_gop_ladders`` on a pool
-        (singleton ladders) is ``encode_gop_mixed``'s in-process bytes."""
-        codec = TiledVideoCodec(TileGrid(2, 2), 64, 32)
-        plan = {
-            tile: (Quality.HIGH if tile[0] == 0 else Quality.LOW)
-            for tile in codec.grid.tiles()
-        }
-        serial = codec.encode_gop_mixed(tiny_frames, plan)
-        parallel = codec.encode_gop_ladders(
-            tiny_frames, {tile: (quality,) for tile, quality in plan.items()}, workers=2
-        )
-        assert set(parallel) == set(plan.items())
-        for tile, quality in plan.items():
-            assert serial.payloads[tile] == parallel[(tile, quality)], f"tile {tile} differs"
-
     def test_workers_default_resolves_to_cpu_count(self, monkeypatch, tmp_path, tiny_frames):
         """The CPUs this process may run on, not the machine's count — and
         the call's ``workers=`` is the one place the count is said."""
@@ -590,8 +574,10 @@ class TestShares:
         )
         pool_size = data.draw(st.integers(1, 8), label="pool size")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        height, width = rows * tile_px, cols * tile_px
+        shapes = ((height, width), (height // 2, width // 2), (height // 2, width // 2))
         frames = [
-            Frame.from_rgb(rng.uniform(0, 255, (rows * tile_px, cols * tile_px, 3)))
+            Frame(*(rng.integers(0, 256, shape, dtype=np.uint8) for shape in shapes))
             for _ in range(frame_count)
         ]
 
@@ -679,11 +665,13 @@ class TestLockstepEncoder:
         ladders = {tile: tuple(ladder) for tile, ladder in ladders.items()}
         streams_per_step = data.draw(st.sampled_from([1, 2, 5, 1000]), label="streams a step")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        base = rng.uniform(0, 255, (3, rows * tile_px, cols * tile_px))
+        height, width = rows * tile_px, cols * tile_px
+        shapes = ((height, width), (height // 2, width // 2), (height // 2, width // 2))
+        planes = [rng.uniform(0, 255, shape) for shape in shapes]
         frames = []
         for _ in range(frame_count):
-            base = np.clip(base + rng.normal(0, 12, base.shape), 0, 255)
-            frames.append(Frame.from_rgb(np.moveaxis(base, 0, -1)))
+            planes = [np.clip(p + rng.normal(0, 12, p.shape), 0, 255) for p in planes]
+            frames.append(Frame(*(np.round(p).astype(np.uint8) for p in planes)))
 
         codec = TiledVideoCodec(grid, cols * tile_px, rows * tile_px)
         step = streams_per_step * tile_px * tile_px * 3 // 2 * frame_count

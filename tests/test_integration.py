@@ -2,8 +2,7 @@
 
 These are slower than the unit suite and cross every component boundary:
 procedural content -> ingest -> predictor training -> adaptive sessions
--> query pipelines -> export — asserting cross-component invariants that
-unit tests cannot see.
+— asserting cross-component invariants that unit tests cannot see.
 """
 
 import dataclasses
@@ -19,19 +18,15 @@ from repro import (
     NaiveFullQuality,
     PredictiveTilingPolicy,
     Quality,
-    Scan,
     SessionConfig,
     TileGrid,
     UniformAdaptive,
     VisualCloud,
 )
 from repro.control import ControlConfig, Controller, Planner
-from repro.core import udfs
-from repro.core.export import export_video, read_export
 from repro.core.resilience import RetryPolicy
 from repro.serve import FailoverConfig, ServerConfig
 from repro.stream.estimator import HarmonicMeanEstimator
-from repro.video.frame import psnr
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
 
@@ -143,41 +138,6 @@ class TestFullDeliveryFlow:
             frames = window.decode()
             assert len(frames) == 8
             assert frames[0].width == WIDTH
-
-
-class TestQueryOverServedVideo:
-    def test_query_result_is_itself_servable(self, demo_db):
-        """A stored full-ladder re-encode round-trips into a servable video."""
-        for quality in (Quality.HIGH, Quality.LOW):
-            demo_db.execute(
-                Scan("demo", quality=quality).store("requant")
-            )
-        meta = demo_db.meta("requant")
-        assert meta.version == 2  # two stores, two versions
-        # The second version holds the LOW windows; serve it raw.
-        trace = ViewerPopulation(seed=1).trace(0, DURATION, rate=10.0)
-        manifest = demo_db.storage.build_manifest("requant")
-        report = demo_db.serve(
-            "requant",
-            (
-                trace,
-                SessionConfig(
-                    policy=NaiveFullQuality(), bandwidth=ConstantBandwidth(1e6)
-                ),
-            ),
-        )
-        assert len(report.records) == manifest.window_count
-
-    def test_map_store_export_decode_chain(self, demo_db, tmp_path):
-        demo_db.execute(Scan("demo").map(udfs.invert).store("negative"))
-        target = tmp_path / "negative.mp4"
-        export_video(demo_db.storage, "negative", target)
-        frames = read_export(target)[1][0].decode()
-        original = demo_db.storage.decode_window("demo", 0, Quality.HIGH)
-        # Inverted content decoded from the export matches the inverted
-        # original up to one re-encode generation.
-        inverted = udfs.invert(original[0])
-        assert psnr(inverted, frames[0]) > 28
 
 
 class TestConcurrentViewStability:

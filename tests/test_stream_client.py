@@ -10,7 +10,7 @@ from repro.geometry.viewport import Viewport
 from repro.predict.traces import Trace, circular_pan_trace
 from repro.stream.client import PlaybackSimulator, ViewportQualityProbe
 from repro.video.quality import Quality
-from repro.video.tiles import TiledVideoCodec
+from repro.video.tiles import TiledGop, TiledVideoCodec
 from repro.workloads.videos import synthetic_video
 
 
@@ -50,21 +50,33 @@ class TestViewportQualityProbe:
         frames = list(
             synthetic_video("venice", width=64, height=32, fps=4.0, duration=1.0, seed=2)
         )
-        codec = TiledVideoCodec(TileGrid(2, 2), 64, 32)
-        high = codec.encode_gop(frames, Quality.HIGH)
-        low = codec.encode_gop(frames, Quality.LOWEST)
+        grid = TileGrid(2, 2)
+        payloads = TiledVideoCodec(grid, 64, 32).encode_gop_ladders(
+            frames, {tile: (Quality.HIGH, Quality.LOWEST) for tile in grid.tiles()}
+        )
+
+        def window(quality_of):
+            """The window holding each tile at ``quality_of(tile)``."""
+            return TiledGop(
+                64, 32, grid, len(frames),
+                {tile: payloads[(tile, quality_of(tile))] for tile in grid.tiles()},
+            )
+
         trace = circular_pan_trace(2.0, rate=8.0)
-        return frames, high, low, trace
+        return frames, window, trace
 
     def test_identical_window_hits_ceiling(self, setup):
-        frames, high, _, trace = setup
+        frames, window, trace = setup
+        high = window(lambda tile: Quality.HIGH)
         probe = ViewportQualityProbe(Viewport(), render_width=16, render_height=16)
         decoded = high.decode()
         score = probe.window_psnr(high, decoded, trace, media_start=0.0, fps=4.0)
         assert score == pytest.approx(99.0)
 
     def test_lower_quality_scores_lower(self, setup):
-        frames, high, low, trace = setup
+        frames, window, trace = setup
+        high = window(lambda tile: Quality.HIGH)
+        low = window(lambda tile: Quality.LOWEST)
         probe = ViewportQualityProbe(Viewport(), render_width=16, render_height=16)
         reference = high.decode()
         high_score = probe.window_psnr(high, reference, trace, 0.0, 4.0)
@@ -72,18 +84,14 @@ class TestViewportQualityProbe:
         assert low_score < high_score
 
     def test_degradation_outside_viewport_is_invisible(self, setup):
-        frames, high, _, _ = setup
+        frames, window, _ = setup
         probe = ViewportQualityProbe(
             Viewport(fov_theta=0.8, fov_phi=0.8), render_width=16, render_height=16
         )
-        reference = high.decode()
+        reference = window(lambda tile: Quality.HIGH).decode()
         # Gaze fixed at theta=pi/2; destroy only the opposite side (col 1
         # spans theta in [pi, 2pi)).
-        mixed = high.replace(
-            TiledVideoCodec(TileGrid(2, 2), 64, 32).encode_gop(
-                [f for f in frames], Quality.LOWEST, tiles={(0, 1), (1, 1)}
-            )
-        )
+        mixed = window(lambda tile: Quality.LOWEST if tile[1] == 1 else Quality.HIGH)
         # Gaze fixed at theta=pi/2 (middle of column 0, far from column 1).
         gaze_trace = Trace(
             np.array([0.0, 2.0]),
@@ -94,7 +102,8 @@ class TestViewportQualityProbe:
         assert score > 40  # only far-side tiles were degraded
 
     def test_frame_count_mismatch_raises(self, setup):
-        frames, high, _, trace = setup
+        frames, window, trace = setup
+        high = window(lambda tile: Quality.HIGH)
         probe = ViewportQualityProbe(Viewport())
         with pytest.raises(ValueError):
             probe.window_psnr(high, frames[:-1], trace, 0.0, 4.0)

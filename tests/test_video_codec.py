@@ -268,10 +268,11 @@ class TestFrameCodec:
             decode_gop(gop_of(Quality.HIGH, 32, 16, [b""]) + bytes(64))
 
     def test_chroma_survives_round_trip(self):
-        rgb = np.zeros((16, 32, 3), dtype=np.uint8)
-        rgb[..., 0] = 200  # strongly red
-        frame = Frame.from_rgb(rgb)
+        frame = Frame(  # strongly red: low blue-difference, high red-difference
+            y=np.full((16, 32), 60, dtype=np.uint8),
+            u=np.full((8, 16), 90, dtype=np.uint8),
+            v=np.full((8, 16), 230, dtype=np.uint8),
+        )
         (decoded,) = decode_gop(gop_of(Quality.HIGH, 32, 16, encode_one(Quality.HIGH, [frame])))
-        recovered = decoded.to_rgb()
-        assert recovered[..., 0].mean() > 150
-        assert recovered[..., 1].mean() < 80
+        assert abs(decoded.u.mean() - 90) < 8
+        assert abs(decoded.v.mean() - 230) < 8

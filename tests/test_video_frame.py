@@ -48,26 +48,6 @@ class TestConstruction:
         assert np.all(frame.y == 255)  # clipped
 
 
-class TestRgbRoundTrip:
-    def test_gray_round_trips_exactly(self):
-        rgb = np.full((8, 16, 3), 128, dtype=np.uint8)
-        frame = Frame.from_rgb(rgb)
-        assert np.all(np.abs(frame.to_rgb().astype(int) - 128) <= 1)
-
-    def test_primary_colors_survive(self):
-        rgb = np.zeros((8, 16, 3), dtype=np.uint8)
-        rgb[:, :8] = [255, 0, 0]
-        rgb[:, 8:] = [0, 0, 255]
-        recovered = Frame.from_rgb(rgb).to_rgb()
-        # Chroma subsampling smears the boundary; check region interiors.
-        assert recovered[4, 2, 0] > 200 and recovered[4, 2, 2] < 80
-        assert recovered[4, 13, 2] > 200 and recovered[4, 13, 0] < 80
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            Frame.from_rgb(np.zeros((8, 16), dtype=np.uint8))
-
-
 class TestCropPaste:
     def test_crop_dimensions(self):
         frame = make_frame(32, 16)

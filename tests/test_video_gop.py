@@ -152,8 +152,10 @@ class TestCodedBlocksOnly:
 
     def test_noise_at_high_codes_every_block(self, monkeypatch):
         rng = np.random.default_rng(4)
+        shapes = ((32, 32), (16, 16), (16, 16))
         frames = [
-            Frame.from_rgb(rng.integers(0, 256, (32, 32, 3)).astype(np.uint8)) for _ in range(4)
+            Frame(*(rng.integers(0, 256, shape, dtype=np.uint8) for shape in shapes))
+            for _ in range(4)
         ]
         sizes = self._encode_counting(monkeypatch, frames, Quality.HIGH)
         assert sizes == [6 * 32 * 32 // 256] * 3  # the last frame is not reconstructed

@@ -1,4 +1,4 @@
-"""Unit tests for motion-constrained tiles and homomorphic operators."""
+"""Unit tests for motion-constrained tiles."""
 
 import pytest
 
@@ -20,9 +20,24 @@ def frames() -> list:
     return checkerboard_video(width=64, height=32, frames=4)
 
 
+def encode(codec, frames, quality_map) -> TiledGop:
+    """One GOP encoded at one quality per tile, as a window."""
+    payloads = codec.encode_gop_ladders(
+        frames, {tile: (quality,) for tile, quality in quality_map.items()}
+    )
+    return TiledGop(
+        codec.width, codec.height, codec.grid, len(frames),
+        {tile: data for (tile, _), data in payloads.items()},
+    )
+
+
+def at_high(tiles) -> dict:
+    return {tile: Quality.HIGH for tile in tiles}
+
+
 @pytest.fixture(scope="module")
 def tiled(codec, frames) -> TiledGop:
-    return codec.encode_gop(frames, Quality.HIGH)
+    return encode(codec, frames, at_high(codec.grid.tiles()))
 
 
 class TestCodecValidation:
@@ -32,11 +47,11 @@ class TestCodecValidation:
 
     def test_rejects_wrong_frame_size(self, codec):
         with pytest.raises(ValueError):
-            codec.encode_gop([Frame.blank(32, 32)], Quality.HIGH)
+            codec.encode_gop_ladders([Frame.blank(32, 32)], {(0, 0): (Quality.HIGH,)})
 
     def test_rejects_empty_gop(self, codec):
         with pytest.raises(ValueError):
-            codec.encode_gop([], Quality.HIGH)
+            codec.encode_gop_ladders([], {(0, 0): (Quality.HIGH,)})
 
 
 class TestEncodeDecode:
@@ -51,11 +66,11 @@ class TestEncodeDecode:
 
     def test_partial_encode(self, codec, frames):
         subset = {(0, 0), (1, 3)}
-        tiled = codec.encode_gop(frames, Quality.HIGH, tiles=subset)
+        tiled = encode(codec, frames, at_high(subset))
         assert set(tiled.payloads) == subset
 
     def test_absent_tiles_decode_grey(self, codec, frames):
-        tiled = codec.encode_gop(frames, Quality.HIGH, tiles={(0, 0)})
+        tiled = encode(codec, frames, at_high([(0, 0)]))
         decoded = tiled.decode()
         # Pixels far from tile (0,0) are the flat-grey placeholder.
         assert abs(int(decoded[0].y[-1, -1]) - 128) <= 1
@@ -71,43 +86,10 @@ class TestEncodeDecode:
     def test_mixed_quality_encode(self, codec, frames):
         quality_map = {tile: Quality.LOW for tile in codec.grid.tiles()}
         quality_map[(0, 0)] = Quality.HIGH
-        tiled = codec.encode_gop_mixed(frames, quality_map)
+        tiled = encode(codec, frames, quality_map)
         assert tiled.tile_quality(0, 0) is Quality.HIGH
         assert tiled.tile_quality(1, 1) is Quality.LOW
         assert len(tiled.payloads[(0, 0)]) > len(tiled.payloads[(0, 1)])
-
-
-class TestHomomorphicOps:
-    def test_select_subsets_bytes_untouched(self, tiled):
-        subset = tiled.select({(0, 0), (0, 1)})
-        assert subset.payloads[(0, 0)] is tiled.payloads[(0, 0)]
-        assert set(subset.payloads) == {(0, 0), (0, 1)}
-
-    def test_select_missing_tile(self, codec, frames):
-        partial = codec.encode_gop(frames, Quality.HIGH, tiles={(0, 0)})
-        with pytest.raises(KeyError):
-            partial.select({(0, 1)})
-
-    def test_replace_layout_mismatch(self, tiled, frames):
-        other_codec = TiledVideoCodec(TileGrid(1, 1), 64, 32)
-        other = other_codec.encode_gop(frames, Quality.HIGH)
-        with pytest.raises(ValueError):
-            tiled.replace(other)
-
-    def test_replace_prefers_other(self, codec, frames):
-        base = codec.encode_gop(frames, Quality.LOW)
-        patch = codec.encode_gop(frames, Quality.HIGH, tiles={(0, 2)})
-        merged = base.replace(patch)
-        assert merged.tile_quality(0, 2) is Quality.HIGH
-        assert merged.tile_quality(0, 0) is Quality.LOW
-
-    def test_select_then_replace_reconstructs(self, tiled, frames):
-        tiles = list(tiled.payloads)
-        left = tiled.select(set(tiles[:3]))
-        right = tiled.select(set(tiles[3:]))
-        rebuilt = left.replace(right)
-        assert set(rebuilt.payloads) == set(tiles)
-        assert rebuilt.decode()[0].equals(tiled.decode()[0])
 
 
 class TestLayout:
@@ -123,13 +105,13 @@ class TestLayout:
 class TestMotionConstraint:
     def test_tile_bytes_independent_of_neighbours(self, codec, frames):
         """Editing one tile's content must not change other tiles' bytes —
-        the motion-constraint property homomorphic ops rely on."""
+        the motion-constraint property a tile-subset window read relies on."""
         altered_frames = []
         for frame in frames:
             patch = Frame.blank(16, 16, luma=255)
             altered_frames.append(frame.paste(patch, 0, 0))  # only tile (0,0)
-        original = codec.encode_gop(frames, Quality.HIGH)
-        altered = codec.encode_gop(altered_frames, Quality.HIGH)
+        original = encode(codec, frames, at_high(codec.grid.tiles()))
+        altered = encode(codec, altered_frames, at_high(codec.grid.tiles()))
         assert original.payloads[(0, 0)] != altered.payloads[(0, 0)]
         for tile in codec.grid.tiles():
             if tile != (0, 0):

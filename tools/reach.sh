@@ -9,7 +9,7 @@
 #   tools/reach.sh            (several minutes; not a CI job)
 #
 # The entry points: every example, every CLI verb (ingest, ls, info, serve
-# over the simulated link and over HTTP, query, export, import, stats,
+# over the simulated link and over HTTP, export, import, stats,
 # metrics, vacuum, fsck after a SIGKILLed ingest, scrub, drop), the chaos
 # plans, `repro control` against a live server, the flash-crowd smoke,
 # `pytest benchmarks/perf` (every workload, traced and untraced, spawned
@@ -101,14 +101,12 @@ step 0 repro ls
 step 0 repro info demo
 step 0 repro serve demo --probe
 step 0 repro serve demo --transport http
-step 0 repro query demo --select-time 0:2 --grayscale --store gray
-step 0 repro query demo --invert
 step 0 repro export demo "$work/demo.mp4"
 step 0 repro import back "$work/demo.mp4"
 step 0 repro stats
 step 0 repro metrics demo --sessions 2 --format prom
 step 0 repro metrics --format json --output "$work/metrics.json"
-step 0 repro vacuum gray
+step 0 repro vacuum demo
 step 0 repro drop back
 step 137 env REPRO_CRASH_AFTER_WRITES=3 python -m repro --root "$db" ingest dead \
   --duration 1 --width 64 --height 32 --grid 2x2 --workers 1
