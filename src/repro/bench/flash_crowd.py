@@ -121,7 +121,7 @@ def _catalog_zipf_paths(
     for name in names:
         manifest = storage.build_manifest(name)
         keys = sorted(manifest.segment_sizes, key=lambda key: key.to_path())
-        entries.extend(f"/segment/{name}/{key.to_path()}" for key in keys)
+        entries.extend(key.url(name) for key in keys)
     rng.shuffle(entries)
     weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(entries))]
     return rng.choices(entries, weights=weights, k=count)

@@ -8,7 +8,7 @@ mid-body, responses dribble in at bytes per second, sockets reset. The
 failures, scheduled by the same :class:`~repro.chaos.faults.FaultPlan`
 machinery as every other fault in the harness: the proxy parses each
 HTTP request head, derives the segment identity from the URL (the
-``/segment/...`` tail is :meth:`SegmentKey.to_path`), and consults
+``/segment/...`` URL is :meth:`SegmentKey.url`), and consults
 ``plan.decide(..., target="wire")`` — so wire faults are targetable by
 video/GOP/tile/quality, replay bit-identically per seed, and land in the
 plan's ``injected`` accounting next to the storage faults.
@@ -38,8 +38,7 @@ import threading
 import time
 
 from repro.chaos.faults import FaultPlan
-from repro.serve.wire import split_segment_path
-from repro.stream.dash import SegmentKey
+from repro.stream.dash import parse_segment_url
 
 _MAX_HEAD = 16 * 1024
 #: Ceiling on trickled bytes: enough to outlast any sane client timeout
@@ -194,15 +193,12 @@ class ChaosProxy:
         line = request_head.split(b"\r\n", 1)[0].decode("latin-1", "replace")
         parts = line.split(" ")
         path = (parts[1] if len(parts) >= 2 else "/").split("?", 1)[0]
-        segment = split_segment_path(path)
-        if segment is not None:
-            video, tail = segment
-            try:
-                key = SegmentKey.from_path(tail)
-            except ValueError:
-                pass
-            else:
-                return self.plan.decide_key(video, key, target="wire")
+        try:
+            video, key = parse_segment_url(path)
+        except ValueError:
+            pass
+        else:
+            return self.plan.decide_key(video, key, target="wire")
         # Non-segment traffic (manifest, metrics, healthz, junk): match
         # on the route name so unfiltered rules still fire; the sentinel
         # coordinates can never collide with a real segment.

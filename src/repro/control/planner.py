@@ -51,13 +51,11 @@ class StalePlanError(ValueError):
 @dataclass(frozen=True)
 class NodeState:
     """What the planner knows about one serving node: identity, budget,
-    configured admission ceiling, and (optionally) which request paths
-    it owns under the active shard map (``None`` = owns everything)."""
+    and configured admission ceiling."""
 
     node_id: str
     pin_budget_bytes: int = 0
     max_inflight: int | None = None
-    owned: tuple[str, ...] | None = None
 
 
 def _is_int(value) -> bool:
@@ -193,7 +191,7 @@ def video_catalog(name: str, manifest) -> tuple[tuple[str, float, int], ...]:
     weights = default_segment_weights(manifest)
     return tuple(
         sorted(
-            (f"/segment/{name}/{key.to_path()}", weights[key], int(size))
+            (key.url(name), weights[key], int(size))
             for key, size in manifest.segment_sizes.items()
         )
     )
@@ -220,21 +218,15 @@ def _rank_segments(
 
 
 def _fill_budget(
-    ranked: tuple[tuple[str, int, int], ...],
-    budget: int | None,
-    owned: tuple[str, ...] | None = None,
+    ranked: tuple[tuple[str, int, int], ...], budget: int | None
 ) -> tuple[tuple[str, int], ...]:
     """The ``(path, heat)`` slice of ``ranked`` that fits ``budget``
-    bytes (``None`` = all of it), greedily hottest first; ``owned``
-    (``None`` = everything) restricts it to the paths a shard node owns."""
+    bytes (``None`` = all of it), greedily hottest first."""
     if budget is not None and budget <= 0:
         return ()
-    owned_set = None if owned is None else set(owned)
     chosen: list[tuple[str, int]] = []
     used = 0
     for path, heat, size in ranked:
-        if owned_set is not None and path not in owned_set:
-            continue
         if budget is not None and used + size > budget:
             continue  # a smaller segment may still fit
         chosen.append((path, heat))
@@ -242,20 +234,15 @@ def _fill_budget(
     return tuple(chosen)
 
 
-def warm_slice(
-    manifests: dict,
-    budget: int | None = None,
-    owned: tuple[str, ...] | None = None,
-) -> tuple[tuple[str, int], ...]:
+def warm_slice(manifests: dict, budget: int | None = None) -> tuple[tuple[str, int], ...]:
     """The ``(path, heat)`` slice that warms ``manifests`` (``{video:
     manifest}``) as :meth:`Planner.plan` would at a predicted demand of
     1.0 per video: the same ranking and heat scale, fitted to ``budget``
-    bytes and ``owned`` paths as a plan's node slice is. ``budget=None``
-    leaves the whole ranking for the receiving node's hot set to fit."""
+    bytes as a plan's node slice is. ``budget=None`` leaves the whole
+    ranking for the receiving node's hot set to fit. A shard node passes
+    manifests cut to the segments it owns."""
     catalog = {name: video_catalog(name, m) for name, m in manifests.items()}
-    return _fill_budget(
-        _rank_segments(dict.fromkeys(catalog, 1.0), catalog), budget, owned
-    )
+    return _fill_budget(_rank_segments(dict.fromkeys(catalog, 1.0), catalog), budget)
 
 
 @dataclass(frozen=True)
@@ -304,7 +291,7 @@ class Planner:
                         state, previous_node, observed_p99
                     ),
                     pin_budget_bytes=state.pin_budget_bytes,
-                    prewarm=_fill_budget(ranked, state.pin_budget_bytes, state.owned),
+                    prewarm=_fill_budget(ranked, state.pin_budget_bytes),
                 )
             )
         version = previous.version + 1 if previous is not None else 1

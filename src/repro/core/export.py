@@ -65,9 +65,8 @@ def export_video(
     for key, data in zip(keys, storage.read_segments(name, keys, meta.version)):
         if not isinstance(data, bytes):
             raise data
-        index_key = (key.window, key.tile, quality)
-        entries[index_key] = dataclasses.replace(
-            meta.entries[index_key], file_version=1, offset=offset
+        entries[key] = dataclasses.replace(
+            meta.entries[key], file_version=1, offset=offset
         )
         body.append(data)
         offset += len(data)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import CatalogError
 from repro.geometry.grid import TileGrid
+from repro.stream.dash import SegmentKey
 from repro.video.mp4 import (
     Atom,
     Mp4File,
@@ -69,9 +70,7 @@ class VideoMeta:
     qualities: tuple[Quality, ...]
     streaming: bool
     gop_frame_counts: list[int]
-    entries: dict[tuple[int, tuple[int, int], Quality], SegmentEntry] = field(
-        default_factory=dict
-    )
+    entries: dict[SegmentKey, SegmentEntry] = field(default_factory=dict)
 
     @property
     def gop_count(self) -> int:
@@ -242,7 +241,7 @@ def _parse_metadata_atoms(name: str, data: bytes) -> VideoMeta:
         offsets = _parse_words(name, stco, len(samples))
         for (time_ms, file_version, size), checksum, at in zip(samples, checksums, offsets):
             gop = int(round(time_ms / gop_duration_ms))
-            meta.entries[(gop, tile, quality)] = SegmentEntry(
+            meta.entries[SegmentKey(gop, tile, quality)] = SegmentEntry(
                 size, file_version, checksum, at
             )
     return meta

@@ -187,8 +187,8 @@ def _tag_repairable(error: SegmentNotFoundError) -> SegmentNotFoundError:
     return error
 
 
-def _entry_of(name: str, meta: VideoMeta, key) -> SegmentEntry:
-    """``key``'s ``(gop, tile, quality)`` entry in ``meta``'s index;
+def _entry_of(name: str, meta: VideoMeta, key: SegmentKey) -> SegmentEntry:
+    """``key``'s entry in ``meta``'s index;
     :class:`SegmentNotFoundError` when that version has no such segment."""
     entry = meta.entries.get(key)
     if entry is None:
@@ -533,7 +533,7 @@ class StorageManager:
                     pack = Atom("mdat", payload=body).serialize()
                     offset = len(pack) - len(body)  # past the mdat header
                     for tile, quality, payload in payloads:
-                        entries[(gop_index, tile, quality)] = SegmentEntry(
+                        entries[SegmentKey(gop_index, tile, quality)] = SegmentEntry(
                             len(payload), version, segment_checksum(payload), offset
                         )
                         offset += len(payload)
@@ -796,7 +796,8 @@ class StorageManager:
         never go stale.
         """
         meta = self.meta(name, version)
-        entry = _entry_of(name, meta, (gop, tile, quality))
+        key = SegmentKey(gop, tile, quality)
+        entry = _entry_of(name, meta, key)
 
         def load() -> bytes:
             try:
@@ -814,9 +815,7 @@ class StorageManager:
             if self.segment_cache is None:
                 data = load()
             else:
-                cache_key = SegmentKey(gop, tile, quality).cache_key(
-                    name, entry.file_version
-                )
+                cache_key = key.cache_key(name, entry.file_version)
                 # Single-flight: concurrent sessions missing on the same
                 # segment share one file read instead of stampeding the
                 # filesystem.
@@ -840,9 +839,9 @@ class StorageManager:
         pool the cold path relies on.
         """
         meta = self.meta(name, version)
-        index_keys = [(key.window, key.tile, key.quality) for key in keys]
-        results: list = [None] * len(index_keys)
-        for position, result in self._read_entries(name, meta, index_keys):
+        keys = list(keys)
+        results: list = [None] * len(keys)
+        for position, result in self._read_entries(name, meta, keys):
             results[position] = result
             if isinstance(result, bytes):
                 self._segments_read.inc()
@@ -853,7 +852,7 @@ class StorageManager:
         self, name: str, meta: VideoMeta, keys: list
     ) -> Iterator[tuple[int, bytes | SegmentNotFoundError]]:
         """The one bulk walk of stored bytes: ``(position, bytes or
-        error)`` for each ``(gop, tile, quality)`` of ``keys`` in
+        error)`` for each :class:`SegmentKey` of ``keys`` in
         ``meta``'s index, pack by pack — each opened once, its ranges read
         in offset order and checked by :func:`_checked`. ``position`` is
         the key's index in ``keys``; errors are :meth:`read_segment`'s.
@@ -866,7 +865,7 @@ class StorageManager:
             except SegmentNotFoundError as error:
                 yield position, error
                 continue
-            packs.setdefault((key[0], entry.file_version), []).append(
+            packs.setdefault((key.window, entry.file_version), []).append(
                 (entry.offset, position, entry)
             )
         for (gop, file_version), ranges in packs.items():
@@ -940,10 +939,11 @@ class StorageManager:
             for tile in meta.grid.tiles():
                 stored_any = False
                 for quality in meta.qualities:
-                    entry = meta.entries.get((gop, tile, quality))
+                    key = SegmentKey(gop, tile, quality)
+                    entry = meta.entries.get(key)
                     if entry is None:
                         continue
-                    sizes[SegmentKey(gop, tile, quality)] = entry.size
+                    sizes[key] = entry.size
                     stored_any = True
                 if not stored_any:
                     raise SegmentNotFoundError(
@@ -1023,9 +1023,9 @@ class StorageManager:
             versions = self.catalog.versions(name)
         packs: dict[Path, dict[SegmentKey, SegmentEntry]] = {}
         for version in versions:
-            for (gop, tile, quality), entry in self.meta(name, version).entries.items():
-                path = self.catalog.pack_path(name, gop, entry.file_version)
-                packs.setdefault(path, {})[SegmentKey(gop, tile, quality)] = entry
+            for key, entry in self.meta(name, version).entries.items():
+                path = self.catalog.pack_path(name, key.window, entry.file_version)
+                packs.setdefault(path, {})[key] = entry
         return packs
 
     # -- durability / self-healing ---------------------------------------------
@@ -1047,7 +1047,7 @@ class StorageManager:
         write must pass, so a corrupt peer copy can never overwrite disk.
         """
         meta = self.meta(name, version)
-        entry = _entry_of(name, meta, (gop, tile, quality))
+        entry = _entry_of(name, meta, SegmentKey(gop, tile, quality))
         broken = _mismatch(entry, data)
         if broken:
             detail = (
@@ -1216,26 +1216,18 @@ class StorageManager:
         return report
 
     def _validate_version(self, name: str, version: int) -> bool:
-        """True when a version's metadata parses, matches its marker (if
-        any), and every segment it references is intact on disk."""
+        """True when an unmarked version's metadata parses and every
+        segment it references is intact on disk."""
         path = self.catalog.metadata_path(name, version)
         try:
-            blob = path.read_bytes()
-            meta = parse_metadata_file(name, blob)
+            meta = parse_metadata_file(name, path.read_bytes())
         except (OSError, CatalogError, ValueError, struct.error):
             return False
-        marker = self.catalog.marker_path(name, version)
-        if marker.exists():
-            try:
-                if marker.read_bytes() != _marker_payload(blob):
-                    return False
-            except OSError:
-                return False
         return not any(self._damaged_entries(name, meta, set()))
 
     def _damaged_entries(
         self, name: str, meta: VideoMeta, seen: set[str]
-    ) -> Iterator[tuple[tuple[int, tuple[int, int], Quality], str]]:
+    ) -> Iterator[tuple[SegmentKey, str]]:
         """Walk one version's index in a fixed order and yield ``(key,
         range)`` for every segment whose byte range is missing, unreadable,
         or fails :func:`_mismatch`; ``range`` is ``<pack file>@<offset>``.
@@ -1244,7 +1236,7 @@ class StorageManager:
         version) are skipped; every range looked at is added to it."""
         keys = []
         for key, entry in sorted(meta.entries.items(), key=lambda item: str(item[0])):
-            where = _range_label(key[0], entry)
+            where = _range_label(key.window, entry)
             if where not in seen:
                 seen.add(where)
                 keys.append(key)
@@ -1255,7 +1247,7 @@ class StorageManager:
         )
         for position in damaged:
             key = keys[position]
-            yield key, _range_label(key[0], meta.entries[key])
+            yield key, _range_label(key.window, meta.entries[key])
 
     def scrub(
         self,

@@ -228,7 +228,7 @@ class HttpSegmentClient:
             ) from error
 
     def fetch_segment(self, name: str, key: SegmentKey) -> bytes:
-        path = f"/segment/{name}/{key.to_path()}"
+        path = key.url(name)
         status, headers, body = self._request(path)
         self._raise_for_status(status, headers, body, path)
         expected = headers.get("X-Checksum")

@@ -27,7 +27,7 @@ the control plane's one ``POST`` route):
 
 * ``/manifest/<video>`` — :meth:`Manifest.to_json` as JSON;
 * ``/segment/<video>/<window>/<row>/<col>/<quality>`` — raw segment
-  bytes; the URL tail is exactly :meth:`SegmentKey.to_path`;
+  bytes; the URL is exactly :meth:`SegmentKey.url`;
 * ``/metrics`` — the registry snapshot as JSON;
 * ``/healthz`` — liveness;
 * ``GET /control`` — the active control-plane state (plan version,
@@ -72,7 +72,7 @@ import asyncio
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 from repro.control.planner import ControlPlan, StalePlanError, warm_slice
@@ -94,7 +94,7 @@ from repro.serve.wire import (
     split_segment_path,
     status_for,
 )
-from repro.stream.dash import SegmentKey
+from repro.stream.dash import SEGMENT_ROUTE, SegmentKey, parse_segment_url
 
 _MAX_REQUEST_BYTES = 16 * 1024  # request line + headers
 _ENDPOINTS = frozenset({"segment", "manifest", "metrics", "healthz", "control"})
@@ -294,14 +294,11 @@ class SegmentServer:
         self._sharded.update(shard_map, peers)
         dropped = 0
         for path in self.hot.paths():
-            segment = split_segment_path(path)
-            if segment is None:
-                continue
             try:
-                key = SegmentKey.from_path(segment[1])
+                video, key = parse_segment_url(path)
             except ValueError:
                 continue
-            if not self._owns(segment[0], key):
+            if not self._owns(video, key):
                 dropped += self.hot.unpin(path)
         return dropped
 
@@ -312,7 +309,7 @@ class SegmentServer:
         loop = self._loop
 
         def invalidate() -> None:
-            self.hot.unpin_prefix(f"/segment/{name}/")
+            self.hot.unpin_prefix(f"{SEGMENT_ROUTE}{name}/")
             self._video_bound.pop(name, None)
             if self._sharded is not None:
                 self._sharded.invalidate(name)
@@ -363,18 +360,21 @@ class SegmentServer:
     def _startup_prewarm(self) -> tuple[tuple[str, int], ...]:
         """``ServerConfig.prewarm`` as the planner would warm it: each
         named video at demand 1.0, fitted to the pin budget over the
-        segments this node owns (:func:`warm_slice`)."""
-        names = self.config.prewarm
-        manifests = {name: self.storage.build_manifest(name) for name in names}
-        for name in manifests:
+        segments this node owns (:func:`warm_slice` over manifests cut
+        to :meth:`_owns`)."""
+        manifests = {}
+        for name in self.config.prewarm:
+            manifest = self.storage.build_manifest(name)
             self._known_video(name)
-        owned = tuple(
-            f"/segment/{name}/{key.to_path()}"
-            for name, manifest in manifests.items()
-            for key in manifest.segment_sizes
-            if self._owns(name, key)
-        )
-        return warm_slice(manifests, self.hot.budget_bytes, owned)
+            manifests[name] = replace(
+                manifest,
+                segment_sizes={
+                    key: size
+                    for key, size in manifest.segment_sizes.items()
+                    if self._owns(name, key)
+                },
+            )
+        return warm_slice(manifests, self.hot.budget_bytes)
 
     def _pin(self, paths) -> int:
         """Read and pin each of ``paths`` (hottest first) this node owns
@@ -396,16 +396,13 @@ class SegmentServer:
         for path in paths:
             if path in self.hot or path in wanted:
                 continue
-            segment = split_segment_path(path)
             try:
-                if segment is None:
-                    raise ValueError(f"not a segment path: {path!r}")
-                key = SegmentKey.from_path(segment[1])
+                video, key = parse_segment_url(path)
             except ValueError:
-                skipped.inc(video=segment[0] if segment else "")
+                skipped.inc(video="")
                 continue
-            if self._owns(segment[0], key):  # a peer's segment warms there
-                wanted[path] = (segment[0], key)
+            if self._owns(video, key):  # a peer's segment warms there
+                wanted[path] = (video, key)
         by_video: dict[str, list[str]] = {}
         for path, (video, _) in wanted.items():
             by_video.setdefault(video, []).append(path)
@@ -708,9 +705,8 @@ class SegmentServer:
 
     async def _dispatch(self, target: str, method: str = "GET", body: bytes = b""):
         try:
-            segment = split_segment_path(target)
-            if segment is not None:
-                return await self._segment(*segment, target)
+            if target.startswith(SEGMENT_ROUTE):
+                return await self._segment(target)
             parts = [part for part in target.split("/") if part]
             if parts == ["healthz"]:
                 return self._healthz
@@ -753,12 +749,13 @@ class SegmentServer:
             payload["shard_map"] = shard_map.to_json()
         return json_response(200, payload)
 
-    async def _segment(self, name: str, tail: str, target: str) -> Response:
-        key = SegmentKey.from_path(tail)  # ValueError → 400
+    async def _segment(self, target: str) -> Response:
+        name, key = parse_segment_url(target)  # ValueError → 400
         data = await self._offload(
             lambda: self.backend.read_segment(name, key.window, key.tile, key.quality)
         )
-        if self.hot.enabled:
+        # Runtime promotion pins only what this node owns, as _pin does.
+        if self.hot.enabled and self._owns(name, key):
             self.hot.record(target, data)
         return Response(200, data, checksum=checksum_hex(data))
 

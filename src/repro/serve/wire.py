@@ -125,11 +125,13 @@ def error_response(
 
 
 def split_segment_path(path: str) -> tuple[str, str] | None:
-    """``/segment/<video>/<window>/<row>/<col>/<quality>`` → (video, tail).
+    """``/segment/<video>/<window>/<row>/<col>/<quality>`` → (video, tail),
+    ``None`` when ``path`` is not shaped like a segment request.
 
-    The tail is what :meth:`SegmentKey.from_path` parses (and
-    :meth:`SegmentKey.to_path` writes). ``None`` when ``path`` is not
-    shaped like a segment request.
+    The serve loop's per-request split for its demand counter: it names
+    the video without parsing the key, so a pinned hit pays no key parse.
+    Everything that needs the key calls
+    :func:`repro.stream.dash.parse_segment_url`.
     """
     parts = [part for part in path.split("/") if part]
     if len(parts) != 6 or parts[0] != "segment":

@@ -10,18 +10,23 @@ storage manager's index rather than a bitrate model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.geometry.grid import TileGrid
 from repro.video.quality import Quality
 
+#: The route every segment URL starts with (:meth:`SegmentKey.url`).
+SEGMENT_ROUTE = "/segment/"
 
-@dataclass(frozen=True)
-class SegmentKey:
+
+class SegmentKey(NamedTuple):
     """Identity of one deliverable segment.
 
-    This is the *canonical* segment identity: wire URLs
-    (:meth:`to_path`/:meth:`from_path`) and buffer-pool keys
-    (:meth:`cache_key`) are derived from one ``SegmentKey``, so the HTTP
+    This is the *canonical* segment identity: the store's index
+    (``VideoMeta.entries``) is keyed by it — a ``SegmentKey`` equals and
+    hashes as its ``(window, tile, quality)`` tuple — and wire URLs
+    (:meth:`url`/:func:`parse_segment_url`) and buffer-pool keys
+    (:meth:`cache_key`) are derived from it, so the index, the HTTP
     surface, the cache, and chaos targeting cannot drift apart. On disk a
     segment is a byte range of its GOP's pack
     (:func:`repro.core.catalog.pack_file_name`), found through the index.
@@ -34,13 +39,18 @@ class SegmentKey:
     def to_path(self) -> str:
         """The wire path of this segment: ``window/row/col/quality``.
 
-        This is the tail of the server's segment URL
-        (``/segment/<video>/<window>/<row>/<col>/<quality>``); it contains
+        This is the tail of the segment URL (:meth:`url`); it contains
         no video name or version — names scope the URL, versions are a
         storage concern the wire never sees.
         """
         row, col = self.tile
         return f"{self.window}/{row}/{col}/{self.quality.label}"
+
+    def url(self, video: str) -> str:
+        """The request path of this segment of ``video``:
+        ``/segment/<video>/<window>/<row>/<col>/<quality>``, the one
+        writer of the URL :func:`parse_segment_url` reads."""
+        return f"{SEGMENT_ROUTE}{video}/{self.to_path()}"
 
     @classmethod
     def from_path(cls, path: str) -> "SegmentKey":
@@ -66,6 +76,15 @@ class SegmentKey:
         cache/disk consistency audit — construct it here, nowhere else.
         """
         return (video, self.window, self.tile, self.quality, file_version)
+
+
+def parse_segment_url(path: str) -> tuple[str, SegmentKey]:
+    """``(video, key)`` of a :meth:`SegmentKey.url` request path; raises
+    ``ValueError`` on anything else."""
+    parts = [part for part in path.split("/") if part]
+    if len(parts) != 6 or parts[0] != "segment":
+        raise ValueError(f"not a segment path: {path!r}")
+    return parts[1], SegmentKey.from_path("/".join(parts[2:]))
 
 
 @dataclass

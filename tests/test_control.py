@@ -182,15 +182,6 @@ class TestPlanner:
         )
         assert plan.node("").prewarm == ()
 
-    def test_owned_paths_restrict_prewarm(self):
-        owned = ("/segment/vid-0/0/0/1/high",)
-        plan = Planner().plan(
-            {"vid-0": _forecast("vid-0", 10.0)},
-            CATALOG,
-            (NodeState(node_id="node-0", pin_budget_bytes=10_000, owned=owned),),
-        )
-        assert [path for path, _ in plan.node("node-0").prewarm] == list(owned)
-
     def test_nan_p99_holds_admission(self):
         state = NodeState(node_id="", max_inflight=32)
         plan = Planner().plan({}, {}, (state,), observed_p99=math.nan)

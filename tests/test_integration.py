@@ -23,7 +23,7 @@ from repro import (
     UniformAdaptive,
     VisualCloud,
 )
-from repro.control import ControlConfig, Controller, Planner
+from repro.control import ControlConfig, Controller, NodeState, Planner
 from repro.core.resilience import RetryPolicy
 from repro.serve import FailoverConfig, ServerConfig
 from repro.stream.estimator import HarmonicMeanEstimator
@@ -189,6 +189,7 @@ class TestConfigSurface:
             FailoverConfig,
             ControlConfig,
             Planner,
+            NodeState,
             IngestConfig,
             RetryPolicy,
         ],
@@ -226,6 +227,7 @@ class TestConfigSurface:
             lambda: Controller(
                 ControlConfig(), registry=MetricsRegistry(), storage=None, nodes=(), clock=float
             ),
+            lambda: NodeState(node_id="node-0", owned=()),
         ],
         ids=[
             "read_repair",
@@ -240,6 +242,7 @@ class TestConfigSurface:
             "projection",
             "metrics_source",
             "clock",
+            "owned",
         ],
     )
     def test_removed_options_are_type_errors(self, construct):

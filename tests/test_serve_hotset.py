@@ -22,6 +22,7 @@ from repro.control import (
     NodeState,
     Planner,
     catalog_from_storage,
+    warm_slice,
 )
 from repro.core.errors import SegmentNotFoundError
 from repro.core.storage import StorageManager
@@ -489,6 +490,72 @@ class TestOnePrewarmPath:
         )
         try:
             assert set(handle.server.hot.paths()) == owned
+        finally:
+            handle.stop()
+
+    def test_shard_node_startup_prewarm_fits_its_budget_over_owned_keys(
+        self, session_db
+    ):
+        """A budget below the node's owned share is filled greedily,
+        hottest first, over the segments the node owns: a peer's segment
+        never takes room in the fit."""
+        storage = session_db.storage
+        shard_map = ShardMap(nodes=("node-0", "node-1"), replication_factor=1)
+        manifest = storage.build_manifest("clip")
+        sizes = {
+            f"/segment/clip/{key.to_path()}": size
+            for key, size in manifest.segment_sizes.items()
+            if shard_map.owns("node-0", "clip", key)
+        }
+        ranking = [path for path, _ in warm_slice({"clip": manifest}) if path in sizes]
+        budget = sum(sizes.values()) // 2
+        expected, used = [], 0
+        for path in ranking:
+            if used + sizes[path] <= budget:  # a smaller segment may still fit
+                expected.append(path)
+                used += sizes[path]
+        fit_over_all = [path for path, _ in warm_slice({"clip": manifest}, budget)]
+        assert expected != [path for path in fit_over_all if path in sizes]
+        handle = start_server(
+            storage,
+            ServerConfig(
+                pin_budget_bytes=budget,
+                pin_threshold=1,
+                prewarm=("clip",),
+                node_id="node-0",
+                shard_map=shard_map,
+            ),
+            registry=MetricsRegistry(),
+        )
+        try:
+            assert [path for path, _ in handle.server._startup_prewarm()] == expected
+            assert sorted(handle.server.hot.paths()) == sorted(expected)
+        finally:
+            handle.stop()
+
+    def test_runtime_promotion_pins_only_owned_segments(self, session_db):
+        """The cold path's promotion states the ownership rule too: a
+        peer's segment served here is never pinned here."""
+        storage = session_db.storage
+        shard_map = ShardMap(nodes=("node-0", "node-1"), replication_factor=1)
+        keys = sorted(storage.build_manifest("clip").segment_sizes, key=SegmentKey.to_path)
+        peers = [key for key in keys if not shard_map.owns("node-0", "clip", key)]
+        mine = [key for key in keys if shard_map.owns("node-0", "clip", key)]
+        handle = start_server(
+            storage,
+            ServerConfig(
+                pin_budget_bytes=1 << 20,
+                pin_threshold=1,
+                node_id="node-0",
+                shard_map=shard_map,
+            ),
+            registry=MetricsRegistry(),
+        )
+        try:
+            with HttpSegmentClient(handle.base_url) as client:
+                client.fetch_segment("clip", peers[0])
+                client.fetch_segment("clip", mine[0])
+            assert handle.server.hot.paths() == [f"/segment/clip/{mine[0].to_path()}"]
         finally:
             handle.stop()
 

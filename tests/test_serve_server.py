@@ -8,11 +8,13 @@ import urllib.request
 
 import pytest
 
-from repro import Quality
+from repro import IngestConfig, Quality, TileGrid
 from repro.core.errors import SegmentNotFoundError
+from repro.core.metadata import parse_metadata_file
 from repro.serve import HttpSegmentClient, ServerConfig, ServerHandle, start_server
 from repro.serve.server import RETRY_AFTER
-from repro.stream.dash import Manifest, SegmentKey
+from repro.stream.dash import Manifest, SegmentKey, parse_segment_url
+from repro.workloads.videos import synthetic_video
 
 
 @pytest.fixture()
@@ -384,6 +386,45 @@ class TestAdmissionControl:
             snapshot = registry.snapshot()
             assert snapshot["counters"].get("serve.shed{reason=overload}", 0) >= 1
             assert snapshot["gauges"].get("serve.inflight") == 0.0
+        finally:
+            handle.stop()
+
+
+class TestOneSegmentIdentity:
+    def test_index_key_url_and_parser_are_one_name(self, db):
+        """A segment is one ``SegmentKey`` from the index to the wire."""
+        config = IngestConfig(
+            grid=TileGrid(2, 2),
+            qualities=(Quality.HIGH, Quality.MEDIUM, Quality.LOW),
+            gop_frames=4,
+            fps=4.0,
+        )
+        frames = list(
+            synthetic_video("venice", width=64, height=32, fps=4.0, duration=2.0, seed=3)
+        )
+        # "clip" is a string prefix of "clip-2": the URL must still tell them apart.
+        metas = {
+            name: db.ingest(name, frames, config, workers=1) for name in ("clip", "clip-2")
+        }
+        for name, meta in metas.items():
+            assert len(meta.qualities) == 3
+            # The index is keyed by SegmentKey after ingest and after a fresh parse.
+            blob = db.storage.catalog.metadata_path(name, meta.version).read_bytes()
+            for entries in (meta.entries, parse_metadata_file(name, blob).entries):
+                assert entries and all(type(key) is SegmentKey for key in entries)
+            # Every key of the store round-trips through its URL.
+            for key in meta.entries:
+                assert parse_segment_url(key.url(name)) == (name, key)
+        handle = start_server(db.storage, ServerConfig(drain_timeout=2.0))
+        try:
+            with HttpSegmentClient(handle.base_url) as client:
+                key = SegmentKey(1, (1, 0), Quality.MEDIUM)
+                assert client.fetch_segment("clip-2", key) == db.storage.read_segment(
+                    "clip-2", *key
+                )
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(f"{handle.base_url}/segment/clip/0/0/x/high")
+            assert caught.value.code == 400
         finally:
             handle.stop()
 

@@ -4,7 +4,10 @@
 # src/repro with its size — the list DESIGN.md's "Reached code" section
 # explains name by name — and then, as a second list, each function that
 # only the E-series reached: code experiments keep alive and nothing else
-# runs.
+# runs. The functions DESIGN.md names as timing-dependent (whether a run
+# enters them depends on how its wall clock falls) are left out of the
+# first list and printed last, each with whether this run reached it, so
+# two runs' first lists can be compared name by name.
 #
 #   tools/reach.sh            (several minutes; not a CI job)
 #
@@ -145,7 +148,8 @@ step 0 env REACH_LOG="$work/elog" python -m pytest benchmarks -q --benchmark-dis
 
 env -u PYTHONPATH python - "$work/tree/src" "$work/log" "$work/elog" <<'EOF'
 """Print every src/repro function no traced process entered, with its size,
-then every one that only the E-series entered."""
+then every one that only the E-series entered, then the timing-dependent
+ones with whether this run entered them."""
 import ast
 import sys
 from pathlib import Path
@@ -162,6 +166,8 @@ def reached_in(logs):
 
 
 product, experiments = reached_in(Path(sys.argv[2])), reached_in(Path(sys.argv[3]))
+# Reached or not by the wall clock, not by the code (DESIGN.md "Reached code").
+TIMING = ("HotSet.record", "CircuitBreaker.allow", "ReplicaSet.__len__")
 
 
 def functions(body, prefix=""):
@@ -176,14 +182,16 @@ def functions(body, prefix=""):
 
 
 total = 0
-unreached, experiment_only = [], []
+unreached, experiment_only, timing = [], [], []
 for path in sorted((src / "repro").rglob("*.py")):
     tree = ast.parse(path.read_text())
     for name, qualname, first, size in functions(tree.body):
         total += 1
         key = (str(path), first, name)
-        if key not in product:
-            row = (str(path.relative_to(src)), first, qualname, size)
+        row = (str(path.relative_to(src)), first, qualname, size)
+        if qualname in TIMING:
+            timing.append((row, key in product))
+        elif key not in product:
             (experiment_only if key in experiments else unreached).append(row)
 
 
@@ -194,11 +202,16 @@ def show(rows):
 
 
 lines = show(unreached)
+missed = sum(not hit for _, hit in timing)
 print(
-    f"reached {total - len(unreached)} of {total} functions in src/; "
-    f"{len(unreached)} unreached ({lines} lines)"
+    f"reached {total - len(unreached) - missed} of {total} functions in src/; "
+    f"{len(unreached)} unreached ({lines} lines), {missed} of the "
+    f"{len(timing)} timing-dependent unreached"
 )
 print("\nreached only by the E-series:")
 lines = show(experiment_only)
 print(f"{len(experiment_only)} functions ({lines} lines) reached only by the E-series")
+print("\ntiming-dependent, left out of the lists above:")
+for (path, first, name, size), reached in timing:
+    print(f"{size:4d}  {path}:{first}  {name}  {'reached' if reached else 'unreached'}")
 EOF
