@@ -85,12 +85,11 @@ class ChaosStorageManager:
         quality: Quality,
         version: int | None = None,
     ) -> bytes:
-        fault = self._fault(
-            name, self.inner.meta(name, version), SegmentKey(gop, tile, quality)
-        )
+        meta = self.inner.meta(name, version)
+        fault = self._fault(name, meta, SegmentKey(gop, tile, quality))
         if fault is not None:
             raise fault
-        return self.inner.read_segment(name, gop, tile, quality, version)
+        return self.inner.read_segment(name, gop, tile, quality, meta.version)
 
     def read_segments(
         self, name: str, keys, version: int | None = None

@@ -22,8 +22,8 @@ Integrity contract: every byte path into this surface is checksummed
 end to end. ``StorageManager`` verifies each read against the content
 checksum committed in the version's metadata; ``HttpSegmentClient``
 verifies a server's ``X-Checksum`` response header against the received
-body — so the bytes handed upward, or that the read-repair path rewrites
-to disk, have already survived an integrity check at their source.
+body, and a shard node checks a peer's copy against its own index entry
+before it serves, pools or rewrites those bytes.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ class LruSegmentCache:
             "cache.fenced_loads", "in-flight loads cancelled by invalidation"
         )
         self._invalidations = self.metrics.counter(
-            "cache.invalidations", "entries dropped by invalidate/clear"
+            "cache.invalidations", "entries dropped by invalidation"
         )
         self._gauge_entries = self.metrics.gauge("cache.entries", "live cache entries")
         self._gauge_bytes = self.metrics.gauge("cache.bytes", "live cached payload bytes")
@@ -223,16 +223,5 @@ class LruSegmentCache:
                     self._size -= len(entry)
                     self._invalidations.inc()
             for key in [key for key in self._inflight if matches(key)]:
-                self._fence_locked(self._inflight.get(key), key)
-            self._update_gauges_locked()
-
-    def clear(self) -> None:
-        """Drop everything, fencing every in-flight load."""
-        with self._lock:
-            if self._entries:
-                self._invalidations.inc(len(self._entries))
-            self._entries.clear()
-            self._size = 0
-            for key in list(self._inflight):
                 self._fence_locked(self._inflight.get(key), key)
             self._update_gauges_locked()

@@ -306,7 +306,7 @@ class StorageManager:
         if self.segment_cache is not None:
             self.segment_cache.invalidate_prefix(name)
         # Layers holding derived copies of this video's bytes (the serve
-        # tier's pinned hot set, peer caches) invalidate through these —
+        # tier's pinned hot set) invalidate through these —
         # without them a dropped-then-recreated name could keep serving
         # the old video's RAM copies.
         for listener in list(self._drop_listeners):

@@ -8,10 +8,10 @@ a sharded :class:`~repro.serve.server.SegmentServer` reads through. Given
   the entry, the bytes are missing, torn or corrupt) with ``rf >= 2``
   heals itself: fetch a peer owner's copy, verify it against the index
   checksum, atomically rewrite the local file, serve the request;
-* **non-owner** — the peer cache, then the owners in map order, then
-  local storage (full-copy deployments and freshly re-mapped nodes often
-  still hold the bytes), and only then a transient error, so clients
-  fail over instead of treating an outage as data loss.
+* **non-owner** — the node's buffer pool, then the owners in map order,
+  then local storage (full-copy deployments and freshly re-mapped nodes
+  often still hold the bytes), and only then a transient error, so
+  clients fail over instead of treating an outage as data loss.
 
 Placement decides the path before storage is consulted: a local 404 on a
 non-owner is an artefact of partitioning, never an authoritative answer.
@@ -21,14 +21,13 @@ proves it exists; a peer without it has its own damage).
 
 Every byte that arrives from a peer was verified by
 :class:`~repro.serve.client.HttpSegmentClient` against the peer's
-``X-Checksum``; repair re-verifies against the local index entry before
-anything touches disk, so a corrupt peer copy is neither served nor
-written.
+``X-Checksum``, which only proves the peer sent what it holds; both
+paths check it against this node's own index entry too, so a corrupt or
+other-version peer copy is neither served, pooled nor written.
 """
 
 from __future__ import annotations
 
-from repro.core.cache import LruSegmentCache
 from repro.core.errors import SegmentNotFoundError, TransientSegmentError
 from repro.obs import MetricsRegistry
 from repro.serve.client import HttpSegmentClient
@@ -36,8 +35,6 @@ from repro.serve.placement import ShardMap
 from repro.stream.dash import Manifest, SegmentKey
 from repro.video.quality import Quality
 
-#: Byte bound of the peer-fetched payload cache.
-PEER_CACHE_BYTES = 8 * 1024 * 1024
 #: Seconds per peer segment fetch.
 PEER_TIMEOUT = 5.0
 
@@ -66,10 +63,6 @@ class ShardedBackend:
         self.shard_map = shard_map
         self._peers: dict = {}  # sibling node id → segment client
         self._set_peers(peers)
-        # A private registry: LruSegmentCache reports under ``cache.*``,
-        # and sharing the server's would fold peer-tier hits into the
-        # storage buffer pool's accounting.
-        self._cache = LruSegmentCache(PEER_CACHE_BYTES, registry=MetricsRegistry())
 
         def counter(name: str, help: str):
             return registry.counter(name, help).labels()
@@ -81,7 +74,7 @@ class ShardedBackend:
             "serve.peer_bytes", "segment bytes fetched from sibling nodes"
         )
         self._cache_hits = counter(
-            "serve.peer_cache_hits", "non-owned reads served from the peer cache"
+            "serve.peer_cache_hits", "non-owned reads served from the buffer pool"
         )
         self._errors = counter("serve.peer_errors", "failed peer fetch attempts")
         self._fallback_local = counter(
@@ -126,9 +119,8 @@ class ShardedBackend:
         """Swap in a new placement blueprint (and optionally peer table).
 
         Version monotonicity is enforced: a stale map is rejected, so a
-        replayed manifest can never roll routing backwards. The peer
-        cache is cleared — its entries were placed under the old map's
-        ownership.
+        replayed manifest can never roll routing backwards. Pooled bytes
+        stay: they are versioned and index-checked, and owners are not in the key.
         """
         previous = self.shard_map
         if previous is not None and shard_map.version < previous.version:
@@ -141,11 +133,6 @@ class ShardedBackend:
             self._set_peers(dict(peers))
         self._map_updates.inc()
         self._gauge_version.set(shard_map.version)
-        self._cache.clear()
-
-    def invalidate(self, name: str) -> None:
-        """Forget every peer-fetched copy of a dropped video's bytes."""
-        self._cache.invalidate_prefix(name)
 
     def close(self) -> None:
         for client in self._peers.values():
@@ -203,27 +190,41 @@ class ShardedBackend:
             yield data
 
     def _peer_read(self, name: str, key: SegmentKey, owners) -> bytes:
-        """A non-owned read. Single-flight through the cache's
-        ``get_or_load``: N sessions missing on the same non-owned
-        segment cost one peer fetch."""
+        """A non-owned read, single-flight through the node's buffer pool
+        under the local index entry's key; only an owner copy that passes
+        this node's index check is served and pooled."""
+        meta = self.local.meta(name)
+        entry = meta.entries.get(key)
+        if entry is None:  # every node holds the index: no owner has it either
+            raise SegmentNotFoundError(f"{name!r} has no segment {key.to_path()}")
         loaded = False
 
-        def fetch() -> bytes:
+        def load() -> bytes:
             nonlocal loaded
             loaded = True
             for data in self._owner_copies(name, key, owners, authoritative_404=True):
+                try:
+                    self.local.verify_segment_bytes(name, *key, data, meta.version)
+                except SegmentNotFoundError:
+                    self._errors.inc()  # not the copy our index names
+                    continue
                 return data
-            try:
-                data = self.local.read_segment(name, key.window, key.tile, key.quality)
-            except SegmentNotFoundError:
+            # Past the pool: read_segment would wait on this very load.
+            [data] = self.local.read_segments(name, [key], meta.version)
+            if isinstance(data, SegmentNotFoundError):
                 raise TransientSegmentError(
                     f"no owner of {name}/{key.to_path()} is reachable "
                     f"(owners={list(owners)!r})"
-                ) from None
+                )
+            if not isinstance(data, bytes):
+                raise data  # an injected fault of a chaos-wrapped store
             self._fallback_local.inc()
             return data
 
-        data = self._cache.get_or_load((name, key), fetch)
+        pool = self.local.segment_cache
+        if pool is None:
+            return load()
+        data = pool.get_or_load(key.cache_key(name, entry.file_version), load)
         if not loaded:
             self._cache_hits.inc()
         return data

@@ -245,7 +245,7 @@ class SegmentServer:
         ).labels()
         # Drop coherence: registered against the storage manager while
         # the server runs, so dropping a video also drops its pinned wire
-        # buffers and peer-fetched copies (see _on_storage_drop).
+        # buffers (see _on_storage_drop).
         self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -284,10 +284,9 @@ class SegmentServer:
     def update_shard_map(self, shard_map: ShardMap, peers=None) -> int:
         """Swap in a new placement blueprint (loop thread only).
 
-        The backend refuses version rollback and forgets its
-        peer-fetched copies; here every pinned segment this node no
-        longer owns is dropped — RAM freed for the hot set the new map
-        actually routes here. Returns the number of pins dropped.
+        The backend refuses version rollback; here every pinned segment
+        this node no longer owns is dropped — RAM freed for the hot set the
+        new map actually routes here. Returns the number of pins dropped.
         """
         if self._sharded is None:
             raise ValueError("a shard map needs a node_id for this server")
@@ -303,16 +302,14 @@ class SegmentServer:
         return dropped
 
     def _on_storage_drop(self, name: str) -> None:
-        """Storage drop listener: invalidate every derived copy of the
-        dropped video's bytes. Runs on the dropping thread, so the hot
-        set (loop-only by contract) is touched via the loop."""
+        """Storage drop listener: unpin the dropped video's wire buffers
+        (storage clears its own pool). Runs on the dropping thread, so the
+        hot set (loop-only by contract) is touched via the loop."""
         loop = self._loop
 
         def invalidate() -> None:
             self.hot.unpin_prefix(f"{SEGMENT_ROUTE}{name}/")
             self._video_bound.pop(name, None)
-            if self._sharded is not None:
-                self._sharded.invalidate(name)
 
         if loop is None or loop.is_closed():
             return

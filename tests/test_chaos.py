@@ -208,6 +208,21 @@ class TestChaosStorageManager:
         # Non-read attributes delegate too.
         assert storage.meta("clip").gop_count == session_db.meta("clip").gop_count
 
+    def test_read_resolves_the_version_once(self, session_db, monkeypatch):
+        # The fault is decided on the version the read serves: one
+        # catalog listing per wrapped read, as for a plain one.
+        catalog = session_db.storage.catalog
+        listings = []
+        scan = catalog.scan_versions
+        monkeypatch.setattr(
+            catalog, "scan_versions", lambda name: listings.append(name) or scan(name)
+        )
+        storage = self._wrap(session_db)
+        session_db.storage.read_segment("clip", 0, (0, 0), Quality.HIGH)
+        assert len(listings) == 1
+        storage.read_segment("clip", 0, (0, 0), Quality.HIGH)
+        assert len(listings) == 2
+
     def test_read_window_cannot_bypass_injection(self, session_db):
         storage = self._wrap(session_db, FaultRule(kind="missing", calls=(1,)))
         quality_map = {

@@ -85,13 +85,6 @@ class TestEviction:
         assert cache.get(("v1", 0)) is None
         assert cache.get(("v2", 0)) == b"z"
 
-    def test_clear(self):
-        cache = LruSegmentCache(100)
-        cache.put("a", b"12")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.size_bytes == 0
-
 
 class TestGetOrLoad:
     def test_loads_on_miss_then_serves_cached(self):
@@ -274,18 +267,6 @@ class TestInvalidationFencing:
         thread_b.join(timeout=5.0)
         assert cache.get(("v1", 0)) is None  # fenced
         assert cache.get(("v2", 0)) == b"keep"  # untouched prefix cached fine
-
-    def test_clear_fences_all_inflight(self):
-        cache = LruSegmentCache(10_000)
-        thread_a, gate_a, _ = self._slow_leader(cache, "a")
-        thread_b, gate_b, _ = self._slow_leader(cache, "b")
-        cache.clear()
-        gate_a.set()
-        gate_b.set()
-        thread_a.join(timeout=5.0)
-        thread_b.join(timeout=5.0)
-        assert len(cache) == 0
-        assert cache.metrics.counter("cache.fenced_loads").total() == 2
 
 
 @pytest.fixture()

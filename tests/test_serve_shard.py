@@ -12,8 +12,8 @@ exercised over actual sockets. The contracts pinned here:
 * **Differential QoE** — a no-fault wire session through the sharded
   tier is JSON-equal to the single-server wire path and the simulated
   path.
-* **Coherence** — a shard-map change drops pins the node no longer owns
-  and refuses version rollback.
+* **Coherence** — a shard-map change drops pins the node no longer owns,
+  keeps pooled non-owned bytes, and refuses version rollback.
 """
 
 from __future__ import annotations
@@ -127,6 +127,7 @@ class TestByteIdentity:
         assert first == second
         assert tier.counter("node-0", "serve.peer_fetches") == 1
         assert tier.counter("node-0", "serve.peer_cache_hits") == 1
+        assert tier.counter("node-0", "cache.hits") == 1  # the store's buffer pool
 
 
 class TestErrorTaxonomy:
@@ -289,23 +290,25 @@ class TestCoherence:
         with pytest.raises(ValueError, match="refusing to roll back"):
             handle.update_shard_map(stale, tier.node_urls)
 
-    def test_map_change_clears_the_peer_cache(self, session_db, tier):
+    def test_map_change_keeps_pooled_non_owned_bytes(self, session_db, tier):
         manifest = session_db.storage.build_manifest("clip")
         key = next(
             key
             for key in sorted(manifest.segment_sizes, key=lambda k: k.to_path())
             if not tier.shard_map.owns("node-0", "clip", key)
         )
+        successor = tier.shard_map.with_nodes(NODES)
+        assert not successor.owns("node-0", "clip", key)
         with HttpSegmentClient(tier.node_urls["node-0"]) as client:
-            client.fetch_segment("clip", key)
-            tier.handles["node-0"].update_shard_map(
-                tier.shard_map.with_nodes(NODES), tier.node_urls
-            )
-            client.fetch_segment("clip", key)
-        # Two peer fetches: the second read missed because the topology
-        # change invalidated the cached copy.
-        assert tier.counter("node-0", "serve.peer_fetches") == 2
-        assert tier.counter("node-0", "serve.peer_cache_hits") == 0
+            first = client.fetch_segment("clip", key)
+            tier.handles["node-0"].update_shard_map(successor, tier.node_urls)
+            second = client.fetch_segment("clip", key)
+        # One peer fetch: pooled bytes are versioned and index-checked,
+        # so a topology change has nothing to invalidate.
+        assert first == second
+        assert tier.counter("node-0", "serve.peer_fetches") == 1
+        assert tier.counter("node-0", "serve.peer_cache_hits") == 1
+        assert tier.counter("node-0", "cache.hits") == 1  # the store's buffer pool
 
 
 class TestManifestPublication:
