@@ -33,11 +33,10 @@ def from_unit_vector(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``theta`` is returned in ``[0, 2*pi)`` and ``phi`` in ``[0, pi]``.
     The input does not need to be exactly normalised.
     """
-    vec = np.asarray(vec, dtype=np.float64)
-    norm = np.linalg.norm(vec, axis=-1)
-    z = np.clip(vec[..., 2] / np.where(norm == 0.0, 1.0, norm), -1.0, 1.0)
-    phi = np.arccos(z)
-    theta = np.arctan2(vec[..., 1], vec[..., 0]) % (2.0 * math.pi)
+    x, y, z = np.moveaxis(np.asarray(vec, dtype=np.float64), -1, 0)
+    norm = np.sqrt(x * x + y * y + z * z)
+    phi = np.arccos(np.clip(z / np.where(norm == 0.0, 1.0, norm), -1.0, 1.0))
+    theta = np.arctan2(y, x) % (2.0 * math.pi)
     return theta, phi
 
 

@@ -56,39 +56,54 @@ class Viewport:
         if not 0.0 < self.fov_phi < math.pi:
             raise ValueError(f"vertical FOV {self.fov_phi} outside (0, pi)")
 
-    def _camera_basis(self, orientation: Orientation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Forward/right/up unit vectors for a given gaze direction."""
-        forward = to_unit_vector(orientation.theta, orientation.phi)
-        world_up = np.array([0.0, 0.0, 1.0])
-        right = np.cross(forward, world_up)
-        norm = np.linalg.norm(right)
-        if norm < 1e-9:
-            # Looking straight at a pole: derive "right" from the azimuth so
-            # the viewport orientation stays continuous as phi crosses 0/pi.
-            right = np.array(
-                [-math.sin(orientation.theta), math.cos(orientation.theta), 0.0]
-            )
-        else:
-            right = right / norm
+    def _camera_basis(
+        self, thetas: np.ndarray, phis: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Forward/right/up unit vectors, each ``(..., 3)``, for gaze directions."""
+        forward = to_unit_vector(thetas, phis)
+        right = np.cross(forward, [0.0, 0.0, 1.0])
+        norm = np.linalg.norm(right, axis=-1, keepdims=True)
+        # Looking straight at a pole: derive "right" from the azimuth so
+        # the viewport orientation stays continuous as phi crosses 0/pi.
+        polar = np.stack([-np.sin(thetas), np.cos(thetas), np.zeros_like(thetas)], axis=-1)
+        right = np.where(norm < 1e-9, polar, right / np.maximum(norm, 1e-9))
         up = np.cross(right, forward)
         return forward, right, up
 
-    def ray_directions(self, orientation: Orientation, width: int, height: int) -> np.ndarray:
-        """Unit view rays for a ``height x width`` viewport raster, ``(h, w, 3)``."""
+    def _rays(self, thetas: np.ndarray, phis: np.ndarray, width: int, height: int) -> np.ndarray:
+        """Unit view rays ``(3, ..., height * width)``, axis first: one
+        row-major raster per gaze direction, each axis contiguous."""
         if width < 1 or height < 1:
             raise ValueError(f"viewport raster must be positive, got {width}x{height}")
-        forward, right, up = self._camera_basis(orientation)
+        forward, right, up = (
+            np.moveaxis(axis, -1, 0)[..., None] for axis in self._camera_basis(thetas, phis)
+        )
         tan_h = math.tan(self.fov_theta / 2.0)
         tan_v = math.tan(self.fov_phi / 2.0)
         u = (np.arange(width) + 0.5) / width * 2.0 - 1.0
         v = (np.arange(height) + 0.5) / height * 2.0 - 1.0
-        u_grid, v_grid = np.meshgrid(u * tan_h, v * tan_v)
-        rays = (
-            forward[None, None, :]
-            + u_grid[..., None] * right[None, None, :]
-            - v_grid[..., None] * up[None, None, :]
+        u_grid, v_grid = (grid.ravel() for grid in np.meshgrid(u * tan_h, v * tan_v))
+        rays = forward + u_grid * right - v_grid * up
+        return rays / np.sqrt(rays[0] * rays[0] + rays[1] * rays[1] + rays[2] * rays[2])
+
+    def ray_directions(self, orientation: Orientation, width: int, height: int) -> np.ndarray:
+        """Unit view rays for a ``height x width`` viewport raster, ``(h, w, 3)``."""
+        rays = self._rays(np.float64(orientation.theta), np.float64(orientation.phi), width, height)
+        return rays.T.reshape(height, width, 3)
+
+    def visible_mask(
+        self, thetas: np.ndarray, phis: np.ndarray, grid: TileGrid, samples: int = 15
+    ) -> np.ndarray:
+        """Batched :meth:`visible_tiles`: for gaze directions of any shape
+        ``(...)``, a boolean ``(..., grid.tile_count)`` array over
+        row-major tile indices, from the same ray lattice in one call."""
+        thetas, phis = np.broadcast_arrays(
+            np.asarray(thetas, dtype=np.float64), np.asarray(phis, dtype=np.float64)
         )
-        return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+        theta, phi = from_unit_vector(np.moveaxis(self._rays(thetas, phis, samples, samples), 0, -1))
+        mask = np.zeros((*thetas.shape, grid.tile_count), dtype=bool)
+        np.put_along_axis(mask, grid.tiles_of(theta, phi), True, axis=-1)
+        return mask
 
     def visible_tiles(
         self, orientation: Orientation, grid: TileGrid, samples: int = 15
@@ -101,10 +116,8 @@ class Viewport:
         not — near the poles a frustum's equirectangular footprint is not a
         rectangle at all.
         """
-        rays = self.ray_directions(orientation, samples, samples)
-        theta, phi = from_unit_vector(rays.reshape(-1, 3))
-        indices = np.unique(grid.tiles_of(theta, phi))
-        return {grid.tile_at(int(index)) for index in indices}
+        mask = self.visible_mask(orientation.theta, orientation.phi, grid, samples)
+        return {grid.tile_at(int(index)) for index in np.flatnonzero(mask)}
 
     def render(
         self,

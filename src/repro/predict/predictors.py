@@ -2,21 +2,24 @@
 
 All predictors share one online protocol: the streamer feeds them
 orientation observations as they arrive (``observe``) and asks for the
-expected orientation at a future time (``predict``). Tile-set prediction
-— the thing the streamer actually consumes — is derived by intersecting
-the predicted viewport with the tile grid, except for the Markov
-predictor, which predicts tile probabilities directly and can hedge across
-multiple likely tiles.
+expected orientation at a future time (``predict``). What the streamer
+consumes is a window *forecast* (``forecast``): equally weighted samples
+of the tiles the viewer may see, each the viewport footprint of one
+sampled pose path. The pose predictors sample around their predicted pose
+with a drift that grows with the horizon; the Markov predictor samples its
+tile distribution directly. ``predict_tiles`` is the single-set form the
+prediction study (E3) scores.
 """
 
 from __future__ import annotations
 
 import abc
 from collections import deque
+from statistics import NormalDist
 
 import numpy as np
 
-from repro.geometry.angles import clamp_phi, unwrap_theta, wrap_theta
+from repro.geometry.angles import angular_difference, clamp_phi, unwrap_theta, wrap_theta
 from repro.geometry.grid import TileGrid
 from repro.geometry.viewport import Orientation, Viewport
 from repro.predict.traces import Trace
@@ -31,6 +34,36 @@ SMOOTHING = 0.05
 #: Markov tile candidates less likely than this are never shipped beyond
 #: the modal tile.
 MIN_PROBABILITY = 0.05
+#: Equally weighted pose samples in one window forecast.
+FORECAST_SAMPLES = 48
+#: Pose drift per axis, (azimuth, elevation) in rad/s, scaled by the
+#: horizon. The azimuth rate is a smooth-pursuit head speed, ~20 deg/s (the
+#: pursuit speed of the viewer model in ``repro.predict.traces``); the
+#: elevation rate is 0.6 of it, that model's vertical-to-horizontal ratio
+#: of target spread and fixation jitter.
+DRIFT_RATE = (0.35, 0.21)
+
+
+def _halton(index: int, base: int) -> float:
+    """The ``index``-th point (from 1) of the van der Corput sequence in ``base``."""
+    point, scale = 0.0, 1.0
+    while index:
+        scale /= base
+        index, digit = divmod(index, base)
+        point += digit * scale
+    return point
+
+
+#: The forecast's fixed draws, one row per sample: a standard normal step
+#: per axis and the fraction of the extrapolated motion kept, from a
+#: Halton sequence (bases 2, 3, 5). Row 0 is the predicted pose itself.
+DRIFT = np.array(
+    [(0.0, 0.0, 1.0)]
+    + [
+        (NormalDist().inv_cdf(_halton(k, 2)), NormalDist().inv_cdf(_halton(k, 3)), _halton(k, 5))
+        for k in range(1, FORECAST_SAMPLES)
+    ]
+)
 
 
 class Predictor(abc.ABC):
@@ -81,6 +114,33 @@ class Predictor(abc.ABC):
         predicted = self.predict(time)
         visible = viewport.visible_tiles(predicted, grid)
         return grid.expand(visible, margin=margin) if margin else visible
+
+    #: The rows of :data:`DRIFT` this predictor samples.
+    drift = DRIFT
+
+    def forecast(self, instants: np.ndarray, grid: TileGrid, viewport: Viewport) -> np.ndarray:
+        """Equally weighted window footprints, ``(samples, grid.tile_count)``
+        booleans over row-major tile indices; row 0 is the modal one.
+
+        Sample ``k`` keeps a fraction ``alpha_k`` of the motion from the last
+        observed pose to the predicted one (the viewer may stop or carry on)
+        and drifts by its normal step times :data:`DRIFT_RATE` times the
+        horizon; its footprint is the union of its viewports at every
+        window instant, with the same draws at each.
+        """
+        last_time, last = self.last_observation
+        centres = [self.predict(float(instant)) for instant in instants]
+        horizon = np.asarray(instants, dtype=np.float64) - last_time
+        theta_motion = np.array([angular_difference(c.theta, last.theta) for c in centres])
+        phi_motion = np.array([c.phi - last.phi for c in centres])
+        step, kept = self.drift[:, :2, None], self.drift[:, 2, None]
+        thetas = np.array([c.theta for c in centres]) + (
+            (kept - 1.0) * theta_motion + step[:, 0] * DRIFT_RATE[0] * horizon
+        )
+        phis = np.array([c.phi for c in centres]) + (
+            (kept - 1.0) * phi_motion + step[:, 1] * DRIFT_RATE[1] * horizon
+        )
+        return viewport.visible_mask(wrap_theta(thetas), clamp_phi(phis), grid).any(axis=1)
 
     def _history_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         times = np.array([entry[0] for entry in self._history])
@@ -239,10 +299,30 @@ class MarkovPredictor(Predictor):
             mass += float(distribution[index])
         return grid.expand(tiles, margin=margin) if margin else tiles
 
+    def forecast(self, instants: np.ndarray, grid: TileGrid, viewport: Viewport) -> np.ndarray:
+        """Footprints of tile-centre gazes drawn at fixed quantiles of the
+        rolled-forward distribution at each instant, likeliest tile first,
+        so row 0 is the modal path."""
+        if grid != self.grid:
+            raise ValueError("MarkovPredictor was trained on a different grid")
+        last_time, _ = self.last_observation
+        quantiles = np.arange(FORECAST_SAMPLES) / FORECAST_SAMPLES
+        centres = np.array([grid.rect(*grid.tile_at(index)).center() for index in range(grid.tile_count)])
+        paths = []
+        for instant in instants:
+            distribution = self._distribution(float(instant) - last_time)
+            order = np.argsort(-distribution, kind="stable")
+            drawn = np.searchsorted(np.cumsum(distribution[order]), quantiles, side="right")
+            paths.append(order[np.minimum(drawn, grid.tile_count - 1)])
+        gazes = centres[np.stack(paths, axis=1)]
+        return viewport.visible_mask(gazes[..., 0], gazes[..., 1], grid).any(axis=1)
+
 
 class OraclePredictor(Predictor):
     """Perfect foresight from the ground-truth trace: the upper bound on
-    what any predictor could save."""
+    what any predictor could save. Its forecast is the one true footprint."""
+
+    drift = DRIFT[:1]
 
     def __init__(self, trace: Trace) -> None:
         super().__init__()
