@@ -51,7 +51,6 @@ def test_e10_throughput_estimation(benchmark, bench_db, naive_rate):
                 policy=PredictiveTilingPolicy(),
                 bandwidth=link,
                 predictor="static",
-                margin=0,
                 estimator=factory(),
             )
             report = bench_db.serve(VIDEO, (trace, config))
@@ -90,7 +89,6 @@ def test_e10_throughput_estimation(benchmark, bench_db, naive_rate):
                     policy=PredictiveTilingPolicy(),
                     bandwidth=link,
                     predictor="static",
-                    margin=0,
                     estimator=HarmonicMeanEstimator(),
                 ),
             ),

@@ -88,7 +88,6 @@ def test_e11_popularity_storage(benchmark, tmp_path):
                         policy=PredictiveTilingPolicy(),
                         bandwidth=ConstantBandwidth(rate),
                         predictor="static",
-                        margin=0,
                         evaluate_quality=True,
                     ),
                 ),

@@ -41,7 +41,6 @@ def make_sessions(count, policy_factory, use_estimator):
                     policy=policy_factory(),
                     bandwidth=ConstantBandwidth(1e9),  # ignored in shared mode
                     predictor="static",
-                    margin=0,
                     estimator=HarmonicMeanEstimator() if use_estimator else None,
                 ),
             )

@@ -4,7 +4,9 @@ Reproduces the demonstration's central claim: predictive tiled delivery
 cuts bytes sent by up to ~60% versus naive full-quality sphere delivery,
 with un-tiled adaptive streaming unable to close the gap without giving
 up viewport quality. One row per (video, policy); savings are relative
-to the naive baseline on the same video and trace.
+to the naive baseline on the same video and trace, raw and matched (a
+window earns its savings only if every tile the viewer saw arrived at the
+top rung — the paper's "no reduction in quality" half).
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from bench_config import RESULTS_DIR, VIDEOS
 POLICIES = [
     ("naive", lambda: NaiveFullQuality(), {}),
     ("uniform", lambda: UniformAdaptive(), {}),
-    ("predictive (m=1)", lambda: PredictiveTilingPolicy(), {"margin": 1}),
-    ("predictive (m=0)", lambda: PredictiveTilingPolicy(), {"margin": 0}),
-    ("predictive (markov)", lambda: PredictiveTilingPolicy(), {"margin": 0, "predictor": "markov"}),
-    ("predictive (oracle)", lambda: PredictiveTilingPolicy(), {"margin": 0, "predictor": "oracle"}),
+    ("predictive", lambda: PredictiveTilingPolicy(), {}),
+    ("predictive (markov)", lambda: PredictiveTilingPolicy(), {"predictor": "markov"}),
+    ("predictive (oracle)", lambda: PredictiveTilingPolicy(), {"predictor": "oracle"}),
 ]
 
 
@@ -38,7 +39,6 @@ def run_policy(db, video, trace, rate, label, policy_factory, overrides):
         policy=policy_factory(),
         bandwidth=ConstantBandwidth(rate),
         predictor=overrides.get("predictor", "static"),
-        margin=overrides.get("margin", 1),
     )
     return db.serve(video, (trace, config))
 
@@ -57,12 +57,15 @@ def test_e1_bandwidth_by_policy(benchmark, bench_db, viewer_trace, naive_rate):
         baseline = reports[(video, "naive")]
         for label, _, _ in POLICIES:
             report = reports[(video, label)]
+            naive_bytes = sum(record.naive_bytes for record in report.records)
             rows.append(
                 {
                     "video": video,
                     "policy": label,
                     "bytes": report.total_bytes,
                     "savings_vs_naive_%": round(100 * report.bytes_saved_vs(baseline), 1),
+                    "matched_saved_%": round(100 * report.matched_bytes_saved / naive_bytes, 1),
+                    "out_of_view_bytes": report.out_of_view_bytes,
                     "stalls_s": round(report.stall_time, 2),
                 }
             )
@@ -71,16 +74,16 @@ def test_e1_bandwidth_by_policy(benchmark, bench_db, viewer_trace, naive_rate):
     # Shape checks: the figure's qualitative claims must hold.
     for video in VIDEOS:
         naive = reports[(video, "naive")].total_bytes
-        predictive = reports[(video, "predictive (m=0)")].total_bytes
-        assert predictive < 0.65 * naive, f"{video}: expected >35% savings"
+        predictive = reports[(video, "predictive")]
+        assert predictive.total_bytes < 0.65 * naive, f"{video}: expected >35% savings"
         # The oracle ships exactly the true visible set: far below naive,
-        # below the hedged margin-1 variant, and close to the margin-0
-        # variant (which may undershoot it by under-predicting).
-        oracle = reports[(video, "predictive (oracle)")].total_bytes
-        hedged = reports[(video, "predictive (m=1)")].total_bytes
-        assert oracle < 0.65 * naive
-        assert oracle < hedged
-        assert 0.8 * predictive < oracle < 1.2 * predictive
+        # below the hedged forecast, and every window of it is matched.
+        oracle = reports[(video, "predictive (oracle)")]
+        assert oracle.total_bytes < 0.65 * naive
+        assert oracle.total_bytes < predictive.total_bytes
+        assert oracle.matched_bytes_saved == naive - oracle.total_bytes
+        # Matched savings never exceed raw savings.
+        assert 0 <= predictive.matched_bytes_saved <= naive - predictive.total_bytes
 
     # Timed kernel: one full predictive session on the first video.
     video = VIDEOS[0]
@@ -91,9 +94,9 @@ def test_e1_bandwidth_by_policy(benchmark, bench_db, viewer_trace, naive_rate):
             video,
             viewer_trace,
             naive_rate[video],
-            "predictive (m=0)",
+            "predictive",
             lambda: PredictiveTilingPolicy(),
-            {"margin": 0},
+            {},
         ),
         rounds=1,
         iterations=1,

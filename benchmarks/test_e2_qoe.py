@@ -29,9 +29,8 @@ VIDEO = "venice"
 POLICIES = [
     ("naive", lambda: NaiveFullQuality(), {}),
     ("uniform", lambda: UniformAdaptive(), {}),
-    ("predictive (m=1)", lambda: PredictiveTilingPolicy(), {"margin": 1}),
-    ("predictive (m=0)", lambda: PredictiveTilingPolicy(), {"margin": 0}),
-    ("predictive (markov)", lambda: PredictiveTilingPolicy(), {"margin": 0, "predictor": "markov"}),
+    ("predictive", lambda: PredictiveTilingPolicy(), {}),
+    ("predictive (markov)", lambda: PredictiveTilingPolicy(), {"predictor": "markov"}),
 ]
 
 
@@ -40,7 +39,6 @@ def run(db, trace, rate, factory, overrides):
         policy=factory(),
         bandwidth=ConstantBandwidth(rate),
         predictor=overrides.get("predictor", "static"),
-        margin=overrides.get("margin", 1),
         evaluate_quality=True,
     )
     return db.serve(VIDEO, (trace, config))
@@ -68,7 +66,7 @@ def test_e2_viewport_quality(benchmark, bench_db, viewer_trace, naive_rate):
 
     naive = reports["naive"]
     uniform = reports["uniform"]
-    margin1 = reports["predictive (m=1)"]
+    predictive = reports["predictive"]
 
     # Naive defines the quality ceiling (measured against itself).
     assert naive.mean_viewport_psnr == pytest.approx(99.0)
@@ -76,13 +74,13 @@ def test_e2_viewport_quality(benchmark, bench_db, viewer_trace, naive_rate):
     assert uniform.mean_viewport_psnr < naive.mean_viewport_psnr - 5
     # ... while predictive delivery keeps the viewport near the ceiling
     # (better than uniform's whole-sphere degradation) at similar bytes.
-    assert margin1.mean_viewport_psnr > uniform.mean_viewport_psnr + 3
-    assert margin1.mean_visible_at_best > 0.75
-    assert margin1.total_bytes < naive.total_bytes
+    assert predictive.mean_viewport_psnr > uniform.mean_viewport_psnr + 3
+    assert predictive.mean_visible_at_best > 0.75
+    assert predictive.total_bytes < naive.total_bytes
 
     benchmark.pedantic(
         run,
-        args=(bench_db, viewer_trace, rate, lambda: PredictiveTilingPolicy(), {"margin": 1}),
+        args=(bench_db, viewer_trace, rate, lambda: PredictiveTilingPolicy(), {}),
         rounds=1,
         iterations=1,
     )

@@ -61,7 +61,6 @@ def run_config(db, name, trace, gop_frames, grid):
                 policy=PredictiveTilingPolicy(),
                 bandwidth=ConstantBandwidth(rate),
                 predictor="static",
-                margin=0,
             ),
         ),
     )

@@ -63,7 +63,6 @@ def run_ladder(db, name, qualities, trace):
                 policy=PredictiveTilingPolicy(),
                 bandwidth=ConstantBandwidth(rate),
                 predictor="static",
-                margin=0,
                 evaluate_quality=True,
             ),
         ),

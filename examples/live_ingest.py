@@ -79,7 +79,6 @@ def main() -> None:
                 policy=PredictiveTilingPolicy(),
                 bandwidth=ConstantBandwidth(15_000),
                 predictor="static",
-                margin=0,
             ),
         ),
     )

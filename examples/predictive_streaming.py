@@ -64,14 +64,14 @@ def main() -> None:
     link = ConstantBandwidth(naive_rate)
 
     strategies = [
-        ("naive", NaiveFullQuality(), "static", 1),
-        ("uniform DASH", UniformAdaptive(), "static", 1),
-        ("predictive (static)", PredictiveTilingPolicy(), "static", 1),
-        ("predictive (markov)", PredictiveTilingPolicy(), "markov", 0),
+        ("naive", NaiveFullQuality(), "static"),
+        ("uniform DASH", UniformAdaptive(), "static"),
+        ("predictive (static)", PredictiveTilingPolicy(), "static"),
+        ("predictive (markov)", PredictiveTilingPolicy(), "markov"),
     ]
     rows = []
     baseline = None
-    for label, policy, predictor, margin in strategies:
+    for label, policy, predictor in strategies:
         report = db.serve(
             "coaster",
             (
@@ -80,7 +80,6 @@ def main() -> None:
                     policy=policy,
                     bandwidth=link,
                     predictor=predictor,
-                    margin=margin,
                     evaluate_quality=True,
                 ),
             ),

@@ -89,7 +89,6 @@ def main() -> None:
                 policy=PredictiveTilingPolicy(),
                 bandwidth=link,
                 predictor="static",
-                margin=0,
             ),
         ),
     )

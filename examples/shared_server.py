@@ -76,7 +76,6 @@ def main() -> None:
                         policy=policy_factory(),
                         bandwidth=ConstantBandwidth(1e9),  # ignored: shared link rules
                         predictor="static",
-                        margin=0,
                         estimator=HarmonicMeanEstimator() if use_estimator else None,
                     ),
                 )

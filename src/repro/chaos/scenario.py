@@ -104,7 +104,7 @@ _FPS = 4.0
 #: The plan's dict sections and every key each may set. Anything else is a
 #: typo that would silently drop a knob or an invariant: ``from_json`` rejects it.
 #: A knob every plan set to one value is not a key: the runner states it once,
-#: below (the clip's shape, ``SessionConfig``'s predictor and margin, the
+#: below (the clip's shape, ``SessionConfig``'s predictor, the
 #: shard map's replication factor, the controller's and client's settings).
 _KEYS = {
     "video": "profile qualities",
@@ -213,8 +213,8 @@ class Scenario:
         return self.plan.apply_to_bandwidth(ConstantBandwidth(rate))
 
     def session_config(self) -> SessionConfig:
-        """One viewer's session knobs — the same in every mode; predictor
-        and margin are ``SessionConfig``'s."""
+        """One viewer's session knobs — the same in every mode; the
+        predictor is ``SessionConfig``'s."""
         return SessionConfig(
             policy=POLICIES[self.sessions.get("policy", "predictive")](),
             bandwidth=self.bandwidth(),

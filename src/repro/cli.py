@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=SessionConfig.predictor,
     )
     serve.add_argument("--bandwidth", type=float, default=20_000.0, help="bytes/second")
-    serve.add_argument("--margin", type=int, default=SessionConfig.margin)
     serve.add_argument("--viewer-seed", type=int, default=0)
     serve.add_argument("--probe", action="store_true", help="compute viewport PSNR")
     serve.add_argument(
@@ -329,7 +328,6 @@ def _command_serve(db: VisualCloud, args) -> None:
         policy=POLICIES[args.policy](),
         bandwidth=ConstantBandwidth(args.bandwidth),
         predictor=args.predictor,
-        margin=args.margin,
         evaluate_quality=args.probe,
     )
     if args.transport == "http":
@@ -348,7 +346,7 @@ def _command_serve(db: VisualCloud, args) -> None:
     else:
         report = db.serve(args.name, (trace, config))
     for key, value in report.summary().items():
-        print(f"{key:>18}: {value}")
+        print(f"{key:>19}: {value}")
 
 
 def _command_export(db: VisualCloud, args) -> None:

@@ -1,11 +1,11 @@
 """The delivery engine: per-session adaptive tile streaming.
 
 For every delivery window of a session the streamer (1) asks the
-predictor which tiles the viewer will see when the window plays, (2) asks
-the quality policy for a per-tile quality assignment under the link
-budget, (3) assembles the window homomorphically from stored segments,
-and (4) accounts for the transfer on the simulated link and the client's
-playback schedule. The output is a :class:`repro.stream.qoe.QoEReport`.
+predictor for a forecast of the tiles the viewer may see when the window
+plays, (2) asks the quality policy for a per-tile quality assignment
+under the link budget, (3) assembles the window homomorphically from
+stored segments, and (4) accounts for the transfer on the simulated link
+and the client's playback schedule. The output is a :class:`repro.stream.qoe.QoEReport`.
 
 Timing model
 ------------
@@ -30,6 +30,7 @@ from repro.core.predictor import PredictionService
 from repro.core.resilience import RetryPolicy, read_window_resilient
 from repro.core.storage import StorageManager
 from repro.obs import MetricsRegistry
+from repro.geometry.grid import TileGrid
 from repro.geometry.viewport import Orientation, Viewport
 from repro.predict.predictors import Predictor
 from repro.predict.traces import Trace
@@ -41,7 +42,7 @@ from repro.stream.network import BandwidthModel, SimulatedLink
 from repro.stream.qoe import QoEReport, WindowRecord
 from repro.video.tiles import TiledGop
 
-#: Orientation samples per window for predicted and ground-truth tile sets.
+#: Orientation instants per window for forecast and ground-truth footprints.
 WINDOW_SAMPLES = 3
 
 
@@ -55,7 +56,10 @@ class SessionConfig:
     #: one place it is stated: the CLI and the chaos runner read it from here.
     predictor: str = "static"
     viewport: Viewport = field(default_factory=Viewport)
-    margin: int = 1  # extra tile rings around the predicted viewport
+    #: Not read on the delivery path: the policy's forecast is the hedge.
+    #: Kept only because the benchmark's session arms pass it; removing it
+    #: waits on ROADMAP item 8 (e).
+    margin: int = 1
     buffer_windows: float = 1.0  # request lead, in window durations
     rtt: float = 0.0  # per-request round-trip latency, seconds
     evaluate_quality: bool = False  # run the (expensive) viewport PSNR probe
@@ -258,13 +262,8 @@ class Streamer:
         session.trace_cursor = self._observe(
             session.predictor, session.trace, session.trace_cursor, media_now
         )
-        predicted = self._window_tiles(
-            window_start,
-            window_end,
-            lambda at: session.predictor.predict_tiles(
-                at, manifest.grid, config.viewport, config.margin
-            ),
-        )
+        instants = self._instants(window_start, window_end)
+        forecast = session.predictor.forecast(instants, manifest.grid, config.viewport)
         # Before any transfer completes an estimator has no signal; start
         # from the link's current rate, as a probing client would. Without
         # an estimator the session reads the link's raw capacity — on a
@@ -276,7 +275,7 @@ class Streamer:
         if bandwidth_estimate is None:
             bandwidth_estimate = link.model.rate_at(request_time)
         budget = estimate_budget(bandwidth_estimate, duration)
-        quality_map = config.policy.assign(manifest, window, predicted, budget)
+        quality_map = config.policy.assign(manifest, window, forecast, budget)
         missing = set(manifest.grid.tiles()) - set(quality_map)
         if missing:
             raise ValueError(
@@ -348,6 +347,12 @@ class Streamer:
                 "sharedlink.bytes_sent", "bytes through the shared link"
             ).inc(size)
 
+        # Ground truth: what the viewer actually saw during the window.
+        poses = [session.trace.orientation_at(float(at)) for at in instants]
+        seen = config.viewport.visible_mask(
+            [pose.theta for pose in poses], [pose.phi for pose in poses], manifest.grid
+        ).any(axis=0)
+        visible = self._tiles(manifest.grid, seen)
         record = WindowRecord(
             window=window,
             request_time=request_time,
@@ -356,15 +361,14 @@ class Streamer:
             stall_seconds=stall,
             bytes_sent=size,
             quality_map=quality_map,
-            predicted_tiles=predicted,
+            predicted_tiles=self._tiles(manifest.grid, forecast[0]),
             ladder_best=manifest.best_quality,
-            # Ground truth: what the viewer actually saw during the window.
-            visible_tiles=self._window_tiles(
-                window_start,
-                window_end,
-                lambda at: config.viewport.visible_tiles(
-                    session.trace.orientation_at(at), manifest.grid
-                ),
+            visible_tiles=visible,
+            naive_bytes=manifest.full_sphere_size(window, manifest.best_quality),
+            out_of_view_bytes=sum(
+                manifest.size_of(window, tile, quality)
+                for tile, quality in quality_map.items()
+                if tile not in visible
             ),
             requested_map=requested_map,
             events=result.events,
@@ -404,12 +408,14 @@ class Streamer:
         return cursor
 
     @staticmethod
-    def _window_tiles(window_start: float, window_end: float, tiles_at) -> set[tuple[int, int]]:
-        """Union of ``tiles_at(instant)`` over the window's interior sample instants."""
-        tiles: set[tuple[int, int]] = set()
-        for instant in np.linspace(window_start, window_end, WINDOW_SAMPLES + 2)[1:-1]:
-            tiles |= tiles_at(float(instant))
-        return tiles
+    def _instants(window_start: float, window_end: float) -> np.ndarray:
+        """The window's :data:`WINDOW_SAMPLES` interior sample instants."""
+        return np.linspace(window_start, window_end, WINDOW_SAMPLES + 2)[1:-1]
+
+    @staticmethod
+    def _tiles(grid: TileGrid, mask: np.ndarray) -> set[tuple[int, int]]:
+        """The tile set of a boolean mask over row-major tile indices."""
+        return {grid.tile_at(int(index)) for index in np.flatnonzero(mask)}
 
     def _probe_window(
         self,

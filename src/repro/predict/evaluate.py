@@ -90,7 +90,6 @@ def tile_prediction_scores(
     hits = 0
     visible_total = 0
     predicted_total = 0
-    correct_predicted = 0
     evaluations = 0
     next_eval = trace.times[0] + warmup
     for time, theta, phi in zip(trace.times, trace.thetas, trace.phis):
@@ -104,13 +103,12 @@ def tile_prediction_scores(
         hits += len(predicted & truth)
         visible_total += len(truth)
         predicted_total += len(predicted)
-        correct_predicted += len(predicted & truth)
         evaluations += 1
     if evaluations == 0:
         raise ValueError("trace too short for the requested horizon/warmup")
     return TileScores(
         recall=hits / visible_total if visible_total else float("nan"),
-        precision=correct_predicted / predicted_total if predicted_total else 0.0,
+        precision=hits / predicted_total if predicted_total else 0.0,
         mean_predicted=predicted_total / evaluations,
         evaluations=evaluations,
     )

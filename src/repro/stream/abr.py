@@ -9,15 +9,23 @@ are the systems the evaluation compares:
   whole sphere at top quality, ignore the budget.
 * :class:`UniformAdaptive` — classic un-tiled DASH: one quality for the
   whole sphere, the best that fits the budget.
-* :class:`PredictiveTilingPolicy` — VisualCloud: top quality inside the
-  predicted viewport, the floor quality elsewhere, degrading gracefully
-  when even that exceeds the budget.
+* :class:`PredictiveTilingPolicy` — VisualCloud: top quality on the tiles
+  that maximise the expected matched savings over the window forecast,
+  the floor quality elsewhere, degrading gracefully when even the modal
+  viewport exceeds the budget.
+
+``predicted_tiles`` is either a plain tile set (one certain footprint) or
+a forecast: a boolean ``(samples, tile_count)`` array of equally weighted
+footprints over row-major tile indices, row 0 the modal one (see
+:meth:`repro.predict.predictors.Predictor.forecast`).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.stream.dash import Manifest
 from repro.video.quality import Quality
@@ -35,7 +43,7 @@ class QualityPolicy(abc.ABC):
         self,
         manifest: Manifest,
         window: int,
-        predicted_tiles: set[tuple[int, int]],
+        predicted_tiles: set[tuple[int, int]] | np.ndarray,
         budget_bytes: float,
     ) -> QualityMap:
         """Quality per tile. Every grid tile must appear in the result —
@@ -52,7 +60,7 @@ class NaiveFullQuality(QualityPolicy):
         self,
         manifest: Manifest,
         window: int,
-        predicted_tiles: set[tuple[int, int]],
+        predicted_tiles: set[tuple[int, int]] | np.ndarray,
         budget_bytes: float,
     ) -> QualityMap:
         return {tile: manifest.best_quality for tile in manifest.grid.tiles()}
@@ -72,7 +80,7 @@ class UniformAdaptive(QualityPolicy):
         self,
         manifest: Manifest,
         window: int,
-        predicted_tiles: set[tuple[int, int]],
+        predicted_tiles: set[tuple[int, int]] | np.ndarray,
         budget_bytes: float,
     ) -> QualityMap:
         for quality in manifest.qualities:
@@ -85,12 +93,14 @@ class UniformAdaptive(QualityPolicy):
 class PredictiveTilingPolicy(QualityPolicy):
     """VisualCloud's policy: spend quality where the viewer will look.
 
-    Starts from (predicted -> ladder top, rest -> ladder floor) and, if
-    the budget is exceeded, steps the predicted tiles down one rung at a
-    time. If the budget allows, unpredicted tiles are *not* upgraded —
-    spare budget is headroom against bandwidth variance, matching the
-    demo's behaviour of shipping background tiles at low quality
-    unconditionally.
+    Picks the top-rung set S that maximises the expected matched credit,
+    P(every visible tile in S) x (naive bytes - window bytes(S)), with the
+    rest at the floor. S starts from the modal footprint and grows by
+    tiles in order of forecast frequency per extra byte; every prefix is
+    scored against the forecast and the best one that fits the budget
+    wins. Spare budget is not spent: a tile is upgraded only when it buys
+    more expected credit than it costs. If the modal footprint does not
+    fit at the top rung, its rung steps down one at a time instead.
     """
 
     name: str = "predictive"
@@ -99,22 +109,55 @@ class PredictiveTilingPolicy(QualityPolicy):
         self,
         manifest: Manifest,
         window: int,
-        predicted_tiles: set[tuple[int, int]],
+        predicted_tiles: set[tuple[int, int]] | np.ndarray,
         budget_bytes: float,
     ) -> QualityMap:
+        grid = manifest.grid
         ladder = manifest.qualities
-        all_tiles = set(manifest.grid.tiles())
-        predicted = predicted_tiles & all_tiles
-        background = all_tiles - predicted
+        tiles = list(grid.tiles())
+        if isinstance(predicted_tiles, np.ndarray):
+            footprints = predicted_tiles
+        else:
+            footprints = np.zeros((1, grid.tile_count), dtype=bool)
+            footprints[0, [grid.index_of(*tile) for tile in predicted_tiles & set(tiles)]] = True
+        modal = footprints[0]
 
-        # Degradation schedule: step the predicted rung toward the floor.
-        for quality in ladder:
-            quality_map = {tile: quality for tile in predicted}
-            quality_map.update({tile: ladder[-1] for tile in background})
+        def sizes(quality):
+            return np.array(
+                [manifest.size_of(window, tile, manifest.resolve(window, tile, quality)) for tile in tiles]
+            )
+
+        top, floor = sizes(ladder[0]), sizes(ladder[-1])
+        extra = top - floor
+        base = int(floor.sum() + extra[modal].sum())
+        if base <= budget_bytes:
+            frequency = footprints.mean(axis=0)
+            candidates = np.flatnonzero((frequency > 0) & ~modal)
+            order = candidates[
+                np.argsort(-frequency[candidates] / np.maximum(extra[candidates], 1), kind="stable")
+            ]
+            # Prefix j (the modal footprint plus the first j candidates)
+            # covers sample k once it holds the latest-ranked tile of k.
+            rank = np.zeros(grid.tile_count, dtype=np.int64)
+            rank[order] = np.arange(1, order.size + 1)
+            covered_at = np.where(footprints, rank, 0).max(axis=1)
+            covered = np.cumsum(np.bincount(covered_at, minlength=order.size + 1))
+            sent = base + np.concatenate(([0], np.cumsum(extra[order])))
+            score = covered * (top.sum() - sent)
+            best = int(np.argmax(np.where(sent <= budget_bytes, score, -1)))
+            chosen = set(np.flatnonzero(modal)) | set(order[:best].tolist())
+            return {
+                tile: ladder[0] if index in chosen else ladder[-1]
+                for index, tile in enumerate(tiles)
+            }
+        # Degradation schedule: step the modal footprint toward the floor.
+        predicted = {tile for index, tile in enumerate(tiles) if modal[index]}
+        for quality in ladder[1:]:
+            quality_map = {tile: quality if tile in predicted else ladder[-1] for tile in tiles}
             if manifest.window_size(window, quality_map) <= budget_bytes:
                 return quality_map
         # Nothing fits: everything at the floor, accept the stall risk.
-        return {tile: ladder[-1] for tile in all_tiles}
+        return {tile: ladder[-1] for tile in tiles}
 
 
 #: Every policy under its ``name``: what ``--policy`` and a plan's ``sessions.policy`` pick from.

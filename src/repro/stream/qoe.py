@@ -78,6 +78,11 @@ class WindowRecord:
     requested_map: dict[tuple[int, int], Quality] | None = None
     #: Retries, degradations, and skips charged to this window.
     events: list[DegradationEvent] = field(default_factory=list)
+    #: What naive delivery ships for this window: the whole sphere at the
+    #: ladder's best rung.
+    naive_bytes: int = 0
+    #: Bytes of the delivered tiles the viewer never saw this window.
+    out_of_view_bytes: int = 0
 
     @property
     def visible_at_best(self) -> float:
@@ -168,6 +173,22 @@ class QoEReport:
         """Transient read errors healed by retry (requested rung shipped)."""
         return sum(1 for event in self.degradation_events if event.kind == "retry")
 
+    @property
+    def matched_bytes_saved(self) -> int:
+        """The paper's savings at equal in-viewport quality: a window earns
+        ``naive_bytes - bytes_sent`` only if every tile the viewer saw
+        arrived at the ladder's best rung, and nothing otherwise."""
+        return sum(
+            record.naive_bytes - record.bytes_sent
+            for record in self.records
+            if record.visible_at_best == 1.0
+        )
+
+    @property
+    def out_of_view_bytes(self) -> int:
+        """Delivered bytes of tiles the viewer never saw."""
+        return sum(record.out_of_view_bytes for record in self.records)
+
     def bytes_saved_vs(self, baseline: "QoEReport") -> float:
         """Fractional byte reduction relative to a baseline session."""
         if baseline.total_bytes == 0:
@@ -186,4 +207,6 @@ class QoEReport:
             "quality_switches": self.quality_switches,
             "degradations": self.degradation_count,
             "retries": self.retry_count,
+            "matched_bytes_saved": self.matched_bytes_saved,
+            "out_of_view_bytes": self.out_of_view_bytes,
         }

@@ -48,7 +48,6 @@ def make_sessions(count, predictor="static", estimator=False):
             policy=PredictiveTilingPolicy(),
             bandwidth=ConstantBandwidth(1e9),  # ignored in shared mode
             predictor=predictor,
-            margin=0,
             estimator=HarmonicMeanEstimator() if estimator else None,
         )
         sessions.append(("clip", population.trace(user, DURATION, rate=10.0), config))
@@ -92,7 +91,6 @@ class TestSharedLink:
             # estimator lags it, so every axis changes the outcome.
             bandwidth=SteppedBandwidth(((0.0, 1.5 * rate), (0.6, 0.45 * rate))),
             predictor="deadreckoning",
-            margin=0,
             rtt=rtt,
             buffer_windows=buffer_windows,
             estimator=HarmonicMeanEstimator() if estimator else None,
@@ -281,7 +279,6 @@ class TestEstimatorIsolation:
                 policy=PredictiveTilingPolicy(),
                 bandwidth=ConstantBandwidth(1e9),
                 predictor="static",
-                margin=0,
                 estimator=HarmonicMeanEstimator(),
             )
 
@@ -307,7 +304,6 @@ class TestEstimatorIsolation:
             policy=PredictiveTilingPolicy(),
             bandwidth=ConstantBandwidth(1e9),
             predictor="static",
-            margin=0,
             estimator=estimator,
         )
         population = ViewerPopulation(seed=3)
@@ -340,7 +336,6 @@ class TestEstimatorIsolation:
             policy=PredictiveTilingPolicy(),
             bandwidth=ConstantBandwidth(1e9),
             predictor="static",
-            margin=0,
             estimator=probe,
         )
         population = ViewerPopulation(seed=3)
@@ -381,7 +376,6 @@ class TestServeAllMetrics:
                     policy=PredictiveTilingPolicy(),
                     bandwidth=ConstantBandwidth(1e9),
                     predictor="static",
-                    margin=0,
                     estimator=HarmonicMeanEstimator(),
                 ),
             )

@@ -134,7 +134,6 @@ class TestPartialStorageEndToEnd:
                     policy=PredictiveTilingPolicy(),
                     bandwidth=ConstantBandwidth(1e6),
                     predictor="static",
-                    margin=0,
                 ),
             ),
         )

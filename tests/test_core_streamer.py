@@ -1,5 +1,6 @@
 """Integration tests for the delivery engine."""
 
+import json
 import math
 
 import pytest
@@ -49,7 +50,7 @@ class TestBasicSessions:
     def test_predictive_saves_bytes(self, served, trace):
         naive = served.serve("clip", trace, session(NaiveFullQuality()))
         predictive = served.serve(
-            "clip", trace, session(PredictiveTilingPolicy(), margin=0)
+            "clip", trace, session(PredictiveTilingPolicy())
         )
         assert predictive.bytes_saved_vs(naive) > 0.2
 
@@ -58,7 +59,7 @@ class TestBasicSessions:
             return served.serve(
                 "clip",
                 trace,
-                session(PredictiveTilingPolicy(), predictor=kind, margin=0),
+                session(PredictiveTilingPolicy(), predictor=kind),
             ).total_bytes
 
         assert run("oracle") <= run("static") * 1.1
@@ -104,7 +105,7 @@ class TestStalls:
         bandwidth = naive_rate * 0.7
         naive = served.serve("clip", trace, session(NaiveFullQuality(), bandwidth=bandwidth))
         adaptive = served.serve(
-            "clip", trace, session(PredictiveTilingPolicy(), bandwidth=bandwidth, margin=0)
+            "clip", trace, session(PredictiveTilingPolicy(), bandwidth=bandwidth)
         )
         assert adaptive.stall_time < naive.stall_time
 
@@ -121,7 +122,7 @@ class TestStalls:
 
 class TestQualityProbe:
     def test_probe_fills_viewport_psnr(self, served, trace):
-        config = session(PredictiveTilingPolicy(), evaluate_quality=True, margin=0)
+        config = session(PredictiveTilingPolicy(), evaluate_quality=True)
         report = served.serve("clip", trace, config)
         assert not math.isnan(report.mean_viewport_psnr)
 
@@ -142,7 +143,7 @@ class TestQualityProbe:
 
     def test_predictive_viewport_quality_stays_high(self, served, trace):
         """The headline QoE claim: quality in the viewport barely drops."""
-        config = session(PredictiveTilingPolicy(), evaluate_quality=True, margin=1)
+        config = session(PredictiveTilingPolicy(), evaluate_quality=True)
         report = served.serve("clip", trace, config)
         assert report.mean_viewport_psnr > 30
 
@@ -162,10 +163,57 @@ class TestPredictorsInLoop:
         assert len(report.records) == 5
 
     def test_oracle_has_perfect_recall(self, served, trace):
-        config = session(PredictiveTilingPolicy(), predictor="oracle", margin=0)
+        config = session(PredictiveTilingPolicy(), predictor="oracle")
         report = served.serve("clip", trace, config)
         for record in report.records:
             assert record.visible_tiles <= record.predicted_tiles
+
+
+class TestForecastDelivery:
+    def test_oracle_forecast_is_the_true_footprint(self, served, trace):
+        """The oracle's one footprint is the ground truth exactly: every
+        window is matched, and each window ships the bytes a margin-0
+        oracle session shipped when the hedge was a fixed ring (5,143 in
+        all), whatever the link."""
+        for bandwidth in (50_000.0, 1e9):
+            config = session(PredictiveTilingPolicy(), bandwidth=bandwidth, predictor="oracle")
+            report = served.serve("clip", trace, config)
+            assert [r.visible_at_best for r in report.records] == [1.0] * 5
+            assert all(r.predicted_tiles == r.visible_tiles for r in report.records)
+            assert [r.bytes_sent for r in report.records] == [1026, 1020, 1007, 1035, 1055]
+
+    def test_matched_savings_agree_with_the_benchmark_formula(self, served, trace):
+        """``matched_bytes_saved`` and ``out_of_view_bytes`` recomputed from
+        the records the way ``benchmarks/perf/sessions.py::digest`` does."""
+        manifest = served.storage.build_manifest("clip")
+        best = manifest.best_quality
+        for kind in ("static", "deadreckoning", "oracle"):
+            report = served.serve("clip", trace, session(PredictiveTilingPolicy(), predictor=kind))
+            credit = out_of_view = 0
+            for record in report.records:
+                full = manifest.full_sphere_size(record.window, best)
+                if record.visible_at_best == 1.0:
+                    credit += full - record.bytes_sent
+                out_of_view += sum(
+                    manifest.size_of(record.window, tile, quality)
+                    for tile, quality in record.quality_map.items()
+                    if tile not in record.visible_tiles
+                )
+            assert report.matched_bytes_saved == credit
+            assert report.out_of_view_bytes == out_of_view
+            assert report.summary()["matched_bytes_saved"] == credit
+            assert report.summary()["out_of_view_bytes"] == out_of_view
+
+    def test_wire_summary_equals_sim(self, served, trace):
+        from repro.serve import serve_session, start_server
+
+        config = session(PredictiveTilingPolicy(), predictor="deadreckoning")
+        simulated = served.serve("clip", trace, config)
+        with start_server(served.storage) as handle:
+            wire = serve_session(handle.base_url, "clip", trace, config)
+        assert json.dumps(wire.summary(), sort_keys=True) == json.dumps(
+            simulated.summary(), sort_keys=True
+        )
 
 
 class TestBufferCoupling:
@@ -179,7 +227,6 @@ class TestBufferCoupling:
         def recall(buffer_windows):
             config = session(
                 PredictiveTilingPolicy(),
-                margin=0,
                 buffer_windows=buffer_windows,
             )
             report = served.serve("clip", trace, config)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.grid import TileGrid
+from repro.geometry.sphere import to_unit_vector
 from repro.geometry.viewport import Orientation, Viewport
 
 
@@ -90,6 +91,73 @@ class TestVisibleTiles:
         visible = Viewport().visible_tiles(Orientation(0.0, math.pi / 2), grid)
         columns = {col for _, col in visible}
         assert 0 in columns and 7 in columns
+
+
+def reference_rays(viewport, orientation, width, height):
+    """One gaze's rays, computed one orientation at a time as the
+    per-gaze code always did: the reference the batched form must equal
+    bit for bit."""
+    forward = to_unit_vector(orientation.theta, orientation.phi)
+    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+    norm = np.linalg.norm(right)
+    if norm < 1e-9:
+        right = np.array([-math.sin(orientation.theta), math.cos(orientation.theta), 0.0])
+    else:
+        right = right / norm
+    up = np.cross(right, forward)
+    u = (np.arange(width) + 0.5) / width * 2.0 - 1.0
+    v = (np.arange(height) + 0.5) / height * 2.0 - 1.0
+    u_grid, v_grid = np.meshgrid(
+        u * math.tan(viewport.fov_theta / 2.0), v * math.tan(viewport.fov_phi / 2.0)
+    )
+    rays = forward + u_grid[..., None] * right - v_grid[..., None] * up
+    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+
+
+def reference_visible_tiles(viewport, orientation, grid, samples=15):
+    rays = reference_rays(viewport, orientation, samples, samples).reshape(-1, 3)
+    norm = np.linalg.norm(rays, axis=-1)
+    phi = np.arccos(np.clip(rays[:, 2] / np.where(norm == 0.0, 1.0, norm), -1.0, 1.0))
+    theta = np.arctan2(rays[:, 1], rays[:, 0]) % (2.0 * math.pi)
+    return {grid.tile_at(int(i)) for i in np.unique(grid.tiles_of(theta, phi))}
+
+
+class TestVisibleMask:
+    """The batched footprint is the per-gaze ray cast, gaze by gaze."""
+
+    @pytest.mark.parametrize("shape", [(4, 8), (3, 6), (2, 4)])
+    def test_equals_visible_tiles_on_a_lattice(self, shape):
+        grid = TileGrid(*shape)
+        viewport = Viewport()
+        # Both poles, the theta seam from either side, and tile edges.
+        thetas = [0.0, 1e-12, 2 * math.pi - 1e-12] + list(np.linspace(0, 2 * math.pi, 17)[1:-1])
+        phis = [0.0, 1e-9, math.pi - 1e-9, math.pi] + list(np.linspace(0, math.pi, 9)[1:-1])
+        gazes = [Orientation(theta, phi) for theta in thetas for phi in phis]
+        mask = viewport.visible_mask(
+            np.array([g.theta for g in gazes]).reshape(len(thetas), len(phis)),
+            np.array([g.phi for g in gazes]).reshape(len(thetas), len(phis)),
+            grid,
+        ).reshape(len(gazes), grid.tile_count)
+        for gaze, row in zip(gazes, mask):
+            cast = reference_visible_tiles(viewport, gaze, grid)
+            assert {grid.tile_at(int(i)) for i in np.flatnonzero(row)} == cast
+            assert viewport.visible_tiles(gaze, grid) == cast
+
+    def test_rays_equal_the_per_gaze_reference(self):
+        viewport = Viewport(fov_theta=1.2, fov_phi=0.9)
+        for gaze in (Orientation(0.3, 1.0), Orientation(0.7, 0.0), Orientation(2.0, math.pi)):
+            assert np.array_equal(
+                viewport.ray_directions(gaze, 7, 5), reference_rays(viewport, gaze, 7, 5)
+            )
+
+    def test_rows_are_independent_of_the_batch(self):
+        grid = TileGrid(4, 8)
+        rng = np.random.default_rng(5)
+        thetas, phis = rng.uniform(0, 2 * math.pi, 40), rng.uniform(0, math.pi, 40)
+        batch = Viewport().visible_mask(thetas, phis, grid)
+        for index in range(40):
+            alone = Viewport().visible_mask(thetas[index], phis[index], grid)
+            assert np.array_equal(batch[index], alone)
 
 
 class TestRender:

@@ -87,9 +87,6 @@ class TestFullDeliveryFlow:
                     policy=PredictiveTilingPolicy(),
                     bandwidth=ConstantBandwidth(rate),
                     predictor="static",
-                    # On this coarse 2x4 grid a margin ring covers the whole
-                    # sphere; the viewport footprint alone is the hedge.
-                    margin=0,
                     evaluate_quality=True,
                 ),
             ),

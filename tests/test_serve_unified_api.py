@@ -141,7 +141,7 @@ class TestHttpTransport:
             "clip",
             [population.trace(user, meta.duration, rate=10.0) for user in range(1, 5)],
         )
-        config = _config(policy=PredictiveTilingPolicy(), predictor="markov", margin=0)
+        config = _config(policy=PredictiveTilingPolicy(), predictor="markov")
         trace = population.trace(0, meta.duration, rate=10.0)
         sim = session_db.serve("clip", (trace, config))
         handle = start_server(session_db.storage)
