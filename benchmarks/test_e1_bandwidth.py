@@ -77,10 +77,12 @@ def test_e1_bandwidth_by_policy(benchmark, bench_db, viewer_trace, naive_rate):
         predictive = reports[(video, "predictive")]
         assert predictive.total_bytes < 0.65 * naive, f"{video}: expected >35% savings"
         # The oracle ships exactly the true visible set: far below naive,
-        # below the hedged forecast, and every window of it is matched.
+        # below the hedged forecast, within 20 % of the predictive row, and
+        # every window of it is matched.
         oracle = reports[(video, "predictive (oracle)")]
         assert oracle.total_bytes < 0.65 * naive
         assert oracle.total_bytes < predictive.total_bytes
+        assert 0.8 * predictive.total_bytes < oracle.total_bytes < 1.2 * predictive.total_bytes
         assert oracle.matched_bytes_saved == naive - oracle.total_bytes
         # Matched savings never exceed raw savings.
         assert 0 <= predictive.matched_bytes_saved <= naive - predictive.total_bytes
