@@ -30,7 +30,6 @@ from repro.core.predictor import PredictionService
 from repro.core.resilience import RetryPolicy, read_window_resilient
 from repro.core.storage import StorageManager
 from repro.obs import MetricsRegistry
-from repro.geometry.grid import TileGrid
 from repro.geometry.viewport import Orientation, Viewport
 from repro.predict.predictors import Predictor
 from repro.predict.traces import Trace
@@ -352,7 +351,7 @@ class Streamer:
         seen = config.viewport.visible_mask(
             [pose.theta for pose in poses], [pose.phi for pose in poses], manifest.grid
         ).any(axis=0)
-        visible = self._tiles(manifest.grid, seen)
+        visible = manifest.grid.tiles_in(seen)
         record = WindowRecord(
             window=window,
             request_time=request_time,
@@ -361,7 +360,7 @@ class Streamer:
             stall_seconds=stall,
             bytes_sent=size,
             quality_map=quality_map,
-            predicted_tiles=self._tiles(manifest.grid, forecast[0]),
+            predicted_tiles=manifest.grid.tiles_in(forecast[0]),
             ladder_best=manifest.best_quality,
             visible_tiles=visible,
             naive_bytes=manifest.full_sphere_size(window, manifest.best_quality),
@@ -411,11 +410,6 @@ class Streamer:
     def _instants(window_start: float, window_end: float) -> np.ndarray:
         """The window's :data:`WINDOW_SAMPLES` interior sample instants."""
         return np.linspace(window_start, window_end, WINDOW_SAMPLES + 2)[1:-1]
-
-    @staticmethod
-    def _tiles(grid: TileGrid, mask: np.ndarray) -> set[tuple[int, int]]:
-        """The tile set of a boolean mask over row-major tile indices."""
-        return {grid.tile_at(int(index)) for index in np.flatnonzero(mask)}
 
     def _probe_window(
         self,

@@ -63,6 +63,18 @@ class TileGrid:
             raise IndexError(f"tile index {index} outside grid of {self.tile_count}")
         return divmod(index, self.cols)
 
+    def tiles_in(self, mask: np.ndarray) -> set[tuple[int, int]]:
+        """The tiles a boolean mask over row-major indices selects."""
+        return {divmod(int(index), self.cols) for index in np.flatnonzero(mask)}
+
+    def mask_of(self, tiles: set[tuple[int, int]]) -> np.ndarray:
+        """Inverse of :meth:`tiles_in`; tiles outside the grid are dropped."""
+        mask = np.zeros(self.tile_count, dtype=bool)
+        for row, col in tiles:
+            if 0 <= row < self.rows and 0 <= col < self.cols:
+                mask[row * self.cols + col] = True
+        return mask
+
     def rect(self, row: int, col: int) -> AngularRect:
         """The angular rectangle covered by tile ``(row, col)``."""
         self.index_of(row, col)  # bounds check

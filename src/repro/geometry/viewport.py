@@ -116,8 +116,7 @@ class Viewport:
         not — near the poles a frustum's equirectangular footprint is not a
         rectangle at all.
         """
-        mask = self.visible_mask(orientation.theta, orientation.phi, grid, samples)
-        return {grid.tile_at(int(index)) for index in np.flatnonzero(mask)}
+        return grid.tiles_in(self.visible_mask(orientation.theta, orientation.phi, grid, samples))
 
     def render(
         self,

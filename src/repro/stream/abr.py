@@ -118,9 +118,26 @@ class PredictiveTilingPolicy(QualityPolicy):
         if isinstance(predicted_tiles, np.ndarray):
             footprints = predicted_tiles
         else:
-            footprints = np.zeros((1, grid.tile_count), dtype=bool)
-            footprints[0, [grid.index_of(*tile) for tile in predicted_tiles & set(tiles)]] = True
-        modal = footprints[0]
+            footprints = grid.mask_of(predicted_tiles)[None]
+        predicted = grid.tiles_in(footprints[0])
+        # Degradation schedule: step the modal footprint toward the floor.
+        for quality in ladder:
+            quality_map = {tile: quality if tile in predicted else ladder[-1] for tile in tiles}
+            if manifest.window_size(window, quality_map) <= budget_bytes:
+                if quality == ladder[0] and len(footprints) > 1:
+                    return self._hedge(manifest, window, footprints, budget_bytes)
+                return quality_map
+        # Nothing fits: everything at the floor, accept the stall risk.
+        return {tile: ladder[-1] for tile in tiles}
+
+    @staticmethod
+    def _hedge(
+        manifest: Manifest, window: int, footprints: np.ndarray, budget_bytes: float
+    ) -> QualityMap:
+        """The top-rung set with the best expected matched credit that fits
+        the budget, given that the modal footprint does."""
+        ladder = manifest.qualities
+        tiles = list(manifest.grid.tiles())
 
         def sizes(quality):
             return np.array(
@@ -129,35 +146,26 @@ class PredictiveTilingPolicy(QualityPolicy):
 
         top, floor = sizes(ladder[0]), sizes(ladder[-1])
         extra = top - floor
-        base = int(floor.sum() + extra[modal].sum())
-        if base <= budget_bytes:
-            frequency = footprints.mean(axis=0)
-            candidates = np.flatnonzero((frequency > 0) & ~modal)
-            order = candidates[
-                np.argsort(-frequency[candidates] / np.maximum(extra[candidates], 1), kind="stable")
-            ]
-            # Prefix j (the modal footprint plus the first j candidates)
-            # covers sample k once it holds the latest-ranked tile of k.
-            rank = np.zeros(grid.tile_count, dtype=np.int64)
-            rank[order] = np.arange(1, order.size + 1)
-            covered_at = np.where(footprints, rank, 0).max(axis=1)
-            covered = np.cumsum(np.bincount(covered_at, minlength=order.size + 1))
-            sent = base + np.concatenate(([0], np.cumsum(extra[order])))
-            score = covered * (top.sum() - sent)
-            best = int(np.argmax(np.where(sent <= budget_bytes, score, -1)))
-            chosen = set(np.flatnonzero(modal)) | set(order[:best].tolist())
-            return {
-                tile: ladder[0] if index in chosen else ladder[-1]
-                for index, tile in enumerate(tiles)
-            }
-        # Degradation schedule: step the modal footprint toward the floor.
-        predicted = {tile for index, tile in enumerate(tiles) if modal[index]}
-        for quality in ladder[1:]:
-            quality_map = {tile: quality if tile in predicted else ladder[-1] for tile in tiles}
-            if manifest.window_size(window, quality_map) <= budget_bytes:
-                return quality_map
-        # Nothing fits: everything at the floor, accept the stall risk.
-        return {tile: ladder[-1] for tile in tiles}
+        modal = footprints[0]
+        frequency = footprints.mean(axis=0)
+        candidates = np.flatnonzero((frequency > 0) & ~modal)
+        order = candidates[
+            np.argsort(-frequency[candidates] / np.maximum(extra[candidates], 1), kind="stable")
+        ]
+        # Prefix j (the modal footprint plus the first j candidates)
+        # covers sample k once it holds the latest-ranked tile of k.
+        rank = np.zeros(len(tiles), dtype=np.int64)
+        rank[order] = np.arange(1, order.size + 1)
+        covered_at = np.where(footprints, rank, 0).max(axis=1)
+        covered = np.cumsum(np.bincount(covered_at, minlength=order.size + 1))
+        sent = floor.sum() + extra[modal].sum() + np.concatenate(([0], np.cumsum(extra[order])))
+        score = covered * (top.sum() - sent)
+        best = int(np.argmax(np.where(sent <= budget_bytes, score, -1)))
+        chosen = modal.copy()
+        chosen[order[:best]] = True
+        return {
+            tile: ladder[0] if chosen[index] else ladder[-1] for index, tile in enumerate(tiles)
+        }
 
 
 #: Every policy under its ``name``: what ``--policy`` and a plan's ``sessions.policy`` pick from.

@@ -139,3 +139,20 @@ class TestExpand:
     def test_expand_saturates_at_full_grid(self):
         grid = TileGrid(2, 2)
         assert grid.expand({(0, 0)}, margin=3) == set(grid.tiles())
+
+
+class TestMasks:
+    def test_tiles_in_reads_row_major(self):
+        grid = TileGrid(2, 3)
+        mask = np.array([True, False, False, False, True, True])
+        assert grid.tiles_in(mask) == {(0, 0), (1, 1), (1, 2)}
+
+    def test_mask_of_inverts_tiles_in(self):
+        grid = TileGrid(3, 4)
+        tiles = {(0, 3), (1, 0), (2, 2)}
+        assert grid.tiles_in(grid.mask_of(tiles)) == tiles
+        assert grid.mask_of(set()).shape == (grid.tile_count,)
+
+    def test_mask_of_drops_tiles_outside_the_grid(self):
+        grid = TileGrid(2, 2)
+        assert grid.tiles_in(grid.mask_of({(0, 1), (5, 5), (-1, 0)})) == {(0, 1)}
