@@ -309,7 +309,14 @@ class Streamer:
         transfer_start = max(request_time, link.busy_until)
         delivered = link.transfer(size, request_time)
         if session.estimator is not None:
-            session.estimator.observe(size, delivered - transfer_start)
+            # The client times the download from when it asked, once its own
+            # previous window was in: on a shared link the wait behind other
+            # viewers' bytes is part of the throughput it sees. On a private
+            # link that is the transfer start.
+            asked = session.next_request_time(
+                session.records[-1].delivered_time if session.records else 0.0
+            )
+            session.estimator.observe(size, delivered - asked)
 
         if window == 0:
             playback_start, stall = delivered, 0.0

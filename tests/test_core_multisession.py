@@ -351,6 +351,50 @@ class TestEstimatorIsolation:
         assert id(probe) not in ProbeEstimator.fed
 
 
+class TestContendedThroughput:
+    """A client times each download from when it asked for it, so on a
+    shared link the wait behind other viewers' bytes is part of the
+    throughput its estimator sees."""
+
+    def _rates(self, shared_db, count):
+        rates = []
+
+        class RecordingEstimator(HarmonicMeanEstimator):
+            def observe(self, size_bytes, duration_seconds):
+                rates.append(size_bytes / duration_seconds)
+                super().observe(size_bytes, duration_seconds)
+
+        config = SessionConfig(
+            policy=NaiveFullQuality(),
+            bandwidth=ConstantBandwidth(1e9),
+            predictor="static",
+            estimator=RecordingEstimator(),
+        )
+        population = ViewerPopulation(seed=3)
+        capacity = _contended_rate(shared_db)
+        shared_db.streamer.serve_all(
+            [
+                ("clip", population.trace(user, DURATION, rate=10.0), config)
+                for user in range(count)
+            ],
+            SimulatedLink(ConstantBandwidth(capacity)),
+        )
+        return capacity, rates
+
+    def test_private_link_reads_the_capacity(self, shared_db):
+        capacity, rates = self._rates(shared_db, 1)
+        assert rates == pytest.approx([capacity] * 3)
+
+    def test_shared_link_reads_the_wait(self, shared_db):
+        """Eight naive viewers on a link sized for two: no sample reads
+        more than the link, and their harmonic mean reads at most half of
+        it (a sample timed from the transfer start reads the whole link)."""
+        capacity, rates = self._rates(shared_db, 8)
+        assert len(rates) == 24
+        assert max(rates) <= capacity * (1 + 1e-9)
+        assert len(rates) / sum(1.0 / rate for rate in rates) < capacity / 2
+
+
 class TestServeAllMetrics:
     """`serve_all` through a VisualCloud instance populates the shared
     registry with cache, storage, and per-window streaming metrics."""
