@@ -54,16 +54,15 @@ def _halton(index: int, base: int) -> float:
     return point
 
 
-#: The forecast's fixed draws, one row per sample: a standard normal step
-#: per axis and the fraction of the extrapolated motion kept, from a
-#: Halton sequence (bases 2, 3, 5). Row 0 is the predicted pose itself.
-DRIFT = np.array(
-    [(0.0, 0.0, 1.0)]
-    + [
-        (NormalDist().inv_cdf(_halton(k, 2)), NormalDist().inv_cdf(_halton(k, 3)), _halton(k, 5))
-        for k in range(1, FORECAST_SAMPLES)
-    ]
+#: The forecast's fixed points, one row per sample, from a Halton sequence
+#: (bases 2, 3, 5); row 0 is the centre, (0.5, 0.5, 1).
+HALTON = np.array(
+    [(0.5, 0.5, 1.0)]
+    + [(_halton(k, 2), _halton(k, 3), _halton(k, 5)) for k in range(1, FORECAST_SAMPLES)]
 )
+#: The pose predictors' draws: a standard normal step per axis and the
+#: fraction of the extrapolated motion kept. Row 0 is the predicted pose.
+DRIFT = np.array([(*map(NormalDist().inv_cdf, point[:2]), point[2]) for point in HALTON])
 
 
 class Predictor(abc.ABC):
@@ -300,22 +299,25 @@ class MarkovPredictor(Predictor):
         return grid.expand(tiles, margin=margin) if margin else tiles
 
     def forecast(self, instants: np.ndarray, grid: TileGrid, viewport: Viewport) -> np.ndarray:
-        """Footprints of tile-centre gazes drawn at fixed quantiles of the
-        rolled-forward distribution at each instant, likeliest tile first,
-        so row 0 is the modal path."""
+        """Footprints of gazes drawn at fixed quantiles of the rolled-forward
+        distribution at each instant, likeliest tile first, so row 0 is the
+        modal path. Sample ``k`` gazes at the :data:`HALTON` point ``k``
+        inside its tile (row 0 at the centre): a viewer in a tile may look
+        anywhere in it."""
         if grid != self.grid:
             raise ValueError("MarkovPredictor was trained on a different grid")
         last_time, _ = self.last_observation
         quantiles = np.arange(FORECAST_SAMPLES) / FORECAST_SAMPLES
-        centres = np.array([grid.rect(*grid.tile_at(index)).center() for index in range(grid.tile_count)])
         paths = []
         for instant in instants:
             distribution = self._distribution(float(instant) - last_time)
             order = np.argsort(-distribution, kind="stable")
             drawn = np.searchsorted(np.cumsum(distribution[order]), quantiles, side="right")
             paths.append(order[np.minimum(drawn, grid.tile_count - 1)])
-        gazes = centres[np.stack(paths, axis=1)]
-        return viewport.visible_mask(gazes[..., 0], gazes[..., 1], grid).any(axis=1)
+        rows, cols = np.divmod(np.stack(paths, axis=1), grid.cols)
+        thetas = (cols + HALTON[:, :1]) * grid.theta_step
+        phis = (rows + HALTON[:, 1:2]) * grid.phi_step
+        return viewport.visible_mask(thetas, phis, grid).any(axis=1)
 
 
 class OraclePredictor(Predictor):

@@ -9,6 +9,7 @@ from repro.geometry.grid import TileGrid
 from repro.geometry.sphere import great_circle_distance
 from repro.geometry.viewport import Orientation, Viewport
 from repro.predict.predictors import (
+    FORECAST_SAMPLES,
     HISTORY_WINDOW,
     DeadReckoningPredictor,
     MarkovPredictor,
@@ -146,6 +147,27 @@ class TestMarkovPredictor:
         tiles = predictor.predict_tiles(0.5, predictor.grid, Viewport(), margin=0)
         assert tiles  # non-empty
         assert tiles <= set(predictor.grid.tiles())
+
+    def test_forecast_row_zero_is_the_modal_path(self):
+        predictor = self.make_trained()
+        predictor.observe(0.0, Orientation(0.0, math.pi / 2))
+        grid, viewport = predictor.grid, Viewport()
+        instants = np.array([0.4, 0.8, 1.2])
+        forecast = predictor.forecast(instants, grid, viewport)
+        assert forecast.shape == (FORECAST_SAMPLES, grid.tile_count)
+        modal = set().union(*(viewport.visible_tiles(predictor.predict(t), grid) for t in instants))
+        assert grid.tiles_in(forecast[0]) == modal
+
+    def test_forecast_gazes_spread_inside_the_tile(self):
+        """With all mass on one tile every sample gazes inside it, each at
+        its own Halton point: every footprint holds the tile, and they
+        differ, where tile-centre gazes would give one footprint 48 times."""
+        grid, viewport = TileGrid(4, 8), Viewport()
+        predictor = MarkovPredictor.from_transitions(grid, np.eye(grid.tile_count))
+        predictor.observe(0.0, Orientation(0.3, 1.2))
+        forecast = predictor.forecast(np.array([1.0]), grid, viewport)
+        assert forecast[:, grid.index_of(*grid.tile_of(0.3, 1.2))].all()
+        assert len({row.tobytes() for row in forecast}) > 1
 
 
 class TestOraclePredictor:
