@@ -34,7 +34,7 @@ def measure(profile: str, quality: Quality) -> tuple[float, float, float]:
     gop = encode_gop(frames, quality)
     gop_size = len(gop)
     intra_size = len(encode_gop(frames[:1], quality))
-    decoded = decode_gop(gop)
+    decoded = decode_gop(gop, WIDTH, HEIGHT, len(frames))
     scores = [psnr(a, b) for a, b in zip(frames, decoded)]
     finite = [score for score in scores if score != float("inf")]
     mean_psnr = sum(finite) / len(finite) if finite else 99.0

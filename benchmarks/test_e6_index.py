@@ -45,7 +45,13 @@ def storage(bench_db) -> StorageManager:
 @pytest.mark.benchmark(group="e6")
 def test_e6_index_performance(benchmark, bench_db, storage):
     name = VIDEOS[0]
-    gops = storage.meta(name).gop_count
+    meta = storage.meta(name)
+    gops = meta.gop_count
+    tile_size = (meta.width // meta.grid.cols, meta.height // meta.grid.rows)
+
+    def decode(data, gop):
+        # A tile's GOP, at the tile size and frame count the index gives.
+        return decode_gop(data, *tile_size, meta.gop_frame_counts[gop])
 
     def read(selected):
         return [storage.read_segment(name, gop, TILE, Quality.HIGH) for gop in selected]
@@ -53,7 +59,7 @@ def test_e6_index_performance(benchmark, bench_db, storage):
     def decode_scan(stop):
         # No index: decode the tile's GOPs in order until the selection ends.
         return [
-            frame for data in read(range(stop)) for frame in decode_gop(data)
+            frame for gop, data in enumerate(read(range(stop))) for frame in decode(data, gop)
         ]
 
     rows = []
@@ -65,7 +71,7 @@ def test_e6_index_performance(benchmark, bench_db, storage):
         indexed_t, indexed = timed(lambda: read(selected), repeat=200)
         decode_t, scanned = timed(lambda: decode_scan(selected.stop), repeat=1)
         # The index lands on the same GOP the sequential decode ends on.
-        last = decode_gop(indexed[-1])
+        last = decode(indexed[-1], selected.stop - 1)
         assert last[-1].equals(scanned[-1])
         indexed_best.append(indexed_t)
         rows.append(
@@ -79,11 +85,10 @@ def test_e6_index_performance(benchmark, bench_db, storage):
 
     # Tile index: decode one tile's payload, located by its byte range,
     # versus decoding the full sphere to obtain the same tile.
-    meta = bench_db.meta(name)
     window = bench_db.storage.read_window(
         name, 0, {tile: Quality.HIGH for tile in meta.grid.tiles()}
     )
-    one_tile_t, tile_frames = timed(lambda: decode_gop(window.payloads[TILE]))
+    one_tile_t, tile_frames = timed(lambda: decode(window.payloads[TILE], 0))
     full_t, full_frames = timed(lambda: window.decode(), repeat=1)
     x0, y0, x1, y1 = window.pixel_rect(*TILE)
     assert tile_frames[0].equals(full_frames[0].crop(x0, y0, x1, y1))

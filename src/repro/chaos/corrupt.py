@@ -2,8 +2,8 @@
 
 The failure-injection suite used to hand-roll its corruptions (chop ten
 bytes here, flip a byte there); these helpers generate *structural*
-corpora instead — truncation at every framing boundary of a GOP
-bitstream or every atom boundary of a metadata file, bit flips aimed at
+corpora instead — truncation at every framing boundary of a GOP or
+every atom boundary of a metadata file, bit flips aimed at
 header vs payload regions, and the empty file — so the parser error
 contract is exercised where real damage lands, and every case is
 labelled for parametrized tests.
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import random
 import struct
-
-from repro.video.bitstream import read_uvarint
 
 _GOP_HEADER = struct.Struct(">4sBBHHH")  # mirrors repro.video.gop._HEADER
 
@@ -36,30 +34,11 @@ def bit_flip(data: bytes, position: int, bit: int = 0) -> bytes:
 
 
 def gop_boundaries(data: bytes) -> list[int]:
-    """Structural offsets of a GOP bitstream: magic end, header end, and
-    each frame chunk's varint/payload boundaries (plus 0 and the end).
-
-    Best-effort on damaged input: parsing stops at the first incoherent
-    chunk and whatever boundaries were found are returned.
+    """Structural offsets of a GOP: magic end and header end (plus 0 and
+    the end). Its frames are one bit stream with no framing of their own.
     """
-    boundaries = {0, len(data)}
-    if len(data) >= 4:
-        boundaries.add(4)  # end of the VGOP magic
-    if len(data) >= _GOP_HEADER.size:
-        boundaries.add(_GOP_HEADER.size)
-        try:
-            (_, _, _, _, _, frames) = _GOP_HEADER.unpack_from(data, 0)
-            offset = _GOP_HEADER.size
-            for _ in range(frames):
-                length, payload_start = read_uvarint(data, offset)
-                boundaries.add(payload_start)
-                if payload_start + length > len(data):
-                    break
-                offset = payload_start + length
-                boundaries.add(offset)
-        except ValueError:
-            pass
-    return sorted(boundary for boundary in boundaries if boundary <= len(data))
+    edges = {0, 4, _GOP_HEADER.size, len(data)}
+    return sorted(edge for edge in edges if edge <= len(data))
 
 
 def atom_boundaries(data: bytes) -> list[int]:

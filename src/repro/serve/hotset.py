@@ -54,17 +54,19 @@ MAX_TRACKED = 4096
 
 class PinnedSegment(Precomputed):
     """One segment frozen into its wire buffers: both header blocks are
-    built (and the body hashed) once at pin time, the payload is a
-    ``memoryview`` of ``body`` — zero per-hit cost, never copied."""
+    built once at pin time, the payload is a ``memoryview`` of ``body`` —
+    zero per-hit cost, never copied. ``checksum`` is the body's wire
+    checksum when the caller holds it (a read checked the bytes against
+    it); the body is hashed here otherwise."""
 
     __slots__ = ("path", "body", "hits")
 
-    def __init__(self, path: str, body: bytes) -> None:
+    def __init__(self, path: str, body: bytes, checksum: str | None = None) -> None:
         self.path = path
         self.body = bytes(body)  # no-copy when already bytes
         self.hits = 0
         super().__init__(
-            Response(200, memoryview(self.body), checksum=checksum_hex(self.body))
+            Response(200, memoryview(self.body), checksum=checksum or checksum_hex(self.body))
         )
 
 
@@ -162,7 +164,7 @@ class HotSet:
 
     # -- admission ------------------------------------------------------------
 
-    def record(self, path: str, body: bytes) -> bool:
+    def record(self, path: str, body: bytes, checksum: str | None = None) -> bool:
         """Count one cold-path serve; promote once :meth:`heat` (base
         heat + observed count) reaches ``threshold`` — a path the
         planner already predicts hot earns its pin in fewer hits."""
@@ -170,7 +172,7 @@ class HotSet:
             return False
         count = self._counts.pop(path, 0) + 1
         if count + self._base_heat.get(path, 0) >= self.threshold:
-            return self.pin(path, body, heat=count)
+            return self.pin(path, body, heat=count, checksum=checksum)
         if len(self._counts) >= MAX_TRACKED:
             # Cheap aging: drop all candidate counts instead of keeping
             # an unbounded (or LRU-ordered) tracking structure. Genuinely
@@ -179,9 +181,12 @@ class HotSet:
         self._counts[path] = count
         return False
 
-    def pin(self, path: str, body: bytes, heat: int = 0) -> bool:
+    def pin(
+        self, path: str, body: bytes, heat: int = 0, checksum: str | None = None
+    ) -> bool:
         """Pin ``path`` if it fits the budget, evicting strictly-colder
         entries; returns whether the path is pinned afterwards.
+        ``checksum`` is :class:`PinnedSegment`'s.
 
         ``heat`` is the candidate's claimed heat (promotion count, or a
         control plan's predicted heat); its effective heat is at least
@@ -206,7 +211,7 @@ class HotSet:
                 return False
             self._remove(victim.path)
             self._evictions.inc()
-        entry = PinnedSegment(path, body)
+        entry = PinnedSegment(path, body, checksum)
         self._entries[path] = entry
         self.bytes_pinned += entry.body_length
         self._promotions.inc()

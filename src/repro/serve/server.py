@@ -404,19 +404,22 @@ class SegmentServer:
         for path, (video, _) in wanted.items():
             by_video.setdefault(video, []).append(path)
         read: dict[str, bytes | VisualCloudError] = {}
+        index = {}  # each video's read version's, whose checksums the reads checked
         for video, video_paths in by_video.items():
             keys = [wanted[path][1] for path in video_paths]
             try:
-                results = self.storage.read_segments(video, keys)
+                meta = self.storage.meta(video)
+                results = self.storage.read_segments(video, keys, meta.version)
+                index[video] = meta.entries
             except VisualCloudError as error:
                 results = [error] * len(keys)
             read.update(zip(video_paths, results))
         pinned = 0
-        for path, (video, _) in wanted.items():
+        for path, (video, key) in wanted.items():
             data = read.pop(path)  # let go of each read once it is pinned
             if not isinstance(data, bytes):
                 skipped.inc(video=video)
-            elif self.hot.pin(path, data):
+            elif self.hot.pin(path, data, checksum=format(index[video][key].checksum, "08x")):
                 pinned += 1
         return pinned
 
@@ -751,10 +754,11 @@ class SegmentServer:
         data = await self._offload(
             lambda: self.backend.read_segment(name, key.window, key.tile, key.quality)
         )
+        checksum = checksum_hex(data)
         # Runtime promotion pins only what this node owns, as _pin does.
         if self.hot.enabled and self._owns(name, key):
-            self.hot.record(target, data)
-        return Response(200, data, checksum=checksum_hex(data))
+            self.hot.record(target, data, checksum)
+        return Response(200, data, checksum=checksum)
 
     def _known_video(self, name: str):
         """The demand series of a video the backend has answered for —

@@ -9,7 +9,7 @@ the quality ladder actually change the byte count.
 Two speeds coexist here. The scalar ``write_ue``/``read_ue`` methods are
 the reference wire format, one symbol at a time. The batched paths —
 :func:`ue_codes`, :func:`pack_symbols` and :meth:`BitReader.scan_ue` —
-process whole symbol arrays with numpy and are
+process whole symbol arrays (or bounded windows of bits) with numpy and are
 bit-identical to the scalar ones by construction; the codec's hot loops
 use them exclusively.
 """
@@ -35,19 +35,20 @@ def ue_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if values.max() >= 1 << 31:
         raise ValueError("batched exp-Golomb supports values below 2**31")
     coded = values + 1
-    # floor(log2) via float64 is exact here (coded < 2**53), but guard the
-    # power-of-two boundaries against rounding anyway.
-    exponent = np.floor(np.log2(coded.astype(np.float64))).astype(np.int64)
-    exponent += (coded >> (exponent + 1)) > 0
-    exponent -= coded < (np.int64(1) << exponent)
-    return coded, 2 * exponent + 1
+    # frexp's exponent is the bit length, exactly: coded < 2**53 converts
+    # to float64 without rounding, and no transcendental runs.
+    _, length = np.frexp(coded)
+    return coded, 2 * length.astype(np.int64) - 1
 
 
 def se_to_ue(values: np.ndarray) -> np.ndarray:
     """Vectorised signed-to-unsigned exp-Golomb mapping (``write_se``'s
     ``0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4`` zigzag)."""
     values = np.asarray(values, dtype=np.int64)
-    return np.where(values > 0, 2 * values - 1, -2 * values)
+    mapped = np.abs(values)
+    mapped <<= 1
+    mapped -= values > 0
+    return mapped
 
 
 def pack_symbols(
@@ -146,44 +147,8 @@ class BitWriter:
         return bytes(self._buffer) + bytes([tail])
 
 
-def write_uvarint(buffer: bytearray, value: int) -> None:
-    """Append a LEB128 unsigned varint (7 bits per byte, MSB = continue)."""
-    if value < 0:
-        raise ValueError(f"varint requires a non-negative value, got {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buffer.append(byte | 0x80)
-        else:
-            buffer.append(byte)
-            return
-
-
-def read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
-    """Read a LEB128 varint at ``offset``; returns (value, next_offset)."""
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 63:
-            raise ValueError("malformed varint (too long)")
-
-
 class BitReader:
     """Reads bits most-significant-first from a byte buffer."""
-
-    #: Why a :meth:`scan_ue` stopped where it did.
-    SCAN_END = "end"  # clean end of buffer (or only padding bits remain)
-    SCAN_EOF = "eof"  # a codeword is cut off by the end of the buffer
-    SCAN_MALFORMED = "malformed"  # a codeword prefix exceeds 63 zeros
 
     def __init__(self, data: bytes | memoryview) -> None:
         self._data = data
@@ -234,27 +199,35 @@ class BitReader:
             return (mapped + 1) // 2
         return -(mapped // 2)
 
-    def scan_ue(self) -> tuple[np.ndarray, str]:
-        """Decode every complete unsigned exp-Golomb codeword from the
-        current position to the end of the buffer, without consuming.
+    def scan_ue(self, max_bits: int | None = None) -> tuple[np.ndarray, bool]:
+        """Decode and consume every complete unsigned exp-Golomb codeword
+        in the next ``max_bits`` bits (all that remain by default).
 
-        Returns ``(values, stop)``: ``values[i]`` is the i-th decoded value
-        (``uint64``) and ``stop`` one of :data:`SCAN_END` /
-        :data:`SCAN_EOF` / :data:`SCAN_MALFORMED` describing why the scan
-        stopped after the last complete codeword.
+        Returns ``(values, malformed)``: the decoded values (``uint64``)
+        and whether the scan stopped, where the reader now stands, at a
+        prefix of more than 63 zeros, which no codeword has. Otherwise it
+        stopped at the end of the buffer or of the window, or at a
+        codeword either cuts. A codeword cut by the window's edge is left
+        to the next scan: it is at most 127 bits, so a window of 128 holds
+        it whole.
 
         The boundary structure of a ue stream is self-delimiting (z zeros,
         a one, z suffix bits), so all codeword starts can be found without
         decoding: the successor of a start ``p`` with next set bit at ``o``
         is ``2*o - p + 1``. That successor map is materialised as a jump
-        table over all bit positions and iterated by repeated doubling —
-        the whole scan is O(bits * log(symbols)) numpy work with no
-        per-bit Python.
+        table over the window's bit positions (~80 bytes a bit) and
+        iterated by repeated doubling — the whole scan is
+        O(bits * log(symbols)) numpy work with no per-bit Python.
         """
-        data = np.frombuffer(self._data, dtype=np.uint8)  # zero-copy for bytes/views
-        bits = np.unpackbits(data)
+        if max_bits is not None and max_bits < 128:
+            raise ValueError(f"a scan window of {max_bits} bits may hold no codeword")
+        first = self._pos >> 3
+        last = len(self._data)
+        if max_bits is not None:
+            last = min(last, (self._pos + max_bits + 7) >> 3)
+        bits = np.unpackbits(np.frombuffer(self._data, dtype=np.uint8)[first:last])
         total = bits.size
-        start = self._pos
+        start = self._pos - 8 * first
         positions = np.arange(total, dtype=np.int64)
         # next_one[p]: position of the first set bit at or after p (total if
         # none) — a reverse running minimum over set-bit positions.
@@ -299,13 +272,5 @@ class BitReader:
             values = np.empty(0, dtype=np.uint64)
             if resume is None:
                 resume = start
-        if resume == total:
-            stop = self.SCAN_END
-        elif zeros[resume] > 63:
-            stop = self.SCAN_MALFORMED
-        else:
-            # Padding-only tails (all zeros to the end) and genuinely
-            # truncated codewords are indistinguishable here; both read as
-            # EOF, exactly as the scalar reader would report them.
-            stop = self.SCAN_EOF
-        return values, stop
+        self._pos = 8 * first + resume
+        return values, bool(resume < total and zeros[resume] > 63)

@@ -17,6 +17,7 @@ tile-subset window read relies on.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,6 @@ _BASE_CHROMA = np.array(
     dtype=np.float64,
 )
 
-FRAME_TYPE_INTRA = 0
-FRAME_TYPE_PREDICTED = 1
-
 
 def quant_matrix(base: np.ndarray, scale: float) -> np.ndarray:
     """Scale a base quantisation matrix, clamping steps to ``[1, 4096]``."""
@@ -71,82 +69,94 @@ def quant_matrix(base: np.ndarray, scale: float) -> np.ndarray:
     return np.clip(np.round(base * scale), 1.0, 4096.0)
 
 
-def _run_length_symbols(keys: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run/level structure of sorted coefficient keys: ``(counts, runs)``.
-
-    Key ``64 * b + z`` is the nonzero coefficient at zigzag position z of
-    block b. ``counts[b]`` is block b's nonzero count (over ``blocks``
-    blocks); ``runs`` holds, in key order, the zero-run before each
-    nonzero coefficient.
-    """
-    block_idx = keys >> 6
-    coef_idx = keys & 63
-    counts = np.bincount(block_idx, minlength=blocks)
-    if block_idx.size:
-        first = np.empty(block_idx.size, dtype=bool)
-        first[0] = True
-        np.not_equal(block_idx[1:], block_idx[:-1], out=first[1:])
-        runs = np.where(first, coef_idx, np.diff(coef_idx, prepend=0) - 1)
-    else:
-        runs = coef_idx
-    return counts, runs
-
-
 def _keys_to_symbols(
-    keys: np.ndarray, levels: np.ndarray, blocks: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The full exp-Golomb symbol stream of ``blocks`` blocks whose nonzero
-    coefficients are ``levels`` at sorted ``keys``: ``(codes, nbits)``.
+    keys: np.ndarray, levels: np.ndarray, frames: int, blocks: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exp-Golomb symbol stream of ``frames`` frames of ``blocks``
+    blocks whose nonzero coefficients are ``levels`` at sorted ``keys``
+    (key ``64 * (f * blocks + b) + z``): ``(codes, nbits, frame starts)``,
+    frame f's symbols from ``starts[f]`` to ``starts[f + 1]``.
 
-    Each (run, level) pair is fused into one packed symbol — the run code's
-    bits followed by the level code's bits, exactly the wire sequence — so
-    the packer sees ``blocks + nonzeros`` symbols instead of
-    ``blocks + 2 * nonzeros``. Fusion stays within the packer's 63-bit lane
-    because its callers bound levels to ``±2**21`` first
-    (run <= 63 -> 13 bits, |level| < 2**21 -> 43 bits).
+    Symbols that follow each other on the wire are fused into one packed
+    symbol, the first code's bits then the second's: a coded block's skip
+    run with its count, and each (run, level) pair. So the packer sees
+    ``frames + coded blocks + nonzeros`` symbols. Fusion stays within the
+    packer's 63-bit lane because a frame has fewer than ``2**25`` blocks
+    (skip -> 49 bits, count <= 64 -> 13) and its callers bound levels to
+    ``±2**21`` first (run <= 63 -> 13 bits, |level| < 2**21 -> 43 bits).
     """
-    counts, runs = _run_length_symbols(keys, blocks)
-    nonzeros = levels.size
-    # One ue_codes pass over every symbol value (counts, runs, mapped
-    # levels back to back) — the arrays are small enough that per-call
-    # dispatch, not arithmetic, dominates three separate passes.
+    nonzeros = keys.size
+    block_of = keys >> 6
+    zigzag = keys & 63
+    first = np.empty(nonzeros, dtype=bool)  # each coded block's first key
+    first[:1] = True
+    np.not_equal(block_of[1:], block_of[:-1], out=first[1:])
+    starts = np.flatnonzero(first)  # == nonzeros before each coded block
+    coded = block_of[starts]
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:] - starts[:-1]
+    counts[-1:] = nonzeros - starts[-1:]
+    opens = blocks * np.arange(frames + 1)  # each frame's first block
+    coded_before = np.searchsorted(coded, opens)
+    # The skipped blocks before each coded block: back to the previous
+    # coded block of its frame, or to the frame's start.
+    previous = np.empty_like(coded)
+    previous[:1] = -1
+    previous[1:] = coded[:-1]
+    np.maximum(previous, coded - coded % blocks - 1, out=previous)
+    # The zero run before each coefficient: back to the previous one of
+    # its block, or to the block's start.
+    before = np.empty_like(zigzag)
+    before[1:] = zigzag[:-1]
+    before[starts] = -1
+    # One ue_codes pass over every symbol value — the arrays are small
+    # enough that per-call dispatch, not arithmetic, dominates. Each
+    # fused symbol's first codes come before all its second codes.
     all_codes, all_bits = ue_codes(
-        np.concatenate([counts, runs, se_to_ue(levels)])
+        np.concatenate(
+            [
+                coded_before[1:] - coded_before[:-1],
+                coded - previous - 1,
+                zigzag - before - 1,
+                counts - 1,
+                se_to_ue(levels),
+            ]
+        )
     )
-    count_codes, count_bits = all_codes[:blocks], all_bits[:blocks]
-    codes = np.empty(blocks + nonzeros, dtype=np.int64)
-    nbits = np.empty(blocks + nonzeros, dtype=np.int64)
-    before = np.cumsum(counts) - counts
-    count_pos = np.arange(blocks) + before
-    codes[count_pos] = count_codes
-    nbits[count_pos] = count_bits
-    if nonzeros:
-        run_codes = all_codes[blocks : blocks + nonzeros]
-        run_bits = all_bits[blocks : blocks + nonzeros]
-        level_codes = all_codes[blocks + nonzeros :]
-        level_bits = all_bits[blocks + nonzeros :]
-        block_of = keys >> 6
-        pair_pos = count_pos[block_of] + 1 + (np.arange(nonzeros) - before[block_of])
-        codes[pair_pos] = (run_codes << level_bits) | level_codes
-        nbits[pair_pos] = run_bits + level_bits
-    return codes, nbits
+    fused = coded.size + nonzeros
+    frame_starts = np.arange(frames + 1) + coded_before + np.searchsorted(keys, 64 * opens)
+    codes = np.empty(int(frame_starts[-1]), dtype=np.int64)
+    nbits = np.empty_like(codes)
+    codes[frame_starts[:-1]] = all_codes[:frames]
+    nbits[frame_starts[:-1]] = all_bits[:frames]
+    # A coded block's head follows its frame's count and every earlier
+    # block's symbols; its pairs follow it.
+    heads = coded // blocks + 1 + np.arange(coded.size) + starts
+    at = np.concatenate((heads, np.repeat(heads + 1 - starts, counts) + np.arange(nonzeros)))
+    second_bits = all_bits[frames + fused :]
+    codes[at] = (all_codes[frames : frames + fused] << second_bits) | all_codes[frames + fused :]
+    nbits[at] = all_bits[frames : frames + fused] + second_bits
+    return codes, nbits, frame_starts
 
 
 _VECTOR_LEVEL_LIMIT = 1 << 21
 
 
-def _encode_keys(keys: np.ndarray, levels: np.ndarray, streams: int, blocks: int) -> list[bytes]:
-    """Entropy-code ``streams`` streams of ``blocks`` blocks each, given
-    only their nonzero coefficients: ``levels`` at sorted ``keys``, key
-    ``64 * (s * blocks + b) + z`` for zigzag position z of stream s's
-    block b. Returns each stream's payload, zero-padded to whole bytes.
+def _encode_keys(
+    keys: np.ndarray, levels: np.ndarray, streams: int, frames: int, blocks: int
+) -> list[bytes]:
+    """Entropy-code ``streams`` GOPs of ``frames`` frames of ``blocks``
+    blocks each, given only their nonzero coefficients: ``levels`` at
+    sorted ``keys``, key ``64 * ((s * frames + f) * blocks + b) + z`` for
+    zigzag position z of block b of stream s's frame f. Returns each
+    stream's payload: one bit stream, zero-padded to whole bytes at its
+    end only.
 
-    Per block: the nonzero count as unsigned exp-Golomb, then (run, level)
-    pairs — the run of zeros before each nonzero coefficient and its signed
-    value. A count of zero is the skip case and costs a single bit. The
-    stream is self-delimiting given the block count, so planes concatenate
-    with no length prefixes — the overhead floor that would otherwise
-    dominate low-quality segments.
+    Per frame: the number of coded blocks (those holding a nonzero
+    coefficient), then per coded block the skipped blocks before it, its
+    nonzero count less one and its (zero run, level) pairs, all
+    exp-Golomb (GOP format 2 in DESIGN.md). A frame that codes nothing
+    costs one bit, and no frame or plane carries a length or padding.
 
     One symbol pass (:func:`_keys_to_symbols`) and one packing pass cover
     every stream; the packer byte-aligns at stream boundaries, so payload
@@ -154,23 +164,25 @@ def _encode_keys(keys: np.ndarray, levels: np.ndarray, streams: int, blocks: int
     alone. Coefficients at or beyond ±2**21 would overflow the packer's
     fused-pair codeword lane, so a stream holding one (never produced by
     the quantiser) is coded by the reference while its batch-mates stay
-    vectorised.
+    vectorised. A frame of ``2**25`` blocks or more (over 1.4 gigapixels)
+    would overflow the fused skip-and-count lane and is refused.
     """
+    if blocks >= 1 << 25:
+        raise ValueError(f"a frame of {blocks} blocks is more than the coder codes")
     levels = levels.astype(np.int64, copy=False)
-    stream_of = keys // (64 * blocks)
+    stream_of = keys // (64 * frames * blocks)
     beyond = np.unique(stream_of[np.abs(levels) >= _VECTOR_LEVEL_LIMIT])
     if beyond.size:
         # Dense rows for the reference; coded vectorised, these streams'
-        # blocks are placeholder skips whose bytes it replaces below.
+        # frames are placeholder skips whose bytes it replaces below.
         scalar = np.isin(stream_of, beyond)
-        rows = np.zeros((beyond.size, blocks, 64), dtype=np.int64)
+        rows = np.zeros((beyond.size, frames, blocks, 64), dtype=np.int64)
         rows.reshape(beyond.size, -1)[
-            np.searchsorted(beyond, stream_of[scalar]), keys[scalar] % (64 * blocks)
+            np.searchsorted(beyond, stream_of[scalar]), keys[scalar] % (64 * frames * blocks)
         ] = levels[scalar]
-        keys, levels, stream_of = keys[~scalar], levels[~scalar], stream_of[~scalar]
-    codes, nbits = _keys_to_symbols(keys, levels, streams * blocks)
-    lengths = blocks + np.bincount(stream_of, minlength=streams)
-    packed, offsets = pack_symbols(codes, nbits, lengths)
+        keys, levels = keys[~scalar], levels[~scalar]
+    codes, nbits, frame_starts = _keys_to_symbols(keys, levels, streams * frames, blocks)
+    packed, offsets = pack_symbols(codes, nbits, np.diff(frame_starts[::frames]))
     data = packed.tobytes()
     bounds = offsets.tolist()
     payloads = [data[start:stop] for start, stop in zip(bounds, bounds[1:])]
@@ -182,109 +194,152 @@ def _encode_keys(keys: np.ndarray, levels: np.ndarray, streams: int, blocks: int
 
 
 def _encode_streams(rows: np.ndarray) -> list[bytes]:
-    """:func:`_encode_keys` of ``(streams, n, 64)`` dense quantised zigzag
-    rows: each stream's payload."""
+    """:func:`_encode_keys` of ``(streams, frames, n, 64)`` dense quantised
+    zigzag rows: each stream's payload."""
     keys = np.flatnonzero(rows)
-    return _encode_keys(keys, rows.ravel()[keys], *rows.shape[:2])
+    return _encode_keys(keys, rows.ravel()[keys], *rows.shape[:3])
 
 
 def _write_rows_reference(writer: BitWriter, rows: np.ndarray) -> None:
-    """Scalar reference for :func:`_encode_keys` of one stream's ``(n, 64)``
-    rows (one symbol per call).
+    """Scalar reference for :func:`_encode_keys` of one stream's
+    ``(frames, n, 64)`` rows (one symbol per call).
 
     This is the wire format's executable specification; the golden tests
     hold the vectorised path bit-identical to it.
     """
-    keys = np.flatnonzero(rows)
-    counts, runs = _run_length_symbols(keys, rows.shape[0])
     write_ue = writer.write_ue
     write_se = writer.write_se
-    cursor = 0
-    runs_list = runs.tolist()
-    levels_list = rows.ravel()[keys].tolist()
-    for count in counts.tolist():
-        write_ue(count)
-        for _ in range(count):
-            write_ue(runs_list[cursor])
-            write_se(levels_list[cursor])
-            cursor += 1
+    for frame in rows:
+        coded = np.flatnonzero(frame.any(axis=1)).tolist()
+        write_ue(len(coded))
+        previous = -1
+        for block in coded:
+            write_ue(block - previous - 1)
+            previous = block
+            zigzag = np.flatnonzero(frame[block]).tolist()
+            write_ue(len(zigzag) - 1)
+            position = -1
+            for index in zigzag:
+                write_ue(index - position - 1)
+                write_se(int(frame[block, index]))
+                position = index
 
 
-def _raise_scan_stop(stop: str) -> None:
-    if stop == BitReader.SCAN_MALFORMED:
-        raise ValueError("malformed exp-Golomb code (prefix too long)")
-    raise ValueError("truncated payload: bit stream ends inside a block's coefficient data")
+#: Bytes of bit stream one :meth:`BitReader.scan_ue` call expands (~80
+#: bytes a bit), so the decoder's scan tables stay one size however long
+#: a GOP's payload is.
+SCAN_CHUNK_BYTES = 4096
 
 
-def _read_rows(data: bytes | memoryview, block_count: int) -> np.ndarray:
-    """Inverse of :func:`_encode_streams`: one payload to ``(n, 64)`` rows.
+def _read_frames(data: bytes | memoryview, frames: int, blocks: int) -> Iterator[np.ndarray]:
+    """Inverse of :func:`_encode_keys` for one stream: its ``frames``
+    frames of ``blocks`` blocks, one ``(blocks, 64)`` int32 array of
+    zigzag rows at a time. Raises once the last frame is read if anything
+    but zero padding (under a byte) follows it.
 
-    Decodes through :meth:`BitReader.scan_ue`: every codeword in the
-    payload is located and decoded in one vectorised pass, and this
-    function only walks the per-block structure to slice counts from
-    (run, level) pairs.
+    The payload is scanned :data:`SCAN_CHUNK_BYTES` at a time through
+    :meth:`BitReader.scan_ue`, which locates and decodes every codeword of
+    a chunk in one vectorised pass; this function only walks each frame's
+    coded blocks to slice counts and skips from (run, level) pairs. It
+    holds one chunk's values and the current frame's symbols, never the
+    whole payload's.
     """
-    if block_count == 0:
-        return np.zeros((0, 64), dtype=np.int32)
-    values, stop = BitReader(data).scan_ue()
-    available = values.size
-    count_idx = np.empty(block_count, dtype=np.int64)
-    cursor = 0
-    values_int = values.astype(np.int64, copy=False)
-    for block in range(block_count):
-        if cursor >= available:
-            _raise_scan_stop(stop)
-        count = int(values_int[cursor])
-        if count > 64:
-            raise ValueError(f"corrupt bitstream: block {block} claims {count} coefficients")
-        count_idx[block] = cursor
-        cursor += 1 + 2 * count
-    if cursor > available:
-        _raise_scan_stop(stop)
-    counts = values_int[count_idx]
-    rows = np.zeros((block_count, 64), dtype=np.int32)  # after the scan's peak
-    nonzeros = int(counts.sum())
-    if nonzeros:
-        before = np.cumsum(counts) - counts
-        block_of = np.repeat(np.arange(block_count), counts)
-        pair_idx = count_idx[block_of] + 1 + 2 * (np.arange(nonzeros) - before[block_of])
-        runs = values_int[pair_idx]
-        mapped = values[pair_idx + 1]
-        half = (mapped // np.uint64(2)).astype(np.int64)
-        levels = np.where((mapped & np.uint64(1)).astype(bool), half + 1, -half)
-        steps = runs + 1
-        walk = np.cumsum(steps)
-        segment_base = (walk - steps)[np.minimum(before, nonzeros - 1)]
-        positions = walk - np.repeat(segment_base, counts) - 1
-        if int(positions.max()) > 63:
-            raise ValueError(
-                f"corrupt bitstream: coefficient index {int(positions.max())} > 63"
-            )
-        rows[block_of, positions] = levels
-    return rows
+    reader = BitReader(data)
+    values = np.empty(0, dtype=np.uint64)  # scanned, from the frame's first symbol
+    listed: list[int] = []  # the same, as ints, for the walk
+    cursor = 0  # the next symbol's index in ``values``
+
+    def fill(end: int) -> None:
+        # Scan on until ``values`` reaches ``end``, dropping what precedes
+        # the current frame (``base``) each time more is scanned.
+        nonlocal values, listed, cursor, base
+        while len(listed) < end:
+            more, malformed = reader.scan_ue(8 * SCAN_CHUNK_BYTES)
+            if malformed and not more.size:
+                raise ValueError("malformed exp-Golomb code (prefix too long)")
+            if not more.size:
+                raise ValueError("truncated payload: bit stream ends inside a frame")
+            values = np.concatenate((values[base:], more))
+            listed = listed[base:] + more.tolist()
+            cursor -= base
+            end -= base
+            base = 0
+
+    for index in range(frames):
+        base = cursor
+        fill(cursor + 1)
+        coded = listed[cursor]
+        if coded > blocks:
+            raise ValueError(f"frame {index}: {coded} coded blocks of {blocks}")
+        cursor += 1
+        heads = np.empty(coded, dtype=np.int64)  # each block's first pair, from ``base``
+        placed = np.empty(coded, dtype=np.int64)
+        counts = np.empty(coded, dtype=np.int64)
+        block = -1
+        for slot in range(coded):
+            fill(cursor + 2)
+            block += listed[cursor] + 1
+            if block >= blocks:
+                raise ValueError(f"frame {index}: skip runs pass its {blocks} blocks")
+            count = listed[cursor + 1] + 1
+            if count > 64:
+                raise ValueError(f"corrupt bitstream: block {block} claims {count} coefficients")
+            heads[slot], placed[slot], counts[slot] = cursor + 2 - base, block, count
+            cursor += 2 + 2 * count
+        fill(cursor)
+        rows = np.zeros((blocks, 64), dtype=np.int32)
+        nonzeros = int(counts.sum())
+        if nonzeros:
+            before = np.cumsum(counts) - counts
+            which = np.repeat(np.arange(coded), counts)
+            pair = base + heads[which] + 2 * (np.arange(nonzeros) - before[which])
+            runs = values[pair]
+            if int(runs.max()) > 63:
+                raise ValueError(f"corrupt bitstream: zero run {int(runs.max())} > 63")
+            mapped = values[pair + 1]
+            half = (mapped // np.uint64(2)).astype(np.int64)
+            levels = np.where((mapped & np.uint64(1)).astype(bool), half + 1, -half)
+            if int(np.abs(levels).max()) >= 1 << 31:  # the rows are int32
+                raise ValueError("corrupt bitstream: a level beyond ±2**31")
+            steps = runs.astype(np.int64) + 1
+            walk = np.cumsum(steps)
+            positions = walk - np.repeat((walk - steps)[before], counts) - 1
+            if int(positions.max()) > 63:
+                raise ValueError(
+                    f"corrupt bitstream: coefficient index {int(positions.max())} > 63"
+                )
+            rows[placed[which], positions] = levels
+        yield rows
+    tail = reader.bits_remaining
+    if cursor < len(listed) or tail > 7 or reader.read(tail):
+        raise ValueError("corrupt bitstream: bits follow the last frame")
 
 
-def _read_rows_reference(reader: BitReader, block_count: int) -> np.ndarray:
-    """Scalar reference for :func:`_read_rows` (one symbol per call)."""
-    rows = np.zeros((block_count, 64), dtype=np.int32)
+def _read_rows_reference(reader: BitReader, frames: int, blocks: int) -> np.ndarray:
+    """Scalar reference for :func:`_read_frames`: ``(frames, blocks, 64)``
+    rows, one symbol per call."""
+    rows = np.zeros((frames, blocks, 64), dtype=np.int32)
     read_ue = reader.read_ue
     read_se = reader.read_se
-    for block in range(block_count):
-        count = read_ue()
-        if count > 64:
-            raise ValueError(f"corrupt bitstream: block {block} claims {count} coefficients")
-        position = -1
-        for _ in range(count):
-            position += read_ue() + 1
-            if position > 63:
-                raise ValueError(f"corrupt bitstream: coefficient index {position} > 63")
-            rows[block, position] = read_se()
+    for index in range(frames):
+        coded = read_ue()
+        if coded > blocks:
+            raise ValueError(f"frame {index}: {coded} coded blocks of {blocks}")
+        block = -1
+        for _ in range(coded):
+            block += read_ue() + 1
+            if block >= blocks:
+                raise ValueError(f"frame {index}: skip runs pass its {blocks} blocks")
+            count = read_ue() + 1
+            if count > 64:
+                raise ValueError(f"corrupt bitstream: block {block} claims {count} coefficients")
+            position = -1
+            for _ in range(count):
+                position += read_ue() + 1
+                if position > 63:
+                    raise ValueError(f"corrupt bitstream: coefficient index {position} > 63")
+                rows[index, block, position] = read_se()
     return rows
-
-
-def _entropy_encode(rows: np.ndarray) -> bytes:
-    """One stream's rows as a standalone payload (padded to whole bytes)."""
-    return _encode_streams(rows[None])[0]
 
 
 def frame_blocks(y: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -404,4 +459,4 @@ class PlaneCodec:
     def encode(self, plane: np.ndarray, reference: np.ndarray | None) -> tuple[bytes, np.ndarray]:
         """Standalone plane encode; returns ``(payload, reconstruction)``."""
         rows, reconstruction = self.quantise(plane, reference)
-        return _entropy_encode(rows), reconstruction
+        return _encode_streams(rows[None, None])[0], reconstruction

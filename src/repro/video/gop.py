@@ -14,13 +14,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.video.bitstream import read_uvarint, write_uvarint
 from repro.video.blocks import INVERSE_ZIGZAG, zigzag_unscan
 from repro.video.codec import (
-    FRAME_TYPE_INTRA,
-    FRAME_TYPE_PREDICTED,
     _encode_keys,
-    _read_rows,
+    _read_frames,
     frame_blocks,
     frame_quantisers,
     quantise_blocks,
@@ -31,7 +28,7 @@ from repro.video.quality import Quality
 
 GOP_MAGIC = b"VGOP"
 _HEADER = struct.Struct(">4sBBHHH")  # magic, version, quality rank, width, height, frames
-GOP_FORMAT_VERSION = 1
+GOP_FORMAT_VERSION = 2
 
 
 def coded_planes(
@@ -73,9 +70,11 @@ def encode_gops(
     blocks at the lower rungs are all zero. The last frame, which nothing
     predicts from, is not reconstructed.
 
-    Per stream and frame: a uvarint length, a 1-byte frame type, then one
-    continuous bit stream of the Y, U and V blocks back to back —
-    self-delimiting, so no per-plane framing bytes exist.
+    Per stream: the 12-byte header, then one bit stream of every frame's
+    Y, U and V blocks back to back (:func:`~repro.video.codec._encode_keys`'
+    syntax), padded to a whole byte at its end only. Frame 0 is intra and
+    the rest predicted, as a closed GOP implies, so no frame carries a
+    length or a type.
     """
     streams, frame_count, coded_height, coded_width = y.shape
     if coded_width % 16 or coded_height % 16:
@@ -118,20 +117,14 @@ def encode_gops(
                 reference.reshape(-1, 8, 8)[coded] = pixels
     keys = np.concatenate(keys)
     order = np.argsort(keys)
-    payloads = _encode_keys(keys[order], np.concatenate(levels)[order], streams * frame_count, unit)
-    gops = []
-    for stream, quality in enumerate(qualities):
-        chunks = [
-            _HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, frame_count)
-        ]
-        first = stream * frame_count
-        for index, payload in enumerate(payloads[first : first + frame_count]):
-            framing = bytearray()
-            write_uvarint(framing, 1 + len(payload))
-            framing.append(FRAME_TYPE_PREDICTED if index else FRAME_TYPE_INTRA)
-            chunks += (framing, payload)
-        gops.append(b"".join(chunks))
-    return gops
+    payloads = _encode_keys(
+        keys[order], np.concatenate(levels)[order], streams, frame_count, unit
+    )
+    return [
+        _HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, frame_count)
+        + payload
+        for quality, payload in zip(qualities, payloads)
+    ]
 
 
 def encode_gop(frames: list[Frame], quality: Quality) -> bytes:
@@ -158,66 +151,55 @@ def encode_gop(frames: list[Frame], quality: Quality) -> bytes:
     return encode_gops((quality,), y[None], uv[None], width, height)[0]
 
 
-def decode_gop(data: bytes) -> list[Frame]:
+def decode_gop(data: bytes, width: int, height: int, frames: int) -> list[Frame]:
     """Decode a GOP :func:`encode_gops` wrote, at the quality its header
-    names.
+    names, refusing it unless its header gives the ``frames`` frames of
+    ``width``×``height`` the caller expects.
 
-    Each frame is one pass in the encoder's block layout: one
-    :func:`~repro.video.codec._read_rows` over its ``6 * n`` blocks (Y,
-    U and V are one bit stream), one inverse zigzag and one
+    Each frame is one pass in the encoder's block layout: its ``6 * n``
+    blocks' rows from :func:`~repro.video.codec._read_frames` (Y, U and V
+    are one bit stream), one inverse zigzag and one
     :func:`~repro.video.codec.reconstruct_blocks` onto the previous
     frame's blocks, written straight into the GOP's uint8 planes. The
-    working set is those planes plus one frame in flight. The header is
-    refused before anything is allocated if its frames could not fit in
-    the bytes that follow it (every frame costs at least a length byte,
-    a type byte and one bit a block), so hostile bytes cannot size the
-    buffers.
+    working set is those planes plus one frame in flight and one scan
+    chunk. A frame with nothing to code costs one bit, so the bytes
+    cannot bound the pixels: the expected shape is what keeps hostile
+    bytes from sizing the buffers, and it is checked before anything is
+    allocated.
     """
-    quality, width, height, count, offset = _parse_gop_header(data)
-    factor = quality.downscale
-    coded_height, coded_width = height // factor, width // factor
-    blocks = 6 * (coded_height * coded_width // 256)  # frame_blocks' six groups
-    if count * (2 + -(-blocks // 8)) > len(data) - offset:
+    quality, *shape, offset = _parse_gop_header(data)
+    if tuple(shape) != (width, height, frames):
         raise ValueError(
-            f"GOP header claims {count} frames of {coded_width}x{coded_height}, "
+            f"GOP header claims {shape[2]} frames of {shape[0]}x{shape[1]}, "
+            f"expected {frames} of {width}x{height}"
+        )
+    if frames > 8 * (len(data) - offset):  # a frame costs at least one bit
+        raise ValueError(
+            f"GOP header claims {frames} frames, "
             f"more than its {len(data) - offset} bytes of frames could hold"
         )
+    factor = quality.downscale
+    coded_height, coded_width = height // factor, width // factor
     qmat = frame_quantisers((quality,))[0]
-    y = np.empty((count, coded_height, coded_width), dtype=np.uint8)
-    uv = np.empty((count, 2, coded_height // 2, coded_width // 2), dtype=np.uint8)
+    y = np.empty((frames, coded_height, coded_width), dtype=np.uint8)
+    uv = np.empty((frames, 2, coded_height // 2, coded_width // 2), dtype=np.uint8)
     # The same planes as 8x8 blocks in stream order: each frame's blocks
     # are written straight into them, with no merge copy.
     across, down = coded_width // 16, coded_height // 16
-    y_blocks = y.reshape(count, 2 * down, 8, 2 * across, 8).swapaxes(2, 3)
-    uv_blocks = uv.reshape(count, 2, down, 8, across, 8).swapaxes(3, 4)
-    reference = None
-    view = memoryview(data)  # per-frame slices below are zero-copy
-    for index in range(count):
-        length, offset = read_uvarint(data, offset)
-        payload = view[offset : offset + length]
-        offset += length
-        if not payload:
-            raise ValueError("empty frame payload")
-        frame_type = payload[0]
-        if frame_type == FRAME_TYPE_INTRA:
-            reference = None
-        elif frame_type != FRAME_TYPE_PREDICTED:
-            raise ValueError(f"unknown frame type {frame_type}")
-        elif reference is None:
-            raise ValueError("predicted frame requires a reference frame")
-        if 8 * (len(payload) - 1) < blocks:
-            raise ValueError(f"frame {index}: {blocks} blocks in {len(payload) - 1} bytes")
+    y_blocks = y.reshape(frames, 2 * down, 8, 2 * across, 8).swapaxes(2, 3)
+    uv_blocks = uv.reshape(frames, 2, down, 8, across, 8).swapaxes(3, 4)
+    reference = None  # frame 0 is intra
+    blocks = 6 * down * across  # frame_blocks' six groups
+    for index, rows in enumerate(_read_frames(memoryview(data)[offset:], frames, blocks)):
         # One expression, so no float64 array outlives its frame; the
         # reference is kept as uint8, which adds the same values.
         reference = reconstruct_blocks(
-            zigzag_unscan(_read_rows(payload[1:], blocks).reshape(6, -1, 64)).astype(np.float64),
-            reference,
-            qmat,
+            zigzag_unscan(rows.reshape(6, -1, 64)).astype(np.float64), reference, qmat
         ).astype(np.uint8)
         y_blocks[index] = reference[:4].reshape(2 * down, 2 * across, 8, 8)
         uv_blocks[index] = reference[4:].reshape(2, down, across, 8, 8)
-    frames = [Frame(y[index], *uv[index]) for index in range(count)]
-    return [upsample_frame(frame, factor) for frame in frames] if factor > 1 else frames
+    decoded = [Frame(y[index], *uv[index]) for index in range(frames)]
+    return [upsample_frame(frame, factor) for frame in decoded] if factor > 1 else decoded
 
 
 def _parse_gop_header(data: bytes) -> tuple[Quality, int, int, int, int]:

@@ -76,12 +76,9 @@ class TiledGop:
             for _ in range(self.frame_count)
         ]
         for tile, payload in self.payloads.items():
-            tile_frames = decode_gop(payload)
-            if len(tile_frames) != self.frame_count:
-                raise ValueError(
-                    f"tile {tile} decodes to {len(tile_frames)} frames, "
-                    f"container declares {self.frame_count}"
-                )
+            tile_frames = decode_gop(
+                payload, self.tile_width, self.tile_height, self.frame_count
+            )
             x0, y0, _, _ = self.pixel_rect(*tile)
             frames = [
                 frame.paste(tile_frame, x0, y0)

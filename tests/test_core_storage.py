@@ -133,7 +133,7 @@ class TestReads:
         data = loaded.read_segment("clip", 0, (0, 0), Quality.HIGH)
         from repro.video.gop import decode_gop
 
-        frames = decode_gop(data)
+        frames = decode_gop(data, 32, 16, 4)
         assert len(frames) == 4
 
     def test_read_segment_missing(self, loaded):
@@ -352,31 +352,46 @@ class TestPacks:
                     )
                     digest.update(data)
         assert digest.hexdigest() == (
-            "d385f5b93daa8f4350acda5764c180c366a0b3e630b3863210b7a9ff54580098"
+            "51bcdaaf9ae8e2397f83fe77cab141e6506d907f1f03a4a2144f8fc755510aa3"
         )
 
-    def test_golden_bytes_every_rung(self, tmp_path):
+    @staticmethod
+    def _every_rung(tmp_path):
         """Every rung's segments of a 256x128, 4x8 clip with 20 frames (two
-        10-frame GOPs), and every plane each decodes to, hash to a pinned
-        digest — for the profile whose predicted blocks are coded most
-        (``coaster``) and least (``timelapse``)."""
+        10-frame GOPs), for the profile whose predicted blocks are coded
+        most (``coaster``) and least (``timelapse``): ``(label, bytes)``."""
         config = IngestConfig(
             grid=TileGrid(4, 8), qualities=tuple(Quality), gop_frames=10, fps=10.0
         )
         storage = StorageManager(tmp_path)
-        digest = hashlib.sha256()
         for profile in ("coaster", "timelapse"):
             frames = synthetic_video(profile, width=256, height=128, fps=10.0, duration=2.0, seed=5)
             meta = storage.ingest(profile, frames, config, workers=1)
             for gop, tile, quality in sorted(meta.entries, key=str):
                 data = storage.read_segment(profile, gop, tile, quality)
-                digest.update(f"{profile}/{gop}/{tile}/{quality.label}/{len(data)}".encode())
-                digest.update(data)
-                for frame in decode_gop(data):
-                    for plane in frame.planes:
-                        digest.update(plane.tobytes())
+                yield f"{profile}/{gop}/{tile}/{quality.label}", data
+
+    def test_golden_bytes_every_rung(self, tmp_path):
+        """Every rung's segment bytes hash to a pinned digest."""
+        digest = hashlib.sha256()
+        for label, data in self._every_rung(tmp_path):
+            digest.update(f"{label}/{len(data)}".encode())
+            digest.update(data)
         assert digest.hexdigest() == (
-            "73293aca555359f8292fa070635c9e5f776bdf9c099c808d5ab60c2c61f6174a"
+            "9e27edafd70d4e4b281a91dd3505dacb086ecc681dae9bcd3af27c198673b202"
+        )
+
+    def test_golden_planes_every_rung(self, tmp_path):
+        """Every plane every rung's segments decode to hashes to a pinned
+        digest: the codec's pixels, whatever its bit syntax."""
+        digest = hashlib.sha256()
+        for label, data in self._every_rung(tmp_path):
+            digest.update(label.encode())
+            for frame in decode_gop(data, 32, 32, 10):
+                for plane in frame.planes:
+                    digest.update(plane.tobytes())
+        assert digest.hexdigest() == (
+            "e81d78713b0aef18e89e0ac9fd491a2deb9c320ca8c7bdff7cfd49dd179ba7da"
         )
 
 

@@ -62,10 +62,8 @@ class TestSegmentCorpus:
 
     def test_corpus_covers_the_framing(self):
         boundaries = gop_boundaries(_CANONICAL_GOP)
-        # 0, magic end, header end, per-frame varint/payload edges, end.
-        assert boundaries[0] == 0
-        assert 4 in boundaries and 12 in boundaries
-        assert boundaries[-1] == len(_CANONICAL_GOP)
+        # 0, magic end, header end, end: the frames are one bit stream.
+        assert boundaries == [0, 4, 12, len(_CANONICAL_GOP)]
         labels = [label for label, _ in SEGMENT_CORPUS]
         assert "zero-length" in labels
         assert any(label.startswith("truncate@") for label in labels)
@@ -77,7 +75,7 @@ class TestSegmentCorpus:
     )
     def test_decode_of_corrupted_gop_is_controlled(self, label, payload):
         try:
-            frames = decode_gop(payload)
+            frames = decode_gop(payload, 32, 32, 4)
         except (ValueError, EOFError):
             return  # a controlled failure is a pass
         assert isinstance(frames, list)
@@ -96,7 +94,7 @@ class TestSegmentCorpus:
         # A short stream must never quietly yield frames: either the
         # header, the frame count, or a frame payload comes up short.
         with pytest.raises((ValueError, EOFError)):
-            decode_gop(payload)
+            decode_gop(payload, 32, 32, 4)
 
     def test_corpus_is_seed_deterministic(self):
         again = segment_corruption_corpus(_CANONICAL_GOP, seed=5)
@@ -152,7 +150,7 @@ class TestDamagedSegments:
                 continue  # includes SegmentCorruptError (size mismatch)
             assert len(data) == len(original), label
             try:
-                frames = decode_gop(data)
+                frames = decode_gop(data, 32, 16, 4)
             except (ValueError, EOFError):
                 continue
             assert isinstance(frames, list), label
@@ -237,7 +235,7 @@ class TestHostileBytes:
     @settings(max_examples=200)
     def test_gop_decoder_contains_failures(self, data):
         try:
-            frames = decode_gop(data)
+            frames = decode_gop(data, 16, 16, 1)
         except (ValueError, EOFError):
             return
         # If it "decoded", the framing must at least have been coherent.
@@ -287,12 +285,9 @@ class TestHostileBytes:
     @given(st.binary(min_size=1, max_size=300))
     @settings(max_examples=100)
     def test_frame_decoder_contains_failures(self, data):
-        from repro.video.bitstream import write_uvarint
-
-        gop = bytearray(_HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, 0, 16, 16, 1))
-        write_uvarint(gop, len(data))
+        gop = _HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, 0, 16, 16, 1)
         try:
-            (frame,) = decode_gop(bytes(gop + data))
+            (frame,) = decode_gop(gop + data, 16, 16, 1)
         except (ValueError, EOFError):
             return
         assert isinstance(frame, Frame)

@@ -23,8 +23,8 @@ from repro.obs import MetricsRegistry
 from repro.video import tiles
 from repro.video.bitstream import BitReader, BitWriter
 from repro.video.codec import (
-    _entropy_encode,
-    _read_rows,
+    _encode_streams,
+    _read_frames,
     _read_rows_reference,
     _write_rows_reference,
 )
@@ -34,9 +34,10 @@ from repro.video.tiles import TiledVideoCodec, make_encode_executor
 from repro.workloads.videos import synthetic_video
 
 
-def _rng_rows(rng: np.random.Generator, blocks: int, density: float, span: int):
-    rows = np.zeros((blocks, 64), dtype=np.int32)
-    mask = rng.random((blocks, 64)) < density
+def _rng_rows(rng: np.random.Generator, blocks: int, density: float, span: int, frames=1):
+    """``(frames, blocks, 64)`` random quantised rows."""
+    rows = np.zeros((frames, blocks, 64), dtype=np.int32)
+    mask = rng.random(rows.shape) < density
     rows[mask] = rng.integers(-span, span + 1, size=int(mask.sum()))
     return rows
 
@@ -47,51 +48,116 @@ def _reference_bytes(rows: np.ndarray) -> bytes:
     return writer.getvalue()
 
 
+def _decoded(payload: bytes, frames: int, blocks: int) -> np.ndarray:
+    """The vectorised decoder's frames of one payload, stacked."""
+    return np.stack(list(_read_frames(payload, frames, blocks))).reshape(frames, blocks, 64)
+
+
 class TestEntropyGoldenBytes:
-    """The coder ingest runs (``_entropy_encode``, one stream of
-    ``_encode_streams``) vs the scalar reference, byte for byte."""
+    """The coder ingest runs (``_encode_streams`` over dense rows, the
+    entry of the keys ``encode_gops`` codes) vs the scalar reference,
+    byte for byte, and the vectorised decoder vs the scalar one."""
 
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.3, 1.0])
     @pytest.mark.parametrize("span", [1, 40, 3000])
     def test_encode_identical(self, density, span):
         rng = np.random.default_rng(int(density * 100) + span)
-        rows = _rng_rows(rng, blocks=37, density=density, span=span)
-        assert _entropy_encode(rows) == _reference_bytes(rows)
+        rows = _rng_rows(rng, blocks=37, density=density, span=span, frames=3)
+        assert _encode_streams(rows[None])[0] == _reference_bytes(rows)
 
     def test_encode_identical_beyond_fused_pair_limit(self):
         # Levels at/above 2**21 take the scalar fallback inside
         # _encode_streams; the bytes must still match the reference exactly.
-        rows = np.zeros((4, 64), dtype=np.int32)
-        rows[0, 0] = 1 << 21
-        rows[1, 5] = -(1 << 21)
-        rows[2, 63] = (1 << 22) + 17
-        assert _entropy_encode(rows) == _reference_bytes(rows)
+        rows = np.zeros((2, 4, 64), dtype=np.int32)
+        rows[0, 0, 0] = 1 << 21
+        rows[0, 1, 5] = -(1 << 21)
+        rows[1, 2, 63] = (1 << 22) + 17
+        assert _encode_streams(rows[None])[0] == _reference_bytes(rows)
 
     @pytest.mark.parametrize("density", [0.05, 0.6])
     def test_decode_identical(self, density):
         rng = np.random.default_rng(13)
-        rows = _rng_rows(rng, blocks=29, density=density, span=900)
+        rows = _rng_rows(rng, blocks=29, density=density, span=900, frames=4)
         payload = _reference_bytes(rows)
-        got_vec = _read_rows(payload, rows.shape[0])
-        got_ref = _read_rows_reference(BitReader(payload), rows.shape[0])
-        np.testing.assert_array_equal(got_vec, got_ref)
-        np.testing.assert_array_equal(got_vec, rows)
+        got_ref = _read_rows_reference(BitReader(payload), 4, 29)
+        np.testing.assert_array_equal(_decoded(payload, 4, 29), got_ref)
+        np.testing.assert_array_equal(got_ref, rows)
+
+    @given(
+        streams=st.integers(min_value=1, max_value=4),
+        frames=st.integers(min_value=1, max_value=5),
+        blocks=st.integers(min_value=1, max_value=24),
+        kinds=st.lists(
+            st.sampled_from(["skip", "sparse", "dense", "full"]), min_size=20, max_size=20
+        ),
+        span=st.integers(min_value=1, max_value=1 << 22),
+        beyond=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_v2_coder_matches_reference(self, streams, frames, blocks, kinds, span, beyond, seed):
+        """Streams of frames that code nothing (one bit each), a few blocks,
+        most blocks, or every coefficient of every block, with levels up to
+        and past the fused-pair limit (the scalar fallback): every payload
+        is the reference's bytes and decodes, both ways, to its rows."""
+        rng = np.random.default_rng(seed)
+        rows = np.zeros((streams, frames, blocks, 64), dtype=np.int64)
+        for stream in range(streams):
+            for frame in range(frames):
+                kind = kinds[(stream * frames + frame) % len(kinds)]
+                density = {"skip": 0.0, "sparse": 0.01, "dense": 0.3, "full": 1.0}[kind]
+                rows[stream, frame] = _rng_rows(rng, blocks, density, span)[0]
+                if kind == "full":
+                    rows[stream, frame][rows[stream, frame] == 0] = 1
+        if beyond:
+            rows[rng.integers(streams), rng.integers(frames), rng.integers(blocks), 63] = -(
+                1 << 21
+            )
+        payloads = _encode_streams(rows)
+        for stream_rows, payload in zip(rows, payloads):
+            assert payload == _reference_bytes(stream_rows)
+            np.testing.assert_array_equal(
+                _read_rows_reference(BitReader(payload), frames, blocks), stream_rows
+            )
+            np.testing.assert_array_equal(_decoded(payload, frames, blocks), stream_rows)
+
+    def test_all_skip_frames_cost_a_bit(self):
+        rows = np.zeros((9, 24, 64), dtype=np.int32)
+        rows[0, 5, 0] = 3
+        payload = _encode_streams(rows[None])[0]
+        assert payload == _reference_bytes(rows)
+        # ue(1), ue(5), ue(0), ue(0), se(3); then eight frames of ue(0).
+        assert len(payload) == -(-(3 + 5 + 1 + 1 + 5 + 8) // 8)
+        np.testing.assert_array_equal(_decoded(payload, 9, 24), rows)
+
+    def test_decode_scans_in_chunks(self, monkeypatch):
+        """A payload many scan chunks long decodes the same, whatever
+        codewords straddle the chunk edges."""
+        from repro.video import codec
+
+        rng = np.random.default_rng(7)
+        rows = _rng_rows(rng, blocks=40, density=0.4, span=5000, frames=6)
+        payload = _reference_bytes(rows)
+        for chunk in (16, 17, 23, 64):
+            monkeypatch.setattr(codec, "SCAN_CHUNK_BYTES", chunk)
+            assert len(payload) > 20 * chunk
+            np.testing.assert_array_equal(_decoded(payload, 6, 40), rows)
 
     @given(
         blocks=st.integers(min_value=0, max_value=24),
+        frames=st.integers(min_value=1, max_value=3),
         density=st.floats(min_value=0.0, max_value=1.0),
         span=st.integers(min_value=1, max_value=1 << 22),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_round_trip_property(self, blocks, density, span, seed):
+    def test_round_trip_property(self, blocks, frames, density, span, seed):
         """Any quantised rows survive encode -> decode bit-exactly."""
         rng = np.random.default_rng(seed)
-        rows = _rng_rows(rng, blocks=blocks, density=density, span=span)
-        payload = _entropy_encode(rows)
+        rows = _rng_rows(rng, blocks=blocks, density=density, span=span, frames=frames)
+        payload = _encode_streams(rows[None])[0]
         assert payload == _reference_bytes(rows)
-        decoded = _read_rows(payload, blocks)
-        np.testing.assert_array_equal(decoded, rows)
+        np.testing.assert_array_equal(_decoded(payload, frames, blocks), rows)
 
 
 CONFIG = IngestConfig(
@@ -611,7 +677,6 @@ def _scalar_reference_gop(frames: list[Frame], quality: Quality) -> bytes:
     """One (tile, rung) segment the slow way: per frame and per plane, the
     tile's own ``PlaneCodec.quantise`` chain, entropy-coded symbol by
     symbol — the wire format's specification, with no batching anywhere."""
-    from repro.video.bitstream import write_uvarint
     from repro.video.codec import _BASE_CHROMA, _BASE_LUMA, PlaneCodec, quant_matrix
     from repro.video.frame import downsample_frame
     from repro.video.gop import _HEADER, GOP_FORMAT_VERSION, GOP_MAGIC
@@ -621,25 +686,22 @@ def _scalar_reference_gop(frames: list[Frame], quality: Quality) -> bytes:
         frames = [downsample_frame(frame, quality.downscale) for frame in frames]
     luma = PlaneCodec(quant_matrix(_BASE_LUMA, quality.scale))
     chroma = PlaneCodec(quant_matrix(_BASE_CHROMA, quality.scale))
-    out = bytearray(
-        _HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, len(frames))
-    )
     reference = None
+    coded = []  # each frame's Y, U and V rows back to back
     for frame in frames:
-        writer = BitWriter()
-        writer.write(0 if reference is None else 1, 8)
-        reconstruction = []
-        for codec, plane, previous in zip(
-            (luma, chroma, chroma), frame.planes, reference or (None, None, None)
-        ):
-            rows, plane_reconstruction = codec.quantise(plane, previous)
-            _write_rows_reference(writer, rows)
-            reconstruction.append(plane_reconstruction)
-        data = writer.getvalue()
-        write_uvarint(out, len(data))
-        out += data
-        reference = reconstruction
-    return bytes(out)
+        rows, reference = zip(
+            *(
+                codec.quantise(plane, previous)
+                for codec, plane, previous in zip(
+                    (luma, chroma, chroma), frame.planes, reference or (None, None, None)
+                )
+            )
+        )
+        coded.append(np.concatenate(rows))
+    writer = BitWriter()
+    _write_rows_reference(writer, np.stack(coded))
+    header = _HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, len(frames))
+    return header + writer.getvalue()
 
 
 class TestLockstepEncoder:
@@ -686,6 +748,27 @@ class TestLockstepEncoder:
             own = [frame.crop(x0, y0, x0 + tile_px, y0 + tile_px) for frame in frames]
             assert payload == _scalar_reference_gop(own, quality), (tile, quality)
 
+    def test_still_and_thumbnail_segments_match_reference(self):
+        """A 1-frame GOP, predicted frames that code nothing (a still
+        image), and the reduced-resolution rung, against the reference."""
+        grid = TileGrid(1, 2)
+        rng = np.random.default_rng(4)
+        still = Frame(
+            *(rng.integers(0, 256, shape, dtype=np.uint8) for shape in ((32, 64), (16, 32), (16, 32)))
+        )
+        flat = Frame.blank(64, 32, luma=90)
+        codec = TiledVideoCodec(grid, 64, 32)
+        ladders = {tile: (Quality.HIGH, Quality.LOWEST, Quality.THUMBNAIL) for tile in grid.tiles()}
+        for frames in ([still], [still] * 5, [flat] * 4):
+            encoded = codec.encode_gop_ladders(frames, ladders, workers=1)
+            for (tile, quality), payload in encoded.items():
+                x0 = tile[1] * 32
+                own = [frame.crop(x0, 0, x0 + 32, 32) for frame in frames]
+                assert payload == _scalar_reference_gop(own, quality), (len(frames), quality)
+        # Three flat predicted frames: one bit each, in the last byte or two.
+        intra = codec.encode_gop_ladders([flat], ladders, workers=1)
+        assert all(len(encoded[key]) - len(intra[key]) <= 1 for key in intra)
+
     def test_level_guard_holds_per_stream(self, monkeypatch):
         """Rows at the fused-pair limit in the *middle* stream of a batch:
         that stream alone goes to the scalar coder, its batch-mates stay
@@ -694,8 +777,8 @@ class TestLockstepEncoder:
 
         rng = np.random.default_rng(21)
         rows = np.stack([_rng_rows(rng, blocks=6, density=0.3, span=900) for _ in range(3)])
-        rows[1, 2, 0] = 1 << 21
-        rows[1, 4, 63] = -(1 << 22) - 5
+        rows[1, 0, 2, 0] = 1 << 21
+        rows[1, 0, 4, 63] = -(1 << 22) - 5
         scalar_calls = []
         reference = codec._write_rows_reference
 

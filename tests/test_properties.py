@@ -16,7 +16,7 @@ from repro.geometry.angles import (
 from repro.geometry.grid import TileGrid
 from repro.geometry.sphere import from_unit_vector, great_circle_distance, to_unit_vector
 from repro.video.bitstream import BitReader, BitWriter
-from repro.video.codec import _entropy_encode, _read_rows
+from repro.video.codec import _encode_streams, _read_frames
 from repro.video.frame import Frame
 from repro.video.gop import decode_gop, encode_gop
 from repro.video.mp4 import Atom, Mp4File, make_stss, parse_stss
@@ -156,9 +156,10 @@ class TestEntropyProperties:
     @settings(max_examples=30)
     def test_sparse_rows_round_trip(self, block_count, seed):
         rng = np.random.default_rng(seed)
-        rows = rng.integers(-100, 100, (block_count, 64)).astype(np.int32)
+        rows = rng.integers(-100, 100, (3, block_count, 64)).astype(np.int32)
         rows[rng.uniform(size=rows.shape) < 0.7] = 0
-        assert np.array_equal(_read_rows(_entropy_encode(rows), block_count), rows)
+        decoded = list(_read_frames(_encode_streams(rows[None])[0], 3, block_count))
+        assert np.array_equal(np.stack(decoded), rows)
 
 
 class TestCodecProperties:
@@ -184,17 +185,18 @@ class TestCodecProperties:
         rung) for every frame."""
         from repro.video.codec import _BASE_CHROMA, _BASE_LUMA, PlaneCodec, quant_matrix
         from repro.video.frame import downsample_frame, upsample_frame
-        from tests.test_video_codec import frame_payloads
+        from repro.video.gop import _HEADER
 
         frames = self._random_frames(seed)
         data = encode_gop(frames, quality)
-        decoded = decode_gop(data)
+        decoded = decode_gop(data, 32, 32, len(frames))
         assert len(decoded) == len(frames)
         factor = quality.downscale
         luma = PlaneCodec(quant_matrix(_BASE_LUMA, quality.scale))
         chroma = PlaneCodec(quant_matrix(_BASE_CHROMA, quality.scale))
         reference = (None, None, None)
-        for frame, restored, payload in zip(frames, decoded, frame_payloads(data)):
+        stream = []
+        for frame, restored in zip(frames, decoded):
             coded = [
                 plane_codec.quantise(plane, previous)
                 for plane_codec, plane, previous in zip(
@@ -203,10 +205,11 @@ class TestCodecProperties:
                     reference,
                 )
             ]
-            assert payload[1:] == _entropy_encode(np.concatenate([rows for rows, _ in coded]))
+            stream.append(np.concatenate([rows for rows, _ in coded]))
             reference = tuple(plane for _, plane in coded)
             oracle = Frame(*reference)
             assert restored.equals(upsample_frame(oracle, factor) if factor > 1 else oracle)
+        assert data[_HEADER.size :] == _encode_streams(np.stack(stream)[None])[0]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -217,7 +220,7 @@ class TestCodecProperties:
         frames = self._random_frames(seed)
         errors = []
         for quality in Quality:  # best first
-            decoded = decode_gop(encode_gop(frames, quality))
+            decoded = decode_gop(encode_gop(frames, quality), 32, 32, len(frames))
             errors.append(sum(mse(a, b) for a, b in zip(frames, decoded)))
         rungs = list(Quality)
         for index, (better, worse) in enumerate(zip(errors, errors[1:])):

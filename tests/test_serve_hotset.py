@@ -9,7 +9,9 @@ fast path genuinely never touches storage, not merely that it is fast.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.control import (
     warm_slice,
 )
 from repro.core.errors import SegmentNotFoundError
-from repro.core.storage import StorageManager
+from repro.core.storage import StorageManager, checksum_hex, segment_checksum
 from repro.obs import MetricsRegistry
 from repro.serve import HotSet, HttpSegmentClient, ServerConfig, start_server
 from repro.serve.placement import ShardMap
@@ -434,13 +436,40 @@ class TestOnePrewarmPath:
         finally:
             handle.stop()
 
+    def test_prewarm_pins_carry_the_index_checksum(self, session_db, monkeypatch):
+        """A prewarm pins bytes its read checked against the index, so each
+        pin sends the index's checksum and no body is hashed again."""
+        from repro.serve import hotset
+
+        def no_hash(body):
+            raise AssertionError("a prewarm pin hashed its body")
+
+        monkeypatch.setattr(hotset, "checksum_hex", no_hash)
+        server = SegmentServer(
+            session_db.storage, ServerConfig(pin_budget_bytes=1 << 20), registry=MetricsRegistry()
+        )
+        manifest = session_db.storage.build_manifest("clip")
+        paths = [f"/segment/clip/{key.to_path()}" for key in manifest.segment_sizes]
+        plan = ControlPlan(
+            version=1, nodes=(NodePlan("", None, 1 << 20, tuple((path, 5) for path in paths)),)
+        )
+        assert server.apply_control_plan(plan)["pinned"] == len(paths)
+        for path in paths:
+            entry = server.hot.lookup(path)
+            header = f"X-Checksum: {checksum_hex(entry.body)}".encode()
+            assert header in b"".join(entry.parts(True)), path
+
     def test_pin_loop_skips_unreadable_paths_and_propagates_bugs(self):
         class Storage:
-            def read_segments(self, name, keys):
+            def meta(self, name):
                 if name == "gone":
                     raise SegmentNotFoundError(f"{name} is not stored")
                 if name == "bug":
                     raise TypeError("a programming error")
+                entry = SimpleNamespace(checksum=segment_checksum(b"x" * 8))
+                return SimpleNamespace(version=1, entries=defaultdict(lambda: entry))
+
+            def read_segments(self, name, keys, version):
                 return [b"x" * 8 for _ in keys]
 
         registry = MetricsRegistry()

@@ -4,22 +4,19 @@ import numpy as np
 import pytest
 
 from repro.video.codec import (
-    FRAME_TYPE_INTRA,
-    FRAME_TYPE_PREDICTED,
     PlaneCodec,
-    _entropy_encode,
-    _read_rows,
+    _encode_streams,
+    _read_frames,
     frame_quantisers,
     quant_matrix,
     _BASE_LUMA,
 )
-from repro.video.bitstream import read_uvarint, write_uvarint
+from repro.video.bitstream import BitWriter
 from repro.video.frame import Frame, psnr
 from repro.video.gop import (
     _HEADER,
     GOP_FORMAT_VERSION,
     GOP_MAGIC,
-    _parse_gop_header,
     decode_gop,
     encode_gop,
     encode_gops,
@@ -35,37 +32,26 @@ def textured_plane(height=32, width=48, seed=0) -> np.ndarray:
     return np.clip(plane, 0, 255).astype(np.uint8)
 
 
-def frame_payloads(gop: bytes) -> list[bytes]:
-    """Each frame's bytes of a GOP: a type byte, then the bit stream."""
-    *_, count, offset = _parse_gop_header(gop)
-    payloads = []
-    for _ in range(count):
-        length, offset = read_uvarint(gop, offset)
-        payloads.append(gop[offset : offset + length])
-        offset += length
-    return payloads
-
-
-def encode_one(quality, frames):
+def encode_one(quality, frames) -> bytes:
     """``frames`` as one GOP at one rung through the encoder ingest runs,
-    at full resolution whatever the rung; returns each frame's bytes (the
-    first intra, the rest predicted from the one before)."""
+    at full resolution whatever the rung; returns the bit stream after
+    the header (the first frame intra, the rest predicted from the one
+    before)."""
     y = np.stack([frame.y for frame in frames])
     uv = np.stack([np.stack((frame.u, frame.v)) for frame in frames])
     (gop,) = encode_gops((quality,), y[None], uv[None], frames[0].width, frames[0].height)
-    return frame_payloads(gop)
+    return gop[_HEADER.size :]
 
 
-def gop_of(quality, width, height, payloads) -> bytes:
-    """A GOP built by hand around frame ``payloads`` (the inverse of
+def gop_of(quality, width, height, frames, stream, version=GOP_FORMAT_VERSION) -> bytes:
+    """A GOP built by hand around a bit stream (the inverse of
     :func:`encode_one`), so the decoder can be handed any frame bytes."""
-    out = bytearray(
-        _HEADER.pack(GOP_MAGIC, GOP_FORMAT_VERSION, quality.rank, width, height, len(payloads))
-    )
-    for payload in payloads:
-        write_uvarint(out, len(payload))
-        out += payload
-    return bytes(out)
+    return _HEADER.pack(GOP_MAGIC, version, quality.rank, width, height, frames) + stream
+
+
+def read_rows(payload: bytes, frames: int, blocks: int) -> np.ndarray:
+    """The vectorised decoder's frames of one payload, stacked."""
+    return np.stack(list(_read_frames(payload, frames, blocks))).reshape(frames, blocks, 64)
 
 
 class TestQuantMatrix:
@@ -95,23 +81,22 @@ class TestQuantMatrix:
 class TestEntropy:
     def test_round_trip_random(self):
         rng = np.random.default_rng(3)
-        rows = rng.integers(-30, 30, (10, 64)).astype(np.int32)
+        rows = rng.integers(-30, 30, (3, 10, 64)).astype(np.int32)
         rows[rng.uniform(size=rows.shape) < 0.8] = 0  # sparse, like real residuals
-        assert np.array_equal(_read_rows(_entropy_encode(rows), 10), rows)
+        assert np.array_equal(read_rows(_encode_streams(rows[None])[0], 3, 10), rows)
 
     def test_all_zero_blocks_are_tiny(self):
-        rows = np.zeros((100, 64), dtype=np.int32)
-        data = _entropy_encode(rows)
-        assert len(data) <= 100 // 8 + 1  # one bit per skipped block
+        rows = np.zeros((8, 100, 64), dtype=np.int32)
+        assert _encode_streams(rows[None])[0] == b"\xff"  # ue(0) is one set bit a frame
 
     def test_dense_block_round_trip(self):
         rows = np.full((1, 64), -1, dtype=np.int32)
-        assert np.array_equal(_read_rows(_entropy_encode(rows), 1), rows)
+        assert np.array_equal(read_rows(_encode_streams(rows[None, None])[0], 1, 1)[0], rows)
 
     def test_single_trailing_coefficient(self):
         rows = np.zeros((1, 64), dtype=np.int32)
         rows[0, 63] = 7
-        assert np.array_equal(_read_rows(_entropy_encode(rows), 1), rows)
+        assert np.array_equal(read_rows(_encode_streams(rows[None, None])[0], 1, 1)[0], rows)
 
     def test_level_fallback_rows_only_for_its_streams(self, monkeypatch):
         """Levels at the fused-pair limit in streams 1 and 3 of many: those
@@ -120,15 +105,14 @@ class TestEntropy:
         import tracemalloc
 
         from repro.video import codec
-        from repro.video.bitstream import BitWriter
 
         streams, blocks = 4000, 4  # dense int64 rows would be 8 MB
         rng = np.random.default_rng(5)
-        rows = np.zeros((streams, blocks, 64), dtype=np.int64)
+        rows = np.zeros((streams, 1, blocks, 64), dtype=np.int64)
         sparse = rng.uniform(size=rows.shape) < 0.01
         rows[sparse] = rng.integers(-40, 40, int(sparse.sum()))
-        rows[1, 0, 5] = 1 << 21
-        rows[3, 3, 63] = -(1 << 22) - 5
+        rows[1, 0, 0, 5] = 1 << 21
+        rows[3, 0, 3, 63] = -(1 << 22) - 5
         keys = np.flatnonzero(rows)
         levels = rows.ravel()[keys]
         scalar_calls = []
@@ -141,7 +125,7 @@ class TestEntropy:
         monkeypatch.setattr(codec, "_write_rows_reference", counting)
         tracemalloc.start()
         try:
-            payloads = codec._encode_keys(keys, levels, streams, blocks)
+            payloads = codec._encode_keys(keys, levels, streams, 1, blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -154,13 +138,37 @@ class TestEntropy:
             reference(writer, rows[stream])
             assert payloads[stream] == writer.getvalue(), stream
 
-    def test_corrupt_count_raises(self):
-        from repro.video.bitstream import BitWriter
+    def test_frames_past_the_fused_lane_are_refused(self):
+        from repro.video import codec
 
+        empty = np.zeros(0, dtype=np.int64)
+        assert codec._encode_keys(empty, empty, 1, 1, (1 << 25) - 1) == [b"\x80"]
+        with pytest.raises(ValueError, match="more than the coder codes"):
+            codec._encode_keys(empty, empty, 1, 1, 1 << 25)
+
+    def test_prefix_of_64_zeros_raises(self, monkeypatch):
+        from repro.video import codec
+
+        monkeypatch.setattr(codec, "SCAN_CHUNK_BYTES", 16)  # 128-bit windows
+        for zeros in (9, 64):  # zero bytes inside one window, and past it
+            with pytest.raises(ValueError, match="malformed"):
+                read_rows(bytes(zeros) + b"\xff", 1, 1)
+
+    def test_level_beyond_the_rows_raises(self):
         writer = BitWriter()
-        writer.write_ue(65)  # impossible coefficient count
-        with pytest.raises(ValueError):
-            _read_rows(writer.getvalue(), 1)
+        for value in (1, 0, 0, 0):  # one coded block, one coefficient at 0
+            writer.write_ue(value)
+        writer.write_se(1 << 31)  # one past int32
+        with pytest.raises(ValueError, match="beyond"):
+            read_rows(writer.getvalue(), 1, 1)
+
+    def test_corrupt_count_raises(self):
+        writer = BitWriter()
+        writer.write_ue(1)  # one coded block
+        writer.write_ue(0)  # no skip before it
+        writer.write_ue(64)  # 65 coefficients: impossible
+        with pytest.raises(ValueError, match="claims 65"):
+            read_rows(writer.getvalue(), 1, 1)
 
 
 class TestPlaneCodec:
@@ -171,7 +179,7 @@ class TestPlaneCodec:
         codec = PlaneCodec(quant_matrix(_BASE_LUMA, Quality.HIGH.scale))
         plane = textured_plane()
         _, reconstruction = codec.encode(plane, None)
-        (decoded,) = decode_gop(encode_gop([Frame.from_luma(plane)], Quality.HIGH))
+        (decoded,) = decode_gop(encode_gop([Frame.from_luma(plane)], Quality.HIGH), 48, 32, 1)
         assert np.array_equal(decoded.y, reconstruction)
         assert psnr(plane, decoded.y) > 35
 
@@ -198,7 +206,9 @@ class TestPlaneCodec:
         codec = PlaneCodec(quant_matrix(_BASE_LUMA, Quality.MEDIUM.scale))
         plane = textured_plane(seed=1)
         shifted = [np.roll(plane, step * 2, axis=1) for step in range(3)]
-        decoded = decode_gop(encode_gop([Frame.from_luma(p) for p in shifted], Quality.MEDIUM))
+        decoded = decode_gop(
+            encode_gop([Frame.from_luma(p) for p in shifted], Quality.MEDIUM), 48, 32, 3
+        )
         previous = None
         for frame, restored in zip(shifted, decoded):
             _, previous = codec.encode(frame, previous)
@@ -212,14 +222,16 @@ class TestFrameCodec:
         with pytest.raises(ValueError):
             encode_one(Quality.HIGH, [Frame.blank(24, 16)])
 
-    def test_intra_frame_type_byte(self):
-        (data,) = encode_one(Quality.HIGH, [Frame.blank(32, 16)])
-        assert data[0] == FRAME_TYPE_INTRA
-
-    def test_predicted_frame_type_byte(self):
+    def test_frames_share_one_bit_stream(self):
+        """No frame has a length, a type or padding: a repeated flat frame
+        adds one bit."""
         frame = Frame.blank(32, 16)
-        _, data = encode_one(Quality.HIGH, [frame, frame])
-        assert data[0] == FRAME_TYPE_PREDICTED
+        one = encode_one(Quality.HIGH, [frame])
+        assert len(encode_one(Quality.HIGH, [frame] * 3)) - len(one) <= 1
+        writer = BitWriter()
+        for _ in range(3):
+            writer.write_ue(0)  # a flat grey frame codes nothing, intra too
+        assert encode_one(Quality.HIGH, [Frame.blank(32, 16, luma=128)] * 3) == writer.getvalue()
 
     def test_round_trip_quality_ordering(self):
         # Same-resolution rungs only: across a resolution change the
@@ -229,7 +241,7 @@ class TestFrameCodec:
         results = {}
         for quality in rungs:
             data = encode_gop([frame], quality)
-            results[quality] = (len(data), psnr(frame, decode_gop(data)[0]))
+            results[quality] = (len(data), psnr(frame, decode_gop(data, 48, 32, 1)[0]))
         sizes = [results[quality][0] for quality in rungs]
         psnrs = [results[quality][1] for quality in rungs]
         assert sizes == sorted(sizes, reverse=True)  # better quality, more bytes
@@ -239,7 +251,7 @@ class TestFrameCodec:
         frames = [Frame.from_luma(textured_plane(32, 64, seed=3))]
         sizes = {quality: len(encode_gop(frames, quality)) for quality in Quality}
         assert sizes[Quality.THUMBNAIL] < sizes[Quality.LOWEST]
-        decoded = decode_gop(encode_gop(frames, Quality.THUMBNAIL))
+        decoded = decode_gop(encode_gop(frames, Quality.THUMBNAIL), 64, 32, 1)
         assert (decoded[0].width, decoded[0].height) == (64, 32)
 
     def test_thumbnail_rejects_unaligned_dimensions(self):
@@ -247,25 +259,26 @@ class TestFrameCodec:
         with pytest.raises(ValueError):
             encode_gop(frames, Quality.THUMBNAIL)
 
-    def test_predicted_requires_reference(self):
-        frame = Frame.blank(32, 16)
-        _, data = encode_one(Quality.HIGH, [frame, frame])
-        with pytest.raises(ValueError, match="requires a reference"):
-            decode_gop(gop_of(Quality.HIGH, 32, 16, [data]))
-
-    def test_unknown_frame_type(self):
-        with pytest.raises(ValueError, match="unknown frame type"):
-            decode_gop(gop_of(Quality.HIGH, 32, 16, [b"\x07" + b"\x00" * 16]))
+    def test_format_one_is_refused(self):
+        frame = Frame.from_luma(textured_plane(16, 32))
+        stream = encode_one(Quality.HIGH, [frame])
+        with pytest.raises(ValueError, match="unsupported GOP format version 1"):
+            decode_gop(gop_of(Quality.HIGH, 32, 16, 1, stream, version=1), 32, 16, 1)
 
     def test_truncated_payload(self):
-        (data,) = encode_one(Quality.HIGH, [Frame.from_luma(textured_plane(16, 32))])
+        stream = encode_one(Quality.HIGH, [Frame.from_luma(textured_plane(16, 32))] * 2)
         with pytest.raises(ValueError, match="truncated"):
-            # Trailing bytes keep the header's size check out of the way.
-            decode_gop(gop_of(Quality.HIGH, 32, 16, [data[: len(data) // 2]]) + bytes(64))
+            decode_gop(gop_of(Quality.HIGH, 32, 16, 2, stream[: len(stream) // 2]), 32, 16, 2)
 
     def test_empty_payload(self):
-        with pytest.raises(ValueError, match="empty frame payload"):
-            decode_gop(gop_of(Quality.HIGH, 32, 16, [b""]) + bytes(64))
+        with pytest.raises(ValueError, match="could hold"):
+            decode_gop(gop_of(Quality.HIGH, 32, 16, 1, b""), 32, 16, 1)
+
+    def test_bits_after_the_last_frame(self):
+        stream = encode_one(Quality.HIGH, [Frame.from_luma(textured_plane(16, 32))])
+        for tail in (b"\x00", b"\x80"):
+            with pytest.raises(ValueError, match="follow the last frame"):
+                decode_gop(gop_of(Quality.HIGH, 32, 16, 1, stream + tail), 32, 16, 1)
 
     def test_chroma_survives_round_trip(self):
         frame = Frame(  # strongly red: low blue-difference, high red-difference
@@ -273,6 +286,7 @@ class TestFrameCodec:
             u=np.full((8, 16), 90, dtype=np.uint8),
             v=np.full((8, 16), 230, dtype=np.uint8),
         )
-        (decoded,) = decode_gop(gop_of(Quality.HIGH, 32, 16, encode_one(Quality.HIGH, [frame])))
+        stream = encode_one(Quality.HIGH, [frame])
+        (decoded,) = decode_gop(gop_of(Quality.HIGH, 32, 16, 1, stream), 32, 16, 1)
         assert abs(decoded.u.mean() - 90) < 8
         assert abs(decoded.v.mean() - 230) < 8

@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.video.bitstream import BitWriter
 from repro.video.frame import Frame, psnr
 from repro.video.gop import _HEADER, GOP_FORMAT_VERSION, GOP_MAGIC, decode_gop, encode_gop
 from repro.video.quality import Quality
 from repro.workloads.videos import checkerboard_video, solid_video, synthetic_video
 from tests.test_ingest_parallel import _scalar_reference_gop
-from tests.test_video_codec import frame_payloads
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +24,11 @@ def header(width: int, height: int, count: int, quality: Quality = Quality.HIGH)
 
 class TestGopCodec:
     def test_round_trip_frame_count(self, frames):
-        decoded = decode_gop(encode_gop(frames, Quality.HIGH))
+        decoded = decode_gop(encode_gop(frames, Quality.HIGH), 32, 32, len(frames))
         assert len(decoded) == len(frames)
 
     def test_round_trip_fidelity(self, frames):
-        decoded = decode_gop(encode_gop(frames, Quality.HIGH))
+        decoded = decode_gop(encode_gop(frames, Quality.HIGH), 32, 32, len(frames))
         for original, restored in zip(frames, decoded):
             assert psnr(original, restored) > 30
 
@@ -42,18 +42,18 @@ class TestGopCodec:
             encode_gop(bad, Quality.HIGH)
 
     def test_decode_any_reads_quality_from_header(self, frames):
-        medium = decode_gop(encode_gop(frames, Quality.MEDIUM))
-        high = decode_gop(encode_gop(frames, Quality.HIGH))
+        medium = decode_gop(encode_gop(frames, Quality.MEDIUM), 32, 32, len(frames))
+        high = decode_gop(encode_gop(frames, Quality.HIGH), 32, 32, len(frames))
         assert len(medium) == len(frames)
         assert psnr(frames[0], medium[0]) < psnr(frames[0], high[0])
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
-            decode_gop(b"XXXX" + b"\x00" * 16)
+            decode_gop(b"XXXX" + b"\x00" * 16, 32, 32, 1)
 
     def test_truncated_header(self):
         with pytest.raises(ValueError):
-            decode_gop(b"VG")
+            decode_gop(b"VG", 32, 32, 1)
 
     def test_static_content_predicted_frames_cheap(self):
         static = solid_video(32, 32, frames=6, luma=90)
@@ -68,16 +68,22 @@ class TestHostileHeader:
     outside input: it must be refused before it sizes any buffer."""
 
     def test_huge_dimensions_are_refused_before_allocating(self):
-        data = header(65520, 65520, 1) + bytes([5, 0, 0, 0, 0, 0])
-        assert len(data) == 18
+        # One flat intra frame of 65520x65520 is one bit of stream.
+        data = header(65520, 65520, 1) + b"\x80"
+        assert len(data) == 13
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="could hold"):
-                decode_gop(data)
+            with pytest.raises(ValueError, match="expected 1 of 32x32"):
+                decode_gop(data, 32, 32, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_other_frame_count_is_refused(self, frames):
+        data = encode_gop(frames, Quality.HIGH)
+        with pytest.raises(ValueError, match=f"claims {len(frames)} frames"):
+            decode_gop(data, 32, 32, len(frames) + 1)
 
     @pytest.mark.parametrize(
         "width,height,quality",
@@ -86,40 +92,69 @@ class TestHostileHeader:
     )
     def test_dimensions_off_the_block_grid(self, width, height, quality):
         with pytest.raises(ValueError, match="not a multiple of"):
-            decode_gop(header(width, height, 1, quality) + bytes(64))
+            decode_gop(header(width, height, 1, quality) + bytes(64), width, height, 1)
 
     def test_more_frames_than_the_bytes_could_hold(self, frames):
         data = encode_gop(frames, Quality.HIGH)
         with pytest.raises(ValueError, match="could hold"):
-            decode_gop(header(32, 32, 65535) + data[_HEADER.size :])
+            decode_gop(header(32, 32, 65535) + data[_HEADER.size :], 32, 32, 65535)
 
-    def test_frame_with_fewer_bits_than_blocks(self):
-        # 32x32 is 24 blocks, at least 3 bytes; this frame has 2 and the
-        # GOP has trailing bytes enough to pass the header's check.
-        data = header(32, 32, 1) + bytes([3, 0, 0xFF, 0xFF]) + bytes(8)
-        with pytest.raises(ValueError, match="24 blocks in 2 bytes"):
-            decode_gop(data)
+    def test_skip_runs_past_the_block_count(self):
+        # 32x32 is 24 blocks: a skip of 23 reaches the last block, and a
+        # second coded block after it runs past the frame.
+        writer = BitWriter()
+        writer.write_ue(2)  # two coded blocks
+        for skip in (23, 0):
+            writer.write_ue(skip)
+            writer.write_ue(0)  # one coefficient
+            writer.write_ue(0)  # at zigzag position 0
+            writer.write_se(1)
+        with pytest.raises(ValueError, match="skip runs pass its 24 blocks"):
+            decode_gop(header(32, 32, 1) + writer.getvalue(), 32, 32, 1)
+
+    def test_more_coded_blocks_than_blocks(self):
+        writer = BitWriter()
+        writer.write_ue(25)
+        with pytest.raises(ValueError, match="25 coded blocks of 24"):
+            decode_gop(header(32, 32, 1) + writer.getvalue() + bytes(8), 32, 32, 1)
+
+    def test_truncated_stream(self, frames):
+        data = encode_gop(frames, Quality.HIGH)
+        for cut in (1, len(data) // 2, len(data) - _HEADER.size - 1):
+            with pytest.raises(ValueError, match="truncated"):
+                decode_gop(data[: len(data) - cut], 32, 32, len(frames))
 
 
-def test_decode_working_set_is_one_frame_beyond_the_output():
+def test_decode_working_set_is_one_frame_beyond_the_output(monkeypatch):
     """A 30-frame 512x256 GOP decodes within its uint8 output plus one
-    frame in flight: the entropy scan of its largest frame (~80 bytes a
-    payload bit) and that frame's float64 coefficients and pixels — a
-    bound a decoder holding the GOP in float64 cannot meet."""
+    frame in flight and one scan chunk: the chunk's scan tables (~80
+    bytes a bit of :data:`SCAN_CHUNK_BYTES`, whatever the payload's size)
+    and the frame's symbols, rows, float64 coefficients and pixels — a
+    bound a decoder holding the GOP in float64 cannot meet. The payload
+    is many chunks long, and a chunk a quarter the size halves the scan
+    term but changes nothing else."""
+    from repro.video import codec
+
     frames = list(synthetic_video("venice", width=512, height=256, fps=30, duration=1, seed=2))
     data = encode_gop(frames, Quality.HIGH)
     samples = 512 * 256 * 3 // 2  # one frame's, luma and chroma
-    bound = 96 * 8 * max(map(len, frame_payloads(data))) + 24 * samples
-    assert bound < 8 * samples * len(frames)
-    tracemalloc.start()
-    try:
-        decoded = decode_gop(data)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    output = sum(plane.nbytes for frame in decoded for plane in frame.planes)
-    assert output == samples * len(frames)
-    assert peak - output < bound
+
+    def peak_over_output() -> int:
+        tracemalloc.start()
+        try:
+            decoded = decode_gop(data, 512, 256, len(frames))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = sum(plane.nbytes for frame in decoded for plane in frame.planes)
+        assert output == samples * len(frames)
+        return peak - output
+
+    for chunk in (codec.SCAN_CHUNK_BYTES, codec.SCAN_CHUNK_BYTES // 4):
+        monkeypatch.setattr(codec, "SCAN_CHUNK_BYTES", chunk)
+        bound = 96 * 8 * chunk + 32 * samples
+        assert len(data) > 4 * chunk and bound < 8 * samples * len(frames)
+        assert peak_over_output() < bound, chunk
 
 
 class TestCodedBlocksOnly:

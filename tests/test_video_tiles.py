@@ -78,7 +78,9 @@ class TestEncodeDecode:
     def test_decode_single_tile(self, tiled, codec, frames):
         # A tile's payload is a closed GOP of its own: it decodes alone, at
         # tile resolution, with no neighbour's bytes.
-        tile_frames = decode_gop(tiled.payloads[(0, 1)])
+        tile_frames = decode_gop(
+            tiled.payloads[(0, 1)], codec.tile_width, codec.tile_height, len(frames)
+        )
         assert tile_frames[0].width == codec.tile_width
         reference = frames[0].crop(16, 0, 32, 16)
         assert psnr(reference, tile_frames[0]) > 30
