@@ -32,9 +32,6 @@ from bench_config import (
 def bench_db(tmp_path_factory) -> VisualCloud:
     """A database holding all three reference videos, predictor trained."""
     db = VisualCloud(tmp_path_factory.mktemp("benchdb"))
-    # Delivery unions predictions across a window, so the Markov model's
-    # coverage target is tightened to keep its hedging selective.
-    db.prediction.markov_coverage = 0.8
     config = IngestConfig(
         grid=GRID, qualities=QUALITIES, gop_frames=GOP_FRAMES, fps=FPS
     )

@@ -31,9 +31,6 @@ DURATION = 8.0
 
 def main() -> None:
     db = VisualCloud(tempfile.mkdtemp(prefix="visualcloud-"))
-    # Delivery unions predictions across each window; tighten the Markov
-    # model's probability-coverage target so its hedging stays selective.
-    db.prediction.markov_coverage = 0.8
     config = IngestConfig(
         grid=TileGrid(4, 8),
         qualities=(Quality.HIGH, Quality.MEDIUM, Quality.LOWEST),

@@ -45,6 +45,8 @@ _MAX_HEAD = 16 * 1024
 #: at one byte per ``delay`` seconds without wedging a proxy thread
 #: forever if the client never hangs up.
 _TRICKLE_LIMIT = 512
+#: Seconds the relay waits on either socket before giving the connection up.
+UPSTREAM_TIMEOUT = 10.0
 
 
 def _read_head(sock: socket.socket) -> bytes:
@@ -98,13 +100,11 @@ class ChaosProxy:
         plan: FaultPlan | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        upstream_timeout: float = 10.0,
     ) -> None:
         self.upstream = upstream
         self.plan = plan
         self.host = host
         self.port = port
-        self.upstream_timeout = upstream_timeout
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -224,7 +224,7 @@ class ChaosProxy:
         self._track(client)
         upstream: socket.socket | None = None
         try:
-            client.settimeout(self.upstream_timeout)
+            client.settimeout(UPSTREAM_TIMEOUT)
             while not self._stopping.is_set():
                 request_head = _read_head(client)
                 if not request_head:
@@ -239,7 +239,7 @@ class ChaosProxy:
                     time.sleep(decision.delay)
                 if upstream is None:
                     upstream = socket.create_connection(
-                        self.upstream, timeout=self.upstream_timeout
+                        self.upstream, timeout=UPSTREAM_TIMEOUT
                     )
                     self._track(upstream)
                 try:

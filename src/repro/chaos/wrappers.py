@@ -36,16 +36,13 @@ class ChaosStorageManager:
     else (ingest, metadata, manifests, vacuum, metrics) delegates to the
     wrapped manager.
 
-    ``slow_tolerance`` is the simulated read-latency budget: a slow
-    fault whose ``delay`` is within the budget serves the bytes (link
-    time is simulated, so nothing sleeps); beyond it, the read times
-    out.
+    Read time is simulated, so nothing sleeps: the read budget is zero,
+    and a slow fault is always a timeout.
     """
 
-    def __init__(self, inner, plan: FaultPlan, slow_tolerance: float = 0.0) -> None:
+    def __init__(self, inner, plan: FaultPlan) -> None:
         self.inner = inner
         self.plan = plan
-        self.slow_tolerance = slow_tolerance
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -67,11 +64,8 @@ class ChaosStorageManager:
                 f"injected fault: segment failed validation ({context})"
             )
         if decision.kind == "slow":
-            if decision.delay <= self.slow_tolerance:
-                return None
             return SegmentReadTimeout(
-                f"injected fault: read exceeded {self.slow_tolerance:.3f}s "
-                f"budget by {decision.delay:.3f}s ({context})"
+                f"injected fault: read exceeded 0.000s budget by {decision.delay:.3f}s ({context})"
             )
         if decision.kind == "flaky":
             return TransientSegmentError(f"injected fault: transient I/O error ({context})")

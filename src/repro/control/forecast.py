@@ -34,6 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Holt's smoothing weights: ``ALPHA`` for the level, ``BETA`` for the trend.
+ALPHA = 0.4
+BETA = 0.3
+
 
 @dataclass(frozen=True)
 class Forecast:
@@ -66,17 +70,9 @@ class EwmaTrendForecaster:
     earns its value from subsequent deltas.
     """
 
-    def __init__(
-        self, alpha: float = 0.4, beta: float = 0.3, horizon: float = 2.0
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 < beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {beta}")
+    def __init__(self, horizon: float = 2.0) -> None:
         if horizon < 0.0:
             raise ValueError(f"horizon must be >= 0 intervals, got {horizon}")
-        self.alpha = alpha
-        self.beta = beta
         self.horizon = horizon
         self._series: dict[str, _HoltSeries] = {}
 
@@ -90,13 +86,10 @@ class EwmaTrendForecaster:
             series.level = float(value)
         else:
             previous = series.level
-            series.level = self.alpha * float(value) + (1.0 - self.alpha) * (
+            series.level = ALPHA * float(value) + (1.0 - ALPHA) * (
                 series.level + series.trend
             )
-            series.trend = (
-                self.beta * (series.level - previous)
-                + (1.0 - self.beta) * series.trend
-            )
+            series.trend = BETA * (series.level - previous) + (1.0 - BETA) * series.trend
         series.observations += 1
         return self.forecast(key)
 

@@ -124,7 +124,6 @@ class VisualCloud:
         *,
         base_url: str | None = None,
         link: SimulatedLink | None = None,
-        start_offsets: list[float] | None = None,
     ) -> QoEReport | list[QoEReport]:
         """Stream a stored video to one or many viewers — the single
         delivery entry point.
@@ -135,9 +134,8 @@ class VisualCloud:
 
         * no ``base_url``, no ``link`` — each session runs on its own
           simulated link;
-        * ``link`` — all sessions contend for the shared bottleneck,
-          optionally staggered by ``start_offsets`` (both are
-          :meth:`repro.core.streamer.Streamer.serve_all`);
+        * ``link`` — all sessions contend for the shared bottleneck
+          (:meth:`repro.core.streamer.Streamer.serve_all`);
         * ``base_url`` — sessions fetch real bytes from the segment
           server at that address (:func:`repro.serve.serve_session`),
           reusing this instance's trained predictors. Playback timing
@@ -171,7 +169,6 @@ class VisualCloud:
             reports = self.streamer.serve_all(
                 [(name, trace, session_config) for trace, session_config in pairs],
                 link,
-                start_offsets,
             )
         return reports[0] if single else reports
 

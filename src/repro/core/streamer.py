@@ -43,6 +43,9 @@ from repro.video.tiles import TiledGop
 
 #: Orientation instants per window for forecast and ground-truth footprints.
 WINDOW_SAMPLES = 3
+#: The headset every session streams to: forecasts, ground truth and the
+#: PSNR probe all see through it.
+VIEWPORT = Viewport()
 
 
 @dataclass
@@ -54,7 +57,6 @@ class SessionConfig:
     #: Holding the pose is the honest default at the >= 1-s horizon (E3). The
     #: one place it is stated: the CLI and the chaos runner read it from here.
     predictor: str = "static"
-    viewport: Viewport = field(default_factory=Viewport)
     #: Not read on the delivery path: the policy's forecast is the hedge.
     #: Kept only because the benchmark's session arms pass it; removing it
     #: waits on ROADMAP item 8 (e).
@@ -86,7 +88,6 @@ class _Session:
     #: one estimator — a shared instance lets sessions corrupt each
     #: other's bandwidth signal.
     estimator: ThroughputEstimator | None
-    start_offset: float  # wall time the session begins
     mode: str  # metrics label: "shared" when the caller passed a link, else "single"
     label: str  # per-session metrics label
     next_window: int = 0
@@ -100,10 +101,10 @@ class _Session:
 
     def next_request_time(self, link_busy_until: float) -> float:
         """When this session wants its next window on the wire. The first
-        request goes out at the arrival offset whatever the link is doing;
-        later ones ``buffer_windows`` ahead of playback, once the link frees."""
+        request goes out at 0 whatever the link is doing; later ones
+        ``buffer_windows`` ahead of playback, once the link frees."""
         if self.next_window == 0:
-            return max(self.start_offset, 0.0)
+            return 0.0
         duration = self.manifest.window_duration
         due = self.starts[-1] + duration
         return max(link_busy_until, due - self.config.buffer_windows * duration)
@@ -146,13 +147,11 @@ class Streamer:
         self,
         sessions: list[tuple[str, Trace, SessionConfig]],
         link: SimulatedLink | None = None,
-        start_offsets: list[float] | None = None,
     ) -> list[QoEReport]:
         """Run every session to completion; one QoE report each, in input order.
 
-        With ``link`` all sessions contend for that one bottleneck (their
-        own bandwidth models are ignored), optionally staggered by
-        ``start_offsets`` (default: all arrive at 0). Without it each
+        With ``link`` all sessions arrive at 0 and contend for that one
+        bottleneck (their own bandwidth models are ignored). Without it each
         session gets a private ``SimulatedLink(config.bandwidth,
         rtt=config.rtt)`` and runs to completion before the next one
         opens, so storage sees one viewer's reads at a time.
@@ -160,24 +159,15 @@ class Streamer:
         if not sessions:
             raise ValueError("no sessions to serve")
         if link is None:
-            if start_offsets is not None:
-                raise ValueError("start_offsets only applies to shared-link serving")
             return [
-                self._run(
-                    [spec], SimulatedLink(spec[2].bandwidth, rtt=spec[2].rtt), [0.0], "single"
-                )[0]
+                self._run([spec], SimulatedLink(spec[2].bandwidth, rtt=spec[2].rtt), "single")[0]
                 for spec in sessions
             ]
-        offsets = start_offsets or [0.0] * len(sessions)
-        if len(offsets) != len(sessions):
-            raise ValueError(
-                f"{len(offsets)} start offsets for {len(sessions)} sessions"
-            )
         active = self.metrics.counter(
             "sharedlink.active_seconds", "link time spent transferring"
         )
         active_before = active.total()
-        reports = self._run(sessions, link, offsets, "shared")
+        reports = self._run(sessions, link, "shared")
         if link.busy_until > 0:
             self.metrics.gauge(
                 "sharedlink.utilisation",
@@ -185,8 +175,8 @@ class Streamer:
             ).set((active.total() - active_before) / link.busy_until)
         return reports
 
-    def _run(self, specs, link: SimulatedLink, offsets, mode: str) -> list[QoEReport]:
-        sessions = self._open_sessions(specs, offsets, mode)
+    def _run(self, specs, link: SimulatedLink, mode: str) -> list[QoEReport]:
+        sessions = self._open_sessions(specs, mode)
         self._schedule(sessions, link)
         for session in sessions:
             # Cross-check the incremental schedule against the playback model.
@@ -197,9 +187,9 @@ class Streamer:
                     raise AssertionError("playback schedule diverged from the client model")
         return [QoEReport(session.records) for session in sessions]
 
-    def _open_sessions(self, specs, offsets, mode: str) -> list[_Session]:
+    def _open_sessions(self, specs, mode: str) -> list[_Session]:
         sessions = []
-        for index, ((name, trace, config), offset) in enumerate(zip(specs, offsets)):
+        for index, (name, trace, config) in enumerate(specs):
             self.metrics.counter("stream.sessions", "streaming sessions started").inc(
                 mode=mode
             )
@@ -219,7 +209,6 @@ class Streamer:
                     manifest=manifest,
                     predictor=predictor,
                     estimator=estimator,
-                    start_offset=float(offset),
                     mode=mode,
                     label=f"{name}#{index}" if mode == "shared" else name,
                 )
@@ -250,19 +239,14 @@ class Streamer:
         request_time = session.next_request_time(link.busy_until)
 
         # Feed the predictor every client orientation report up to the
-        # media instant playing at request time (media time runs on the
-        # session's own clock: wall time minus its arrival offset).
+        # media instant playing at request time.
         decision_started = time.perf_counter()
-        media_now = self._media_time(
-            [start - session.start_offset for start in session.starts],
-            duration,
-            request_time - session.start_offset,
-        )
+        media_now = self._media_time(session.starts, duration, request_time)
         session.trace_cursor = self._observe(
             session.predictor, session.trace, session.trace_cursor, media_now
         )
         instants = self._instants(window_start, window_end)
-        forecast = session.predictor.forecast(instants, manifest.grid, config.viewport)
+        forecast = session.predictor.forecast(instants, manifest.grid, VIEWPORT)
         # Before any transfer completes an estimator has no signal; start
         # from the link's current rate, as a probing client would. Without
         # an estimator the session reads the link's raw capacity — on a
@@ -355,7 +339,7 @@ class Streamer:
 
         # Ground truth: what the viewer actually saw during the window.
         poses = [session.trace.orientation_at(float(at)) for at in instants]
-        seen = config.viewport.visible_mask(
+        seen = VIEWPORT.visible_mask(
             [pose.theta for pose in poses], [pose.phi for pose in poses], manifest.grid
         ).any(axis=0)
         visible = manifest.grid.tiles_in(seen)
@@ -381,7 +365,7 @@ class Streamer:
         )
         if config.evaluate_quality:
             record.viewport_psnr = self._probe_window(
-                name, manifest, config, window, result.payloads, session.trace, window_start
+                name, manifest, window, result.payloads, session.trace, window_start
             )
         session.records.append(record)
         session.next_window += 1
@@ -422,7 +406,6 @@ class Streamer:
         self,
         name: str,
         manifest: Manifest,
-        config: SessionConfig,
         window: int,
         payloads: dict[tuple[int, int], bytes],
         trace: Trace,
@@ -442,7 +425,6 @@ class Streamer:
         delivered = TiledGop(
             reference.width, reference.height, reference.grid, reference.frame_count, payloads
         )
-        probe = ViewportQualityProbe(config.viewport)
-        return probe.window_psnr(
+        return ViewportQualityProbe(VIEWPORT).window_psnr(
             delivered, reference.decode(), trace, window_start, manifest.fps
         )

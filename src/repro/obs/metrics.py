@@ -275,10 +275,10 @@ class MetricsRegistry:
     with a different kind is an error (it would silently fork the series).
     """
 
-    def __init__(self, trace_keep: int = 256) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, Metric] = {}
-        self.tracer = Tracer(self, keep=trace_keep)
+        self.tracer = Tracer(self)
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
         with self._lock:

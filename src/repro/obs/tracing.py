@@ -22,6 +22,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
+#: Finished spans the recent-span ring holds.
+TRACE_KEEP = 256
+
 
 @dataclass
 class SpanRecord:
@@ -51,11 +54,9 @@ def _render(value) -> object:
 class Tracer:
     """Records spans into a registry and a bounded recent-span ring."""
 
-    def __init__(self, registry=None, keep: int = 256) -> None:
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
+    def __init__(self, registry=None) -> None:
         self._registry = registry
-        self._recent: deque[SpanRecord] = deque(maxlen=keep)
+        self._recent: deque[SpanRecord] = deque(maxlen=TRACE_KEEP)
         self._lock = threading.Lock()
 
     @contextmanager

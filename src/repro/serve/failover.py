@@ -56,6 +56,9 @@ CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 #: Cap (seconds) on an honored ``Retry-After`` hint: a confused replica
 #: cannot park itself out of rotation for longer than this.
 _MAX_RETRY_AFTER = 30.0
+#: The retry budget's bucket: tokens it holds, and tokens a success earns back.
+RETRY_CAPACITY = 16.0
+RETRY_REFILL = 0.1
 
 #: The legal circuit transitions; anything else is a bug the chaos
 #: runner's ``circuit_monotone`` invariant exists to catch.
@@ -173,21 +176,15 @@ class RetryBudget:
     """A token bucket bounding a client's *extra* attempts globally.
 
     The first attempt of every request is free; each failover or retry
-    spends one token. Successes earn ``refill`` tokens back (capped at
-    ``capacity``), so a mostly-healthy tier never exhausts the budget,
-    while a storm drains it and forces fail-fast — retries must not
-    amplify an outage.
+    spends one token. Successes earn :data:`RETRY_REFILL` tokens back
+    (capped at :data:`RETRY_CAPACITY`), so a mostly-healthy tier never
+    exhausts the budget, while a storm drains it and forces fail-fast —
+    retries must not amplify an outage.
     """
 
-    def __init__(self, capacity: float = 16.0, refill: float = 0.1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if refill < 0:
-            raise ValueError(f"refill must be >= 0, got {refill}")
-        self.capacity = float(capacity)
-        self.refill = float(refill)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tokens = float(capacity)
+        self._tokens = RETRY_CAPACITY
         self.spent = 0
         self.denied = 0
 
@@ -207,7 +204,7 @@ class RetryBudget:
 
     def earn(self) -> None:
         with self._lock:
-            self._tokens = min(self.capacity, self._tokens + self.refill)
+            self._tokens = min(RETRY_CAPACITY, self._tokens + RETRY_REFILL)
 
 
 @dataclass

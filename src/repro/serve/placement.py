@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["HashRing", "ShardMap", "materialize_shards", "stable_hash"]
 
+#: Virtual points each node puts on the ring.
+VNODES = 64
+
 
 def stable_hash(token: str) -> int:
     """A 64-bit position on the ring for ``token``.
@@ -61,26 +64,23 @@ def stable_hash(token: str) -> int:
 class HashRing:
     """A consistent-hash ring over logical node ids with virtual nodes.
 
-    Each node contributes ``vnodes`` points at ``stable_hash(f"{id}#{i}")``;
+    Each node contributes :data:`VNODES` points at ``stable_hash(f"{id}#{i}")``;
     a key's owners are the first ``count`` *distinct* nodes clockwise from
     the key's own hash. Virtual nodes smooth the load split (the property
     suite bounds per-node share) and bound key movement when the node set
     changes.
     """
 
-    def __init__(self, nodes: Iterable[str], vnodes: int = 64) -> None:
+    def __init__(self, nodes: Iterable[str]) -> None:
         node_list = list(nodes)
         if not node_list:
             raise ValueError("a hash ring needs at least one node")
         if len(set(node_list)) != len(node_list):
             raise ValueError(f"duplicate node ids in {node_list!r}")
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         self.nodes = tuple(node_list)
-        self.vnodes = vnodes
         points = []
         for node in node_list:
-            for replica in range(vnodes):
+            for replica in range(VNODES):
                 points.append((stable_hash(f"{node}#{replica}"), node))
         # Sorting (hash, node) pairs breaks the (astronomically unlikely)
         # hash tie deterministically by node id.
@@ -111,14 +111,12 @@ class HashRing:
 class ShardMap:
     """A versioned assignment of segments to owner nodes.
 
-    Immutable and picklable (it rides inside ``ServerConfig`` to spawned
-    worker processes). The ring itself is derived lazily and cached.
+    Immutable; the ring itself is derived lazily and cached.
     """
 
     nodes: tuple[str, ...]
     replication_factor: int = 2
     version: int = 1
-    vnodes: int = 64
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -132,14 +130,12 @@ class ShardMap:
             )
         if self.version < 1:
             raise ValueError(f"shard map version must be >= 1, got {self.version}")
-        if self.vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
 
     @property
     def ring(self) -> HashRing:
         ring = self.__dict__.get("_ring")
         if ring is None:
-            ring = HashRing(self.nodes, vnodes=self.vnodes)
+            ring = HashRing(self.nodes)
             object.__setattr__(self, "_ring", ring)
         return ring
 
@@ -167,7 +163,6 @@ class ShardMap:
             nodes=tuple(nodes),
             replication_factor=self.replication_factor,
             version=self.version + 1,
-            vnodes=self.vnodes,
         )
 
     # -- wire (de)serialisation -------------------------------------------
@@ -178,7 +173,6 @@ class ShardMap:
             "nodes": list(self.nodes),
             "replication_factor": self.replication_factor,
             "version": self.version,
-            "vnodes": self.vnodes,
         }
 
     @classmethod
@@ -187,7 +181,6 @@ class ShardMap:
             nodes=tuple(str(node) for node in data["nodes"]),
             replication_factor=int(data["replication_factor"]),
             version=int(data["version"]),
-            vnodes=int(data.get("vnodes", 64)),
         )
 
 

@@ -123,7 +123,6 @@ class ServerConfig:
     # -- sharded delivery (see repro.serve.placement) ----------------------
     node_id: str = ""  # this node's logical id in the shard map; "" = unsharded
     shard_map: ShardMap | None = None  # segment → owners blueprint
-    peers: tuple[tuple[str, str], ...] = ()  # (node_id, base_url) sibling addresses
 
     def __post_init__(self) -> None:
         if self.drain_timeout < 0:
@@ -217,7 +216,7 @@ class SegmentServer:
                 storage,
                 self.node_id,
                 self.config.shard_map,
-                dict(self.config.peers),
+                {},
                 registry=self.metrics,
             )
             if self.node_id

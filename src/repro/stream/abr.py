@@ -172,18 +172,16 @@ class PredictiveTilingPolicy(QualityPolicy):
 POLICIES = {p.name: p for p in (NaiveFullQuality, UniformAdaptive, PredictiveTilingPolicy)}
 
 
-def estimate_budget(
-    bandwidth_estimate: float, window_duration: float, safety: float = 0.9
-) -> float:
-    """Byte budget for one window from a link estimate.
+#: Derates a link estimate so transient dips do not immediately stall
+#: playback; 0.9 matches common DASH practice.
+SAFETY = 0.9
 
-    ``safety`` derates the estimate so transient dips do not immediately
-    stall playback; 0.9 matches common DASH practice.
-    """
+
+def estimate_budget(bandwidth_estimate: float, window_duration: float) -> float:
+    """Byte budget for one window from a link estimate, derated by
+    :data:`SAFETY`."""
     if bandwidth_estimate <= 0:
         raise ValueError(f"bandwidth estimate must be positive, got {bandwidth_estimate}")
-    if not 0.0 < safety <= 1.0:
-        raise ValueError(f"safety factor must be in (0, 1], got {safety}")
     if window_duration <= 0:
         raise ValueError(f"window duration must be positive, got {window_duration}")
-    return bandwidth_estimate * window_duration * safety
+    return bandwidth_estimate * window_duration * SAFETY

@@ -21,6 +21,9 @@ from repro.predict.traces import Trace
 from repro.video.frame import Frame, psnr
 from repro.video.tiles import TiledGop
 
+#: Orientations :class:`ViewportQualityProbe` scores per window.
+PROBE_SAMPLES = 2
+
 
 @dataclass
 class PlaybackSimulator:
@@ -65,7 +68,7 @@ class PlaybackSimulator:
 class ViewportQualityProbe:
     """Scores delivered windows by the fidelity of the rendered viewport.
 
-    ``samples_per_window`` orientations are taken from the trace across the
+    :data:`PROBE_SAMPLES` orientations are taken from the trace across the
     window's media interval; for each, the viewport is rendered from both
     the delivered composite frame and the original source frame, and the
     luma PSNR between the two is averaged. Degradation in tiles the viewer
@@ -76,7 +79,6 @@ class ViewportQualityProbe:
     viewport: Viewport
     render_width: int = 64
     render_height: int = 64
-    samples_per_window: int = 2
 
     def window_psnr(
         self,
@@ -94,7 +96,7 @@ class ViewportQualityProbe:
             )
         decoded = delivered.decode()
         count = delivered.frame_count
-        sample_indices = np.linspace(0, count - 1, self.samples_per_window)
+        sample_indices = np.linspace(0, count - 1, PROBE_SAMPLES)
         scores = []
         for fractional_index in sample_indices:
             frame_index = int(round(fractional_index))

@@ -338,7 +338,10 @@ def _read_rows_reference(reader: BitReader, frames: int, blocks: int) -> np.ndar
                 position += read_ue() + 1
                 if position > 63:
                     raise ValueError(f"corrupt bitstream: coefficient index {position} > 63")
-                rows[index, block, position] = read_se()
+                level = read_se()
+                if abs(level) >= 1 << 31:  # the rows are int32
+                    raise ValueError("corrupt bitstream: a level beyond ±2**31")
+                rows[index, block, position] = level
     return rows
 
 

@@ -231,11 +231,6 @@ class TestChaosStorageManager:
         with pytest.raises(SegmentNotFoundError):
             storage.read_window("clip", 0, quality_map)
 
-    def test_slow_within_tolerance_serves_the_bytes(self, session_db):
-        plan = FaultPlan(rules=(FaultRule(kind="slow", calls=(1,), delay=0.01),))
-        storage = ChaosStorageManager(session_db.storage, plan, slow_tolerance=0.02)
-        assert storage.read_segment("clip", 0, (0, 0), Quality.HIGH)
-
     def test_media_time_filter_reaches_the_rule(self, session_db):
         meta = session_db.meta("clip")
         late = meta.gop_start_time(meta.gop_count - 1)

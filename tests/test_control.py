@@ -55,11 +55,12 @@ from repro.workloads.videos import synthetic_video
 
 
 class TestForecasterGolden:
-    """Exact Holt arithmetic: alpha=0.4, beta=0.3, horizon=2, worked by
-    hand. A refactor that changes update order breaks these precisely."""
+    """Exact Holt arithmetic at ``ALPHA`` = 0.4, ``BETA`` = 0.3 and
+    horizon 2, worked by hand. A refactor that changes update order
+    breaks these precisely."""
 
     def test_first_observation_seeds_the_level(self):
-        f = EwmaTrendForecaster(alpha=0.4, beta=0.3, horizon=2.0)
+        f = EwmaTrendForecaster(horizon=2.0)
         forecast = f.observe("v", 10.0)
         assert forecast.level == 10.0
         assert forecast.trend == 0.0
@@ -67,7 +68,7 @@ class TestForecasterGolden:
         assert forecast.observations == 1
 
     def test_two_step_golden_values(self):
-        f = EwmaTrendForecaster(alpha=0.4, beta=0.3, horizon=2.0)
+        f = EwmaTrendForecaster(horizon=2.0)
         f.observe("v", 10.0)
         forecast = f.observe("v", 20.0)
         # level = 0.4*20 + 0.6*(10 + 0) = 14
@@ -77,7 +78,7 @@ class TestForecasterGolden:
         assert forecast.predicted == pytest.approx(14.0 + 2.0 * 1.2)
 
     def test_three_step_golden_values(self):
-        f = EwmaTrendForecaster(alpha=0.4, beta=0.3, horizon=2.0)
+        f = EwmaTrendForecaster(horizon=2.0)
         f.observe("v", 10.0)
         f.observe("v", 20.0)
         forecast = f.observe("v", 40.0)
@@ -91,14 +92,14 @@ class TestForecasterGolden:
         """The flash-crowd property: during a ramp the prediction runs
         ahead of the latest observed value — that gap is what buys the
         planner its pre-warm lead time."""
-        f = EwmaTrendForecaster(alpha=0.4, beta=0.3, horizon=2.0)
+        f = EwmaTrendForecaster(horizon=2.0)
         for value in (10.0, 20.0, 30.0, 40.0, 50.0):
             forecast = f.observe("v", value)
         assert forecast.trend > 0
         assert forecast.predicted > 50.0
 
     def test_prediction_floors_at_zero(self):
-        f = EwmaTrendForecaster(alpha=0.4, beta=0.3, horizon=2.0)
+        f = EwmaTrendForecaster(horizon=2.0)
         for value in (10.0, 0.0, 0.0):
             forecast = f.observe("v", value)
         # level 2.88, trend -1.776: raw prediction is negative.
@@ -118,9 +119,7 @@ class TestForecasterGolden:
             f.observe(key, 1.0)
         assert list(f.forecasts()) == ["alpha", "mid", "zeta"]
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"alpha": 0.0}, {"alpha": 1.5}, {"beta": 0.0}, {"horizon": -1.0}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"horizon": -1.0}])
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ValueError):
             EwmaTrendForecaster(**kwargs)

@@ -60,13 +60,6 @@ class TestSharedLink:
         with pytest.raises(ValueError):
             streamer.serve_all([], SimulatedLink(ConstantBandwidth(1000)))
 
-    def test_offsets_length_validated(self, shared_db):
-        streamer = shared_db.streamer
-        with pytest.raises(ValueError):
-            streamer.serve_all(
-                make_sessions(2), SimulatedLink(ConstantBandwidth(1000)), [0.0]
-            )
-
     # Ids read policy-estimator-rtt_ms-buffer_windows; kept short so the
     # dotted test name fits the 100 characters test inventories record.
     @pytest.mark.parametrize("buffer_windows", [1.0, 2.0], ids=["1", "2"])
@@ -157,29 +150,22 @@ class TestSharedLink:
 
     def test_staggered_arrivals(self, shared_db):
         """Earliest requester first, ties in input order — read off the
-        records, for late, out-of-order and all-equal arrivals: replaying
-        the windows in (request time, session) order must find every
-        transfer finishing before the next one does, nobody asks before
-        they arrive, and first requests go out in (offset, input) order."""
-        for offsets in ([0.0, 5.0], [2.0, 0.0, 1.0], [0.0, 0.0, 0.0]):
-            reports = shared_db.streamer.serve_all(
-                make_sessions(len(offsets)),
-                SimulatedLink(ConstantBandwidth(_contended_rate(shared_db))),
-                start_offsets=offsets,
-            )
-            for offset, report in zip(offsets, reports):
-                assert report.records[0].request_time == offset
-            served = sorted(
-                (record.request_time, index, record.window, record.delivered_time)
-                for index, report in enumerate(reports)
-                for record in report.records
-            )
-            delivered = [finish for *_, finish in served]
-            assert delivered == sorted(delivered), offsets
-            arrivals = [index for _, index, window, _ in served if window == 0]
-            assert arrivals == sorted(
-                range(len(offsets)), key=lambda index: (offsets[index], index)
-            ), offsets
+        records: every session arrives at 0 and the link staggers them.
+        Replaying the windows in (request time, session) order must find
+        every transfer finishing before the next one does, and first
+        requests go out in input order."""
+        reports = shared_db.streamer.serve_all(
+            make_sessions(3), SimulatedLink(ConstantBandwidth(_contended_rate(shared_db)))
+        )
+        assert [report.records[0].request_time for report in reports] == [0.0] * 3
+        served = sorted(
+            (record.request_time, index, record.window, record.delivered_time)
+            for index, report in enumerate(reports)
+            for record in report.records
+        )
+        delivered = [finish for *_, finish in served]
+        assert delivered == sorted(delivered)
+        assert [index for _, index, window, _ in served if window == 0] == [0, 1, 2]
 
 
 class _LeftHalfPolicy(QualityPolicy):

@@ -5,7 +5,10 @@ procedural content -> ingest -> predictor training -> adaptive sessions
 — asserting cross-component invariants that unit tests cannot see.
 """
 
+import ast
 import dataclasses
+import inspect
+import json
 import re
 from pathlib import Path
 
@@ -23,9 +26,18 @@ from repro import (
     UniformAdaptive,
     VisualCloud,
 )
+from repro.chaos import ChaosProxy, ChaosStorageManager, FaultPlan
 from repro.control import ControlConfig, Controller, NodeState, Planner
+from repro.control.forecast import EwmaTrendForecaster
 from repro.core.resilience import RetryPolicy
+from repro.core.streamer import Streamer
+from repro.geometry.viewport import Viewport
+from repro.obs import Tracer
 from repro.serve import FailoverConfig, ServerConfig
+from repro.serve.failover import RetryBudget
+from repro.serve.placement import HashRing, ShardMap
+from repro.stream.abr import estimate_budget
+from repro.stream.client import ViewportQualityProbe
 from repro.stream.estimator import HarmonicMeanEstimator
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
@@ -174,26 +186,82 @@ class TestConcurrentViewStability:
         ]
 
 
-class TestConfigSurface:
-    """Every config object is the list docs/API.md gives for it — the
-    check that keeps an option nothing sets from coming back unnoticed."""
+REPO = Path(__file__).parent.parent
+CONFIG_CLASSES = [
+    ServerConfig,
+    SessionConfig,
+    FailoverConfig,
+    ControlConfig,
+    Planner,
+    NodeState,
+    IngestConfig,
+    RetryPolicy,
+    ShardMap,
+]
+#: Fields nothing outside the tests sets, each kept for a reason DESIGN.md
+#: gives under "Kept on purpose".
+KEPT_ON_PURPOSE = {
+    "ServerConfig": {"host", "port", "max_connection_requests"},
+    "SessionConfig": {"rtt", "buffer_windows"},
+    "FailoverConfig": {"clock"},
+}
 
-    @pytest.mark.parametrize(
-        "cls",
-        [
-            ServerConfig,
-            SessionConfig,
-            FailoverConfig,
-            ControlConfig,
-            Planner,
-            NodeState,
-            IngestConfig,
-            RetryPolicy,
-        ],
-        ids=lambda cls: cls.__name__,
-    )
+
+def _names_set(path: Path) -> set[str]:
+    """Every keyword argument and string dict key in a Python file, or
+    every object key in a JSON file: the names the file can set."""
+    names: set[str] = set()
+    if path.suffix == ".json":
+        json.loads(path.read_text(), object_pairs_hook=lambda pairs: names.update(dict(pairs)))
+        return names
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(
+                key.value
+                for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+    return names
+
+
+def _callers() -> list[Path]:
+    """Every file that is not a test and may configure the system."""
+    return [
+        *sorted(REPO.glob("src/repro/**/*.py")),
+        *sorted(REPO.glob("benchmarks/**/*.py")),
+        *sorted(REPO.glob("examples/*.py")),
+        *sorted(REPO.glob("plans/*.json")),
+    ]
+
+
+class TestConfigSurface:
+    """Every config object is the list docs/API.md gives for it, and each
+    of its fields is set by something that is not a test — the checks
+    that keep an option nothing sets from coming back unnoticed."""
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_field_is_set_outside_the_tests(self, cls):
+        own = Path(inspect.getsourcefile(cls)).resolve()
+        names = set().union(
+            *(_names_set(path) for path in _callers() if path.resolve() != own)
+        )
+        kept = KEPT_ON_PURPOSE.get(cls.__name__, set())
+        unset = [
+            field.name
+            for field in dataclasses.fields(cls)
+            if field.name not in names and field.name not in kept
+        ]
+        assert unset == [], f"{cls.__name__} fields only tests set: {unset}"
+        design = (REPO / "DESIGN.md").read_text()
+        reasons = re.search(r"^Kept on purpose\b.*?(?=\n\n)", design, re.M | re.S).group(0)
+        for name in kept:
+            assert f"`{cls.__name__}.{name}`" in reasons, name
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
     def test_fields_are_the_ones_docs_api_lists(self, cls):
-        api = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
+        api = (REPO / "docs" / "API.md").read_text()
         # `Cls(a, b, ...)` — a call example with keywords has an "=" and is skipped.
         listed = re.search(rf"`{cls.__name__}\(([^)=]*)\)`", api).group(1)
         fields = [field.name for field in dataclasses.fields(cls)]
@@ -225,6 +293,24 @@ class TestConfigSurface:
                 ControlConfig(), registry=MetricsRegistry(), storage=None, nodes=(), clock=float
             ),
             lambda: NodeState(node_id="node-0", owned=()),
+            lambda: SessionConfig(
+                policy=NaiveFullQuality(), bandwidth=ConstantBandwidth(1e6), viewport=Viewport()
+            ),
+            lambda: ServerConfig(peers=()),
+            lambda: ShardMap(nodes=("a",), vnodes=64),
+            lambda: HashRing(["a"], vnodes=64),
+            lambda: estimate_budget(1.0, 1.0, safety=0.9),
+            lambda: RetryBudget(capacity=16.0),
+            lambda: RetryBudget(refill=0.1),
+            lambda: EwmaTrendForecaster(alpha=0.4),
+            lambda: EwmaTrendForecaster(beta=0.3),
+            lambda: MetricsRegistry(trace_keep=256),
+            lambda: Tracer(keep=256),
+            lambda: ChaosProxy(("127.0.0.1", 1), upstream_timeout=10.0),
+            lambda: ViewportQualityProbe(Viewport(), samples_per_window=2),
+            lambda: ChaosStorageManager(None, FaultPlan(), slow_tolerance=0.0),
+            lambda: Streamer(None, None).serve_all([], start_offsets=[0.0]),
+            lambda: VisualCloud.serve(None, "clip", [], start_offsets=[0.0]),
         ],
         ids=[
             "read_repair",
@@ -240,6 +326,22 @@ class TestConfigSurface:
             "metrics_source",
             "clock",
             "owned",
+            "viewport",
+            "peers",
+            "vnodes",
+            "ring_vnodes",
+            "budget_safety",
+            "retry_capacity",
+            "retry_refill",
+            "forecast_alpha",
+            "forecast_beta",
+            "trace_keep",
+            "tracer_keep",
+            "upstream_timeout",
+            "samples_per_window",
+            "slow_tolerance",
+            "serve_all_start_offsets",
+            "serve_start_offsets",
         ],
     )
     def test_removed_options_are_type_errors(self, construct):

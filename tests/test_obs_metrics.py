@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs import MetricsRegistry, QUANTILES, Tracer
+from repro.obs.tracing import TRACE_KEEP
 
 
 class TestCounter:
@@ -201,13 +202,14 @@ class TestTracer:
         assert registry.histogram("explodes.seconds").count() == 1
 
     def test_ring_is_bounded(self):
-        tracer = Tracer(None, keep=4)
-        for index in range(10):
+        tracer = Tracer(None)
+        for index in range(TRACE_KEEP + 6):
             with tracer.span("s", index=index):
                 pass
         recent = tracer.recent()
-        assert len(recent) == 4
-        assert recent[-1].attrs["index"] == 9
+        assert len(recent) == TRACE_KEEP
+        assert recent[0].attrs["index"] == 6
+        assert recent[-1].attrs["index"] == TRACE_KEEP + 5
 
 
 class TestConcurrency:

@@ -19,7 +19,13 @@ from repro.serve import (
     serve_session,
     start_server,
 )
-from repro.serve.failover import CLOSED, HALF_OPEN, LEGAL_TRANSITIONS, OPEN
+from repro.serve.failover import (
+    CLOSED,
+    HALF_OPEN,
+    LEGAL_TRANSITIONS,
+    OPEN,
+    RETRY_CAPACITY,
+)
 
 
 class FakeClock:
@@ -99,24 +105,26 @@ class TestCircuitBreaker:
 
 class TestRetryBudget:
     def test_spend_drains_and_denies_when_dry(self):
-        budget = RetryBudget(capacity=2.0, refill=0.0)
-        assert budget.try_spend()
-        assert budget.try_spend()
+        budget = RetryBudget()
+        for _ in range(16):
+            assert budget.try_spend()
         assert not budget.try_spend()
-        assert budget.spent == 2
+        assert budget.spent == 16
         assert budget.denied == 1
 
     def test_successes_earn_back_capped_at_capacity(self):
-        budget = RetryBudget(capacity=2.0, refill=0.5)
-        budget.try_spend()
-        budget.try_spend()
-        budget.earn()
-        assert not budget.try_spend()  # 0.5 tokens: not a whole attempt
-        budget.earn()
-        assert budget.try_spend()
-        for _ in range(100):
+        budget = RetryBudget()
+        while budget.try_spend():
+            pass
+        for _ in range(9):
             budget.earn()
-        assert budget.tokens == 2.0
+        assert not budget.try_spend()  # 0.9 tokens: not a whole attempt
+        budget.earn()
+        budget.earn()  # ten float 0.1s sum to just under 1; the eleventh tips it
+        assert budget.try_spend()
+        for _ in range(1000):
+            budget.earn()
+        assert budget.tokens == RETRY_CAPACITY == 16.0
 
 
 class FakeReplicaClient:
@@ -244,7 +252,8 @@ class TestFailoverPolicy:
             },
             config=FailoverConfig(failure_threshold=99, reset_timeout=0.0),
         )
-        client.budget = RetryBudget(capacity=1.0, refill=0.0)
+        for _ in range(15):  # one token left
+            client.budget.try_spend()
         with client:
             with pytest.raises(TransientSegmentError):
                 client.fetch_segment("v", None)

@@ -168,12 +168,6 @@ class TestDispatchErrors:
                 link=SimulatedLink(ConstantBandwidth(100_000)),
             )
 
-    def test_start_offsets_require_a_link(self, session_db):
-        with pytest.raises(ValueError, match="start_offsets"):
-            session_db.serve(
-                "clip", (_trace(session_db), _config()), start_offsets=[0.0]
-            )
-
     def test_malformed_session_pair(self, session_db):
         with pytest.raises(TypeError, match="pairs"):
             session_db.serve("clip", [_trace(session_db)])

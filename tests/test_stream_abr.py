@@ -199,12 +199,10 @@ class TestForecastAllocator:
 
 class TestEstimateBudget:
     def test_basic(self):
-        assert estimate_budget(1000.0, 2.0, safety=0.9) == pytest.approx(1800.0)
+        assert estimate_budget(1000.0, 2.0) == pytest.approx(1800.0)  # derated by 0.9
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             estimate_budget(0.0, 1.0)
         with pytest.raises(ValueError):
             estimate_budget(1.0, 0.0)
-        with pytest.raises(ValueError):
-            estimate_budget(1.0, 1.0, safety=1.5)

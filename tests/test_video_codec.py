@@ -7,11 +7,12 @@ from repro.video.codec import (
     PlaneCodec,
     _encode_streams,
     _read_frames,
+    _read_rows_reference,
     frame_quantisers,
     quant_matrix,
     _BASE_LUMA,
 )
-from repro.video.bitstream import BitWriter
+from repro.video.bitstream import BitReader, BitWriter
 from repro.video.frame import Frame, psnr
 from repro.video.gop import (
     _HEADER,
@@ -52,6 +53,11 @@ def gop_of(quality, width, height, frames, stream, version=GOP_FORMAT_VERSION) -
 def read_rows(payload: bytes, frames: int, blocks: int) -> np.ndarray:
     """The vectorised decoder's frames of one payload, stacked."""
     return np.stack(list(_read_frames(payload, frames, blocks))).reshape(frames, blocks, 64)
+
+
+def read_rows_reference(payload: bytes, frames: int, blocks: int) -> np.ndarray:
+    """The scalar reference decoder's rows of one payload."""
+    return _read_rows_reference(BitReader(payload), frames, blocks)
 
 
 class TestQuantMatrix:
@@ -159,8 +165,9 @@ class TestEntropy:
         for value in (1, 0, 0, 0):  # one coded block, one coefficient at 0
             writer.write_ue(value)
         writer.write_se(1 << 31)  # one past int32
-        with pytest.raises(ValueError, match="beyond"):
-            read_rows(writer.getvalue(), 1, 1)
+        for decode in (read_rows, read_rows_reference):
+            with pytest.raises(ValueError, match=r"corrupt bitstream: a level beyond ±2\*\*31"):
+                decode(writer.getvalue(), 1, 1)
 
     def test_corrupt_count_raises(self):
         writer = BitWriter()
