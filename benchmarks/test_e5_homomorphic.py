@@ -9,7 +9,8 @@ of a pack range per segment. This experiment times a half-sphere map over
 every window of one stored video two ways: that read, and what a store
 without motion-constrained tiles would do for the same answer — decode
 each window (``decode_window``) and re-encode the half's tiles
-(``encode_gop_ladders``) — and reports the throughput factor.
+(``encode_gop_ladders``) — and prints the throughput factor. The results
+file keeps the operation and the bound it is checked against.
 """
 
 from __future__ import annotations
@@ -80,8 +81,14 @@ def test_e5_tile_subset_read(benchmark, storage):
             "fps_decode_path": int(frames / max(decode_t, 1e-9)),
         }
     ]
+    # Timings move with the host, so they go to stdout; the tracked file
+    # holds each row's operation and the bound asserted below.
+    title = "E5: tile-subset window read vs decode path"
+    emit_table(title, rows)
     emit_table(
-        "E5: tile-subset window read vs decode path", rows, RESULTS_DIR / "e5_homomorphic.txt"
+        title,
+        [{"operation": rows[0]["operation"], "asserted": "decode path > 50x byte path"}],
+        RESULTS_DIR / "e5_homomorphic.txt",
     )
 
     # Shape check: moving stored bytes is orders of magnitude faster.

@@ -390,10 +390,10 @@ class ScenarioRunner:
         scenario = self.scenario
         sessions = scenario.sessions
         # Shard mode: the tier width is the shard count; each node is both
-        # a ring owner and a client-facing replica. Nodes get *logical* ids
-        # ("node-0", ...) so the consistent-hash placement — and with it
-        # every routing decision — is identical across replays despite
-        # ephemeral ports.
+        # a ring owner and a client-facing replica (the client knows no
+        # owners). Nodes get *logical* ids ("node-0", ...) so the
+        # consistent-hash placement — and with it every peer fetch — is
+        # identical across replays despite ephemeral ports.
         shards = int(sessions.get("shards") or 0)
         width = shards or int(sessions.get("replicas", 1))
         node_ids = [f"node-{index}" for index in range(width)]
@@ -454,8 +454,6 @@ class ScenarioRunner:
                     urls,
                     config=FailoverConfig(reset_timeout=0.0, request_timeout=2.0),
                     registry=client_metrics,
-                    shard_map=shard_map,
-                    node_urls=dict(zip(node_ids, urls)) if shards else None,
                 )
             )
 
@@ -490,8 +488,6 @@ class ScenarioRunner:
                         "nodes": len(node_ids),
                         "replication_factor": shard_map.replication_factor,
                         "map_version": shard_map.version,
-                        "routed": _total(client_metrics, "failover.shard_routed"),
-                        "unroutable": _total(client_metrics, "failover.shard_unroutable"),
                         "peer_fetches": _total(db.metrics, "serve.peer_fetches"),
                         "peer_cache_hits": _total(db.metrics, "serve.peer_cache_hits"),
                         "peer_errors": _total(db.metrics, "serve.peer_errors"),

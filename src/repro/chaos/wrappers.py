@@ -153,11 +153,11 @@ class ChaosSegmentCache:
         label = quality.label if isinstance(quality, Quality) else str(quality)
         return self.plan.decide(name, gop, tile, label, target="cache")
 
-    def get_or_load(self, key, loader):
+    def get_or_load(self, key, loader, remote=False):
         decision = self._decide(key)
         if decision is not None and decision.kind == "evict":
             self.inner.invalidate(key)
-        return self.inner.get_or_load(key, loader)
+        return self.inner.get_or_load(key, loader, remote)
 
     def get(self, key):
         decision = self._decide(key)

@@ -42,6 +42,8 @@ class _InflightLoad:
     #: Set by invalidation while the load is in flight: the result must
     #: not be published to the cache (it may be stale).
     fenced: bool = False
+    #: The loader waits on another node (a shard node's peer fetch).
+    remote: bool = False
 
 
 class LruSegmentCache:
@@ -68,7 +70,8 @@ class LruSegmentCache:
             "cache.inflight_waits", "lookups that blocked on another session's load"
         )
         self._fenced_loads = self.metrics.counter(
-            "cache.fenced_loads", "in-flight loads cancelled by invalidation"
+            "cache.fenced_loads",
+            "in-flight loads cancelled by invalidation or displaced by a local load",
         )
         self._invalidations = self.metrics.counter(
             "cache.invalidations", "entries dropped by invalidation"
@@ -132,7 +135,9 @@ class LruSegmentCache:
         self._size += len(value)
         self._update_gauges_locked()
 
-    def get_or_load(self, key: Hashable, loader: Callable[[], bytes]) -> bytes:
+    def get_or_load(
+        self, key: Hashable, loader: Callable[[], bytes], remote: bool = False
+    ) -> bytes:
         """The cached payload, loading it via ``loader`` on a miss.
 
         Single-flight: when many sessions miss on the same key at once, one
@@ -147,6 +152,11 @@ class LruSegmentCache:
         bytes are returned to the leader and its waiters but *not*
         cached, and the in-flight slot is released immediately so
         post-invalidation requests load fresh.
+
+        A ``remote`` load waits on another node, which may be reading
+        this very pool (shard nodes over one store): a local load never
+        waits on one. It takes the key's slot and fences the remote load,
+        whose callers still get its bytes; remote loads wait on either.
         """
         while True:
             with self._lock:
@@ -157,8 +167,9 @@ class LruSegmentCache:
                     return entry
                 self._misses.inc()
                 flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _InflightLoad()
+                if flight is None or (flight.remote and not remote):
+                    self._fence_locked(flight, key)
+                    flight = _InflightLoad(remote=remote)
                     self._inflight[key] = flight
                     break  # we are the leader
             self._inflight_waits.inc()

@@ -44,6 +44,8 @@ _PROM_LABEL = re.compile(r"[^a-zA-Z0-9_]")
 
 #: Quantiles reported by every histogram snapshot / export.
 QUANTILES = (0.5, 0.9, 0.99)
+#: Most recent samples a histogram series keeps for its quantiles.
+HISTOGRAM_KEEP = 2048
 
 
 def _label_key(labels: dict) -> LabelKey:
@@ -116,7 +118,7 @@ class BoundHistogram:
         with metric._lock:
             series = metric._series.get(key)
             if series is None:
-                series = metric._series[key] = _HistogramSeries(metric._keep)
+                series = metric._series[key] = _HistogramSeries()
         self._series = series
 
     def observe(self, value: float) -> None:
@@ -177,12 +179,12 @@ class _HistogramSeries:
 
     __slots__ = ("count", "total", "minimum", "maximum", "samples")
 
-    def __init__(self, keep: int) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
-        self.samples: deque[float] = deque(maxlen=keep)
+        self.samples: deque[float] = deque(maxlen=HISTOGRAM_KEEP)
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -220,25 +222,19 @@ class Histogram(Metric):
     """A distribution with live quantiles (timings, sizes).
 
     Count/sum/min/max are exact over the metric's lifetime; quantiles are
-    computed over a sliding window of the most recent ``keep`` samples,
-    which is the operationally interesting view (recent behaviour) and
-    bounds memory regardless of run length.
+    computed over a sliding window of the most recent :data:`HISTOGRAM_KEEP`
+    samples, which is the operationally interesting view (recent behaviour)
+    and bounds memory regardless of run length.
     """
 
     kind = "histogram"
-
-    def __init__(self, name: str, help: str = "", keep: int = 2048) -> None:
-        super().__init__(name, help)
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        self._keep = keep
 
     def observe(self, value: float, **labels) -> None:
         key = _label_key(labels)
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                series = self._series[key] = _HistogramSeries(self._keep)
+                series = self._series[key] = _HistogramSeries()
             series.observe(float(value))
 
     def count(self, **labels) -> int:
@@ -280,11 +276,11 @@ class MetricsRegistry:
         self._metrics: dict[str, Metric] = {}
         self.tracer = Tracer(self)
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
+    def _get_or_create(self, cls, name: str, help: str) -> Metric:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, help, **kwargs)
+                metric = cls(name, help)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise TypeError(
@@ -298,8 +294,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "", keep: int = 2048) -> Histogram:
-        return self._get_or_create(Histogram, name, help, keep=keep)
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get_or_create(Histogram, name, help)
 
     def span(self, name: str, **attrs):
         """Time a block; records ``<name>.seconds`` here (see Tracer)."""

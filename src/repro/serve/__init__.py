@@ -14,8 +14,9 @@ Sharded delivery (:mod:`repro.serve.placement`): a consistent-hash
 :class:`ShardMap` assigns every segment to ``replication_factor`` owner
 nodes, a shard server reads through :class:`ShardedBackend`
 (:mod:`repro.serve.peering`: owner → local, non-owner → peers,
-repairable local failure → verified heal from a peer), and the failover
-client routes owners-first — see DESIGN.md "Sharded delivery".
+repairable local failure → verified heal from a peer). Placement stays
+in the tier: clients see replicas, never owners — see DESIGN.md
+"Sharded delivery".
 """
 
 from repro.serve.client import HttpSegmentClient, RemoteStorage, serve_session

@@ -330,8 +330,6 @@ def serve_session(
     registry: MetricsRegistry | None = None,
     prediction: PredictionService | None = None,
     failover=None,
-    shard_map=None,
-    node_urls: dict[str, str] | None = None,
 ) -> QoEReport:
     """Run one complete wire session against a segment server (or tier).
 
@@ -346,13 +344,8 @@ def serve_session(
     :class:`~repro.serve.failover.FailoverSegmentClient` (circuit
     breakers, retry budget, ``Retry-After`` backoff), tuned by the
     optional ``failover`` :class:`~repro.serve.failover.FailoverConfig`.
-
-    Against a *sharded* tier, pass the tier's ``shard_map``
-    (:class:`~repro.serve.placement.ShardMap`) and ``node_urls`` (logical
-    node id → base URL) so the failover client routes each segment to
-    its owners first; without them the client still streams (servers
-    peer-fetch non-owned segments) and adopts any map the manifest
-    publishes.
+    A sharded tier is a replica list like any other: each node serves
+    every segment, fetching the ones it does not own from their owners.
     """
     if config.evaluate_quality:
         raise ValueError(
@@ -360,18 +353,12 @@ def serve_session(
             "available over the wire; run the PSNR probe on the server side"
         )
     metrics = registry if registry is not None else MetricsRegistry()
-    if isinstance(base_url, str) and failover is None and shard_map is None:
+    if isinstance(base_url, str) and failover is None:
         client = HttpSegmentClient(base_url)
     else:
         from repro.serve.failover import FailoverSegmentClient
 
-        client = FailoverSegmentClient(
-            base_url,
-            config=failover,
-            registry=metrics,
-            shard_map=shard_map,
-            node_urls=node_urls,
-        )
+        client = FailoverSegmentClient(base_url, config=failover, registry=metrics)
     with client:
         storage = RemoteStorage(client, registry=metrics)
         service = prediction if prediction is not None else PredictionService(registry=metrics)

@@ -59,6 +59,9 @@ _MAX_RETRY_AFTER = 30.0
 #: The retry budget's bucket: tokens it holds, and tokens a success earns back.
 RETRY_CAPACITY = 16.0
 RETRY_REFILL = 0.1
+#: The bucket counts whole tenths of a token, so ten refills are exactly one.
+_CAPACITY_TENTHS = round(RETRY_CAPACITY * 10)
+_REFILL_TENTHS = round(RETRY_REFILL * 10)
 
 #: The legal circuit transitions; anything else is a bug the chaos
 #: runner's ``circuit_monotone`` invariant exists to catch.
@@ -184,19 +187,19 @@ class RetryBudget:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tokens = RETRY_CAPACITY
+        self._tenths = _CAPACITY_TENTHS
         self.spent = 0
         self.denied = 0
 
     @property
     def tokens(self) -> float:
         with self._lock:
-            return self._tokens
+            return self._tenths / 10
 
     def try_spend(self) -> bool:
         with self._lock:
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
+            if self._tenths >= 10:
+                self._tenths -= 10
                 self.spent += 1
                 return True
             self.denied += 1
@@ -204,7 +207,7 @@ class RetryBudget:
 
     def earn(self) -> None:
         with self._lock:
-            self._tokens = min(RETRY_CAPACITY, self._tokens + RETRY_REFILL)
+            self._tenths = min(_CAPACITY_TENTHS, self._tenths + _REFILL_TENTHS)
 
 
 @dataclass
@@ -282,8 +285,6 @@ class FailoverSegmentClient:
         config: FailoverConfig | None = None,
         registry: MetricsRegistry | None = None,
         client_factory: Callable[..., HttpSegmentClient] = HttpSegmentClient,
-        shard_map=None,
-        node_urls: dict[str, str] | None = None,
     ) -> None:
         if isinstance(base_urls, str):
             base_urls = [base_urls]
@@ -315,22 +316,6 @@ class FailoverSegmentClient:
         self._exhausted = self.metrics.counter(
             "failover.budget_exhausted", "requests failed fast on a dry retry budget"
         )
-        # Shard-aware routing (see repro.serve.placement): the map orders
-        # candidates owners-first; everything below it — breakers, budget,
-        # backoff — is unchanged, so losing the map only costs locality.
-        self.shard_map = shard_map
-        self._node_urls = dict(node_urls) if node_urls else {}
-        self._replica_urls = frozenset(replica.url for replica in self.replicas.replicas)
-        self._shard_routed = self.metrics.counter(
-            "failover.shard_routed", "segment requests ordered owners-first"
-        ).labels()
-        self._shard_unroutable = self.metrics.counter(
-            "failover.shard_unroutable",
-            "segment requests whose owners map to no configured replica",
-        ).labels()
-        self._shard_adopted = self.metrics.counter(
-            "failover.shard_map_adopted", "shard maps adopted from manifests"
-        ).labels()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -373,74 +358,13 @@ class FailoverSegmentClient:
         self.budget.earn()
         return result
 
-    def _owner_urls(self, name: str, key: SegmentKey) -> frozenset:
-        """The replica URLs owning one segment under the shard map.
-
-        Owner node ids resolve through ``node_urls`` (falling back to the
-        id itself, for tiers whose node ids *are* URLs) and are kept only
-        when they name a configured replica — a map mentioning nodes this
-        client cannot reach must not stop it from streaming.
-        """
-        if self.shard_map is None:
-            return frozenset()
-        owners = self.shard_map.owners(name, key)
-        urls = frozenset(
-            self._node_urls.get(node, node) for node in owners
-        ) & self._replica_urls
-        if urls:
-            self._shard_routed.inc()
-        else:
-            self._shard_unroutable.inc()
-        return urls
-
-    def _ordered_candidates(self, prefer: frozenset) -> list[Replica]:
-        """Health-tiered candidates, owners first *within* each tier.
-
-        A ready non-owner outranks a broken owner: placement is a
-        locality hint layered on the health ordering, never an override
-        of it — otherwise a dead owner would eat budget tokens that a
-        healthy sibling (which can peer-fetch the bytes) would serve.
-        """
-        candidates = self.replicas.candidates()
-        if not prefer:
-            return candidates
-        now = self.config.clock()
-
-        def tier(replica: Replica) -> tuple[int, int]:
-            ready = (
-                replica.breaker.state == CLOSED and replica.backoff_until <= now
-            )
-            return (0 if ready else 1, 0 if replica.url in prefer else 1)
-
-        return sorted(candidates, key=tier)  # stable: keeps rotation order
-
-    def _maybe_adopt(self, manifest: Manifest) -> None:
-        """Adopt a shard map published in a manifest.
-
-        Only strictly newer versions replace a held map (stale manifests
-        must never roll routing backwards); a client with no map adopts
-        whatever the tier publishes.
-        """
-        published = getattr(manifest, "shard_map", None)
-        if published is None:
-            return
-        if self.shard_map is not None and published.version <= self.shard_map.version:
-            return
-        self.shard_map = published
-        self._shard_adopted.inc()
-
-    def _fetch(
-        self,
-        what: str,
-        op: Callable[[HttpSegmentClient], object],
-        prefer: frozenset = frozenset(),
-    ):
+    def _fetch(self, what: str, op: Callable[[HttpSegmentClient], object]):
         """Run ``op`` against the best replica, failing over on
         transient errors until the candidates or the budget run out."""
         self._requests.inc(endpoint=what)
         last_error: TransientSegmentError | None = None
         attempted = 0
-        for replica in self._ordered_candidates(prefer):
+        for replica in self.replicas.candidates():
             if attempted > 0 and not self.budget.try_spend():
                 self._exhausted.inc()
                 break
@@ -467,13 +391,10 @@ class FailoverSegmentClient:
     # -- HttpSegmentClient duck type ------------------------------------------
 
     def fetch_manifest(self, name: str) -> Manifest:
-        manifest = self._fetch("manifest", lambda client: client.fetch_manifest(name))
-        self._maybe_adopt(manifest)
-        return manifest
+        return self._fetch("manifest", lambda client: client.fetch_manifest(name))
 
     def fetch_segment(self, name: str, key: SegmentKey) -> bytes:
-        prefer = self._owner_urls(name, key)
-        return self._fetch("segment", lambda c: c.fetch_segment(name, key), prefer)
+        return self._fetch("segment", lambda client: client.fetch_segment(name, key))
 
     def fetch_metrics(self) -> dict:
         return self._fetch("metrics", lambda client: client.fetch_metrics())

@@ -119,7 +119,7 @@ class ShardedBackend:
         """Swap in a new placement blueprint (and optionally peer table).
 
         Version monotonicity is enforced: a stale map is rejected, so a
-        replayed manifest can never roll routing backwards. Pooled bytes
+        replayed update can never roll routing backwards. Pooled bytes
         stay: they are versioned and index-checked, and owners are not in the key.
         """
         previous = self.shard_map
@@ -192,7 +192,9 @@ class ShardedBackend:
     def _peer_read(self, name: str, key: SegmentKey, owners) -> bytes:
         """A non-owned read, single-flight through the node's buffer pool
         under the local index entry's key; only an owner copy that passes
-        this node's index check is served and pooled."""
+        this node's index check is served and pooled. The load is
+        ``remote``: an owner reading the same pool (nodes over one store)
+        loads the key itself instead of waiting on this fetch."""
         meta = self.local.meta(name)
         entry = meta.entries.get(key)
         if entry is None:  # every node holds the index: no owner has it either
@@ -209,7 +211,7 @@ class ShardedBackend:
                     self._errors.inc()  # not the copy our index names
                     continue
                 return data
-            # Past the pool: read_segment would wait on this very load.
+            # Past the pool: this load holds the key's slot.
             [data] = self.local.read_segments(name, [key], meta.version)
             if isinstance(data, SegmentNotFoundError):
                 raise TransientSegmentError(
@@ -224,7 +226,9 @@ class ShardedBackend:
         pool = self.local.segment_cache
         if pool is None:
             return load()
-        data = pool.get_or_load(key.cache_key(name, entry.file_version), load)
+        data = pool.get_or_load(
+            key.cache_key(name, entry.file_version), load, remote=True
+        )
         if not loaded:
             self._cache_hits.inc()
         return data

@@ -4,12 +4,12 @@ PR 5 treated every replica as a full copy of storage; this module is the
 routing/blueprint split that lets the tier scale past one machine's disk.
 A :class:`ShardMap` is the *blueprint*: a versioned, immutable assignment
 of every ``(video, SegmentKey)`` to ``replication_factor`` owner nodes,
-computed from a consistent-hash ring over logical node ids. Routing — in
-the server's peer-fetch path and the failover client's owner-first
-candidate ordering — consults the map but never mutates it; topology
-changes produce a *new* map with a higher version, and key movement is
-bounded (only keys adjacent to the joined/left node's virtual points move,
-≈ ``keys / nodes`` per single-node change).
+computed from a consistent-hash ring over logical node ids. Routing — the
+server's owner-or-peer read path — consults the map but never mutates it;
+topology changes produce a *new* map with a higher version, and key
+movement is bounded (only keys adjacent to the joined/left node's virtual
+points move, ≈ ``keys / nodes`` per single-node change). Placement is the
+tier's business alone: clients see replicas, never owners.
 
 Three design rules, each load-bearing:
 
@@ -20,12 +20,10 @@ Three design rules, each load-bearing:
 * **Logical node ids.** The ring hashes node *ids* ("node-0", ...), not
   URLs. Servers bind ephemeral ports in tests/bench/chaos; hashing URLs
   would reshuffle ownership on every run and break deterministic wire
-  scenarios. A side table (``node_urls``) maps ids to addresses at the
-  edge.
+  scenarios. The peer table a server is handed maps ids to addresses.
 * **Versioned maps.** Every derived map (:meth:`ShardMap.with_nodes`)
-  bumps ``version``; the server publishes the map in the manifest and
-  clients adopt strictly newer versions only, so a stale manifest can
-  never roll routing backwards.
+  bumps ``version``, and a server refuses a map older than its active
+  one, so a replayed update can never roll routing backwards.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import hashlib
 import os
 import shutil
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -163,24 +161,6 @@ class ShardMap:
             nodes=tuple(nodes),
             replication_factor=self.replication_factor,
             version=self.version + 1,
-        )
-
-    # -- wire (de)serialisation -------------------------------------------
-
-    def to_json(self) -> dict:
-        """JSON-able form, embedded under ``"shard_map"`` in wire manifests."""
-        return {
-            "nodes": list(self.nodes),
-            "replication_factor": self.replication_factor,
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "ShardMap":
-        return cls(
-            nodes=tuple(str(node) for node in data["nodes"]),
-            replication_factor=int(data["replication_factor"]),
-            version=int(data["version"]),
         )
 
 

@@ -740,13 +740,7 @@ class SegmentServer:
     async def _manifest(self, name: str) -> Response:
         manifest = await self._offload(lambda: self.backend.build_manifest(name))
         self._known_video(name)
-        payload = manifest.to_json()
-        shard_map = self.shard_map
-        if shard_map is not None:
-            # Published here, not baked into the stored manifest: the map
-            # is delivery-tier state with its own version stream.
-            payload["shard_map"] = shard_map.to_json()
-        return json_response(200, payload)
+        return json_response(200, manifest.to_json())
 
     async def _segment(self, target: str) -> Response:
         name, key = parse_segment_url(target)  # ValueError → 400

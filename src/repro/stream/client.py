@@ -23,6 +23,8 @@ from repro.video.tiles import TiledGop
 
 #: Orientations :class:`ViewportQualityProbe` scores per window.
 PROBE_SAMPLES = 2
+#: Width and height (pixels) of each viewport it renders.
+PROBE_RENDER = 64
 
 
 @dataclass
@@ -69,16 +71,14 @@ class ViewportQualityProbe:
     """Scores delivered windows by the fidelity of the rendered viewport.
 
     :data:`PROBE_SAMPLES` orientations are taken from the trace across the
-    window's media interval; for each, the viewport is rendered from both
-    the delivered composite frame and the original source frame, and the
-    luma PSNR between the two is averaged. Degradation in tiles the viewer
-    never looked at is invisible to this metric — by design, since it is
-    invisible to the viewer too.
+    window's media interval; for each, a :data:`PROBE_RENDER`-pixel square
+    viewport is rendered from both the delivered composite frame and the
+    original source frame, and the luma PSNR between the two is averaged.
+    Degradation in tiles the viewer never looked at is invisible to this
+    metric — by design, since it is invisible to the viewer too.
     """
 
     viewport: Viewport
-    render_width: int = 64
-    render_height: int = 64
 
     def window_psnr(
         self,
@@ -105,14 +105,14 @@ class ViewportQualityProbe:
             seen = self.viewport.render(
                 decoded[frame_index].y.astype(np.float64),
                 orientation,
-                self.render_width,
-                self.render_height,
+                PROBE_RENDER,
+                PROBE_RENDER,
             )
             reference = self.viewport.render(
                 original_frames[frame_index].y.astype(np.float64),
                 orientation,
-                self.render_width,
-                self.render_height,
+                PROBE_RENDER,
+                PROBE_RENDER,
             )
             scores.append(psnr(seen, reference))
         finite = [score for score in scores if np.isfinite(score)]

@@ -100,11 +100,6 @@ class Manifest:
     grid: TileGrid
     qualities: tuple[Quality, ...]  # available ladder, best first
     segment_sizes: dict[SegmentKey, int] = field(default_factory=dict)
-    #: Optional :class:`~repro.serve.placement.ShardMap` published by a
-    #: sharded tier (typed loosely: stream must not import serve at module
-    #: load). ``None`` on single-node manifests, and omitted from the wire
-    #: form so pre-shard manifest JSON stays byte-identical.
-    shard_map: object | None = None
 
     def __post_init__(self) -> None:
         if self.window_duration <= 0:
@@ -201,7 +196,7 @@ class Manifest:
         Segment sizes are keyed by :meth:`SegmentKey.to_path`, so the keys
         in the wire manifest are exactly the URL tails a client requests.
         """
-        payload = {
+        return {
             "video": self.video,
             "width": self.width,
             "height": self.height,
@@ -218,19 +213,11 @@ class Manifest:
                 )
             },
         }
-        if self.shard_map is not None:
-            payload["shard_map"] = self.shard_map.to_json()
-        return payload
 
     @classmethod
     def from_json(cls, data: dict) -> "Manifest":
         """Rebuild a manifest from :meth:`to_json` output (exact inverse)."""
         rows, cols = data["grid"]
-        shard_map = None
-        if data.get("shard_map") is not None:
-            from repro.serve.placement import ShardMap
-
-            shard_map = ShardMap.from_json(data["shard_map"])
         return cls(
             video=data["video"],
             width=int(data["width"]),
@@ -246,5 +233,4 @@ class Manifest:
                 SegmentKey.from_path(path): int(size)
                 for path, size in data["segments"].items()
             },
-            shard_map=shard_map,
         )

@@ -179,6 +179,34 @@ class TestGetOrLoad:
         assert cache.get("slow-key") == b"slow"
 
 
+    def test_local_load_does_not_wait_on_a_remote_load(self):
+        """A remote load (a peer fetch) may be waiting on a node that reads
+        this very pool: a local load of the key runs at once and is the
+        one published, and the remote load still answers its caller."""
+        import threading
+
+        cache = LruSegmentCache(10_000)
+        started, gate = threading.Event(), threading.Event()
+        results = []
+
+        def fetch():
+            started.set()
+            gate.wait(timeout=5.0)
+            return b"segment-bytes"
+
+        remote = threading.Thread(
+            target=lambda: results.append(cache.get_or_load("seg", fetch, remote=True))
+        )
+        remote.start()
+        assert started.wait(timeout=5.0)
+        assert cache.get_or_load("seg", lambda: b"segment-bytes") == b"segment-bytes"
+        assert cache.get("seg") == b"segment-bytes"
+        gate.set()
+        remote.join(timeout=5.0)
+        assert results == [b"segment-bytes"]
+        assert _total(cache, "cache.fenced_loads") == 1
+
+
 class TestInvalidationFencing:
     """Invalidation must cancel in-flight loads, not just cached entries.
 

@@ -33,11 +33,13 @@ from repro.core.resilience import RetryPolicy
 from repro.core.streamer import Streamer
 from repro.geometry.viewport import Viewport
 from repro.obs import Tracer
-from repro.serve import FailoverConfig, ServerConfig
+from repro.obs.metrics import Histogram
+from repro.serve import FailoverConfig, FailoverSegmentClient, ServerConfig, serve_session
 from repro.serve.failover import RetryBudget
 from repro.serve.placement import HashRing, ShardMap
 from repro.stream.abr import estimate_budget
 from repro.stream.client import ViewportQualityProbe
+from repro.stream.dash import Manifest
 from repro.stream.estimator import HarmonicMeanEstimator
 from repro.workloads.users import ViewerPopulation
 from repro.workloads.videos import synthetic_video
@@ -311,6 +313,24 @@ class TestConfigSurface:
             lambda: ChaosStorageManager(None, FaultPlan(), slow_tolerance=0.0),
             lambda: Streamer(None, None).serve_all([], start_offsets=[0.0]),
             lambda: VisualCloud.serve(None, "clip", [], start_offsets=[0.0]),
+            lambda: MetricsRegistry().histogram("h", keep=4),
+            lambda: Histogram("h", keep=4),
+            lambda: ViewportQualityProbe(Viewport(), render_width=16),
+            lambda: ViewportQualityProbe(Viewport(), render_height=16),
+            lambda: FailoverSegmentClient(["http://127.0.0.1:1"], shard_map=None),
+            lambda: FailoverSegmentClient(["http://127.0.0.1:1"], node_urls={}),
+            lambda: serve_session("http://127.0.0.1:1", "clip", None, None, shard_map=None),
+            lambda: Manifest(
+                video="clip",
+                width=64,
+                height=32,
+                fps=4.0,
+                window_duration=1.0,
+                window_count=1,
+                grid=TileGrid(1, 1),
+                qualities=(Quality.HIGH,),
+                shard_map=None,
+            ),
         ],
         ids=[
             "read_repair",
@@ -342,6 +362,14 @@ class TestConfigSurface:
             "slow_tolerance",
             "serve_all_start_offsets",
             "serve_start_offsets",
+            "histogram_keep",
+            "histogram_class_keep",
+            "render_width",
+            "render_height",
+            "failover_shard_map",
+            "failover_node_urls",
+            "serve_session_shard_map",
+            "manifest_shard_map",
         ],
     )
     def test_removed_options_are_type_errors(self, construct):

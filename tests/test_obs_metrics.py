@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs import MetricsRegistry, QUANTILES, Tracer
+from repro.obs.metrics import HISTOGRAM_KEEP
 from repro.obs.tracing import TRACE_KEEP
 
 
@@ -96,16 +97,15 @@ class TestHistogram:
 
     def test_sliding_window_keeps_exact_count(self):
         """Quantiles slide; count/sum stay exact over the lifetime."""
-        hist = MetricsRegistry().histogram("h", keep=4)
-        for value in range(100):
+        hist = MetricsRegistry().histogram("h")
+        total = HISTOGRAM_KEEP + 100
+        for value in range(total):
             hist.observe(float(value))
-        assert hist.count() == 100
-        # Window holds only the last 4 samples: 96..99.
-        assert hist.quantile(0.0) == 96.0
-
-    def test_rejects_bad_keep(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().histogram("h", keep=0)
+        assert hist.count() == total
+        assert hist.sum() == total * (total - 1) / 2
+        # The window holds only the last HISTOGRAM_KEEP samples: 100 onwards.
+        assert hist.quantile(0.0) == 100.0
+        assert hist.quantile(1.0) == total - 1
 
 
 class TestRegistry:

@@ -262,14 +262,6 @@ class TestShardMapLifecycle:
         assert successor.version == 5
         assert successor.replication_factor == 2
 
-    @given(shard_map=shard_maps)
-    def test_json_round_trip(self, shard_map):
-        assert sorted(shard_map.to_json()) == ["nodes", "replication_factor", "version"]
-        clone = ShardMap.from_json(shard_map.to_json())
-        assert clone == shard_map
-        key = SegmentKey(7, (0, 0), Quality.HIGH)
-        assert clone.owners("clip", key) == shard_map.owners("clip", key)
-
     def test_pickle_round_trip_with_cached_ring(self):
         shard_map = ShardMap(nodes=("a", "b", "c"))
         key = SegmentKey(1, (1, 1), Quality.LOW)

@@ -120,11 +120,22 @@ class TestRetryBudget:
             budget.earn()
         assert not budget.try_spend()  # 0.9 tokens: not a whole attempt
         budget.earn()
-        budget.earn()  # ten float 0.1s sum to just under 1; the eleventh tips it
+        budget.earn()  # 1.1 tokens
         assert budget.try_spend()
         for _ in range(1000):
             budget.earn()
         assert budget.tokens == RETRY_CAPACITY == 16.0
+
+    def test_ten_successes_buy_one_attempt(self):
+        # Ten refills of 0.1 are exactly one token; a float sum of them
+        # is 0.9999999999999999, which would refuse the attempt.
+        budget = RetryBudget()
+        while budget.try_spend():
+            pass
+        for _ in range(10):
+            budget.earn()
+        assert budget.tokens == 1.0
+        assert budget.try_spend()
 
 
 class FakeReplicaClient:

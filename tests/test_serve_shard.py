@@ -10,15 +10,20 @@ exercised over actual sockets. The contracts pinned here:
   not-found); an unreachable owner set with no local copy surfaces as
   transient so clients fail over.
 * **Differential QoE** — a no-fault wire session through the sharded
-  tier is JSON-equal to the single-server wire path and the simulated
-  path.
+  tier, by a client that holds no shard map, is JSON-equal to the
+  single-server wire path and the simulated path.
 * **Coherence** — a shard-map change drops pins the node no longer owns,
   keeps pooled non-owned bytes, and refuses version rollback.
+* **Placement stays in the tier** — a node's manifest is the unsharded
+  manifest, and nodes over one shared store answer non-owned reads
+  without waiting on their own buffer pool.
 """
 
 from __future__ import annotations
 
 import json
+import time
+from urllib.request import urlopen
 
 import pytest
 
@@ -27,7 +32,6 @@ from repro.core.errors import SegmentNotFoundError, TransientSegmentError
 from repro.core.storage import StorageManager
 from repro.obs import MetricsRegistry
 from repro.serve import (
-    FailoverSegmentClient,
     HttpSegmentClient,
     SegmentServer,
     ServerConfig,
@@ -173,29 +177,22 @@ class TestDifferentialQoE:
             lone = serve_session(single.base_url, "clip", trace, config)
         finally:
             single.stop()
-        sharded = serve_session(
-            list(tier.node_urls.values()),
-            "clip",
-            trace,
-            config,
-            shard_map=tier.shard_map,
-            node_urls=tier.node_urls,
-        )
+        sharded = serve_session(list(tier.node_urls.values()), "clip", trace, config)
         assert _summary_key(sharded) == _summary_key(lone) == _summary_key(sim)
 
-    def test_owner_routing_is_exercised(self, session_db, tier):
-        registry = MetricsRegistry()
-        serve_session(
-            list(tier.node_urls.values()),
-            "clip",
-            _trace(session_db),
-            _config(),
-            registry=registry,
-            shard_map=tier.shard_map,
-            node_urls=tier.node_urls,
-        )
-        assert registry.counter("failover.shard_routed").total() > 0
-        assert registry.counter("failover.shard_unroutable").total() == 0
+    def test_the_tier_routes(self, session_db, tier):
+        # The client holds no map: it spreads requests over the nodes, and
+        # each node fetches what it does not own from an owner.
+        trace, config = _trace(session_db), _config()
+        sim = session_db.serve("clip", (trace, config))
+        single = start_server(session_db.storage)
+        try:
+            lone = serve_session([single.base_url], "clip", trace, config)
+        finally:
+            single.stop()
+        sharded = serve_session(list(tier.node_urls.values()), "clip", trace, config)
+        assert _summary_key(sharded) == _summary_key(lone) == _summary_key(sim)
+        assert any(tier.counter(node, "serve.peer_fetches") > 0 for node in NODES)
 
 
 class TestFailover:
@@ -210,8 +207,6 @@ class TestFailover:
             _trace(session_db),
             _config(),
             registry=registry,
-            shard_map=tier.shard_map,
-            node_urls=tier.node_urls,
         )
         assert report.records
         meta = session_db.meta("clip")
@@ -311,21 +306,59 @@ class TestCoherence:
         assert tier.counter("node-0", "cache.hits") == 1  # the store's buffer pool
 
 
-class TestManifestPublication:
-    def test_manifest_carries_the_shard_map(self, tier):
-        with HttpSegmentClient(tier.node_urls["node-1"]) as client:
-            manifest = client.fetch_manifest("clip")
-        assert manifest.shard_map == tier.shard_map
-
-    def test_client_adopts_a_published_map(self, tier):
-        registry = MetricsRegistry()
-        client = FailoverSegmentClient(
-            list(tier.node_urls.values()), registry=registry
-        )
+class TestManifest:
+    def test_sharded_manifest_is_the_unsharded_one(self, session_db, tier):
+        # Placement is the tier's business: a node's manifest carries no
+        # shard map and is byte for byte what a lone server publishes.
+        single = start_server(session_db.storage)
         try:
-            assert client.shard_map is None
-            client.fetch_manifest("clip")
-            assert client.shard_map == tier.shard_map
-            assert registry.counter("failover.shard_map_adopted").total() == 1
+            with urlopen(f"{single.base_url}/manifest/clip") as response:
+                unsharded = response.read()
         finally:
-            client.close()
+            single.stop()
+        for node in NODES:
+            with urlopen(f"{tier.node_urls[node]}/manifest/clip") as response:
+                sharded = response.read()
+            assert "shard_map" not in json.loads(sharded)
+            assert sharded == unsharded
+
+
+class TestSharedStore:
+    def test_non_owned_read_on_a_shared_pool_does_not_wait(self, session_db):
+        # Three nodes over one store share one buffer pool. A non-owner's
+        # peer fetch holds the pool's single-flight slot for the key while
+        # it asks an owner, and the owner reads that key through the same
+        # pool: the owner must load it, not wait on the fetch that waits
+        # on it.
+        storage = StorageManager(session_db.storage.catalog.root)
+        shard_map = ShardMap(nodes=NODES, replication_factor=2)
+        registries = {node: MetricsRegistry() for node in NODES}
+        handles = {
+            node: start_server(
+                storage,
+                ServerConfig(node_id=node, shard_map=shard_map),
+                registry=registries[node],
+            )
+            for node in NODES
+        }
+        try:
+            urls = {node: handle.base_url for node, handle in handles.items()}
+            for handle in handles.values():
+                handle.update_shard_map(shard_map, urls)
+            manifest = storage.build_manifest("clip")
+            key = next(
+                key
+                for key in sorted(manifest.segment_sizes, key=lambda k: k.to_path())
+                if not shard_map.owns("node-0", "clip", key)
+            )
+            [expected] = storage.read_segments("clip", [key])  # past the pool
+            with HttpSegmentClient(urls["node-0"]) as client:
+                started = time.perf_counter()
+                data = client.fetch_segment("clip", key)
+                elapsed = time.perf_counter() - started
+        finally:
+            for handle in handles.values():
+                handle.stop()
+        assert data == expected
+        assert elapsed < 1.0
+        assert registries["node-0"].counter("serve.peer_fetches").total() == 1

@@ -68,7 +68,7 @@ class TestViewportQualityProbe:
     def test_identical_window_hits_ceiling(self, setup):
         frames, window, trace = setup
         high = window(lambda tile: Quality.HIGH)
-        probe = ViewportQualityProbe(Viewport(), render_width=16, render_height=16)
+        probe = ViewportQualityProbe(Viewport())
         decoded = high.decode()
         score = probe.window_psnr(high, decoded, trace, media_start=0.0, fps=4.0)
         assert score == pytest.approx(99.0)
@@ -77,7 +77,7 @@ class TestViewportQualityProbe:
         frames, window, trace = setup
         high = window(lambda tile: Quality.HIGH)
         low = window(lambda tile: Quality.LOWEST)
-        probe = ViewportQualityProbe(Viewport(), render_width=16, render_height=16)
+        probe = ViewportQualityProbe(Viewport())
         reference = high.decode()
         high_score = probe.window_psnr(high, reference, trace, 0.0, 4.0)
         low_score = probe.window_psnr(low, reference, trace, 0.0, 4.0)
@@ -85,9 +85,7 @@ class TestViewportQualityProbe:
 
     def test_degradation_outside_viewport_is_invisible(self, setup):
         frames, window, _ = setup
-        probe = ViewportQualityProbe(
-            Viewport(fov_theta=0.8, fov_phi=0.8), render_width=16, render_height=16
-        )
+        probe = ViewportQualityProbe(Viewport(fov_theta=0.8, fov_phi=0.8))
         reference = window(lambda tile: Quality.HIGH).decode()
         # Gaze fixed at theta=pi/2; destroy only the opposite side (col 1
         # spans theta in [pi, 2pi)).
